@@ -171,11 +171,10 @@ func runKernelBenches(out io.Writer, jsonPath string) error {
 		}
 	})
 
-	// Integer GEMM rows: the serving engine's conv-shaped product
-	// (SmallCNN layer 3 at the deploy geometry) through the PR 3 strided
-	// kernel and through the packed-panel path the engine now runs —
-	// whether the packed row beats the float GEMMs above is exactly the
-	// "int8 is the fastest path" claim, so it belongs in the trajectory.
+	// Integer GEMM row: the serving engine's conv-shaped product (SmallCNN
+	// layer 3 at the deploy geometry) through the packed-panel path —
+	// whether it beats the float GEMMs above is exactly the "int8 is the
+	// fastest path" claim, so it belongs in the trajectory.
 	intM, intK, intN := 4096, 144, 32
 	intFlops := 2 * float64(intM) * float64(intK) * float64(intN)
 	rng := tensor.NewRNG(7)
@@ -187,16 +186,6 @@ func runKernelBenches(out io.Writer, jsonPath string) error {
 	for i := range xInt {
 		xInt[i] = uint8(rng.Intn(256))
 	}
-	record("IntGEMMConvShaped", intFlops, func(b *testing.B) {
-		dst := make([]int32, intN*intM)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := tensor.MatMulI8U8Into(dst, wInt, xInt[:intK*intM], intN, intK, intM); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	// IntGEMMPacked4Row continues the IntGEMMPacked series under its
 	// multi-row name: since the 4×8 register-blocked kernels landed, the
 	// packed GEMM processes four activation rows per panel-quad load, so
@@ -219,14 +208,10 @@ func runKernelBenches(out io.Writer, jsonPath string) error {
 		}
 	})
 
-	// ConvImplicitU8 / ConvMaterializedU8: the whole int8 conv lowering —
-	// patch gather + packed GEMM — on the deploy-shaped stride-1 layer
-	// (16ch 16×16 3×3 pad 1, 16 samples → the exact 4096×144×32 product
-	// of IntGEMMPacked4Row, so the gap between either row and that one is
-	// the gather cost). The implicit row runs the band-staged gather that
-	// feeds kernels from cache; the materialized row packs the full patch
-	// matrix first, the way every conv ran before the implicit path. Both
-	// produce bit-identical accumulators; the ratio is the lowering win.
+	// ConvImplicitU8: the whole int8 conv lowering — band gather + packed
+	// GEMM — on the deploy-shaped stride-1 layer (16ch 16×16 3×3 pad 1, 16
+	// samples → the exact 4096×144×32 product of IntGEMMPacked4Row, so the
+	// gap between this row and that one is the gather cost).
 	convG := tensor.ConvGeom{InC: 16, InH: 16, InW: 16, KH: 3, KW: 3, Stride: 1, Pad: 1}
 	convN := 16
 	convOH, convOW := convG.OutHW()
@@ -244,26 +229,13 @@ func runKernelBenches(out io.Writer, jsonPath string) error {
 		if err != nil {
 			b.Fatal(err)
 		}
-		work := make([]uint8, plan.Bands()*convN*plan.BandLen())
+		lanes := min(tensor.MaxWorkers(), convN*plan.Bands())
+		work := make([]uint8, lanes*plan.BandLen())
 		acc := make([]int32, convPos*intN)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if err := tensor.ConvU8I8ImplicitInto(acc, convSrc, convN, convPacked, plan, 3, work); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	record("ConvMaterializedU8", intFlops, func(b *testing.B) {
-		cols := make([]uint8, convPos*intK+3)
-		acc := make([]int32, convPos*intN)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := tensor.Im2ColBatchU8PatchesInto(cols[:convPos*intK], convSrc, convN, convG, 3); err != nil {
-				b.Fatal(err)
-			}
-			if err := tensor.MatMulU8I8PackedInto(acc, cols, convPacked, convPos, intK); err != nil {
 				b.Fatal(err)
 			}
 		}

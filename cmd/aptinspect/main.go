@@ -2,9 +2,7 @@
 // bitwidth and reports each layer's quantization state: value range, the
 // minimum resolution ε (Eq. 2), parameter count, storage size and per-MAC
 // energy — a static view of what APT manages dynamically. It also prints
-// the live kernel dispatch and, per dense conv layer, the im2col
-// lowering the int8 serving engine would compile it onto (implicit band
-// gather vs materialized patch matrix) with the rule behind the choice.
+// the live kernel dispatch and the int8 serving engine's conv lowering.
 //
 // Usage:
 //
@@ -19,9 +17,7 @@ import (
 	"text/tabwriter"
 
 	"repro/internal/energy"
-	"repro/internal/infer"
 	"repro/internal/models"
-	"repro/internal/nn"
 	"repro/internal/quant"
 	"repro/internal/tensor"
 )
@@ -119,52 +115,8 @@ func run(args []string, out io.Writer) error {
 	fmt.Fprintf(out, "per-MAC energy at %d bits: %.4f of a 32-bit MAC\n",
 		*bits, em.MACCost(*bits)/em.MACCost(quant.MaxBits))
 	fmt.Fprintf(out, "kernel dispatch: %s\n", tensor.KernelSummary())
-	if lows := convLowerings(m.Layers()); len(lows) > 0 {
-		fmt.Fprintf(out, "\nint8 serving conv lowering (infer.Compile per-geometry rule):\n")
-		lw := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
-		fmt.Fprintf(lw, "layer\tgeometry\tlowering\twhy\n")
-		for _, l := range lows {
-			g := l.geom
-			fmt.Fprintf(lw, "%s\t%dx%dx%d k%dx%d s%d p%d\t%s\t%s\n",
-				l.name, g.InC, g.InH, g.InW, g.KH, g.KW, g.Stride, g.Pad, l.mode, l.why)
-		}
-		if err := lw.Flush(); err != nil {
-			return err
-		}
-	}
+	fmt.Fprintf(out, "int8 conv: implicit band gather (all geometries)\n")
 	return nil
-}
-
-// convLoweringRow is one dense conv layer's compile-time im2col
-// lowering decision, as infer.Compile would make it for this backbone.
-type convLoweringRow struct {
-	name      string
-	geom      tensor.ConvGeom
-	mode, why string
-}
-
-// convLowerings walks the layer tree (sequential containers and
-// residual blocks included) and reports, in forward order, which im2col
-// lowering the serving engine would pick for every dense conv — the
-// same infer.LoweringFor rule the compiler runs, so this inspection
-// cannot drift from the engine.
-func convLowerings(ls []nn.Layer) []convLoweringRow {
-	var out []convLoweringRow
-	for _, l := range ls {
-		switch v := l.(type) {
-		case *nn.Conv2D:
-			mode, why := infer.LoweringFor(v.Geom())
-			out = append(out, convLoweringRow{name: v.Name(), geom: v.Geom(), mode: mode, why: why})
-		case *nn.Sequential:
-			out = append(out, convLowerings(v.Layers())...)
-		case *nn.Residual:
-			out = append(out, convLowerings([]nn.Layer{v.Main()})...)
-			if sc := v.Shortcut(); sc != nil {
-				out = append(out, convLowerings([]nn.Layer{sc})...)
-			}
-		}
-	}
-	return out
 }
 
 func fmtBytes(bits int64) string {

@@ -24,12 +24,11 @@ func TestInspectReportsLayers(t *testing.T) {
 	if !strings.Contains(s, "18.8%") && !strings.Contains(s, "% of fp32") {
 		t.Errorf("output missing fp32 ratio: %s", s)
 	}
-	// SmallCNN interleaves stride-1 and stride-2 convs, so the serving
-	// lowering table must show both modes with their stride reasons.
-	for _, want := range []string{"conv lowering", "implicit", "materialized", "stride 1"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("lowering table missing %q:\n%s", want, s)
-		}
+	if want := "kernel dispatch: "; !strings.Contains(s, want) {
+		t.Errorf("output missing %q", want)
+	}
+	if want := "int8 conv: implicit band gather (all geometries)\n"; !strings.HasSuffix(s, want) {
+		t.Errorf("output does not end with the conv lowering line %q:\n%s", want, s)
 	}
 }
 

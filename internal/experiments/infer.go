@@ -44,8 +44,8 @@ type inferLoopShare struct {
 	OtherNs   float64 `json:"other_ns"`
 }
 
-// inferConvLowering records one conv layer's compile-time lowering
-// decision (implicit vs materialized im2col) and the rule that made it.
+// inferConvLowering records one conv layer's lowering (always the
+// implicit band gather) and the gather route its kernel shape selects.
 type inferConvLowering struct {
 	Layer string `json:"layer"`
 	Mode  string `json:"mode"`
@@ -83,9 +83,9 @@ type inferBenchReport struct {
 	Scale      string          `json:"scale"`
 	Rows       []inferBenchRow `json:"rows"`
 	// LoopShare and ConvLowerings track where the batch-64 forward
-	// spends its time and which im2col lowering each conv layer
-	// compiled onto — the machine-readable form of the "kernel-bound,
-	// not packer-bound" claim.
+	// spends its time and which gather route each conv layer compiled
+	// onto — the machine-readable form of the "kernel-bound, not
+	// packer-bound" claim.
 	LoopShare     inferLoopShare      `json:"loop_share"`
 	ConvLowerings []inferConvLowering `json:"conv_lowerings"`
 	Serving       inferServingStats   `json:"serving"`
@@ -213,7 +213,7 @@ func Infer(s Scale, log io.Writer) (*Report, error) {
 	}
 
 	// Per-stage loop share of the batch-64 int8 forward, plus each conv
-	// layer's compile-time lowering decision.
+	// layer's gather route.
 	x64, err := tensor.FromSlice(x.Data()[:batch*3*s.InputSize*s.InputSize], batch, 3, s.InputSize, s.InputSize)
 	if err != nil {
 		return nil, err
@@ -241,13 +241,13 @@ func Infer(s Scale, log io.Writer) (*Report, error) {
 	lowParts := make([]string, 0, len(lows))
 	for _, l := range lows {
 		jrep.ConvLowerings = append(jrep.ConvLowerings, inferConvLowering{Layer: l.Layer, Mode: l.Mode, Why: l.Why})
-		lowParts = append(lowParts, fmt.Sprintf("%s=%s", l.Layer, l.Mode))
+		lowParts = append(lowParts, fmt.Sprintf("%s=%s", l.Layer, l.Why))
 	}
 	pct := func(d time.Duration) float64 { return 100 * float64(d) / float64(prof.Total) }
 	rep.AddNote("loop share at batch %d (best of %d profiled forwards): im2col %.0f%%, GEMM %.0f%%, requant %.0f%%, other %.0f%% of %.2fms.",
 		batch, profRuns, pct(prof.Im2col), pct(prof.GEMM), pct(prof.Requant), pct(prof.Other),
 		float64(prof.Total.Nanoseconds())/1e6)
-	rep.AddNote("conv lowerings: %s (reasons in %s).", strings.Join(lowParts, ", "), InferBenchPath)
+	rep.AddNote("conv lowerings, all implicit band gather: %s.", strings.Join(lowParts, ", "))
 	rep.SetSeries("loop_share_b64", []float64{
 		jrep.LoopShare.TotalNs, jrep.LoopShare.Im2colNs, jrep.LoopShare.GEMMNs,
 		jrep.LoopShare.RequantNs, jrep.LoopShare.OtherNs,

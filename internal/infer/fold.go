@@ -217,9 +217,9 @@ func (st *stage) floatForward(x *tensor.Tensor) (*tensor.Tensor, error) {
 		return st.res.floatForward(x)
 	}
 	if st.geom != nil {
-		return st.convFloat(x)
+		return st.floatConv(x)
 	}
-	return st.linearFloat(x)
+	return st.floatLinear(x)
 }
 
 func (r *resStage) floatForward(x *tensor.Tensor) (*tensor.Tensor, error) {
@@ -249,7 +249,7 @@ func (r *resStage) floatForward(x *tensor.Tensor) (*tensor.Tensor, error) {
 	return out, nil
 }
 
-func (st *stage) convFloat(x *tensor.Tensor) (*tensor.Tensor, error) {
+func (st *stage) floatConv(x *tensor.Tensor) (*tensor.Tensor, error) {
 	g := *st.geom
 	n := x.Dim(0)
 	oh, ow := g.OutHW()
@@ -271,7 +271,7 @@ func (st *stage) convFloat(x *tensor.Tensor) (*tensor.Tensor, error) {
 	return out, nil
 }
 
-func (st *stage) linearFloat(x *tensor.Tensor) (*tensor.Tensor, error) {
+func (st *stage) floatLinear(x *tensor.Tensor) (*tensor.Tensor, error) {
 	out, err := tensor.MatMulTransB(x, st.weight)
 	if err != nil {
 		return nil, err

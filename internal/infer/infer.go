@@ -60,11 +60,6 @@ type Engine struct {
 	inC, inH, inW int
 	nbuf          int
 	pool          chan *scratch
-	// fused, when non-nil, is layers[0] — a materialized-lowering conv
-	// whose input quantize runs inside its packer (quantize → pack in
-	// one pass from a per-worker image buffer), so Forward skips the
-	// whole-batch quantize staging for it.
-	fused *qaffine
 }
 
 // Config controls Compile.
@@ -77,12 +72,6 @@ type Config struct {
 	// as an ablation knob (per-channel is strictly tighter); see
 	// TestPerChannelScalesTightenAgreement.
 	PerTensorWeights bool
-	// ForceConvLowering overrides the per-geometry conv lowering choice:
-	// "implicit" routes every conv through the in-place band-gather
-	// driver, "materialized" through the patch-matrix im2col. Empty
-	// selects per geometry (stride 1 → implicit). Both lowerings are
-	// bit-identical; this is an ablation/benchmark knob.
-	ForceConvLowering string
 }
 
 // Compile folds, calibrates and lowers a float model. The model is not
@@ -90,12 +79,6 @@ type Config struct {
 func Compile(m *models.Model, cfg Config) (*Engine, error) {
 	if cfg.Calibration == nil || cfg.Calibration.Rank() != 4 {
 		return nil, fmt.Errorf("infer: calibration batch (N,C,H,W) is required")
-	}
-	switch cfg.ForceConvLowering {
-	case "", "implicit", "materialized":
-	default:
-		return nil, fmt.Errorf("infer: unknown ForceConvLowering %q (want \"\", \"implicit\" or \"materialized\")",
-			cfg.ForceConvLowering)
 	}
 	stages, err := foldSequential(m.Layers())
 	if err != nil {
@@ -120,28 +103,13 @@ func Compile(m *models.Model, cfg Config) (*Engine, error) {
 	if caps < 4 {
 		caps = 4
 	}
-	e := &Engine{
+	return &Engine{
 		layers: layers,
 		in:     in,
 		inC:    m.InC, inH: m.InH, inW: m.InW,
 		nbuf: nbuf,
 		pool: make(chan *scratch, caps),
-	}
-	// When the first layer is a materialized-lowering conv, fuse the input
-	// quantize into its packer: each sample quantizes into a per-worker
-	// image buffer and packs straight from it, so the float input is
-	// touched once and the whole-batch quantized staging tensor is never
-	// written. (Implicit-lowering first convs gather each input row KH
-	// times, so they keep the staged quantize — one pass over the input —
-	// instead of re-quantizing per tap row.)
-	if len(layers) > 0 {
-		if q, ok := layers[0].(*qaffine); ok && q.geom != nil && q.plan == nil {
-			q.fuseQuant = true
-			q.lowerWhy += "; input quantize fused into packer"
-			e.fused = q
-		}
-	}
-	return e, nil
+	}, nil
 }
 
 // lease takes a scratch workspace from the free list, building a fresh
@@ -183,22 +151,10 @@ func (e *Engine) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 // run executes the compiled graph in scratch s (shared by Forward and
 // ForwardProfile).
 func (e *Engine) run(x *tensor.Tensor, s *scratch) (*tensor.Tensor, error) {
-	var q *qtensor
+	q := &s.acts[0]
+	quantizeInto(q, x, e.in)
 	var err error
-	layers := e.layers
-	if e.fused != nil {
-		// First layer consumes the float input directly: quantize+pack in
-		// one pass (bit-identical to staging the quantized batch first).
-		q, err = e.fused.convFloat(x, s)
-		if err != nil {
-			return nil, fmt.Errorf("infer: %s: %w", e.fused.name(), err)
-		}
-		layers = layers[1:]
-	} else {
-		q = &s.acts[0]
-		quantizeInto(q, x, e.in)
-	}
-	for _, l := range layers {
+	for _, l := range e.layers {
 		q, err = l.forward(q, s)
 		if err != nil {
 			return nil, fmt.Errorf("infer: %s: %w", l.name(), err)
@@ -236,16 +192,16 @@ func (e *Engine) ForwardProfile(x *tensor.Tensor) (*tensor.Tensor, *ForwardProfi
 	return out, p, nil
 }
 
-// ConvLowering describes one conv layer's compile-time lowering choice,
-// surfaced for inspection tools and benchmarks.
+// ConvLowering describes how one conv layer was lowered, surfaced for
+// benchmarks and traces.
 type ConvLowering struct {
 	Layer string // stage label
-	Mode  string // "implicit" or "materialized"
-	Why   string // the rule that picked the mode
+	Mode  string // always "implicit": the band gather is the one lowering
+	Why   string // the gather route: "3x3 staged band" or "generic band"
 }
 
-// ConvLowerings reports every conv layer's lowering decision in forward
-// order, residual branches included.
+// ConvLowerings reports every conv layer's lowering in forward order,
+// residual branches included.
 func (e *Engine) ConvLowerings() []ConvLowering {
 	var out []ConvLowering
 	collectLowerings(e.layers, &out)
@@ -256,14 +212,14 @@ func collectLowerings(layers []qlayer, out *[]ConvLowering) {
 	for _, l := range layers {
 		switch q := l.(type) {
 		case *qaffine:
-			if q.geom == nil {
+			if q.plan == nil {
 				continue
 			}
-			mode := "materialized"
-			if q.plan != nil {
-				mode = "implicit"
+			why := "generic band"
+			if g := q.plan.Geom(); g.KH == 3 && g.KW == 3 {
+				why = "3x3 staged band"
 			}
-			*out = append(*out, ConvLowering{Layer: q.label, Mode: mode, Why: q.lowerWhy})
+			*out = append(*out, ConvLowering{Layer: q.label, Mode: "implicit", Why: why})
 		case *qresidual:
 			collectLowerings(q.main, out)
 			collectLowerings(q.shortcut, out)
@@ -319,10 +275,9 @@ func (e *Engine) SizeBytes() int {
 type qaffine struct {
 	label   string
 	buf     int
-	packed  *tensor.PackedI8 // conv: (kdim, outC); linear: (inF, outC)
-	geom    *tensor.ConvGeom // nil => linear
+	packed  *tensor.PackedI8   // conv: (kdim, outC); linear: (inF, outC)
+	plan    *tensor.ConvPlanU8 // conv band-gather schedule; nil => linear
 	outC    int
-	kdim    int // conv GEMM depth (inC·KH·KW)
 	inF     int // linear input features
 	in, out grid
 	m0      []int32 // per-channel fixed-point multiplier mantissa
@@ -330,15 +285,6 @@ type qaffine struct {
 	corr    []int64 // per-channel int32-domain bias − Z_x·Σq_w
 	nbias   int
 	relu    bool
-	// Conv lowering, fixed at Compile per geometry (see lowerAffine):
-	// plan non-nil routes the layer through the implicit-im2col band
-	// driver; nil keeps the materialized patch-matrix packer. fuseQuant
-	// marks the engine's first materialized conv, whose packer quantizes
-	// the float input itself. lowerWhy records the decision for
-	// Engine.ConvLowerings.
-	plan      *tensor.ConvPlanU8
-	fuseQuant bool
-	lowerWhy  string
 }
 
 func (q *qaffine) name() string { return q.label }
@@ -346,92 +292,25 @@ func (q *qaffine) name() string { return q.label }
 func (q *qaffine) sizeBytes() int { return q.packed.SizeBytes() + 4*q.nbias }
 
 func (q *qaffine) forward(x *qtensor, s *scratch) (*qtensor, error) {
-	if q.geom != nil {
+	if q.plan != nil {
 		return q.conv(x, s)
 	}
 	return q.linear(x, s)
 }
 
-// conv runs the layer's compiled lowering. Implicit (plan != nil): the
-// band driver gathers receptive fields into cache-resident per-worker
-// lanes and runs the packed kernels against them in place — the patch
-// matrix is never materialized. Materialized: the batch packs into the
-// patch-major uint8 im2col arena and one packed GEMM consumes it. Both
-// pad with Z_x (which represents exact float zero, so the per-channel
-// correction term is position-independent), both feed the identical
-// position-major accumulator to the requant pass, and both produce
-// bit-identical payloads.
+// conv runs the band-gather lowering: the driver gathers receptive
+// fields into cache-resident per-worker lanes (a few tens of KB at the
+// head of the cols arena) and runs the packed kernels against them in
+// place — no patch matrix is materialized. Out-of-bounds taps gather as
+// Z_x, which represents exact float zero, so the per-channel correction
+// term is position-independent.
 func (q *qaffine) conv(x *qtensor, s *scratch) (*qtensor, error) {
-	g := *q.geom
+	g := q.plan.Geom()
 	if len(x.shape) != 4 || x.shape[1] != g.InC || x.shape[2] != g.InH || x.shape[3] != g.InW {
 		return nil, fmt.Errorf("input %v does not match geometry %+v", x.shape, g)
 	}
 	n := x.dim(0)
-	if q.plan != nil {
-		return q.convImplicit(x.data, n, s)
-	}
 	oh, ow := g.OutHW()
-	ns := n * oh * ow
-	// The packed kernels read operand rows in 4-tap quads; reserve the
-	// spare bytes past the last patch row (they multiply zero weights).
-	cols := s.colsBuf(q.kdim*ns + quadPad)
-	t0 := profClock(s)
-	if err := tensor.Im2ColBatchU8PatchesInto(cols[:q.kdim*ns], x.data, n, g, uint8(q.in.zero)); err != nil {
-		return nil, err
-	}
-	profSpan(s, stageIm2col, t0)
-	return q.convGEMM(cols, n, s)
-}
-
-// convFloat is the fused quantize+pack entry of the engine's first
-// materialized conv: each sample's float image quantizes into a
-// per-worker image buffer and packs straight from it, so the input is
-// read once and the whole-batch quantized tensor is never staged.
-// Packed bytes — and therefore everything downstream — are bit-identical
-// to quantizeInto followed by conv.
-func (q *qaffine) convFloat(x *tensor.Tensor, s *scratch) (*qtensor, error) {
-	g := *q.geom
-	n := x.Dim(0)
-	oh, ow := g.OutHW()
-	ns := n * oh * ow
-	inSz := g.InC * g.InH * g.InW
-	sp := oh * ow
-	cols := s.colsBuf(q.kdim*ns + quadPad)
-	lanes := tensor.MaxWorkers()
-	if lanes > n {
-		lanes = n
-	}
-	imgs := s.imgBuf(lanes * inSz)
-	xd := x.Data()
-	t0 := profClock(s)
-	if lanes == 1 {
-		img := imgs[:inSz]
-		for i := 0; i < n; i++ {
-			q.quantPackSample(cols, xd, img, i, sp, inSz)
-		}
-	} else {
-		tensor.ParallelForWorker(n, func(i, lane int) {
-			q.quantPackSample(cols, xd, imgs[lane*inSz:(lane+1)*inSz], i, sp, inSz)
-		})
-	}
-	profSpan(s, stageIm2col, t0)
-	return q.convGEMM(cols, n, s)
-}
-
-// quantPackSample quantizes sample i into img and packs its patch rows.
-func (q *qaffine) quantPackSample(cols []uint8, xd []float32, img []uint8, i, sp, inSz int) {
-	quantizeRowU8(img, xd[i*inSz:(i+1)*inSz], q.in)
-	// Geometry and payload were validated at compile/entry; the packer
-	// cannot fail on a per-sample slice of them.
-	_ = tensor.Im2ColSampleU8PatchesInto(cols[i*sp*q.kdim:(i+1)*sp*q.kdim], img, *q.geom, uint8(q.in.zero))
-}
-
-// convImplicit runs the implicit-im2col lowering: per-worker gather
-// lanes live at the head of the cols arena (a few tens of KB, versus the
-// megabytes the materialized patch matrix needs), and the band driver
-// streams them against the weight panels.
-func (q *qaffine) convImplicit(src []uint8, n int, s *scratch) (*qtensor, error) {
-	oh, ow := q.plan.Geom().OutHW()
 	ns := n * oh * ow
 	acc := s.accBuf(q.outC * ns)
 	tasks := n * q.plan.Bands()
@@ -447,7 +326,7 @@ func (q *qaffine) convImplicit(src []uint8, n int, s *scratch) (*qtensor, error)
 		buf := work[:q.plan.BandLen()]
 		for t := 0; t < tasks; t++ {
 			t0 := profClock(s)
-			m := q.plan.GatherBandInto(buf, src, uint8(q.in.zero), t)
+			m := q.plan.GatherBandInto(buf, x.data, uint8(q.in.zero), t)
 			profSpan(s, stageIm2col, t0)
 			t0 = profClock(s)
 			q.plan.GEMMBand(acc, buf, q.packed, t, m)
@@ -455,24 +334,9 @@ func (q *qaffine) convImplicit(src []uint8, n int, s *scratch) (*qtensor, error)
 		}
 		return q.requantConv(acc, n, oh, ow, s)
 	}
-	if err := tensor.ConvU8I8ImplicitInto(acc, src, n, q.packed, q.plan, uint8(q.in.zero), work); err != nil {
+	if err := tensor.ConvU8I8ImplicitInto(acc, x.data, n, q.packed, q.plan, uint8(q.in.zero), work); err != nil {
 		return nil, err
 	}
-	return q.requantConv(acc, n, oh, ow, s)
-}
-
-// convGEMM runs the packed GEMM over a materialized patch matrix and
-// requantizes.
-func (q *qaffine) convGEMM(cols []uint8, n int, s *scratch) (*qtensor, error) {
-	oh, ow := q.geom.OutHW()
-	ns := n * oh * ow
-	acc := s.accBuf(q.outC * ns)
-	aspan := (ns-1)*q.kdim + q.packed.PaddedK()
-	t0 := profClock(s)
-	if err := tensor.MatMulU8I8PackedInto(acc, cols[:aspan], q.packed, ns, q.kdim); err != nil {
-		return nil, err
-	}
-	profSpan(s, stageGEMM, t0)
 	return q.requantConv(acc, n, oh, ow, s)
 }
 

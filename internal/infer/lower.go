@@ -111,9 +111,7 @@ func lowerAffine(st *stage, in grid, cfg Config, nextID func() int) (qlayer, gri
 		relu:   st.relu,
 	}
 	if st.geom != nil {
-		q.geom = st.geom
-		q.kdim = per
-		if err := lowerConvPath(q, *st.geom, cfg); err != nil {
+		if q.plan, err = tensor.NewConvPlanU8(*st.geom); err != nil {
 			return nil, grid{}, err
 		}
 	} else {
@@ -137,51 +135,6 @@ func lowerAffine(st *stage, in grid, cfg Config, nextID func() int) (qlayer, gri
 		q.corr[c] = int64(biasq) - int64(in.zero)*ksum
 	}
 	return q, out, nil
-}
-
-// LoweringFor reports the compile-time conv lowering rule for a
-// geometry without building an engine: the mode ("implicit" or
-// "materialized") and the reason. Stride-1 geometries — the entire
-// CIFAR zoo — take the implicit path: the band gather touches each
-// activation byte from cache while every weight panel consumes it, and
-// the patch matrix (KH·KW× the activation volume) is never
-// materialized. Strided geometries keep the materialized packer: their
-// receptive fields overlap little or not at all, so patch bytes see no
-// cross-position reuse for the band buffer to capture, and the
-// batch-wide packer's word-wide row copies are the better fit.
-// Inspection tools (aptinspect) share this with lowerConvPath so the
-// printed decision cannot drift from the lowered one.
-func LoweringFor(g tensor.ConvGeom) (mode, why string) {
-	if g.Stride == 1 {
-		return "implicit", "stride 1: receptive fields overlap, band gather feeds kernels in place"
-	}
-	return "materialized", fmt.Sprintf("stride %d: sparse receptive-field overlap, materialized packer", g.Stride)
-}
-
-// lowerConvPath fixes a conv layer's im2col lowering at compile time
-// per the LoweringFor rule. Config.ForceConvLowering overrides either
-// way (both paths are bit-identical; the knob exists for ablations and
-// benchmarks).
-func lowerConvPath(q *qaffine, g tensor.ConvGeom, cfg Config) error {
-	mode, why := LoweringFor(g)
-	implicit := mode == "implicit"
-	switch cfg.ForceConvLowering {
-	case "implicit":
-		implicit, q.lowerWhy = true, "forced by ForceConvLowering"
-	case "materialized":
-		implicit, q.lowerWhy = false, "forced by ForceConvLowering"
-	default:
-		q.lowerWhy = why
-	}
-	if !implicit {
-		return nil
-	}
-	plan, err := tensor.NewConvPlanU8(g)
-	if err != nil {
-		return err
-	}
-	q.plan = plan
-	return nil
 }
 
 // lowerResidual lowers a residual block: both branch chains recursively,

@@ -1,7 +1,7 @@
 package infer
 
 import (
-	"strings"
+	"reflect"
 	"testing"
 
 	"repro/internal/models"
@@ -9,187 +9,57 @@ import (
 	"repro/internal/tensor"
 )
 
-// compileSmall compiles the shared SmallCNN fixture with the given
-// lowering override.
-func compileSmall(t *testing.T, force string) (*Engine, *tensor.Tensor) {
-	t.Helper()
-	m, te, calib := trainedSmallCNN(t)
-	eng, err := Compile(m, Config{Calibration: calib, ForceConvLowering: force})
-	if err != nil {
-		t.Fatalf("Compile(force=%q): %v", force, err)
-	}
-	x, _ := testBatch(t, te, 24)
-	return eng, x
-}
-
-// TestConvLoweringPerGeometry pins the compile-time lowering rule on the
-// CIFAR-shape backbone: every stride-1 conv goes implicit, every strided
-// conv stays materialized, and the decisions are reported in forward
-// order with their reasons. This is also the CI smoke assertion that the
-// implicit path cannot silently regress to materialized.
+// TestConvLoweringPerGeometry pins that the band gather is the lowering of
+// every conv, strided ones included: each conv of SmallCNN (stride-2 3×3)
+// and ResNet-20 (stride-2 3×3 and 1×1 projections) reports Mode
+// "implicit", with the gather route its kernel shape selects.
 func TestConvLoweringPerGeometry(t *testing.T) {
-	eng, _ := compileSmall(t, "")
-	lows := eng.ConvLowerings()
-	if len(lows) == 0 {
-		t.Fatal("no conv lowerings reported")
-	}
-	implicit, materialized := 0, 0
-	for _, l := range lows {
-		switch l.Mode {
-		case "implicit":
-			implicit++
-			if !strings.Contains(l.Why, "stride 1") {
-				t.Errorf("%s: implicit reason %q does not name the stride rule", l.Layer, l.Why)
+	for _, bb := range []struct {
+		name  string
+		build func(models.Config) (*models.Model, error)
+	}{
+		{"smallcnn", models.SmallCNN},
+		{"resnet20", models.ResNet20},
+	} {
+		t.Run(bb.name, func(t *testing.T) {
+			m, err := bb.build(models.Config{Classes: 4, InputSize: 12, Width: 0.25, Seed: 6})
+			if err != nil {
+				t.Fatal(err)
 			}
-		case "materialized":
-			materialized++
-			if !strings.Contains(l.Why, "stride") {
-				t.Errorf("%s: materialized reason %q does not name the stride rule", l.Layer, l.Why)
+			calib := tensor.New(8, m.InC, m.InH, m.InW)
+			calib.FillNormal(tensor.NewRNG(3), 0, 1)
+			eng, err := Compile(m, Config{Calibration: calib})
+			if err != nil {
+				t.Fatal(err)
 			}
-		default:
-			t.Errorf("%s: unknown lowering mode %q", l.Layer, l.Mode)
-		}
-		if l.Why == "" {
-			t.Errorf("%s: empty lowering reason", l.Layer)
-		}
-	}
-	// SmallCNN interleaves stride-1 and stride-2 conv blocks: both
-	// lowerings must be live or the per-geometry rule has regressed.
-	if implicit == 0 {
-		t.Fatal("CIFAR-shape model compiled zero layers onto the implicit path")
-	}
-	if materialized == 0 {
-		t.Fatal("CIFAR-shape model compiled zero layers onto the materialized path")
-	}
-}
-
-// TestForceConvLoweringBitIdentical checks the ablation knob and the
-// core tentpole contract in one move: the same trained model compiled
-// with default, all-implicit and all-materialized lowerings must produce
-// bit-identical logits on the same batch.
-func TestForceConvLoweringBitIdentical(t *testing.T) {
-	engDef, x := compileSmall(t, "")
-	engImp, _ := compileSmall(t, "implicit")
-	engMat, _ := compileSmall(t, "materialized")
-
-	for _, l := range engImp.ConvLowerings() {
-		if l.Mode != "implicit" {
-			t.Fatalf("force implicit: %s lowered %s", l.Layer, l.Mode)
-		}
-	}
-	for _, l := range engMat.ConvLowerings() {
-		if l.Mode != "materialized" {
-			t.Fatalf("force materialized: %s lowered %s", l.Layer, l.Mode)
-		}
-	}
-
-	ref, err := engDef.Forward(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, eng := range map[string]*Engine{"implicit": engImp, "materialized": engMat} {
-		got, err := eng.Forward(x)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		for i, v := range got.Data() {
-			if v != ref.Data()[i] {
-				t.Fatalf("force %s: logit %d = %v, default %v", name, i, v, ref.Data()[i])
+			want := map[string]int{} // gather route → convs in the model
+			strided := map[string]bool{}
+			nn.WalkLayers(m.Layers(), func(l nn.Layer) {
+				if c, ok := l.(*nn.Conv2D); ok {
+					route := "generic band"
+					if g := c.Geom(); g.KH == 3 && g.KW == 3 {
+						route = "3x3 staged band"
+					}
+					want[route]++
+					if c.Geom().Stride > 1 {
+						strided[route] = true
+					}
+				}
+			})
+			if !strided["3x3 staged band"] || (bb.name == "resnet20" && !strided["generic band"]) {
+				t.Fatalf("fixture lost its strided convs: %v", strided)
 			}
-		}
-	}
-
-	if _, err := Compile(smallModel, Config{Calibration: smallCalib, ForceConvLowering: "bogus"}); err == nil {
-		t.Error("bogus ForceConvLowering did not error")
-	}
-}
-
-// strideFirstModel builds a tiny net whose FIRST conv is strided, so the
-// default lowering materializes it and the engine fuses the input
-// quantize into its packer.
-func strideFirstModel(t *testing.T) *models.Model {
-	t.Helper()
-	rng := tensor.NewRNG(17)
-	conv1, err := nn.NewConv2D(nn.Conv2DConfig{
-		Name: "c1",
-		In:   tensor.ConvGeom{InC: 3, InH: 12, InW: 12, KH: 3, KW: 3, Stride: 2, Pad: 1},
-		OutC: 8, Bias: true, RNG: rng,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	conv2, err := nn.NewConv2D(nn.Conv2DConfig{
-		Name: "c2",
-		In:   tensor.ConvGeom{InC: 8, InH: 6, InW: 6, KH: 3, KW: 3, Stride: 1, Pad: 1},
-		OutC: 8, Bias: true, RNG: rng,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fc, err := nn.NewLinear("fc", 8*6*6, 4, true, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	net := nn.NewSequential("stridefirst",
-		conv1, nn.NewReLU("r1"), conv2, nn.NewReLU("r2"), nn.NewFlatten("fl"), fc)
-	return &models.Model{Name: "stridefirst", Net: net, InC: 3, InH: 12, InW: 12, Class: 4}
-}
-
-// TestFusedInputQuantizeBitIdentical: a strided first conv lowers
-// materialized and fuses the input quantize into its packer; the fused
-// engine must match, bit for bit, an engine whose first conv is forced
-// implicit (which stages the quantized input the classic way).
-func TestFusedInputQuantizeBitIdentical(t *testing.T) {
-	m := strideFirstModel(t)
-	rng := tensor.NewRNG(99)
-	calib := tensor.New(8, 3, 12, 12)
-	calib.FillNormal(rng, 0, 1)
-	x := tensor.New(5, 3, 12, 12)
-	x.FillNormal(rng, 0, 1)
-
-	fused, err := Compile(m, Config{Calibration: calib})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fused.fused == nil {
-		t.Fatal("strided first conv did not fuse the input quantize")
-	}
-	if why := fused.ConvLowerings()[0].Why; !strings.Contains(why, "fused") {
-		t.Errorf("fused conv reason %q does not mention fusion", why)
-	}
-	staged, err := Compile(m, Config{Calibration: calib, ForceConvLowering: "implicit"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if staged.fused != nil {
-		t.Fatal("implicit first conv must not fuse the input quantize")
-	}
-
-	a, err := fused.Forward(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := staged.Forward(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range a.Data() {
-		if v != b.Data()[i] {
-			t.Fatalf("fused logit %d = %v, staged %v", i, v, b.Data()[i])
-		}
-	}
-
-	// The fused path must also hold across worker counts.
-	prev := tensor.SetMaxWorkers(3)
-	c, err := fused.Forward(x)
-	tensor.SetMaxWorkers(prev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range a.Data() {
-		if v != c.Data()[i] {
-			t.Fatalf("fused logit %d = %v under 3 workers, serial %v", i, v, c.Data()[i])
-		}
+			got := map[string]int{}
+			for _, l := range eng.ConvLowerings() {
+				if l.Mode != "implicit" {
+					t.Errorf("%s: lowering mode %q, want implicit", l.Layer, l.Mode)
+				}
+				got[l.Why]++
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("lowerings by route = %v, model convs by route = %v", got, want)
+			}
+		})
 	}
 }
 
@@ -197,7 +67,12 @@ func TestFusedInputQuantizeBitIdentical(t *testing.T) {
 // bit and yields a sane stage split (stages sum to at most the total,
 // every stage non-negative, conv stages actually attributed).
 func TestForwardProfileMatchesForward(t *testing.T) {
-	eng, x := compileSmall(t, "")
+	m, te, calib := trainedSmallCNN(t)
+	eng, err := Compile(m, Config{Calibration: calib})
+	if err != nil {
+		t.Fatalf("Compile: %v", err)
+	}
+	x, _ := testBatch(t, te, 24)
 	ref, err := eng.Forward(x)
 	if err != nil {
 		t.Fatal(err)

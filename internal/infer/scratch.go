@@ -95,15 +95,8 @@ func (q *qtensor) setShape(shape ...int) {
 func quantizeInto(q *qtensor, t *tensor.Tensor, g grid) {
 	q.setShape(t.Shape()...)
 	q.g = g
-	quantizeRowU8(q.data, t.Data(), g)
-}
-
-// quantizeRowU8 quantizes a float row onto g. The fused quantize+pack
-// conv path calls it per sample; sharing the element loop with
-// quantizeInto is what keeps the fused and staged paths bit-identical.
-func quantizeRowU8(dst []uint8, src []float32, g grid) {
-	for i, v := range src {
-		dst[i] = g.quantize(v)
+	for i, v := range t.Data() {
+		q.data[i] = g.quantize(v)
 	}
 }
 
@@ -126,7 +119,7 @@ func (q *qtensor) dequantize() *tensor.Tensor {
 }
 
 // scratch is the workspace one Forward call runs in: an activation slot
-// per compiled layer buffer plus shared im2col and accumulator arenas.
+// per compiled layer buffer plus shared gather-lane and accumulator arenas.
 // Engines keep a free list of scratches (see Engine.lease); a scratch is
 // only ever touched by the goroutine that leased it, which is what makes
 // concurrent Forward calls on one Engine safe — the compiled layers
@@ -135,7 +128,6 @@ type scratch struct {
 	acts []qtensor
 	cols []uint8
 	acc  []int32
-	img  []uint8 // fused quantize+pack: per-worker quantized image lanes
 	// prof, when non-nil, makes the conv/linear stages accumulate
 	// per-stage wall time into it (ForwardProfile sets it for the call).
 	prof *ForwardProfile
@@ -207,7 +199,7 @@ func (s *scratch) actView(id int, src *qtensor, shape ...int) *qtensor {
 	return q
 }
 
-// colsBuf returns the shared im2col arena grown to n elements.
+// colsBuf returns the shared conv gather-lane arena grown to n bytes.
 func (s *scratch) colsBuf(n int) []uint8 {
 	if cap(s.cols) < n {
 		s.cols = make([]uint8, n)
@@ -221,12 +213,4 @@ func (s *scratch) accBuf(n int) []int32 {
 		s.acc = make([]int32, n)
 	}
 	return s.acc[:n]
-}
-
-// imgBuf returns the fused-quantize image arena grown to n elements.
-func (s *scratch) imgBuf(n int) []uint8 {
-	if cap(s.img) < n {
-		s.img = make([]uint8, n)
-	}
-	return s.img[:n]
 }

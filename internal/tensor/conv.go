@@ -36,68 +36,13 @@ func (g ConvGeom) Validate() error {
 	return nil
 }
 
-// Im2Col unrolls one image (C, H, W) into a matrix of shape
-// (C*KH*KW, OH*OW) so convolution becomes a GEMM with the (outC, C*KH*KW)
-// weight matrix. Out-of-bounds taps contribute zeros (zero padding).
-func Im2Col(img *Tensor, g ConvGeom) (*Tensor, error) {
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	if img.Rank() != 3 || img.shape[0] != g.InC || img.shape[1] != g.InH || img.shape[2] != g.InW {
-		return nil, fmt.Errorf("%w: im2col image %v does not match geometry %+v", ErrShape, img.shape, g)
-	}
-	oh, ow := g.OutHW()
-	cols := New(g.InC*g.KH*g.KW, oh*ow)
-	src := img.data
-	dst := cols.data
-	ncols := oh * ow
-	row := 0
-	for c := 0; c < g.InC; c++ {
-		base := c * g.InH * g.InW
-		for kh := 0; kh < g.KH; kh++ {
-			for kw := 0; kw < g.KW; kw++ {
-				drow := dst[row*ncols : (row+1)*ncols]
-				for oy := 0; oy < oh; oy++ {
-					iy := oy*g.Stride + kh - g.Pad
-					if iy < 0 || iy >= g.InH {
-						continue // stays zero
-					}
-					srow := src[base+iy*g.InW:]
-					for ox := 0; ox < ow; ox++ {
-						ix := ox*g.Stride + kw - g.Pad
-						if ix < 0 || ix >= g.InW {
-							continue
-						}
-						drow[oy*ow+ox] = srow[ix]
-					}
-				}
-				row++
-			}
-		}
-	}
-	return cols, nil
-}
-
-// Im2ColBatch unrolls a whole NCHW batch into one column matrix of shape
-// (C*KH*KW, N·OH·OW), where column i·OH·OW + s holds output position s of
-// sample i. Packing the batch once lets convolution run as a single large
-// GEMM with the (outC, C*KH*KW) weight matrix instead of N small ones.
-func Im2ColBatch(x *Tensor, g ConvGeom) (*Tensor, error) {
-	if err := validateBatchImage(x, g); err != nil {
-		return nil, err
-	}
-	oh, ow := g.OutHW()
-	cols := New(g.InC*g.KH*g.KW, x.shape[0]*oh*ow)
-	if err := Im2ColBatchInto(cols, x, g); err != nil {
-		return nil, err
-	}
-	return cols, nil
-}
-
-// Im2ColBatchInto is Im2ColBatch into a caller-owned destination of shape
-// (C*KH*KW, N·OH·OW), e.g. a scratch arena reused across training steps.
-// Every element of dst is written (zeros included), so stale contents are
-// harmless.
+// Im2ColBatchInto unrolls a whole NCHW batch into one column matrix of
+// shape (C*KH*KW, N·OH·OW), where column i·OH·OW + s holds output position
+// s of sample i. Packing the batch once lets convolution run as a single
+// large GEMM with the (outC, C*KH*KW) weight matrix instead of N small
+// ones. Out-of-bounds taps contribute zeros (zero padding). dst is
+// caller-owned, e.g. a scratch arena reused across training steps; every
+// element is written (zeros included), so stale contents are harmless.
 func Im2ColBatchInto(dst, x *Tensor, g ConvGeom) error {
 	if err := validateBatchImage(x, g); err != nil {
 		return err
@@ -216,47 +161,6 @@ func validateBatchImage(x *Tensor, g ConvGeom) error {
 		return fmt.Errorf("%w: batch image %v does not match geometry %+v", ErrShape, x.shape, g)
 	}
 	return nil
-}
-
-// Col2Im is the adjoint of Im2Col: it scatters a (C*KH*KW, OH*OW) column
-// matrix back into an image (C, H, W), accumulating overlapping taps. It is
-// used to back-propagate through the im2col transform.
-func Col2Im(cols *Tensor, g ConvGeom) (*Tensor, error) {
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	oh, ow := g.OutHW()
-	if cols.Rank() != 2 || cols.shape[0] != g.InC*g.KH*g.KW || cols.shape[1] != oh*ow {
-		return nil, fmt.Errorf("%w: col2im matrix %v does not match geometry %+v", ErrShape, cols.shape, g)
-	}
-	img := New(g.InC, g.InH, g.InW)
-	src := cols.data
-	dst := img.data
-	ncols := oh * ow
-	row := 0
-	for c := 0; c < g.InC; c++ {
-		base := c * g.InH * g.InW
-		for kh := 0; kh < g.KH; kh++ {
-			for kw := 0; kw < g.KW; kw++ {
-				srow := src[row*ncols : (row+1)*ncols]
-				for oy := 0; oy < oh; oy++ {
-					iy := oy*g.Stride + kh - g.Pad
-					if iy < 0 || iy >= g.InH {
-						continue
-					}
-					for ox := 0; ox < ow; ox++ {
-						ix := ox*g.Stride + kw - g.Pad
-						if ix < 0 || ix >= g.InW {
-							continue
-						}
-						dst[base+iy*g.InW+ix] += srow[oy*ow+ox]
-					}
-				}
-				row++
-			}
-		}
-	}
-	return img, nil
 }
 
 // ConvDirect computes a 2-D convolution of a single image the naive way.

@@ -15,28 +15,39 @@ func batchGeoms() []ConvGeom {
 	}
 }
 
+// im2colBatch packs x into a fresh column matrix.
+func im2colBatch(x *Tensor, g ConvGeom) (*Tensor, error) {
+	oh, ow := g.OutHW()
+	cols := New(g.InC*g.KH*g.KW, x.Dim(0)*oh*ow)
+	return cols, Im2ColBatchInto(cols, x, g)
+}
+
+// sample returns sample i of an NCHW batch as a batch of one.
+func sample(x *Tensor, i int) *Tensor {
+	sz := x.Len() / x.Dim(0)
+	return MustFromSlice(x.Data()[i*sz:(i+1)*sz], 1, x.Dim(1), x.Dim(2), x.Dim(3))
+}
+
 // TestIm2ColBatchMatchesPerSample checks that the batched packing is
-// column-for-column identical to running the per-sample Im2Col on each
-// image: column i·S+s of the batch matrix must equal column s of sample i.
+// column-for-column identical to packing each image alone: column i·S+s of
+// the batch matrix must equal column s of sample i.
 func TestIm2ColBatchMatchesPerSample(t *testing.T) {
 	rng := NewRNG(42)
 	for _, g := range batchGeoms() {
 		const n = 3
 		x := New(n, g.InC, g.InH, g.InW)
 		x.FillNormal(rng, 0, 1)
-		cols, err := Im2ColBatch(x, g)
+		cols, err := im2colBatch(x, g)
 		if err != nil {
-			t.Fatalf("Im2ColBatch(%+v): %v", g, err)
+			t.Fatalf("Im2ColBatchInto(%+v): %v", g, err)
 		}
 		oh, ow := g.OutHW()
 		s := oh * ow
 		kdim := g.InC * g.KH * g.KW
-		inSz := g.InC * g.InH * g.InW
 		for i := 0; i < n; i++ {
-			img := MustFromSlice(x.Data()[i*inSz:(i+1)*inSz], g.InC, g.InH, g.InW)
-			want, err := Im2Col(img, g)
+			want, err := im2colBatch(sample(x, i), g)
 			if err != nil {
-				t.Fatalf("Im2Col: %v", err)
+				t.Fatalf("Im2ColBatchInto: %v", err)
 			}
 			for r := 0; r < kdim; r++ {
 				for c := 0; c < s; c++ {
@@ -60,9 +71,9 @@ func TestIm2ColBatchIntoOverwritesStaleScratch(t *testing.T) {
 		const n = 2
 		x := New(n, g.InC, g.InH, g.InW)
 		x.FillNormal(rng, 0, 1)
-		fresh, err := Im2ColBatch(x, g)
+		fresh, err := im2colBatch(x, g)
 		if err != nil {
-			t.Fatalf("Im2ColBatch: %v", err)
+			t.Fatalf("Im2ColBatchInto: %v", err)
 		}
 		oh, ow := g.OutHW()
 		stale := New(g.InC*g.KH*g.KW, n*oh*ow)
@@ -74,8 +85,9 @@ func TestIm2ColBatchIntoOverwritesStaleScratch(t *testing.T) {
 	}
 }
 
-// TestCol2ImBatchMatchesPerSample checks the batched adjoint against the
-// per-sample Col2Im scatter, including reuse of a poisoned destination.
+// TestCol2ImBatchMatchesPerSample checks the batched adjoint against
+// scattering each sample's columns alone, including reuse of a poisoned
+// destination.
 func TestCol2ImBatchMatchesPerSample(t *testing.T) {
 	rng := NewRNG(44)
 	for _, g := range batchGeoms() {
@@ -99,9 +111,9 @@ func TestCol2ImBatchMatchesPerSample(t *testing.T) {
 					sub.Set(cols.At(r, i*s+c), r, c)
 				}
 			}
-			want, err := Col2Im(sub, g)
-			if err != nil {
-				t.Fatalf("Col2Im: %v", err)
+			want := New(1, g.InC, g.InH, g.InW)
+			if err := Col2ImBatchInto(want, sub, g); err != nil {
+				t.Fatalf("Col2ImBatchInto: %v", err)
 			}
 			got := dst.Data()[i*inSz : (i+1)*inSz]
 			for j, w := range want.Data() {
@@ -125,7 +137,7 @@ func TestBatchConvRoundTripGEMM(t *testing.T) {
 	w := New(outC, g.InC, g.KH, g.KW)
 	w.FillNormal(rng, 0, 1)
 
-	cols, err := Im2ColBatch(x, g)
+	cols, err := im2colBatch(x, g)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,31 +1,39 @@
 package tensor
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
-// Implicit-im2col integer convolution: the conv GEMM consumes NCHW uint8
-// activations in place instead of reading a materialized patch matrix.
+// Band-gather integer convolution: the int8 engine's one conv lowering.
+// The conv GEMM consumes NCHW uint8 activations in place; no patch matrix
+// is ever materialized.
 //
-// The materialized path (Im2ColBatchU8PatchesInto + MatMulU8I8PackedInto)
-// writes N·OH·OW·C·KH·KW patch bytes to a scratch arena and immediately
-// streams them back — for the CIFAR-scale serving models that buffer is
-// multiple megabytes per call, so every activation byte round-trips RAM
-// KH·KW times before the kernels ever see it, and the packer dominates
-// the forward profile. The implicit driver instead walks the activation
-// tensor directly with the precomputed (tap, row, col) strides of a
-// ConvPlanU8: output positions are processed in bands of a few output
-// rows, each band's receptive fields gathered into a small per-worker
-// buffer sized to stay L1/L2-resident, and all weight panels run against
-// the band while it is hot. The gather is the exact store sequence of the
-// materialized packer (both call im2colU8PatchRow), zero-point padding
-// included, so the two lowerings are bit-identical by construction; the
-// difference is purely where the patch rows live — a cache-resident band
-// reused across every weight panel versus a RAM-resident batch matrix
-// written once and read once.
+// A batch-wide im2col would write N·OH·OW·C·KH·KW patch bytes to a
+// scratch arena and immediately stream them back — for the CIFAR-scale
+// serving models that buffer is multiple megabytes per call, so every
+// activation byte would round-trip RAM KH·KW times before the kernels
+// ever saw it. The driver instead walks the activation tensor directly
+// with the precomputed (tap, row, col) strides of a ConvPlanU8: output
+// positions are processed in bands of a few output rows, each band's
+// receptive fields gathered into a small per-worker buffer sized to stay
+// L1/L2-resident, and all weight panels run against the band while it is
+// hot. Out-of-bounds taps gather as the activation zero point, which
+// represents exact float zero, so the consuming GEMM needs no border
+// special-casing: subtracting Z_x·Σq_w over the full kernel is the exact
+// zero-point correction at every output position. 3×3 geometries gather
+// through a zero-point-padded staging strip (gatherBand3); every other
+// kernel shape — 1×1, 5×5, non-square — through the generic row gather
+// (im2colU8PatchRow). Any stride takes either route.
 //
-// The micro-kernels are untouched: runPackedPanel dispatches the same
-// 4×8 fast/widening/edge kernels over the band with lda = kdim, exactly
-// as the materialized GEMM does, so SIMD and portable dispatch stay
-// bit-identical too.
+// The micro-kernels are the packed GEMM's own: runPackedPanel dispatches
+// the same 4×8 fast/widening/edge kernels over the band with lda = kdim,
+// so SIMD and portable dispatch stay bit-identical.
+//
+// The serial path (one lane) is a plain loop that creates no ParallelFor
+// closure: the inference engine's zero-allocation contract counts on it
+// (a closure passed to ParallelFor escapes to the heap; a direct call
+// does not).
 
 // implicitBandTarget is the output-position count one gather band aims
 // for: enough rows that the 4-row micro-kernels amortize their panel
@@ -120,11 +128,11 @@ func (p *ConvPlanU8) BandLen() int { return p.brows*p.ow*p.kdim + 3 + p.stage }
 // the patch matrix: each (sample, output-row band) task gathers its
 // receptive fields into a lane of work and runs every weight panel of b
 // against the band in place. acc is the position-major accumulator
-// ((N·OH·OW, outC), fully overwritten) — identical layout and, bit for
-// bit, identical contents to the materialized path. Out-of-bounds taps
-// read as pad (the activation zero point). work provides the gather
-// lanes: min(MaxWorkers(), n·plan.Bands()) × plan.BandLen() bytes, owned
-// by the caller so steady-state calls allocate nothing.
+// ((N·OH·OW, outC), fully overwritten), sample-major so batched results
+// are bit-identical to per-sample runs. Out-of-bounds taps read as pad
+// (the activation zero point). work provides the gather lanes:
+// min(MaxWorkers(), n·plan.Bands()) × plan.BandLen() bytes, owned by the
+// caller so steady-state calls allocate nothing.
 func ConvU8I8ImplicitInto(acc []int32, src []uint8, n int, b *PackedI8, p *ConvPlanU8, pad uint8, work []uint8) error {
 	if n <= 0 {
 		return fmt.Errorf("%w: conv implicit batch size %d", ErrShape, n)
@@ -197,6 +205,141 @@ func (p *ConvPlanU8) GatherBandInto(buf, src []uint8, pad uint8, t int) int {
 	return (oy1 - oy0) * p.ow
 }
 
+// im2colXRange computes the interior output-column range [xlo, xhi] of a
+// conv geometry: the columns where every kernel tap reads in-bounds. The
+// range may be empty (a kernel wider than InW+Pad, e.g. a 7×7 over a
+// tiny feature map): it is clamped to [xlo, xlo-1] so the edge loops
+// cover every column and neither starts below zero. A negative numerator
+// means NO column is interior — it must not go through Go's toward-zero
+// division, which would round (−1)/2 up to 0 and admit an out-of-bounds
+// column into the unrolled fast path.
+func im2colXRange(g ConvGeom, ow int) (xlo, xhi int) {
+	xlo = (g.Pad + g.Stride - 1) / g.Stride
+	if xlo > ow {
+		xlo = ow
+	}
+	xhi = -1
+	if num := g.InW - g.KW + g.Pad; num >= 0 {
+		xhi = num / g.Stride
+	}
+	if xhi > ow-1 {
+		xhi = ow - 1
+	}
+	if xhi < xlo-1 {
+		xhi = xlo - 1
+	}
+	return xlo, xhi
+}
+
+// im2colU8PatchRow packs one output row's ow patch rows into rows
+// (ow·kdim bytes): the band gather of every kernel shape but 3×3. The
+// loop nest runs (channel, kernel row) outermost with the output COLUMN
+// innermost, so all per-row decisions — the vertical padding case, the
+// source row slice, the interior x range — are hoisted out of the inner
+// loop, which then does nothing but direct stores from a sliding source
+// window (with the naive position-major nest the gather cost more than
+// the GEMM it feeds).
+//
+// Interior segments of 5-wide kernels go through 8-byte copies wherever
+// both ends are safe: the source word must not read past the input row
+// (sx+8 ≤ InW; a scalar tail covers the rest), and the store's spill
+// bytes — an 8-byte store of a 5-byte segment lands three bytes into
+// offset p+KW, the first bytes of the NEXT tap row at the same position —
+// are only allowed when that tap row is still unwritten, i.e. on every
+// tap row except the last (the last row's spill would land in the next
+// position's already-written tap row 0, so it stays scalar).
+func im2colU8PatchRow(rows, img []uint8, g ConvGeom, pad uint8, oy, xlo, xhi int) {
+	kdim := g.InC * g.KH * g.KW
+	ow := len(rows) / kdim
+	p := 0
+	for c := 0; c < g.InC; c++ {
+		base := c * g.InH * g.InW
+		for kh := 0; kh < g.KH; kh++ {
+			iy := oy*g.Stride + kh - g.Pad
+			if iy < 0 || iy >= g.InH {
+				for ox := 0; ox < ow; ox++ {
+					seg := rows[ox*kdim+p:][:g.KW]
+					for t := range seg {
+						seg[t] = pad
+					}
+				}
+				p += g.KW
+				continue
+			}
+			srow := img[base+iy*g.InW : base+(iy+1)*g.InW]
+			edge := func(ox int) { // per-tap checks, left/right borders only
+				ix0 := ox*g.Stride - g.Pad
+				seg := rows[ox*kdim+p:][:g.KW]
+				for t := range seg {
+					if ix := ix0 + t; ix < 0 || ix >= g.InW {
+						seg[t] = pad
+					} else {
+						seg[t] = srow[ix]
+					}
+				}
+			}
+			for ox := 0; ox < xlo; ox++ {
+				edge(ox)
+			}
+			// Interior: incremented indices only — no per-iteration
+			// slicing, one multiply-free sliding window.
+			ox := xlo
+			d := xlo*kdim + p
+			sx := xlo*g.Stride - g.Pad
+			switch g.KW {
+			case 5:
+				if p+5 < kdim {
+					for ; ox <= xhi && sx+8 <= g.InW; ox++ {
+						putU64(rows[d:d+8], getU64(srow[sx:sx+8]))
+						d += kdim
+						sx += g.Stride
+					}
+				}
+				for ; ox <= xhi; ox++ {
+					rows[d] = srow[sx]
+					rows[d+1] = srow[sx+1]
+					rows[d+2] = srow[sx+2]
+					rows[d+3] = srow[sx+3]
+					rows[d+4] = srow[sx+4]
+					d += kdim
+					sx += g.Stride
+				}
+			case 1:
+				for ; ox <= xhi; ox++ {
+					rows[d] = srow[sx]
+					d += kdim
+					sx += g.Stride
+				}
+			default:
+				for ; ox <= xhi; ox++ {
+					copy(rows[d:d+g.KW], srow[sx:])
+					d += kdim
+					sx += g.Stride
+				}
+			}
+			for ox := xhi + 1; ox < ow; ox++ {
+				edge(ox)
+			}
+			p += g.KW
+		}
+	}
+}
+
+// pack3Asm, when non-nil, is the SIMD compose of the staged 3×3 gather:
+// for each of n output positions it composes nc channels' 9-tap blocks
+// from three staged-row cursors (position stride `stride`, channel
+// stride `plane`) and stores them at position stride kdim / channel
+// stride 9. Its 16-byte stores spill 7 zero bytes past every block;
+// gatherBand3 documents where each spill lands and why none survives.
+var pack3Asm func(dst, r0, r1, r2 []uint8, n, nc, kdim, stride, plane int)
+
+// getU32/getU64/putU64 are the word-wide copy primitives of the gather
+// loops; encoding/binary's fixed-width forms compile to single unaligned
+// load/store instructions on amd64 and arm64.
+func getU32(b []uint8) uint32    { return binary.LittleEndian.Uint32(b) }
+func getU64(b []uint8) uint64    { return binary.LittleEndian.Uint64(b) }
+func putU64(b []uint8, v uint64) { binary.LittleEndian.PutUint64(b, v) }
+
 // gatherBand3 is the staged 3×3 band gather. Phase one copies the band's
 // receptive-field rows per channel into the zero-point-padded staging
 // strip (rows outside the image become whole pad rows, in-range rows get
@@ -204,9 +347,8 @@ func (p *ConvPlanU8) GatherBandInto(buf, src []uint8, pad uint8, t int) int {
 // padding contract once. Phase two composes every patch row from the
 // strip with unconditional word loads: the SIMD pack kernel sweeps all
 // output columns and channels in one call per output row, and the Go
-// loop (portable dispatch) uses the same exact 8-byte + 1-byte stores as
-// im2colU8PatchRow3's interior — the produced bytes are identical to the
-// unstaged path's.
+// loop (portable dispatch) merges the three word loads into one exact
+// 8-byte + 1-byte store per 9-tap block — the same bytes either way.
 //
 // Spill safety for the kernel's 16-byte stores (9 patch bytes + 7 zero
 // bytes): within a row every spill lands in the next channel's block at

@@ -66,7 +66,7 @@ func TestIm2ColGEMMMatchesDirectProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		cols, err := Im2Col(img, g)
+		cols, err := im2colBatch(img.MustReshape(1, g.InC, g.InH, g.InW), g)
 		if err != nil {
 			return false
 		}
@@ -89,9 +89,9 @@ func TestIm2ColGEMMMatchesDirectProperty(t *testing.T) {
 	}
 }
 
-// Property: Col2Im is the adjoint of Im2Col: for random x and y,
-// <Im2Col(x), y> == <x, Col2Im(y)>. This is exactly the property the
-// backward pass relies on.
+// Property: Col2ImBatchInto is the adjoint of Im2ColBatchInto: for random
+// x and y, <im2col(x), y> == <x, col2im(y)>. This is exactly the property
+// the backward pass relies on.
 func TestCol2ImAdjointProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := NewRNG(seed)
@@ -107,16 +107,17 @@ func TestCol2ImAdjointProperty(t *testing.T) {
 		if g.Validate() != nil {
 			return true
 		}
-		x := New(g.InC, g.InH, g.InW)
+		n := 1 + rng.Intn(2)
+		x := New(n, g.InC, g.InH, g.InW)
 		x.FillNormal(rng, 0, 1)
-		cols, err := Im2Col(x, g)
+		cols, err := im2colBatch(x, g)
 		if err != nil {
 			return false
 		}
 		y := New(cols.Shape()...)
 		y.FillNormal(rng, 0, 1)
-		back, err := Col2Im(y, g)
-		if err != nil {
+		back := New(x.Shape()...)
+		if err := Col2ImBatchInto(back, y, g); err != nil {
 			return false
 		}
 		var lhs, rhs float64
@@ -135,13 +136,13 @@ func TestCol2ImAdjointProperty(t *testing.T) {
 
 func TestIm2ColShapeValidation(t *testing.T) {
 	g := ConvGeom{InC: 3, InH: 8, InW: 8, KH: 3, KW: 3, Stride: 1, Pad: 1}
-	img := New(1, 8, 8) // wrong channel count
-	if _, err := Im2Col(img, g); !errors.Is(err, ErrShape) {
-		t.Errorf("Im2Col channel mismatch err = %v, want ErrShape", err)
+	x := New(1, 1, 8, 8) // wrong channel count
+	if err := Im2ColBatchInto(New(27, 64), x, g); !errors.Is(err, ErrShape) {
+		t.Errorf("Im2ColBatchInto channel mismatch err = %v, want ErrShape", err)
 	}
 	cols := New(5, 5) // wrong matrix shape
-	if _, err := Col2Im(cols, g); !errors.Is(err, ErrShape) {
-		t.Errorf("Col2Im shape mismatch err = %v, want ErrShape", err)
+	if err := Col2ImBatchInto(New(1, 3, 8, 8), cols, g); !errors.Is(err, ErrShape) {
+		t.Errorf("Col2ImBatchInto shape mismatch err = %v, want ErrShape", err)
 	}
 }
 

@@ -422,15 +422,13 @@ done:
 
 // func im2colPack3AVX2(dst, r0, r1, r2 *uint8, n, nc, kdim, stride, plane int)
 //
-// Interior gather kernel for the 3×3 im2col packers: for each of n
-// output positions, composes nc channels' 9-tap patch blocks from three
-// receptive-field row cursors. Each block is three 4-byte row loads
-// merged in an XMM register (VPSHUFB compacting the 3×4 loaded bytes
-// down to the 9 taps) and written with ONE 16-byte store — the 7
-// trailing bytes are zeros spilling into the next channel's block at the
-// same position, which a later pass overwrites (callers only route
-// channels with p+16 ≤ kdim here; the final channel keeps the exact Go
-// stores, so nc is at most InC-1).
+// Compose kernel of the staged 3×3 band gather: for each of n output
+// positions, composes nc channels' 9-tap patch blocks from three
+// staged-row cursors. Each block is three 4-byte row loads merged in an
+// XMM register (VPSHUFB compacting the 3×4 loaded bytes down to the 9
+// taps) and written with ONE 16-byte store — the 7 trailing bytes are
+// zeros spilling past the block; gatherBand3 (conv_implicit.go) documents
+// where each spill lands and why a later store always overwrites it.
 //
 //	dst: position stride kdim bytes, channel stride 9 bytes
 //	r0, r1, r2: channel-0 cursors; `stride` bytes per position,

@@ -121,20 +121,9 @@ func matMulAXPYKernel(od, ad, bd []float32, m, k, n int) {
 	})
 }
 
-// MatMulTransA returns aᵀ·b where a is (k, m) and b is (k, n), producing
-// (m, n). Used for weight gradients without materializing transposes.
-func MatMulTransA(a, b *Tensor) (*Tensor, error) {
-	m, _, n, err := checkMatMul2D("matmulTA", a, b, true, false)
-	if err != nil {
-		return nil, err
-	}
-	out := New(m, n)
-	matMulTransAKernel(out.data, a.data, b.data, m, a.shape[0], n)
-	return out, nil
-}
-
-// MatMulTransAInto computes dst = aᵀ·b without allocating. dst must have
-// shape (a.cols, b.cols) and must not alias a or b.
+// MatMulTransAInto computes dst = aᵀ·b where a is (k, m) and b is (k, n),
+// without allocating: weight gradients without materializing transposes.
+// dst must have shape (m, n) and must not alias a or b.
 func MatMulTransAInto(dst, a, b *Tensor) error {
 	m, k, n, err := checkMatMul2D("matmulTA", a, b, true, false)
 	if err != nil {

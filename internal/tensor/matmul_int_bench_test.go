@@ -2,28 +2,9 @@ package tensor
 
 import "testing"
 
-// Conv-shaped integer GEMM: SmallCNN layer 3 at the deploy geometry
-// (32 filters, depth 144, 64-sample batch of 8×8 outputs).
-func benchIntOperandsConv() (a []int8, b []uint8, m, k, n int) {
-	rng := NewRNG(7)
-	m, k, n = 32, 144, 4096
-	return randI8(rng, m*k), randU8(rng, k*n), m, k, n
-}
-
-func BenchmarkMatMulI8U8ConvShaped(b *testing.B) {
-	wa, xb, m, k, n := benchIntOperandsConv()
-	dst := make([]int32, m*n)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := MatMulI8U8Into(dst, wa, xb, m, k, n); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// The same conv-shaped product through the packed path (activations ×
-// prepacked weight panels, the serving-engine orientation): m = 4096
+// Conv-shaped integer GEMM: SmallCNN layer 3 at the deploy geometry (64-
+// sample batch of 8×8 outputs) through the packed path — activations ×
+// prepacked weight panels, the serving-engine orientation: m = 4096
 // output positions, k = 144, n = 32 filters.
 func benchPackedOperandsConv(b *testing.B) (a []uint8, pb *PackedI8, m, lda int) {
 	rng := NewRNG(7)

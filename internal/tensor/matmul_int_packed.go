@@ -65,14 +65,6 @@ func (p *PackedI8) Saturating() bool { return p.sat }
 // SizeBytes returns the packed storage footprint.
 func (p *PackedI8) SizeBytes() int { return len(p.data) }
 
-// PackI8PanelsB packs a row-major (k, n) int8 matrix into column panels.
-func PackI8PanelsB(b []int8, k, n int) (*PackedI8, error) {
-	if err := checkPackI8("packB", len(b), k, n); err != nil {
-		return nil, err
-	}
-	return packI8(k, n, func(kk, j int) int8 { return b[kk*n+j] }), nil
-}
-
 // PackI8PanelsBT packs the transpose of a row-major (n, k) int8 matrix —
 // the natural orientation of weight tensors, whose rows are output
 // channels — into column panels: PackI8PanelsBT(w, k, n) packs B = wᵀ.
@@ -80,7 +72,7 @@ func PackI8PanelsBT(bt []int8, k, n int) (*PackedI8, error) {
 	if err := checkPackI8("packBT", len(bt), k, n); err != nil {
 		return nil, err
 	}
-	return packI8(k, n, func(kk, j int) int8 { return bt[j*k+kk] }), nil
+	return packI8(bt, k, n), nil
 }
 
 func checkPackI8(op string, lenB, k, n int) error {
@@ -93,7 +85,9 @@ func checkPackI8(op string, lenB, k, n int) error {
 	return nil
 }
 
-func packI8(k, n int, at func(kk, j int) int8) *PackedI8 {
+// packI8 packs bt, the row-major (n, k) transpose of B: B[kk][j] is
+// bt[j*k+kk].
+func packI8(bt []int8, k, n int) *PackedI8 {
 	p := &PackedI8{
 		k: k, n: n,
 		kq:     (k + 3) / 4,
@@ -110,7 +104,7 @@ func packI8(k, n int, at func(kk, j int) int8) *PackedI8 {
 				}
 				for t := 0; t < 4; t++ {
 					if kk := 4*q + t; kk < k {
-						seg[4*j+t] = at(kk, col)
+						seg[4*j+t] = bt[col*k+kk]
 					}
 				}
 			}
@@ -129,9 +123,9 @@ func packI8(k, n int, at func(kk, j int) int8) *PackedI8 {
 			continue
 		}
 		for s := 0; 2*s < k; s++ {
-			sum := absI8(at(2*s, j))
+			sum := absI8(bt[j*k+2*s])
 			if 2*s+1 < k {
-				sum += absI8(at(2*s+1, j))
+				sum += absI8(bt[j*k+2*s+1])
 			}
 			if sum > 128 {
 				p.satp[pi] = true

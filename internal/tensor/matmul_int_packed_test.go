@@ -22,6 +22,22 @@ func naivePackedRef(a []uint8, lda int, bt []int8, m, k, n int) []int32 {
 	return out
 }
 
+func randU8(rng *RNG, n int) []uint8 {
+	out := make([]uint8, n)
+	for i := range out {
+		out[i] = uint8(rng.Intn(256))
+	}
+	return out
+}
+
+func randI8(rng *RNG, n int) []int8 {
+	out := make([]int8, n)
+	for i := range out {
+		out[i] = int8(rng.Intn(255) - 127)
+	}
+	return out
+}
+
 // padForQuads returns a with the 3 spare bytes the packed kernels may
 // read past the final row's k values (filled with a poison value: the
 // kernels must multiply them by zero weights only).
@@ -88,27 +104,10 @@ func TestPackI8PanelsLayoutAndErrors(t *testing.T) {
 		t.Fatalf("quad 1 col 0 = [%d %d ...], want [5 0 ...]", pb.data[32], pb.data[33])
 	}
 
-	// The same matrix in row-major (k, n) form packs identically.
-	b := make([]int8, 5*3)
-	for j := 0; j < 3; j++ {
-		for p := 0; p < 5; p++ {
-			b[p*3+j] = bt[j*5+p]
-		}
-	}
-	pb2, err := PackI8PanelsB(b, 5, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range pb.data {
-		if pb.data[i] != pb2.data[i] {
-			t.Fatalf("PackI8PanelsB and PackI8PanelsBT disagree at byte %d", i)
-		}
-	}
-
 	if _, err := PackI8PanelsBT(bt[:4], 5, 3); err == nil {
 		t.Error("short operand did not error")
 	}
-	if _, err := PackI8PanelsB(b, 0, 3); err == nil {
+	if _, err := PackI8PanelsBT(bt, 0, 3); err == nil {
 		t.Error("zero k did not error")
 	}
 }
@@ -345,73 +344,6 @@ func TestMatMulU8I8PackedErrors(t *testing.T) {
 	}
 	if err := MatMulU8I8PackedInto(dst, padForQuads(a), pb, 0, 5); err == nil {
 		t.Error("zero m did not error")
-	}
-}
-
-// TestIm2ColBatchU8PatchesMatchesColumnMajor checks the patch-major
-// packer against the established column-major one: dst_patches is exactly
-// the transpose of dst_cols.
-func TestIm2ColBatchU8PatchesMatchesColumnMajor(t *testing.T) {
-	geoms := []ConvGeom{
-		{InC: 2, InH: 6, InW: 6, KH: 3, KW: 3, Stride: 1, Pad: 1},
-		{InC: 3, InH: 8, InW: 8, KH: 3, KW: 3, Stride: 2, Pad: 1},
-		{InC: 1, InH: 5, InW: 7, KH: 5, KW: 5, Stride: 1, Pad: 2},
-		{InC: 2, InH: 4, InW: 4, KH: 1, KW: 1, Stride: 2, Pad: 0},
-		// Kernel wider than InW+Pad: the interior column range is empty
-		// and every position is an edge (regression: the hoisted-range
-		// packer once sliced at a negative offset here).
-		{InC: 1, InH: 2, InW: 2, KH: 7, KW: 7, Stride: 1, Pad: 3},
-		{InC: 2, InH: 3, InW: 3, KH: 4, KW: 4, Stride: 2, Pad: 1},
-		// Negative interior numerator with Pad 0 / small Pad: Go's
-		// toward-zero division would round (InW−KW+Pad)/Stride up to 0
-		// and let the fast path read past the source row (regression).
-		{InC: 1, InH: 2, InW: 2, KH: 1, KW: 3, Stride: 2, Pad: 0},
-		{InC: 1, InH: 4, InW: 3, KH: 2, KW: 6, Stride: 1, Pad: 2},
-		// Minimal 3×3/stride-1/pad-1 width: the specialized border path
-		// fires with an empty interior (xlo=1, xhi=ow−2=0), so the two
-		// border columns are the whole row.
-		{InC: 2, InH: 3, InW: 2, KH: 3, KW: 3, Stride: 1, Pad: 1},
-	}
-	rng := NewRNG(54)
-	const n = 3
-	const pad = uint8(11)
-	for _, g := range geoms {
-		inSz := g.InC * g.InH * g.InW
-		src := randU8(rng, n*inSz)
-		oh, ow := g.OutHW()
-		kdim := g.InC * g.KH * g.KW
-		ns := n * oh * ow
-		cols := make([]uint8, kdim*ns)
-		if err := Im2ColBatchU8Into(cols, src, n, g, pad); err != nil {
-			t.Fatalf("Im2ColBatchU8Into(%+v): %v", g, err)
-		}
-		patches := make([]uint8, ns*kdim)
-		if err := Im2ColBatchU8PatchesInto(patches, src, n, g, pad); err != nil {
-			t.Fatalf("Im2ColBatchU8PatchesInto(%+v): %v", g, err)
-		}
-		for r := 0; r < ns; r++ {
-			for c := 0; c < kdim; c++ {
-				if patches[r*kdim+c] != cols[c*ns+r] {
-					t.Fatalf("geom %+v: patches[%d][%d] = %d, want %d",
-						g, r, c, patches[r*kdim+c], cols[c*ns+r])
-				}
-			}
-		}
-	}
-}
-
-func TestIm2ColBatchU8PatchesErrors(t *testing.T) {
-	g := ConvGeom{InC: 1, InH: 4, InW: 4, KH: 3, KW: 3, Stride: 1, Pad: 1}
-	src := make([]uint8, 16)
-	dst := make([]uint8, 16*9)
-	if err := Im2ColBatchU8PatchesInto(dst, src, 2, g, 0); err == nil {
-		t.Error("short src did not error")
-	}
-	if err := Im2ColBatchU8PatchesInto(dst[:3], src, 1, g, 0); err == nil {
-		t.Error("short dst did not error")
-	}
-	if err := Im2ColBatchU8PatchesInto(dst, src, 0, g, 0); err == nil {
-		t.Error("zero batch did not error")
 	}
 }
 

@@ -97,17 +97,6 @@ func PackF32PanelsB(b []float32, k, n int) (*PackedF32, error) {
 	return p, nil
 }
 
-// PackF32PanelsBT packs the transpose of a row-major (n, k) matrix — the
-// natural orientation of weight tensors — into fresh column panels:
-// PackF32PanelsBT(w, k, n) packs B = wᵀ.
-func PackF32PanelsBT(bt []float32, k, n int) (*PackedF32, error) {
-	p := &PackedF32{}
-	if err := p.PackBT(bt, k, n); err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
 // PackB repacks a row-major (k, n) matrix into p, reusing p's storage.
 func (p *PackedF32) PackB(b []float32, k, n int) error {
 	if err := checkPackF32("packB", len(b), k, n); err != nil {

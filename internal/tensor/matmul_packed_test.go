@@ -97,13 +97,13 @@ func TestPackF32PanelsLayoutAndErrors(t *testing.T) {
 				bt[j*tc.k+p] = b[p*tc.n+j]
 			}
 		}
-		pb2, err := PackF32PanelsBT(bt, tc.k, tc.n)
-		if err != nil {
+		pb2 := &PackedF32{}
+		if err := pb2.PackBT(bt, tc.k, tc.n); err != nil {
 			t.Fatal(err)
 		}
 		for i := range pb.data {
 			if pb.data[i] != pb2.data[i] {
-				t.Fatalf("n=%d: PackF32PanelsB and PackF32PanelsBT disagree at %d", tc.n, i)
+				t.Fatalf("n=%d: PackB and PackBT disagree at %d", tc.n, i)
 			}
 		}
 	}

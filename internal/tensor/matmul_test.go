@@ -63,9 +63,9 @@ func TestMatMulTransAAgainstExplicitTranspose(t *testing.T) {
 	rng := NewRNG(5)
 	a := randMat(rng, 7, 4) // (k, m)
 	b := randMat(rng, 7, 5) // (k, n)
-	got, err := MatMulTransA(a, b)
-	if err != nil {
-		t.Fatalf("MatMulTransA: %v", err)
+	got := New(4, 5)
+	if err := MatMulTransAInto(got, a, b); err != nil {
+		t.Fatalf("MatMulTransAInto: %v", err)
 	}
 	want, err := MatMul(transpose(a), b)
 	if err != nil {

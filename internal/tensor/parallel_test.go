@@ -206,9 +206,9 @@ func TestTiledGEMMAgainstNaiveReference(t *testing.T) {
 		checkClose(t, got, naiveMatMul(a, b, false, false), 1e-5, "matmul")
 
 		at := randMat(rng, k, m)
-		gotTA, err := MatMulTransA(at, b)
-		if err != nil {
-			t.Fatalf("MatMulTransA(%v): %v", s, err)
+		gotTA := New(m, n)
+		if err := MatMulTransAInto(gotTA, at, b); err != nil {
+			t.Fatalf("MatMulTransAInto(%v): %v", s, err)
 		}
 		checkClose(t, gotTA, naiveMatMul(at, b, true, false), 1e-5, "matmulTA")
 
@@ -247,7 +247,10 @@ func TestMatMulIntoMatchesAlloc(t *testing.T) {
 	if err := MatMulTransAInto(dst, at, b); err != nil {
 		t.Fatalf("MatMulTransAInto: %v", err)
 	}
-	want, _ = MatMulTransA(at, b)
+	want = New(9, 21)
+	if err := MatMulTransAInto(want, at, b); err != nil {
+		t.Fatalf("MatMulTransAInto: %v", err)
+	}
 	matEq(t, dst, want, 0)
 
 	dst = poison(9, 21)

@@ -204,26 +204,3 @@ func requantTransGo(dst []uint8, acc []int32, m0, rsh []int32, corr []int64, zp,
 		}
 	}
 }
-
-// RequantQ31 requantizes n = len(dst) accumulators through one shared
-// (per-tensor) multiplier. It reuses the per-channel kernels by treating
-// the run as (n/4, 4) rows against broadcast parameters, so the vector
-// path serves this form too.
-func RequantQ31(dst []uint8, acc []int32, m0, rsh int32, corr int64, zp, lo int32) {
-	n := len(dst)
-	if len(acc) < n {
-		panic(fmt.Sprintf("tensor: requantQ31 accumulator has %d elements, want >= %d", len(acc), n))
-	}
-	m0v := [4]int32{m0, m0, m0, m0}
-	rshv := [4]int32{rsh, rsh, rsh, rsh}
-	corrv := [4]int64{corr, corr, corr, corr}
-	if rows := n / 4; rows > 0 {
-		RequantQ31Rows(dst, acc, m0v[:], rshv[:], corrv[:], zp, lo, rows, 4, 4, 4)
-	}
-	if tail := n &^ 3; tail < n {
-		checkRequantParams(m0v[:], rshv[:], corrv[:], zp, lo, 1)
-		for i := tail; i < n; i++ {
-			dst[i] = requantQ31One(acc[i], corr, m0, rsh, zp, lo)
-		}
-	}
-}

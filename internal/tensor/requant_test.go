@@ -223,33 +223,6 @@ func TestRequantQ31TransposeFuzz(t *testing.T) {
 	})
 }
 
-// TestRequantQ31PerTensor exercises the broadcast convenience form over
-// lengths straddling the 4-wide grouping.
-func TestRequantQ31PerTensor(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	runBothDispatches(t, func(t *testing.T, simd bool) {
-		for trial := 0; trial < 100; trial++ {
-			n := 1 + rng.Intn(70)
-			cs := randRequantCase(rng)
-			zp := int32(rng.Intn(256))
-			lo := int32(rng.Intn(256))
-			acc := make([]int32, n)
-			for i := range acc {
-				acc[i] = randAcc(rng)
-			}
-			dst := make([]uint8, n)
-			RequantQ31(dst, acc, cs.m0, cs.rsh, cs.corr, zp, lo)
-			for i := range dst {
-				want := requantRef(acc[i], cs.corr, cs.m0, cs.rsh, zp, lo)
-				if dst[i] != want {
-					t.Fatalf("simd=%v trial %d: perTensor n=%d at %d: got %d, want %d",
-						simd, trial, n, i, dst[i], want)
-				}
-			}
-		}
-	})
-}
-
 // TestRequantQ31ContractPanics pins the argument contract: domain
 // violations must fail loudly, not corrupt memory.
 func TestRequantQ31ContractPanics(t *testing.T) {
