@@ -17,7 +17,8 @@
 //	                    optional "deadline_ms" bounds queue wait + inference
 //	GET  /healthz       liveness probe (starting/ok/degraded/draining)
 //	GET  /readyz        readiness probe: 200 only when traffic should route here
-//	GET  /stats         request/batch counters, p50/p99 latency, throughput
+//	GET  /stats         request/batch counters, p50/p99 latency, throughput,
+//	                    /classify decode bytes, time and fallbacks
 //	POST /admin/reload  hot-swap the model without dropping in-flight work
 //
 // Hot reload: POST /admin/reload (or send the process SIGHUP) re-reads
@@ -84,7 +85,7 @@ func run(args []string, out io.Writer) error {
 	seed := fs.Uint64("seed", 7, "experiment seed")
 	workers := fs.Int("workers", 2, "batching workers (engine replicas)")
 	maxBatch := fs.Int("max-batch", 32, "max samples fused into one engine call")
-	maxDelay := fs.Duration("max-delay", 2*time.Millisecond, "max wait for a batch to fill")
+	maxDelay := fs.Duration("max-delay", 2*time.Millisecond, "max wait for a batch to fill (0 = the 2ms default, not no-wait)")
 	queueCap := fs.Int("queue", 0, "request queue bound (0 = 4·max-batch·workers)")
 	deadline := fs.Duration("deadline", 0, "default per-request deadline for /classify (0 = none; requests may set deadline_ms)")
 	watch := fs.Duration("watch", 0, "poll the -model checkpoint at this interval and hot-reload when it changes (0 = off)")
@@ -492,6 +493,11 @@ func smokeRun(hs *http.Server, srv *serve.Server, testSet data.Dataset, size int
 	}
 	srv.Close()
 	st := srv.Stats()
-	fmt.Fprintf(out, "smoke: clean shutdown after %d request(s)\n", st.Requests)
+	// The probe's own bodies are json.Marshal output: all of them must
+	// have taken the single-pass decoder.
+	if st.DecodeFallbacks != 0 {
+		return fmt.Errorf("smoke: %d of %d /classify bodies fell back to encoding/json", st.DecodeFallbacks, st.HTTPRequests)
+	}
+	fmt.Fprintf(out, "smoke: clean shutdown after %d request(s), %d /classify bodies decoded single-pass\n", st.Requests, st.HTTPRequests)
 	return nil
 }

@@ -32,10 +32,10 @@ import (
 //
 // A full queue answers 503 (backpressure; clients retry), a bad payload
 // 400, an engine failure or panic 500. Admission is bounded before the
-// queue is ever touched: request bodies are capped at maxBodyBytes and
-// one request may carry at most maxInputsPerRequest samples, so an
-// oversized POST cannot sidestep the queue's backpressure by sheer
-// payload size.
+// queue is ever touched: request bodies are capped at maxBodyBytes (413
+// beyond it) and one request may carry at most maxInputsPerRequest
+// samples, so an oversized POST cannot sidestep the queue's backpressure
+// by sheer payload size. How the body becomes floats is in decode.go.
 
 const (
 	// maxBodyBytes bounds a /classify request body (64 MiB ≈ a
@@ -92,8 +92,21 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
-	var req classifyRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
+	s.httpRequests.Add(1)
+	buf, status, err := readBody(w, r, maxBodyBytes)
+	if err != nil {
+		httpError(w, status, "read body: "+err.Error())
+		return
+	}
+	began := time.Now()
+	req, fast, err := decodeClassify(buf.Bytes())
+	s.decodeNs.Add(uint64(time.Since(began)))
+	s.decodeBytes.Add(uint64(buf.Len()))
+	if !fast {
+		s.decodeFallbacks.Add(1)
+	}
+	releaseBody(buf) // the decoded floats do not alias it
+	if err != nil {
 		httpError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
 		return
 	}
@@ -114,6 +127,8 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case req.Input != nil && req.Inputs != nil:
 		httpError(w, http.StatusBadRequest, `pass either "input" or "inputs", not both`)
+	case req.Inputs != nil && len(req.Inputs) == 0:
+		httpError(w, http.StatusBadRequest, `empty "inputs"`)
 	case len(req.Inputs) > maxInputsPerRequest:
 		httpError(w, http.StatusBadRequest,
 			fmt.Sprintf("request carries %d samples, max %d per request", len(req.Inputs), maxInputsPerRequest))

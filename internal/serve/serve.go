@@ -101,7 +101,8 @@ type Config struct {
 	// MaxBatch is the largest batch one worker fuses. Default 32.
 	MaxBatch int
 	// MaxDelay is how long an open batch waits for more requests before
-	// running. 0 runs greedily (batch = whatever is queued). Default 2ms.
+	// running. Zero means the default, 2ms — there is no greedy (no-wait)
+	// setting; pass a small positive duration to approximate one.
 	MaxDelay time.Duration
 	// QueueCap bounds the request queue; a full queue rejects with
 	// ErrOverloaded. Default 4·MaxBatch·Workers.
@@ -209,6 +210,12 @@ type Server struct {
 	canceled atomic.Uint64 // callers that returned on ctx deadline/cancel
 	swaps    atomic.Uint64
 
+	// /classify ingress (http.go, decode.go)
+	httpRequests    atomic.Uint64
+	decodeBytes     atomic.Uint64
+	decodeNs        atomic.Uint64
+	decodeFallbacks atomic.Uint64
+
 	latMu  sync.Mutex
 	lat    [4096]int64 // ns, ring buffer
 	latN   int
@@ -274,8 +281,13 @@ func New(cfg Config) (*Server, error) {
 
 // Classify submits one CHW sample and blocks until its micro-batch has
 // run. It returns ErrOverloaded immediately when the queue is full. The
-// sample slice is read until the call returns; the caller keeps ownership
-// afterwards.
+// caller keeps ownership of the sample slice, and after a nil-error return
+// (or any error but the two below) nothing reads it again. After
+// ClassifyCtx returns ErrDeadline or ErrCanceled, however, the abandoned
+// request is still queued and a worker may read the slice until it drops
+// or runs it — so a caller that recycles sample buffers must not reuse one
+// after such a return (the HTTP handler never recycles its float block
+// for this reason).
 func (s *Server) Classify(img []float32) (int, error) {
 	return s.ClassifyCtx(context.Background(), img)
 }
@@ -525,6 +537,16 @@ type Stats struct {
 	// LiveWorkers is the number of batching workers currently alive;
 	// respawn keeps it at the configured count.
 	LiveWorkers int `json:"live_workers"`
+	// HTTPRequests counts POSTs to /classify. DecodeBytes and DecodeNs are
+	// the body bytes parsed and the time spent parsing them (socket reads
+	// excluded), so DecodeBytes/DecodeNs is the decode rate in GB/s.
+	// DecodeFallbacks counts the bodies outside the single-pass grammar
+	// (see decode.go) that went through encoding/json instead — malformed
+	// ones included; a well-behaved client keeps it at 0.
+	HTTPRequests    uint64 `json:"http_requests"`
+	DecodeBytes     uint64 `json:"decode_bytes"`
+	DecodeNs        uint64 `json:"decode_ns"`
+	DecodeFallbacks uint64 `json:"decode_fallbacks"`
 	// MeanBatch is requests per engine call — the batching win.
 	MeanBatch float64 `json:"mean_batch"`
 	// P50/P99 request latency (queue wait + inference) over a sliding
@@ -549,6 +571,11 @@ func (s *Server) Stats() Stats {
 		Swaps:        s.swaps.Load(),
 		ModelVersion: s.engine.Load().version,
 		LiveWorkers:  int(s.live.Load()),
+
+		HTTPRequests:    s.httpRequests.Load(),
+		DecodeBytes:     s.decodeBytes.Load(),
+		DecodeNs:        s.decodeNs.Load(),
+		DecodeFallbacks: s.decodeFallbacks.Load(),
 	}
 	if st.Batches > 0 {
 		st.MeanBatch = float64(st.Requests) / float64(st.Batches)

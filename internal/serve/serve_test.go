@@ -298,6 +298,19 @@ func TestHTTPClassify(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("empty payload: status %d", resp.StatusCode)
 	}
+	// An empty sample list is a bad request, not 200 {} — whether the body
+	// took the single-pass decoder or (unknown field) encoding/json.
+	for _, body := range []string{`{"inputs": []}`, `{"inputs": [], "note": "fallback"}`} {
+		resp, m = post(body)
+		if resp.StatusCode != http.StatusBadRequest || m["error"] != `empty "inputs"` {
+			t.Errorf("%s: status %d, body %v", body, resp.StatusCode, m)
+		}
+	}
+	// Bytes after the object make the body bad JSON.
+	resp, m = post(`{"input": [1, 0, 0, 0]} {"input": [1, 0, 0, 0]}`)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("trailing bytes: status %d, body %v", resp.StatusCode, m)
+	}
 	// Over-long sample lists are rejected at admission, before queueing.
 	var big bytes.Buffer
 	big.WriteString(`{"inputs": [`)
@@ -331,6 +344,12 @@ func TestHTTPClassify(t *testing.T) {
 	}
 	if st.Requests < 4 {
 		t.Errorf("stats requests = %d, want >= 4", st.Requests)
+	}
+	// Nine POSTs above; four of them ({not json, the unknown field, the
+	// trailing bytes, 1025 rows) are outside the single-pass grammar.
+	if st.HTTPRequests != 9 || st.DecodeFallbacks != 4 || st.DecodeBytes == 0 || st.DecodeNs == 0 {
+		t.Errorf("ingress stats = %d requests, %d fallbacks, %d bytes, %d ns; want 9, 4, >0, >0",
+			st.HTTPRequests, st.DecodeFallbacks, st.DecodeBytes, st.DecodeNs)
 	}
 }
 
