@@ -17,8 +17,10 @@
 //	                    optional "deadline_ms" bounds queue wait + inference
 //	GET  /healthz       liveness probe (starting/ok/degraded/draining)
 //	GET  /readyz        readiness probe: 200 only when traffic should route here
-//	GET  /stats         request/batch counters, p50/p99 latency, throughput,
-//	                    /classify decode bytes, time and fallbacks
+//	GET  /stats         sample/batch counters (batches by why they closed:
+//	                    full, dry, timeout), cumulative queue wait, p50/p99
+//	                    latency, throughput, /classify decode bytes, time
+//	                    and fallbacks
 //	POST /admin/reload  hot-swap the model without dropping in-flight work
 //
 // Hot reload: POST /admin/reload (or send the process SIGHUP) re-reads
@@ -36,8 +38,14 @@
 // mid-replace by a non-atomic writer heals on the next attempt instead
 // of taking the server down.
 //
+// Batching: a batch runs as soon as the queue is dry, so an idle server
+// answers at batch-1 latency and batches grow only under load; -max-batch
+// is what bounds fusion, and -max-delay is merely the upper bound on how
+// long a trickle of arrivals can keep one batch gathering.
+//
 // -smoke starts the server on an ephemeral port, performs health,
-// classify, and hot-reload round trips (plus, with -watch, a
+// classify, multi-sample classify (one POST must ride one engine batch)
+// and hot-reload round trips (plus, with -watch, a
 // republish-and-poll round trip that deliberately tears the checkpoint
 // mid-write), and shuts down cleanly — the CI end-to-end probe.
 package main
@@ -85,7 +93,7 @@ func run(args []string, out io.Writer) error {
 	seed := fs.Uint64("seed", 7, "experiment seed")
 	workers := fs.Int("workers", 2, "batching workers (engine replicas)")
 	maxBatch := fs.Int("max-batch", 32, "max samples fused into one engine call")
-	maxDelay := fs.Duration("max-delay", 2*time.Millisecond, "max wait for a batch to fill (0 = the 2ms default, not no-wait)")
+	maxDelay := fs.Duration("max-delay", 2*time.Millisecond, "upper bound on how long a batch gathers; a batch normally runs as soon as the queue is dry, and -max-batch is what bounds fusion (0 = the 2ms default)")
 	queueCap := fs.Int("queue", 0, "request queue bound (0 = 4·max-batch·workers)")
 	deadline := fs.Duration("deadline", 0, "default per-request deadline for /classify (0 = none; requests may set deadline_ms)")
 	watch := fs.Duration("watch", 0, "poll the -model checkpoint at this interval and hot-reload when it changes (0 = off)")
@@ -155,7 +163,7 @@ func run(args []string, out io.Writer) error {
 				return models.SaveFileAtomic(*modelPath, m, v+1)
 			}
 		}
-		return smokeRun(hs, srv, testSet, *size, republish, out)
+		return smokeRun(hs, srv, testSet, *maxBatch, republish, out)
 	}
 
 	ln, err := net.Listen("tcp", *addr)
@@ -359,7 +367,7 @@ func watchCheckpoint(done <-chan struct{}, path string, every time.Duration, srv
 // watcher round trip: republish the checkpoint (torn write included) and
 // poll /stats until the new model version is live — and shuts the server
 // down.
-func smokeRun(hs *http.Server, srv *serve.Server, testSet data.Dataset, size int, republish func() error, out io.Writer) error {
+func smokeRun(hs *http.Server, srv *serve.Server, testSet data.Dataset, maxBatch int, republish func() error, out io.Writer) error {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return err
@@ -367,6 +375,17 @@ func smokeRun(hs *http.Server, srv *serve.Server, testSet data.Dataset, size int
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 	base := "http://" + ln.Addr().String()
+	getStats := func() (st serve.Stats, err error) {
+		resp, err := http.Get(base + "/stats")
+		if err != nil {
+			return st, fmt.Errorf("stats: %w", err)
+		}
+		defer resp.Body.Close()
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+			return st, fmt.Errorf("stats decode: %w", err)
+		}
+		return st, nil
+	}
 
 	resp, err := http.Get(base + "/healthz")
 	if err != nil {
@@ -451,6 +470,50 @@ func smokeRun(hs *http.Server, srv *serve.Server, testSet data.Dataset, size int
 	}
 	fmt.Fprintf(out, "smoke: hot reload -> model version %d, same prediction\n", rel.Version)
 
+	// One multi-sample POST (of at most -max-batch samples) travels the
+	// queue as one group: exactly one more engine batch, closed because the
+	// queue ran dry or the batch is full, not by -max-delay.
+	n := min(16, testSet.Len())
+	if maxBatch > 0 { // 0 is the server's default, 32
+		n = min(n, maxBatch)
+	}
+	rows := make([][]float32, n)
+	for i := range rows {
+		img, _ := testSet.Sample(i)
+		rows[i] = img.Data()
+	}
+	if body, err = json.Marshal(map[string]any{"inputs": rows}); err != nil {
+		return err
+	}
+	before, err := getStats()
+	if err != nil {
+		return err
+	}
+	resp, err = http.Post(base+"/classify", "application/json", bytes.NewReader(body))
+	if err != nil {
+		return fmt.Errorf("classify inputs: %w", err)
+	}
+	var many struct {
+		Classes []int `json:"classes"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&many)
+	resp.Body.Close()
+	if err != nil {
+		return fmt.Errorf("classify inputs decode: %w", err)
+	}
+	if resp.StatusCode != http.StatusOK || len(many.Classes) != n || many.Classes[0] != *got.Class {
+		return fmt.Errorf("classify inputs: status %d, classes %v (want %d, the first %d)", resp.StatusCode, many.Classes, n, *got.Class)
+	}
+	after, err := getStats()
+	if err != nil {
+		return err
+	}
+	if after.Batches != before.Batches+1 || after.Requests != before.Requests+uint64(n) || after.BatchesTimeout != 0 {
+		return fmt.Errorf("classify inputs: %d samples ran in %d batch(es), %d closed by -max-delay since start (want 1 and 0)",
+			after.Requests-before.Requests, after.Batches-before.Batches, after.BatchesTimeout)
+	}
+	fmt.Fprintf(out, "smoke: %d-sample /classify -> one batch\n", n)
+
 	if republish != nil {
 		if err := republish(); err != nil {
 			return fmt.Errorf("republish: %w", err)
@@ -460,17 +523,9 @@ func smokeRun(hs *http.Server, srv *serve.Server, testSet data.Dataset, size int
 		// explicit reload = 2, watch reload = 3).
 		watchDeadline := time.Now().Add(10 * time.Second)
 		for {
-			resp, err = http.Get(base + "/stats")
+			st, err := getStats()
 			if err != nil {
-				return fmt.Errorf("stats: %w", err)
-			}
-			var st struct {
-				ModelVersion uint64 `json:"model_version"`
-			}
-			err = json.NewDecoder(resp.Body).Decode(&st)
-			resp.Body.Close()
-			if err != nil {
-				return fmt.Errorf("stats decode: %w", err)
+				return err
 			}
 			if st.ModelVersion >= 3 {
 				fmt.Fprintf(out, "smoke: watch -> model version %d after republish\n", st.ModelVersion)

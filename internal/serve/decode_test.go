@@ -140,7 +140,11 @@ var decodeGrammar = []struct {
 	{`{"model": "x"}`, false},
 	{`{"deadline_ms": 1.5}`, false},
 	{`{"deadline_ms": 1e3}`, false},
+	{`{"deadline_ms": 999999999}`, true}, // the most the fast path takes: far below Duration overflow
 	{`{"deadline_ms": 1234567890}`, false},
+	{`{"deadline_ms": 9223372036855}`, false},       // × 1e6 ns wraps int64: the handler's to refuse
+	{`{"deadline_ms": 9223372036854775807}`, false}, // likewise
+	{`{"deadline_ms": 9223372036854775808}`, false}, // not an int: encoding/json's to refuse
 	{`{"deadline_ms": "5"}`, false},
 	{`{"input": [1e39]}`, false},
 	{`{"input": [-3.5e38]}`, false},
@@ -201,6 +205,31 @@ func TestClassifyDecodeGrammar(t *testing.T) {
 		}
 		if got := checkAgainstJSON(t, mustMarshal(t, classifyRequest{Inputs: rows})); got != fast {
 			t.Errorf("%d rows: fast path accepted = %v, want %v", n, got, fast)
+		}
+	}
+}
+
+// TestClassifyDeadlineRange: a deadline_ms that time.Duration cannot hold is
+// a bad request on either decode path — converted, it would wrap negative
+// and the request would silently run with no deadline at all.
+func TestClassifyDeadlineRange(t *testing.T) {
+	s, _ := newTestServer(t, Config{})
+	for _, c := range []struct {
+		deadline string
+		status   int
+	}{
+		{"999999999", http.StatusOK},     // fast path's largest
+		{"9223372036854", http.StatusOK}, // encoding/json; the largest Duration in ms
+		{"9223372036855", http.StatusBadRequest},
+		{"9223372036854775807", http.StatusBadRequest},
+		{"9223372036854775808", http.StatusBadRequest}, // bad JSON for an int field
+		{"-1", http.StatusBadRequest},
+	} {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/classify",
+			strings.NewReader(`{"input": [1, 0, 0, 0], "deadline_ms": `+c.deadline+`}`)))
+		if rec.Code != c.status {
+			t.Errorf("deadline_ms %s: status %d (%s), want %d", c.deadline, rec.Code, strings.TrimSpace(rec.Body.String()), c.status)
 		}
 	}
 }

@@ -32,11 +32,12 @@ var errInjected = errors.New("injected engine error")
 // schedule: every panicEvery-th call panics, every errEvery-th call
 // errors, every spikeEvery-th call sleeps an extra spike on top of the
 // base delay. The schedules are atomics so a test can heal (or break)
-// the engine mid-load.
+// the engine mid-load. An optional gate holds every call until closed.
 type faultClassifier struct {
 	id    int
 	delay time.Duration
 	spike time.Duration
+	gate  chan struct{}
 
 	panicEvery atomic.Int64
 	errEvery   atomic.Int64
@@ -49,6 +50,9 @@ type faultClassifier struct {
 func (f *faultClassifier) Classify(x *tensor.Tensor) ([]int, error) {
 	c := f.calls.Add(1)
 	f.samples.Add(int64(x.Dim(0)))
+	if f.gate != nil {
+		<-f.gate
+	}
 	if f.delay > 0 {
 		time.Sleep(f.delay)
 	}
@@ -212,7 +216,76 @@ func TestPanicStormNeverStrandsCaller(t *testing.T) {
 		t.Errorf("healed Classify = %d, %v; want 3, nil", class, err)
 	}
 	s.Close()
+
+	// A group held over because the open batch had no room for it must ride
+	// the respawn: the panicking worker hands it to its successor.
+	fault = &faultClassifier{id: 3, gate: make(chan struct{})}
+	fault.panicEvery.Store(1)
+	s, err = New(Config{Engine: fault, InC: 1, InH: 2, InW: 2, Workers: 1, MaxBatch: 4})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	groups := heldOverScenario(t, s, fault)
+	close(fault.gate) // call 1 panics; its successor gathers g1, holds g2 over, panics; g2's worker panics
+	for i, g := range groups {
+		if _, err := awaitWithin(s, g, 5*time.Second); !errors.Is(err, ErrEnginePanic) {
+			t.Errorf("group %d: err = %v, want ErrEnginePanic", i, err)
+		}
+	}
+	st = s.Stats()
+	if st.Panics != 3 || st.Batches != 3 || st.Requests != 7 || st.Errored != 7 || st.LiveWorkers != 1 {
+		t.Errorf("stats after three panicking batches of 1+3+3 samples: %+v", st)
+	}
+	s.Close()
 	checkGoroutines(t, base)
+}
+
+// heldOverScenario wedges s's only worker inside the gated engine on a
+// one-sample group, then queues two three-sample groups. With MaxBatch 4
+// the worker that gathers the first must hold the second over. It returns
+// all three groups, accepted and unanswered.
+func heldOverScenario(t *testing.T, s *Server, fault *faultClassifier) []*group {
+	t.Helper()
+	three := [][]float32{sample(1, 4), sample(1, 4), sample(1, 4)}
+	groups := []*group{
+		newGroup(context.Background(), three[:1]),
+		newGroup(context.Background(), three),
+		newGroup(context.Background(), three),
+	}
+	for i, g := range groups {
+		if err := s.submit(g); err != nil {
+			t.Fatalf("submit group %d: %v", i, err)
+		}
+		if i > 0 {
+			continue
+		}
+		for deadline := time.Now().Add(5 * time.Second); fault.calls.Load() == 0; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("worker never entered the engine")
+			}
+		}
+	}
+	return groups
+}
+
+// awaitWithin is await with a bound, so a stranded group fails the test
+// instead of hanging it.
+func awaitWithin(s *Server, g *group, d time.Duration) ([]int, error) {
+	type result struct {
+		classes []int
+		err     error
+	}
+	done := make(chan result, 1)
+	go func() {
+		classes, err := s.await(g)
+		done <- result{classes, err}
+	}()
+	select {
+	case r := <-done:
+		return r.classes, r.err
+	case <-time.After(d):
+		return nil, errors.New("group never answered")
+	}
 }
 
 // TestHotSwapUnderLoad swaps the engine while concurrent load is in
@@ -389,16 +462,27 @@ func TestCloseUnderLoadAnswersEveryAccepted(t *testing.T) {
 	}
 	var wg sync.WaitGroup
 	var badOutcome atomic.Int64
+	three := [][]float32{sample(1, 4), sample(1, 4), sample(1, 4)}
 	for c := 0; c < 16; c++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for {
-				class, err := s.Classify(sample(1, 4))
+				// Every other client sends three samples at a time: with
+				// MaxBatch 8 a third such group never fits, so groups are
+				// being held over when Close lands.
+				classes, err := []int{0}, error(nil)
+				if c%2 == 0 {
+					classes[0], err = s.Classify(sample(1, 4))
+				} else {
+					classes, err = s.classifyMany(context.Background(), three)
+				}
 				switch {
 				case err == nil:
-					if class != 5 {
-						badOutcome.Add(1)
+					for _, class := range classes {
+						if class != 5 {
+							badOutcome.Add(1)
+						}
 					}
 				case errors.Is(err, ErrOverloaded):
 					// shed; try again
@@ -416,6 +500,31 @@ func TestCloseUnderLoadAnswersEveryAccepted(t *testing.T) {
 	wg.Wait()
 	if n := badOutcome.Load(); n != 0 {
 		t.Errorf("%d calls saw a wrong class or unexpected error during drain", n)
+	}
+
+	// A held-over group is accepted work like any other: Close answers it.
+	fault = &faultClassifier{id: 5, gate: make(chan struct{})}
+	s, err = New(Config{Engine: fault, InC: 1, InH: 2, InW: 2, Workers: 1, MaxBatch: 4})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	groups := heldOverScenario(t, s, fault)
+	closed := make(chan struct{})
+	go func() {
+		s.Close()
+		close(closed)
+	}()
+	waitState(t, s, HealthDraining)
+	close(fault.gate)
+	for i, g := range groups {
+		classes, err := awaitWithin(s, g, 5*time.Second)
+		if err != nil || len(classes) != len(g.imgs) || classes[0] != 5 {
+			t.Errorf("group %d after Close: %v, %v; want %d classes of 5", i, classes, err, len(g.imgs))
+		}
+	}
+	<-closed
+	if st := s.Stats(); st.Batches != 3 || st.Requests != 7 {
+		t.Errorf("drain ran %d samples in %d batches, want 7 in 3 (the held-over group whole, in its own)", st.Requests, st.Batches)
 	}
 	checkGoroutines(t, base)
 }
@@ -490,7 +599,7 @@ func TestHealthStates(t *testing.T) {
 	}
 	go s2.Classify(sample(1, 4)) // fills the one-slot queue
 	deadline := time.After(5 * time.Second)
-	for len(s2.queue) != 1 {
+	for s2.queued.Load() != 1 {
 		select {
 		case <-deadline:
 			t.Fatal("queue never filled")
@@ -577,9 +686,9 @@ func TestAdminReload(t *testing.T) {
 	}
 }
 
-// TestClassifyManyFailFast pins the bounded fan-out: a huge multi-sample
-// request must not spawn a goroutine per sample, and once one sample is
-// rejected the rest are not submitted.
+// TestClassifyManyFailFast pins the bounded look-ahead: a huge multi-sample
+// request is submitted from the calling goroutine — classifyMany starts
+// none — and once one sample is rejected the rest are not submitted.
 func TestClassifyManyFailFast(t *testing.T) {
 	gate := make(chan struct{})
 	defer close(gate)
@@ -619,9 +728,9 @@ func TestClassifyManyFailFast(t *testing.T) {
 	if stub.samplesSeen() > 2 {
 		t.Errorf("engine saw %d samples, want <= 2 (fail fast must stop submission)", stub.samplesSeen())
 	}
-	if peak > base+maxFanout+16 {
-		t.Errorf("fan-out peaked at %d goroutines over a %d baseline, want <= baseline+%d+slack",
-			peak, base, maxFanout)
+	if peak > base+1 {
+		t.Errorf("goroutines peaked at %d over a baseline of %d plus this test's monitor: classifyMany started some",
+			peak, base)
 	}
 }
 

@@ -37,8 +37,8 @@ type Health struct {
 	// the instants between a panic and its respawn, and during drain).
 	Workers     int `json:"workers"`
 	LiveWorkers int `json:"live_workers"`
-	// QueueLen/QueueCap expose queue pressure; QueueLen == QueueCap is
-	// the point where new requests bounce with ErrOverloaded. Health
+	// QueueLen/QueueCap expose queue pressure, in samples; a request that
+	// would take QueueLen past QueueCap bounces with ErrOverloaded. Health
 	// counts the queue as saturated from 90% of cap, but only reports
 	// degraded once saturation has persisted for Config.SaturationGrace.
 	QueueLen int `json:"queue_len"`
@@ -58,8 +58,8 @@ func (s *Server) Health() Health {
 	h := Health{
 		Workers:      s.cfg.Workers,
 		LiveWorkers:  int(s.live.Load()),
-		QueueLen:     len(s.queue),
-		QueueCap:     cap(s.queue),
+		QueueLen:     int(s.queued.Load()),
+		QueueCap:     s.cfg.QueueCap,
 		Panics:       s.panics.Load(),
 		ModelVersion: s.engine.Load().version,
 	}

@@ -5,8 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
-	"sync"
 	"time"
 
 	"repro/internal/tensor"
@@ -15,10 +15,9 @@ import (
 // HTTP surface: POST /classify, GET /healthz, GET /readyz, GET /stats,
 // POST /admin/reload.
 //
-// /classify accepts one sample or a list; each sample travels through the
-// micro-batching queue individually, so concurrent clients (and the
-// samples of one multi-sample request) coalesce into shared engine
-// batches:
+// /classify accepts one sample or a list. A list travels through the
+// micro-batching queue in groups of up to MaxBatch samples, each of which
+// rides one engine batch — its own, or one shared with concurrent clients:
 //
 //	{"input": [c·h·w floats]}        -> {"class": 3}
 //	{"inputs": [[...], [...], ...]}  -> {"classes": [3, 1]}
@@ -44,10 +43,13 @@ const (
 	// maxInputsPerRequest bounds the samples one request may fan out
 	// into the queue.
 	maxInputsPerRequest = 1024
-	// maxFanout bounds the goroutines one multi-sample request may hold
-	// concurrently in the queue; remaining samples are submitted as
-	// earlier ones complete.
+	// maxFanout bounds the samples one multi-sample request may have
+	// outstanding in the queue; remaining samples are submitted as earlier
+	// ones complete.
 	maxFanout = 64
+	// maxDeadlineMs is the largest deadline_ms that is still a
+	// time.Duration.
+	maxDeadlineMs = math.MaxInt64 / int64(time.Millisecond)
 	// statusClientClosedRequest is nginx's convention for "the client
 	// went away before we could answer".
 	statusClientClosedRequest = 499
@@ -114,6 +116,12 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "negative deadline_ms")
 		return
 	}
+	if int64(req.DeadlineMs) > maxDeadlineMs {
+		// The Duration would wrap negative and the request silently run
+		// with no deadline at all.
+		httpError(w, http.StatusBadRequest, fmt.Sprintf("deadline_ms over %d", maxDeadlineMs))
+		return
+	}
 	ctx := r.Context()
 	deadline := s.cfg.DefaultDeadline
 	if req.DeadlineMs > 0 {
@@ -151,58 +159,47 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// classifyMany submits the samples through a bounded worker pool (at
-// most maxFanout concurrent queue entries, not one goroutine per sample)
-// so they can share micro-batches; the first error wins and cancels the
-// rest — once one sample bounces with ErrOverloaded the remaining ones
-// are not submitted at all.
+// classifyMany cuts inputs into groups and submits them from the calling
+// goroutine, looking ahead by at most maxFanout samples: it waits for the
+// oldest outstanding group only when the next one would exceed that budget.
+// The first error wins and abandons the rest — once one group bounces with
+// ErrOverloaded the remaining ones are not submitted at all, and the ones
+// already queued are dropped by the workers.
 func (s *Server) classifyMany(ctx context.Context, inputs [][]float32) ([]int, error) {
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
+	// A group must fit a batch, the queue and the look-ahead budget.
+	per := min(s.cfg.MaxBatch, s.cfg.QueueCap, maxFanout)
 	classes := make([]int, len(inputs))
-	fanout := len(inputs)
-	if fanout > maxFanout {
-		fanout = maxFanout
-	}
 	var (
-		errOnce  sync.Once
-		firstErr error
-		wg       sync.WaitGroup
+		ring       [maxFanout]*group // outstanding groups ring[head:tail] (mod len), oldest first
+		head, tail int
+		next       int // first sample not yet submitted
 	)
-	idx := make(chan int)
-	wg.Add(fanout)
-	for w := 0; w < fanout; w++ {
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				if err := ctx.Err(); err != nil {
-					// Fail fast: drain without submitting. The expiry must
-					// still be recorded — otherwise a deadline that fires
-					// while no worker is inside ClassifyCtx would leave
-					// firstErr nil and the handler would answer 200 with
-					// zero-valued classes for samples never classified. A
-					// sibling's error still wins: errOnce was set before
-					// its cancel() made ctx.Err() non-nil here.
-					errOnce.Do(func() { firstErr = ctxErr(err) })
-					continue
-				}
-				class, err := s.ClassifyCtx(ctx, inputs[i])
-				if err != nil {
-					errOnce.Do(func() { firstErr = err })
-					cancel()
-					continue
-				}
-				classes[i] = class
+	fail := func(err error) ([]int, error) {
+		for ; head < tail; head++ {
+			g := ring[head%len(ring)]
+			g.abandoned.Store(true)
+			if !g.answered.Load() {
+				s.canceled.Add(uint64(len(g.imgs)))
 			}
-		}()
+		}
+		return nil, err
 	}
-	for i := range inputs {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	for done := 0; done < len(inputs); { // samples done..next are outstanding
+		for next < len(inputs) && next-done+min(per, len(inputs)-next) <= maxFanout {
+			g := newGroup(ctx, inputs[next:min(next+per, len(inputs))])
+			if err := s.submit(g); err != nil {
+				return fail(err)
+			}
+			ring[tail%len(ring)] = g
+			tail++
+			next += len(g.imgs)
+		}
+		got, err := s.await(ring[head%len(ring)])
+		head++
+		if err != nil {
+			return fail(err)
+		}
+		done += copy(classes[done:], got)
 	}
 	return classes, nil
 }

@@ -6,24 +6,30 @@
 //
 // # Batching policy
 //
-// Requests enter one bounded queue. Each worker goroutine (one per engine
-// replica lease) blocks for a first request, then keeps gathering until
-// either the batch holds MaxBatch samples or MaxDelay has elapsed since
-// the batch opened — the standard latency/throughput knob pair: MaxDelay
-// bounds the extra latency the first request of a batch can pay, MaxBatch
-// bounds how much work one GEMM fuses. A batch never waits for more than
-// MaxDelay and never waits at all while the queue is non-empty and full
-// batches are available. Batched execution is bit-identical to running
-// each sample alone (the engine's integer arithmetic is batch-invariant),
-// so batching is purely a throughput optimization.
+// Requests enter one bounded queue. A queue entry is a group of 1 to
+// MaxBatch samples — one for Classify, a run of a POST's "inputs" for the
+// HTTP handler — that is queued, dropped, run and answered as a unit, so
+// the samples of one POST ride one engine call. Each worker goroutine
+// blocks for a first group, takes whatever else is already queued, yields
+// the processor a fixed number of times (gatherYields) so that submitters
+// which are already runnable get to enqueue, and runs the batch as soon as
+// the queue is still dry: an idle server answers a lone request at the
+// engine's batch-1 latency, and batches grow by themselves under load
+// because requests pile up in the queue while the engine is busy. MaxBatch
+// is what bounds fusion; a group that does not fit the open batch is held
+// over whole and opens the next one. MaxDelay is only the upper bound on
+// gathering, for a trickle of arrivals that keeps finding the queue
+// non-empty after every yield. Batched execution is bit-identical to
+// running each sample alone (the engine's integer arithmetic is
+// batch-invariant), so batching is purely a throughput optimization.
 //
 // # Backpressure
 //
-// The queue is bounded at QueueCap. When it is full, Classify (and the
-// HTTP /classify endpoint) fail fast with ErrOverloaded instead of
-// queueing unboundedly — callers see 503 and retry against a healthy
-// replica rather than stacking latency. Rejected requests are counted in
-// Stats.
+// The queue is bounded at QueueCap samples. A group that does not fit is
+// refused whole: Classify (and the HTTP /classify endpoint) fail fast with
+// ErrOverloaded instead of queueing unboundedly — callers see 503 and
+// retry against a healthy replica rather than stacking latency. Rejected
+// samples are counted in Stats.
 //
 // # Fault tolerance
 //
@@ -49,6 +55,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -58,7 +65,8 @@ import (
 )
 
 // Classifier is the engine-side contract: batched argmax classification.
-// *infer.Engine satisfies it; tests inject stubs.
+// The returned slice must be freshly allocated: the server hands callers
+// sub-slices of it. *infer.Engine satisfies it; tests inject stubs.
 type Classifier interface {
 	Classify(x *tensor.Tensor) ([]int, error)
 }
@@ -98,14 +106,17 @@ type Config struct {
 	// Workers is the number of batching worker goroutines (engine
 	// replicas served from the engine's scratch pool). Default 1.
 	Workers int
-	// MaxBatch is the largest batch one worker fuses. Default 32.
+	// MaxBatch is the largest batch one worker fuses, in samples; it is
+	// what bounds fusion. Default 32.
 	MaxBatch int
-	// MaxDelay is how long an open batch waits for more requests before
-	// running. Zero means the default, 2ms — there is no greedy (no-wait)
-	// setting; pass a small positive duration to approximate one.
+	// MaxDelay is the upper bound on how long an open batch keeps
+	// gathering. A batch normally runs as soon as the queue is dry (see
+	// "Batching policy" in the package comment), long before it; the bound
+	// only ends a gather that a trickle of arrivals keeps alive. Zero means
+	// the default, 2ms.
 	MaxDelay time.Duration
-	// QueueCap bounds the request queue; a full queue rejects with
-	// ErrOverloaded. Default 4·MaxBatch·Workers.
+	// QueueCap bounds the request queue, in samples; a request that does
+	// not fit is rejected with ErrOverloaded. Default 4·MaxBatch·Workers.
 	QueueCap int
 	// DefaultDeadline, when positive, bounds every HTTP /classify
 	// request that does not carry its own deadline_ms. Zero means no
@@ -141,50 +152,64 @@ type Config struct {
 	Warmup bool
 }
 
-// request is one queued sample.
-type request struct {
-	img  []float32
+// group is one queue entry: 1..MaxBatch samples that are validated, queued,
+// expired or dropped, run and answered as a unit.
+type group struct {
+	imgs [][]float32
+	one  [1][]float32 // backs imgs for a single sample: Classify allocates no [][]float32
 	ctx  context.Context
-	resp chan response // buffered 1; reply() sends at most once
 	enq  time.Time
+	// reply() stores res, then signals done (buffered 1) — at most once. The
+	// channel carries no payload so that it is one allocation, not two.
+	res  response
+	done chan struct{}
 
-	abandoned atomic.Bool // caller returned (ctx expired); drop lazily
+	abandoned atomic.Bool // caller returned (ctx expired, or a sibling group failed); drop lazily
 	answered  atomic.Bool // reply() guard
+}
+
+// newGroup makes a group of imgs, which it keeps (no copy).
+func newGroup(ctx context.Context, imgs [][]float32) *group {
+	return &group{imgs: imgs, ctx: ctx, done: make(chan struct{}, 1)}
 }
 
 // reply delivers the response unless one was already delivered. The
 // channel is buffered and written at most once, so reply never blocks
-// even when the caller has abandoned the request.
-func (r *request) reply(resp response) {
-	if r.answered.CompareAndSwap(false, true) {
-		r.resp <- resp
+// even when the caller has abandoned the group.
+func (g *group) reply(resp response) {
+	if g.answered.CompareAndSwap(false, true) {
+		g.res = resp
+		g.done <- struct{}{}
 	}
 }
 
-// expired reports whether the request is not worth running: its caller
-// has already returned, or its context is done.
-func (r *request) expired() bool {
-	if r.abandoned.Load() {
+// expired reports whether the group is not worth running: its caller has
+// already returned, or its context is done.
+func (g *group) expired() bool {
+	if g.abandoned.Load() {
 		return true
 	}
 	select {
-	case <-r.ctx.Done():
+	case <-g.ctx.Done():
 		return true
 	default:
 		return false
 	}
 }
 
+// response answers a group: its samples' classes — a sub-slice of the
+// engine's result, never memory the caller owns — or the error they share.
 type response struct {
-	class int
-	err   error
+	classes []int
+	err     error
 }
 
 // Server is a micro-batching classification server.
 type Server struct {
 	cfg    Config
 	sample int
-	queue  chan *request
+	queue  chan *group  // QueueCap entries, so a group the gauge admitted never blocks
+	queued atomic.Int64 // samples in queue: what QueueCap, Health and saturation count
 
 	engine atomic.Pointer[engineBox] // current model; see swap.go
 	swapMu sync.Mutex                // serializes Swap version bumps
@@ -201,14 +226,21 @@ type Server struct {
 	satMu    sync.Mutex
 	satSince time.Time // first Health observation of queue saturation; zero when unsaturated
 
+	// All in samples, whatever the size of the groups that carried them.
 	requests atomic.Uint64
-	batches  atomic.Uint64
 	rejected atomic.Uint64
 	errored  atomic.Uint64
 	panics   atomic.Uint64
 	dropped  atomic.Uint64 // expired requests discarded before the engine
 	canceled atomic.Uint64 // callers that returned on ctx deadline/cancel
 	swaps    atomic.Uint64
+
+	// Engine calls by why the gather ended (their sum is Stats.Batches), and
+	// the time samples spent between enqueue and the start of their batch.
+	batchesFull    atomic.Uint64
+	batchesDry     atomic.Uint64
+	batchesTimeout atomic.Uint64
+	queueWaitNs    atomic.Uint64
 
 	// /classify ingress (http.go, decode.go)
 	httpRequests    atomic.Uint64
@@ -262,14 +294,14 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:    cfg,
 		sample: cfg.InC * cfg.InH * cfg.InW,
-		queue:  make(chan *request, cfg.QueueCap),
+		queue:  make(chan *group, cfg.QueueCap),
 		start:  time.Now(),
 	}
 	s.engine.Store(&engineBox{c: cfg.Engine, version: 1})
 	s.wg.Add(cfg.Workers)
 	s.live.Add(int64(cfg.Workers))
 	for i := 0; i < cfg.Workers; i++ {
-		go s.worker()
+		go s.worker(nil)
 	}
 	if cfg.Warmup {
 		go s.warmup()
@@ -280,7 +312,9 @@ func New(cfg Config) (*Server, error) {
 }
 
 // Classify submits one CHW sample and blocks until its micro-batch has
-// run. It returns ErrOverloaded immediately when the queue is full. The
+// run. It returns ErrOverloaded immediately when the queue is full.
+// QueueCap and every Stats counter are in samples: a multi-sample POST
+// counts once per sample, exactly like that many Classify calls. The
 // caller keeps ownership of the sample slice, and after a nil-error return
 // (or any error but the two below) nothing reads it again. After
 // ClassifyCtx returns ErrDeadline or ErrCanceled, however, the abandoned
@@ -300,44 +334,68 @@ func (s *Server) Classify(img []float32) (int, error) {
 // engine; the result is returned if it is already available when the
 // caller observes the expiry, and discarded otherwise.
 func (s *Server) ClassifyCtx(ctx context.Context, img []float32) (int, error) {
-	if len(img) != s.sample {
-		return 0, fmt.Errorf("serve: %w: sample has %d values, want %d (C·H·W = %d·%d·%d)",
-			tensor.ErrShape, len(img), s.sample, s.cfg.InC, s.cfg.InH, s.cfg.InW)
+	g := newGroup(ctx, nil)
+	g.one[0] = img
+	g.imgs = g.one[:]
+	if err := s.submit(g); err != nil {
+		return 0, err
 	}
-	if err := ctx.Err(); err != nil {
-		s.canceled.Add(1)
-		return 0, ctxErr(err)
+	classes, err := s.await(g)
+	if err != nil {
+		return 0, err
 	}
-	req := &request{img: img, ctx: ctx, resp: make(chan response, 1), enq: time.Now()}
+	return classes[0], nil
+}
+
+// submit validates g and queues it, or refuses it whole. g.imgs holds at
+// least one sample and at most MaxBatch.
+func (s *Server) submit(g *group) error {
+	n := len(g.imgs)
+	for _, img := range g.imgs {
+		if len(img) != s.sample {
+			return fmt.Errorf("serve: %w: sample has %d values, want %d (C·H·W = %d·%d·%d)",
+				tensor.ErrShape, len(img), s.sample, s.cfg.InC, s.cfg.InH, s.cfg.InW)
+		}
+	}
+	if err := g.ctx.Err(); err != nil {
+		s.canceled.Add(uint64(n))
+		return ctxErr(err)
+	}
+	g.enq = time.Now()
 	s.mu.RLock()
+	defer s.mu.RUnlock()
 	if s.closed {
-		s.mu.RUnlock()
-		return 0, ErrClosed
+		return ErrClosed
 	}
-	select {
-	case s.queue <- req:
-		s.mu.RUnlock()
-	default:
-		s.mu.RUnlock()
-		s.rejected.Add(1)
-		return 0, ErrOverloaded
+	if s.queued.Add(int64(n)) > int64(s.cfg.QueueCap) {
+		s.queued.Add(int64(-n))
+		s.rejected.Add(uint64(n))
+		return ErrOverloaded
 	}
+	// Entries never outnumber samples, and a worker lowers the gauge only
+	// after it has taken the entry out, so there is room.
+	s.queue <- g
+	return nil
+}
+
+// await blocks until g, which submit accepted, is answered or its context
+// is done.
+func (s *Server) await(g *group) ([]int, error) {
 	select {
-	case r := <-req.resp:
-		return r.class, r.err
-	case <-ctx.Done():
-		req.abandoned.Store(true)
+	case <-g.done:
+	case <-g.ctx.Done():
+		g.abandoned.Store(true)
 		// When the response and the expiry race, prefer the response:
 		// the batch ran and was counted as served, so answering
 		// ErrDeadline here would report a completed request as failed.
 		select {
-		case r := <-req.resp:
-			return r.class, r.err
+		case <-g.done:
 		default:
+			s.canceled.Add(uint64(len(g.imgs)))
+			return nil, ctxErr(g.ctx.Err())
 		}
-		s.canceled.Add(1)
-		return 0, ctxErr(ctx.Err())
 	}
+	return g.res.classes, g.res.err
 }
 
 // ctxErr maps a context error onto the service's sentinel errors.
@@ -383,105 +441,160 @@ func (s *Server) warmup() {
 	_, _ = s.Classify(make([]float32, s.sample))
 }
 
-// worker is one batching loop: block for a request, gather until the
-// batch is full or MaxDelay elapses, run the engine once for the whole
-// batch, deliver per-request results.
+// gatherYields is how many times in a row a worker that finds the queue dry
+// yields the processor before it runs the open batch. The yields are what
+// lets a batch form at all under load: the callers the previous batch just
+// answered are runnable but have not yet enqueued their next request. They
+// cost an idle server nothing (a yield with nothing else runnable returns at
+// once). PERF.md "Serving: batching policy" has the measurements behind 2.
+const gatherYields = 2
+
+// worker is one batching loop: block for a group, gather until the batch
+// is full or the queue stays dry (MaxDelay at the latest), run the engine
+// once for the whole batch, answer every group. held is a group the
+// previous batch had no room for; it opens this worker's first batch.
 //
 // The loop is panic-isolated: if anything in the batch path panics
 // (realistically the engine), the deferred recovery answers every
-// request of the in-flight batch with ErrEnginePanic and respawns the
-// worker. The respawned goroutine inherits this worker's WaitGroup slot,
-// so Close still waits for exactly Workers exits and the live-worker
-// gauge is conserved — capacity is never silently lost.
-func (s *Server) worker() {
-	var cur []*request // in-flight batch, visible to the recovery path
+// group of the in-flight batch with ErrEnginePanic and respawns the
+// worker. The respawned goroutine inherits this worker's WaitGroup slot
+// and its held-over group, so Close still waits for exactly Workers exits,
+// the live-worker gauge is conserved and no accepted group is stranded —
+// capacity is never silently lost.
+func (s *Server) worker(held *group) {
+	var (
+		cur []*group       // in-flight batch, visible to the recovery path
+		why *atomic.Uint64 // its batches* counter
+	)
 	defer func() {
 		if r := recover(); r != nil {
 			s.panics.Add(1)
 			n := uint64(0)
 			err := fmt.Errorf("%w: %v", ErrEnginePanic, r)
-			for _, req := range cur {
-				// reply is CAS-guarded: requests runBatch already
+			for _, g := range cur {
+				// reply is CAS-guarded: groups runBatch already
 				// answered are skipped.
-				if req.answered.CompareAndSwap(false, true) {
-					req.resp <- response{err: err}
-					n++
+				if !g.answered.Load() {
+					g.reply(response{err: err})
+					n += uint64(len(g.imgs))
 				}
 			}
 			s.requests.Add(n)
 			s.errored.Add(n)
-			s.batches.Add(1)
-			go s.worker() // inherit the wg slot and live count
+			if why != nil {
+				why.Add(1)
+			}
+			go s.worker(held) // inherit the wg slot and live count
 			return
 		}
 		s.live.Add(-1)
 		s.wg.Done()
 	}()
-	batch := make([]*request, 0, s.cfg.MaxBatch)
+	batch := make([]*group, 0, s.cfg.MaxBatch)
 	buf := make([]float32, s.cfg.MaxBatch*s.sample)
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
 	for {
-		first, ok := <-s.queue
-		if !ok {
-			return
+		first := held
+		held = nil
+		if first == nil {
+			var ok bool
+			if first, ok = s.take(true); !ok {
+				return
+			}
 		}
 		if first.expired() {
 			s.drop(first)
 			continue
 		}
-		cur = append(batch[:0], first)
-		timer.Reset(s.cfg.MaxDelay)
-		fired := false
-	gather:
-		for len(cur) < s.cfg.MaxBatch {
-			select {
-			case req, ok := <-s.queue:
-				if !ok {
-					break gather // closed: run what we have
+		cur, why = append(batch[:0], first), &s.batchesDry
+		n := len(first.imgs)
+		opened := time.Now()
+		for yields := 0; n < s.cfg.MaxBatch; {
+			g, ok := s.take(false)
+			if !ok {
+				// Dry (or closed and drained). Yield, then look again.
+				if yields == gatherYields {
+					break
 				}
-				if req.expired() {
-					s.drop(req)
-					continue
+				yields++
+				runtime.Gosched()
+				continue
+			}
+			if g.expired() {
+				s.drop(g)
+				continue
+			}
+			if n+len(g.imgs) > s.cfg.MaxBatch {
+				held = g // never split, never run past MaxBatch
+				break
+			}
+			cur = append(cur, g)
+			n += len(g.imgs)
+			if yields > 0 {
+				// It arrived during a yield, so more may follow: keep
+				// gathering, but not past MaxDelay.
+				if time.Since(opened) >= s.cfg.MaxDelay {
+					why = &s.batchesTimeout
+					break
 				}
-				cur = append(cur, req)
-			case <-timer.C:
-				fired = true
-				break gather
+				yields = 0
 			}
 		}
-		if !fired && !timer.Stop() {
-			<-timer.C
+		if n == s.cfg.MaxBatch || held != nil {
+			why = &s.batchesFull
 		}
-		s.runBatch(cur, buf)
+		s.runBatch(cur, n, buf)
+		why.Add(1)
 		batch = cur[:0]
-		cur = nil // answered; recovery must not touch it
+		cur, why = nil, nil // answered and counted; recovery must not touch them
 	}
 }
 
-// drop discards an expired request before it reaches the engine — the
+// take removes the next group from the queue, blocking for one when block
+// is set. ok is false when there is none: the queue is empty (or, for a
+// blocking take, closed and drained).
+func (s *Server) take(block bool) (g *group, ok bool) {
+	if block {
+		g, ok = <-s.queue
+	} else {
+		select {
+		case g, ok = <-s.queue:
+		default:
+		}
+	}
+	if ok {
+		s.queued.Add(int64(-len(g.imgs)))
+	}
+	return g, ok
+}
+
+// drop discards an expired group before it reaches the engine — the
 // lazy half of the cancellation contract (the eager half is the caller's
-// select in ClassifyCtx). The reply is a no-op when the caller is gone.
-func (s *Server) drop(req *request) {
-	s.dropped.Add(1)
+// select in await). The reply is a no-op when the caller is gone.
+func (s *Server) drop(g *group) {
+	s.dropped.Add(uint64(len(g.imgs)))
 	err := ErrDeadline
-	if cerr := req.ctx.Err(); cerr != nil {
+	if cerr := g.ctx.Err(); cerr != nil {
 		err = ctxErr(cerr)
 	}
-	req.reply(response{err: err})
+	g.reply(response{err: err})
 }
 
-// runBatch packs the gathered samples into one tensor, classifies them
-// with a single engine call, and answers every request. The engine is
-// read once per batch from the atomic holder, so a concurrent Swap takes
-// effect on the next batch while this one finishes on the old engine.
-func (s *Server) runBatch(batch []*request, buf []float32) {
-	n := len(batch)
-	for i, req := range batch {
-		copy(buf[i*s.sample:(i+1)*s.sample], req.img)
+// runBatch packs the n samples of the gathered groups into one tensor,
+// classifies them with a single engine call, and answers every group. The
+// engine is read once per batch from the atomic holder, so a concurrent
+// Swap takes effect on the next batch while this one finishes on the old
+// engine.
+func (s *Server) runBatch(batch []*group, n int, buf []float32) {
+	began := time.Now()
+	var waited time.Duration
+	at := 0
+	for _, g := range batch {
+		waited += began.Sub(g.enq) * time.Duration(len(g.imgs))
+		for _, img := range g.imgs {
+			at += copy(buf[at:at+s.sample], img)
+		}
 	}
+	s.queueWaitNs.Add(uint64(waited))
 	x, err := tensor.FromSlice(buf[:n*s.sample], n, s.cfg.InC, s.cfg.InH, s.cfg.InW)
 	var preds []int
 	if err == nil {
@@ -491,7 +604,6 @@ func (s *Server) runBatch(batch []*request, buf []float32) {
 		}
 	}
 	done := time.Now()
-	s.batches.Add(1)
 	s.requests.Add(uint64(n))
 	if err != nil {
 		s.errored.Add(uint64(n))
@@ -499,29 +611,44 @@ func (s *Server) runBatch(batch []*request, buf []float32) {
 		s.ready.Store(true)
 	}
 	s.latMu.Lock()
-	for _, req := range batch {
-		s.lat[s.latPos] = done.Sub(req.enq).Nanoseconds()
-		s.latPos = (s.latPos + 1) % len(s.lat)
-		if s.latN < len(s.lat) {
-			s.latN++
+	for _, g := range batch {
+		for range g.imgs {
+			s.lat[s.latPos] = done.Sub(g.enq).Nanoseconds()
+			s.latPos = (s.latPos + 1) % len(s.lat)
 		}
 	}
+	s.latN = min(s.latN+n, len(s.lat))
 	s.latMu.Unlock()
-	for i, req := range batch {
+	at = 0
+	for _, g := range batch {
 		if err != nil {
-			req.reply(response{err: err})
+			g.reply(response{err: err})
 			continue
 		}
-		req.reply(response{class: preds[i]})
+		g.reply(response{classes: preds[at : at+len(g.imgs) : at+len(g.imgs)]})
+		at += len(g.imgs)
 	}
 }
 
 // Stats is a snapshot of the server's counters.
 type Stats struct {
+	// Requests, Rejected, Errored, Dropped and Canceled count samples: a
+	// 16-sample POST moves them exactly as 16 single-sample requests do.
 	Requests uint64 `json:"requests"`
 	Batches  uint64 `json:"batches"`
 	Rejected uint64 `json:"rejected"`
 	Errored  uint64 `json:"errored"`
+	// Why each batch stopped gathering and ran; the three sum to Batches.
+	// Full: it reached MaxBatch, or the next group did not fit. Dry: the
+	// queue stayed empty through the worker's yields — the normal close on
+	// a server with headroom. Timeout: arrivals kept the gather alive until
+	// MaxDelay.
+	BatchesFull    uint64 `json:"batches_full"`
+	BatchesDry     uint64 `json:"batches_dry"`
+	BatchesTimeout uint64 `json:"batches_timeout"`
+	// QueueWaitNs is the time between enqueue and the start of the batch,
+	// summed over samples; QueueWaitNs/Requests is the mean queue wait.
+	QueueWaitNs uint64 `json:"queue_wait_ns"`
 	// Panics counts engine panics recovered by workers (each one failed
 	// a batch and respawned the worker).
 	Panics uint64 `json:"panics"`
@@ -562,7 +689,6 @@ type Stats struct {
 func (s *Server) Stats() Stats {
 	st := Stats{
 		Requests:     s.requests.Load(),
-		Batches:      s.batches.Load(),
 		Rejected:     s.rejected.Load(),
 		Errored:      s.errored.Load(),
 		Panics:       s.panics.Load(),
@@ -572,11 +698,17 @@ func (s *Server) Stats() Stats {
 		ModelVersion: s.engine.Load().version,
 		LiveWorkers:  int(s.live.Load()),
 
+		BatchesFull:    s.batchesFull.Load(),
+		BatchesDry:     s.batchesDry.Load(),
+		BatchesTimeout: s.batchesTimeout.Load(),
+		QueueWaitNs:    s.queueWaitNs.Load(),
+
 		HTTPRequests:    s.httpRequests.Load(),
 		DecodeBytes:     s.decodeBytes.Load(),
 		DecodeNs:        s.decodeNs.Load(),
 		DecodeFallbacks: s.decodeFallbacks.Load(),
 	}
+	st.Batches = st.BatchesFull + st.BatchesDry + st.BatchesTimeout
 	if st.Batches > 0 {
 		st.MeanBatch = float64(st.Requests) / float64(st.Batches)
 	}

@@ -2,11 +2,14 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -220,7 +223,7 @@ func TestBackpressureRejectsWhenFull(t *testing.T) {
 		second <- err
 	}()
 	deadline := time.After(5 * time.Second)
-	for len(s.queue) != 1 {
+	for s.queued.Load() != 1 {
 		select {
 		case <-deadline:
 			t.Fatal("second request never queued")
@@ -253,6 +256,249 @@ func TestCloseDrainsAndRejects(t *testing.T) {
 	s.Close() // idempotent
 	if _, err := s.Classify(sample(1, 4)); !errors.Is(err, ErrClosed) {
 		t.Errorf("Classify after close = %v, want ErrClosed", err)
+	}
+}
+
+// TestBatchClosesWhenQueueRunsDry: a lone request does not wait for company.
+// MaxDelay is only an upper bound; the batch runs once the queue is dry.
+func TestBatchClosesWhenQueueRunsDry(t *testing.T) {
+	s, _ := newTestServer(t, Config{MaxDelay: 5 * time.Second})
+	start := time.Now()
+	if got, err := s.Classify(sample(1, 4)); err != nil || got != 1 {
+		t.Fatalf("Classify = %d, %v; want 1", got, err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("a lone Classify took %v against a 5 s MaxDelay: the batch waited to fill", d)
+	}
+	st := s.Stats()
+	if st.Batches != 1 || st.BatchesDry != 1 || st.BatchesFull != 0 || st.BatchesTimeout != 0 {
+		t.Errorf("batches = %d (full %d, dry %d, timeout %d), want one dry batch",
+			st.Batches, st.BatchesFull, st.BatchesDry, st.BatchesTimeout)
+	}
+}
+
+// TestMaxDelayBoundsGather: MaxDelay still ends a gather that arrivals keep
+// alive. With a bound of one nanosecond any arrival that lands during a
+// yield closes the batch, and the stats say why.
+func TestMaxDelayBoundsGather(t *testing.T) {
+	s, stub := newTestServer(t, Config{
+		Engine: &stubClassifier{delay: 200 * time.Microsecond}, InC: 1, InH: 2, InW: 2,
+		Workers: 1, MaxBatch: 64, MaxDelay: time.Nanosecond,
+	})
+	var wg sync.WaitGroup
+	for c := 0; c < 32; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				if _, err := s.Classify(sample(1, 4)); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	st := s.Stats()
+	if st.BatchesTimeout == 0 {
+		t.Errorf("no batch closed on MaxDelay (full %d, dry %d) although callers re-enqueue during every yield",
+			st.BatchesFull, st.BatchesDry)
+	}
+	if sum := st.BatchesFull + st.BatchesDry + st.BatchesTimeout; sum != st.Batches || int(st.Batches) != len(stub.batchSizes()) {
+		t.Errorf("batches = %d, full+dry+timeout = %d, engine calls = %d; want all equal", st.Batches, sum, len(stub.batchSizes()))
+	}
+}
+
+// postInputs sends n samples as one POST through the handler, sample i
+// positive when i%3 == 0, and checks the classes come back in that order.
+func postInputs(t *testing.T, s *Server, n int) {
+	t.Helper()
+	rows := make([][]float32, n)
+	for i := range rows {
+		rows[i] = sample(-1, 4)
+		if i%3 == 0 {
+			rows[i][0] = 1
+		}
+	}
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/classify",
+		bytes.NewReader(mustMarshal(t, classifyRequest{Inputs: rows}))))
+	var got classifyResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil || rec.Code != http.StatusOK || len(got.Classes) != n {
+		t.Fatalf("%d-sample POST: status %d, body %s (%v)", n, rec.Code, rec.Body, err)
+	}
+	for i, c := range got.Classes {
+		if (c == 1) != (i%3 == 0) {
+			t.Errorf("%d-sample POST: class[%d] = %d, out of request order", n, i, c)
+		}
+	}
+}
+
+// TestGroupRidesOneBatch: the samples of one POST travel as one queue entry,
+// so two idle workers cannot split them; a POST over MaxBatch is cut into
+// groups that each ride whole.
+func TestGroupRidesOneBatch(t *testing.T) {
+	s, stub := newTestServer(t, Config{Workers: 2, MaxBatch: 32, MaxDelay: 5 * time.Second})
+	postInputs(t, s, 16)
+	if got := stub.batchSizes(); len(got) != 1 || got[0] != 16 {
+		t.Errorf("16-sample POST ran as batches %v, want [16]", got)
+	}
+	if st := s.Stats(); st.Requests != 16 || st.Batches != 1 {
+		t.Errorf("stats: %d requests in %d batches, want 16 in 1", st.Requests, st.Batches)
+	}
+
+	s, stub = newTestServer(t, Config{Workers: 2, MaxBatch: 16, MaxDelay: 5 * time.Second})
+	postInputs(t, s, 40)
+	total := 0
+	for _, n := range stub.batchSizes() {
+		if n > 16 {
+			t.Errorf("batch of %d exceeds MaxBatch 16", n)
+		}
+		total += n
+	}
+	if total != 40 {
+		t.Errorf("40-sample POST ran as batches %v, want them to sum to 40", stub.batchSizes())
+	}
+	if st := s.Stats(); st.Batches != st.BatchesFull+st.BatchesDry+st.BatchesTimeout || st.BatchesTimeout != 0 {
+		t.Errorf("batches %d != full %d + dry %d + timeout %d (want timeout 0)",
+			st.Batches, st.BatchesFull, st.BatchesDry, st.BatchesTimeout)
+	}
+}
+
+// TestQueueCapCountsSamples: QueueCap, Health.QueueLen and the rejected
+// counter are in samples, however few entries carry them.
+func TestQueueCapCountsSamples(t *testing.T) {
+	gate := make(chan struct{})
+	stub := &stubClassifier{gate: gate, entered: make(chan struct{}, 1)}
+	s, _ := newTestServer(t, Config{
+		Engine: stub, InC: 1, InH: 2, InW: 2,
+		Workers: 1, MaxBatch: 4, QueueCap: 8, MaxDelay: time.Millisecond,
+	})
+	go s.Classify(sample(1, 4)) // wedge the worker inside the engine
+	select {
+	case <-stub.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("worker never entered the engine")
+	}
+	four := [][]float32{sample(1, 4), sample(1, 4), sample(1, 4), sample(1, 4)}
+	g1, g2 := newGroup(context.Background(), four), newGroup(context.Background(), four)
+	for _, g := range []*group{g1, g2} {
+		if err := s.submit(g); err != nil {
+			t.Fatalf("submit of 4 samples into an 8-sample queue: %v", err)
+		}
+	}
+	if h := s.Health(); h.QueueLen != 8 || h.QueueCap != 8 {
+		t.Errorf("health queue = %d/%d with two 4-sample groups queued, want 8/8", h.QueueLen, h.QueueCap)
+	}
+	if _, err := s.Classify(sample(1, 4)); !errors.Is(err, ErrOverloaded) {
+		t.Errorf("Classify into a full queue = %v, want ErrOverloaded", err)
+	}
+	if _, err := s.classifyMany(context.Background(), four[:3]); !errors.Is(err, ErrOverloaded) {
+		t.Errorf("3-sample request into a full queue = %v, want ErrOverloaded", err)
+	}
+	if st := s.Stats(); st.Rejected != 4 {
+		t.Errorf("rejected = %d after refusing 1 + 3 samples, want 4", st.Rejected)
+	}
+	close(gate)
+	for _, g := range []*group{g1, g2} {
+		if classes, err := s.await(g); err != nil || len(classes) != 4 {
+			t.Errorf("queued group answered %v, %v; want 4 classes", classes, err)
+		}
+	}
+	if h := s.Health(); h.QueueLen != 0 {
+		t.Errorf("queue gauge = %d after the drain, want 0", h.QueueLen)
+	}
+	if st := s.Stats(); st.Requests != 9 || st.QueueWaitNs == 0 {
+		t.Errorf("requests = %d, queue_wait_ns = %d; want 9 and > 0", st.Requests, st.QueueWaitNs)
+	}
+}
+
+// quietClassifier allocates nothing, so AllocsPerRun sees the server alone.
+type quietClassifier struct{ out []int }
+
+func (c *quietClassifier) Classify(x *tensor.Tensor) ([]int, error) { return c.out[:x.Dim(0)], nil }
+
+var headerSink *tensor.Tensor // keeps the measured header on the heap, where the worker's is
+
+// TestClassifyAllocs pins what a request costs beyond the engine call: the
+// group and its reply channel — a single sample rides the array inside the
+// group, not a [][]float32 of its own — plus, for a multi-sample request,
+// the classes it returns. AllocsPerRun counts the whole process, so the
+// tensor header the worker builds per batch is measured and taken off.
+func TestClassifyAllocs(t *testing.T) {
+	s, _ := newTestServer(t, Config{Engine: &quietClassifier{out: make([]int, 32)}, MaxBatch: 32})
+	buf := make([]float32, 4)
+	perBatch := testing.AllocsPerRun(100, func() { headerSink, _ = tensor.FromSlice(buf, 1, 1, 2, 2) })
+	img := sample(1, 4)
+	if got := testing.AllocsPerRun(100, func() { _, _ = s.Classify(img) }) - perBatch; got > 2 {
+		t.Errorf("Classify allocates %.0f times (batch tensor header excluded), want ≤ 2", got)
+	}
+	rows := make([][]float32, 16)
+	for i := range rows {
+		rows[i] = img
+	}
+	ctx := context.Background()
+	if got := testing.AllocsPerRun(100, func() { _, _ = s.classifyMany(ctx, rows) }) - perBatch; got > 3 {
+		t.Errorf("16-sample classifyMany allocates %.0f times (batch tensor header excluded), want ≤ 3", got)
+	}
+}
+
+// spinClassifier burns processor time like the int8 engine does (a fixed
+// cost per call plus a cost per sample), so closed-loop callers compete
+// with the workers for the cores as they do in production.
+type spinClassifier struct{ base, perSample time.Duration }
+
+func (c spinClassifier) Classify(x *tensor.Tensor) ([]int, error) {
+	n := x.Dim(0)
+	for end := time.Now().Add(c.base + time.Duration(n)*c.perSample); time.Now().Before(end); {
+	}
+	return make([]int, n), nil
+}
+
+// BenchmarkServeClosedLoop64 is the in-package guard for gatherYields: 64
+// closed-loop callers against two workers. With too few yields batches do
+// not form (mean-batch near 1, p99 in the tens of milliseconds); the
+// reported metrics, not ns/op, are what to compare.
+func BenchmarkServeClosedLoop64(b *testing.B) {
+	s, err := New(Config{
+		Engine: spinClassifier{base: 30 * time.Microsecond, perSample: 40 * time.Microsecond},
+		InC:    3, InH: 16, InW: 16, Workers: 2, MaxBatch: 32,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	const callers = 64
+	img := make([]float32, 3*16*16)
+	lat := make([][]int64, callers)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(callers)
+	b.ResetTimer()
+	for c := 0; c < callers; c++ {
+		go func(c int) {
+			defer wg.Done()
+			for next.Add(1) <= int64(b.N) {
+				t0 := time.Now()
+				if _, err := s.Classify(img); err != nil {
+					b.Error(err)
+					return
+				}
+				lat[c] = append(lat[c], time.Since(t0).Nanoseconds())
+			}
+		}(c)
+	}
+	wg.Wait()
+	b.StopTimer()
+	var all []int64
+	for _, l := range lat {
+		all = append(all, l...)
+	}
+	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
+	st := s.Stats()
+	b.ReportMetric(st.MeanBatch, "mean-batch")
+	if len(all) > 0 {
+		b.ReportMetric(float64(all[len(all)*99/100])/1e6, "p99-ms")
 	}
 }
 
