@@ -49,26 +49,44 @@ func (a *Augmented) Sample(i int) (*tensor.Tensor, int) {
 	return out, label
 }
 
+// apply draws the crop offset (y, then x) and the flip and writes the crop
+// of the virtually padded image — or of its mirror — in one offset copy:
+// rows and columns that fall in the padding stay zero.
 func (a *Augmented) apply(img *tensor.Tensor) (*tensor.Tensor, error) {
-	padded, err := tensor.Pad2D(img, a.pad)
-	if err != nil {
-		return nil, err
+	if img.Rank() != 3 {
+		return nil, fmt.Errorf("%w: augmentation wants a rank-3 image, got %v", tensor.ErrShape, img.Shape())
 	}
-	maxOff := padded.Dim(1) - a.size
+	c, h, w := img.Dim(0), img.Dim(1), img.Dim(2)
+	maxOff := h + 2*a.pad - a.size
 	if maxOff < 0 {
-		return nil, fmt.Errorf("crop size %d exceeds padded size %d", a.size, padded.Dim(1))
+		return nil, fmt.Errorf("crop size %d exceeds padded size %d", a.size, h+2*a.pad)
 	}
 	y, x := 0, 0
 	if maxOff > 0 {
 		y = a.rng.Intn(maxOff + 1)
 		x = a.rng.Intn(maxOff + 1)
 	}
-	crop, err := tensor.Crop2D(padded, y, x, a.size, a.size)
-	if err != nil {
-		return nil, err
+	if x+a.size > w+2*a.pad {
+		return nil, fmt.Errorf("%w: crop (%d,%d,%d,%d) out of bounds for padded %dx%d", tensor.ErrShape, y, x, a.size, a.size, h+2*a.pad, w+2*a.pad)
 	}
-	if a.rng.Float64() < 0.5 {
-		return tensor.FlipH(crop)
+	flip := a.rng.Float64() < 0.5
+	out := tensor.New(c, a.size, a.size)
+	src, dst := img.Data(), out.Data()
+	// Output columns [x0, x1) of an unflipped row read source columns
+	// [x0+x-pad, x1+x-pad); a flipped row mirrors the same span.
+	x0, x1 := max(a.pad-x, 0), min(w+a.pad-x, a.size)
+	for ch := 0; ch < c; ch++ {
+		for yy := max(a.pad-y, 0); yy < min(h+a.pad-y, a.size); yy++ {
+			srow := src[(ch*h+yy+y-a.pad)*w+x0+x-a.pad:][:x1-x0]
+			drow := dst[(ch*a.size+yy)*a.size : (ch*a.size+yy+1)*a.size]
+			if !flip {
+				copy(drow[x0:x1], srow)
+				continue
+			}
+			for i, v := range srow {
+				drow[a.size-1-x0-i] = v
+			}
+		}
 	}
-	return crop, nil
+	return out, nil
 }

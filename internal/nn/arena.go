@@ -27,14 +27,6 @@ func growF32(buf *[]float32, n int) []float32 {
 	return (*buf)[:n]
 }
 
-// growBool is growF32 for boolean masks.
-func growBool(buf *[]bool, n int) []bool {
-	if cap(*buf) < n {
-		*buf = make([]bool, n)
-	}
-	return (*buf)[:n]
-}
-
 // growInt is growF32 for index buffers.
 func growInt(buf *[]int, n int) []int {
 	if cap(*buf) < n {
@@ -78,12 +70,13 @@ func (a *arenaTensor) get(shape ...int) *tensor.Tensor {
 	for _, d := range shape {
 		n *= d
 	}
-	data := growF32(&a.buf, n)
-	t, err := tensor.FromSlice(data, shape...)
+	// The arena's own copy goes to FromSlice, so the argument does not
+	// escape and a caller's literal shape stays on its stack.
+	a.shape = append(a.shape[:0], shape...)
+	t, err := tensor.FromSlice(growF32(&a.buf, n), a.shape...)
 	if err != nil {
 		panic(err) // programmer error: shapes are computed, not user input
 	}
-	a.shape = append(a.shape[:0], shape...)
 	a.t = t
 	return t
 }

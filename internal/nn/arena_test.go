@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/tensor"
@@ -24,11 +25,9 @@ func testConv(t *testing.T, bias bool) (*Conv2D, *tensor.Tensor) {
 	return conv, x
 }
 
-// TestConvSteadyStateAllocs pins the zero-alloc property of the conv/GEMM
-// hot path: once the arenas are warm, a forward+backward pair performs at
-// most a handful of fixed-size header allocations (reshape views), not the
-// per-sample buffer churn the per-sample im2col path had (~40 allocations
-// per sample at batch 4).
+// TestConvSteadyStateAllocs pins the zero-alloc property of the conv hot
+// path: once the arenas and the driver's band scratch are warm, a serial
+// forward+backward pair allocates nothing at all.
 func TestConvSteadyStateAllocs(t *testing.T) {
 	prev := tensor.SetMaxWorkers(1) // serial: measure layer allocs, not pool jobs
 	defer tensor.SetMaxWorkers(prev)
@@ -45,8 +44,8 @@ func TestConvSteadyStateAllocs(t *testing.T) {
 	}
 	step() // warm the arenas
 	allocs := testing.AllocsPerRun(10, step)
-	if allocs > 16 {
-		t.Fatalf("steady-state conv forward+backward allocates %.0f objects per step, want <= 16", allocs)
+	if allocs != 0 {
+		t.Fatalf("steady-state conv forward+backward allocates %.0f objects per step, want 0", allocs)
 	}
 }
 
@@ -189,5 +188,80 @@ func TestConvBackwardBeforeForward(t *testing.T) {
 	}
 	if _, err := conv.Backward(dout); err == nil {
 		t.Fatal("second backward without a new forward should error")
+	}
+}
+
+// float32Slices walks every value reachable from v — through pointers,
+// structs and slices, unexported fields included — and reports each
+// distinct []float32 backing array once, by the path that first reached it.
+func float32Slices(v reflect.Value, path string, seen map[uintptr]bool, visit func(path string, floats int)) {
+	switch v.Kind() {
+	case reflect.Pointer:
+		if !v.IsNil() && !seen[v.Pointer()] {
+			seen[v.Pointer()] = true
+			float32Slices(v.Elem(), path, seen, visit)
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			float32Slices(v.Field(i), path+"."+v.Type().Field(i).Name, seen, visit)
+		}
+	case reflect.Slice:
+		if v.IsNil() {
+			return
+		}
+		if v.Type().Elem().Kind() == reflect.Float32 {
+			if !seen[v.Pointer()] {
+				seen[v.Pointer()] = true
+				visit(path, v.Cap())
+			}
+			return
+		}
+		for i := 0; i < v.Len(); i++ {
+			float32Slices(v.Index(i), path+"[]", seen, visit)
+		}
+	}
+}
+
+// TestConvHoldsNoBatchPatchMatrix is the white-box pin of the band conv's
+// memory claim: after a full training step no buffer reachable from a
+// Conv2D — arenas, driver scratch, the retained input — is larger than an
+// activation, and everything but the activations together stays under an
+// eighth of ONE kdim × N·OH·OW patch matrix (the im2col layer held four).
+func TestConvHoldsNoBatchPatchMatrix(t *testing.T) {
+	defer tensor.SetMaxWorkers(tensor.SetMaxWorkers(2))
+	rng := tensor.NewRNG(13)
+	g := tensor.ConvGeom{InC: 16, InH: 16, InW: 16, KH: 3, KW: 3, Stride: 1, Pad: 1}
+	conv, err := NewConv2D(Conv2DConfig{Name: "c", In: g, OutC: 16, Bias: true, RNG: rng})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 64
+	x := tensor.New(n, g.InC, g.InH, g.InW)
+	x.FillNormal(rng, 0, 1)
+	out, err := conv.Forward(x, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reached := map[string]int{}
+	float32Slices(reflect.ValueOf(conv), "conv", map[uintptr]bool{}, func(path string, floats int) { reached[path] = floats })
+	if reached["conv.x.data"] != x.Len() {
+		t.Fatalf("the input is not retained by reference: reached %v", reached)
+	}
+	if _, err := conv.Backward(out); err != nil {
+		t.Fatal(err)
+	}
+	activation := max(x.Len(), out.Len())
+	patch := g.InC * g.KH * g.KW * out.Len() / conv.outC
+	other := 0
+	float32Slices(reflect.ValueOf(conv), "conv", map[uintptr]bool{}, func(path string, floats int) {
+		if floats > activation {
+			t.Errorf("%s holds %d floats, more than an activation (%d): a batch-sized scratch survived", path, floats, activation)
+		}
+		if path != "conv.out.buf" && path != "conv.dx.buf" {
+			other += floats
+		}
+	})
+	if other == 0 || other > patch/8 {
+		t.Errorf("scratch, partials and parameters hold %d floats; want a positive count under %d (an eighth of the %d-float patch matrix)", other, patch/8, patch)
 	}
 }

@@ -64,12 +64,11 @@ type Residual struct {
 	main     Layer
 	shortcut Layer // nil = identity
 	withReLU bool
-	mask     []bool
+	y        *tensor.Tensor // rectified output of the last Forward, nil once Backward consumed it
 
 	outA  arenaTensor
 	doutA arenaTensor
 	dxA   arenaTensor
-	maskA []bool
 }
 
 // NewResidual builds a residual block with an output ReLU.
@@ -149,16 +148,8 @@ func (r *Residual) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error)
 		return nil, fmt.Errorf("%s: %w", r.name, err)
 	}
 	if r.withReLU {
-		d := out.Data()
-		r.mask = growBool(&r.maskA, len(d))
-		for i, v := range d {
-			if v > 0 {
-				r.mask[i] = true
-			} else {
-				r.mask[i] = false
-				d[i] = 0
-			}
-		}
+		rectify(out.Data(), out.Data(), 0)
+		r.y = out
 	}
 	return out, nil
 }
@@ -167,23 +158,15 @@ func (r *Residual) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error)
 func (r *Residual) Backward(dout *tensor.Tensor) (*tensor.Tensor, error) {
 	d := dout
 	if r.withReLU {
-		if r.mask == nil {
+		if r.y == nil {
 			return nil, fmt.Errorf("%s: backward before forward", r.name)
 		}
-		if dout.Len() != len(r.mask) {
+		if dout.Len() != r.y.Len() {
 			return nil, fmt.Errorf("%s: %w: dout %v", r.name, tensor.ErrShape, dout.Shape())
 		}
 		d = r.doutA.get(dout.Shape()...)
-		dd := d.Data()
-		src := dout.Data()
-		for i, v := range src {
-			if r.mask[i] {
-				dd[i] = v
-			} else {
-				dd[i] = 0
-			}
-		}
-		r.mask = nil
+		rectifyGrad(d.Data(), dout.Data(), r.y.Data(), 0)
+		r.y = nil
 	}
 	dmain, err := r.main.Backward(d)
 	if err != nil {

@@ -6,39 +6,30 @@ import (
 	"repro/internal/tensor"
 )
 
-// Conv2D is a standard 2-D convolution over NCHW batches. The whole batch
-// is packed with Im2ColBatch into one (C·KH·KW, N·OH·OW) column matrix so
-// the forward pass is a single large GEMM against the (outC, C·KH·KW)
-// weight view, and the backward pass is two GEMMs plus one batch col2im
-// scatter. All large intermediates (columns, GEMM outputs, gradients) live
-// in scratch arenas allocated at the first forward and reused every step,
+// Conv2D is a standard 2-D convolution over NCHW batches, a caller of the
+// band-resident float conv driver (tensor.ConvF32ForwardInto /
+// ConvF32BackwardInto): no patch matrix of the batch exists in either
+// direction. Forward keeps the input by reference — the arena contract
+// keeps a producer's output alive until the producer's own Backward, which
+// runs after this layer's — and Backward re-gathers each sample band from
+// it. The layer owns the output and input-gradient arenas plus the
+// driver's band-sized scratch, all allocated at the first step and reused,
 // so steady-state training allocates nothing on this path. The input
 // spatial size is fixed at construction (CIFAR-style pipelines have static
 // geometry), which lets the layer report exact MAC counts to the energy
 // model.
 type Conv2D struct {
-	name    string
-	geom    tensor.ConvGeom
-	outC    int
-	weight  *Param         // (outC, inC, KH, KW) viewed as (outC, inC*KH*KW)
-	w2d     *tensor.Tensor // cached (outC, kdim) view of weight.Value
-	bias    *Param         // (outC), nil when disabled
-	inShape []int
-	ready   bool // forward ran since the last backward
+	name   string
+	geom   tensor.ConvGeom
+	outC   int
+	weight *Param // (outC, inC, KH, KW), consumed as (outC, inC*KH*KW)
+	bias   *Param // (outC), nil when disabled
+	plan   *tensor.ConvPlanF32
 
-	cols  arenaTensor // (kdim, N·OH·OW) im2col output, kept for backward
-	gemm  arenaTensor // (outC, N·OH·OW) forward GEMM out / backward dout2d
-	dcols arenaTensor // (kdim, N·OH·OW) column gradients
-	dw    arenaTensor // (outC, kdim) weight-gradient scratch
-	out   arenaTensor // (N, outC, OH, OW)
-	dx    arenaTensor // (N, inC, InH, InW)
-
-	// pb is the layer's packed-operand arena for the two wide GEMMs
-	// (forward product and backward column gradients): the B matrix is
-	// repacked into it every call — the contents are per-call, only the
-	// storage is reused — so the packed micro-kernel path allocates
-	// nothing at steady state and skips the shared pack pool.
-	pb tensor.PackedF32
+	x    *tensor.Tensor        // input of the last Forward, nil once Backward consumed it
+	out  arenaTensor           // (N, outC, OH, OW)
+	dx   arenaTensor           // (N, inC, InH, InW)
+	work tensor.ConvScratchF32 // per-lane band tiles and per-band gradient partials
 }
 
 // Conv2DConfig configures NewConv2D.
@@ -52,22 +43,14 @@ type Conv2DConfig struct {
 
 // NewConv2D constructs a convolution with He-normal initialized weights.
 func NewConv2D(cfg Conv2DConfig) (*Conv2D, error) {
-	if err := cfg.In.Validate(); err != nil {
+	g := cfg.In
+	plan, err := tensor.NewConvPlanF32(g, cfg.OutC)
+	if err != nil {
 		return nil, fmt.Errorf("conv2d %q: %w", cfg.Name, err)
 	}
-	if cfg.OutC <= 0 {
-		return nil, fmt.Errorf("conv2d %q: %w: outC %d", cfg.Name, tensor.ErrShape, cfg.OutC)
-	}
-	g := cfg.In
 	w := tensor.New(cfg.OutC, g.InC, g.KH, g.KW)
 	w.FillHeNormal(cfg.RNG, g.InC*g.KH*g.KW)
-	c := &Conv2D{
-		name:   cfg.Name,
-		geom:   g,
-		outC:   cfg.OutC,
-		weight: NewParam(cfg.Name+".weight", w),
-		w2d:    w.MustReshape(cfg.OutC, g.InC*g.KH*g.KW),
-	}
+	c := &Conv2D{name: cfg.Name, geom: g, outC: cfg.OutC, weight: NewParam(cfg.Name+".weight", w), plan: plan}
 	if cfg.Bias {
 		c.bias = NewParam(cfg.Name+".bias", tensor.New(cfg.OutC))
 	}
@@ -102,127 +85,39 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error) {
 		return nil, fmt.Errorf("conv2d %q: %w: input %v, want (N,%d,%d,%d)",
 			c.name, tensor.ErrShape, x.Shape(), c.geom.InC, c.geom.InH, c.geom.InW)
 	}
-	n := x.Dim(0)
 	oh, ow := c.geom.OutHW()
-	s := oh * ow
-	kdim := c.geom.InC * c.geom.KH * c.geom.KW
-	w2d := c.w2d
-	c.inShape = append(c.inShape[:0], n, c.geom.InC, c.geom.InH, c.geom.InW)
-
-	cols := c.cols.get(kdim, n*s)
-	if err := tensor.Im2ColBatchInto(cols, x, c.geom); err != nil {
-		return nil, fmt.Errorf("conv2d %q: %w", c.name, err)
-	}
-	// Forward GEMM: (outC, kdim)·(kdim, N·S). Wide enough shapes pack the
-	// column matrix into the layer arena and run the register-blocked
-	// micro-kernels; narrow ones (tiny outC at small width multipliers)
-	// keep the direct AXPY path, same rule the generic MatMul routing
-	// applies.
-	prod := c.gemm.get(c.outC, n*s)
-	if tensor.PackWorthF32(c.outC, kdim, n*s) {
-		if err := c.pb.PackB(cols.Data(), kdim, n*s); err != nil {
-			return nil, fmt.Errorf("conv2d %q: %w", c.name, err)
-		}
-		if err := tensor.MatMulF32PackedInto(prod.Data(), w2d.Data(), &c.pb, c.outC, kdim); err != nil {
-			return nil, fmt.Errorf("conv2d %q: %w", c.name, err)
-		}
-	} else if err := tensor.MatMulInto(prod, w2d, cols); err != nil {
-		return nil, fmt.Errorf("conv2d %q: %w", c.name, err)
-	}
-
-	// Reorder (outC, N·S) into NCHW and fold in the bias: out sample-major,
-	// prod channel-major, so each (i, oc) plane is one contiguous block.
-	out := c.out.get(n, c.outC, oh, ow)
-	od, pd := out.Data(), prod.Data()
-	var bd []float32
+	out := c.out.get(x.Dim(0), c.outC, oh, ow)
+	var bias []float32
 	if c.bias != nil {
-		bd = c.bias.Value.Data()
+		bias = c.bias.Value.Data()
 	}
-	tensor.ParallelFor(n, func(i int) {
-		for oc := 0; oc < c.outC; oc++ {
-			src := pd[oc*n*s+i*s : oc*n*s+(i+1)*s]
-			dst := od[(i*c.outC+oc)*s : (i*c.outC+oc+1)*s]
-			if bd == nil {
-				copy(dst, src)
-				continue
-			}
-			b := bd[oc]
-			for j, v := range src {
-				dst[j] = v + b
-			}
-		}
-	})
-	c.ready = true
+	if err := tensor.ConvF32ForwardInto(out.Data(), x.Data(), x.Dim(0), c.weight.Value.Data(), bias, c.plan, &c.work); err != nil {
+		return nil, fmt.Errorf("conv2d %q: %w", c.name, err)
+	}
+	c.x = x
 	return out, nil
 }
 
 // Backward implements Layer.
 func (c *Conv2D) Backward(dout *tensor.Tensor) (*tensor.Tensor, error) {
-	if !c.ready {
+	if c.x == nil {
 		return nil, fmt.Errorf("conv2d %q: backward before forward", c.name)
 	}
-	n := c.inShape[0]
+	n := c.x.Dim(0)
 	oh, ow := c.geom.OutHW()
-	s := oh * ow
 	if dout.Rank() != 4 || dout.Dim(0) != n || dout.Dim(1) != c.outC || dout.Dim(2) != oh || dout.Dim(3) != ow {
 		return nil, fmt.Errorf("conv2d %q: %w: dout %v, want (%d,%d,%d,%d)",
 			c.name, tensor.ErrShape, dout.Shape(), n, c.outC, oh, ow)
 	}
-	kdim := c.geom.InC * c.geom.KH * c.geom.KW
-	w2d := c.w2d
-
-	// Reorder dout (N, outC, S) into the channel-major (outC, N·S) layout
-	// the GEMMs want, reusing the forward GEMM arena, and reduce the bias
-	// gradient along the way.
-	d2d := c.gemm.get(c.outC, n*s)
-	dd, d2 := dout.Data(), d2d.Data()
-	tensor.ParallelFor(c.outC, func(oc int) {
-		for i := 0; i < n; i++ {
-			copy(d2[oc*n*s+i*s:oc*n*s+(i+1)*s], dd[(i*c.outC+oc)*s:(i*c.outC+oc+1)*s])
-		}
-	})
+	dx := c.dx.get(n, c.geom.InC, c.geom.InH, c.geom.InW)
+	var gb []float32
 	if c.bias != nil {
-		gb := c.bias.Grad.Data()
-		for oc := 0; oc < c.outC; oc++ {
-			row := d2[oc*n*s : (oc+1)*n*s]
-			var sum float32
-			for _, v := range row {
-				sum += v
-			}
-			gb[oc] += sum
-		}
+		gb = c.bias.Grad.Data()
 	}
-
-	// dW = dout2d · colsᵀ → (outC, kdim), accumulated into the grad.
-	cols := c.cols.get(kdim, n*s)
-	dw := c.dw.get(c.outC, kdim)
-	if err := tensor.MatMulTransBInto(dw, d2d, cols); err != nil {
+	if err := tensor.ConvF32BackwardInto(dx.Data(), c.weight.Grad.Data(), gb, c.x.Data(), dout.Data(), n,
+		c.weight.Value.Data(), c.plan, &c.work); err != nil {
 		return nil, fmt.Errorf("conv2d %q: %w", c.name, err)
 	}
-	gw := c.weight.Grad.Data()
-	for j, v := range dw.Data() {
-		gw[j] += v
-	}
-
-	// dcols = Wᵀ · dout2d → (kdim, N·S), scattered back to image space.
-	// Like the forward product, wide shapes pack dout2d into the layer
-	// arena (free after the dW product above) and run the transposed-A
-	// packed kernel.
-	dcols := c.dcols.get(kdim, n*s)
-	if tensor.PackWorthF32(kdim, c.outC, n*s) {
-		if err := c.pb.PackB(d2d.Data(), c.outC, n*s); err != nil {
-			return nil, fmt.Errorf("conv2d %q: %w", c.name, err)
-		}
-		if err := tensor.MatMulF32PackedTransAInto(dcols.Data(), w2d.Data(), &c.pb, kdim, kdim); err != nil {
-			return nil, fmt.Errorf("conv2d %q: %w", c.name, err)
-		}
-	} else if err := tensor.MatMulTransAInto(dcols, w2d, d2d); err != nil {
-		return nil, fmt.Errorf("conv2d %q: %w", c.name, err)
-	}
-	dx := c.dx.get(c.inShape...)
-	if err := tensor.Col2ImBatchInto(dx, dcols, c.geom); err != nil {
-		return nil, fmt.Errorf("conv2d %q: %w", c.name, err)
-	}
-	c.ready = false
+	c.x = nil
 	return dx, nil
 }

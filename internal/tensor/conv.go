@@ -38,11 +38,12 @@ func (g ConvGeom) Validate() error {
 
 // Im2ColBatchInto unrolls a whole NCHW batch into one column matrix of
 // shape (C*KH*KW, N·OH·OW), where column i·OH·OW + s holds output position
-// s of sample i. Packing the batch once lets convolution run as a single
-// large GEMM with the (outC, C*KH*KW) weight matrix instead of N small
-// ones. Out-of-bounds taps contribute zeros (zero padding). dst is
-// caller-owned, e.g. a scratch arena reused across training steps; every
-// element is written (zeros included), so stale contents are harmless.
+// s of sample i. Out-of-bounds taps contribute zeros (zero padding). dst is
+// caller-owned; every element is written (zeros included), so stale
+// contents are harmless. The training convolution never builds this
+// matrix — it gathers cache-resident sample bands (conv_band.go) through
+// the same body; the batch form stays for callers that want the explicit
+// matrix.
 func Im2ColBatchInto(dst, x *Tensor, g ConvGeom) error {
 	if err := validateBatchImage(x, g); err != nil {
 		return err
@@ -54,53 +55,92 @@ func Im2ColBatchInto(dst, x *Tensor, g ConvGeom) error {
 	if dst.Rank() != 2 || dst.shape[0] != g.InC*g.KH*g.KW || dst.shape[1] != ns {
 		return fmt.Errorf("%w: im2col batch dst %v does not match geometry %+v for batch %d", ErrShape, dst.shape, g, n)
 	}
-	src := x.data
-	out := dst.data
-	inSz := g.InC * g.InH * g.InW
+	inSz, sl := g.InC*g.InH*g.InW, g.stageLen(1)
+	stage := make([]float32, n*sl)
 	ParallelFor(n, func(i int) {
-		img := src[i*inSz : (i+1)*inSz]
-		row := 0
-		for c := 0; c < g.InC; c++ {
-			base := c * g.InH * g.InW
-			for kh := 0; kh < g.KH; kh++ {
-				for kw := 0; kw < g.KW; kw++ {
-					drow := out[row*ns+i*s : row*ns+(i+1)*s]
-					for oy := 0; oy < oh; oy++ {
-						iy := oy*g.Stride + kh - g.Pad
-						dseg := drow[oy*ow : (oy+1)*ow]
-						if iy < 0 || iy >= g.InH {
-							for ox := range dseg {
-								dseg[ox] = 0
-							}
-							continue
-						}
-						srow := img[base+iy*g.InW : base+(iy+1)*g.InW]
-						if g.Stride == 1 && kw >= g.Pad && g.InW-ow >= kw-g.Pad {
-							// Interior fast path: the tap row is a straight copy.
-							copy(dseg, srow[kw-g.Pad:])
-							continue
-						}
-						for ox := range dseg {
-							ix := ox*g.Stride + kw - g.Pad
-							if ix < 0 || ix >= g.InW {
-								dseg[ox] = 0
-							} else {
-								dseg[ox] = srow[ix]
-							}
-						}
-					}
-					row++
-				}
-			}
-		}
+		im2colInto(dst.data, x.data[i*inSz:(i+1)*inSz], g, 1, i*s, ns, stage[i*sl:(i+1)*sl])
 	})
 	return nil
 }
 
+// stageDims is the (height, width) of one staged plane: the input plane
+// inside its zero border, grown to cover a kernel that overhangs the
+// padded input (OutHW rounds such a geometry up to one output). The gather
+// and the scatter go through a strip of staged planes one channel at a
+// time so that every tap of every output row is an unconditional run:
+// with the border materialized there is no per-run clipping, which at 4 to
+// 16 floats a run cost more than the copy.
+func (g ConvGeom) stageDims() (sh, sw int) {
+	oh, ow := g.OutHW()
+	return max(g.InH+2*g.Pad, (oh-1)*g.Stride+g.KH), max(g.InW+2*g.Pad, (ow-1)*g.Stride+g.KW)
+}
+
+// stageLen is the float count of the staging strip for nb samples.
+func (g ConvGeom) stageLen(nb int) int {
+	sh, sw := g.stageDims()
+	return nb * sh * sw
+}
+
+// im2colInto gathers the patch matrices of nb consecutive (C, H, W) images
+// into columns [j0, j0+nb·OH·OW) of dst. Column j of patch row q lands at
+// dst[(j/pw)·kdim·pw + q·pw + j%pw]: with pw equal to the row stride that
+// is the plain row-major matrix, with pw = 16 the packed GEMM's
+// column-panel layout, so a band gathered for the micro-kernels needs no
+// separate pack pass. stage holds stageLen(nb) floats.
+func im2colInto(dst, x []float32, g ConvGeom, nb, j0, pw int, stage []float32) {
+	oh, ow := g.OutHW()
+	st, hw := g.Stride, g.InH*g.InW
+	sh, sw := g.stageDims()
+	sp := sh * sw
+	kp := g.InC * g.KH * g.KW * pw // floats per column panel
+	q := 0
+	for c := 0; c < g.InC; c++ {
+		clear(stage[:nb*sp])
+		for il := 0; il < nb; il++ {
+			plane := x[(il*g.InC+c)*hw : (il*g.InC+c+1)*hw]
+			for y := 0; y < g.InH; y++ {
+				copy(stage[il*sp+(y+g.Pad)*sw+g.Pad:][:g.InW], plane[y*g.InW:])
+			}
+		}
+		for kh := 0; kh < g.KH; kh++ {
+			for kw := 0; kw < g.KW; kw++ {
+				base, off := (j0/pw)*kp+q*pw, j0%pw
+				for il := 0; il < nb; il++ {
+					for oy := 0; oy < oh; oy++ {
+						sx := il*sp + (oy*st+kh)*sw + kw
+						for ox := 0; ox < ow; { // one run per panel the row crosses
+							n := min(ow-ox, pw-off)
+							d := dst[base+off : base+off+n]
+							if st == 1 && n >= runCopyMin {
+								copy(d, stage[sx:])
+								sx += n
+							} else {
+								for i := range d {
+									d[i] = stage[sx]
+									sx += st
+								}
+							}
+							ox += n
+							if off += n; off == pw {
+								off, base = 0, base+kp
+							}
+						}
+					}
+				}
+				q++
+			}
+		}
+	}
+}
+
+// runCopyMin is the run length from which a stride-1 run goes through
+// memmove / the AXPY kernel rather than a scalar loop.
+const runCopyMin = 8
+
 // Col2ImBatchInto is the adjoint of Im2ColBatchInto: it scatters a
 // (C*KH*KW, N·OH·OW) column-gradient matrix back into an NCHW batch image,
-// accumulating overlapping taps. dst is fully overwritten (it is zeroed
-// before accumulation), so it can be a reused scratch arena.
+// accumulating overlapping taps. dst is fully overwritten, so it can be a
+// reused scratch arena.
 func Col2ImBatchInto(dst, cols *Tensor, g ConvGeom) error {
 	if err := validateBatchImage(dst, g); err != nil {
 		return err
@@ -112,45 +152,56 @@ func Col2ImBatchInto(dst, cols *Tensor, g ConvGeom) error {
 	if cols.Rank() != 2 || cols.shape[0] != g.InC*g.KH*g.KW || cols.shape[1] != ns {
 		return fmt.Errorf("%w: col2im batch cols %v does not match geometry %+v for batch %d", ErrShape, cols.shape, g, n)
 	}
-	src := cols.data
-	out := dst.data
-	inSz := g.InC * g.InH * g.InW
+	inSz, sl := g.InC*g.InH*g.InW, g.stageLen(1)
+	stage := make([]float32, n*sl)
 	ParallelFor(n, func(i int) {
-		img := out[i*inSz : (i+1)*inSz]
-		for j := range img {
-			img[j] = 0
-		}
-		row := 0
-		for c := 0; c < g.InC; c++ {
-			base := c * g.InH * g.InW
-			for kh := 0; kh < g.KH; kh++ {
-				for kw := 0; kw < g.KW; kw++ {
-					srow := src[row*ns+i*s : row*ns+(i+1)*s]
-					for oy := 0; oy < oh; oy++ {
-						iy := oy*g.Stride + kh - g.Pad
-						if iy < 0 || iy >= g.InH {
-							continue
-						}
-						sseg := srow[oy*ow : (oy+1)*ow]
-						drow := img[base+iy*g.InW : base+(iy+1)*g.InW]
-						if g.Stride == 1 && kw >= g.Pad && g.InW-ow >= kw-g.Pad {
-							axpy1(drow[kw-g.Pad:][:ow], sseg, 1)
-							continue
-						}
-						for ox := range sseg {
-							ix := ox*g.Stride + kw - g.Pad
-							if ix < 0 || ix >= g.InW {
-								continue
-							}
-							drow[ix] += sseg[ox]
-						}
-					}
-					row++
-				}
-			}
-		}
+		col2imInto(dst.data[i*inSz:(i+1)*inSz], cols.data, g, 1, i*s, ns, stage[i*sl:(i+1)*sl])
 	})
 	return nil
+}
+
+// col2imInto overwrites nb consecutive (C, H, W) images with the scatter
+// of columns [j0, j0+nb·OH·OW) of the row-major column-gradient matrix
+// cols (row stride ld). Every image element accumulates its taps in
+// (kh, kw, oy) order whatever the batch or band around it, so input
+// gradients do not depend on how the batch was cut; taps that fall in the
+// padding accumulate in the staging border and are dropped.
+func col2imInto(dx, cols []float32, g ConvGeom, nb, j0, ld int, stage []float32) {
+	oh, ow := g.OutHW()
+	st, hw := g.Stride, g.InH*g.InW
+	sh, sw := g.stageDims()
+	sp := sh * sw
+	q := 0
+	for c := 0; c < g.InC; c++ {
+		clear(stage[:nb*sp])
+		for kh := 0; kh < g.KH; kh++ {
+			for kw := 0; kw < g.KW; kw++ {
+				ci := q*ld + j0
+				for il := 0; il < nb; il++ {
+					for oy := 0; oy < oh; oy++ {
+						src := cols[ci : ci+ow]
+						ci += ow
+						sx := il*sp + (oy*st+kh)*sw + kw
+						if st == 1 && ow >= runCopyMin {
+							axpy1(stage[sx:sx+ow], src, 1)
+							continue
+						}
+						for _, v := range src {
+							stage[sx] += v
+							sx += st
+						}
+					}
+				}
+				q++
+			}
+		}
+		for il := 0; il < nb; il++ {
+			plane := dx[(il*g.InC+c)*hw : (il*g.InC+c+1)*hw]
+			for y := 0; y < g.InH; y++ {
+				copy(plane[y*g.InW:(y+1)*g.InW], stage[il*sp+(y+g.Pad)*sw+g.Pad:])
+			}
+		}
+	}
 }
 
 func validateBatchImage(x *Tensor, g ConvGeom) error {

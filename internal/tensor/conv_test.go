@@ -146,54 +146,6 @@ func TestIm2ColShapeValidation(t *testing.T) {
 	}
 }
 
-func TestPadCropFlip(t *testing.T) {
-	img := MustFromSlice([]float32{1, 2, 3, 4}, 1, 2, 2)
-	padded, err := Pad2D(img, 1)
-	if err != nil {
-		t.Fatalf("Pad2D: %v", err)
-	}
-	if got := padded.Shape(); got[1] != 4 || got[2] != 4 {
-		t.Fatalf("padded shape %v, want (1,4,4)", got)
-	}
-	if padded.At(0, 0, 0) != 0 || padded.At(0, 1, 1) != 1 || padded.At(0, 2, 2) != 4 {
-		t.Error("Pad2D misplaced content")
-	}
-	crop, err := Crop2D(padded, 1, 1, 2, 2)
-	if err != nil {
-		t.Fatalf("Crop2D: %v", err)
-	}
-	for i := range img.Data() {
-		if crop.Data()[i] != img.Data()[i] {
-			t.Fatal("Crop2D(pad(x)) center != x")
-		}
-	}
-	flipped, err := FlipH(img)
-	if err != nil {
-		t.Fatalf("FlipH: %v", err)
-	}
-	want := []float32{2, 1, 4, 3}
-	for i, v := range flipped.Data() {
-		if v != want[i] {
-			t.Errorf("FlipH[%d] = %v, want %v", i, v, want[i])
-		}
-	}
-	dbl, err := FlipH(flipped)
-	if err != nil {
-		t.Fatalf("FlipH: %v", err)
-	}
-	for i := range img.Data() {
-		if dbl.Data()[i] != img.Data()[i] {
-			t.Fatal("FlipH is not an involution")
-		}
-	}
-	if _, err := Crop2D(img, 1, 1, 3, 3); !errors.Is(err, ErrShape) {
-		t.Errorf("out-of-bounds crop err = %v, want ErrShape", err)
-	}
-	if _, err := Pad2D(img, -1); !errors.Is(err, ErrShape) {
-		t.Errorf("negative pad err = %v, want ErrShape", err)
-	}
-}
-
 func TestRNGDeterminism(t *testing.T) {
 	a, b := NewRNG(42), NewRNG(42)
 	for i := 0; i < 100; i++ {

@@ -140,7 +140,7 @@ func MatMulTransAInto(dst, a, b *Tensor) error {
 // blocking to matMulKernel, with the A element gathered down a column.
 // Shapes above the packing threshold take the packed micro-kernels — the
 // strided-A orientation reuses the same 4×16 kernel with swapped operand
-// strides (MatMulF32PackedTransAInto).
+// strides.
 func matMulTransAKernel(od, ad, bd []float32, m, k, n int) {
 	if PackWorthF32(m, k, n) {
 		pb := f32PackPool.Get().(*PackedF32)

@@ -23,10 +23,10 @@ import (
 // rows to amortize it: the pack streams k·n floats once while the GEMM
 // performs m·k·n FMAs, so the pack overhead is ~1/m of the arithmetic.
 // MatMul/MatMulTransA/MatMulTransB route through a pooled per-call pack
-// when m ≥ f32PackMinM (see PackWorthF32); layers with a steady-state
-// shape (conv/linear in internal/nn) hold their own PackedF32 arena and
-// call MatMulF32PackedInto directly, so the hot training path packs into
-// reused storage and allocates nothing.
+// when m ≥ f32PackMinM (see PackWorthF32); nn.Linear holds its own
+// PackedF32 arena and calls MatMulF32PackedInto directly, and the band
+// convolution (conv_band.go) gathers its patches straight into panels, so
+// the hot training path packs into reused storage and allocates nothing.
 //
 // Unlike the integer kernels, SIMD and portable float kernels are not
 // bitwise identical: the assembly accumulates with fused multiply-adds
@@ -230,41 +230,25 @@ func MatMulF32PackedInto(dst, a []float32, b *PackedF32, m, lda int) error {
 	return nil
 }
 
-// MatMulF32PackedTransAInto computes dst = aᵀ·b where a is a float32
-// (k, m) matrix with row stride lda ≥ m and b is a packed (k, n)
-// matrix — the weight-gradient orientation, consumed without
-// materializing the transpose. dst is row-major (m, n), fully
-// overwritten.
-func MatMulF32PackedTransAInto(dst, a []float32, b *PackedF32, m, lda int) error {
-	if m <= 0 {
-		return fmt.Errorf("%w: matmulF32PackedTA m %d must be positive", ErrShape, m)
-	}
-	if lda < m {
-		return fmt.Errorf("%w: matmulF32PackedTA row stride %d < m %d", ErrShape, lda, m)
-	}
-	if need := (b.k-1)*lda + m; len(a) < need {
-		return fmt.Errorf("%w: matmulF32PackedTA operand a has %d elements, want >= %d", ErrShape, len(a), need)
-	}
-	if len(dst) < m*b.n {
-		return fmt.Errorf("%w: matmulF32PackedTA destination has %d elements, want >= %d", ErrShape, len(dst), m*b.n)
-	}
-	matMulF32PackedDriver(dst, a, b, m, 1, lda)
-	return nil
-}
-
 // matMulF32PackedDriver tiles the packed GEMM over (row block × panel)
 // tasks on the worker pool; dst row stride is b.n. Each output element
 // is written by exactly one task with a fixed k order, so results are
 // bit-identical across worker counts.
 func matMulF32PackedDriver(dst, a []float32, b *PackedF32, m, ars, aks int) {
-	mb := blocks(m, f32PackedRowBlock)
 	if maxWorkers == 1 {
-		for t := 0; t < mb*b.panels; t++ {
-			f32PackedTile(dst, a, b, m, ars, aks, t)
-		}
+		matMulF32PackedSerial(dst, a, b, m, ars, aks)
 		return
 	}
-	ParallelFor(mb*b.panels, func(t int) { f32PackedTile(dst, a, b, m, ars, aks, t) })
+	ParallelFor(blocks(m, f32PackedRowBlock)*b.panels, func(t int) { f32PackedTile(dst, a, b, m, ars, aks, t) })
+}
+
+// matMulF32PackedSerial is the driver's non-forking form: every tile on
+// the calling goroutine, no closure. The band convolution runs it inside
+// its own pool tasks.
+func matMulF32PackedSerial(dst, a []float32, b *PackedF32, m, ars, aks int) {
+	for t, nt := 0, blocks(m, f32PackedRowBlock)*b.panels; t < nt; t++ {
+		f32PackedTile(dst, a, b, m, ars, aks, t)
+	}
 }
 
 // f32PackedTile computes one (row block × panel) output tile: groups of

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -468,4 +469,27 @@ func TestF32PackedSerialPathAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("serial packed float path allocates %v objects/op, want 0", allocs)
 	}
+}
+
+// MatMulF32PackedTransAInto is the test-only validated entry to the packed
+// driver's strided-A orientation (production reaches it through
+// MatMulTransAInto and the band convolution's input-gradient product):
+// dst = aᵀ·b where a is a float32 (k, m) matrix with row stride lda ≥ m
+// and b is a packed (k, n) matrix. dst is row-major (m, n), fully
+// overwritten.
+func MatMulF32PackedTransAInto(dst, a []float32, b *PackedF32, m, lda int) error {
+	if m <= 0 {
+		return fmt.Errorf("%w: matmulF32PackedTA m %d must be positive", ErrShape, m)
+	}
+	if lda < m {
+		return fmt.Errorf("%w: matmulF32PackedTA row stride %d < m %d", ErrShape, lda, m)
+	}
+	if need := (b.k-1)*lda + m; len(a) < need {
+		return fmt.Errorf("%w: matmulF32PackedTA operand a has %d elements, want >= %d", ErrShape, len(a), need)
+	}
+	if len(dst) < m*b.n {
+		return fmt.Errorf("%w: matmulF32PackedTA destination has %d elements, want >= %d", ErrShape, len(dst), m*b.n)
+	}
+	matMulF32PackedDriver(dst, a, b, m, 1, lda)
+	return nil
 }
