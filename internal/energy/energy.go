@@ -19,8 +19,6 @@
 package energy
 
 import (
-	"fmt"
-
 	"repro/internal/nn"
 	"repro/internal/quant"
 )
@@ -179,12 +177,4 @@ func FP32SizeBits(params []*nn.Param) int64 {
 		n += int64(p.Value.Len())
 	}
 	return n * int64(quant.MaxBits)
-}
-
-// Normalized returns value/reference, guarding against a zero reference.
-func Normalized(value, reference float64) (float64, error) {
-	if reference == 0 {
-		return 0, fmt.Errorf("energy: zero reference")
-	}
-	return value / reference, nil
 }

@@ -151,13 +151,3 @@ func TestMeterAccumulates(t *testing.T) {
 		t.Error("Reset did not clear the meter")
 	}
 }
-
-func TestNormalized(t *testing.T) {
-	if _, err := Normalized(1, 0); err == nil {
-		t.Error("zero reference did not error")
-	}
-	v, err := Normalized(1, 4)
-	if err != nil || v != 0.25 {
-		t.Errorf("Normalized = %v, %v", v, err)
-	}
-}

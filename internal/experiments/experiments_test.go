@@ -144,6 +144,23 @@ func TestIsWeight(t *testing.T) {
 // checks the paper's qualitative shape: layer A starts below Tmin, gains
 // bits monotonically while starving, and its Gavg recovers toward the
 // threshold. Skipped in -short mode (a few seconds of training).
+// TestGavgNoteFollowsData pins Fig 2's note to the direction the 8-bit
+// Gavg series actually moved.
+func TestGavgNoteFollowsData(t *testing.T) {
+	for _, c := range []struct {
+		first, last float64
+		want        string
+	}{
+		{11.7, 337, "8-bit Gavg rose from 11.7 to 337 "},
+		{1, 0.1, "8-bit Gavg decayed from 1 to 0.1 "},
+		{0.5, 0.5, "8-bit Gavg held at 0.5 "},
+	} {
+		if got := gavgNote(c.first, c.last); !strings.HasPrefix(got, c.want) {
+			t.Errorf("gavgNote(%g, %g) = %q, want prefix %q", c.first, c.last, got, c.want)
+		}
+	}
+}
+
 func TestFig1MicroShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training run")

@@ -143,10 +143,22 @@ func Fig2(s Scale, log io.Writer) (*Report, error) {
 	}
 	rep.SetSeries("gavg8bit", gavg8)
 	if len(gavg8) > 1 {
-		rep.AddNote("8-bit Gavg decayed from %.3g to %.3g (paper: from ~1 to ~1e-1 within the first 50 of 200 epochs) — model-wide quantization underflow slows the 8-bit run.",
-			gavg8[0], gavg8[len(gavg8)-1])
+		rep.AddNote("%s", gavgNote(gavg8[0], gavg8[len(gavg8)-1]))
 	}
 	return rep, nil
+}
+
+// gavgNote reports the 8-bit run's Gavg trajectory in the direction it
+// actually moved, next to the paper's decay.
+func gavgNote(first, last float64) string {
+	move := fmt.Sprintf("held at %.3g", last)
+	switch {
+	case last < first:
+		move = fmt.Sprintf("decayed from %.3g to %.3g", first, last)
+	case last > first:
+		move = fmt.Sprintf("rose from %.3g to %.3g", first, last)
+	}
+	return "8-bit Gavg " + move + " (paper: decays from ~1 to ~1e-1 within the first 50 of 200 epochs as model-wide quantization underflow slows the 8-bit run)."
 }
 
 // Fig3 reproduces Figure 3: per-layer bitwidth vs epoch for the APT run —

@@ -176,19 +176,17 @@ func (e *Engine) ForwardProfile(x *tensor.Tensor) (*tensor.Tensor, *ForwardProfi
 	}
 	s := e.lease()
 	defer e.release(s)
-	p := &ForwardProfile{}
-	s.prof = p
+	var stages [3]time.Duration
+	s.prof = &stages
 	t0 := time.Now()
 	out, err := e.run(x, s)
-	p.Total = time.Since(t0)
+	total := time.Since(t0)
 	s.prof = nil
 	if err != nil {
 		return nil, nil, err
 	}
-	p.Other = p.Total - p.Im2col - p.GEMM - p.Requant
-	if p.Other < 0 {
-		p.Other = 0
-	}
+	p := &ForwardProfile{Im2col: stages[stageIm2col], GEMM: stages[stageGEMM], Requant: stages[stageRequant], Total: total}
+	p.Other = max(0, p.Total-p.Im2col-p.GEMM-p.Requant)
 	return out, p, nil
 }
 
@@ -271,7 +269,8 @@ func (e *Engine) SizeBytes() int {
 // concurrent Forward call shares them; the per-call GEMM does zero
 // repacking. Pack time also decides the kernel route: panels whose
 // adjacent weight pairs could saturate the int16 SIMD kernel run the
-// exact widening kernel instead (see tensor.PackedI8.Saturating).
+// exact widening kernel instead (see the saturation note atop
+// tensor/matmul_int_packed.go).
 type qaffine struct {
 	label   string
 	buf     int
@@ -298,12 +297,11 @@ func (q *qaffine) forward(x *qtensor, s *scratch) (*qtensor, error) {
 	return q.linear(x, s)
 }
 
-// conv runs the band-gather lowering: the driver gathers receptive
-// fields into cache-resident per-worker lanes (a few tens of KB at the
-// head of the cols arena) and runs the packed kernels against them in
-// place — no patch matrix is materialized. Out-of-bounds taps gather as
-// Z_x, which represents exact float zero, so the per-channel correction
-// term is position-independent.
+// conv runs the band-gather lowering: each band task gathers into a lane
+// of the cols arena, accumulates into the lane's int32 tile in the acc
+// arena and requantizes that tile into the NCHW output. Out-of-bounds taps
+// gather as Z_x, exact float zero, so the per-channel correction term is
+// position-independent.
 func (q *qaffine) conv(x *qtensor, s *scratch) (*qtensor, error) {
 	g := q.plan.Geom()
 	if len(x.shape) != 4 || x.shape[1] != g.InC || x.shape[2] != g.InH || x.shape[3] != g.InW {
@@ -311,83 +309,22 @@ func (q *qaffine) conv(x *qtensor, s *scratch) (*qtensor, error) {
 	}
 	n := x.dim(0)
 	oh, ow := g.OutHW()
-	ns := n * oh * ow
-	acc := s.accBuf(q.outC * ns)
-	tasks := n * q.plan.Bands()
-	lanes := tensor.MaxWorkers()
-	if lanes > tasks {
-		lanes = tasks
-	}
-	work := s.colsBuf(lanes * q.plan.BandLen())
-	if s.prof != nil {
-		// Profiled forward: run the band tasks serially so gather and GEMM
-		// time attribute separately (the fused driver otherwise interleaves
-		// them per task across workers).
-		buf := work[:q.plan.BandLen()]
-		for t := 0; t < tasks; t++ {
-			t0 := profClock(s)
-			m := q.plan.GatherBandInto(buf, x.data, uint8(q.in.zero), t)
-			profSpan(s, stageIm2col, t0)
-			t0 = profClock(s)
-			q.plan.GEMMBand(acc, buf, q.packed, t, m)
-			profSpan(s, stageGEMM, t0)
-		}
-		return q.requantConv(acc, n, oh, ow, s)
-	}
-	if err := tensor.ConvU8I8ImplicitInto(acc, x.data, n, q.packed, q.plan, uint8(q.in.zero), work); err != nil {
-		return nil, err
-	}
-	return q.requantConv(acc, n, oh, ow, s)
-}
-
-// requantConv requantizes the position-major accumulator into the
-// layer's NCHW output slot.
-func (q *qaffine) requantConv(acc []int32, n, oh, ow int, s *scratch) (*qtensor, error) {
-	sp := oh * ow
 	out := s.act(q.buf, n, q.outC, oh, ow)
 	out.g = q.out
-	chunks := (sp + requantChunk - 1) / requantChunk
-	t0 := profClock(s)
-	if tensor.MaxWorkers() == 1 || s.prof != nil {
-		for t := 0; t < n*chunks; t++ {
-			q.requantPositions(acc, out.data, sp, chunks, t)
-		}
-		profSpan(s, stageRequant, t0)
-		return out, nil
+	if err := tensor.ConvU8I8RequantInto(out.data, x.data, n, q.packed, q.plan, uint8(q.in.zero),
+		q.m0, q.rsh, q.corr, q.out.zero, q.floor(), &s.cols, &s.acc, s.prof); err != nil {
+		return nil, err
 	}
-	tensor.ParallelFor(n*chunks, func(t int) { q.requantPositions(acc, out.data, sp, chunks, t) })
-	profSpan(s, stageRequant, t0)
 	return out, nil
 }
 
-// requantChunk is the position-tile width of the conv requantization.
-// The accumulator is position-major (row per output position, column per
-// channel), the output NCHW (plane per channel): requantizing a whole
-// channel plane at once would re-stream the entire accumulator per
-// channel (each int32 read strided by outC), so instead each task
-// requantizes every channel of a 256-position tile — the tile's
-// accumulator rows (256·outC int32) stay in L1 while all outC planes
-// consume them.
-const requantChunk = 256
-
-// requantPositions requantizes all channels of one sample's position
-// tile into the NCHW output payload: the accumulator rows for positions
-// [p0, p1) feed the transposing vector kernel, which emits each channel's
-// contiguous plane run (tensor.RequantQ31Transpose pins the rounding
-// contract shared with the scalar requantize).
-func (q *qaffine) requantPositions(acc []int32, dst []uint8, sp, chunks, t int) {
-	i, ch := t/chunks, t%chunks
-	p0 := ch * requantChunk
-	p1 := p0 + requantChunk
-	if p1 > sp {
-		p1 = sp
-	}
-	lo := int32(0)
+// floor is the requantization clamp: the output zero point under a fused
+// ReLU, else 0.
+func (q *qaffine) floor() int32 {
 	if q.relu {
-		lo = q.out.zero
+		return q.out.zero
 	}
-	tensor.RequantQ31Transpose(dst[i*q.outC*sp+p0:], acc[(i*sp+p0)*q.outC:],
-		q.m0, q.rsh, q.corr, q.out.zero, lo, p1-p0, q.outC, q.outC, sp)
+	return 0
 }
 
 // linear runs the batch as one packed integer GEMM against the prepacked
@@ -408,12 +345,8 @@ func (q *qaffine) linear(x *qtensor, s *scratch) (*qtensor, error) {
 	profSpan(s, stageGEMM, t0)
 	out := s.act(q.buf, n, q.outC)
 	out.g = q.out
-	lo := int32(0)
-	if q.relu {
-		lo = q.out.zero
-	}
 	t0 = profClock(s)
-	tensor.RequantQ31Rows(out.data, acc, q.m0, q.rsh, q.corr, q.out.zero, lo,
+	tensor.RequantQ31Rows(out.data, acc, q.m0, q.rsh, q.corr, q.out.zero, q.floor(),
 		n, q.outC, q.outC, q.outC)
 	profSpan(s, stageRequant, t0)
 	return out, nil

@@ -92,7 +92,7 @@ func lowerAffine(st *stage, in grid, cfg Config, nextID func() int) (qlayer, gri
 	// tensor's (outC, per) layout is exactly the transposed-B orientation
 	// the packer consumes, and the hot path never repacks. Pack time also
 	// fixes the kernel route for this layer (fast saturating-int16 kernel
-	// vs exact widening kernel; see tensor.PackedI8.Saturating).
+	// vs exact widening kernel; see tensor/matmul_int_packed.go).
 	packed, err := tensor.PackI8PanelsBT(weights, per, outC)
 	if err != nil {
 		return nil, grid{}, err

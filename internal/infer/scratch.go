@@ -100,14 +100,6 @@ func quantizeInto(q *qtensor, t *tensor.Tensor, g grid) {
 	}
 }
 
-// quantizeNew allocates a fresh qtensor for t on the [min, max] grid
-// (test/calibration convenience; the engine path reuses scratch slots).
-func quantizeNew(t *tensor.Tensor, min, max float32) *qtensor {
-	q := &qtensor{}
-	quantizeInto(q, t, gridFor(min, max))
-	return q
-}
-
 // dequantize restores the float view as a fresh tensor.
 func (q *qtensor) dequantize() *tensor.Tensor {
 	out := tensor.New(q.shape...)
@@ -119,7 +111,8 @@ func (q *qtensor) dequantize() *tensor.Tensor {
 }
 
 // scratch is the workspace one Forward call runs in: an activation slot
-// per compiled layer buffer plus shared gather-lane and accumulator arenas.
+// per compiled layer buffer plus the conv gather-lane arena and the int32
+// arena shared by the conv lane tiles and the linear accumulators.
 // Engines keep a free list of scratches (see Engine.lease); a scratch is
 // only ever touched by the goroutine that leased it, which is what makes
 // concurrent Forward calls on one Engine safe — the compiled layers
@@ -129,8 +122,11 @@ type scratch struct {
 	cols []uint8
 	acc  []int32
 	// prof, when non-nil, makes the conv/linear stages accumulate
-	// per-stage wall time into it (ForwardProfile sets it for the call).
-	prof *ForwardProfile
+	// per-stage wall time into it, indexed by the stage identifiers below
+	// (ForwardProfile sets it for the call; the conv band driver reads it
+	// as its phase clock, whose gather / compute / epilogue order they
+	// match).
+	prof *[3]time.Duration
 }
 
 func newScratch(nbuf int) *scratch {
@@ -167,17 +163,8 @@ func profClock(s *scratch) time.Time {
 
 // profSpan accrues the elapsed span to a profile stage.
 func profSpan(s *scratch, stage int, t0 time.Time) {
-	if s.prof == nil {
-		return
-	}
-	d := time.Since(t0)
-	switch stage {
-	case stageIm2col:
-		s.prof.Im2col += d
-	case stageGEMM:
-		s.prof.GEMM += d
-	case stageRequant:
-		s.prof.Requant += d
+	if s.prof != nil {
+		s.prof[stage] += time.Since(t0)
 	}
 }
 
@@ -197,14 +184,6 @@ func (s *scratch) actView(id int, src *qtensor, shape ...int) *qtensor {
 	q.data = src.data
 	q.g = src.g
 	return q
-}
-
-// colsBuf returns the shared conv gather-lane arena grown to n bytes.
-func (s *scratch) colsBuf(n int) []uint8 {
-	if cap(s.cols) < n {
-		s.cols = make([]uint8, n)
-	}
-	return s.cols[:n]
 }
 
 // accBuf returns the shared int32 accumulator arena grown to n elements.

@@ -53,18 +53,3 @@ func (SoftmaxCrossEntropy) Forward(logits *tensor.Tensor, labels []int) (float64
 	}
 	return total / float64(n), grad, nil
 }
-
-// Accuracy returns the top-1 accuracy of logits (N, K) against labels.
-func Accuracy(logits *tensor.Tensor, labels []int) float64 {
-	n := logits.Dim(0)
-	if n == 0 {
-		return 0
-	}
-	correct := 0
-	for i := 0; i < n; i++ {
-		if logits.ArgMaxRow(i) == labels[i] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(n)
-}

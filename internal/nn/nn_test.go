@@ -348,17 +348,6 @@ func TestSoftmaxCrossEntropyNumericalStability(t *testing.T) {
 	}
 }
 
-func TestAccuracy(t *testing.T) {
-	logits := tensor.MustFromSlice([]float32{
-		0.9, 0.1,
-		0.2, 0.8,
-		0.6, 0.4,
-	}, 3, 2)
-	if got := Accuracy(logits, []int{0, 1, 1}); math.Abs(got-2.0/3) > 1e-9 {
-		t.Errorf("Accuracy = %v, want 2/3", got)
-	}
-}
-
 func TestCollectParamsAndTotalMACs(t *testing.T) {
 	rng := tensor.NewRNG(8)
 	g := tensor.ConvGeom{InC: 1, InH: 4, InW: 4, KH: 3, KW: 3, Stride: 1, Pad: 1}

@@ -6,7 +6,7 @@ import "fmt"
 // float twin of ConvU8I8ImplicitInto. No full-batch patch matrix exists in
 // either direction. The unit of work is a sample band — the fewest whole
 // samples whose output positions reach f32BandCols columns, clamped to
-// the batch — and one pool task owns a band end to end:
+// the batch — and one band-driver task (runBands) owns a band end to end:
 //
 //   - forward gathers the band's patches straight into 16-wide column
 //     panels of a per-lane tile, runs the packed micro-kernels against the
@@ -85,34 +85,53 @@ type convLaneF32 struct {
 	stage []float32 // the band's zero-bordered input planes, one channel at a time
 }
 
-func growF32(buf []float32, n int) []float32 {
+// grow returns buf resized to n elements, reallocated only when its
+// capacity is short; contents are stale.
+func grow[T any](buf []T, n int) []T {
 	if cap(buf) < n {
-		return make([]float32, n)
+		return make([]T, n)
 	}
 	return buf[:n]
 }
 
-// lanesFor sizes the scratch for bands of bs samples and returns the lanes
-// of this call: one per worker, at most one per band.
-func (sc *ConvScratchF32) lanesFor(p *ConvPlanF32, bs, bands int, backward bool) []convLaneF32 {
-	nl := min(maxWorkers, bands)
+// bandsFor sizes the scratch for a batch of n — one lane per worker, at
+// most one per band — and returns the call's banding and band count.
+func (sc *ConvScratchF32) bandsFor(p *ConvPlanF32, n int, backward bool) (convBandsF32, int) {
+	bs := p.bandSamples(n)
+	bands := blocks(n, bs)
+	nl := bandLanes(bands)
 	if len(sc.lanes) < nl {
 		sc.lanes = append(sc.lanes, make([]convLaneF32, nl-len(sc.lanes))...)
 	}
 	ld := p.ld(bs)
 	for i := range sc.lanes[:nl] {
 		ln := &sc.lanes[i]
-		ln.tile = growF32(ln.tile, p.kdim*ld)
-		ln.prod = growF32(ln.prod, p.outC*ld)
-		ln.stage = growF32(ln.stage, p.g.stageLen(bs))
+		ln.tile = grow(ln.tile, p.kdim*ld)
+		ln.prod = grow(ln.prod, p.outC*ld)
+		ln.stage = grow(ln.stage, p.g.stageLen(bs))
 		if backward {
-			ln.doT = growF32(ln.doT, ld*p.tld)
+			ln.doT = grow(ln.doT, ld*p.tld)
 		}
 	}
 	if backward {
-		sc.part = growF32(sc.part, bands*p.partLen())
+		sc.part = grow(sc.part, bands*p.partLen())
 	}
-	return sc.lanes[:nl]
+	return convBandsF32{p: p, sc: sc, n: n, bs: bs}, bands
+}
+
+// convBandsF32 is what both float band jobs share: the plan, the scratch
+// and the banding of one call. The jobs stay within the 128 bytes a
+// closure captures by value, so the parallel path allocates no extra copy.
+type convBandsF32 struct {
+	p     *ConvPlanF32
+	sc    *ConvScratchF32
+	n, bs int
+}
+
+// task resolves task t on lane: the lane's scratch, the task's first
+// sample and its sample count.
+func (b convBandsF32) task(t, lane int) (ln *convLaneF32, i0, nb int) {
+	return &b.sc.lanes[lane], t * b.bs, min(b.bs, b.n-t*b.bs)
 }
 
 func (p *ConvPlanF32) check(op string, n, lenX, lenOut, lenW int) error {
@@ -133,9 +152,7 @@ func (p *ConvPlanF32) check(op string, n, lenX, lenOut, lenW int) error {
 
 // ConvF32ForwardInto computes out = conv(x, w) + bias for an NCHW batch of
 // n samples: x is (n, InC, InH, InW), w the (outC, kdim) weight matrix,
-// bias outC values or nil, out (n, outC, OH, OW), fully overwritten. The
-// serial path is a plain loop (a closure handed to the pool escapes to the
-// heap; a direct call does not).
+// bias outC values or nil, out (n, outC, OH, OW), fully overwritten.
 func ConvF32ForwardInto(out, x []float32, n int, w, bias []float32, p *ConvPlanF32, sc *ConvScratchF32) error {
 	if err := p.check("conv forward", n, len(x), len(out), len(w)); err != nil {
 		return err
@@ -143,40 +160,45 @@ func ConvF32ForwardInto(out, x []float32, n int, w, bias []float32, p *ConvPlanF
 	if bias != nil && len(bias) < p.outC {
 		return fmt.Errorf("%w: conv forward bias has %d elements, want >= %d", ErrShape, len(bias), p.outC)
 	}
-	bs := p.bandSamples(n)
-	bands := blocks(n, bs)
-	lanes := sc.lanesFor(p, bs, bands, false)
-	if len(lanes) == 1 {
-		for t := 0; t < bands; t++ {
-			p.forwardBand(&lanes[0], out, x, w, bias, t*bs, min(bs, n-t*bs))
-		}
-		return nil
-	}
-	ParallelForWorker(bands, func(t, lane int) {
-		p.forwardBand(&lanes[lane], out, x, w, bias, t*bs, min(bs, n-t*bs))
-	})
+	b, bands := sc.bandsFor(p, n, false)
+	runBands(convF32Fwd{convBandsF32: b, out: out, x: x, w: w, bias: bias}, bands, nil)
 	return nil
 }
 
-// forwardBand is the forward task of samples [i0, i0+nb). Tile columns
+// convF32Fwd is the forward band job (see the file comment). Tile columns
 // past the band's last position hold stale values: their lanes of the
 // product are computed and never copied out.
-func (p *ConvPlanF32) forwardBand(ln *convLaneF32, out, x, w, bias []float32, i0, nb int) {
-	s, ld := p.s, p.ld(nb)
-	im2colInto(ln.tile, x[i0*p.inSz:(i0+nb)*p.inSz], p.g, nb, 0, f32PanelCols, ln.stage)
+type convF32Fwd struct {
+	convBandsF32
+	out, x, w, bias []float32
+}
+
+func (j convF32Fwd) gather(t, lane int) {
+	ln, i0, nb := j.task(t, lane)
+	im2colInto(ln.tile, j.x[i0*j.p.inSz:(i0+nb)*j.p.inSz], j.p.g, nb, 0, f32PanelCols, ln.stage)
+}
+
+func (j convF32Fwd) compute(t, lane int) {
+	ln, _, nb := j.task(t, lane)
+	p, ld := j.p, j.p.ld(nb)
 	b := PackedF32{k: p.kdim, n: ld, pw: f32PanelCols, panels: ld / f32PanelCols, data: ln.tile}
-	matMulF32PackedSerial(ln.prod, w, &b, p.outC, p.kdim, 1)
+	matMulF32PackedSerial(ln.prod, j.w, &b, p.outC, p.kdim, 1)
+}
+
+func (j convF32Fwd) epilogue(t, lane int) {
+	ln, i0, nb := j.task(t, lane)
+	p, s, ld := j.p, j.p.s, j.p.ld(nb)
 	for il := 0; il < nb; il++ {
 		for oc := 0; oc < p.outC; oc++ {
 			src := ln.prod[oc*ld+il*s : oc*ld+(il+1)*s]
-			dst := out[((i0+il)*p.outC+oc)*s:][:s]
-			if bias == nil {
+			dst := j.out[((i0+il)*p.outC+oc)*s:][:s]
+			if j.bias == nil {
 				copy(dst, src)
 				continue
 			}
-			bv := bias[oc]
-			for j, v := range src {
-				dst[j] = v + bv
+			bv := j.bias[oc]
+			for k, v := range src {
+				dst[k] = v + bv
 			}
 		}
 	}
@@ -194,21 +216,11 @@ func ConvF32BackwardInto(dx, gw, gb, x, dout []float32, n int, w []float32, p *C
 	if gb != nil && len(gb) < p.outC {
 		return fmt.Errorf("%w: conv backward bias gradient has %d elements, want >= %d", ErrShape, len(gb), p.outC)
 	}
-	bs := p.bandSamples(n)
-	bands := blocks(n, bs)
-	lanes := sc.lanesFor(p, bs, bands, true)
-	pl := p.partLen()
-	if len(lanes) == 1 {
-		for t := 0; t < bands; t++ {
-			p.backwardBand(&lanes[0], sc.part[t*pl:(t+1)*pl], dx, x, dout, w, t*bs, min(bs, n-t*bs))
-		}
-	} else {
-		ParallelForWorker(bands, func(t, lane int) {
-			p.backwardBand(&lanes[lane], sc.part[t*pl:(t+1)*pl], dx, x, dout, w, t*bs, min(bs, n-t*bs))
-		})
-	}
+	b, bands := sc.bandsFor(p, n, true)
+	runBands(convF32Bwd{convBandsF32: b, dx: dx, x: x, dout: dout, w: w}, bands, nil)
 	// Band order, one accumulator per element: the same bytes whichever
 	// worker produced which partial.
+	pl := p.partLen()
 	for q := 0; q < p.kdim; q++ {
 		for oc := 0; oc < p.outC; oc++ {
 			var sum float32
@@ -228,12 +240,21 @@ func ConvF32BackwardInto(dx, gw, gb, x, dout []float32, n int, w []float32, p *C
 	return nil
 }
 
-// backwardBand is the backward task of samples [i0, i0+nb); part receives
-// the band's gradient partial.
-func (p *ConvPlanF32) backwardBand(ln *convLaneF32, part, dx, x, dout, w []float32, i0, nb int) {
-	s, kdim, outC := p.s, p.kdim, p.outC
+// convF32Bwd is the backward band job (see the file comment); task t's
+// gradient partial goes to partOf(t).
+type convF32Bwd struct {
+	convBandsF32
+	dx, x, dout, w []float32
+}
+
+// partOf is task t's gradient partial.
+func (j convF32Bwd) partOf(t int) []float32 { return j.sc.part[t*j.p.partLen():][:j.p.partLen()] }
+
+func (j convF32Bwd) gather(t, lane int) {
+	ln, i0, nb := j.task(t, lane)
+	p, s, outC, part := j.p, j.p.s, j.p.outC, j.partOf(t)
 	cols, ld := nb*s, p.ld(nb)
-	im2colInto(ln.tile, x[i0*p.inSz:(i0+nb)*p.inSz], p.g, nb, 0, ld, ln.stage) // patches, row-major at row stride ld
+	im2colInto(ln.tile, j.x[i0*p.inSz:(i0+nb)*p.inSz], p.g, nb, 0, ld, ln.stage) // patches, row-major at row stride ld
 	// One read of dout fills both packed forms — column panels for
 	// Wᵀ·dout, transposed panels for patches·doutᵀ — and the bias partial.
 	tpw := p.tpw
@@ -241,22 +262,31 @@ func (p *ConvPlanF32) backwardBand(ln *convLaneF32, part, dx, x, dout, w []float
 		var sum float32
 		dT := ln.doT[(oc/tpw)*cols*tpw+oc%tpw:]
 		for il := 0; il < nb; il++ {
-			src := dout[((i0+il)*outC+oc)*s:][:s]
+			src := j.dout[((i0+il)*outC+oc)*s:][:s]
 			putPanelRun(ln.prod, src, outC, oc, il*s)
-			for j, v := range src {
-				dT[(il*s+j)*tpw] = v
+			for k, v := range src {
+				dT[(il*s+k)*tpw] = v
 				sum += v
 			}
 		}
-		part[kdim*p.tld+oc] = sum
+		part[p.kdim*p.tld+oc] = sum
 	}
-	bt := PackedF32{k: cols, n: p.tld, pw: tpw, panels: p.tld / tpw, data: ln.doT}
-	matMulF32PackedSerial(part, ln.tile, &bt, kdim, ld, 1)
+}
+
+func (j convF32Bwd) compute(t, lane int) {
+	ln, _, nb := j.task(t, lane)
+	p, cols, ld := j.p, nb*j.p.s, j.p.ld(nb)
+	bt := PackedF32{k: cols, n: p.tld, pw: p.tpw, panels: p.tld / p.tpw, data: ln.doT}
+	matMulF32PackedSerial(j.partOf(t), ln.tile, &bt, p.kdim, ld, 1)
 	// The patches are spent: the tile becomes dcols = Wᵀ·dout, row q tap oc
 	// of the operand at w[oc·kdim+q].
-	bd := PackedF32{k: outC, n: ld, pw: f32PanelCols, panels: ld / f32PanelCols, data: ln.prod}
-	matMulF32PackedSerial(ln.tile, w, &bd, kdim, 1, kdim)
-	col2imInto(dx[i0*p.inSz:(i0+nb)*p.inSz], ln.tile, p.g, nb, 0, ld, ln.stage)
+	bd := PackedF32{k: p.outC, n: ld, pw: f32PanelCols, panels: ld / f32PanelCols, data: ln.prod}
+	matMulF32PackedSerial(ln.tile, j.w, &bd, p.kdim, 1, p.kdim)
+}
+
+func (j convF32Bwd) epilogue(t, lane int) {
+	ln, i0, nb := j.task(t, lane)
+	col2imInto(j.dx[i0*j.p.inSz:(i0+nb)*j.p.inSz], ln.tile, j.p.g, nb, 0, j.p.ld(nb), ln.stage)
 }
 
 // putPanelRun copies src into columns [j0, j0+len(src)) of row q of a

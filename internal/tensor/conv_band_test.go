@@ -270,9 +270,10 @@ func TestConvBandWeightGradMatchesWholeBatch(t *testing.T) {
 }
 
 // TestConvBandSteadyStateAllocs pins the arena contract of the driver: on
-// the serial path a warm forward+backward allocates nothing, and the
-// scratch of a warm layer is sized by the band — it does not grow with
-// the batch beyond the per-band gradient partials.
+// the serial path a warm forward+backward allocates nothing, on the
+// parallel path only the pool hand-off, and the scratch of a warm layer is
+// sized by the band — it does not grow with the batch beyond the per-band
+// gradient partials.
 func TestConvBandSteadyStateAllocs(t *testing.T) {
 	defer SetMaxWorkers(SetMaxWorkers(1))
 	g := ConvGeom{InC: 8, InH: 8, InW: 8, KH: 3, KW: 3, Stride: 1, Pad: 1}
@@ -304,6 +305,21 @@ func TestConvBandSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("warm serial forward+backward allocates %v objects/op, want 0", allocs)
+	}
+	// In parallel each call pays only the pool hand-off — the closure, the
+	// job and its done channel: a band job small enough to ride inside the
+	// closure costs no copy of its own.
+	SetMaxWorkers(2)
+	allocs = testing.AllocsPerRun(10, func() {
+		if err := ConvF32ForwardInto(big.out, big.x, big.n, big.w, big.bias, big.plan, &sc); err != nil {
+			t.Fatal(err)
+		}
+		if err := ConvF32BackwardInto(big.dx, big.gw, big.gb, big.x, big.dout, big.n, big.w, big.plan, &sc); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 6 {
+		t.Errorf("warm parallel forward+backward allocates %v objects/op, want <= 6", allocs)
 	}
 }
 

@@ -141,7 +141,7 @@ func TestBatchConvRoundTripGEMM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w2d := w.MustReshape(outC, g.InC*g.KH*g.KW)
+	w2d := MustFromSlice(w.Data(), outC, g.InC*g.KH*g.KW)
 	prod, err := MatMul(w2d, cols)
 	if err != nil {
 		t.Fatal(err)

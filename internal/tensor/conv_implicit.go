@@ -3,22 +3,19 @@ package tensor
 import (
 	"encoding/binary"
 	"fmt"
+	"time"
 )
 
 // Band-gather integer convolution: the int8 engine's one conv lowering.
 // The conv GEMM consumes NCHW uint8 activations in place; no patch matrix
 // is ever materialized.
 //
-// A batch-wide im2col would write N·OH·OW·C·KH·KW patch bytes to a
-// scratch arena and immediately stream them back — for the CIFAR-scale
-// serving models that buffer is multiple megabytes per call, so every
-// activation byte would round-trip RAM KH·KW times before the kernels
-// ever saw it. The driver instead walks the activation tensor directly
-// with the precomputed (tap, row, col) strides of a ConvPlanU8: output
-// positions are processed in bands of a few output rows, each band's
-// receptive fields gathered into a small per-worker buffer sized to stay
-// L1/L2-resident, and all weight panels run against the band while it is
-// hot. Out-of-bounds taps gather as the activation zero point, which
+// Output positions are processed in bands of a few output rows: each
+// band's receptive fields are gathered, with the precomputed strides of a
+// ConvPlanU8, into a small per-worker buffer sized to stay L1/L2-resident,
+// and all weight panels run against the band while it is hot (a batch-wide
+// im2col would round-trip every activation byte through RAM KH·KW times).
+// Out-of-bounds taps gather as the activation zero point, which
 // represents exact float zero, so the consuming GEMM needs no border
 // special-casing: subtracting Z_x·Σq_w over the full kernel is the exact
 // zero-point correction at every output position. 3×3 geometries gather
@@ -28,12 +25,9 @@ import (
 //
 // The micro-kernels are the packed GEMM's own: runPackedPanel dispatches
 // the same 4×8 fast/widening/edge kernels over the band with lda = kdim,
-// so SIMD and portable dispatch stay bit-identical.
-//
-// The serial path (one lane) is a plain loop that creates no ParallelFor
-// closure: the inference engine's zero-allocation contract counts on it
-// (a closure passed to ParallelFor escapes to the heap; a direct call
-// does not).
+// so SIMD and portable dispatch stay bit-identical. Each band task runs on
+// the band driver (band.go): gather, GEMM into the lane's int32 tile, and
+// — for a layer — requantize that tile into the NCHW output.
 
 // implicitBandTarget is the output-position count one gather band aims
 // for: enough rows that the 4-row micro-kernels amortize their panel
@@ -65,8 +59,7 @@ type ConvPlanU8 struct {
 	// unconditional word loads over every output column, no border or
 	// tail branches anywhere in the band.
 	srw   int // staged row width: InW + 2·Pad + word-load slack
-	sbr   int // staged rows per full band: (brows-1)·Stride + KH
-	stage int // staging strip bytes: InC·sbr·srw
+	stage int // staging strip bytes: InC · staged rows of a full band · srw
 }
 
 // NewConvPlanU8 builds the implicit-im2col schedule for a geometry.
@@ -89,19 +82,16 @@ func NewConvPlanU8(g ConvGeom) (*ConvPlanU8, error) {
 	for brows > 1 && brows*ow*kdim+stageBytes(brows) > implicitBandBytes {
 		brows--
 	}
-	if brows > oh {
-		brows = oh
-	}
+	brows = min(brows, oh)
 	p := &ConvPlanU8{
 		g: g, oh: oh, ow: ow,
 		kdim: kdim, xlo: xlo, xhi: xhi,
 		brows: brows,
 		bands: (oh + brows - 1) / brows,
+		stage: stageBytes(brows),
 	}
 	if fast3 {
 		p.srw = srw
-		p.sbr = (brows-1)*g.Stride + g.KH
-		p.stage = g.InC * p.sbr * srw
 	}
 	return p, nil
 }
@@ -112,10 +102,6 @@ func (p *ConvPlanU8) Geom() ConvGeom { return p.g }
 // Bands returns the number of gather bands per sample.
 func (p *ConvPlanU8) Bands() int { return p.bands }
 
-// BandRows returns the output rows gathered per band (the last band of a
-// sample may cover fewer).
-func (p *ConvPlanU8) BandRows() int { return p.brows }
-
 // BandLen returns the byte length of one gather lane: a full band of
 // patch rows, the 3 spare bytes the packed kernels may read past the
 // last row (they multiply zero weights; see PackedI8.PaddedK), and — for
@@ -124,85 +110,136 @@ func (p *ConvPlanU8) BandRows() int { return p.brows }
 func (p *ConvPlanU8) BandLen() int { return p.brows*p.ow*p.kdim + 3 + p.stage }
 
 // ConvU8I8ImplicitInto computes the conv GEMM acc = patches(src)·b for a
-// quantized NCHW batch (n samples, plan geometry) without materializing
-// the patch matrix: each (sample, output-row band) task gathers its
-// receptive fields into a lane of work and runs every weight panel of b
-// against the band in place. acc is the position-major accumulator
-// ((N·OH·OW, outC), fully overwritten), sample-major so batched results
-// are bit-identical to per-sample runs. Out-of-bounds taps read as pad
-// (the activation zero point). work provides the gather lanes:
-// min(MaxWorkers(), n·plan.Bands()) × plan.BandLen() bytes, owned by the
-// caller so steady-state calls allocate nothing.
+// quantized NCHW batch (n samples, plan geometry): each (sample,
+// output-row band) task gathers its receptive fields into a lane of work
+// and runs every weight panel of b against it. acc is the position-major
+// accumulator ((N·OH·OW, outC), fully overwritten). Out-of-bounds taps
+// read as pad (the activation zero point). work provides the gather lanes:
+// min(MaxWorkers(), n·plan.Bands()) × plan.BandLen() bytes.
 func ConvU8I8ImplicitInto(acc []int32, src []uint8, n int, b *PackedI8, p *ConvPlanU8, pad uint8, work []uint8) error {
+	if err := p.check(src, n, b); err != nil {
+		return err
+	}
+	if len(acc) < n*p.oh*p.ow*b.n {
+		return fmt.Errorf("%w: conv implicit acc has %d elements, want >= %d", ErrShape, len(acc), n*p.oh*p.ow*b.n)
+	}
+	tasks := n * p.bands
+	if lanes := bandLanes(tasks); len(work) < lanes*p.BandLen() {
+		return fmt.Errorf("%w: conv implicit work has %d bytes, want >= %d (%d lanes × %d)",
+			ErrShape, len(work), lanes*p.BandLen(), lanes, p.BandLen())
+	}
+	runBands(convU8Job{p: p, b: b, src: src, pad: pad, work: work, wl: p.BandLen(), acc: acc}, tasks, nil)
+	return nil
+}
+
+// ConvU8I8RequantInto is one quantized conv layer: the
+// ConvU8I8ImplicitInto GEMM, each band task requantizing its own int32
+// tile (RequantQ31Transpose with m0, rsh, corr, zp, lo) into the NCHW
+// output dst (n, outC, OH, OW) before its lane moves on, so no full-batch
+// accumulator exists. work and tile are the caller's lane arenas, grown
+// here as needed. A non-nil clock runs serially and accrues gather / GEMM
+// / requant time into clock[0..2]; the output bytes do not change.
+func ConvU8I8RequantInto(dst, src []uint8, n int, b *PackedI8, p *ConvPlanU8, pad uint8,
+	m0, rsh []int32, corr []int64, zp, lo int32, work *[]uint8, tile *[]int32, clock *[3]time.Duration) error {
+	if err := p.check(src, n, b); err != nil {
+		return err
+	}
+	if len(dst) < n*b.n*p.oh*p.ow {
+		return fmt.Errorf("%w: conv requant dst has %d elements, want >= %d", ErrShape, len(dst), n*b.n*p.oh*p.ow)
+	}
+	tasks := n * p.bands
+	lanes := bandLanes(tasks)
+	j := convU8Job{p: p, b: b, src: src, pad: pad, wl: p.BandLen(), tl: p.brows * p.ow * b.n,
+		dst: dst, m0: m0, rsh: rsh, corr: corr, zp: zp, lo: lo}
+	*work = grow(*work, lanes*j.wl)
+	*tile = grow(*tile, lanes*j.tl)
+	j.work, j.tile = *work, *tile
+	runBands(j, tasks, clock)
+	return nil
+}
+
+// check validates the operands both int8 entry points share.
+func (p *ConvPlanU8) check(src []uint8, n int, b *PackedI8) error {
 	if n <= 0 {
 		return fmt.Errorf("%w: conv implicit batch size %d", ErrShape, n)
 	}
 	if b.k != p.kdim {
 		return fmt.Errorf("%w: conv implicit packed k %d != plan kdim %d", ErrShape, b.k, p.kdim)
 	}
-	inSz := p.g.InC * p.g.InH * p.g.InW
-	if len(src) < n*inSz {
+	if inSz := p.g.InC * p.g.InH * p.g.InW; len(src) < n*inSz {
 		return fmt.Errorf("%w: conv implicit src has %d elements, want >= %d", ErrShape, len(src), n*inSz)
 	}
-	if len(acc) < n*p.oh*p.ow*b.n {
-		return fmt.Errorf("%w: conv implicit acc has %d elements, want >= %d", ErrShape, len(acc), n*p.oh*p.ow*b.n)
-	}
-	tasks := n * p.bands
-	lanes := maxWorkers
-	if lanes > tasks {
-		lanes = tasks
-	}
-	if len(work) < lanes*p.BandLen() {
-		return fmt.Errorf("%w: conv implicit work has %d bytes, want >= %d (%d lanes × %d)",
-			ErrShape, len(work), lanes*p.BandLen(), lanes, p.BandLen())
-	}
-	if lanes == 1 {
-		buf := work[:p.BandLen()]
-		for t := 0; t < tasks; t++ {
-			m := p.GatherBandInto(buf, src, pad, t)
-			p.GEMMBand(acc, buf, b, t, m)
-		}
-		return nil
-	}
-	bl := p.BandLen()
-	ParallelForWorker(tasks, func(t, lane int) {
-		buf := work[lane*bl : (lane+1)*bl]
-		m := p.GatherBandInto(buf, src, pad, t)
-		p.GEMMBand(acc, buf, b, t, m)
-	})
 	return nil
+}
+
+// convU8Job is the int8 band job: lane l gathers into work[l·wl:] and
+// accumulates into tile[l·tl:], which the epilogue requantizes into dst —
+// or, with acc set, into the band's rows of that full accumulator, with no
+// epilogue.
+type convU8Job struct {
+	p       *ConvPlanU8
+	b       *PackedI8
+	src     []uint8
+	pad     uint8
+	work    []uint8
+	wl      int // gather lane stride, >= BandLen()
+	acc     []int32
+	tile    []int32
+	tl      int // tile lane stride, >= one band's positions × outC
+	dst     []uint8
+	m0, rsh []int32
+	corr    []int64
+	zp, lo  int32
+}
+
+func (j convU8Job) gather(t, lane int) {
+	j.p.gatherBand(j.work[lane*j.wl:][:j.p.BandLen()], j.src, j.pad, t)
+}
+
+func (j convU8Job) compute(t, lane int) {
+	p, b := j.p, j.b
+	i, oy0, oy1 := p.bandSpan(t)
+	d := j.tile[lane*j.tl:]
+	if j.acc != nil {
+		d = j.acc[(i*p.oh+oy0)*p.ow*b.n:]
+	}
+	buf := j.work[lane*j.wl:]
+	for pi := 0; pi < b.panels; pi++ {
+		runPackedPanel(d, buf, b, pi, (oy1-oy0)*p.ow, p.kdim, b.n)
+	}
+}
+
+func (j convU8Job) epilogue(t, lane int) {
+	if j.acc != nil {
+		return
+	}
+	p, nc := j.p, j.b.n
+	i, oy0, oy1 := p.bandSpan(t)
+	sp := p.oh * p.ow
+	RequantQ31Transpose(j.dst[i*nc*sp+oy0*p.ow:], j.tile[lane*j.tl:], j.m0, j.rsh, j.corr, j.zp, j.lo,
+		(oy1-oy0)*p.ow, nc, nc, sp)
 }
 
 // bandSpan resolves task t into its sample index and output-row range.
 func (p *ConvPlanU8) bandSpan(t int) (i, oy0, oy1 int) {
-	i, band := t/p.bands, t%p.bands
-	oy0 = band * p.brows
-	oy1 = oy0 + p.brows
-	if oy1 > p.oh {
-		oy1 = p.oh
-	}
-	return i, oy0, oy1
+	i, oy0 = t/p.bands, t%p.bands*p.brows
+	return i, oy0, min(oy0+p.brows, p.oh)
 }
 
-// GatherBandInto packs task t's receptive fields (sample t/Bands(),
-// band t%Bands() of its output rows) into buf and returns the band's
-// position count m. It is one half of ConvU8I8ImplicitInto's band task,
-// exported (with GEMMBand) so the serving engine's profiled forward can
-// time the gather and the GEMM separately; the driver entry point is the
-// validated way in, and buf must hold BandLen() bytes.
-func (p *ConvPlanU8) GatherBandInto(buf, src []uint8, pad uint8, t int) int {
+// gatherBand packs task t's receptive fields (sample t/Bands(), band
+// t%Bands() of its output rows) into buf, a BandLen()-byte lane.
+func (p *ConvPlanU8) gatherBand(buf, src []uint8, pad uint8, t int) {
 	i, oy0, oy1 := p.bandSpan(t)
 	inSz := p.g.InC * p.g.InH * p.g.InW
 	img := src[i*inSz : (i+1)*inSz]
 	if p.stage != 0 {
 		p.gatherBand3(buf, img, pad, oy0, oy1)
-		return (oy1 - oy0) * p.ow
+		return
 	}
 	rowLen := p.ow * p.kdim
 	for oy := oy0; oy < oy1; oy++ {
 		im2colU8PatchRow(buf[(oy-oy0)*rowLen:][:rowLen], img, p.g, pad, oy, p.xlo, p.xhi)
 	}
-	return (oy1 - oy0) * p.ow
 }
 
 // im2colXRange computes the interior output-column range [xlo, xhi] of a
@@ -416,16 +453,5 @@ func (p *ConvPlanU8) gatherBand3(buf, img []uint8, pad uint8, oy0, oy1 int) {
 				sx += g.Stride
 			}
 		}
-	}
-}
-
-// GEMMBand runs every weight panel of b against task t's gathered band
-// (m positions in buf), writing the band's rows of the position-major
-// accumulator. See GatherBandInto.
-func (p *ConvPlanU8) GEMMBand(acc []int32, buf []uint8, b *PackedI8, t, m int) {
-	i, oy0, _ := p.bandSpan(t)
-	d := acc[(i*p.oh+oy0)*p.ow*b.n:]
-	for pi := 0; pi < b.panels; pi++ {
-		runPackedPanel(d, buf, b, pi, m, p.kdim, b.n)
 	}
 }

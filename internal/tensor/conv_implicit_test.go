@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 )
 
 // naiveConvAccRef computes the position-major conv accumulator
@@ -273,16 +274,13 @@ func TestGatherBand3MatchesNaive(t *testing.T) {
 					for i := range buf {
 						buf[i] = 0xA5 // stale lane bytes must not leak through
 					}
-					m := plan.GatherBandInto(buf, src, pad, task)
+					plan.gatherBand(buf, src, pad, task)
 					i, oy0, oy1 := plan.bandSpan(task)
 					img := src[i*g.InC*g.InH*g.InW:][:g.InC*g.InH*g.InW]
 					for oy := oy0; oy < oy1; oy++ {
 						naiveGatherRow(want[(oy-oy0)*rowLen:][:rowLen], img, g, pad, oy, plan.ow)
 					}
-					if m != (oy1-oy0)*plan.ow {
-						t.Fatalf("task %d: m = %d, want %d", task, m, (oy1-oy0)*plan.ow)
-					}
-					for j := 0; j < m*kdim; j++ {
+					for j := 0; j < (oy1-oy0)*rowLen; j++ {
 						if buf[j] != want[j] {
 							t.Fatalf("task %d: staged byte %d = %d, naive %d", task, j, buf[j], want[j])
 						}
@@ -353,6 +351,30 @@ func TestConvImplicitErrors(t *testing.T) {
 	if err := ConvU8I8ImplicitInto(acc, src, 2, wrongK, plan, 0, work); err == nil {
 		t.Error("mismatched packed k did not error")
 	}
+	one := []int32{1 << 30, 1 << 30, 1 << 30, 1 << 30}
+	rsh := []int32{31, 31, 31, 31}
+	corr := make([]int64, 4)
+	var lanes []uint8
+	var tile []int32
+	requant := func(dst, src []uint8, n int, b *PackedI8) error {
+		return ConvU8I8RequantInto(dst, src, n, b, plan, 0, one, rsh, corr, 0, 0, &lanes, &tile, nil)
+	}
+	dst := make([]uint8, 2*oh*ow*4)
+	if err := requant(dst, src, 2, packed); err != nil {
+		t.Errorf("valid requant conv: %v", err)
+	}
+	if err := requant(dst[:5], src, 2, packed); err == nil {
+		t.Error("short requant dst did not error")
+	}
+	if err := requant(dst, src[:5], 2, packed); err == nil {
+		t.Error("short requant src did not error")
+	}
+	if err := requant(dst, src, 0, packed); err == nil {
+		t.Error("zero requant batch did not error")
+	}
+	if err := requant(dst, src, 2, wrongK); err == nil {
+		t.Error("mismatched requant packed k did not error")
+	}
 	if _, err := NewConvPlanU8(ConvGeom{InC: 1, InH: 2, InW: 2, KH: 5, KW: 5, Stride: 1, Pad: 0}); err == nil {
 		t.Error("degenerate geometry did not error")
 	}
@@ -360,7 +382,7 @@ func TestConvImplicitErrors(t *testing.T) {
 
 // TestConvImplicitSerialPathAllocs pins the zero-allocation contract of
 // the serial driver: plan, packed weights and work lanes are built once;
-// the per-call path allocates nothing.
+// the per-call path allocates nothing, with or without the band epilogue.
 func TestConvImplicitSerialPathAllocs(t *testing.T) {
 	g := ConvGeom{InC: 4, InH: 12, InW: 12, KH: 3, KW: 3, Stride: 1, Pad: 1}
 	n, outC := 2, 8
@@ -391,4 +413,191 @@ func TestConvImplicitSerialPathAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("serial implicit conv allocates %v objects per call, want 0", allocs)
 	}
+	c := newConvRequantCase(t, 9, g, n, outC, true)
+	var lanes []uint8
+	var tile []int32
+	dst := c.run(t, &lanes, &tile, nil) // warm the arenas
+	allocs = testing.AllocsPerRun(20, func() {
+		if err := ConvU8I8RequantInto(dst, c.src, n, c.packed, c.plan, c.pad,
+			c.m0, c.rsh, c.corr, c.zp, c.lo, &lanes, &tile, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("serial requant conv allocates %v objects per call, want 0", allocs)
+	}
+}
+
+// convRequantCase is one quantized conv layer: payload, weights and Q31
+// requantization parameters drawn from a seed, scaled so the outputs
+// spread over the uint8 range instead of saturating.
+type convRequantCase struct {
+	plan     *ConvPlanU8
+	packed   *PackedI8
+	n, outC  int
+	src      []uint8
+	pad      uint8
+	m0, rsh  []int32
+	corr     []int64
+	zp, lo   int32
+	outBytes int
+}
+
+func newConvRequantCase(t *testing.T, seed int64, g ConvGeom, n, outC int, relu bool) *convRequantCase {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	plan, err := NewConvPlanU8(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &convRequantCase{plan: plan, n: n, outC: outC, pad: uint8(rng.Intn(256)),
+		src: make([]uint8, n*g.InC*g.InH*g.InW), outBytes: n * outC * plan.oh * plan.ow,
+		m0: make([]int32, outC), rsh: make([]int32, outC), corr: make([]int64, outC), zp: int32(rng.Intn(256))}
+	for i := range c.src {
+		c.src[i] = uint8(rng.Intn(256))
+	}
+	wt := make([]int8, outC*plan.kdim)
+	for i := range wt {
+		wt[i] = int8(rng.Intn(255) - 127)
+	}
+	if c.packed, err = PackI8PanelsBT(wt, plan.kdim, outC); err != nil {
+		t.Fatal(err)
+	}
+	for ch := 0; ch < outC; ch++ {
+		c.m0[ch] = 1<<30 + rng.Int31n(1<<30)
+		c.rsh[ch] = 40 + rng.Int31n(4)
+		c.corr[ch] = rng.Int63n(1<<18) - 1<<17
+	}
+	if relu {
+		c.lo = c.zp
+	}
+	return c
+}
+
+// oracle is the two-pass path the band epilogue replaced: the full-batch
+// accumulator from ConvU8I8ImplicitInto, then one RequantQ31Transpose per
+// sample.
+func (c *convRequantCase) oracle(t *testing.T) []uint8 {
+	t.Helper()
+	sp := c.plan.oh * c.plan.ow
+	acc := make([]int32, c.n*sp*c.outC)
+	if err := ConvU8I8ImplicitInto(acc, c.src, c.n, c.packed, c.plan, c.pad, implicitWork(c.plan, c.n*c.plan.Bands())); err != nil {
+		t.Fatal(err)
+	}
+	out := make([]uint8, c.outBytes)
+	for i := 0; i < c.n; i++ {
+		RequantQ31Transpose(out[i*c.outC*sp:], acc[i*sp*c.outC:], c.m0, c.rsh, c.corr, c.zp, c.lo, sp, c.outC, c.outC, sp)
+	}
+	return out
+}
+
+// run is the band epilogue through its entry point; dst starts poisoned.
+func (c *convRequantCase) run(t *testing.T, work *[]uint8, tile *[]int32, clock *[3]time.Duration) []uint8 {
+	t.Helper()
+	dst := make([]uint8, c.outBytes)
+	for i := range dst {
+		dst[i] = 0xA5
+	}
+	if err := ConvU8I8RequantInto(dst, c.src, c.n, c.packed, c.plan, c.pad,
+		c.m0, c.rsh, c.corr, c.zp, c.lo, work, tile, clock); err != nil {
+		t.Fatal(err)
+	}
+	return dst
+}
+
+// Guard regions of the canaried run: before the first lane and after
+// every lane of the gather arena and of the tile arena.
+const (
+	guardBytes = 64
+	guardWords = 16
+	canaryByte = 0x5A
+	canaryWord = int32(-0x21524111) // 0xDEADBEEF
+)
+
+// runCanaried runs the band job with a guard region around every lane's
+// gather buffer and int32 tile and fails if the call touched one.
+func (c *convRequantCase) runCanaried(t *testing.T) []uint8 {
+	t.Helper()
+	p := c.plan
+	tasks := c.n * p.Bands()
+	lanes := bandLanes(tasks)
+	bl, tl := p.BandLen(), p.brows*p.ow*c.outC
+	j := convU8Job{p: p, b: c.packed, src: c.src, pad: c.pad, wl: bl + guardBytes, tl: tl + guardWords,
+		dst: make([]uint8, c.outBytes), m0: c.m0, rsh: c.rsh, corr: c.corr, zp: c.zp, lo: c.lo}
+	work := make([]uint8, guardBytes+lanes*j.wl)
+	tile := make([]int32, guardWords+lanes*j.tl)
+	for i := range work {
+		work[i] = canaryByte
+	}
+	for i := range tile {
+		tile[i] = canaryWord
+	}
+	j.work, j.tile = work[guardBytes:], tile[guardWords:]
+	runBands(j, tasks, nil)
+	inLane := func(off, stride, length int) bool { return off >= 0 && off%stride < length }
+	for i, v := range work {
+		if v != canaryByte && !inLane(i-guardBytes, j.wl, bl) {
+			t.Fatalf("gather arena byte %d (lane stride %d, band %d bytes) overwritten: %#x", i-guardBytes, j.wl, bl, v)
+		}
+	}
+	for i, v := range tile {
+		if v != canaryWord && !inLane(i-guardWords, j.tl, tl) {
+			t.Fatalf("tile arena word %d (lane stride %d, tile %d words) overwritten: %d", i-guardWords, j.tl, tl, v)
+		}
+	}
+	return j.dst
+}
+
+// TestConvRequantBandsMatchTwoPass pins the band epilogue byte for byte
+// against the two-pass oracle on both dispatches at 1/2/3/8 workers, with
+// and without the ReLU floor, through the entry point (arenas reused across
+// worker counts, as an engine scratch is), through the canaried job, and
+// serially under the phase clock.
+func TestConvRequantBandsMatchTwoPass(t *testing.T) {
+	cases := []struct {
+		name string
+		g    ConvGeom
+		n    int
+	}{
+		{"3x3_s1_ragged", ConvGeom{InC: 4, InH: 13, InW: 13, KH: 3, KW: 3, Stride: 1, Pad: 1}, 3},
+		{"3x3_s2", ConvGeom{InC: 4, InH: 13, InW: 13, KH: 3, KW: 3, Stride: 2, Pad: 1}, 4},
+		{"1x1_s2", ConvGeom{InC: 6, InH: 12, InW: 12, KH: 1, KW: 1, Stride: 2, Pad: 0}, 5},
+		{"5x5", ConvGeom{InC: 3, InH: 11, InW: 11, KH: 5, KW: 5, Stride: 1, Pad: 2}, 2},
+		{"3x3_ragged_last_band", ConvGeom{InC: 8, InH: 20, InW: 16, KH: 3, KW: 3, Stride: 1, Pad: 1}, 2},
+		{"3x3_batch1", ConvGeom{InC: 3, InH: 16, InW: 16, KH: 3, KW: 3, Stride: 1, Pad: 1}, 1},
+	}
+	eachDispatch(t, func(t *testing.T) {
+		for ci, tc := range cases {
+			for _, relu := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s_relu%v", tc.name, relu), func(t *testing.T) {
+					c := newConvRequantCase(t, int64(60+ci), tc.g, tc.n, 10, relu)
+					if oh := c.plan.oh; tc.name == "3x3_ragged_last_band" && oh%c.plan.brows == 0 {
+						t.Fatalf("fixture lost its ragged band: %d rows in bands of %d", oh, c.plan.brows)
+					}
+					want := c.oracle(t)
+					same := func(how string, got []uint8) {
+						t.Helper()
+						for i := range want {
+							if got[i] != want[i] {
+								t.Fatalf("%s: byte %d = %d, two-pass %d", how, i, got[i], want[i])
+							}
+						}
+					}
+					var work []uint8
+					var tile []int32
+					for _, workers := range []int{1, 2, 3, 8} {
+						prev := SetMaxWorkers(workers)
+						same(fmt.Sprintf("workers=%d", workers), c.run(t, &work, &tile, nil))
+						same(fmt.Sprintf("workers=%d canaried", workers), c.runCanaried(t))
+						SetMaxWorkers(prev)
+					}
+					var clock [3]time.Duration
+					same("phase clock", c.run(t, &work, &tile, &clock))
+					if clock[0] <= 0 || clock[1] <= 0 || clock[2] <= 0 {
+						t.Fatalf("phase clock left a hook untimed: %v", clock)
+					}
+				})
+			}
+		}
+	})
 }

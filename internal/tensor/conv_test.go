@@ -66,19 +66,17 @@ func TestIm2ColGEMMMatchesDirectProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		cols, err := im2colBatch(img.MustReshape(1, g.InC, g.InH, g.InW), g)
+		cols, err := im2colBatch(MustFromSlice(img.Data(), 1, g.InC, g.InH, g.InW), g)
 		if err != nil {
 			return false
 		}
-		w2d := w.MustReshape(outC, g.InC*g.KH*g.KW)
+		w2d := MustFromSlice(w.Data(), outC, g.InC*g.KH*g.KW)
 		prod, err := MatMul(w2d, cols)
 		if err != nil {
 			return false
 		}
-		oh, ow := g.OutHW()
-		gemm := prod.MustReshape(outC, oh, ow)
-		for i := range gemm.Data() {
-			if math.Abs(float64(gemm.Data()[i]-direct.Data()[i])) > 1e-3 {
+		for i, v := range prod.Data() {
+			if math.Abs(float64(v-direct.Data()[i])) > 1e-3 {
 				return false
 			}
 		}

@@ -19,7 +19,7 @@ func benchPackedOperandsConv(b *testing.B) (a []uint8, pb *PackedI8, m, lda int)
 
 func BenchmarkMatMulU8I8Packed(b *testing.B) {
 	a, pb, m, lda := benchPackedOperandsConv(b)
-	dst := make([]int32, m*pb.Cols())
+	dst := make([]int32, m*pb.n)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -33,7 +33,7 @@ func BenchmarkMatMulU8I8PackedPortable(b *testing.B) {
 	a, pb, m, lda := benchPackedOperandsConv(b)
 	prev := SetSIMD(false)
 	defer SetSIMD(prev)
-	dst := make([]int32, m*pb.Cols())
+	dst := make([]int32, m*pb.n)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -39,28 +39,13 @@ type PackedI8 struct {
 	kq     int // k quads: ceil(k/4)
 	panels int // column panels: ceil(n/8)
 	data   []int8
-	sat    bool   // some even k-pair can saturate the int16 fast kernel
-	satp   []bool // the same hazard, resolved per 8-column panel
+	satp   []bool // per 8-column panel: some even k-pair can saturate the int16 fast kernel
 }
-
-// Rows returns the packed matrix's k (inner) dimension.
-func (p *PackedI8) Rows() int { return p.k }
-
-// Cols returns the packed matrix's n (output) dimension.
-func (p *PackedI8) Cols() int { return p.n }
 
 // PaddedK returns k rounded up to the kernel's 4-tap quad size. A GEMM
 // operand row must be addressable for PaddedK bytes (see
 // MatMulU8I8PackedInto); the padding taps multiply zero weights.
 func (p *PackedI8) PaddedK() int { return 4 * p.kq }
-
-// Saturating reports whether some adjacent even-aligned k-pair of weights
-// could overflow the saturating int16 SIMD kernel against a 255
-// activation (|w₀|+|w₁| > 128). The hazard is tracked per 8-column panel
-// — only the affected panels run the exact widening kernel, the rest keep
-// the fast one — and this reports the OR over all panels. Results are
-// identical either way.
-func (p *PackedI8) Saturating() bool { return p.sat }
 
 // SizeBytes returns the packed storage footprint.
 func (p *PackedI8) SizeBytes() int { return len(p.data) }
@@ -129,7 +114,6 @@ func packI8(bt []int8, k, n int) *PackedI8 {
 			}
 			if sum > 128 {
 				p.satp[pi] = true
-				p.sat = true
 				break
 			}
 		}

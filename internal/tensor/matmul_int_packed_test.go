@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -81,8 +82,8 @@ func TestPackI8PanelsLayoutAndErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pb.Rows() != 5 || pb.Cols() != 3 || pb.PaddedK() != 8 {
-		t.Fatalf("pack geometry: rows %d cols %d paddedK %d", pb.Rows(), pb.Cols(), pb.PaddedK())
+	if pb.k != 5 || pb.n != 3 || pb.PaddedK() != 8 {
+		t.Fatalf("pack geometry: rows %d cols %d paddedK %d", pb.k, pb.n, pb.PaddedK())
 	}
 	if pb.SizeBytes() != 2*32 {
 		t.Fatalf("SizeBytes = %d, want 64", pb.SizeBytes())
@@ -138,8 +139,8 @@ func TestPackI8SaturationFlag(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		if pb.Saturating() != c.sat {
-			t.Errorf("%s: Saturating() = %v, want %v", c.name, pb.Saturating(), c.sat)
+		if saturating(pb) != c.sat {
+			t.Errorf("%s: saturating = %v, want %v", c.name, saturating(pb), c.sat)
 		}
 	}
 }
@@ -200,7 +201,7 @@ func TestPackedSaturationAdversarial(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !pb.Saturating() {
+			if !saturating(pb) {
 				t.Fatalf("pattern %v: pack did not flag the saturation hazard", pat)
 			}
 			want := naivePackedRef(a, k, bt, m, k, n)
@@ -240,7 +241,7 @@ func TestPackedFastPathStaysExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if pb.Saturating() {
+		if saturating(pb) {
 			t.Fatal("boundary weights must stay on the fast kernel")
 		}
 		want := naivePackedRef(a, k, bt, m, k, n)
@@ -288,7 +289,7 @@ func TestPackedFuzzAgainstNaive(t *testing.T) {
 			for i := range want {
 				if got[i] != want[i] {
 					t.Fatalf("trial %d (m=%d k=%d n=%d lda=%d sat=%v): got[%d] = %d, want %d",
-						trial, m, k, n, lda, pb.Saturating(), i, got[i], want[i])
+						trial, m, k, n, lda, saturating(pb), i, got[i], want[i])
 				}
 			}
 		}
@@ -371,6 +372,10 @@ func TestPackedSerialPathAllocs(t *testing.T) {
 	}
 }
 
+// saturating reports whether any panel of pb routes to the exact widening
+// kernel.
+func saturating(pb *PackedI8) bool { return slices.Contains(pb.satp, true) }
+
 func ExamplePackI8PanelsBT() {
 	// Two output columns of three weights each, in the (n, k) layout
 	// weight tensors use; activations with row stride 4 > k exercise the
@@ -380,6 +385,6 @@ func ExamplePackI8PanelsBT() {
 	a := []uint8{1, 1, 1, 0, 2, 2, 2, 0, 0, 0, 0} // 2 rows, lda 4, +3 pad
 	dst := make([]int32, 2*2)
 	_ = MatMulU8I8PackedInto(dst, a, pb, 2, 4)
-	fmt.Println(dst, pb.Saturating())
+	fmt.Println(dst, saturating(pb))
 	// Output: [6 -6 12 -12] false
 }

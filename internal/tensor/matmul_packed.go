@@ -73,20 +73,6 @@ type PackedF32 struct {
 	data   []float32
 }
 
-// Rows returns the packed matrix's k (inner) dimension.
-func (p *PackedF32) Rows() int { return p.k }
-
-// Cols returns the packed matrix's n (output) dimension.
-func (p *PackedF32) Cols() int { return p.n }
-
-// PanelWidth returns the column-panel width the pack chose (16, or 8
-// for narrow matrices), which selects the micro-kernel pair the GEMM
-// runs.
-func (p *PackedF32) PanelWidth() int { return p.pw }
-
-// SizeBytes returns the packed storage footprint.
-func (p *PackedF32) SizeBytes() int { return 4 * len(p.data) }
-
 // PackF32PanelsB packs a row-major (k, n) matrix into fresh column
 // panels.
 func PackF32PanelsB(b []float32, k, n int) (*PackedF32, error) {

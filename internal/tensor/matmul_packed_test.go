@@ -67,12 +67,12 @@ func TestPackF32PanelsLayoutAndErrors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if pb.Rows() != tc.k || pb.Cols() != tc.n || pb.PanelWidth() != tc.pw || pb.panels != tc.panels {
+		if pb.k != tc.k || pb.n != tc.n || pb.pw != tc.pw || pb.panels != tc.panels {
 			t.Fatalf("n=%d pack geometry: rows %d cols %d pw %d panels %d, want (%d,%d,%d,%d)",
-				tc.n, pb.Rows(), pb.Cols(), pb.PanelWidth(), pb.panels, tc.k, tc.n, tc.pw, tc.panels)
+				tc.n, pb.k, pb.n, pb.pw, pb.panels, tc.k, tc.n, tc.pw, tc.panels)
 		}
-		if pb.SizeBytes() != 4*tc.panels*tc.k*tc.pw {
-			t.Fatalf("n=%d SizeBytes = %d, want %d", tc.n, pb.SizeBytes(), 4*tc.panels*tc.k*tc.pw)
+		if len(pb.data) != tc.panels*tc.k*tc.pw {
+			t.Fatalf("n=%d packed %d floats, want %d", tc.n, len(pb.data), tc.panels*tc.k*tc.pw)
 		}
 		pw := tc.pw
 		for pi := 0; pi < tc.panels; pi++ {
@@ -231,8 +231,8 @@ func TestMatMulF32PackedNarrowSweep(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if pb.PanelWidth() != f32PanelColsNarrow {
-					t.Fatalf("n=%d: panel width %d, want %d", n, pb.PanelWidth(), f32PanelColsNarrow)
+				if pb.pw != f32PanelColsNarrow {
+					t.Fatalf("n=%d: panel width %d, want %d", n, pb.pw, f32PanelColsNarrow)
 				}
 				want := naiveF32Ref(a, lda, b, m, k, n)
 				got := make([]float32, m*n)
@@ -428,8 +428,8 @@ func TestMatMulU8I8PackedRemainderRows(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if pb.Saturating() != sat {
-					t.Fatalf("m=%d: Saturating() = %v, want %v", m, pb.Saturating(), sat)
+				if saturating(pb) != sat {
+					t.Fatalf("m=%d: saturating = %v, want %v", m, saturating(pb), sat)
 				}
 				want := naivePackedRef(a, lda, bt, m, k, n)
 				got := make([]int32, m*n)

@@ -27,46 +27,10 @@ func (t *Tensor) Sub(o *Tensor) error {
 	return nil
 }
 
-// Mul multiplies t by o element-wise, in place.
-func (t *Tensor) Mul(o *Tensor) error {
-	if !t.SameShape(o) {
-		return fmt.Errorf("%w: mul %v by %v", ErrShape, o.shape, t.shape)
-	}
-	for i, v := range o.data {
-		t.data[i] *= v
-	}
-	return nil
-}
-
 // Scale multiplies every element by s, in place.
 func (t *Tensor) Scale(s float32) {
 	for i := range t.data {
 		t.data[i] *= s
-	}
-}
-
-// AddScalar adds s to every element, in place.
-func (t *Tensor) AddScalar(s float32) {
-	for i := range t.data {
-		t.data[i] += s
-	}
-}
-
-// AxpyFrom computes t += alpha * o, in place.
-func (t *Tensor) AxpyFrom(alpha float32, o *Tensor) error {
-	if !t.SameShape(o) {
-		return fmt.Errorf("%w: axpy %v into %v", ErrShape, o.shape, t.shape)
-	}
-	for i, v := range o.data {
-		t.data[i] += alpha * v
-	}
-	return nil
-}
-
-// Apply replaces every element x with f(x), in place.
-func (t *Tensor) Apply(f func(float32) float32) {
-	for i, v := range t.data {
-		t.data[i] = f(v)
 	}
 }
 
@@ -117,15 +81,6 @@ func (t *Tensor) MinMax() (min, max float32) {
 	return min, max
 }
 
-// L2Norm returns the Euclidean norm of the flattened tensor.
-func (t *Tensor) L2Norm() float64 {
-	var s float64
-	for _, v := range t.data {
-		s += float64(v) * float64(v)
-	}
-	return math.Sqrt(s)
-}
-
 // ArgMaxRow returns, for a 2-D tensor, the column index of the maximum in
 // row r.
 func (t *Tensor) ArgMaxRow(r int) int {
@@ -154,15 +109,4 @@ func (t *Tensor) HasNaN() bool {
 		}
 	}
 	return false
-}
-
-// ClampInPlace limits every element to [lo, hi].
-func (t *Tensor) ClampInPlace(lo, hi float32) {
-	for i, v := range t.data {
-		if v < lo {
-			t.data[i] = lo
-		} else if v > hi {
-			t.data[i] = hi
-		}
-	}
 }

@@ -87,13 +87,6 @@ func (t *Tensor) FillNormal(rng *RNG, mean, std float32) {
 	}
 }
 
-// FillUniform fills t with uniform samples in [lo, hi).
-func (t *Tensor) FillUniform(rng *RNG, lo, hi float32) {
-	for i := range t.data {
-		t.data[i] = lo + (hi-lo)*rng.Float32()
-	}
-}
-
 // FillHeNormal applies the He et al. (2015) initialization used by the
 // paper: N(0, sqrt(2/fanIn)).
 func (t *Tensor) FillHeNormal(rng *RNG, fanIn int) {

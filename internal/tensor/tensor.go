@@ -138,16 +138,6 @@ func (t *Tensor) Reshape(shape ...int) (*Tensor, error) {
 	return &Tensor{shape: s, data: t.data}, nil
 }
 
-// MustReshape is Reshape that panics on error; for statically-correct
-// internal call sites.
-func (t *Tensor) MustReshape(shape ...int) *Tensor {
-	r, err := t.Reshape(shape...)
-	if err != nil {
-		panic(err)
-	}
-	return r
-}
-
 // SameShape reports whether t and o have identical shapes.
 func (t *Tensor) SameShape(o *Tensor) bool {
 	if len(t.shape) != len(o.shape) {

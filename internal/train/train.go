@@ -138,26 +138,6 @@ func (h *History) NormalizedSize() float64 {
 	return float64(peak) / float64(h.FP32SizeBits)
 }
 
-// EnergyToAccuracy returns the cumulative energy at the first epoch whose
-// test accuracy reaches target, normalized to the fp32 reference of the
-// same epoch count, and whether the target was reached (Figure 4's
-// quantity). The fp32 reference is pro-rated to the epochs actually spent.
-func (h *History) EnergyToAccuracy(target float64) (norm float64, reached bool) {
-	if len(h.Epochs) == 0 || h.FP32Energy == 0 {
-		return 0, false
-	}
-	perEpochRef := h.FP32Energy / float64(len(h.Epochs))
-	for _, e := range h.Epochs {
-		if e.TestAcc >= target {
-			// Pro-rate the reference to the epochs actually spent: an fp32
-			// run of the same geometry would have used perEpochRef·(e+1)
-			// by this point, not the full-run FP32Energy.
-			return e.CumEnergy / (perEpochRef * float64(e.Epoch+1)), true
-		}
-	}
-	return 0, false
-}
-
 // EnergyAtEpochTo returns cumulative energy at the first epoch reaching
 // target without normalization.
 func (h *History) EnergyAtEpochTo(target float64) (cum float64, epoch int, reached bool) {

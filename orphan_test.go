@@ -12,31 +12,39 @@ import (
 	"testing"
 )
 
-// orphanAllowed lists exported functions of the guarded packages that no
-// non-test file references and that stay anyway; each entry names the
-// tests that need the function.
+// orphanAllowed lists exported functions ("pkg.Func") and methods
+// ("pkg.Type.Method") of the internal packages that no non-test file
+// references and that stay anyway; each entry names the tests that need
+// it or the standard-library interface it satisfies.
 var orphanAllowed = map[string]string{
-	// Test hooks, exported because suites outside internal/tensor use
-	// them too: eachDispatch and the worker-count suites in tensor,
-	// TestEngineForwardSIMDPortableIdentical and the alloc pins in infer,
-	// the arena tests in nn.
+	// Test hooks and helpers, exported because suites outside their
+	// package use them too: eachDispatch and the worker-count suites in
+	// tensor, TestEngineForwardSIMDPortableIdentical and the alloc pins in
+	// infer, the arena tests in nn, the NaN guards of data, models and nn.
 	"tensor.SetSIMD":       "dispatch bit-identity suites",
 	"tensor.SetMaxWorkers": "worker-count invariance suites and serial-path alloc pins",
+	"tensor.Tensor.HasNaN": "NaN guards in the data, models and nn suites",
+
+	// Whole files that only their own tests exercise; each is deleted
+	// together with those tests in a change of its own.
+	"core.BudgetPolicy.Apply": "budget_test.go (TestBudgetPolicy*)",
+	"optim.NewAdam":           "adam_test.go (TestAdam*)",
+
+	// Called by the standard library through an interface, never by name.
+	"tensor.Tensor.String": "fmt.Stringer",
 }
 
 // TestNoOrphanExports fails, by name, for every exported package-level
-// function of internal/tensor or internal/infer that no non-test file of
-// the root module or of bench/ references outside its own declaration: a
-// kernel generation that lost its last production caller must be deleted
-// (or allow-listed above as a test reference), not left exported.
+// function and every exported method of an internal/ package that no
+// non-test file of the root module or of bench/ references: a kernel
+// generation or helper that lost its last production caller must be
+// deleted (or allow-listed above), not left exported. A function counts as
+// referenced by a bare identifier inside its package or a selector on its
+// package's import elsewhere; a method, by name, through any selector.
 func TestNoOrphanExports(t *testing.T) {
-	guarded := map[string]string{ // directory → package name
-		"internal/tensor": "tensor",
-		"internal/infer":  "infer",
-	}
 	type file struct {
 		ast *ast.File
-		own string // the guarded package the file belongs to, or ""
+		own string // the internal package the file belongs to, or ""
 	}
 	fset := token.NewFileSet()
 	var files []file
@@ -51,22 +59,33 @@ func TestNoOrphanExports(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		files = append(files, file{f, guarded[filepath.ToSlash(filepath.Dir(path))]})
+		own := ""
+		if dir := filepath.ToSlash(filepath.Dir(path)); strings.HasPrefix(dir, "internal/") {
+			own = f.Name.Name
+		}
+		files = append(files, file{f, own})
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// declared["pkg.Name"] = the declaring identifier.
+	// declared["pkg.Name"] / declared["pkg.Type.Method"] = the declaring
+	// identifier.
 	declared := map[string]*ast.Ident{}
 	for _, f := range files {
 		if f.own == "" {
 			continue
 		}
 		for _, decl := range f.ast.Decls {
-			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil && fn.Name.IsExported() {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || !fn.Name.IsExported() {
+				continue
+			}
+			if fn.Recv == nil {
 				declared[f.own+"."+fn.Name.Name] = fn.Name
+			} else {
+				declared[f.own+"."+recvType(fn.Recv.List[0].Type)+"."+fn.Name.Name] = fn.Name
 			}
 		}
 	}
@@ -74,27 +93,29 @@ func TestNoOrphanExports(t *testing.T) {
 		t.Fatal("found no exported functions: run from the repository root")
 	}
 
-	used := map[string]bool{}
+	used := map[string]bool{}  // functions, as "pkg.Name"
+	named := map[string]bool{} // selector names: a method is referenced by name
 	for _, f := range files {
 		// Inside the declaring package a bare identifier is a reference;
 		// elsewhere it is a selector on the file's name for the import.
-		local := map[string]string{} // file-local import name → guarded package
+		local := map[string]string{} // file-local import name → internal package
 		for _, im := range f.ast.Imports {
 			ip, _ := strconv.Unquote(im.Path.Value)
-			pkg, ok := guarded[strings.TrimPrefix(ip, "repro/")]
+			rest, ok := strings.CutPrefix(ip, "repro/internal/")
 			if !ok {
 				continue
 			}
-			name := pkg
+			name := rest
 			if im.Name != nil {
 				name = im.Name.Name
 			}
-			local[name] = pkg
+			local[name] = rest
 		}
 		var visit func(n ast.Node) bool
 		visit = func(n ast.Node) bool {
 			switch x := n.(type) {
 			case *ast.SelectorExpr:
+				named[x.Sel.Name] = true
 				if id, ok := x.X.(*ast.Ident); ok {
 					if pkg, ok := local[id.Name]; ok {
 						used[pkg+"."+x.Sel.Name] = true
@@ -116,7 +137,11 @@ func TestNoOrphanExports(t *testing.T) {
 
 	var orphans []string
 	for name := range declared {
-		if !used[name] && orphanAllowed[name] == "" {
+		ref := used[name]
+		if parts := strings.Split(name, "."); len(parts) == 3 {
+			ref = named[parts[2]]
+		}
+		if !ref && orphanAllowed[name] == "" {
 			orphans = append(orphans, name)
 		}
 	}
@@ -126,7 +151,26 @@ func TestNoOrphanExports(t *testing.T) {
 	}
 	for name := range orphanAllowed {
 		if declared[name] == nil {
-			t.Errorf("allow-list entry %s names no exported function", name)
+			t.Errorf("allow-list entry %s names no exported function or method", name)
+		}
+	}
+}
+
+// recvType is the type name of a method receiver: T for T, *T, T[P] and
+// *T[P].
+func recvType(e ast.Expr) string {
+	for {
+		switch x := e.(type) {
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.IndexListExpr:
+			e = x.X
+		case *ast.Ident:
+			return x.Name
+		default:
+			return "?"
 		}
 	}
 }
