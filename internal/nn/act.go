@@ -36,7 +36,7 @@ func (r *ReLU) Params() []*Param { return nil }
 
 // Forward implements Layer.
 func (r *ReLU) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error) {
-	r.y = r.outA.get(x.Shape()...)
+	r.y = r.outA.like(x)
 	rectify(r.y.Data(), x.Data(), r.cap)
 	return r.y, nil
 }
@@ -49,7 +49,7 @@ func (r *ReLU) Backward(dout *tensor.Tensor) (*tensor.Tensor, error) {
 	if dout.Len() != r.y.Len() {
 		return nil, fmt.Errorf("relu %q: %w: dout %v vs cached %d elems", r.name, tensor.ErrShape, dout.Shape(), r.y.Len())
 	}
-	dx := r.dxA.get(dout.Shape()...)
+	dx := r.dxA.like(dout)
 	rectifyGrad(dx.Data(), dout.Data(), r.y.Data(), r.cap)
 	r.y = nil
 	return dx, nil

@@ -72,7 +72,7 @@ func (a *ActQuant) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error)
 	}
 	k := a.Bits()
 	eps := quant.Epsilon(0, alpha, k)
-	out := a.outA.get(x.Shape()...)
+	out := a.outA.like(x)
 	d := out.Data()
 	copy(d, x.Data())
 	a.mask = growU8(&a.maskA, len(d))
@@ -102,7 +102,7 @@ func (a *ActQuant) Backward(dout *tensor.Tensor) (*tensor.Tensor, error) {
 	if dout.Len() != len(a.mask) {
 		return nil, fmt.Errorf("actquant %q: %w: dout %v vs cached %d", a.name, tensor.ErrShape, dout.Shape(), len(a.mask))
 	}
-	dx := a.dxA.get(dout.Shape()...)
+	dx := a.dxA.like(dout)
 	d := dx.Data()
 	copy(d, dout.Data())
 	var dAlpha float32

@@ -81,6 +81,20 @@ func (a *arenaTensor) get(shape ...int) *tensor.Tensor {
 	return t
 }
 
+// like is get with x's shape, read through Dim: Shape copies the shape on
+// every call, and a step asks for each activation's shape several times.
+func (a *arenaTensor) like(x *tensor.Tensor) *tensor.Tensor {
+	if a.t == nil || len(a.shape) != x.Rank() {
+		return a.get(x.Shape()...)
+	}
+	for i, d := range a.shape {
+		if d != x.Dim(i) {
+			return a.get(x.Shape()...)
+		}
+	}
+	return a.t
+}
+
 func sameShape(a, b []int) bool {
 	if len(a) != len(b) {
 		return false

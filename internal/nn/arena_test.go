@@ -79,6 +79,55 @@ func TestLinearSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestBlockSteadyStateAllocs pins the warm serial step of a conv → BN →
+// ReLU triple and of a residual block at their measured allocation counts:
+// four pool closures (batch-norm forward and backward, the rectifier and
+// its gradient), never a data buffer or a copy of an activation's shape.
+func TestBlockSteadyStateAllocs(t *testing.T) {
+	prev := tensor.SetMaxWorkers(1)
+	defer tensor.SetMaxWorkers(prev)
+	rng := tensor.NewRNG(9)
+	conv, x := testConv(t, false)
+	bn, err := NewBatchNorm2D("bn", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	triple := NewSequential("triple", conv, bn, NewReLU("relu"))
+	conv2, err := NewConv2D(Conv2DConfig{Name: "c2", In: tensor.ConvGeom{InC: 8, InH: 16, InW: 16, KH: 3, KW: 3, Stride: 1, Pad: 1}, OutC: 8, RNG: rng})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bn2, err := NewBatchNorm2D("bn2", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	block := NewResidual("block", NewSequential("main", conv2, bn2), nil)
+	dout := tensor.New(4, 8, 16, 16)
+	dout.Fill(0.01)
+	for _, c := range []struct {
+		name string
+		l    Layer
+		x    *tensor.Tensor
+		want float64
+	}{
+		{"conv-bn-relu", triple, x, 4},
+		{"residual", block, dout, 4},
+	} {
+		step := func() {
+			if _, err := c.l.Forward(c.x, true); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.l.Backward(dout); err != nil {
+				t.Fatal(err)
+			}
+		}
+		step()
+		if allocs := testing.AllocsPerRun(10, step); allocs != c.want {
+			t.Errorf("%s: steady-state forward+backward allocates %.0f objects per step, want %.0f", c.name, allocs, c.want)
+		}
+	}
+}
+
 // TestConvParallelMatchesSerial runs the batched conv forward/backward
 // under several worker counts and demands bit-identical results; under
 // `go test -race` this also exercises the parallel sections for data races

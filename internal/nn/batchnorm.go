@@ -24,10 +24,9 @@ type BatchNorm2D struct {
 	runVar  []float64
 
 	// forward cache
-	xhat    *tensor.Tensor
-	std     []float64
-	inShape []int
-	ready   bool
+	xhat  *tensor.Tensor // shaped like the input
+	std   []float64
+	ready bool
 
 	outA  arenaTensor // (N, C, H, W) forward output
 	xhatA arenaTensor // (N, C, H, W) normalized activations
@@ -72,14 +71,13 @@ func (b *BatchNorm2D) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, err
 	n, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
 	plane := h * w
 	cnt := float64(n * plane)
-	out := b.outA.get(x.Shape()...)
+	out := b.outA.get(n, b.channels, h, w)
 	xd, od := x.Data(), out.Data()
 	gd, bd := b.gamma.Value.Data(), b.beta.Value.Data()
 
 	if train {
-		b.xhat = b.xhatA.get(x.Shape()...)
+		b.xhat = b.xhatA.get(n, b.channels, h, w)
 		b.std = growF64(&b.stdA, b.channels)
-		b.inShape = x.Shape()
 		b.ready = true
 		xh := b.xhat.Data()
 		tensor.ParallelFor(b.channels, func(c int) {
@@ -142,7 +140,7 @@ func (b *BatchNorm2D) Backward(dout *tensor.Tensor) (*tensor.Tensor, error) {
 	n, h, w := dout.Dim(0), dout.Dim(2), dout.Dim(3)
 	plane := h * w
 	cnt := float64(n * plane)
-	dx := b.dxA.get(b.inShape...)
+	dx := b.dxA.like(b.xhat)
 	dd, xh, dxd := dout.Data(), b.xhat.Data(), dx.Data()
 	gd := b.gamma.Value.Data()
 	gg, gb := b.gamma.Grad.Data(), b.beta.Grad.Data()

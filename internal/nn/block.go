@@ -140,7 +140,7 @@ func (r *Residual) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error)
 			return nil, fmt.Errorf("%s: %w", r.name, err)
 		}
 	}
-	out := r.outA.get(my.Shape()...)
+	out := r.outA.like(my)
 	if err := out.CopyFrom(my); err != nil {
 		return nil, fmt.Errorf("%s: %w", r.name, err)
 	}
@@ -164,7 +164,7 @@ func (r *Residual) Backward(dout *tensor.Tensor) (*tensor.Tensor, error) {
 		if dout.Len() != r.y.Len() {
 			return nil, fmt.Errorf("%s: %w: dout %v", r.name, tensor.ErrShape, dout.Shape())
 		}
-		d = r.doutA.get(dout.Shape()...)
+		d = r.doutA.like(dout)
 		rectifyGrad(d.Data(), dout.Data(), r.y.Data(), 0)
 		r.y = nil
 	}
@@ -179,7 +179,7 @@ func (r *Residual) Backward(dout *tensor.Tensor) (*tensor.Tensor, error) {
 			return nil, fmt.Errorf("%s: %w", r.name, err)
 		}
 	}
-	dx := r.dxA.get(dmain.Shape()...)
+	dx := r.dxA.like(dmain)
 	if err := dx.CopyFrom(dmain); err != nil {
 		return nil, fmt.Errorf("%s: %w", r.name, err)
 	}

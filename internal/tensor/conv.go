@@ -75,10 +75,12 @@ func (g ConvGeom) stageDims() (sh, sw int) {
 	return max(g.InH+2*g.Pad, (oh-1)*g.Stride+g.KH), max(g.InW+2*g.Pad, (ow-1)*g.Stride+g.KW)
 }
 
-// stageLen is the float count of the staging strip for nb samples.
+// stageLen is the float count of the staging strip for nb samples, plus
+// one float of margin: the stride-2 tap kernels touch the float after the
+// last one they use (see kernels_amd64.s).
 func (g ConvGeom) stageLen(nb int) int {
 	sh, sw := g.stageDims()
-	return nb * sh * sw
+	return nb*sh*sw + 1
 }
 
 // im2colInto gathers the patch matrices of nb consecutive (C, H, W) images
@@ -93,48 +95,68 @@ func im2colInto(dst, x []float32, g ConvGeom, nb, j0, pw int, stage []float32) {
 	sh, sw := g.stageDims()
 	sp := sh * sw
 	kp := g.InC * g.KH * g.KW * pw // floats per column panel
+	gather := tapGatherGo
+	if tapGatherAsm != nil && st <= 2 {
+		gather = tapGatherAsm
+	}
 	q := 0
+	clear(stage[:nb*sp]) // each channel rewrites only the interior: the border stays zero
 	for c := 0; c < g.InC; c++ {
-		clear(stage[:nb*sp])
+		// Staging a plane is a stride-1 gather whose panels are its rows:
+		// InW columns wide, sw floats apart.
 		for il := 0; il < nb; il++ {
-			plane := x[(il*g.InC+c)*hw : (il*g.InC+c+1)*hw]
-			for y := 0; y < g.InH; y++ {
-				copy(stage[il*sp+(y+g.Pad)*sw+g.Pad:][:g.InW], plane[y*g.InW:])
-			}
+			gather(stage[il*sp+g.Pad*sw+g.Pad:], x[(il*g.InC+c)*hw:], 0, 1, g.InH, g.InW, g.InW, 0, 1, g.InW, sw)
 		}
 		for kh := 0; kh < g.KH; kh++ {
 			for kw := 0; kw < g.KW; kw++ {
-				base, off := (j0/pw)*kp+q*pw, j0%pw
-				for il := 0; il < nb; il++ {
-					for oy := 0; oy < oh; oy++ {
-						sx := il*sp + (oy*st+kh)*sw + kw
-						for ox := 0; ox < ow; { // one run per panel the row crosses
-							n := min(ow-ox, pw-off)
-							d := dst[base+off : base+off+n]
-							if st == 1 && n >= runCopyMin {
-								copy(d, stage[sx:])
-								sx += n
-							} else {
-								for i := range d {
-									d[i] = stage[sx]
-									sx += st
-								}
-							}
-							ox += n
-							if off += n; off == pw {
-								off, base = 0, base+kp
-							}
-						}
-					}
-				}
+				gather(dst[(j0/pw)*kp+q*pw:], stage[kh*sw+kw:], j0%pw, nb, oh, ow, st*sw, sp, st, pw, kp)
 				q++
 			}
 		}
 	}
 }
 
-// runCopyMin is the run length from which a stride-1 run goes through
-// memmove / the AXPY kernel rather than a scalar loop.
+// tapGatherAsm and tapScatterAsm, when non-nil, are the SIMD walks of one
+// tap for strides 1 and 2, byte-identical to tapGatherGo / tapScatterGo;
+// at stride 2 they touch the one-float margin stageLen allocates. They are
+// set and cleared together.
+var (
+	tapGatherAsm  func(dst, src []float32, off, nb, oh, ow, rs, sp, st, pw, kp int)
+	tapScatterAsm func(dst, src []float32, nb, oh, ow, rs, sp, st int)
+)
+
+// tapGatherGo copies one (channel, kh, kw) tap of nb staged samples into
+// its patch row: the ow floats of output row oy of sample il, at
+// src[il·sp + oy·rs + ox·st], become columns off + (il·OH + oy)·ow + ox,
+// column j stored at dst[(j/pw)·kp + j%pw].
+func tapGatherGo(dst, src []float32, off, nb, oh, ow, rs, sp, st, pw, kp int) {
+	base := 0
+	for il := 0; il < nb; il++ {
+		for oy := 0; oy < oh; oy++ {
+			sx := il*sp + oy*rs
+			for ox := 0; ox < ow; { // one run per panel the row crosses
+				n := min(ow-ox, pw-off)
+				d := dst[base+off : base+off+n]
+				if st == 1 && n >= runCopyMin {
+					copy(d, src[sx:])
+					sx += n
+				} else {
+					for i := range d {
+						d[i] = src[sx]
+						sx += st
+					}
+				}
+				ox += n
+				if off += n; off == pw {
+					off, base = 0, base+kp
+				}
+			}
+		}
+	}
+}
+
+// runCopyMin is the run length from which the portable gather copies a
+// stride-1 run with memmove rather than a scalar loop.
 const runCopyMin = 8
 
 // Col2ImBatchInto is the adjoint of Im2ColBatchInto: it scatters a
@@ -171,35 +193,38 @@ func col2imInto(dx, cols []float32, g ConvGeom, nb, j0, ld int, stage []float32)
 	st, hw := g.Stride, g.InH*g.InW
 	sh, sw := g.stageDims()
 	sp := sh * sw
+	gather, scatter := tapGatherGo, tapScatterGo
+	if tapScatterAsm != nil && st <= 2 {
+		gather, scatter = tapGatherAsm, tapScatterAsm
+	}
 	q := 0
 	for c := 0; c < g.InC; c++ {
 		clear(stage[:nb*sp])
 		for kh := 0; kh < g.KH; kh++ {
 			for kw := 0; kw < g.KW; kw++ {
-				ci := q*ld + j0
-				for il := 0; il < nb; il++ {
-					for oy := 0; oy < oh; oy++ {
-						src := cols[ci : ci+ow]
-						ci += ow
-						sx := il*sp + (oy*st+kh)*sw + kw
-						if st == 1 && ow >= runCopyMin {
-							axpy1(stage[sx:sx+ow], src, 1)
-							continue
-						}
-						for _, v := range src {
-							stage[sx] += v
-							sx += st
-						}
-					}
-				}
+				scatter(stage[kh*sw+kw:], cols[q*ld+j0:], nb, oh, ow, st*sw, sp, st)
 				q++
 			}
 		}
+		// The interior back out: the staging gather with the strides swapped.
 		for il := 0; il < nb; il++ {
-			plane := dx[(il*g.InC+c)*hw : (il*g.InC+c+1)*hw]
-			for y := 0; y < g.InH; y++ {
-				copy(plane[y*g.InW:(y+1)*g.InW], stage[il*sp+(y+g.Pad)*sw+g.Pad:])
+			gather(dx[(il*g.InC+c)*hw:], stage[il*sp+g.Pad*sw+g.Pad:], 0, 1, g.InH, g.InW, sw, 0, 1, g.InW, g.InW)
+		}
+	}
+}
+
+// tapScatterGo is the adjoint walk of tapGatherGo over a row-major source:
+// the nb·OH·ow contiguous floats of src are added, one add each, into the
+// strip positions the gather reads. A tap reaches each position at most
+// once, so the order within a tap does not matter.
+func tapScatterGo(dst, src []float32, nb, oh, ow, rs, sp, st int) {
+	for il := 0; il < nb; il++ {
+		for oy := 0; oy < oh; oy++ {
+			d := dst[il*sp+oy*rs:]
+			for ox, v := range src[:ow] {
+				d[ox*st] += v
 			}
+			src = src[ow:]
 		}
 	}
 }

@@ -57,6 +57,12 @@ func packedF32GEMM4x8FMA(dst, a, panel *float32, m, k, ars, aks, ldd int)
 func packedF32GEMM1x8FMA(dst, a, panel *float32, k, aks int)
 
 //go:noescape
+func convTapGatherAVX2(dst, src *float32, off, nb, oh, ow, rs, sp, st, pw, kp int)
+
+//go:noescape
+func convTapScatterAVX2(dst, src *float32, nb, oh, ow, rs, sp, st int)
+
+//go:noescape
 func requantQ31RowsAVX2(dst *uint8, acc *int32, m0, rsh *int32, corr *int64, zp, lo, m, nc4, lda, ldd int)
 
 //go:noescape
@@ -109,6 +115,7 @@ func applySIMDAmd64(on bool) {
 		packedAsmFast4, packedAsmWide4 = nil, nil
 		packedAsmEdge = nil
 		pack3Asm = nil
+		tapGatherAsm, tapScatterAsm = nil, nil
 		f32Panel4, f32Panel1 = f32Panel4Go, f32Panel1Go
 		f32Panel4w8, f32Panel1w8 = f32Panel4x8Go, f32Panel1x8Go
 		requantRowsAsm, requantTransAsm = nil, nil
@@ -123,6 +130,8 @@ func applySIMDAmd64(on bool) {
 	packedAsmWide4 = packedWide4Asm
 	packedAsmEdge = packedEdgeAsm
 	pack3Asm = pack3AVX2Wrap
+	tapGatherAsm = tapGatherAVX2Wrap
+	tapScatterAsm = tapScatterAVX2Wrap
 	f32Panel4 = f32Panel4Asm
 	f32Panel1 = f32Panel1Asm
 	f32Panel4w8 = f32Panel4w8Asm
@@ -140,6 +149,21 @@ func pack3AVX2Wrap(dst, r0, r1, r2 []uint8, n, nc, kdim, stride, plane int) {
 	_ = r1[e+3]
 	_ = r2[e+3]
 	im2colPack3AVX2(&dst[0], &r0[0], &r1[0], &r2[0], n, nc, kdim, stride, plane)
+}
+
+func tapGatherAVX2Wrap(dst, src []float32, off, nb, oh, ow, rs, sp, st, pw, kp int) {
+	// Pin the last column the walk writes and the last float it reads,
+	// the stride-2 margin float included.
+	jl := off + nb*oh*ow - 1
+	_ = dst[(jl/pw)*kp+jl%pw]
+	_ = src[(nb-1)*sp+(oh-1)*rs+(ow-1)*st+st-1]
+	convTapGatherAVX2(&dst[0], &src[0], off, nb, oh, ow, rs, sp, st, pw, kp)
+}
+
+func tapScatterAVX2Wrap(dst, src []float32, nb, oh, ow, rs, sp, st int) {
+	_ = src[nb*oh*ow-1]
+	_ = dst[(nb-1)*sp+(oh-1)*rs+(ow-1)*st+st-1]
+	convTapScatterAVX2(&dst[0], &src[0], nb, oh, ow, rs, sp, st)
 }
 
 func requantRowsAVX2Wrap(dst []uint8, acc []int32, m0, rsh []int32, corr []int64, zp, lo int32, m, nc4, lda, ldd int) {

@@ -14,7 +14,9 @@ import "os"
 // Deliberately left portable on arm64: the dot/AXPY fallbacks (the packed
 // panels carry all the GEMM weight here) and the nr<8 integer edge kernel
 // (packedAsmEdge stays nil; the portable edge loop handles partial
-// panels, which only ever cover the last few columns of a layer).
+// panels, which only ever cover the last few columns of a layer) and the
+// float conv's tap gather and scatter (tapGatherAsm / tapScatterAsm stay
+// nil; the portable run loops walk the staging strip).
 
 //go:noescape
 func packedGEMMNEON(dst *int32, a *uint8, panel *int8, m, kq, lda, ldd int)
