@@ -270,12 +270,10 @@ func runKernelBenches(out io.Writer, jsonPath string) error {
 		}
 	})
 
-	// EdgePanelGEMM: the narrow shapes that used to fall off the packed
-	// path entirely — a classifier-head float GEMM (n=10 → one 8-wide
-	// panel plus a 2-column edge) and a first-layer-dW-shaped int8 GEMM
-	// with a partial final panel. Before the 8-wide and masked-store edge
-	// kernels these ran the dot/AXPY fallback; the row exists so a
-	// regression that reroutes them shows up as a step.
+	// EdgePanelGEMM: a classifier-head float GEMM (n=10 → one 8-wide
+	// panel plus a 2-column edge), the narrow shape where the panel
+	// width choice and the scalar edge kernel decide the time; a
+	// regression in either shows up as a step.
 	edgeM, edgeK, edgeN := 512, 256, 10
 	edgeFlops := 2 * float64(edgeM) * float64(edgeK) * float64(edgeN)
 	record("EdgePanelGEMM", edgeFlops, func(b *testing.B) {
@@ -298,10 +296,9 @@ func runKernelBenches(out io.Writer, jsonPath string) error {
 	})
 
 	// FloatGEMMPacked: the conv-shaped float GEMM through the packed 4×16
-	// FMA micro-kernel with B pre-packed — kernel time alone, the number
-	// to compare against MatMulConvShaped's AXPY-era entries. The packing
-	// itself is measured by the routed MatMulConvShaped row above (MatMul
-	// repacks per call on this shape).
+	// FMA micro-kernel with B pre-packed — kernel time alone. The packing
+	// itself is measured by the MatMulConvShaped row above (MatMul repacks
+	// every call).
 	record("FloatGEMMPacked", benchkit.ConvShapedGEMMFlops, func(b *testing.B) {
 		w, cols := benchkit.ConvShapedGEMM()
 		pb, err := tensor.PackF32PanelsB(cols.Data(), cols.Dim(0), cols.Dim(1))

@@ -64,14 +64,11 @@ func (l *Linear) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error) {
 	l.x = x
 	n := x.Dim(0)
 	out := l.outA.get(n, l.out)
-	if tensor.PackWorthF32(n, l.in, l.out) { // (N,in)·(out,in)ᵀ on the packed micro-kernels
-		if err := l.pb.PackBT(l.weight.Value.Data(), l.in, l.out); err != nil {
-			return nil, fmt.Errorf("linear %q: %w", l.name, err)
-		}
-		if err := tensor.MatMulF32PackedInto(out.Data(), x.Data(), &l.pb, n, l.in); err != nil {
-			return nil, fmt.Errorf("linear %q: %w", l.name, err)
-		}
-	} else if err := tensor.MatMulTransBInto(out, x, l.weight.Value); err != nil {
+	// (N,in)·(out,in)ᵀ on the packed micro-kernels.
+	if err := l.pb.PackBT(l.weight.Value.Data(), l.in, l.out); err != nil {
+		return nil, fmt.Errorf("linear %q: %w", l.name, err)
+	}
+	if err := tensor.MatMulF32PackedInto(out.Data(), x.Data(), &l.pb, n, l.in); err != nil {
 		return nil, fmt.Errorf("linear %q: %w", l.name, err)
 	}
 	if l.bias != nil {
@@ -116,14 +113,10 @@ func (l *Linear) Backward(dout *tensor.Tensor) (*tensor.Tensor, error) {
 	}
 	// dx = dout · W → (N, in)
 	dx := l.dxA.get(dout.Dim(0), l.in)
-	if tensor.PackWorthF32(dout.Dim(0), l.out, l.in) {
-		if err := l.pb.PackB(l.weight.Value.Data(), l.out, l.in); err != nil {
-			return nil, fmt.Errorf("linear %q: %w", l.name, err)
-		}
-		if err := tensor.MatMulF32PackedInto(dx.Data(), dout.Data(), &l.pb, dout.Dim(0), l.out); err != nil {
-			return nil, fmt.Errorf("linear %q: %w", l.name, err)
-		}
-	} else if err := tensor.MatMulInto(dx, dout, l.weight.Value); err != nil {
+	if err := l.pb.PackB(l.weight.Value.Data(), l.out, l.in); err != nil {
+		return nil, fmt.Errorf("linear %q: %w", l.name, err)
+	}
+	if err := tensor.MatMulF32PackedInto(dx.Data(), dout.Data(), &l.pb, dout.Dim(0), l.out); err != nil {
 		return nil, fmt.Errorf("linear %q: %w", l.name, err)
 	}
 	l.x = nil

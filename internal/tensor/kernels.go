@@ -19,9 +19,10 @@ import (
 // ParallelFor-partitioned GEMMs bit-identical to their serial runs.
 
 // SIMD dispatch state. simdApply is overridden by the per-arch init when
-// usable vector kernels exist; it repoints every dispatch variable (float
-// AXPY/dot and the packed integer panel kernels) at either the assembly
-// or the portable implementations. The APT_NOSIMD environment variable
+// usable vector kernels exist; it repoints every dispatch variable (the
+// packed float and integer panel kernels, the conv gathers and the
+// requant epilogue) at either the assembly or the portable
+// implementations. The APT_NOSIMD environment variable
 // keeps the portable kernels in place at startup, so the fallback path is
 // testable on SIMD hardware.
 var (
@@ -73,35 +74,6 @@ func KernelSummary() string {
 		requant = "SIMD requant"
 	}
 	return fmt.Sprintf("%s: %s packed GEMM + %s + %s", runtime.GOARCH, simdFeatures, edge, requant)
-}
-
-// axpy4 computes dst[j] += a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j].
-// The b slices must be at least len(dst) long.
-var axpy4 = axpy4Go
-
-// axpy1 computes dst[j] += a * b[j]. b must be at least len(dst) long.
-var axpy1 = axpy1Go
-
-// dot returns the inner product of a and b (len(a) elements; b must be at
-// least as long).
-var dot = dotGo
-
-func axpy4Go(dst, b0, b1, b2, b3 []float32, a0, a1, a2, a3 float32) {
-	n := len(dst)
-	b0 = b0[:n]
-	b1 = b1[:n]
-	b2 = b2[:n]
-	b3 = b3[:n]
-	for j := range dst {
-		dst[j] += a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
-	}
-}
-
-func axpy1Go(dst, b []float32, a float32) {
-	b = b[:len(dst)]
-	for j := range dst {
-		dst[j] += a * b[j]
-	}
 }
 
 // f32Panel4Go is the portable 4×16 packed-panel micro-kernel: one
@@ -209,23 +181,4 @@ func f32PanelEdgeGo(dst, a, panel []float32, m, k, ars, aks, ldd, pw, nr int) {
 		}
 		copy(dst[i*ldd:i*ldd+nr], c)
 	}
-}
-
-func dotGo(a, b []float32) float32 {
-	b = b[:len(a)]
-	// Four partial sums break the add dependency chain; the same shape the
-	// assembly kernel uses, so results agree closely (not bitwise: the
-	// vector kernel folds eight lanes per partial).
-	var s0, s1, s2, s3 float32
-	j := 0
-	for ; j+3 < len(a); j += 4 {
-		s0 += a[j] * b[j]
-		s1 += a[j+1] * b[j+1]
-		s2 += a[j+2] * b[j+2]
-		s3 += a[j+3] * b[j+3]
-	}
-	for ; j < len(a); j++ {
-		s0 += a[j] * b[j]
-	}
-	return (s0 + s1) + (s2 + s3)
 }

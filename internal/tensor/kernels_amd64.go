@@ -18,15 +18,6 @@ func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv0() (eax, edx uint32)
 
 //go:noescape
-func axpy4fma(dst, b0, b1, b2, b3 *float32, n int, a0, a1, a2, a3 float32)
-
-//go:noescape
-func axpy1fma(dst, b *float32, n int, a float32)
-
-//go:noescape
-func dotfma(a, b *float32, n int) float32
-
-//go:noescape
 func packedGEMMFastAVX2(dst *int32, a *uint8, panel *int8, m, kq, lda, ldd int)
 
 //go:noescape
@@ -110,7 +101,6 @@ func init() {
 func applySIMDAmd64(on bool) {
 	simdOn = on
 	if !on {
-		axpy4, axpy1, dot = axpy4Go, axpy1Go, dotGo
 		packedAsmFast, packedAsmWide = nil, nil
 		packedAsmFast4, packedAsmWide4 = nil, nil
 		packedAsmEdge = nil
@@ -121,9 +111,6 @@ func applySIMDAmd64(on bool) {
 		requantRowsAsm, requantTransAsm = nil, nil
 		return
 	}
-	axpy4 = axpy4Asm
-	axpy1 = axpy1Asm
-	dot = dotAsm
 	packedAsmFast = packedFastAsm
 	packedAsmWide = packedWideAsm
 	packedAsmFast4 = packedFast4Asm
@@ -184,36 +171,6 @@ func requantTransAVX2Wrap(dst []uint8, acc []int32, m0, rsh []int32, corr []int6
 	_ = rsh[nc4-1]
 	_ = corr[nc4-1]
 	requantQ31TransAVX2(&dst[0], &acc[0], &m0[0], &rsh[0], &corr[0], int(zp), int(lo), np8, nc4, lda, ldd)
-}
-
-func axpy4Asm(dst, b0, b1, b2, b3 []float32, a0, a1, a2, a3 float32) {
-	n := len(dst)
-	if n == 0 {
-		return
-	}
-	_ = b0[n-1]
-	_ = b1[n-1]
-	_ = b2[n-1]
-	_ = b3[n-1]
-	axpy4fma(&dst[0], &b0[0], &b1[0], &b2[0], &b3[0], n, a0, a1, a2, a3)
-}
-
-func axpy1Asm(dst, b []float32, a float32) {
-	n := len(dst)
-	if n == 0 {
-		return
-	}
-	_ = b[n-1]
-	axpy1fma(&dst[0], &b[0], n, a)
-}
-
-func dotAsm(a, b []float32) float32 {
-	n := len(a)
-	if n == 0 {
-		return 0
-	}
-	_ = b[n-1]
-	return dotfma(&a[0], &b[0], n)
 }
 
 func packedFastAsm(dst []int32, a []uint8, panel []int8, m, kq, lda, ldd int) {

@@ -23,196 +23,6 @@ TEXT ·xgetbv0(SB), NOSPLIT, $0-8
 	MOVL DX, edx+4(FP)
 	RET
 
-// func axpy4fma(dst, b0, b1, b2, b3 *float32, n int, a0, a1, a2, a3 float32)
-//
-// dst[j] += a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j] for j in [0, n).
-// Main loop handles 16 floats per iteration with two YMM accumulators;
-// remainders fall through to an 8-wide loop and a scalar tail.
-TEXT ·axpy4fma(SB), NOSPLIT, $0-64
-	MOVQ dst+0(FP), DI
-	MOVQ b0+8(FP), SI
-	MOVQ b1+16(FP), R8
-	MOVQ b2+24(FP), R9
-	MOVQ b3+32(FP), R10
-	MOVQ n+40(FP), CX
-	VBROADCASTSS a0+48(FP), Y0
-	VBROADCASTSS a1+52(FP), Y1
-	VBROADCASTSS a2+56(FP), Y2
-	VBROADCASTSS a3+60(FP), Y3
-
-loop16:
-	CMPQ CX, $16
-	JLT  loop8
-	VMOVUPS (DI), Y4
-	VMOVUPS 32(DI), Y5
-	VFMADD231PS (SI), Y0, Y4
-	VFMADD231PS 32(SI), Y0, Y5
-	VFMADD231PS (R8), Y1, Y4
-	VFMADD231PS 32(R8), Y1, Y5
-	VFMADD231PS (R9), Y2, Y4
-	VFMADD231PS 32(R9), Y2, Y5
-	VFMADD231PS (R10), Y3, Y4
-	VFMADD231PS 32(R10), Y3, Y5
-	VMOVUPS Y4, (DI)
-	VMOVUPS Y5, 32(DI)
-	ADDQ $64, DI
-	ADDQ $64, SI
-	ADDQ $64, R8
-	ADDQ $64, R9
-	ADDQ $64, R10
-	SUBQ $16, CX
-	JMP  loop16
-
-loop8:
-	CMPQ CX, $8
-	JLT  tail
-	VMOVUPS (DI), Y4
-	VFMADD231PS (SI), Y0, Y4
-	VFMADD231PS (R8), Y1, Y4
-	VFMADD231PS (R9), Y2, Y4
-	VFMADD231PS (R10), Y3, Y4
-	VMOVUPS Y4, (DI)
-	ADDQ $32, DI
-	ADDQ $32, SI
-	ADDQ $32, R8
-	ADDQ $32, R9
-	ADDQ $32, R10
-	SUBQ $8, CX
-	JMP  loop8
-
-tail:
-	TESTQ CX, CX
-	JZ   done
-	VMOVSS (DI), X4
-	VFMADD231SS (SI), X0, X4
-	VFMADD231SS (R8), X1, X4
-	VFMADD231SS (R9), X2, X4
-	VFMADD231SS (R10), X3, X4
-	VMOVSS X4, (DI)
-	ADDQ $4, DI
-	ADDQ $4, SI
-	ADDQ $4, R8
-	ADDQ $4, R9
-	ADDQ $4, R10
-	DECQ CX
-	JMP  tail
-
-done:
-	VZEROUPPER
-	RET
-
-// func axpy1fma(dst, b *float32, n int, a float32)
-//
-// dst[j] += a * b[j] for j in [0, n).
-TEXT ·axpy1fma(SB), NOSPLIT, $0-28
-	MOVQ dst+0(FP), DI
-	MOVQ b+8(FP), SI
-	MOVQ n+16(FP), CX
-	VBROADCASTSS a+24(FP), Y0
-
-loop16:
-	CMPQ CX, $16
-	JLT  loop8
-	VMOVUPS (DI), Y4
-	VMOVUPS 32(DI), Y5
-	VFMADD231PS (SI), Y0, Y4
-	VFMADD231PS 32(SI), Y0, Y5
-	VMOVUPS Y4, (DI)
-	VMOVUPS Y5, 32(DI)
-	ADDQ $64, DI
-	ADDQ $64, SI
-	SUBQ $16, CX
-	JMP  loop16
-
-loop8:
-	CMPQ CX, $8
-	JLT  tail
-	VMOVUPS (DI), Y4
-	VFMADD231PS (SI), Y0, Y4
-	VMOVUPS Y4, (DI)
-	ADDQ $32, DI
-	ADDQ $32, SI
-	SUBQ $8, CX
-	JMP  loop8
-
-tail:
-	TESTQ CX, CX
-	JZ   done
-	VMOVSS (DI), X4
-	VFMADD231SS (SI), X0, X4
-	VMOVSS X4, (DI)
-	ADDQ $4, DI
-	ADDQ $4, SI
-	DECQ CX
-	JMP  tail
-
-done:
-	VZEROUPPER
-	RET
-
-// func dotfma(a, b *float32, n int) float32
-//
-// Inner product with four YMM partial accumulators (32 floats/iteration),
-// folded to one lane before the scalar tail.
-TEXT ·dotfma(SB), NOSPLIT, $0-28
-	MOVQ a+0(FP), SI
-	MOVQ b+8(FP), DI
-	MOVQ n+16(FP), CX
-	VXORPS Y0, Y0, Y0
-	VXORPS Y1, Y1, Y1
-	VXORPS Y2, Y2, Y2
-	VXORPS Y3, Y3, Y3
-
-loop32:
-	CMPQ CX, $32
-	JLT  loop8
-	VMOVUPS (SI), Y4
-	VMOVUPS 32(SI), Y5
-	VMOVUPS 64(SI), Y6
-	VMOVUPS 96(SI), Y7
-	VFMADD231PS (DI), Y4, Y0
-	VFMADD231PS 32(DI), Y5, Y1
-	VFMADD231PS 64(DI), Y6, Y2
-	VFMADD231PS 96(DI), Y7, Y3
-	ADDQ $128, SI
-	ADDQ $128, DI
-	SUBQ $32, CX
-	JMP  loop32
-
-loop8:
-	CMPQ CX, $8
-	JLT  reduce
-	VMOVUPS (SI), Y4
-	VFMADD231PS (DI), Y4, Y0
-	ADDQ $32, SI
-	ADDQ $32, DI
-	SUBQ $8, CX
-	JMP  loop8
-
-reduce:
-	VADDPS Y1, Y0, Y0
-	VADDPS Y3, Y2, Y2
-	VADDPS Y2, Y0, Y0
-	VEXTRACTF128 $1, Y0, X1
-	VADDPS X1, X0, X0
-	VHADDPS X0, X0, X0
-	VHADDPS X0, X0, X0
-
-tail:
-	TESTQ CX, CX
-	JZ   done
-	VMOVSS (SI), X4
-	VFMADD231SS (DI), X4, X0
-	ADDQ $4, SI
-	ADDQ $4, DI
-	DECQ CX
-	JMP  tail
-
-done:
-	VZEROUPPER
-	MOVSS X0, ret+24(FP)
-	RET
-
 // func packedF32GEMM4x16FMA(dst, a, panel *float32, m, k, ars, aks, ldd int)
 //
 // Register-blocked 4×16 micro-kernel over a packed column panel (see
@@ -220,8 +30,8 @@ done:
 // all strides are in float32 units. Y0–Y7 hold the four rows' two-YMM
 // accumulators across the whole k loop, so each packed panel row (two
 // 32-byte loads) is multiplied against all four rows and dst is written
-// exactly once per tile — no dst reload/restore per k tap, unlike the
-// AXPY kernels. Operand row r, tap q is read at a[r·ars + q·aks], which
+// exactly once per tile, never reloaded per k tap. Operand row r, tap q
+// is read at a[r·ars + q·aks], which
 // serves both the normal (ars=lda, aks=1) and transposed-A (ars=1,
 // aks=lda) orientations with the same code.
 TEXT ·packedF32GEMM4x16FMA(SB), NOSPLIT, $0-64

@@ -11,8 +11,7 @@ import "os"
 // in which case the portable Go kernels — the cross-arch reference —
 // stay in place.
 //
-// Deliberately left portable on arm64: the dot/AXPY fallbacks (the packed
-// panels carry all the GEMM weight here) and the nr<8 integer edge kernel
+// Deliberately left portable on arm64: the nr<8 integer edge kernel
 // (packedAsmEdge stays nil; the portable edge loop handles partial
 // panels, which only ever cover the last few columns of a layer) and the
 // float conv's tap gather and scatter (tapGatherAsm / tapScatterAsm stay

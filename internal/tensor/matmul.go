@@ -2,16 +2,6 @@ package tensor
 
 import "fmt"
 
-// GEMM blocking parameters. Column blocks keep one output row segment plus
-// four B-row segments inside L1/L2 while the AXPY kernels stream them; row
-// blocks bound task granularity so ParallelFor has enough chunks to balance
-// even when one dimension is small (e.g. conv GEMMs with 16 output rows or
-// linear backward with narrow outputs).
-const (
-	gemmColBlock = 2048
-	gemmRowBlock = 8
-)
-
 func blocks(n, block int) int { return (n + block - 1) / block }
 
 // checkMatMul2D validates rank-2 operands sharing inner dimension k and
@@ -66,59 +56,20 @@ func MatMulInto(dst, a, b *Tensor) error {
 	return nil
 }
 
-// matMulKernel computes od = ad·bd for row-major (m, k)·(k, n), blocked
-// over output tiles and driven through the worker pool. Each output element
-// is written by exactly one task with a fixed accumulation order, so the
-// result is identical for any worker count. The dense path deliberately has
-// no zero-skip branch: on real weight and activation matrices the branch
-// mispredicts far more than it saves (sparse fast paths live only where
-// gradients are provably sparse, e.g. ReLU-masked depthwise backward).
-//
-// When the shape amortizes it (PackWorthF32), B is repacked per call into
-// pooled column panels and the product runs the register-blocked 4×16
-// micro-kernels (matmul_packed.go) instead of the AXPY loop below.
+// matMulKernel computes od = ad·bd for row-major (m, k)·(k, n): B is
+// repacked into a pooled PackedF32 and the product runs the packed
+// micro-kernels (matmul_packed.go) over the worker pool. Each output
+// element is written by exactly one task with a fixed accumulation order,
+// so the result is identical for any worker count. The dense path
+// deliberately has no zero-skip branch: on real weight and activation
+// matrices the branch mispredicts far more than it saves (sparse fast
+// paths live only where gradients are provably sparse, e.g. ReLU-masked
+// depthwise backward).
 func matMulKernel(od, ad, bd []float32, m, k, n int) {
-	if PackWorthF32(m, k, n) {
-		pb := f32PackPool.Get().(*PackedF32)
-		if pb.PackB(bd[:k*n], k, n) == nil {
-			matMulF32PackedDriver(od, ad, pb, m, k, 1)
-			f32PackPool.Put(pb)
-			return
-		}
-		f32PackPool.Put(pb)
-	}
-	matMulAXPYKernel(od, ad, bd, m, k, n)
-}
-
-// matMulAXPYKernel is the direct AXPY-shaped path, kept for shapes below
-// the packing threshold.
-func matMulAXPYKernel(od, ad, bd []float32, m, k, n int) {
-	mb, nb := blocks(m, gemmRowBlock), blocks(n, gemmColBlock)
-	ParallelFor(mb*nb, func(t int) {
-		ib, jb := t/nb, t%nb
-		i1 := min((ib+1)*gemmRowBlock, m)
-		j0 := jb * gemmColBlock
-		j1 := min(j0+gemmColBlock, n)
-		for i := ib * gemmRowBlock; i < i1; i++ {
-			orow := od[i*n+j0 : i*n+j1]
-			for j := range orow {
-				orow[j] = 0
-			}
-			arow := ad[i*k : (i+1)*k]
-			p := 0
-			for ; p+3 < k; p += 4 {
-				axpy4(orow,
-					bd[p*n+j0:p*n+j1],
-					bd[(p+1)*n+j0:(p+1)*n+j1],
-					bd[(p+2)*n+j0:(p+2)*n+j1],
-					bd[(p+3)*n+j0:(p+3)*n+j1],
-					arow[p], arow[p+1], arow[p+2], arow[p+3])
-			}
-			for ; p < k; p++ {
-				axpy1(orow, bd[p*n+j0:p*n+j1], arow[p])
-			}
-		}
-	})
+	pb := f32PackPool.Get().(*PackedF32)
+	_ = pb.PackB(bd, k, n) // cannot fail: checkMatMul2D validated the shapes
+	matMulF32PackedDriver(od, ad, pb, m, k, 1)
+	f32PackPool.Put(pb)
 }
 
 // MatMulTransAInto computes dst = aᵀ·b where a is (k, m) and b is (k, n),
@@ -136,50 +87,13 @@ func MatMulTransAInto(dst, a, b *Tensor) error {
 	return nil
 }
 
-// matMulTransAKernel computes od = adᵀ·bd where ad is (k, m): identical
-// blocking to matMulKernel, with the A element gathered down a column.
-// Shapes above the packing threshold take the packed micro-kernels — the
-// strided-A orientation reuses the same 4×16 kernel with swapped operand
-// strides.
+// matMulTransAKernel computes od = adᵀ·bd where ad is (k, m): the same
+// 4×16 kernel as matMulKernel with swapped operand strides.
 func matMulTransAKernel(od, ad, bd []float32, m, k, n int) {
-	if PackWorthF32(m, k, n) {
-		pb := f32PackPool.Get().(*PackedF32)
-		if pb.PackB(bd[:k*n], k, n) == nil {
-			matMulF32PackedDriver(od, ad, pb, m, 1, m)
-			f32PackPool.Put(pb)
-			return
-		}
-		f32PackPool.Put(pb)
-	}
-	matMulTransAAXPYKernel(od, ad, bd, m, k, n)
-}
-
-func matMulTransAAXPYKernel(od, ad, bd []float32, m, k, n int) {
-	mb, nb := blocks(m, gemmRowBlock), blocks(n, gemmColBlock)
-	ParallelFor(mb*nb, func(t int) {
-		ib, jb := t/nb, t%nb
-		i1 := min((ib+1)*gemmRowBlock, m)
-		j0 := jb * gemmColBlock
-		j1 := min(j0+gemmColBlock, n)
-		for i := ib * gemmRowBlock; i < i1; i++ {
-			orow := od[i*n+j0 : i*n+j1]
-			for j := range orow {
-				orow[j] = 0
-			}
-			p := 0
-			for ; p+3 < k; p += 4 {
-				axpy4(orow,
-					bd[p*n+j0:p*n+j1],
-					bd[(p+1)*n+j0:(p+1)*n+j1],
-					bd[(p+2)*n+j0:(p+2)*n+j1],
-					bd[(p+3)*n+j0:(p+3)*n+j1],
-					ad[p*m+i], ad[(p+1)*m+i], ad[(p+2)*m+i], ad[(p+3)*m+i])
-			}
-			for ; p < k; p++ {
-				axpy1(orow, bd[p*n+j0:p*n+j1], ad[p*m+i])
-			}
-		}
-	})
+	pb := f32PackPool.Get().(*PackedF32)
+	_ = pb.PackB(bd, k, n) // cannot fail: checkMatMul2D validated the shapes
+	matMulF32PackedDriver(od, ad, pb, m, 1, m)
+	f32PackPool.Put(pb)
 }
 
 // MatMulTransB returns a·bᵀ where a is (m, k) and b is (n, k), producing
@@ -208,26 +122,11 @@ func MatMulTransBInto(dst, a, b *Tensor) error {
 	return nil
 }
 
-// matMulTransBKernel computes od = ad·bdᵀ where bd is (n, k). Below the
-// packing threshold both operands are traversed along contiguous k-rows,
-// each output element one SIMD-friendly inner product; larger shapes pack
-// bdᵀ into column panels so B is streamed once per four output rows
-// instead of once per row.
+// matMulTransBKernel computes od = ad·bdᵀ where bd is (n, k): bdᵀ is
+// packed into column panels, so B is streamed once per four output rows.
 func matMulTransBKernel(od, ad, bd []float32, m, k, n int) {
-	if PackWorthF32(m, k, n) {
-		pb := f32PackPool.Get().(*PackedF32)
-		if pb.PackBT(bd[:n*k], k, n) == nil {
-			matMulF32PackedDriver(od, ad, pb, m, k, 1)
-			f32PackPool.Put(pb)
-			return
-		}
-		f32PackPool.Put(pb)
-	}
-	ParallelFor(m, func(i int) {
-		arow := ad[i*k : (i+1)*k]
-		orow := od[i*n : (i+1)*n]
-		for j := range orow {
-			orow[j] = dot(arow, bd[j*k:(j+1)*k])
-		}
-	})
+	pb := f32PackPool.Get().(*PackedF32)
+	_ = pb.PackBT(bd, k, n) // cannot fail: checkMatMul2D validated the shapes
+	matMulF32PackedDriver(od, ad, pb, m, k, 1)
+	f32PackPool.Put(pb)
 }

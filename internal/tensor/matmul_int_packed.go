@@ -31,6 +31,11 @@ import "fmt"
 // is exact for any weights, so SIMD and portable paths are bit-identical
 // in all cases.
 
+// gemmRowBlock bounds the rows of one packed integer GEMM task, so
+// ParallelFor has enough chunks to balance even when a layer has few
+// output channels or a small batch.
+const gemmRowBlock = 8
+
 // PackedI8 is an int8 matrix repacked into column panels for
 // MatMulU8I8PackedInto. A packed matrix is immutable: build it once (at
 // model compile time), then share it freely across concurrent GEMM calls.

@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"fmt"
+	"os"
 	"slices"
 	"testing"
 )
@@ -47,8 +48,8 @@ func padForQuads(a []uint8) []uint8 {
 }
 
 // eachDispatch runs the test body once per reachable kernel dispatch. On
-// hosts without SIMD kernels (or under APT_NOSIMD) only the portable path
-// runs.
+// hosts without SIMD kernels only the portable path runs; APT_NOSIMD
+// does not remove the SIMD pass, it only changes the startup dispatch.
 func eachDispatch(t *testing.T, body func(t *testing.T)) {
 	t.Helper()
 	modes := []bool{false}
@@ -68,6 +69,19 @@ func eachDispatch(t *testing.T, body func(t *testing.T)) {
 			}
 			body(t)
 		})
+	}
+}
+
+// TestDispatchFollowsAPTNOSIMD pins the startup dispatch to the
+// environment: with APT_NOSIMD set the portable kernels run, otherwise
+// the assembly runs wherever SIMDFeatures names some. Reading the
+// variable here, at test time, also makes the test cache key on it —
+// the kernels read it in init, which the cache does not see.
+func TestDispatchFollowsAPTNOSIMD(t *testing.T) {
+	want := os.Getenv("APT_NOSIMD") == "" && SIMDFeatures() != ""
+	if SIMDActive() != want {
+		t.Fatalf("SIMDActive() = %v with APT_NOSIMD=%q and SIMDFeatures() = %q, want %v",
+			SIMDActive(), os.Getenv("APT_NOSIMD"), SIMDFeatures(), want)
 	}
 }
 

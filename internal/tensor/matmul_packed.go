@@ -5,8 +5,8 @@ import (
 	"sync"
 )
 
-// Packed-operand float GEMM: the register-blocked shape behind the
-// training spine's large products. The B matrix of dst = A·B is
+// Packed-operand float GEMM: the register-blocked shape behind every
+// float product in the repo. The B matrix of dst = A·B is
 // reorganized into column panels of pw consecutive columns — k rows of
 // pw floats each, zero-padded at the right edge — so the inner kernel
 // streams one contiguous panel row per k tap instead of striding B.
@@ -15,25 +15,21 @@ import (
 // products still fill whole panels. The micro-kernel is 4×pw: four
 // output rows' accumulators stay in registers across the whole k loop,
 // each loaded B panel row is multiplied against all four rows, and dst
-// is touched exactly once per tile. That is the BLIS/gemmlowp shape;
-// the AXPY kernels it replaces reload and restore the dst row every
-// four k taps and stream B once per output row.
+// is touched exactly once per tile. That is the BLIS/gemmlowp shape.
 //
-// Packing is cheap relative to the multiply when there are enough output
-// rows to amortize it: the pack streams k·n floats once while the GEMM
-// performs m·k·n FMAs, so the pack overhead is ~1/m of the arithmetic.
-// MatMul/MatMulTransA/MatMulTransB route through a pooled per-call pack
-// when m ≥ f32PackMinM (see PackWorthF32); nn.Linear holds its own
-// PackedF32 arena and calls MatMulF32PackedInto directly, and the band
-// convolution (conv_band.go) gathers its patches straight into panels, so
-// the hot training path packs into reused storage and allocates nothing.
+// The pack streams k·n floats once while the GEMM performs m·k·n FMAs,
+// so its overhead is ~1/m of the arithmetic. MatMul/MatMulTransA/
+// MatMulTransB pack every call into a pooled PackedF32; nn.Linear holds
+// its own PackedF32 arena and calls MatMulF32PackedInto directly, and the
+// band convolution (conv_band.go) gathers its patches straight into
+// panels, so the hot training path packs into reused storage and
+// allocates nothing.
 //
 // Unlike the integer kernels, SIMD and portable float kernels are not
 // bitwise identical: the assembly accumulates with fused multiply-adds
 // (one rounding per tap) while portable Go rounds the multiply and the
 // add separately. Both accumulate in the same k-ascending order with one
-// accumulator per output element, so they agree to float32 rounding —
-// the same contract the AXPY/dot kernels already have.
+// accumulator per output element, so they agree to float32 rounding.
 
 // f32PanelCols is the default packed panel width: 16 columns = two YMM
 // registers of float32 accumulators per output row.
@@ -53,11 +49,11 @@ const f32PanelColsNarrow = 8
 // fraction of a 16-wide layout is large enough that 8-wide panels win.
 const f32NarrowPanelMaxN = 4 * f32PanelCols
 
-// f32PackedRowBlock bounds the rows of one packed-GEMM task. Taller than
-// the AXPY path's gemmRowBlock on purpose: a task streams its B panel
-// from cache once for every row block, so 32 rows (eight 4-row groups)
-// cut that re-streaming 4× while ceil(m/32)·panels still leaves plenty
-// of tasks for the worker pool (panels dominate on every large shape).
+// f32PackedRowBlock bounds the rows of one packed-GEMM task. A task
+// streams its B panel from cache once for every row block, so 32 rows
+// (eight 4-row groups) keep that re-streaming low while ceil(m/32)·panels
+// still leaves plenty of tasks for the worker pool (panels dominate on
+// every large shape).
 const f32PackedRowBlock = 32
 
 // PackedF32 is a float32 matrix repacked into column panels for
@@ -266,29 +262,7 @@ func f32PackedTile(dst, a []float32, b *PackedF32, m, ars, aks, t int) {
 	}
 }
 
-// f32PackPool recycles packed-B buffers for the routed MatMul entry
-// points (matmul.go), so per-call packing costs no steady-state
-// allocations there either.
+// f32PackPool recycles packed-B buffers for the MatMul entry points
+// (matmul.go), so per-call packing costs no steady-state allocations
+// there either.
 var f32PackPool = sync.Pool{New: func() any { return new(PackedF32) }}
-
-// f32PackMinM is the row threshold above which per-call B-packing pays
-// for itself: the pack streams k·n floats once (~2 memory ops per
-// element) while the packed kernel saves roughly one dst load+store and
-// three quarters of the B loads per output element — with m rows
-// sharing one pack, the crossover sits well below 8 rows on every shape
-// benchmarked, and below it the AXPY/dot kernels are already close to
-// load-port bound.
-const f32PackMinM = 8
-
-// PackWorthF32 reports whether the routed GEMMs should take the packed
-// path for an (m, k, n) product. Products narrower than one narrow
-// panel keep the direct kernels: below 8 columns every panel is a
-// partial edge, so the packed path degenerates to the scalar edge
-// kernel plus pack overhead, while the dot/AXPY paths are strongest
-// exactly there. From 8 columns up the pack picks 8-wide panels (see
-// reset), which keeps shapes like the first-layer weight gradient
-// (n = kdim) register-blocked. Tiny-k products skip packing because
-// the per-panel pack setup is not amortized.
-func PackWorthF32(m, k, n int) bool {
-	return m >= f32PackMinM && n >= f32PanelColsNarrow && k >= 4
-}

@@ -293,46 +293,6 @@ func TestMatMulU8I8PackedEdgeColumnSweep(t *testing.T) {
 	})
 }
 
-// TestRoutedMatMulMatchesAXPY pins the per-call pack routing: above the
-// threshold MatMul/MatMulTransA/MatMulTransB answers must agree with the
-// direct kernels they replaced (to rounding), under both dispatches.
-func TestRoutedMatMulMatchesAXPY(t *testing.T) {
-	eachDispatch(t, func(t *testing.T) {
-		rng := NewRNG(64)
-		m, k, n := 24, 31, 130
-		if !PackWorthF32(m, k, n) {
-			t.Fatalf("test shape (%d,%d,%d) no longer routes", m, k, n)
-		}
-		ad := randF32(rng, m*k)
-		bd := randF32(rng, k*n)
-		od := make([]float32, m*n)
-		want := make([]float32, m*n)
-		matMulKernel(od, ad, bd, m, k, n)
-		matMulAXPYKernel(want, ad, bd, m, k, n)
-		f32Close(t, "matmul", od, want, k)
-
-		atd := randF32(rng, k*m) // (k, m)
-		matMulTransAKernel(od, atd, bd, m, k, n)
-		matMulTransAAXPYKernel(want, atd, bd, m, k, n)
-		f32Close(t, "matmulTA", od, want, k)
-
-		btd := randF32(rng, n*k) // (n, k)
-		pbWant := naiveF32Ref(ad, k, transposeF32(btd, n, k), m, k, n)
-		matMulTransBKernel(od, ad, btd, m, k, n)
-		f32Close(t, "matmulTB", od, pbWant, k)
-	})
-}
-
-func transposeF32(src []float32, rows, cols int) []float32 {
-	out := make([]float32, rows*cols)
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			out[c*rows+r] = src[r*cols+c]
-		}
-	}
-	return out
-}
-
 func TestMatMulF32PackedDeterministicAcrossWorkers(t *testing.T) {
 	rng := NewRNG(65)
 	m, k, n := 37, 60, 70

@@ -16,39 +16,11 @@ func (t *Tensor) Add(o *Tensor) error {
 	return nil
 }
 
-// Sub subtracts o from t element-wise, in place.
-func (t *Tensor) Sub(o *Tensor) error {
-	if !t.SameShape(o) {
-		return fmt.Errorf("%w: sub %v from %v", ErrShape, o.shape, t.shape)
-	}
-	for i, v := range o.data {
-		t.data[i] -= v
-	}
-	return nil
-}
-
 // Scale multiplies every element by s, in place.
 func (t *Tensor) Scale(s float32) {
 	for i := range t.data {
 		t.data[i] *= s
 	}
-}
-
-// Sum returns the sum of all elements as float64 for numerical stability.
-func (t *Tensor) Sum() float64 {
-	var s float64
-	for _, v := range t.data {
-		s += float64(v)
-	}
-	return s
-}
-
-// Mean returns the arithmetic mean of all elements.
-func (t *Tensor) Mean() float64 {
-	if len(t.data) == 0 {
-		return 0
-	}
-	return t.Sum() / float64(len(t.data))
 }
 
 // AbsMean returns the mean of |x| over all elements.

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"sync/atomic"
 	"testing"
@@ -172,6 +173,8 @@ func naiveMatMul(a, b *Tensor, aT, bT bool) *Tensor {
 	return out
 }
 
+// checkClose fails unless got ≈ want elementwise within tol relative to
+// 1+|want|; a NaN in got always fails.
 func checkClose(t *testing.T, got, want *Tensor, tol float64, label string) {
 	t.Helper()
 	if !got.SameShape(want) {
@@ -179,46 +182,69 @@ func checkClose(t *testing.T, got, want *Tensor, tol float64, label string) {
 	}
 	for i := range got.Data() {
 		g, w := float64(got.Data()[i]), float64(want.Data()[i])
-		if math.Abs(g-w) > tol*(1+math.Abs(w)) {
+		if !(math.Abs(g-w) <= tol*(1+math.Abs(w))) {
 			t.Fatalf("%s: elem %d: got %v, want %v", label, i, g, w)
 		}
 	}
 }
 
-// TestTiledGEMMAgainstNaiveReference checks all three GEMM variants against
-// an independent float64 triple loop within 1e-5 across shapes that cover
-// every unroll tail (k % 4 in 0..3, n crossing the column-block boundary).
+// TestTiledGEMMAgainstNaiveReference checks the three MatMul orientations
+// against an independent float64 triple loop within 1e-5, under every
+// dispatch. The shapes cover every m and n below one 4×8 micro-tile
+// crossed with k = 1..3 (all-edge panels, 1-row kernels only), the
+// classifier head's forward (64,32,4) and weight-gradient (4,64,32)
+// products, a 4-row product 16384 columns wide, and shapes crossing row
+// blocks, panel edges and both panel widths. dst starts as NaN, so an
+// element the kernels skip fails, and a canary word past dst must
+// survive every product.
 func TestTiledGEMMAgainstNaiveReference(t *testing.T) {
-	rng := NewRNG(77)
 	shapes := [][3]int{
-		{1, 1, 1}, {3, 4, 5}, {8, 27, 33}, {16, 13, 64},
-		{5, 16, 2100}, // n crosses gemmColBlock
-		{17, 6, 31}, {2, 9, 7},
+		{3, 4, 5}, {8, 27, 33}, {16, 13, 64}, {5, 16, 2100}, {17, 6, 31}, {2, 9, 7},
+		{64, 32, 4}, {4, 64, 32}, {4, 36, 16384},
 	}
+	for m := 1; m <= 7; m++ {
+		for n := 1; n <= 7; n++ {
+			for k := 1; k <= 3; k++ {
+				shapes = append(shapes, [3]int{m, k, n})
+			}
+		}
+	}
+	type gemmCase struct {
+		label string
+		run   func(dst *Tensor) error
+		want  *Tensor
+	}
+	rng := NewRNG(77)
+	var cases []gemmCase
 	for _, s := range shapes {
 		m, k, n := s[0], s[1], s[2]
-		a := randMat(rng, m, k)
-		b := randMat(rng, k, n)
-		got, err := MatMul(a, b)
-		if err != nil {
-			t.Fatalf("MatMul(%v): %v", s, err)
-		}
-		checkClose(t, got, naiveMatMul(a, b, false, false), 1e-5, "matmul")
-
-		at := randMat(rng, k, m)
-		gotTA := New(m, n)
-		if err := MatMulTransAInto(gotTA, at, b); err != nil {
-			t.Fatalf("MatMulTransAInto(%v): %v", s, err)
-		}
-		checkClose(t, gotTA, naiveMatMul(at, b, true, false), 1e-5, "matmulTA")
-
-		bt := randMat(rng, n, k)
-		gotTB, err := MatMulTransB(a, bt)
-		if err != nil {
-			t.Fatalf("MatMulTransB(%v): %v", s, err)
-		}
-		checkClose(t, gotTB, naiveMatMul(a, bt, false, true), 1e-5, "matmulTB")
+		a, b := randMat(rng, m, k), randMat(rng, k, n)
+		at, bt := randMat(rng, k, m), randMat(rng, n, k)
+		cases = append(cases,
+			gemmCase{fmt.Sprintf("matmul %v", s), func(d *Tensor) error { return MatMulInto(d, a, b) }, naiveMatMul(a, b, false, false)},
+			gemmCase{fmt.Sprintf("matmulTA %v", s), func(d *Tensor) error { return MatMulTransAInto(d, at, b) }, naiveMatMul(at, b, true, false)},
+			gemmCase{fmt.Sprintf("matmulTB %v", s), func(d *Tensor) error { return MatMulTransBInto(d, a, bt) }, naiveMatMul(a, bt, false, true)},
+		)
 	}
+	const canary = 0x7fc0ffee // a quiet-NaN payload no product yields
+	eachDispatch(t, func(t *testing.T) {
+		for _, c := range cases {
+			m, n := c.want.Dim(0), c.want.Dim(1)
+			buf := make([]float32, m*n+1)
+			for i := range buf {
+				buf[i] = float32(math.NaN())
+			}
+			buf[m*n] = math.Float32frombits(canary)
+			dst := MustFromSlice(buf[:m*n], m, n)
+			if err := c.run(dst); err != nil {
+				t.Fatalf("%s: %v", c.label, err)
+			}
+			checkClose(t, dst, c.want, 1e-5, c.label)
+			if math.Float32bits(buf[m*n]) != canary {
+				t.Fatalf("%s: wrote past dst", c.label)
+			}
+		}
+	})
 }
 
 // TestMatMulIntoMatchesAlloc checks the zero-alloc variants write the same
@@ -289,56 +315,5 @@ func TestGEMMDeterministicAcrossWorkerCounts(t *testing.T) {
 			t.Fatal(err)
 		}
 		matEq(t, got, ref, 0)
-	}
-}
-
-// TestKernelsAgainstReference exercises the dispatched AXPY/dot kernels
-// (SIMD assembly on capable amd64 hosts) against plain Go loops, covering
-// the vector widths and scalar tails.
-func TestKernelsAgainstReference(t *testing.T) {
-	rng := NewRNG(80)
-	for _, n := range []int{0, 1, 3, 7, 8, 9, 15, 16, 17, 31, 32, 100, 1023} {
-		mk := func() []float32 {
-			s := make([]float32, n)
-			for i := range s {
-				s[i] = float32(rng.Norm())
-			}
-			return s
-		}
-		dst := mk()
-		ref := append([]float32(nil), dst...)
-		b0, b1, b2, b3 := mk(), mk(), mk(), mk()
-		a0, a1, a2, a3 := float32(0.7), float32(-1.3), float32(0.01), float32(2.5)
-
-		axpy4(dst, b0, b1, b2, b3, a0, a1, a2, a3)
-		for j := 0; j < n; j++ {
-			ref[j] += a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
-		}
-		for j := 0; j < n; j++ {
-			if math.Abs(float64(dst[j]-ref[j])) > 1e-5*(1+math.Abs(float64(ref[j]))) {
-				t.Fatalf("axpy4 n=%d: elem %d got %v want %v", n, j, dst[j], ref[j])
-			}
-		}
-
-		dst2 := mk()
-		ref2 := append([]float32(nil), dst2...)
-		axpy1(dst2, b0, a1)
-		for j := 0; j < n; j++ {
-			ref2[j] += a1 * b0[j]
-		}
-		for j := 0; j < n; j++ {
-			if math.Abs(float64(dst2[j]-ref2[j])) > 1e-5*(1+math.Abs(float64(ref2[j]))) {
-				t.Fatalf("axpy1 n=%d: elem %d got %v want %v", n, j, dst2[j], ref2[j])
-			}
-		}
-
-		var want float64
-		for j := 0; j < n; j++ {
-			want += float64(b0[j]) * float64(b1[j])
-		}
-		got := float64(dot(b0, b1))
-		if math.Abs(got-want) > 1e-4*(1+math.Abs(want)) {
-			t.Fatalf("dot n=%d: got %v want %v", n, got, want)
-		}
 	}
 }
