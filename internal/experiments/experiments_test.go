@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/quant"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -177,12 +179,7 @@ func TestFig1MicroShape(t *testing.T) {
 	if ga[0] >= 1.0 {
 		t.Errorf("layer A first Gavg = %v, want < Tmin=1 (starving layer)", ga[0])
 	}
-	// Bits never decrease with Tmax = inf.
-	for i := 1; i < len(ba); i++ {
-		if ba[i] < ba[i-1] {
-			t.Fatalf("bits decreased at epoch %d with Tmax=inf", i)
-		}
-	}
+	checkBitTraces(t, map[string][]float64{"layer A": ba, "layer B": rep.Series["bitsB"]})
 	if ba[len(ba)-1] <= ba[0] {
 		t.Error("starving layer gained no bits")
 	}
@@ -275,5 +272,102 @@ func TestInferMicroBench(t *testing.T) {
 	// The int8 and float batch sweeps, 1/4/16/64 each.
 	if len(doc.Rows) != 8 || doc.Serving.Requests == 0 {
 		t.Errorf("JSON report shape: %d rows, %d served requests", len(doc.Rows), doc.Serving.Requests)
+	}
+}
+
+// checkBitTraces pins the controller's bit policy on traced runs with
+// Tmax = +Inf: every recorded bitwidth lies in [quant.MinBits,
+// quant.MaxBits] and no trace ever decreases.
+func checkBitTraces(t *testing.T, traces map[string][]float64) {
+	t.Helper()
+	if len(traces) == 0 {
+		t.Fatal("no bit traces recorded")
+	}
+	for name, tr := range traces {
+		if len(tr) == 0 {
+			t.Errorf("%s: empty bit trace", name)
+		}
+		for i, b := range tr {
+			if b < quant.MinBits || b > quant.MaxBits {
+				t.Errorf("%s: %v bits at epoch %d, outside [%d, %d]", name, b, i, quant.MinBits, quant.MaxBits)
+			}
+			if i > 0 && b < tr[i-1] {
+				t.Errorf("%s: bits fell from %v to %v at epoch %d with Tmax = +Inf", name, tr[i-1], b, i)
+			}
+		}
+	}
+}
+
+// TestFig5Claims pins Fig 5's claim as inequalities that survive float
+// rounding changes beneath the trainer: a higher Tmin buys accuracy with
+// energy and precision, so the Tmin = 100 run spends more normalized
+// energy and more mean bits than the Tmin = 0.1 run (at Micro: 0.161 vs
+// 0.086, 13.8 vs 6.0 bits). Every traced bitwidth obeys checkBitTraces.
+// Skipped in -short mode (about 2 s of training).
+func TestFig5Claims(t *testing.T) {
+	if testing.Short() {
+		t.Skip("training run")
+	}
+	rep, err := Fig5(Micro(), io.Discard)
+	if err != nil {
+		t.Fatalf("Fig5: %v", err)
+	}
+	tmin, energy, bits := rep.Series["tmin"], rep.Series["energy"], rep.Series["meanbits"]
+	lo, hi := -1, -1
+	for i, v := range tmin {
+		switch v {
+		case 0.1:
+			lo = i
+		case 100:
+			hi = i
+		}
+	}
+	if lo < 0 || hi < 0 || len(energy) != len(tmin) || len(bits) != len(tmin) {
+		t.Fatalf("Fig 5 series: tmin %v, energy %v, mean bits %v", tmin, energy, bits)
+	}
+	if !(energy[hi] > energy[lo]) {
+		t.Errorf("normalized energy at Tmin=100 (%.3f) not above Tmin=0.1 (%.3f)", energy[hi], energy[lo])
+	}
+	if !(bits[hi] > bits[lo]) {
+		t.Errorf("mean bits at Tmin=100 (%.2f) not above Tmin=0.1 (%.2f)", bits[hi], bits[lo])
+	}
+	traces := map[string][]float64{}
+	for name, s := range rep.Series {
+		if strings.HasPrefix(name, "bits ") {
+			traces[name] = s
+		}
+	}
+	checkBitTraces(t, traces)
+}
+
+// TestTable1Claims pins Table 1's memory column, the paper's §IV-C point:
+// the methods without a master copy (APT 0.344 and WAGE 0.250 at Micro)
+// train in less memory than fp32 and than every master-copy method (BNN,
+// TWN, TTQ 1.061; DoReFa 1.244). It trains eleven models (about 10 s), so
+// it runs only with APT_PAPER_PINS=1 (CI step paper-pins).
+func TestTable1Claims(t *testing.T) {
+	if os.Getenv("APT_PAPER_PINS") != "1" {
+		t.Skip("set APT_PAPER_PINS=1 to run the Table 1 pins")
+	}
+	rep, err := Table1(Micro(), io.Discard)
+	if err != nil {
+		t.Fatalf("Table1: %v", err)
+	}
+	mem := func(label string) float64 {
+		s := rep.Series["mem/"+label]
+		if len(s) != 1 {
+			t.Fatalf("no memory cell for %s", label)
+		}
+		return s[0]
+	}
+	for _, lean := range []string{"APT", "WAGE"} {
+		if m := mem(lean); !(m < 1) {
+			t.Errorf("%s trains in %.3f× fp32 memory, want below 1", lean, m)
+		}
+		for _, master := range []string{"BNN", "TWN", "TTQ", "DoReFa Net"} {
+			if !(mem(lean) < mem(master)) {
+				t.Errorf("%s memory %.3f not below master-copy %s %.3f", lean, mem(lean), master, mem(master))
+			}
+		}
 	}
 }

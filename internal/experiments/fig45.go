@@ -133,7 +133,7 @@ func Fig5(s Scale, log io.Writer) (*Report, error) {
 	}
 	rep := NewReport("fig5", "Resource Consumption for Training v.s. Test Accuracy (Tmin sweep)",
 		"Tmin", "test accuracy", "normalized energy", "normalized model size", "mean bits")
-	var accs, energies, sizes []float64
+	var accs, energies, sizes, bits []float64
 	for _, tmin := range tmins {
 		m, err := s.ResNet20(10)
 		if err != nil {
@@ -156,6 +156,10 @@ func Fig5(s Scale, log io.Writer) (*Report, error) {
 		accs = append(accs, acc)
 		energies = append(energies, ne)
 		sizes = append(sizes, ns)
+		bits = append(bits, ctrl.MeanBits())
+		for _, name := range ctrl.TracedParams() {
+			rep.SetSeries(fmt.Sprintf("bits Tmin=%g %s", tmin, name), intsToFloats(ctrl.BitsTrace(name)))
+		}
 		rep.AddRow(fmt.Sprintf("%g", tmin), fmtPct(acc), fmtNorm(ne), fmtNorm(ns),
 			fmt.Sprintf("%.2f", ctrl.MeanBits()))
 	}
@@ -163,6 +167,7 @@ func Fig5(s Scale, log io.Writer) (*Report, error) {
 	rep.SetSeries("accuracy", accs)
 	rep.SetSeries("energy", energies)
 	rep.SetSeries("size", sizes)
+	rep.SetSeries("meanbits", bits)
 	rep.AddNote("higher Tmin buys accuracy with energy/memory; the paper reports a plateau past Tmin≈1 where extra energy brings little improvement, and memory follows the energy trend.")
 	return rep, nil
 }

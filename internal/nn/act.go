@@ -55,9 +55,9 @@ func (r *ReLU) Backward(dout *tensor.Tensor) (*tensor.Tensor, error) {
 	return dx, nil
 }
 
-// rectBlock is the element count of one rectifier task: 64 KB of output,
-// so a batch-sized activation splits across the pool and a small one runs
-// inline.
+// rectBlock is the element count of one rectifier or residual-add task:
+// 64 KB of output, so a batch-sized activation splits across the pool and
+// a small one runs inline.
 const rectBlock = 1 << 14
 
 // rectify writes y = max(x, 0), clipped at limit when limit > 0, without
@@ -67,13 +67,24 @@ func rectify(y, x []float32, limit float32) {
 	if limit <= 0 {
 		limit = float32(math.Inf(1))
 	}
-	tensor.ParallelFor((len(x)+rectBlock-1)/rectBlock, func(b int) {
-		lo, hi := b*rectBlock, min((b+1)*rectBlock, len(x))
-		ys := y[lo:hi]
-		for i, v := range x[lo:hi] {
-			ys[i] = min(max(v, 0), limit)
-		}
-	})
+	forChunks(rectBlocks(len(x)), rectJob{y: y, x: x, limit: limit})
+}
+
+// rectBlocks is the rectBlock count of an n-element pass.
+func rectBlocks(n int) int { return (n + rectBlock - 1) / rectBlock }
+
+// rectJob is one block of rectify.
+type rectJob struct {
+	y, x  []float32
+	limit float32
+}
+
+func (r rectJob) run(b int) {
+	lo, hi := b*rectBlock, min((b+1)*rectBlock, len(r.x))
+	ys := r.y[lo:hi]
+	for i, v := range r.x[lo:hi] {
+		ys[i] = min(max(v, 0), r.limit)
+	}
 }
 
 // rectifyGrad writes dx = dout where the rectifier output y lies in the
@@ -86,13 +97,47 @@ func rectifyGrad(dx, dout, y []float32, limit float32) {
 	if limit > 0 {
 		top = int32(math.Float32bits(limit))
 	}
-	tensor.ParallelFor((len(y)+rectBlock-1)/rectBlock, func(b int) {
-		lo, hi := b*rectBlock, min((b+1)*rectBlock, len(y))
-		ds, gs, ys := dx[lo:hi], dout[lo:hi], y[lo:hi]
-		for i, v := range ys {
-			u := int32(math.Float32bits(v))
-			mask := uint32((-u & (u - top)) >> 31) // u > 0 and u < top
-			ds[i] = math.Float32frombits(math.Float32bits(gs[i]) & mask)
+	forChunks(rectBlocks(len(y)), rectGradJob{dx: dx, dout: dout, y: y, top: top})
+}
+
+// rectGradJob is one block of rectifyGrad.
+type rectGradJob struct {
+	dx, dout, y []float32
+	top         int32
+}
+
+func (r rectGradJob) run(b int) {
+	lo, hi := b*rectBlock, min((b+1)*rectBlock, len(r.y))
+	ds, gs := r.dx[lo:hi], r.dout[lo:hi]
+	for i, v := range r.y[lo:hi] {
+		u := int32(math.Float32bits(v))
+		mask := uint32((-u & (u - r.top)) >> 31) // u > 0 and u < top
+		ds[i] = math.Float32frombits(math.Float32bits(gs[i]) & mask)
+	}
+}
+
+// addInto writes y = a + b, rectified (max(·, 0)) when relu is set:
+// Residual's sum and output activation in one pass.
+func addInto(y, a, b []float32, relu bool) {
+	forChunks(rectBlocks(len(a)), addJob{y: y, a: a, b: b, relu: relu})
+}
+
+// addJob is one block of addInto.
+type addJob struct {
+	y, a, b []float32
+	relu    bool
+}
+
+func (j addJob) run(blk int) {
+	lo, hi := blk*rectBlock, min((blk+1)*rectBlock, len(j.a))
+	ys, bs := j.y[lo:hi], j.b[lo:hi]
+	if j.relu {
+		for i, v := range j.a[lo:hi] {
+			ys[i] = max(v+bs[i], 0)
 		}
-	})
+		return
+	}
+	for i, v := range j.a[lo:hi] {
+		ys[i] = v + bs[i]
+	}
 }

@@ -35,14 +35,6 @@ func growInt(buf *[]int, n int) []int {
 	return (*buf)[:n]
 }
 
-// growF64 is growF32 for float64 accumulators.
-func growF64(buf *[]float64, n int) []float64 {
-	if cap(*buf) < n {
-		*buf = make([]float64, n)
-	}
-	return (*buf)[:n]
-}
-
 // growU8 is growF32 for byte masks.
 func growU8(buf *[]uint8, n int) []uint8 {
 	if cap(*buf) < n {
@@ -93,6 +85,25 @@ func (a *arenaTensor) like(x *tensor.Tensor) *tensor.Tensor {
 		}
 	}
 	return a.t
+}
+
+// chunkJob is the body of one element-wise or per-channel pass of a layer:
+// run(i) handles chunk i, and chunks are independent.
+type chunkJob interface{ run(i int) }
+
+// forChunks runs j.run(i) for every i in [0, n) on the worker pool. Jobs
+// are value types, so a pass that runs serially — one chunk, or one
+// worker — keeps its job on the caller's stack and allocates nothing; only
+// the pool path builds a closure.
+func forChunks[J chunkJob](n int, j J) {
+	if n == 1 || tensor.MaxWorkers() == 1 {
+		for i := 0; i < n; i++ {
+			j.run(i)
+		}
+		return
+	}
+	jc := j // only this copy may move to the heap
+	tensor.ParallelFor(n, func(i int) { jc.run(i) })
 }
 
 func sameShape(a, b []int) bool {

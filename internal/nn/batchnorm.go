@@ -11,6 +11,15 @@ import (
 // with learnable per-channel scale (gamma) and shift (beta) and running
 // statistics for evaluation mode. The paper trains all backbones with BN
 // and no dropout.
+//
+// Every pass is one ParallelFor over channels, each channel one call of a
+// tensor channel kernel (tensor.ChannelMoments / ChannelAffine /
+// ChannelGradSums / ChannelGradInput), so results do not depend on the
+// worker count. The output is y = float32(x·scale) + shift with the
+// per-channel scale = γ·invstd and shift = β − mean·scale. No normalized
+// copy x̂ is stored: a training Forward keeps its input by reference (the
+// PERF.md arena rule 6) and the channel's mean and inverse standard
+// deviation, and Backward recomputes x − mean from them.
 type BatchNorm2D struct {
 	name     string
 	channels int
@@ -23,15 +32,14 @@ type BatchNorm2D struct {
 	runMean []float64
 	runVar  []float64
 
-	// forward cache
-	xhat  *tensor.Tensor // shaped like the input
-	std   []float64
-	ready bool
+	// forward cache: the input of the last training Forward, nil once
+	// Backward consumed it, and its per-channel batch statistics
+	x      *tensor.Tensor
+	mean   []float64
+	invstd []float64
 
-	outA  arenaTensor // (N, C, H, W) forward output
-	xhatA arenaTensor // (N, C, H, W) normalized activations
-	dxA   arenaTensor // (N, C, H, W) input gradient
-	stdA  []float64   // per-channel std scratch
+	outA arenaTensor // (N, C, H, W) forward output
+	dxA  arenaTensor // (N, C, H, W) input gradient
 }
 
 // NewBatchNorm2D constructs a batch-norm layer for the given channel count.
@@ -50,6 +58,8 @@ func NewBatchNorm2D(name string, channels int) (*BatchNorm2D, error) {
 		beta:     NewParam(name+".beta", tensor.New(channels)),
 		runMean:  make([]float64, channels),
 		runVar:   make([]float64, channels),
+		mean:     make([]float64, channels),
+		invstd:   make([]float64, channels),
 	}
 	for i := range b.runVar {
 		b.runVar[i] = 1
@@ -63,113 +73,85 @@ func (b *BatchNorm2D) Name() string { return b.name }
 // Params implements Layer.
 func (b *BatchNorm2D) Params() []*Param { return []*Param{b.gamma, b.beta} }
 
-// Forward implements Layer.
+// Forward implements Layer. A training pass normalizes with the batch
+// statistics and updates the running ones; an evaluation pass normalizes
+// with the running statistics and keeps nothing for Backward.
 func (b *BatchNorm2D) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error) {
 	if x.Rank() != 4 || x.Dim(1) != b.channels {
 		return nil, fmt.Errorf("batchnorm %q: %w: input %v, want (N,%d,H,W)", b.name, tensor.ErrShape, x.Shape(), b.channels)
 	}
-	n, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
-	plane := h * w
-	cnt := float64(n * plane)
-	out := b.outA.get(n, b.channels, h, w)
-	xd, od := x.Data(), out.Data()
-	gd, bd := b.gamma.Value.Data(), b.beta.Value.Data()
-
+	out := b.outA.like(x)
+	b.x = nil
 	if train {
-		b.xhat = b.xhatA.get(n, b.channels, h, w)
-		b.std = growF64(&b.stdA, b.channels)
-		b.ready = true
-		xh := b.xhat.Data()
-		tensor.ParallelFor(b.channels, func(c int) {
-			var mean float64
-			for i := 0; i < n; i++ {
-				row := xd[(i*b.channels+c)*plane : (i*b.channels+c+1)*plane]
-				for _, v := range row {
-					mean += float64(v)
-				}
-			}
-			mean /= cnt
-			var variance float64
-			for i := 0; i < n; i++ {
-				row := xd[(i*b.channels+c)*plane : (i*b.channels+c+1)*plane]
-				for _, v := range row {
-					d := float64(v) - mean
-					variance += d * d
-				}
-			}
-			variance /= cnt
-			std := math.Sqrt(variance + b.eps)
-			b.std[c] = std
-			b.runMean[c] = (1-b.momentum)*b.runMean[c] + b.momentum*mean
-			b.runVar[c] = (1-b.momentum)*b.runVar[c] + b.momentum*variance
-			g, bt := float64(gd[c]), float64(bd[c])
-			for i := 0; i < n; i++ {
-				off := (i*b.channels + c) * plane
-				for j := 0; j < plane; j++ {
-					xn := (float64(xd[off+j]) - mean) / std
-					xh[off+j] = float32(xn)
-					od[off+j] = float32(g*xn + bt)
-				}
-			}
-		})
-		return out, nil
+		b.x = x
 	}
-
-	tensor.ParallelFor(b.channels, func(c int) {
-		mean := b.runMean[c]
-		std := math.Sqrt(b.runVar[c] + b.eps)
-		g, bt := float64(gd[c]), float64(bd[c])
-		for i := 0; i < n; i++ {
-			off := (i*b.channels + c) * plane
-			for j := 0; j < plane; j++ {
-				od[off+j] = float32(g*(float64(xd[off+j])-mean)/std + bt)
-			}
-		}
-	})
+	forChunks(b.channels, bnForward{b: b, x: x.Data(), y: out.Data(), n: x.Dim(0), plane: x.Dim(2) * x.Dim(3), train: train})
 	return out, nil
 }
 
-// Backward implements Layer using the standard batch-norm gradient.
+// bnForward is the forward pass of one channel.
+type bnForward struct {
+	b        *BatchNorm2D
+	x, y     []float32
+	n, plane int
+	train    bool
+}
+
+func (f bnForward) run(c int) {
+	b := f.b
+	stride, o := b.channels*f.plane, c*f.plane
+	mean, variance := b.runMean[c], b.runVar[c]
+	if f.train {
+		mean, variance = tensor.ChannelMoments(f.x[o:], f.n, f.plane, stride)
+		b.runMean[c] = (1-b.momentum)*b.runMean[c] + b.momentum*mean
+		b.runVar[c] = (1-b.momentum)*b.runVar[c] + b.momentum*variance
+	}
+	invstd := 1 / math.Sqrt(variance+b.eps)
+	if f.train {
+		b.mean[c], b.invstd[c] = mean, invstd
+	}
+	scale := float32(float64(b.gamma.Value.Data()[c]) * invstd)
+	shift := float32(float64(b.beta.Value.Data()[c]) - mean*float64(scale))
+	tensor.ChannelAffine(f.y[o:], f.x[o:], f.n, f.plane, stride, scale, shift)
+}
+
+// Backward implements Layer using the standard batch-norm gradient, with
+// x̂ = (x − mean)·invstd recomputed from the retained input.
 func (b *BatchNorm2D) Backward(dout *tensor.Tensor) (*tensor.Tensor, error) {
-	if !b.ready {
+	x := b.x
+	if x == nil {
 		return nil, fmt.Errorf("batchnorm %q: backward before forward", b.name)
 	}
-	if dout.Rank() != 4 || dout.Dim(1) != b.channels {
-		return nil, fmt.Errorf("batchnorm %q: %w: dout %v", b.name, tensor.ErrShape, dout.Shape())
+	if !dout.SameShape(x) {
+		return nil, fmt.Errorf("batchnorm %q: %w: dout %v, want %v", b.name, tensor.ErrShape, dout.Shape(), x.Shape())
 	}
-	n, h, w := dout.Dim(0), dout.Dim(2), dout.Dim(3)
-	plane := h * w
-	cnt := float64(n * plane)
-	dx := b.dxA.like(b.xhat)
-	dd, xh, dxd := dout.Data(), b.xhat.Data(), dx.Data()
-	gd := b.gamma.Value.Data()
-	gg, gb := b.gamma.Grad.Data(), b.beta.Grad.Data()
-
-	tensor.ParallelFor(b.channels, func(c int) {
-		var sumDy, sumDyXhat float64
-		for i := 0; i < n; i++ {
-			off := (i*b.channels + c) * plane
-			for j := 0; j < plane; j++ {
-				dy := float64(dd[off+j])
-				sumDy += dy
-				sumDyXhat += dy * float64(xh[off+j])
-			}
-		}
-		gg[c] += float32(sumDyXhat)
-		gb[c] += float32(sumDy)
-		g := float64(gd[c])
-		inv := g / (b.std[c] * cnt)
-		for i := 0; i < n; i++ {
-			off := (i*b.channels + c) * plane
-			for j := 0; j < plane; j++ {
-				dy := float64(dd[off+j])
-				xn := float64(xh[off+j])
-				dxd[off+j] = float32(inv * (cnt*dy - sumDy - xn*sumDyXhat))
-			}
-		}
-	})
-	b.ready = false
+	dx := b.dxA.like(x)
+	forChunks(b.channels, bnBackward{b: b, x: x.Data(), dy: dout.Data(), dx: dx.Data(), n: x.Dim(0), plane: x.Dim(2) * x.Dim(3)})
+	b.x = nil
 	return dx, nil
+}
+
+// bnBackward is the backward pass of one channel: the two gradient sums,
+// the parameter gradients, then the input gradient
+// dx = γ·invstd·((dy − Σdy/cnt) − (x − mean)·invstd²·Σdy(x−mean)/cnt).
+type bnBackward struct {
+	b         *BatchNorm2D
+	x, dy, dx []float32
+	n, plane  int
+}
+
+func (j bnBackward) run(c int) {
+	b := j.b
+	stride, o := b.channels*j.plane, c*j.plane
+	cnt := float64(j.n * j.plane)
+	mean, invstd := b.mean[c], b.invstd[c]
+	sumDy, sumDyXc := tensor.ChannelGradSums(j.dy[o:], j.x[o:], j.n, j.plane, stride, mean)
+	b.gamma.Grad.Data()[c] += float32(invstd * sumDyXc)
+	b.beta.Grad.Data()[c] += float32(sumDy)
+	a := float64(b.gamma.Value.Data()[c]) * invstd
+	k := invstd * invstd * sumDyXc / cnt
+	tensor.ChannelGradInput(j.dx[o:], j.dy[o:], j.x[o:], j.n, j.plane, stride,
+		float32(mean), float32(sumDy/cnt), float32(k), float32(a))
 }
 
 // RunningStats exposes the per-channel running mean and variance (used by

@@ -58,7 +58,8 @@ func (s *Sequential) Backward(dout *tensor.Tensor) (*tensor.Tensor, error) {
 // identity. It is the basic block of the CIFAR ResNets. When withReLU is
 // false the block omits the output activation (used by MobileNetV2's
 // linear bottlenecks, where the skip connection adds projection outputs
-// directly).
+// directly). The add and the activation are one pass forward, and the two
+// branch gradients are summed in one pass backward.
 type Residual struct {
 	name     string
 	main     Layer
@@ -140,15 +141,12 @@ func (r *Residual) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error)
 			return nil, fmt.Errorf("%s: %w", r.name, err)
 		}
 	}
+	if !sy.SameShape(my) {
+		return nil, fmt.Errorf("%s: %w: shortcut %v, main branch %v", r.name, tensor.ErrShape, sy.Shape(), my.Shape())
+	}
 	out := r.outA.like(my)
-	if err := out.CopyFrom(my); err != nil {
-		return nil, fmt.Errorf("%s: %w", r.name, err)
-	}
-	if err := out.Add(sy); err != nil {
-		return nil, fmt.Errorf("%s: %w", r.name, err)
-	}
+	addInto(out.Data(), my.Data(), sy.Data(), r.withReLU)
 	if r.withReLU {
-		rectify(out.Data(), out.Data(), 0)
 		r.y = out
 	}
 	return out, nil
@@ -179,12 +177,10 @@ func (r *Residual) Backward(dout *tensor.Tensor) (*tensor.Tensor, error) {
 			return nil, fmt.Errorf("%s: %w", r.name, err)
 		}
 	}
+	if !dshort.SameShape(dmain) {
+		return nil, fmt.Errorf("%s: %w: shortcut gradient %v, main branch %v", r.name, tensor.ErrShape, dshort.Shape(), dmain.Shape())
+	}
 	dx := r.dxA.like(dmain)
-	if err := dx.CopyFrom(dmain); err != nil {
-		return nil, fmt.Errorf("%s: %w", r.name, err)
-	}
-	if err := dx.Add(dshort); err != nil {
-		return nil, fmt.Errorf("%s: %w", r.name, err)
-	}
+	addInto(dx.Data(), dmain.Data(), dshort.Data(), false)
 	return dx, nil
 }

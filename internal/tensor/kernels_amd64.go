@@ -6,7 +6,8 @@ import "os"
 
 // Runtime CPU dispatch for the amd64 SIMD kernels. The float assembly in
 // kernels_amd64.s needs AVX2 and FMA3; the integer panel kernels in
-// kernels_int_amd64.s need AVX2. Both are checked via CPUID along with OS
+// kernels_int_amd64.s and the batch-norm kernels in kernels_bn_amd64.s
+// need AVX2. Both are checked via CPUID along with OS
 // support for saving YMM state (OSXSAVE + XCR0), following the standard
 // detection sequence. When any check fails — or APT_NOSIMD is set in the
 // environment — the portable Go kernels stay in place.
@@ -52,6 +53,18 @@ func convTapGatherAVX2(dst, src *float32, off, nb, oh, ow, rs, sp, st, pw, kp in
 
 //go:noescape
 func convTapScatterAVX2(dst, src *float32, nb, oh, ow, rs, sp, st int)
+
+//go:noescape
+func bnMomentsAVX2(x *float32, n, plane, stride int, cnt float64) (mean, variance float64)
+
+//go:noescape
+func bnAffineAVX2(y, x *float32, n, plane, stride int, scale, shift float32)
+
+//go:noescape
+func bnGradSumsAVX2(dy, x *float32, n, plane, stride int, mean float64) (sumDy, sumDyXc float64)
+
+//go:noescape
+func bnGradInputAVX2(dx, dy, x *float32, n, plane, stride int, mean, mdy, k, a float32)
 
 //go:noescape
 func requantQ31RowsAVX2(dst *uint8, acc *int32, m0, rsh *int32, corr *int64, zp, lo, m, nc4, lda, ldd int)
@@ -106,6 +119,7 @@ func applySIMDAmd64(on bool) {
 		packedAsmEdge = nil
 		pack3Asm = nil
 		tapGatherAsm, tapScatterAsm = nil, nil
+		bnMomentsAsm, bnAffineAsm, bnGradSumsAsm, bnGradInputAsm = nil, nil, nil, nil
 		f32Panel4, f32Panel1 = f32Panel4Go, f32Panel1Go
 		f32Panel4w8, f32Panel1w8 = f32Panel4x8Go, f32Panel1x8Go
 		requantRowsAsm, requantTransAsm = nil, nil
@@ -119,6 +133,10 @@ func applySIMDAmd64(on bool) {
 	pack3Asm = pack3AVX2Wrap
 	tapGatherAsm = tapGatherAVX2Wrap
 	tapScatterAsm = tapScatterAVX2Wrap
+	bnMomentsAsm = bnMomentsAVX2Wrap
+	bnAffineAsm = bnAffineAVX2Wrap
+	bnGradSumsAsm = bnGradSumsAVX2Wrap
+	bnGradInputAsm = bnGradInputAVX2Wrap
 	f32Panel4 = f32Panel4Asm
 	f32Panel1 = f32Panel1Asm
 	f32Panel4w8 = f32Panel4w8Asm
@@ -151,6 +169,37 @@ func tapScatterAVX2Wrap(dst, src []float32, nb, oh, ow, rs, sp, st int) {
 	_ = src[nb*oh*ow-1]
 	_ = dst[(nb-1)*sp+(oh-1)*rs+(ow-1)*st+st-1]
 	convTapScatterAVX2(&dst[0], &src[0], nb, oh, ow, rs, sp, st)
+}
+
+// The batch-norm wrappers pin the last float of the channel's last plane
+// in every operand: the kernels touch nothing past it (partial groups are
+// masked), and n, plane ≥ 1 make it the walk's extreme.
+
+func bnMomentsAVX2Wrap(x []float32, n, plane, stride int, cnt float64) (mean, variance float64) {
+	_ = x[(n-1)*stride+plane-1]
+	return bnMomentsAVX2(&x[0], n, plane, stride, cnt)
+}
+
+func bnAffineAVX2Wrap(y, x []float32, n, plane, stride int, scale, shift float32) {
+	e := (n-1)*stride + plane - 1
+	_ = y[e]
+	_ = x[e]
+	bnAffineAVX2(&y[0], &x[0], n, plane, stride, scale, shift)
+}
+
+func bnGradSumsAVX2Wrap(dy, x []float32, n, plane, stride int, mean float64) (sumDy, sumDyXc float64) {
+	e := (n-1)*stride + plane - 1
+	_ = dy[e]
+	_ = x[e]
+	return bnGradSumsAVX2(&dy[0], &x[0], n, plane, stride, mean)
+}
+
+func bnGradInputAVX2Wrap(dx, dy, x []float32, n, plane, stride int, mean, mdy, k, a float32) {
+	e := (n-1)*stride + plane - 1
+	_ = dx[e]
+	_ = dy[e]
+	_ = x[e]
+	bnGradInputAVX2(&dx[0], &dy[0], &x[0], n, plane, stride, mean, mdy, k, a)
 }
 
 func requantRowsAVX2Wrap(dst []uint8, acc []int32, m0, rsh []int32, corr []int64, zp, lo int32, m, nc4, lda, ldd int) {
