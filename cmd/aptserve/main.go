@@ -279,6 +279,8 @@ func buildServer(cfg serverConfig, out io.Writer) (*serve.Server, data.Dataset, 
 	// -model it re-reads the checkpoint path (pick up newly trained
 	// weights written under the same name); otherwise it recompiles the
 	// startup-trained model, which still proves out the swap path.
+	// Compile runs the model's own layers, so two compiles of one model
+	// must not overlap; Server.Reload serializes its callers.
 	reload := func() (serve.Classifier, error) { return compile(model) }
 	if cfg.modelPath != "" {
 		reload = func() (serve.Classifier, error) {

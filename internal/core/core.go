@@ -146,9 +146,6 @@ func NewController(cfg Config, params []*nn.Param) (*Controller, error) {
 	return c, nil
 }
 
-// Config returns the controller's configuration.
-func (c *Controller) Config() Config { return c.cfg }
-
 // ObserveBatch implements Algorithm 2 lines 6–9: on every Interval-th
 // call it evaluates the metric on the current gradients and folds it into
 // the per-layer moving average. Call it once per iteration, after the

@@ -90,11 +90,6 @@ func (l *Loader) Seek(c Cursor) error {
 	return nil
 }
 
-// Batches returns the number of batches per epoch (ceiling division).
-func (l *Loader) Batches() int {
-	return (l.ds.Len() + l.batchSize - 1) / l.batchSize
-}
-
 // Next returns the next mini-batch as an (N, C, H, W) tensor plus labels.
 // At the end of an epoch it returns ok=false and reshuffles; the following
 // call starts the next epoch.

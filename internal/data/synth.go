@@ -209,9 +209,3 @@ func (s *Synth) NumClasses() int { return s.cfg.Classes }
 func (s *Synth) Sample(i int) (*tensor.Tensor, int) {
 	return s.images[i], s.labels[i]
 }
-
-// Size returns the spatial size of the images.
-func (s *Synth) Size() int { return s.cfg.Size }
-
-// Channels returns the number of colour channels.
-func (s *Synth) Channels() int { return s.cfg.Channels }

@@ -152,12 +152,6 @@ func (m *Meter) Charge(layers []LayerCost, batchSize int) {
 // Total returns the accumulated relative energy.
 func (m *Meter) Total() float64 { return m.total }
 
-// Reset clears the accumulator.
-func (m *Meter) Reset() { m.total = 0 }
-
-// Model returns the meter's cost model.
-func (m *Meter) Model() Model { return m.model }
-
 // FP32Reference computes the energy an fp32 run of the same geometry
 // would spend over the given number of samples: every layer at 32 bits.
 func (m Model) FP32Reference(layers []LayerCost, samples int64) float64 {

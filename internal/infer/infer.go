@@ -4,13 +4,15 @@
 // et al. (CVPR 2018) precisely because it admits integer-arithmetic-only
 // inference, and a model trained with APT is deployed this way.
 //
-// Compilation performs the standard pipeline:
+// Compilation is one walk over the model's layers (compile.go) that
+// performs the standard pipeline group by group:
 //
 //  1. batch-norm folding — each Conv→BN pair collapses into one
 //     convolution with rescaled weights and a bias;
-//  2. range calibration — a calibration batch runs through the float
-//     graph recording each activation tensor's min/max, fixing every
-//     quantization grid at compile time;
+//  2. range calibration — the calibration batch runs through the model's
+//     own layers in evaluation mode, one sample at a time, recording each
+//     group's output min/max and fixing every quantization grid at
+//     compile time;
 //  3. integer lowering — weights become symmetric int8 with
 //     per-output-channel scales (zero point 0), activations affine uint8;
 //     convolutions and linears run as one batched uint8×int8→int32 GEMM
@@ -28,9 +30,9 @@
 //
 // Supported graphs are the sequential conv backbones (SmallCNN, CifarNet,
 // VGGSmall) and residual topologies (ResNet): Conv2D, BatchNorm2D, ReLU
-// (including the clipped ReLU6 variant, whose cap folds into the
-// calibration clamp), MaxPool2D, GlobalAvgPool, Flatten, Linear,
-// Residual.
+// (including the clipped ReLU6 variant, whose cap the layer applies during
+// calibration, so the output grid tops out at it), MaxPool2D,
+// GlobalAvgPool, Flatten, Linear, Residual.
 package infer
 
 import (
@@ -64,38 +66,29 @@ type Engine struct {
 
 // Config controls Compile.
 type Config struct {
-	// Calibration provides representative inputs (N, C, H, W); the more
-	// representative, the tighter the activation grids.
+	// Calibration provides representative inputs (N, m.InC, m.InH, m.InW);
+	// the more representative, the tighter the activation grids.
 	Calibration *tensor.Tensor
-	// PerTensorWeights falls back to one symmetric scale per weight
-	// tensor instead of the default per-output-channel scales. It exists
-	// as an ablation knob (per-channel is strictly tighter); see
-	// TestPerChannelScalesTightenAgreement.
-	PerTensorWeights bool
 }
 
-// Compile folds, calibrates and lowers a float model. The model is not
-// modified.
+// Compile folds, calibrates and lowers a float model in one walk over its
+// layers. It touches the model the way train.Evaluate does: the layers run
+// in evaluation mode on their own scratch and the parameters are left
+// alone. Compile must therefore not overlap training, another Compile or
+// any other Forward of the same model.
 func Compile(m *models.Model, cfg Config) (*Engine, error) {
-	if cfg.Calibration == nil || cfg.Calibration.Rank() != 4 {
+	x := cfg.Calibration
+	if x == nil {
 		return nil, fmt.Errorf("infer: calibration batch (N,C,H,W) is required")
 	}
-	stages, err := foldSequential(m.Layers())
-	if err != nil {
-		return nil, err
+	if x.Rank() != 4 || x.Dim(1) != m.InC || x.Dim(2) != m.InH || x.Dim(3) != m.InW {
+		return nil, fmt.Errorf("infer: %w: calibration batch %v, want (N,%d,%d,%d)",
+			tensor.ErrShape, x.Shape(), m.InC, m.InH, m.InW)
 	}
-	// Calibration pass: record per-stage output ranges on the float graph.
-	x := cfg.Calibration
-	inMin, inMax := x.MinMax()
-	if _, err := calibrateChain(stages, x); err != nil {
-		return nil, fmt.Errorf("infer: %w", err)
-	}
-
-	nbuf := 0
-	nextID := func() int { id := nbuf; nbuf++; return id }
-	nextID() // slot 0: the quantized input
-	in := gridFor(inMin, inMax)
-	layers, _, err := lowerChain(stages, in, cfg, nextID)
+	c := &compiler{}
+	c.nextID() // slot 0: the quantized input
+	in := gridFor(x.MinMax())
+	layers, _, err := c.chain(m.Layers(), flow{samples(x), in})
 	if err != nil {
 		return nil, fmt.Errorf("infer: %w", err)
 	}
@@ -107,7 +100,7 @@ func Compile(m *models.Model, cfg Config) (*Engine, error) {
 		layers: layers,
 		in:     in,
 		inC:    m.InC, inH: m.InH, inW: m.InW,
-		nbuf: nbuf,
+		nbuf: c.nbuf,
 		pool: make(chan *scratch, caps),
 	}, nil
 }

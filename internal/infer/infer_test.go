@@ -1,7 +1,9 @@
 package infer
 
 import (
+	"errors"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -215,41 +217,6 @@ func TestEngineMatchesFloatAcrossBackbones(t *testing.T) {
 	}
 }
 
-// Per-output-channel weight scales must track the float model at least as
-// tightly as one per-tensor scale — that is the point of carrying a scale
-// per filter.
-func TestPerChannelScalesTightenAgreement(t *testing.T) {
-	m, te, calib := trainedSmallCNN(t)
-	perChan, err := Compile(m, Config{Calibration: calib})
-	if err != nil {
-		t.Fatalf("Compile per-channel: %v", err)
-	}
-	perTensor, err := Compile(m, Config{Calibration: calib, PerTensorWeights: true})
-	if err != nil {
-		t.Fatalf("Compile per-tensor: %v", err)
-	}
-	x, _ := testBatch(t, te, 96)
-	want, err := m.Net.Forward(x, false)
-	if err != nil {
-		t.Fatalf("float forward: %v", err)
-	}
-	meanErr := func(e *Engine) float64 {
-		got, err := e.Forward(x)
-		if err != nil {
-			t.Fatalf("Forward: %v", err)
-		}
-		var sum float64
-		for i := range got.Data() {
-			sum += math.Abs(float64(got.Data()[i] - want.Data()[i]))
-		}
-		return sum / float64(got.Len())
-	}
-	ec, et := meanErr(perChan), meanErr(perTensor)
-	if ec >= et {
-		t.Errorf("per-channel mean logit error %v not below per-tensor %v", ec, et)
-	}
-}
-
 // Batched inference must be bit-identical to running each sample alone:
 // the micro-batching server depends on batch size never changing results.
 func TestBatchedForwardMatchesPerSample(t *testing.T) {
@@ -396,9 +363,9 @@ func TestEngineForwardSIMDPortableIdentical(t *testing.T) {
 	}
 }
 
-// ReLU6 must fold as a clipped rectifier: the calibration graph (and
-// therefore the lowered grids) must apply the upper clamp, not treat the
-// activation as an unbounded ReLU.
+// ReLU6 must fold as a clipped rectifier: the layer clamps calibration, so
+// the lowered layer's output grid tops out at the cap rather than at the
+// unbounded pre-activation range.
 func TestReLU6FoldsWithCap(t *testing.T) {
 	rng := tensor.NewRNG(31)
 	g := tensor.ConvGeom{InC: 2, InH: 6, InW: 6, KH: 3, KW: 3, Stride: 1, Pad: 1}
@@ -424,26 +391,19 @@ func TestReLU6FoldsWithCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stages, err := foldSequential(m.Layers())
-	if err != nil {
-		t.Fatalf("foldSequential: %v", err)
-	}
-	got := x
-	for _, st := range stages {
-		if got, err = st.floatForward(got); err != nil {
-			t.Fatalf("stage %s: %v", st.label, err)
-		}
-	}
-	for i := range want.Data() {
-		if d := math.Abs(float64(got.Data()[i] - want.Data()[i])); d > 1e-3 {
-			t.Fatalf("folded ReLU6 graph deviates at %d by %v (cap dropped?)", i, d)
-		}
-	}
-	// The compiled engine must agree with the float model bit-for-class.
+	want = want.Clone()
 	eng, err := Compile(m, Config{Calibration: x})
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}
+	q, ok := eng.layers[0].(*qaffine)
+	if !ok || q.label != "c" || !q.relu {
+		t.Fatalf("first lowered layer %T, want the fused conv→BN→ReLU6", eng.layers[0])
+	}
+	if top := q.out.dequantize(255); math.Abs(float64(top)-6) > float64(q.out.scale) {
+		t.Errorf("ReLU6 output grid tops out at %v, want the cap 6 within one quantum %v (cap dropped?)", top, q.out.scale)
+	}
+	// The compiled engine must agree with the float model bit-for-class.
 	logits, err := eng.Forward(x)
 	if err != nil {
 		t.Fatalf("Forward: %v", err)
@@ -459,38 +419,116 @@ func TestReLU6FoldsWithCap(t *testing.T) {
 	}
 }
 
+// A convolution carrying foldBN's weights and bias must compute conv → BN
+// in evaluation mode (folding is exact up to float rounding).
 func TestBNFoldingPreservesFunction(t *testing.T) {
-	// The folded float stages must compute the same function as the
-	// original model in eval mode (folding is exact up to fp rounding).
-	m, _, calib := trainedSmallCNN(t)
-	stages, err := foldSequential(m.Layers())
+	rng := tensor.NewRNG(5)
+	g := tensor.ConvGeom{InC: 3, InH: 8, InW: 8, KH: 3, KW: 3, Stride: 2, Pad: 1}
+	conv, err := nn.NewConv2D(nn.Conv2DConfig{Name: "c", In: g, OutC: 6, RNG: rng})
 	if err != nil {
-		t.Fatalf("foldSequential: %v", err)
+		t.Fatal(err)
 	}
-	want, err := m.Net.Forward(calib, false)
+	bn, err := nn.NewBatchNorm2D("bn", 6)
 	if err != nil {
-		t.Fatalf("model forward: %v", err)
+		t.Fatal(err)
 	}
-	got := calib
-	for _, st := range stages {
-		got, err = st.floatForward(got)
-		if err != nil {
-			t.Fatalf("stage %s: %v", st.label, err)
-		}
+	mean, variance := make([]float64, 6), make([]float64, 6)
+	for c := range mean {
+		mean[c], variance[c] = rng.Norm(), 0.1+rng.Float64()*3
 	}
-	if !got.SameShape(want) {
-		t.Fatalf("folded output shape %v != %v", got.Shape(), want.Shape())
+	if err := bn.SetRunningStats(mean, variance); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range bn.Params() {
+		p.Value.FillNormal(rng, 0.5, 1)
+	}
+	x := tensor.New(4, 3, 8, 8)
+	x.FillNormal(rng, 0, 1)
+	y, err := conv.Forward(x, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := bn.Forward(y, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	w := conv.Params()[0].Value.Clone()
+	bias := make([]float32, 6)
+	foldBN(w, bias, bn)
+	folded, err := nn.NewConv2D(nn.Conv2DConfig{Name: "folded", In: g, OutC: 6, Bias: true, RNG: rng})
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(folded.Params()[0].Value.Data(), w.Data())
+	copy(folded.Params()[1].Value.Data(), bias)
+	got, err := folded.Forward(x, false)
+	if err != nil {
+		t.Fatal(err)
 	}
 	var maxDiff float64
 	for i := range got.Data() {
-		d := math.Abs(float64(got.Data()[i] - want.Data()[i]))
-		if d > maxDiff {
-			maxDiff = d
-		}
+		maxDiff = max(maxDiff, math.Abs(float64(got.Data()[i]-want.Data()[i])))
 	}
 	if maxDiff > 1e-3 {
-		t.Errorf("folded graph deviates from model by %v", maxDiff)
+		t.Errorf("folded conv deviates from conv → BN by %v", maxDiff)
 	}
+}
+
+// Compile must reject a calibration batch whose sample shape is not the
+// model's input geometry, rather than read the wrong pixels or run off the
+// end of the batch.
+func TestCompileRejectsCalibrationShape(t *testing.T) {
+	m, err := models.SmallCNN(models.Config{Classes: 4, InputSize: 12, Seed: 6})
+	if err != nil {
+		t.Fatalf("SmallCNN: %v", err)
+	}
+	for _, shape := range [][]int{{4, 3, 8, 8}, {4, 1, 12, 12}, {4, 3, 16, 16}} {
+		x := tensor.New(shape...)
+		x.FillNormal(tensor.NewRNG(1), 0, 1)
+		if _, err := Compile(m, Config{Calibration: x}); !errors.Is(err, tensor.ErrShape) {
+			t.Errorf("calibration %v: err = %v, want ErrShape", shape, err)
+		}
+	}
+}
+
+// TestCompileCost pins what one Compile of the bench-shaped SmallCNN
+// (16×16, width 1, 64 calibration samples) costs: a bounded allocation
+// volume, and almost nothing left behind in the model, whose layers keep
+// their last input by reference and grow their arenas to the batch they
+// see.
+func TestCompileCost(t *testing.T) {
+	m, err := models.SmallCNN(models.Config{Classes: 4, InputSize: 16, Width: 1, Seed: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	calib := tensor.New(64, 3, 16, 16)
+	calib.FillNormal(tensor.NewRNG(4), 0, 1)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	eng, err := Compile(m, Config{Calibration: calib})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	allocMB := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
+	if allocMB > 32 {
+		t.Errorf("Compile allocated %.1f MB, want <= 32", allocMB)
+	}
+	if _, err := eng.Forward(calib); err != nil {
+		t.Fatal(err)
+	}
+	eng = nil
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	liveMB := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / (1 << 20)
+	if liveMB > 1 {
+		t.Errorf("the model's live heap grew %.2f MB across Compile, want <= 1", liveMB)
+	}
+	t.Logf("Compile allocated %.1f MB; the model's live heap grew %.2f MB", allocMB, liveMB)
+	runtime.KeepAlive(m)
+	runtime.KeepAlive(calib)
 }
 
 func TestEngineSizeIsInt8(t *testing.T) {

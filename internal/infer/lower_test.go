@@ -8,15 +8,19 @@ import (
 	"repro/internal/tensor"
 )
 
+// Every channel's weights must land on symmetric int8 within half a step of
+// that channel's scale.
 func TestQuantizeWeightsSymProperties(t *testing.T) {
 	rng := tensor.NewRNG(1)
-	w := tensor.New(256)
+	const outC, per = 4, 64
+	w := tensor.New(outC, per)
 	w.FillNormal(rng, 0, 0.5)
-	q, scale := quantizeWeightsSym(w)
-	if scale <= 0 {
-		t.Fatalf("scale = %v", scale)
-	}
+	q, scales := quantizeWeightsPerChannel(w)
 	for i, v := range q {
+		scale := scales[i/per]
+		if scale <= 0 {
+			t.Fatalf("channel %d scale = %v", i/per, scale)
+		}
 		if v < -127 || v > 127 {
 			t.Fatalf("q[%d] = %d outside int8 symmetric range", i, v)
 		}
@@ -28,10 +32,12 @@ func TestQuantizeWeightsSymProperties(t *testing.T) {
 }
 
 func TestQuantizeWeightsSymDegenerate(t *testing.T) {
-	w := tensor.New(8) // all zero
-	q, scale := quantizeWeightsSym(w)
-	if scale <= 0 {
-		t.Fatalf("degenerate scale = %v", scale)
+	w := tensor.New(2, 4) // all zero
+	q, scales := quantizeWeightsPerChannel(w)
+	for c, s := range scales {
+		if s <= 0 {
+			t.Fatalf("degenerate channel %d scale = %v", c, s)
+		}
 	}
 	for _, v := range q {
 		if v != 0 {
@@ -56,7 +62,14 @@ func TestQuantizeWeightsPerChannelTighter(t *testing.T) {
 			wd[c*per+j] *= mag
 		}
 	}
-	qt, st := quantizeWeightsSym(w)
+	// The per-tensor baseline: one symmetric scale for the widest channel.
+	var absMax float32
+	for _, v := range wd {
+		absMax = max(absMax, float32(math.Abs(float64(v))))
+	}
+	st := symScale(absMax)
+	qt := make([]int8, len(wd))
+	quantizeRow(qt, wd, st)
 	qc, sc := quantizeWeightsPerChannel(w)
 	if len(sc) != outC {
 		t.Fatalf("per-channel scales = %d, want %d", len(sc), outC)
@@ -173,8 +186,8 @@ func TestIntegerLinearMatchesFloatProperty(t *testing.T) {
 			bias[i] = float32(rng.Norm()) * 0.1
 		}
 		// Float reference.
-		want, err := tensor.MatMulTransB(x, w)
-		if err != nil {
+		want := tensor.New(n, outF)
+		if err := tensor.MatMulTransBInto(want, x, w); err != nil {
 			return false
 		}
 		for i := 0; i < n; i++ {
@@ -182,17 +195,14 @@ func TestIntegerLinearMatchesFloatProperty(t *testing.T) {
 				want.Set(want.At(i, o)+bias[o], i, o)
 			}
 		}
-		wmin, wmax := want.MinMax()
-
-		st := &stage{label: "lin", weight: w, bias: bias, outRange: [2]float32{wmin, wmax}}
 		xmin, xmax := x.MinMax()
 		in := gridFor(xmin, xmax)
-		id := 0
-		ql, outG, err := st.lower(in, Config{}, func() int { i := id; id++; return i })
+		outG := gridFor(want.MinMax())
+		ql, err := lowerAffine("lin", w, bias, nil, false, in, outG, 0)
 		if err != nil {
 			return false
 		}
-		s := newScratch(id)
+		s := newScratch(1)
 		qx := &qtensor{}
 		quantizeInto(qx, x, in)
 		out, err := ql.forward(qx, s)

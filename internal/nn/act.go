@@ -28,9 +28,6 @@ func NewReLU6(name string) *ReLU { return &ReLU{name: name, cap: 6} }
 // Name implements Layer.
 func (r *ReLU) Name() string { return r.name }
 
-// Cap returns the clipping point (0 = unbounded ReLU, 6 = ReLU6).
-func (r *ReLU) Cap() float32 { return r.cap }
-
 // Params implements Layer.
 func (r *ReLU) Params() []*Param { return nil }
 

@@ -93,7 +93,7 @@ func TestRectifierMatchesBranchyLoops(t *testing.T) {
 	for _, workers := range []int{1, 2, 3} {
 		prev := tensor.SetMaxWorkers(workers)
 		for _, r := range []*ReLU{NewReLU("relu"), NewReLU6("relu6")} {
-			wantY, mask := reluBranchy(xs, r.Cap())
+			wantY, mask := reluBranchy(xs, r.cap)
 			y, err := r.Forward(tensor.MustFromSlice(append([]float32(nil), xs...), len(xs)), true)
 			if err != nil {
 				t.Fatal(err)

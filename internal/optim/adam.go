@@ -48,9 +48,6 @@ func NewAdam(lr, beta1, beta2, weightDecay float64) *Adam {
 // SetLR updates the learning rate.
 func (a *Adam) SetLR(lr float64) { a.lr = lr }
 
-// LR returns the current learning rate.
-func (a *Adam) LR() float64 { return a.lr }
-
 // Step applies one Adam update to every parameter and zeroes gradients.
 func (a *Adam) Step(params []*nn.Param) error {
 	a.t++

@@ -106,8 +106,8 @@ func TestAdamImplementsOptimizer(t *testing.T) {
 	var _ Optimizer = NewSGD(0.1, 0.9, 0)
 	a := NewAdam(0.1, 0, 0, 0)
 	a.SetLR(0.5)
-	if a.LR() != 0.5 {
-		t.Errorf("LR = %v", a.LR())
+	if a.lr != 0.5 {
+		t.Errorf("lr = %v after SetLR(0.5)", a.lr)
 	}
 }
 

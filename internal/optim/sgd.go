@@ -19,7 +19,6 @@ import (
 type Optimizer interface {
 	Step(params []*nn.Param) error
 	SetLR(lr float64)
-	LR() float64
 }
 
 // SGD is stochastic gradient descent with classical momentum and L2 weight
@@ -47,9 +46,6 @@ func NewSGD(lr, momentum, weightDecay float64) *SGD {
 
 // SetLR updates the learning rate (driven by a Schedule each epoch).
 func (s *SGD) SetLR(lr float64) { s.lr = lr }
-
-// LR returns the current learning rate.
-func (s *SGD) LR() float64 { return s.lr }
 
 // Step applies one update to every parameter and zeroes the gradients.
 //

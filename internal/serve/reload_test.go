@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -79,5 +80,50 @@ func TestReloadSwapErrorNotRetried(t *testing.T) {
 	}
 	if calls != 1 {
 		t.Errorf("reload function called %d times, want 1 (Swap errors are permanent)", calls)
+	}
+}
+
+// TestReloadSerialized: SIGHUP, POST /admin/reload and the -watch poller
+// may reload at once. While one Reload is inside the reload function a
+// second must not enter it, and the engine served at the end must be the
+// one the later reload produced, under the higher version.
+func TestReloadSerialized(t *testing.T) {
+	var calls atomic.Int32
+	entered, gate := make(chan struct{}), make(chan struct{})
+	engines := []*stubClassifier{{}, {}}
+	s, _ := newTestServer(t, Config{
+		Engine: &stubClassifier{},
+		InC:    1, InH: 2, InW: 2,
+		Reload: func() (Classifier, error) {
+			n := calls.Add(1)
+			if n == 1 {
+				close(entered)
+				<-gate
+			}
+			return engines[n-1], nil
+		},
+	})
+	versions := make(chan uint64, 2)
+	reload := func() {
+		v, err := s.Reload()
+		if err != nil {
+			t.Errorf("Reload: %v", err)
+		}
+		versions <- v
+	}
+	go reload()
+	<-entered
+	go reload()
+	time.Sleep(50 * time.Millisecond) // time for the second to (wrongly) enter
+	if n := calls.Load(); n != 1 {
+		t.Errorf("%d reload functions running at once, want 1", n)
+	}
+	close(gate)
+	a, b := <-versions, <-versions
+	if min(a, b) != 2 || max(a, b) != 3 {
+		t.Errorf("reload versions %d and %d, want 2 and 3", a, b)
+	}
+	if box := s.engine.Load(); box.c != engines[1] || box.version != 3 {
+		t.Errorf("served engine is not the later reload's (version %d)", box.version)
 	}
 }

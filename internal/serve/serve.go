@@ -133,7 +133,8 @@ type Config struct {
 	SaturationGrace time.Duration
 	// Reload, when set, enables POST /admin/reload and Server.Reload:
 	// it produces a fresh Classifier (e.g. by re-reading a checkpoint)
-	// which is then Swapped in atomically.
+	// which is then Swapped in atomically. Server.Reload runs it under a
+	// lock, one call at a time, so it must not call Server.Reload itself.
 	Reload func() (Classifier, error)
 	// ReloadRetries is how many extra attempts Server.Reload makes when
 	// the reload function fails — a checkpoint caught mid-replace by a
@@ -213,6 +214,10 @@ type Server struct {
 
 	engine atomic.Pointer[engineBox] // current model; see swap.go
 	swapMu sync.Mutex                // serializes Swap version bumps
+	// reloadMu serializes Reload end to end, reload function and swap, so
+	// reloads land in the order they ran and never overlap in the reload
+	// function (a recompile of one model, say).
+	reloadMu sync.Mutex
 
 	mu     sync.RWMutex // guards closed vs. queue sends
 	closed bool

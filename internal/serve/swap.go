@@ -55,10 +55,15 @@ func (s *Server) Swap(c Classifier) (uint64, error) {
 // watcher actually hits is a checkpoint caught mid-replace, which heals
 // as soon as the publisher's rename lands — while Swap errors (geometry
 // mismatch) are reported immediately: a wrong model never fixes itself.
+// Reloads are serialized: a second caller waits until the first has
+// swapped, so the engine served last is the one the last reload produced,
+// and the reload function never runs twice at once.
 func (s *Server) Reload() (uint64, error) {
 	if s.cfg.Reload == nil {
 		return 0, fmt.Errorf("serve: no reload function configured")
 	}
+	s.reloadMu.Lock()
+	defer s.reloadMu.Unlock()
 	backoff := s.cfg.ReloadBackoff
 	if backoff <= 0 {
 		backoff = 50 * time.Millisecond

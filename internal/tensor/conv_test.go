@@ -208,3 +208,40 @@ func TestFillHeNormalScale(t *testing.T) {
 		t.Errorf("He std = %v, want ~%v", std, want)
 	}
 }
+
+// ConvDirect computes a 2-D convolution of a single image the naive way,
+// one tap at a time. It is the conv suites' oracle — the band conv, the
+// im2col gather and the batched forward are checked against it — and no
+// production path runs it. weight has shape (outC, inC, KH, KW).
+func ConvDirect(img, weight *Tensor, g ConvGeom) (*Tensor, error) {
+	if err := g.Validate(); err != nil {
+		return nil, err
+	}
+	outC := weight.shape[0]
+	oh, ow := g.OutHW()
+	out := New(outC, oh, ow)
+	for oc := 0; oc < outC; oc++ {
+		for oy := 0; oy < oh; oy++ {
+			for ox := 0; ox < ow; ox++ {
+				var s float32
+				for c := 0; c < g.InC; c++ {
+					for kh := 0; kh < g.KH; kh++ {
+						iy := oy*g.Stride + kh - g.Pad
+						if iy < 0 || iy >= g.InH {
+							continue
+						}
+						for kw := 0; kw < g.KW; kw++ {
+							ix := ox*g.Stride + kw - g.Pad
+							if ix < 0 || ix >= g.InW {
+								continue
+							}
+							s += img.At(c, iy, ix) * weight.At(oc, c, kh, kw)
+						}
+					}
+				}
+				out.Set(s, oc, oy, ox)
+			}
+		}
+	}
+	return out, nil
+}

@@ -96,20 +96,9 @@ func matMulTransAKernel(od, ad, bd []float32, m, k, n int) {
 	f32PackPool.Put(pb)
 }
 
-// MatMulTransB returns a·bᵀ where a is (m, k) and b is (n, k), producing
-// (m, n). Used for input gradients without materializing transposes.
-func MatMulTransB(a, b *Tensor) (*Tensor, error) {
-	m, _, n, err := checkMatMul2D("matmulTB", a, b, false, true)
-	if err != nil {
-		return nil, err
-	}
-	out := New(m, n)
-	matMulTransBKernel(out.data, a.data, b.data, m, a.shape[1], n)
-	return out, nil
-}
-
-// MatMulTransBInto computes dst = a·bᵀ without allocating. dst must have
-// shape (a.rows, b.rows) and must not alias a or b.
+// MatMulTransBInto computes dst = a·bᵀ where a is (m, k) and b is (n, k),
+// without allocating or materializing the transpose. dst must have shape
+// (m, n) and must not alias a or b.
 func MatMulTransBInto(dst, a, b *Tensor) error {
 	m, k, n, err := checkMatMul2D("matmulTB", a, b, false, true)
 	if err != nil {

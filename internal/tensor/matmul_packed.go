@@ -19,7 +19,7 @@ import (
 //
 // The pack streams k·n floats once while the GEMM performs m·k·n FMAs,
 // so its overhead is ~1/m of the arithmetic. MatMul/MatMulTransA/
-// MatMulTransB pack every call into a pooled PackedF32; nn.Linear holds
+// MatMulTransBInto pack every call into a pooled PackedF32; nn.Linear holds
 // its own PackedF32 arena and calls MatMulF32PackedInto directly, and the
 // band convolution (conv_band.go) gathers its patches straight into
 // panels, so the hot training path packs into reused storage and

@@ -78,9 +78,9 @@ func TestMatMulTransBAgainstExplicitTranspose(t *testing.T) {
 	rng := NewRNG(6)
 	a := randMat(rng, 3, 8) // (m, k)
 	b := randMat(rng, 5, 8) // (n, k)
-	got, err := MatMulTransB(a, b)
-	if err != nil {
-		t.Fatalf("MatMulTransB: %v", err)
+	got := New(3, 5)
+	if err := MatMulTransBInto(got, a, b); err != nil {
+		t.Fatalf("MatMulTransBInto: %v", err)
 	}
 	want, err := MatMul(a, transpose(b))
 	if err != nil {

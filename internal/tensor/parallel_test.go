@@ -283,7 +283,7 @@ func TestMatMulIntoMatchesAlloc(t *testing.T) {
 	if err := MatMulTransBInto(dst, a, bt); err != nil {
 		t.Fatalf("MatMulTransBInto: %v", err)
 	}
-	want, _ = MatMulTransB(a, bt)
+	want, _ = MatMul(a, transpose(bt))
 	matEq(t, dst, want, 0)
 
 	// Shape mismatches must error, not corrupt memory.

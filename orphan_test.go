@@ -2,12 +2,14 @@ package repro
 
 import (
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"testing"
 )
@@ -24,6 +26,9 @@ var orphanAllowed = map[string]string{
 	"tensor.SetSIMD":       "dispatch bit-identity suites",
 	"tensor.SetMaxWorkers": "worker-count invariance suites and serial-path alloc pins",
 	"tensor.Tensor.HasNaN": "NaN guards in the data, models and nn suites",
+	"tensor.Tensor.At":     "element reads in the tensor, nn and infer suites",
+	"tensor.Tensor.Set":    "element writes in the tensor and infer suites",
+	"quant.State.Scale":    "TestScaleZeroPoint (the r = S(q − Z) form of a grid)",
 
 	// Whole files that only their own tests exercise; each is deleted
 	// together with those tests in a change of its own.
@@ -38,54 +43,39 @@ var orphanAllowed = map[string]string{
 // function and every exported method of an internal/ package that no
 // non-test file of the root module or of bench/ references: a kernel
 // generation or helper that lost its last production caller must be
-// deleted (or allow-listed above), not left exported. A function counts as
-// referenced by a bare identifier inside its package or a selector on its
-// package's import elsewhere; a method, by name, through any selector.
+// deleted (or allow-listed above), not left exported. The tree is
+// type-checked, so a reference is a use of the function or method object
+// itself — a call, a method value or a method expression — and a field or
+// package member that shares a method's name does not count. A call
+// through an interface (or a type parameter's constraint) counts for every
+// method of that name whose type implements the interface.
 func TestNoOrphanExports(t *testing.T) {
-	type file struct {
-		ast *ast.File
-		own string // the internal package the file belongs to, or ""
-	}
-	fset := token.NewFileSet()
-	var files []file
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		own := ""
-		if dir := filepath.ToSlash(filepath.Dir(path)); strings.HasPrefix(dir, "internal/") {
-			own = f.Name.Name
-		}
-		files = append(files, file{f, own})
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pkgs := typeCheckTree(t)
 
-	// declared["pkg.Name"] / declared["pkg.Type.Method"] = the declaring
-	// identifier.
-	declared := map[string]*ast.Ident{}
-	for _, f := range files {
-		if f.own == "" {
+	// declared["pkg.Name"] / declared["pkg.Type.Method"]: the exported
+	// functions and methods of the internal packages.
+	declared := map[string]*types.Func{}
+	for _, p := range pkgs {
+		if !strings.HasPrefix(p.dir, "internal/") {
 			continue
 		}
-		for _, decl := range f.ast.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || !fn.Name.IsExported() {
-				continue
-			}
-			if fn.Recv == nil {
-				declared[f.own+"."+fn.Name.Name] = fn.Name
-			} else {
-				declared[f.own+"."+recvType(fn.Recv.List[0].Type)+"."+fn.Name.Name] = fn.Name
+		scope := p.types.Scope()
+		for _, name := range scope.Names() {
+			switch obj := scope.Lookup(name).(type) {
+			case *types.Func:
+				if obj.Exported() {
+					declared[p.types.Name()+"."+name] = obj
+				}
+			case *types.TypeName:
+				named, ok := obj.Type().(*types.Named)
+				if !ok {
+					continue
+				}
+				for i := 0; i < named.NumMethods(); i++ {
+					if m := named.Method(i); m.Exported() {
+						declared[p.types.Name()+"."+name+"."+m.Name()] = m
+					}
+				}
 			}
 		}
 	}
@@ -93,55 +83,44 @@ func TestNoOrphanExports(t *testing.T) {
 		t.Fatal("found no exported functions: run from the repository root")
 	}
 
-	used := map[string]bool{}  // functions, as "pkg.Name"
-	named := map[string]bool{} // selector names: a method is referenced by name
-	for _, f := range files {
-		// Inside the declaring package a bare identifier is a reference;
-		// elsewhere it is a selector on the file's name for the import.
-		local := map[string]string{} // file-local import name → internal package
-		for _, im := range f.ast.Imports {
-			ip, _ := strconv.Unquote(im.Path.Value)
-			rest, ok := strings.CutPrefix(ip, "repro/internal/")
+	used := map[*types.Func]bool{}                  // functions and concrete methods
+	viaInterface := map[string][]*types.Interface{} // method name → interfaces it was called through
+	for _, p := range pkgs {
+		for _, obj := range p.info.Uses {
+			fn, ok := obj.(*types.Func)
 			if !ok {
 				continue
 			}
-			name := rest
-			if im.Name != nil {
-				name = im.Name.Name
+			fn = fn.Origin()
+			recv := fn.Type().(*types.Signature).Recv()
+			if recv != nil {
+				if iface, ok := recv.Type().Underlying().(*types.Interface); ok {
+					viaInterface[fn.Name()] = append(viaInterface[fn.Name()], iface)
+					continue
+				}
 			}
-			local[name] = rest
+			used[fn] = true
 		}
-		var visit func(n ast.Node) bool
-		visit = func(n ast.Node) bool {
-			switch x := n.(type) {
-			case *ast.SelectorExpr:
-				named[x.Sel.Name] = true
-				if id, ok := x.X.(*ast.Ident); ok {
-					if pkg, ok := local[id.Name]; ok {
-						used[pkg+"."+x.Sel.Name] = true
-					}
-				}
-				// x.Sel names a field, method or another package's member,
-				// never a function of the file's own package.
-				ast.Inspect(x.X, visit)
-				return false
-			case *ast.Ident:
-				if f.own != "" && declared[f.own+"."+x.Name] != x {
-					used[f.own+"."+x.Name] = true
-				}
-			}
+	}
+	referenced := func(fn *types.Func) bool {
+		if used[fn] {
 			return true
 		}
-		ast.Inspect(f.ast, visit)
+		recv := fn.Type().(*types.Signature).Recv()
+		if recv == nil {
+			return false
+		}
+		for _, iface := range viaInterface[fn.Name()] {
+			if types.Implements(recv.Type(), iface) || types.Implements(types.NewPointer(recv.Type()), iface) {
+				return true
+			}
+		}
+		return false
 	}
 
 	var orphans []string
-	for name := range declared {
-		ref := used[name]
-		if parts := strings.Split(name, "."); len(parts) == 3 {
-			ref = named[parts[2]]
-		}
-		if !ref && orphanAllowed[name] == "" {
+	for name, fn := range declared {
+		if !referenced(fn) && orphanAllowed[name] == "" {
 			orphans = append(orphans, name)
 		}
 	}
@@ -156,21 +135,100 @@ func TestNoOrphanExports(t *testing.T) {
 	}
 }
 
-// recvType is the type name of a method receiver: T for T, *T, T[P] and
-// *T[P].
-func recvType(e ast.Expr) string {
-	for {
-		switch x := e.(type) {
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.IndexListExpr:
-			e = x.X
-		case *ast.Ident:
-			return x.Name
-		default:
-			return "?"
-		}
-	}
+// checkedPkg is one type-checked package of the tree: its directory
+// relative to the repository root and the type information of its
+// non-test files.
+type checkedPkg struct {
+	dir   string
+	types *types.Package
+	info  *types.Info
 }
+
+// typeCheckTree type-checks the non-test files of every package in the
+// repository — the root module and the bench/ module, which imports it —
+// for the host's GOOS/GOARCH. Import paths under "repro/" resolve to
+// directories of this tree; everything else is the standard library,
+// checked from its source.
+func typeCheckTree(t *testing.T) []*checkedPkg {
+	t.Helper()
+	fset := token.NewFileSet()
+	byDir := map[string]*checkedPkg{}
+	std := importer.ForCompiler(fset, "source", nil)
+	var load func(dir string) (*checkedPkg, error)
+	imp := importerFunc(func(path string) (*types.Package, error) {
+		if path != "repro" && !strings.HasPrefix(path, "repro/") {
+			return std.Import(path)
+		}
+		p, err := load(filepath.FromSlash(strings.TrimPrefix(strings.TrimPrefix(path, "repro"), "/")))
+		if err != nil {
+			return nil, err
+		}
+		return p.types, nil
+	})
+	load = func(dir string) (*checkedPkg, error) {
+		if dir == "" {
+			dir = "."
+		}
+		if p, ok := byDir[dir]; ok {
+			return p, nil
+		}
+		bp, err := build.ImportDir(dir, 0)
+		if err != nil {
+			return nil, err
+		}
+		var files []*ast.File
+		for _, name := range bp.GoFiles {
+			f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+			if err != nil {
+				return nil, err
+			}
+			files = append(files, f)
+		}
+		path := "repro"
+		if dir != "." {
+			path += "/" + filepath.ToSlash(dir)
+		}
+		info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
+		conf := types.Config{Importer: imp}
+		tp, err := conf.Check(path, fset, files, info)
+		if err != nil {
+			return nil, err
+		}
+		p := &checkedPkg{dir: filepath.ToSlash(dir), types: tp, info: info}
+		byDir[dir] = p
+		return p, nil
+	}
+
+	var pkgs []*checkedPkg
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if !d.IsDir() {
+			return nil
+		}
+		if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+			return filepath.SkipDir
+		}
+		if _, err := build.ImportDir(path, 0); err != nil {
+			if _, none := err.(*build.NoGoError); none {
+				return nil
+			}
+			return err
+		}
+		p, err := load(path)
+		if err != nil {
+			return err
+		}
+		pkgs = append(pkgs, p)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pkgs
+}
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
