@@ -11,7 +11,7 @@ import (
 // ConvF32BackwardInto): no patch matrix of the batch exists in either
 // direction. Forward keeps the input by reference — the arena contract
 // keeps a producer's output alive until the producer's own Backward, which
-// runs after this layer's — and Backward re-gathers each sample band from
+// runs after this layer's — and Backward re-stages each sample band from
 // it. The layer owns the output and input-gradient arenas plus the
 // driver's band-sized scratch, all allocated at the first step and reused,
 // so steady-state training allocates nothing on this path. The input

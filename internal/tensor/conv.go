@@ -55,10 +55,11 @@ func Im2ColBatchInto(dst, x *Tensor, g ConvGeom) error {
 	if dst.Rank() != 2 || dst.shape[0] != g.InC*g.KH*g.KW || dst.shape[1] != ns {
 		return fmt.Errorf("%w: im2col batch dst %v does not match geometry %+v for batch %d", ErrShape, dst.shape, g, n)
 	}
-	inSz, sl := g.InC*g.InH*g.InW, g.stageLen(1)
-	stage := make([]float32, n*sl)
-	ParallelFor(n, func(i int) {
-		im2colInto(dst.data, x.data[i*inSz:(i+1)*inSz], g, 1, i*s, ns, stage[i*sl:(i+1)*sl])
+	// One strip per lane, a cache line apart: lanes never share a line.
+	inSz, sl := g.InC*g.InH*g.InW, g.stageLen(1)+16
+	stage := make([]float32, bandLanes(n)*sl)
+	ParallelForWorker(n, func(i, lane int) {
+		im2colInto(dst.data, x.data[i*inSz:(i+1)*inSz], g, 1, i*s, ns, stage[lane*sl:(lane+1)*sl])
 	})
 	return nil
 }
@@ -66,21 +67,39 @@ func Im2ColBatchInto(dst, x *Tensor, g ConvGeom) error {
 // stageDims is the (height, width) of one staged plane: the input plane
 // inside its zero border, grown to cover a kernel that overhangs the
 // padded input (OutHW rounds such a geometry up to one output). The gather
-// and the scatter go through a strip of staged planes one channel at a
-// time so that every tap of every output row is an unconditional run:
-// with the border materialized there is no per-run clipping, which at 4 to
-// 16 floats a run cost more than the copy.
+// and the scatter go through a strip of staged planes so that every tap of
+// every output row is an unconditional run: with the border materialized
+// there is no per-run clipping, which at 4 to 16 floats a run cost more
+// than the copy.
 func (g ConvGeom) stageDims() (sh, sw int) {
 	oh, ow := g.OutHW()
 	return max(g.InH+2*g.Pad, (oh-1)*g.Stride+g.KH), max(g.InW+2*g.Pad, (ow-1)*g.Stride+g.KW)
 }
 
-// stageLen is the float count of the staging strip for nb samples, plus
-// one float of margin: the stride-2 tap kernels touch the float after the
-// last one they use (see kernels_amd64.s).
+// stageLen is the float count of the staging strip for nb samples — every
+// channel of each, plane il·InC + c — plus one float of margin: the
+// stride-2 tap kernels touch the float after the last one they use (see
+// kernels_amd64.s).
 func (g ConvGeom) stageLen(nb int) int {
 	sh, sw := g.stageDims()
-	return nb*sh*sw + 1
+	return nb*g.InC*sh*sw + 1
+}
+
+// stageInto copies nb consecutive (C, H, W) images into the interior of
+// the zero-bordered strip, channel c of sample il at plane il·InC + c.
+// Staging a plane is a stride-1 gather whose panels are its rows: InW
+// columns wide, sw floats apart.
+func stageInto(stage, x []float32, g ConvGeom, nb int) {
+	sh, sw := g.stageDims()
+	sp, hw := sh*sw, g.InH*g.InW
+	gather := tapGatherGo
+	if tapGatherAsm != nil {
+		gather = tapGatherAsm
+	}
+	clear(stage[:nb*g.InC*sp])
+	for pl := 0; pl < nb*g.InC; pl++ {
+		gather(stage[pl*sp+g.Pad*sw+g.Pad:], x[pl*hw:], 0, 1, g.InH, g.InW, g.InW, 0, 1, g.InW, sw)
+	}
 }
 
 // im2colInto gathers the patch matrices of nb consecutive (C, H, W) images
@@ -91,7 +110,7 @@ func (g ConvGeom) stageLen(nb int) int {
 // separate pack pass. stage holds stageLen(nb) floats.
 func im2colInto(dst, x []float32, g ConvGeom, nb, j0, pw int, stage []float32) {
 	oh, ow := g.OutHW()
-	st, hw := g.Stride, g.InH*g.InW
+	st := g.Stride
 	sh, sw := g.stageDims()
 	sp := sh * sw
 	kp := g.InC * g.KH * g.KW * pw // floats per column panel
@@ -99,17 +118,12 @@ func im2colInto(dst, x []float32, g ConvGeom, nb, j0, pw int, stage []float32) {
 	if tapGatherAsm != nil && st <= 2 {
 		gather = tapGatherAsm
 	}
+	stageInto(stage, x, g, nb)
 	q := 0
-	clear(stage[:nb*sp]) // each channel rewrites only the interior: the border stays zero
 	for c := 0; c < g.InC; c++ {
-		// Staging a plane is a stride-1 gather whose panels are its rows:
-		// InW columns wide, sw floats apart.
-		for il := 0; il < nb; il++ {
-			gather(stage[il*sp+g.Pad*sw+g.Pad:], x[(il*g.InC+c)*hw:], 0, 1, g.InH, g.InW, g.InW, 0, 1, g.InW, sw)
-		}
 		for kh := 0; kh < g.KH; kh++ {
 			for kw := 0; kw < g.KW; kw++ {
-				gather(dst[(j0/pw)*kp+q*pw:], stage[kh*sw+kw:], j0%pw, nb, oh, ow, st*sw, sp, st, pw, kp)
+				gather(dst[(j0/pw)*kp+q*pw:], stage[c*sp+kh*sw+kw:], j0%pw, nb, oh, ow, st*sw, g.InC*sp, st, pw, kp)
 				q++
 			}
 		}
@@ -174,7 +188,8 @@ func Col2ImBatchInto(dst, cols *Tensor, g ConvGeom) error {
 	if cols.Rank() != 2 || cols.shape[0] != g.InC*g.KH*g.KW || cols.shape[1] != ns {
 		return fmt.Errorf("%w: col2im batch cols %v does not match geometry %+v for batch %d", ErrShape, cols.shape, g, n)
 	}
-	inSz, sl := g.InC*g.InH*g.InW, g.stageLen(1)
+	sh, sw := g.stageDims()
+	inSz, sl := g.InC*g.InH*g.InW, sh*sw+1 // col2imInto accumulates one channel at a time
 	stage := make([]float32, n*sl)
 	ParallelFor(n, func(i int) {
 		col2imInto(dst.data[i*inSz:(i+1)*inSz], cols.data, g, 1, i*s, ns, stage[i*sl:(i+1)*sl])
@@ -187,7 +202,8 @@ func Col2ImBatchInto(dst, cols *Tensor, g ConvGeom) error {
 // cols (row stride ld). Every image element accumulates its taps in
 // (kh, kw, oy) order whatever the batch or band around it, so input
 // gradients do not depend on how the batch was cut; taps that fall in the
-// padding accumulate in the staging border and are dropped.
+// padding accumulate in the staging border and are dropped. stage holds
+// nb·sh·sw + 1 floats: one channel of the band and the stride-2 margin.
 func col2imInto(dx, cols []float32, g ConvGeom, nb, j0, ld int, stage []float32) {
 	oh, ow := g.OutHW()
 	st, hw := g.Stride, g.InH*g.InW

@@ -6,17 +6,24 @@ import "fmt"
 // float twin of ConvU8I8ImplicitInto. No full-batch patch matrix exists in
 // either direction. The unit of work is a sample band — the fewest whole
 // samples whose output positions reach f32BandCols columns, clamped to
-// the batch — and one band-driver task (runBands) owns a band end to end:
+// the batch — and one band-driver task (runBands) owns a band end to end.
+// Both directions first stage every channel of the band once into a
+// per-lane zero-bordered strip (stageInto); a patch element is then one
+// strip float, at the plan's row offset ofs[q] plus a column offset.
 //
-//   - forward gathers the band's patches straight into 16-wide column
-//     panels of a per-lane tile, runs the packed micro-kernels against the
-//     weights and copies the product into the NCHW output with the bias
-//     folded in;
-//   - backward re-gathers the band row-major from the retained input,
-//     forms the band's weight-gradient partial dWᵀ = patches·doutᵀ (the
-//     small operand, dout, is the one transposed into panels), overwrites
-//     the tile with the column gradients Wᵀ·dout and scatters them into dx
-//     through the band-local col2im.
+//   - forward runs the packed micro-kernels against the weights with the
+//     band's patches as B and copies the product into the NCHW output with
+//     the bias folded in. A stride-1 conv whose output width is a multiple
+//     of 8 reads each 16-column panel straight from the strip, as two
+//     8-float runs (strip-route kernels); every other conv first gathers
+//     the patches into 16-wide column panels of a per-lane tile;
+//   - backward forms the band's weight-gradient partial dWᵀ = patches·doutᵀ
+//     with the patches read from the strip (the small operand, dout, is the
+//     one transposed into panels), then fills the lane tile with the column
+//     gradients Wᵀ·dout and scatters them into dx through the band-local
+//     col2im, which reuses the strip as its accumulator.
+//
+// A strip read is the value a gather copies, in the same FMA order.
 //
 // Every output and input-gradient element is one accumulator summed in
 // ascending k inside one task, so both are bit-identical for any worker
@@ -39,7 +46,17 @@ type ConvPlanF32 struct {
 	inSz int // input floats per sample
 	tpw  int // panel width of the doutᵀ operand: 8 up to 8 channels, else 16
 	tld  int // outC rounded up to tpw: the row stride of a dWᵀ partial
+	// ofs[q] is the strip offset c·sh·sw + kh·sw + kw of patch row q at
+	// column 0, zero-padded to a multiple of 4 rows for the dW kernels.
+	ofs    []int32
+	halves []int32   // strip offset of column 8h of the largest band; nil: the forward gathers
+	dw     stripWalk // the weight-gradient kernels' k walk, nb set per band
+	gather bool      // every product through the lane tile: convGatherOnly at build
 }
+
+// convGatherOnly, set by tests before NewConvPlanF32, builds plans that run
+// every product on the gathered lane tile: the strip route's reference.
+var convGatherOnly bool
 
 // NewConvPlanF32 builds the band schedule for a geometry and channel count.
 func NewConvPlanF32(g ConvGeom, outC int) (*ConvPlanF32, error) {
@@ -55,6 +72,25 @@ func NewConvPlanF32(g ConvGeom, outC int) (*ConvPlanF32, error) {
 		p.tpw = f32PanelColsNarrow
 	}
 	p.tld = blocks(outC, p.tpw) * p.tpw
+	sh, sw := g.stageDims()
+	p.ofs = make([]int32, blocks(p.kdim, 4)*4)
+	for q := 0; q < p.kdim; q++ {
+		c, kh, kw := q/(g.KH*g.KW), q/g.KW%g.KH, q%g.KW
+		p.ofs[q] = int32(c*sh*sw + kh*sw + kw)
+	}
+	p.dw = stripWalk{oh: oh, ow: ow, sps: g.InC * sh * sw, rs: g.Stride * sw, st: g.Stride}
+	p.gather = convGatherOnly
+	// The forward rule: a stride-1 conv whose output rows are whole
+	// 8-column halves reads its panels from the strip; every other conv
+	// gathers them.
+	if g.Stride == 1 && ow%8 == 0 && !p.gather {
+		bs := blocks(f32BandCols, p.s)
+		p.halves = make([]int32, p.ld(bs)/8)
+		for h := range p.halves {
+			il, r := 8*h/p.s, 8*h%p.s
+			p.halves[h] = int32(il*p.dw.sps + r/ow*sw + r%ow)
+		}
+	}
 	return p, nil
 }
 
@@ -66,8 +102,9 @@ func (p *ConvPlanF32) bandSamples(n int) int { return min(n, blocks(f32BandCols,
 func (p *ConvPlanF32) ld(nb int) int { return blocks(nb*p.s, f32PanelCols) * f32PanelCols }
 
 // partLen is the float count of one band's gradient partial: dWᵀ as
-// (kdim, tld) followed by outC bias sums.
-func (p *ConvPlanF32) partLen() int { return p.kdim*p.tld + p.outC }
+// (len(ofs), tld) — rows past kdim are never read — followed by outC bias
+// sums.
+func (p *ConvPlanF32) partLen() int { return len(p.ofs)*p.tld + p.outC }
 
 // ConvScratchF32 is the working memory of one layer's band tasks, owned by
 // the caller so steady-state steps allocate nothing; the zero value is
@@ -79,10 +116,10 @@ type ConvScratchF32 struct {
 }
 
 type convLaneF32 struct {
-	tile  []float32 // kdim × ld: the band's patches, then (backward) its column gradients
+	tile  []float32 // kdim × ld: gather-route forward, the band's patches; backward, its column gradients
 	prod  []float32 // outC × ld: forward product; backward, dout in column panels
 	doT   []float32 // ld × tld: backward, doutᵀ in column panels
-	stage []float32 // the band's zero-bordered input planes, one channel at a time
+	stage []float32 // the band's zero-bordered input planes, all channels; backward, then the scatter's accumulator
 }
 
 // grow returns buf resized to n elements, reallocated only when its
@@ -106,7 +143,9 @@ func (sc *ConvScratchF32) bandsFor(p *ConvPlanF32, n int, backward bool) (convBa
 	ld := p.ld(bs)
 	for i := range sc.lanes[:nl] {
 		ln := &sc.lanes[i]
-		ln.tile = grow(ln.tile, p.kdim*ld)
+		if backward || p.halves == nil {
+			ln.tile = grow(ln.tile, p.kdim*ld)
+		}
 		ln.prod = grow(ln.prod, p.outC*ld)
 		ln.stage = grow(ln.stage, p.g.stageLen(bs))
 		if backward {
@@ -175,14 +214,29 @@ type convF32Fwd struct {
 
 func (j convF32Fwd) gather(t, lane int) {
 	ln, i0, nb := j.task(t, lane)
-	im2colInto(ln.tile, j.x[i0*j.p.inSz:(i0+nb)*j.p.inSz], j.p.g, nb, 0, f32PanelCols, ln.stage)
+	x := j.x[i0*j.p.inSz : (i0+nb)*j.p.inSz]
+	if j.p.halves != nil {
+		stageInto(ln.stage, x, j.p.g, nb)
+		return
+	}
+	im2colInto(ln.tile, x, j.p.g, nb, 0, f32PanelCols, ln.stage)
 }
 
 func (j convF32Fwd) compute(t, lane int) {
 	ln, _, nb := j.task(t, lane)
 	p, ld := j.p, j.p.ld(nb)
-	b := PackedF32{k: p.kdim, n: ld, pw: f32PanelCols, panels: ld / f32PanelCols, data: ln.tile}
-	matMulF32PackedSerial(ln.prod, j.w, &b, p.outC, p.kdim, 1)
+	if p.halves == nil {
+		b := PackedF32{k: p.kdim, n: ld, pw: f32PanelCols, panels: ld / f32PanelCols, data: ln.tile}
+		matMulF32PackedSerial(ln.prod, j.w, &b, p.outC, p.kdim, 1)
+		return
+	}
+	for pi := 0; pi < ld/f32PanelCols; pi++ {
+		h0, h1 := int(p.halves[2*pi]), int(p.halves[2*pi+1])
+		if pi*f32PanelCols+8 >= nb*p.s {
+			h1 = h0 // a half past the band: its product is never copied out
+		}
+		f32StripPanel(ln.prod[pi*f32PanelCols:], j.w, ln.stage, p.ofs, p.outC, p.kdim, p.kdim, ld, h0, h1)
+	}
 }
 
 func (j convF32Fwd) epilogue(t, lane int) {
@@ -233,7 +287,7 @@ func ConvF32BackwardInto(dx, gw, gb, x, dout []float32, n int, w []float32, p *C
 	for oc := 0; oc < p.outC && gb != nil; oc++ {
 		var sum float32
 		for t := 0; t < bands; t++ {
-			sum += sc.part[t*pl+p.kdim*p.tld+oc]
+			sum += sc.part[t*pl+len(p.ofs)*p.tld+oc]
 		}
 		gb[oc] += sum
 	}
@@ -253,8 +307,12 @@ func (j convF32Bwd) partOf(t int) []float32 { return j.sc.part[t*j.p.partLen():]
 func (j convF32Bwd) gather(t, lane int) {
 	ln, i0, nb := j.task(t, lane)
 	p, s, outC, part := j.p, j.p.s, j.p.outC, j.partOf(t)
-	cols, ld := nb*s, p.ld(nb)
-	im2colInto(ln.tile, j.x[i0*p.inSz:(i0+nb)*p.inSz], p.g, nb, 0, ld, ln.stage) // patches, row-major at row stride ld
+	cols, x := nb*s, j.x[i0*p.inSz:(i0+nb)*p.inSz]
+	if p.gather {
+		im2colInto(ln.tile, x, p.g, nb, 0, p.ld(nb), ln.stage) // patches, row-major at row stride ld
+	} else {
+		stageInto(ln.stage, x, p.g, nb)
+	}
 	// One read of dout fills both packed forms — column panels for
 	// Wᵀ·dout, transposed panels for patches·doutᵀ — and the bias partial.
 	tpw := p.tpw
@@ -269,17 +327,25 @@ func (j convF32Bwd) gather(t, lane int) {
 				sum += v
 			}
 		}
-		part[p.kdim*p.tld+oc] = sum
+		part[len(p.ofs)*p.tld+oc] = sum
 	}
 }
 
 func (j convF32Bwd) compute(t, lane int) {
 	ln, _, nb := j.task(t, lane)
 	p, cols, ld := j.p, nb*j.p.s, j.p.ld(nb)
-	bt := PackedF32{k: cols, n: p.tld, pw: p.tpw, panels: p.tld / p.tpw, data: ln.doT}
-	matMulF32PackedSerial(j.partOf(t), ln.tile, &bt, p.kdim, ld, 1)
-	// The patches are spent: the tile becomes dcols = Wᵀ·dout, row q tap oc
-	// of the operand at w[oc·kdim+q].
+	if p.gather {
+		bt := PackedF32{k: cols, n: p.tld, pw: p.tpw, panels: p.tld / p.tpw, data: ln.doT}
+		matMulF32PackedSerial(j.partOf(t), ln.tile, &bt, p.kdim, ld, 1)
+	} else {
+		part, walk := j.partOf(t), p.dw
+		walk.nb = nb
+		for pi := 0; pi < p.tld/p.tpw; pi++ {
+			f32StripDW(part[pi*p.tpw:], ln.stage, p.ofs, ln.doT[pi*cols*p.tpw:], p.tpw, walk, p.tld)
+		}
+	}
+	// The tile becomes dcols = Wᵀ·dout, row q tap oc of the operand at
+	// w[oc·kdim+q].
 	bd := PackedF32{k: p.outC, n: ld, pw: f32PanelCols, panels: ld / f32PanelCols, data: ln.prod}
 	matMulF32PackedSerial(ln.tile, j.w, &bd, p.kdim, 1, p.kdim)
 }

@@ -3,6 +3,8 @@ package tensor
 import (
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -157,6 +159,10 @@ func TestConvBandGeometryTable(t *testing.T) {
 		{ConvGeom{InC: 3, InH: 12, InW: 12, KH: 3, KW: 3, Stride: 1, Pad: 1}, 1, 12}, // batch 1, 144 positions
 		{ConvGeom{InC: 2, InH: 2, InW: 2, KH: 3, KW: 3, Stride: 1, Pad: 1}, 70, 4},   // 4 positions, band 64 + 6
 		{ConvGeom{InC: 1, InH: 3, InW: 3, KH: 3, KW: 3, Stride: 3, Pad: 2}, 2, 1},    // taps entirely in padding
+		{ConvGeom{InC: 3, InH: 5, InW: 8, KH: 3, KW: 3, Stride: 1, Pad: 1}, 9, 6},    // OW 8: bands of 7 (a dead half) + 2
+		{ConvGeom{InC: 2, InH: 4, InW: 16, KH: 3, KW: 3, Stride: 1, Pad: 1}, 6, 5},   // OW 16: bands of 4 + 2
+		{ConvGeom{InC: 2, InH: 3, InW: 24, KH: 3, KW: 3, Stride: 1, Pad: 1}, 5, 3},   // OW 24: bands of 4 + 1 (a dead half)
+		{ConvGeom{InC: 1, InH: 6, InW: 12, KH: 5, KW: 5, Stride: 1, Pad: 0}, 3, 2},   // OW 8 from a 5×5 without padding
 	}
 	eachDispatch(t, func(t *testing.T) {
 		for i, c := range cases {
@@ -168,7 +174,7 @@ func TestConvBandGeometryTable(t *testing.T) {
 // fuzzConvBandGeom maps fuzz bytes onto a small band-conv problem.
 func fuzzConvBandGeom(inC, inH, inW, kh, kw, stride, pad, n, outC uint8) (ConvGeom, int, int) {
 	g := ConvGeom{
-		InC: 1 + int(inC%4), InH: 1 + int(inH%12), InW: 1 + int(inW%12),
+		InC: 1 + int(inC%4), InH: 1 + int(inH%12), InW: 1 + int(inW%24),
 		KH: 1 + int(kh%5), KW: 1 + int(kw%5),
 		Stride: 1 + int(stride%3), Pad: int(pad % 3),
 	}
@@ -279,6 +285,15 @@ func TestConvBandSteadyStateAllocs(t *testing.T) {
 	g := ConvGeom{InC: 8, InH: 8, InW: 8, KH: 3, KW: 3, Stride: 1, Pad: 1}
 	var sc ConvScratchF32
 	small := newConvBandCase(t, 3, g, 8, 16)
+	// A strip-route forward holds no patch tile.
+	if err := ConvF32ForwardInto(make([]float32, small.outLen), small.x, small.n, small.w, small.bias, small.plan, &sc); err != nil {
+		t.Fatal(err)
+	}
+	for i, ln := range sc.lanes {
+		if cap(ln.tile) != 0 {
+			t.Errorf("lane %d holds a %d-float tile after a strip-route forward", i, cap(ln.tile))
+		}
+	}
 	small.run(t, &sc)
 	laneFloats := func() (n int) {
 		for _, ln := range sc.lanes {
@@ -359,4 +374,208 @@ func TestConvBandRejectsShortOperands(t *testing.T) {
 	if _, err := NewConvPlanF32(ConvGeom{InC: 1, InH: 2, InW: 2, KH: 3, KW: 3, Stride: 1}, 4); err == nil {
 		t.Error("plan accepted an empty output")
 	}
+}
+
+// stripCases are the route-identity problems: the determinism cases, the
+// benchmark's ResNet-20 (width 0.25) and SmallCNN convs at 16×16 — stem,
+// stage 1/2/3 stride-1 convs, both stride-2 3×3 convs, both 1×1
+// downsamples, SmallCNN b1–b4 — and outC and kdim off multiples of 4.
+var stripCases = append([]struct {
+	g       ConvGeom
+	n, outC int
+}{
+	{ConvGeom{InC: 3, InH: 16, InW: 16, KH: 3, KW: 3, Stride: 1, Pad: 1}, 3, 4},   // ResNet-20 stem, kdim 27
+	{ConvGeom{InC: 4, InH: 16, InW: 16, KH: 3, KW: 3, Stride: 1, Pad: 1}, 3, 4},   // stage 1
+	{ConvGeom{InC: 4, InH: 16, InW: 16, KH: 3, KW: 3, Stride: 2, Pad: 1}, 7, 8},   // stage 2 entry
+	{ConvGeom{InC: 4, InH: 16, InW: 16, KH: 1, KW: 1, Stride: 2, Pad: 0}, 7, 8},   // stage 2 downsample
+	{ConvGeom{InC: 8, InH: 8, InW: 8, KH: 3, KW: 3, Stride: 1, Pad: 1}, 7, 8},     // stage 2
+	{ConvGeom{InC: 8, InH: 8, InW: 8, KH: 3, KW: 3, Stride: 2, Pad: 1}, 19, 16},   // stage 3 entry
+	{ConvGeom{InC: 8, InH: 8, InW: 8, KH: 1, KW: 1, Stride: 2, Pad: 0}, 19, 16},   // stage 3 downsample
+	{ConvGeom{InC: 16, InH: 4, InW: 4, KH: 3, KW: 3, Stride: 1, Pad: 1}, 19, 16},  // stage 3, OW 4
+	{ConvGeom{InC: 3, InH: 16, InW: 16, KH: 3, KW: 3, Stride: 1, Pad: 1}, 3, 16},  // SmallCNN b1
+	{ConvGeom{InC: 16, InH: 16, InW: 16, KH: 3, KW: 3, Stride: 2, Pad: 1}, 7, 16}, // b2
+	{ConvGeom{InC: 16, InH: 8, InW: 8, KH: 3, KW: 3, Stride: 1, Pad: 1}, 7, 32},   // b3
+	{ConvGeom{InC: 32, InH: 8, InW: 8, KH: 3, KW: 3, Stride: 2, Pad: 1}, 19, 32},  // b4
+	{ConvGeom{InC: 3, InH: 8, InW: 8, KH: 3, KW: 3, Stride: 1, Pad: 1}, 6, 5},     // kdim 27, outC 5
+	{ConvGeom{InC: 5, InH: 5, InW: 24, KH: 3, KW: 3, Stride: 1, Pad: 1}, 5, 7},    // kdim 45, outC 7, OW 24
+	{ConvGeom{InC: 7, InH: 3, InW: 8, KH: 1, KW: 1, Stride: 1, Pad: 0}, 13, 9},    // kdim 7, outC 9
+}, bandDeterminismCases...)
+
+// TestConvStripMatchesGather pins the strip route to the gather route it
+// replaces: plans built under convGatherOnly run every product on the
+// gathered lane tile, and out, dW and the bias gradient must come out
+// byte-identical at 1, 2, 3 and 8 workers under both dispatches — the same
+// values meet the same FMA order. On arm64 the compiler may fuse the
+// portable kernels' x*y+z differently in the two routes, so there the
+// match is to float32 rounding.
+func TestConvStripMatchesGather(t *testing.T) {
+	eachDispatch(t, func(t *testing.T) {
+		for ci, bc := range stripCases {
+			c := newConvBandCase(t, int64(61+ci), bc.g, bc.n, bc.outC)
+			_, ow := bc.g.OutHW()
+			if strip := c.plan.halves != nil; strip != (bc.g.Stride == 1 && ow%8 == 0) {
+				t.Fatalf("case %d %+v: strip-route forward %v, want it exactly for stride 1 and OW a multiple of 8", ci, bc.g, strip)
+			}
+			convGatherOnly = true
+			ref := newConvBandCase(t, int64(61+ci), bc.g, bc.n, bc.outC)
+			convGatherOnly = false
+			prev := SetMaxWorkers(1)
+			ref.run(t, &ConvScratchF32{})
+			SetMaxWorkers(prev)
+			var sc ConvScratchF32
+			for _, workers := range []int{1, 2, 3, 8} {
+				prev := SetMaxWorkers(workers)
+				c.run(t, &sc)
+				SetMaxWorkers(prev)
+				for k, got := range [][]float32{c.out, c.gw, c.gb} {
+					want := [][]float32{ref.out, ref.gw, ref.gb}[k]
+					for i := range got {
+						same := math.Float32bits(got[i]) == math.Float32bits(want[i])
+						if runtime.GOARCH == "arm64" {
+							same = math.Abs(float64(got[i]-want[i])) <= 1e-5*float64(c.kdim+c.n*c.s)*math.Max(1, math.Abs(float64(want[i])))
+						}
+						if !same {
+							t.Fatalf("case %d %+v workers=%d: %s[%d] = %g, gather route %g", ci, bc.g, workers,
+								[]string{"out", "dW", "db"}[k], i, got[i], want[i])
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
+// TestConvStripGuardFloats pre-sizes every lane buffer with NaN: the
+// strip, tile, product and doutᵀ panels wholly, and the strip with guard
+// floats after stageLen. Forward and backward on stride-1 (strip-route)
+// and stride-2 geometries must leave every out, dx, dW and bias-gradient
+// element finite and the guards untouched — which pins the strip-route
+// kernels' reads, the dead half of a ragged band and the stride-2 tap
+// kernels' one-float over-read into the strip's margin.
+func TestConvStripGuardFloats(t *testing.T) {
+	geoms := []struct {
+		g       ConvGeom
+		n, outC int
+	}{
+		{ConvGeom{InC: 3, InH: 5, InW: 8, KH: 3, KW: 3, Stride: 1, Pad: 1}, 9, 6},   // strip route, a dead half
+		{ConvGeom{InC: 2, InH: 3, InW: 24, KH: 3, KW: 3, Stride: 1, Pad: 1}, 5, 3},  // strip route, OW 24
+		{ConvGeom{InC: 4, InH: 16, InW: 16, KH: 3, KW: 3, Stride: 1, Pad: 1}, 2, 4}, // ResNet-20 stage 1
+		{ConvGeom{InC: 6, InH: 8, InW: 8, KH: 3, KW: 3, Stride: 2, Pad: 1}, 50, 5},  // stride 2
+		{ConvGeom{InC: 3, InH: 9, InW: 7, KH: 1, KW: 1, Stride: 2, Pad: 0}, 6, 7},   // stride-2 1×1
+	}
+	eachDispatch(t, func(t *testing.T) {
+		for gi, gc := range geoms {
+			for _, workers := range []int{1, 2} {
+				prev := SetMaxWorkers(workers)
+				c := newConvBandCase(t, int64(90+gi), gc.g, gc.n, gc.outC)
+				p, bs := c.plan, c.plan.bandSamples(gc.n)
+				ld, sl := p.ld(bs), gc.g.stageLen(bs)
+				sc := ConvScratchF32{lanes: make([]convLaneF32, bandLanes(blocks(gc.n, bs)))}
+				for i := range sc.lanes {
+					ln := &sc.lanes[i]
+					ln.stage = poisoned(sl)[:sl]
+					ln.tile, ln.prod, ln.doT = poisoned(p.kdim*ld), poisoned(p.outC*ld), poisoned(ld*p.tld)
+				}
+				c.run(t, &sc)
+				SetMaxWorkers(prev)
+				for k, v := range [][]float32{c.out, c.dx, c.gw, c.gb} {
+					for i, f := range v {
+						if math.IsNaN(float64(f)) || math.IsInf(float64(f), 0) {
+							t.Fatalf("%+v workers=%d: %s[%d] = %g", gc.g, workers, []string{"out", "dx", "dW", "db"}[k], i, f)
+						}
+					}
+				}
+				for _, ln := range sc.lanes {
+					checkUntouched(t, "strip", ln.stage[:cap(ln.stage)], sl)
+				}
+			}
+		}
+	})
+}
+
+// FuzzConvStripKernels checks each strip-route kernel of the active SIMD
+// dispatch against its portable twin, byte for byte, over random ascending
+// offset tables, half-bases, k walks and row counts. Strip, operand and
+// panel hold small integers, so every product and partial sum is exact in
+// float32 and fused and unfused accumulation agree bit for bit; canary
+// words after the strip and the destination catch a stray read or write.
+// Plain `go test` replays the seeds; CI also mutates for a bounded
+// -fuzztime.
+func FuzzConvStripKernels(f *testing.F) {
+	rng := rand.New(rand.NewSource(34))
+	for trial := 0; trial < 16; trial++ {
+		var b [7]uint8
+		for i := range b {
+			b[i] = uint8(rng.Intn(256))
+		}
+		f.Add(rng.Int63(), b[0], b[1], b[2], b[3], b[4], b[5], b[6])
+	}
+	f.Fuzz(func(t *testing.T, seed int64, rows, taps, nb, oh, ow, st, wide uint8) {
+		if SIMDFeatures() == "" {
+			t.Skip("no SIMD dispatch on this host")
+		}
+		defer SetSIMD(SetSIMD(true))
+		rng := rand.New(rand.NewSource(seed))
+		small := func(v []float32) {
+			for i := range v {
+				v[i] = float32(rng.Intn(9) - 4)
+			}
+		}
+		table := func(n, span int) []int32 { // ascending, repeats allowed
+			ofs := make([]int32, n)
+			for i := range ofs {
+				ofs[i] = int32(rng.Intn(span))
+			}
+			slices.Sort(ofs)
+			return ofs
+		}
+		// The forward kernel: any row count, k taps of two 8-float halves.
+		m, k := 1+int(rows%13), 1+int(taps%40)
+		ofs, h0, h1 := table(k, 64), rng.Intn(24), rng.Intn(24)
+		sl := max(h0, h1) + int(ofs[k-1]) + 8
+		strip := poisoned(sl)
+		small(strip[:sl])
+		ars, ldd := k+rng.Intn(3), 16+rng.Intn(5)
+		a := make([]float32, (m-1)*ars+k)
+		small(a)
+		dl := (m-1)*ldd + 16
+		got, want := poisoned(dl), poisoned(dl)
+		f32StripPanel(got[:dl], a, strip[:sl], ofs, m, k, ars, ldd, h0, h1)
+		f32StripPanelGo(want[:dl], a, strip[:sl], ofs, m, k, ars, ldd, h0, h1)
+		checkStripKernel(t, "forward", got, want, dl)
+		checkUntouched(t, "forward strip", strip, sl)
+
+		// The weight-gradient kernel: rows in groups of four, a k walk of
+		// nb samples × oh rows × ow columns, 16- or 8-wide panels.
+		pw := []int{f32PanelCols, f32PanelColsNarrow}[wide%2]
+		w := stripWalk{nb: 1 + int(nb%3), oh: 1 + int(oh%4), ow: 1 + int(ow%9), st: 1 + int(st%2)}
+		w.rs = (w.ow-1)*w.st + 1 + rng.Intn(4)
+		w.sps = (w.oh-1)*w.rs + (w.ow-1)*w.st + 1 + rng.Intn(8)
+		m = 4 * (1 + int(rows%5))
+		ofs = table(m, 32)
+		sl = int(ofs[m-1]) + (w.nb-1)*w.sps + (w.oh-1)*w.rs + (w.ow-1)*w.st + 1
+		strip = poisoned(sl)
+		small(strip[:sl])
+		panel := make([]float32, w.nb*w.oh*w.ow*pw)
+		small(panel)
+		ldd = pw + rng.Intn(9)
+		dl = (m-1)*ldd + pw
+		got, want = poisoned(dl), poisoned(dl)
+		f32StripDW(got[:dl], strip[:sl], ofs, panel, pw, w, ldd)
+		f32StripDWGo(want[:dl], strip[:sl], ofs, panel, pw, w, ldd)
+		checkStripKernel(t, "weight-gradient", got, want, dl)
+		checkUntouched(t, "weight-gradient strip", strip, sl)
+	})
+}
+
+// checkStripKernel demands the portable twin's bytes in the first n words
+// of got and untouched canaries after them.
+func checkStripKernel(t *testing.T, what string, got, want []float32, n int) {
+	t.Helper()
+	for i := range want[:n] {
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("%s kernel: dst[%d] = %g, portable twin %g", what, i, got[i], want[i])
+		}
+	}
+	checkUntouched(t, what+" destination", got, n)
 }

@@ -48,7 +48,7 @@ func checkConvTaps(t *testing.T, seed int64, g ConvGeom, nb int, l tapLayout) {
 	oh, ow := g.OutHW()
 	cols, kdim, inSz := nb*oh*ow, g.InC*g.KH*g.KW, g.InC*g.InH*g.InW
 	sh, sw := g.stageDims()
-	strip, sl := nb*sh*sw, g.stageLen(nb)
+	strip, sl := nb*g.InC*sh*sw, g.stageLen(nb)
 	tileLen := blocks(l.j0+cols, l.pw) * kdim * l.pw
 	rng := rand.New(rand.NewSource(seed))
 	x := make([]float32, nb*inSz)

@@ -182,3 +182,49 @@ func f32PanelEdgeGo(dst, a, panel []float32, m, k, ars, aks, ldd, pw, nr int) {
 		copy(dst[i*ldd:i*ldd+nr], c)
 	}
 }
+
+// f32StripPanelGo is the portable strip-route forward kernel: f32Panel4Go's
+// product (aks = 1) over a 16-column panel whose row q is read from the
+// staging strip as strip[h0+ofs[q]:+8] followed by strip[h1+ofs[q]:+8].
+func f32StripPanelGo(dst, a, strip []float32, ofs []int32, m, k, ars, ldd, h0, h1 int) {
+	for i := 0; i < m; i++ {
+		ar := a[i*ars:]
+		var c [16]float32
+		for q, o := range ofs[:k] {
+			v, b0, b1 := ar[q], strip[h0+int(o):][:8], strip[h1+int(o):][:8]
+			for j := 0; j < 8; j++ {
+				c[j] += v * b0[j]
+				c[8+j] += v * b1[j]
+			}
+		}
+		copy(dst[i*ldd:i*ldd+16], c[:])
+	}
+}
+
+// stripWalk is the k walk of the weight gradient's strip operand: tap
+// k = (il·oh + oy)·ow + ox sits sps·il + rs·oy + st·ox past the row's base.
+type stripWalk struct{ nb, oh, ow, sps, rs, st int }
+
+// f32StripDWGo is the portable strip-route weight-gradient kernel: rows
+// r < len(ofs) of dst (stride ldd) become A·panel, where A's row r, tap k
+// is strip[ofs[r] + walk(k)] and panel is a packed pw-wide (pw = 16 or 8)
+// column panel of walk-many rows. Same accumulation order as f32Panel4Go.
+func f32StripDWGo(dst, strip []float32, ofs []int32, panel []float32, pw int, w stripWalk, ldd int) {
+	for r, o := range ofs {
+		var c [f32PanelCols]float32
+		pq := panel
+		for il := 0; il < w.nb; il++ {
+			for oy := 0; oy < w.oh; oy++ {
+				src := strip[int(o)+il*w.sps+oy*w.rs:]
+				for ox := 0; ox < w.ow; ox++ {
+					v := src[ox*w.st]
+					for j, b := range pq[:pw] {
+						c[j] += v * b
+					}
+					pq = pq[pw:]
+				}
+			}
+		}
+		copy(dst[r*ldd:r*ldd+pw], c[:pw])
+	}
+}

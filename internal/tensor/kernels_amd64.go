@@ -55,6 +55,15 @@ func convTapGatherAVX2(dst, src *float32, off, nb, oh, ow, rs, sp, st, pw, kp in
 func convTapScatterAVX2(dst, src *float32, nb, oh, ow, rs, sp, st int)
 
 //go:noescape
+func convStripGEMM4x16FMA(dst, a, b0, b1 *float32, ofs *int32, m, k, ars, ldd int)
+
+//go:noescape
+func convStripGEMM1x16FMA(dst, a, b0, b1 *float32, ofs *int32, k int)
+
+//go:noescape
+func convStripDWT4FMA(dst, strip *float32, ofs *int32, panel *float32, m, nb, oh, ow, st, rskip, sskip, ldd, pw int)
+
+//go:noescape
 func bnMomentsAVX2(x *float32, n, plane, stride int, cnt float64) (mean, variance float64)
 
 //go:noescape
@@ -122,6 +131,7 @@ func applySIMDAmd64(on bool) {
 		bnMomentsAsm, bnAffineAsm, bnGradSumsAsm, bnGradInputAsm = nil, nil, nil, nil
 		f32Panel4, f32Panel1 = f32Panel4Go, f32Panel1Go
 		f32Panel4w8, f32Panel1w8 = f32Panel4x8Go, f32Panel1x8Go
+		f32StripPanel, f32StripDW = f32StripPanelGo, f32StripDWGo
 		requantRowsAsm, requantTransAsm = nil, nil
 		return
 	}
@@ -141,6 +151,8 @@ func applySIMDAmd64(on bool) {
 	f32Panel1 = f32Panel1Asm
 	f32Panel4w8 = f32Panel4w8Asm
 	f32Panel1w8 = f32Panel1w8Asm
+	f32StripPanel = stripPanelFMAWrap
+	f32StripDW = stripDWFMAWrap
 	requantRowsAsm = requantRowsAVX2Wrap
 	requantTransAsm = requantTransAVX2Wrap
 }
@@ -169,6 +181,33 @@ func tapScatterAVX2Wrap(dst, src []float32, nb, oh, ow, rs, sp, st int) {
 	_ = src[nb*oh*ow-1]
 	_ = dst[(nb-1)*sp+(oh-1)*rs+(ow-1)*st+st-1]
 	convTapScatterAVX2(&dst[0], &src[0], nb, oh, ow, rs, sp, st)
+}
+
+// The strip wrappers rely on ascending offset tables (the plan's): the
+// first and last entries bound every strip read.
+
+func stripPanelFMAWrap(dst, a, strip []float32, ofs []int32, m, k, ars, ldd, h0, h1 int) {
+	_ = strip[max(h0, h1)+int(ofs[k-1])+7]
+	_ = a[(m-1)*ars+k-1]
+	_ = dst[(m-1)*ldd+15]
+	m4 := m &^ 3
+	if m4 > 0 {
+		convStripGEMM4x16FMA(&dst[0], &a[0], &strip[h0], &strip[h1], &ofs[0], m4, k, ars, ldd)
+	}
+	for i := m4; i < m; i++ {
+		convStripGEMM1x16FMA(&dst[i*ldd], &a[i*ars], &strip[h0], &strip[h1], &ofs[0], k)
+	}
+}
+
+func stripDWFMAWrap(dst, strip []float32, ofs []int32, panel []float32, pw int, w stripWalk, ldd int) {
+	// len(ofs) is a positive multiple of 4; the walk's strides are
+	// non-negative, so its first and last taps are its extremes.
+	m := len(ofs)
+	_ = strip[ofs[0]]
+	_ = strip[int(ofs[m-1])+(w.nb-1)*w.sps+(w.oh-1)*w.rs+(w.ow-1)*w.st]
+	_ = panel[w.nb*w.oh*w.ow*pw-1]
+	_ = dst[(m-1)*ldd+pw-1]
+	convStripDWT4FMA(&dst[0], &strip[0], &ofs[0], &panel[0], m, w.nb, w.oh, w.ow, w.st, w.rs-w.ow*w.st, w.sps-w.oh*w.rs, ldd, pw)
 }
 
 // The batch-norm wrappers pin the last float of the channel's last plane

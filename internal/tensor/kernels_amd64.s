@@ -446,3 +446,231 @@ rowdone:
 	JNZ  sample
 	VZEROUPPER
 	RET
+
+// func convStripGEMM4x16FMA(dst, a, b0, b1 *float32, ofs *int32, m, k, ars, ldd int)
+//
+// The strip-route forward kernel: packedF32GEMM4x16FMA (aks = 1) with
+// panel row q read from the staging strip, its first eight floats at
+// b0[ofs[q]] and its last eight at b1[ofs[q]]. Same accumulators and FMA
+// per tap, so the bytes are that kernel's over the gathered panel. m must
+// be a positive multiple of 4. Registers as there, plus AX ofs, DX / BX
+// the two half-bases, CX the tap and R14 its offset.
+TEXT ·convStripGEMM4x16FMA(SB), NOSPLIT, $0-72
+	MOVQ dst+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b0+16(FP), DX
+	MOVQ b1+24(FP), BX
+	MOVQ ofs+32(FP), AX
+	MOVQ m+40(FP), R8
+	SHRQ $2, R8
+	MOVQ k+48(FP), R9
+	MOVQ ars+56(FP), R10
+	SHLQ $2, R10
+	MOVQ ldd+64(FP), R11
+	SHLQ $2, R11
+	LEAQ (R10)(R10*2), R13    // 3·ars bytes
+	LEAQ (R11)(R11*2), R15    // 3·ldd bytes
+
+sgroup:
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+	MOVQ   SI, R12
+	XORQ   CX, CX
+
+skloop:
+	MOVLQSX      (AX)(CX*4), R14
+	VMOVUPS      (DX)(R14*4), Y8
+	VMOVUPS      (BX)(R14*4), Y9
+	VBROADCASTSS (R12), Y10
+	VFMADD231PS  Y8, Y10, Y0
+	VFMADD231PS  Y9, Y10, Y1
+	VBROADCASTSS (R12)(R10*1), Y10
+	VFMADD231PS  Y8, Y10, Y2
+	VFMADD231PS  Y9, Y10, Y3
+	VBROADCASTSS (R12)(R10*2), Y10
+	VFMADD231PS  Y8, Y10, Y4
+	VFMADD231PS  Y9, Y10, Y5
+	VBROADCASTSS (R12)(R13*1), Y10
+	VFMADD231PS  Y8, Y10, Y6
+	VFMADD231PS  Y9, Y10, Y7
+	ADDQ         $4, R12
+	INCQ         CX
+	CMPQ         CX, R9
+	JLT          skloop
+
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, (DI)(R11*1)
+	VMOVUPS Y3, 32(DI)(R11*1)
+	VMOVUPS Y4, (DI)(R11*2)
+	VMOVUPS Y5, 32(DI)(R11*2)
+	VMOVUPS Y6, (DI)(R15*1)
+	VMOVUPS Y7, 32(DI)(R15*1)
+	LEAQ    (SI)(R10*4), SI
+	LEAQ    (DI)(R11*4), DI
+	DECQ    R8
+	JNZ     sgroup
+	VZEROUPPER
+	RET
+
+// func convStripGEMM1x16FMA(dst, a, b0, b1 *float32, ofs *int32, k int)
+//
+// One-row remainder of convStripGEMM4x16FMA, after packedF32GEMM1x16FMA.
+TEXT ·convStripGEMM1x16FMA(SB), NOSPLIT, $0-48
+	MOVQ   dst+0(FP), DI
+	MOVQ   a+8(FP), SI
+	MOVQ   b0+16(FP), DX
+	MOVQ   b1+24(FP), BX
+	MOVQ   ofs+32(FP), AX
+	MOVQ   k+40(FP), CX
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+
+s1kloop:
+	MOVLQSX      (AX), R14
+	VBROADCASTSS (SI), Y10
+	VFMADD231PS  (DX)(R14*4), Y10, Y0
+	VFMADD231PS  (BX)(R14*4), Y10, Y1
+	ADDQ         $4, SI
+	ADDQ         $4, AX
+	DECQ         CX
+	JNZ          s1kloop
+
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	VZEROUPPER
+	RET
+
+// func convStripDWT4FMA(dst, strip *float32, ofs *int32, panel *float32, m, nb, oh, ow, st, rskip, sskip, ldd, pw int)
+//
+// The strip-route weight-gradient kernel pair: packedF32GEMM4x16FMA
+// (pw = 16) and packedF32GEMM4x8FMA (pw = 8) with A's row r read from the
+// staging strip at base ofs[r] and tap k walking (sample, output row,
+// output column) — ow taps st floats apart, then rskip floats on to the
+// next output row, after oh rows sskip floats on to the next sample, for
+// nb samples. The accumulators and the FMA per tap are those kernels', so
+// the bytes are those of the gathered row-major tile. m must be a positive
+// multiple of 4.
+//
+// Registers: DI dst, SI strip, R8 ofs cursor, R9 groups left, R10–R13
+// the four rows' bases, BX panel cursor, AX tap offset bytes, R14 st
+// bytes, CX columns left, DX rows left, R15 samples left; Y0–Y7 the
+// accumulators (pw = 8: Y0, Y2, Y4, Y6).
+TEXT ·convStripDWT4FMA(SB), NOSPLIT, $0-104
+	MOVQ dst+0(FP), DI
+	MOVQ strip+8(FP), SI
+	MOVQ ofs+16(FP), R8
+	MOVQ m+32(FP), R9
+	SHRQ $2, R9
+	MOVQ st+64(FP), R14
+	SHLQ $2, R14
+
+dgroup:
+	MOVLQSX (R8), R10
+	LEAQ    (SI)(R10*4), R10
+	MOVLQSX 4(R8), R11
+	LEAQ    (SI)(R11*4), R11
+	MOVLQSX 8(R8), R12
+	LEAQ    (SI)(R12*4), R12
+	MOVLQSX 12(R8), R13
+	LEAQ    (SI)(R13*4), R13
+	VXORPS  Y0, Y0, Y0
+	VXORPS  Y1, Y1, Y1
+	VXORPS  Y2, Y2, Y2
+	VXORPS  Y3, Y3, Y3
+	VXORPS  Y4, Y4, Y4
+	VXORPS  Y5, Y5, Y5
+	VXORPS  Y6, Y6, Y6
+	VXORPS  Y7, Y7, Y7
+	MOVQ    panel+24(FP), BX
+	XORQ    AX, AX
+	MOVQ    nb+40(FP), R15
+	MOVQ    oh+48(FP), DX
+	MOVQ    ow+56(FP), CX
+	CMPQ    pw+96(FP), $8
+	JEQ     nkloop
+
+wkloop:
+	VMOVUPS      (BX), Y8
+	VMOVUPS      32(BX), Y9
+	VBROADCASTSS (R10)(AX*1), Y10
+	VFMADD231PS  Y8, Y10, Y0
+	VFMADD231PS  Y9, Y10, Y1
+	VBROADCASTSS (R11)(AX*1), Y10
+	VFMADD231PS  Y8, Y10, Y2
+	VFMADD231PS  Y9, Y10, Y3
+	VBROADCASTSS (R12)(AX*1), Y10
+	VFMADD231PS  Y8, Y10, Y4
+	VFMADD231PS  Y9, Y10, Y5
+	VBROADCASTSS (R13)(AX*1), Y10
+	VFMADD231PS  Y8, Y10, Y6
+	VFMADD231PS  Y9, Y10, Y7
+	ADDQ         R14, AX
+	ADDQ         $64, BX
+	DECQ         CX
+	JNZ          wkloop
+	MOVQ         rskip+72(FP), CX // row done: on to the next output row
+	LEAQ         (AX)(CX*4), AX
+	MOVQ         ow+56(FP), CX
+	DECQ         DX
+	JNZ          wkloop
+	MOVQ         sskip+80(FP), DX // sample done: on to the next sample
+	LEAQ         (AX)(DX*4), AX
+	MOVQ         oh+48(FP), DX
+	DECQ         R15
+	JNZ          wkloop
+	JMP          dstore
+
+nkloop:
+	VMOVUPS      (BX), Y8
+	VBROADCASTSS (R10)(AX*1), Y10
+	VFMADD231PS  Y8, Y10, Y0
+	VBROADCASTSS (R11)(AX*1), Y10
+	VFMADD231PS  Y8, Y10, Y2
+	VBROADCASTSS (R12)(AX*1), Y10
+	VFMADD231PS  Y8, Y10, Y4
+	VBROADCASTSS (R13)(AX*1), Y10
+	VFMADD231PS  Y8, Y10, Y6
+	ADDQ         R14, AX
+	ADDQ         $32, BX
+	DECQ         CX
+	JNZ          nkloop
+	MOVQ         rskip+72(FP), CX
+	LEAQ         (AX)(CX*4), AX
+	MOVQ         ow+56(FP), CX
+	DECQ         DX
+	JNZ          nkloop
+	MOVQ         sskip+80(FP), DX
+	LEAQ         (AX)(DX*4), AX
+	MOVQ         oh+48(FP), DX
+	DECQ         R15
+	JNZ          nkloop
+
+dstore:
+	MOVQ    ldd+88(FP), CX
+	SHLQ    $2, CX
+	LEAQ    (CX)(CX*2), DX
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y2, (DI)(CX*1)
+	VMOVUPS Y4, (DI)(CX*2)
+	VMOVUPS Y6, (DI)(DX*1)
+	CMPQ    pw+96(FP), $8
+	JEQ     dnext
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y3, 32(DI)(CX*1)
+	VMOVUPS Y5, 32(DI)(CX*2)
+	VMOVUPS Y7, 32(DI)(DX*1)
+
+dnext:
+	LEAQ (DI)(CX*4), DI
+	ADDQ $16, R8
+	DECQ R9
+	JNZ  dgroup
+	VZEROUPPER
+	RET

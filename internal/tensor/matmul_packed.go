@@ -189,6 +189,9 @@ var (
 	f32Panel1   = f32Panel1Go   // 1 row × 16 cols (writes dst[0:16])
 	f32Panel4w8 = f32Panel4x8Go // 4 rows × 8 cols (narrow panels)
 	f32Panel1w8 = f32Panel1x8Go // 1 row × 8 cols (writes dst[0:8])
+
+	f32StripPanel = f32StripPanelGo // strip-route forward: m rows × one panel read from the strip
+	f32StripDW    = f32StripDWGo    // strip-route dWᵀ: rows read from the strip × one pw-wide panel
 )
 
 // MatMulF32PackedInto computes dst = a·b where a is a float32 (m, k)
