@@ -42,27 +42,7 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	cfg := models.Config{Classes: *classes, InputSize: *size, Width: *width, Seed: *seed}
-	var (
-		m   *models.Model
-		err error
-	)
-	switch *modelName {
-	case "resnet20":
-		m, err = models.ResNet20(cfg)
-	case "resnet110":
-		m, err = models.ResNet110(cfg)
-	case "mobilenetv2":
-		m, err = models.MobileNetV2(cfg)
-	case "cifarnet":
-		m, err = models.CifarNet(cfg)
-	case "vggsmall":
-		m, err = models.VGGSmall(cfg)
-	case "smallcnn":
-		m, err = models.SmallCNN(cfg)
-	default:
-		return fmt.Errorf("unknown model %q", *modelName)
-	}
+	m, err := models.Build(*modelName, models.Config{Classes: *classes, InputSize: *size, Width: *width, Seed: *seed})
 	if err != nil {
 		return err
 	}

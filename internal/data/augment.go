@@ -8,9 +8,9 @@ import (
 
 // Augmented wraps a dataset with the paper's CIFAR training augmentation
 // (§IV): pad Pad pixels on each side, take a random Size×Size crop of the
-// padded image or of its horizontal flip. Sampling is randomized through
-// the loader's RNG, so the wrapper itself is stateless; use WithRNG to
-// bind a generator when sampling directly.
+// padded image or of its horizontal flip. The wrapper is stateful: each
+// Sample draws from the RNG given to NewAugmented, so runs sharing one
+// Augmented shift each other's crops, and concurrent Sample calls race.
 type Augmented struct {
 	base Dataset
 	pad  int

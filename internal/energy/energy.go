@@ -95,44 +95,32 @@ func ModelSizeBits(params []*nn.Param) int64 {
 // weight parameter. Layers without a Coster (activations, pooling) are
 // free in this model, as their cost neither depends on weight precision
 // nor differs between methods.
-func Snapshot(layers []nn.Layer) []LayerCost {
-	var out []LayerCost
+func Snapshot(layers []nn.Layer) []LayerCost { return appendCosts(nil, layers) }
+
+func appendCosts(out []LayerCost, layers []nn.Layer) []LayerCost {
 	for _, l := range layers {
-		out = append(out, snapshotOne(l)...)
+		// Containers recurse so per-layer bitwidths inside nodes and
+		// blocks are honored.
+		if c, ok := l.(nn.Container); ok {
+			out = appendCosts(out, c.Layers())
+			continue
+		}
+		c, ok := l.(nn.Coster)
+		if !ok {
+			continue
+		}
+		ps := l.Params()
+		lc := LayerCost{Name: l.Name(), MACs: c.MACs(), Bits: 32}
+		for _, p := range ps {
+			lc.Params += int64(p.Value.Len())
+		}
+		if len(ps) > 0 {
+			lc.Bits = ps[0].Bits()
+			lc.Master = ps[0].Master != nil
+		}
+		out = append(out, lc)
 	}
 	return out
-}
-
-func snapshotOne(l nn.Layer) []LayerCost {
-	// Containers recurse so per-layer bitwidths inside blocks are honored.
-	switch v := l.(type) {
-	case *nn.Sequential:
-		var out []LayerCost
-		for _, inner := range v.Layers() {
-			out = append(out, snapshotOne(inner)...)
-		}
-		return out
-	case *nn.Residual:
-		var out []LayerCost
-		for _, inner := range v.Inner() {
-			out = append(out, snapshotOne(inner)...)
-		}
-		return out
-	}
-	c, ok := l.(nn.Coster)
-	if !ok {
-		return nil
-	}
-	ps := l.Params()
-	lc := LayerCost{Name: l.Name(), MACs: c.MACs(), Bits: 32}
-	for _, p := range ps {
-		lc.Params += int64(p.Value.Len())
-	}
-	if len(ps) > 0 {
-		lc.Bits = ps[0].Bits()
-		lc.Master = ps[0].Master != nil
-	}
-	return []LayerCost{lc}
 }
 
 // Meter accumulates training energy across iterations.

@@ -9,11 +9,13 @@ import (
 	"repro/internal/tensor"
 )
 
-// The compile walk. Layers fuse into groups — Conv2D[→BatchNorm2D][→ReLU],
-// Linear[→ReLU], a pool or flatten layer, a Residual block — and each group
-// runs its own nn layers in evaluation mode over the calibration samples,
-// records the range its output reaches, and lowers on the spot against the
-// grid its input arrived on. The model's layers are the only float graph.
+// The compile walk. Every node lowers to exactly one integer layer — a
+// ConvBNAct node (a bare Conv2D or Linear is a node with no batch-norm
+// and no activation), a pool or flatten layer, a Residual block — and each
+// node runs its own nn layers in evaluation mode over the calibration
+// samples, records the range its output reaches, and lowers on the spot
+// against the grid its input arrived on. The model's layers are the only
+// float graph.
 //
 // Calibration feeds one sample at a time, each a fresh tensor: evaluation-
 // mode layers treat samples independently, so the ranges are those of the
@@ -49,33 +51,39 @@ func samples(x *tensor.Tensor) []*tensor.Tensor {
 	return xs
 }
 
-// chain lowers a layer list group by group, threading the samples and
-// their grid from one group to the next.
+// chain lowers a layer list node by node, threading the samples and their
+// grid from one node to the next; a Sequential contributes its nodes in
+// order.
 func (c *compiler) chain(layers []nn.Layer, f flow) ([]qlayer, flow, error) {
-	flat := flatten(layers)
-	qs := make([]qlayer, 0, len(flat))
-	for i := 0; i < len(flat); {
-		q, n, out, err := c.group(flat[i:], f)
-		if err != nil {
-			return nil, flow{}, fmt.Errorf("%s: %w", flat[i].Name(), err)
+	qs := make([]qlayer, 0, len(layers))
+	for _, l := range layers {
+		if s, ok := l.(*nn.Sequential); ok {
+			sub, out, err := c.chain(s.Layers(), f)
+			if err != nil {
+				return nil, flow{}, err
+			}
+			qs, f = append(qs, sub...), out
+			continue
 		}
-		qs = append(qs, q)
-		f = out
-		i += n
+		q, out, err := c.lower(l, f)
+		if err != nil {
+			return nil, flow{}, fmt.Errorf("%s: %w", l.Name(), err)
+		}
+		qs, f = append(qs, q), out
 	}
 	return qs, f, nil
 }
 
-// group lowers the group that starts at flat[0]; it returns the lowered
-// layer, how many layers the group fused and what leaves it.
-func (c *compiler) group(flat []nn.Layer, f flow) (qlayer, int, flow, error) {
+// lower lowers one node and returns what leaves it.
+func (c *compiler) lower(l nn.Layer, f flow) (qlayer, flow, error) {
 	var q qlayer
-	switch l := flat[0].(type) {
+	switch l := l.(type) {
+	case *nn.ConvBNAct:
+		return c.node(l, f)
 	case *nn.Conv2D, *nn.Linear:
-		return c.affine(flat, f)
+		return c.node(nn.NewConvBNAct(l.Name(), l, nil, nil), f)
 	case *nn.Residual:
-		q, out, err := c.residual(l, f)
-		return q, 1, out, err
+		return c.residual(l, f)
 	// Pooling and flatten stay on the input grid: max commutes with the
 	// monotone affine map, the channel mean is computed with integer
 	// rounding on the same grid, and flatten moves no data.
@@ -85,61 +93,52 @@ func (c *compiler) group(flat []nn.Layer, f flow) (qlayer, int, flow, error) {
 		q = &qgap{label: l.Name(), buf: c.nextID()}
 	case *nn.Flatten:
 		q = &qflatten{label: l.Name(), buf: c.nextID()}
-	case *nn.BatchNorm2D:
-		return nil, 0, flow{}, fmt.Errorf("batch-norm not preceded by a convolution")
-	case *nn.ReLU:
-		return nil, 0, flow{}, fmt.Errorf("bare activation cannot be fused")
 	default:
-		return nil, 0, flow{}, fmt.Errorf("unsupported layer %T; integer lowering handles conv backbones with residual blocks", l)
+		return nil, flow{}, fmt.Errorf("unsupported layer %T; integer lowering handles conv backbones with residual blocks", l)
 	}
-	ys, _, _, err := feed(flat[:1], f.xs)
+	ys, _, _, err := feed(l, f.xs)
 	if err != nil {
-		return nil, 0, flow{}, err
+		return nil, flow{}, err
 	}
-	return q, 1, flow{ys, f.g}, nil
+	return q, flow{ys, f.g}, nil
 }
 
-// affine lowers Conv2D[→BatchNorm2D][→ReLU] or Linear[→ReLU]: the group
-// calibrates, then folds the batch-norm into a clone of the weights.
-func (c *compiler) affine(flat []nn.Layer, f flow) (qlayer, int, flow, error) {
-	n := 1
-	var bn *nn.BatchNorm2D
-	conv, isConv := flat[0].(*nn.Conv2D)
-	if isConv && n < len(flat) {
-		if bn, _ = flat[n].(*nn.BatchNorm2D); bn != nil {
-			n++
-		}
+// node lowers a Conv2D or Linear node: it calibrates, then folds the
+// batch-norm into a clone of the weights and the rectifier into the
+// requantization clamp.
+func (c *compiler) node(n *nn.ConvBNAct, f flow) (qlayer, flow, error) {
+	relu := n.Act() != nil
+	if _, ok := n.Act().(*nn.ReLU); relu && !ok {
+		return nil, flow{}, fmt.Errorf("unsupported activation %T (%s)", n.Act(), n.Act().Name())
 	}
-	relu := false
-	if n < len(flat) {
-		if _, relu = flat[n].(*nn.ReLU); relu {
-			n++
-		}
+	var geom *tensor.ConvGeom
+	switch op := n.Op().(type) {
+	case *nn.Conv2D:
+		g := op.Geom()
+		geom = &g
+	case *nn.Linear:
+	default:
+		return nil, flow{}, fmt.Errorf("unsupported layer %T (%s)", op, op.Name())
 	}
-	ys, lo, hi, err := feed(flat[:n], f.xs)
+	ys, lo, hi, err := feed(n, f.xs)
 	if err != nil {
-		return nil, 0, flow{}, err
+		return nil, flow{}, err
 	}
-	ps := flat[0].Params()
+	ps := n.Op().Params()
 	w := ps[0].Value.Clone()
 	bias := make([]float32, w.Dim(0))
 	if len(ps) > 1 {
 		copy(bias, ps[1].Value.Data())
 	}
-	if bn != nil {
+	if bn := n.BN(); bn != nil {
 		foldBN(w, bias, bn)
 	}
-	var geom *tensor.ConvGeom
-	if isConv {
-		g := conv.Geom()
-		geom = &g
-	}
 	out := gridFor(lo, hi)
-	q, err := lowerAffine(flat[0].Name(), w, bias, geom, relu, f.g, out, c.nextID())
+	q, err := lowerAffine(n.Name(), w, bias, geom, relu, f.g, out, c.nextID())
 	if err != nil {
-		return nil, 0, flow{}, err
+		return nil, flow{}, err
 	}
-	return q, n, flow{ys, out}, nil
+	return q, flow{ys, out}, nil
 }
 
 // residual lowers a residual block: both branches as chains of their own
@@ -158,7 +157,7 @@ func (c *compiler) residual(r *nn.Residual, f flow) (qlayer, flow, error) {
 			return nil, flow{}, fmt.Errorf("shortcut: %w", err)
 		}
 	}
-	ys, lo, hi, err := feed([]nn.Layer{r}, f.xs)
+	ys, lo, hi, err := feed(r, f.xs)
 	if err != nil {
 		return nil, flow{}, err
 	}
@@ -169,36 +168,21 @@ func (c *compiler) residual(r *nn.Residual, f flow) (qlayer, flow, error) {
 	return q, flow{ys, q.out}, nil
 }
 
-// feed runs each sample through layers in evaluation mode and returns the
+// feed runs each sample through l in evaluation mode and returns the
 // outputs, each a fresh tensor, and the range they reach.
-func feed(layers []nn.Layer, xs []*tensor.Tensor) (ys []*tensor.Tensor, lo, hi float32, err error) {
+func feed(l nn.Layer, xs []*tensor.Tensor) (ys []*tensor.Tensor, lo, hi float32, err error) {
 	ys = make([]*tensor.Tensor, len(xs))
 	lo, hi = float32(math.Inf(1)), float32(math.Inf(-1))
-	for i, y := range xs {
-		for _, l := range layers {
-			if y, err = l.Forward(y, false); err != nil {
-				return nil, 0, 0, err
-			}
+	for i, x := range xs {
+		y, err := l.Forward(x, false)
+		if err != nil {
+			return nil, 0, 0, err
 		}
 		mn, mx := y.MinMax()
 		lo, hi = min(lo, mn), max(hi, mx)
 		ys[i] = y.Clone() // the layer's arena is overwritten by the next sample
 	}
 	return ys, lo, hi, nil
-}
-
-// flatten expands Sequential containers into a flat list; Residual blocks
-// pass through intact (residual recurses into their branches).
-func flatten(layers []nn.Layer) []nn.Layer {
-	var out []nn.Layer
-	for _, l := range layers {
-		if s, ok := l.(*nn.Sequential); ok {
-			out = append(out, flatten(s.Layers())...)
-		} else {
-			out = append(out, l)
-		}
-	}
-	return out
 }
 
 // foldBN rescales a conv's weights and bias in place by the batch-norm

@@ -4,14 +4,14 @@
 // et al. (CVPR 2018) precisely because it admits integer-arithmetic-only
 // inference, and a model trained with APT is deployed this way.
 //
-// Compilation is one walk over the model's layers (compile.go) that
-// performs the standard pipeline group by group:
+// Compilation is one walk over the model's nodes (compile.go) that
+// performs the standard pipeline node by node:
 //
-//  1. batch-norm folding — each Conv→BN pair collapses into one
+//  1. batch-norm folding — each conv→BN node collapses into one
 //     convolution with rescaled weights and a bias;
 //  2. range calibration — the calibration batch runs through the model's
 //     own layers in evaluation mode, one sample at a time, recording each
-//     group's output min/max and fixing every quantization grid at
+//     node's output min/max and fixing every quantization grid at
 //     compile time;
 //  3. integer lowering — weights become symmetric int8 with
 //     per-output-channel scales (zero point 0), activations affine uint8;
@@ -29,10 +29,11 @@
 // Forward calls on one Engine safe — the compiled layers are immutable.
 //
 // Supported graphs are the sequential conv backbones (SmallCNN, CifarNet,
-// VGGSmall) and residual topologies (ResNet): Conv2D, BatchNorm2D, ReLU
-// (including the clipped ReLU6 variant, whose cap the layer applies during
-// calibration, so the output grid tops out at it), MaxPool2D,
-// GlobalAvgPool, Flatten, Linear, Residual.
+// VGGSmall) and residual topologies (ResNet): ConvBNAct nodes over a
+// Conv2D or Linear with an optional BatchNorm2D and ReLU (including the
+// clipped ReLU6 variant, whose cap the layer applies during calibration,
+// so the output grid tops out at it), bare Conv2D and Linear, MaxPool2D,
+// GlobalAvgPool, Flatten, Residual.
 package infer
 
 import (

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -110,6 +111,56 @@ func TestCompileRequiresCalibration(t *testing.T) {
 	}
 	if _, err := Compile(m, Config{}); err == nil {
 		t.Error("missing calibration did not error")
+	}
+}
+
+// TestCompileRejectsUnsupportedNodes pins Compile's error paths: each
+// names the node or layer it stopped at and the type it cannot lower.
+func TestCompileRejectsUnsupportedNodes(t *testing.T) {
+	rng := tensor.NewRNG(3)
+	g := tensor.ConvGeom{InC: 3, InH: 8, InW: 8, KH: 3, KW: 3, Stride: 1, Pad: 1}
+	conv := func() *nn.Conv2D {
+		c, err := nn.NewConv2D(nn.Conv2DConfig{Name: "c", In: g, OutC: 4, RNG: rng})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	bn, err := nn.NewBatchNorm2D("bn", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	aq, err := nn.NewActQuant("aq", 6, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mobile, err := models.MobileNetV2(models.Config{Classes: 4, InputSize: 8, Width: 0.25, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := func(name string, layers ...nn.Layer) *models.Model {
+		return &models.Model{Name: name, Net: nn.NewSequential(name, layers...), InC: 3, InH: 8, InW: 8, Class: 4}
+	}
+	for _, c := range []struct {
+		m    *models.Model
+		want []string
+	}{
+		{mobile, []string{"mobilenetv2.ir0_0.depthwise: ", "*nn.DepthwiseConv2D"}},
+		{net("flat", conv(), bn), []string{"bn: ", "*nn.BatchNorm2D"}},
+		{net("actquant", nn.NewConvBNAct("n", conv(), nil, aq)), []string{"n: ", "*nn.ActQuant", "(aq)"}},
+	} {
+		x := tensor.New(2, 3, c.m.InH, c.m.InW)
+		x.FillNormal(rng, 0, 1)
+		_, err := Compile(c.m, Config{Calibration: x})
+		if err == nil {
+			t.Errorf("%s: Compile succeeded", c.m.Name)
+			continue
+		}
+		for _, w := range c.want {
+			if !strings.Contains(err.Error(), w) {
+				t.Errorf("%s: error %q does not name %q", c.m.Name, err, w)
+			}
+		}
 	}
 }
 
@@ -381,7 +432,7 @@ func TestReLU6FoldsWithCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net := nn.NewSequential("relu6net", conv, bn, nn.NewReLU6("r6"), nn.NewGlobalAvgPool("gap"), fc)
+	net := nn.NewSequential("relu6net", nn.NewConvBNAct("c", conv, bn, nn.NewReLU6("r6")), nn.NewGlobalAvgPool("gap"), fc)
 	m := &models.Model{Name: "relu6net", Net: net, InC: 2, InH: 6, InW: 6, Class: 3}
 
 	// Inputs scaled so pre-activations comfortably exceed the cap.

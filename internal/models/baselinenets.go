@@ -52,9 +52,9 @@ func CifarNet(cfg Config) (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	layers := append(b1, p1)
-	layers = append(layers, b2...)
-	layers = append(layers, p2, flat, fc1, nn.NewReLU(name+".relu3"), fc2, nn.NewReLU(name+".relu4"), fc3)
+	layers := []nn.Layer{b1, p1, b2, p2, flat,
+		nn.NewConvBNAct(name+".h1", fc1, nil, nn.NewReLU(name+".relu3")),
+		nn.NewConvBNAct(name+".h2", fc2, nil, nn.NewReLU(name+".relu4")), fc3}
 	return &Model{
 		Name: name, Net: nn.NewSequential(name, layers...),
 		InC: 3, InH: cfg.InputSize, InW: cfg.InputSize, Class: cfg.Classes,
@@ -87,7 +87,7 @@ func VGGSmall(cfg Config) (*Model, error) {
 			if err != nil {
 				return nil, err
 			}
-			layers = append(layers, blk...)
+			layers = append(layers, blk)
 			hw = outHW
 			inC = outC
 		}
@@ -125,16 +125,15 @@ func SmallCNNQuantAct(cfg Config, actBits int) (*Model, error) {
 	swapped := make([]nn.Layer, len(layers))
 	n := 0
 	for i, l := range layers {
-		if _, ok := l.(*nn.ReLU); ok {
+		swapped[i] = l
+		if node, ok := l.(*nn.ConvBNAct); ok {
 			aq, err := nn.NewActQuant(fmt.Sprintf("%s.aq%d", m.Name, n), 6, actBits)
 			if err != nil {
 				return nil, err
 			}
-			swapped[i] = aq
+			swapped[i] = nn.NewConvBNAct(node.Name(), node.Op(), node.BN(), aq)
 			n++
-			continue
 		}
-		swapped[i] = l
 	}
 	if n == 0 {
 		return nil, fmt.Errorf("models: smallcnn had no rectifiers to quantize")
@@ -173,12 +172,7 @@ func SmallCNN(cfg Config) (*Model, error) {
 		return nil, err
 	}
 	_ = hw
-	var layers []nn.Layer
-	layers = append(layers, b1...)
-	layers = append(layers, b2...)
-	layers = append(layers, b3...)
-	layers = append(layers, b4...)
-	layers = append(layers, nn.NewGlobalAvgPool(name+".gap"))
+	layers := []nn.Layer{b1, b2, b3, b4, nn.NewGlobalAvgPool(name + ".gap")}
 	fc, err := nn.NewLinear(name+".fc", c2, cfg.Classes, true, rng)
 	if err != nil {
 		return nil, err

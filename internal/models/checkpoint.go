@@ -68,7 +68,7 @@ func Save(w io.Writer, m *Model) error {
 		}
 		file.Params = append(file.Params, rec)
 	}
-	for _, bn := range collectBatchNorms(m.Layers()) {
+	for _, bn := range nn.CollectBatchNorms(m.Layers()) {
 		mean, variance := bn.RunningStats()
 		file.BN = append(file.BN, bnRecord{Name: bn.Name(), Mean: mean, Var: variance})
 	}
@@ -197,7 +197,7 @@ func restore(file *checkpointFile, m *Model) error {
 		}
 	}
 	bnByName := make(map[string]*nn.BatchNorm2D)
-	for _, bn := range collectBatchNorms(m.Layers()) {
+	for _, bn := range nn.CollectBatchNorms(m.Layers()) {
 		bnByName[bn.Name()] = bn
 	}
 	for _, rec := range file.BN {
@@ -210,10 +210,4 @@ func restore(file *checkpointFile, m *Model) error {
 		}
 	}
 	return nil
-}
-
-// collectBatchNorms walks the layer tree for batch-norm layers, via the
-// shared walker that also backs the replica snapshot facility (nn.WalkLayers).
-func collectBatchNorms(layers []nn.Layer) []*nn.BatchNorm2D {
-	return nn.CollectBatchNorms(layers)
 }

@@ -191,8 +191,8 @@ func TestBNStatsRestored(t *testing.T) {
 	if err := Load(bytes.NewReader(buf.Bytes()), fresh); err != nil {
 		t.Fatalf("Load: %v", err)
 	}
-	origBNs := collectBatchNorms(m.Layers())
-	gotBNs := collectBatchNorms(fresh.Layers())
+	origBNs := nn.CollectBatchNorms(m.Layers())
+	gotBNs := nn.CollectBatchNorms(fresh.Layers())
 	if len(origBNs) == 0 || len(origBNs) != len(gotBNs) {
 		t.Fatalf("BN counts: %d vs %d", len(origBNs), len(gotBNs))
 	}

@@ -39,7 +39,7 @@ func MobileNetV2(cfg Config) (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	layers := stem
+	layers := []nn.Layer{stem}
 	inC := stemC
 	for si, st := range mobilenetV2CIFAR {
 		outC := scaled(st.c, cfg.Width)
@@ -63,8 +63,7 @@ func MobileNetV2(cfg Config) (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	layers = append(layers, head...)
-	layers = append(layers, nn.NewGlobalAvgPool(name+".gap"))
+	layers = append(layers, head, nn.NewGlobalAvgPool(name+".gap"))
 	fc, err := nn.NewLinear(name+".fc", headC, cfg.Classes, true, rng)
 	if err != nil {
 		return nil, err
@@ -90,7 +89,7 @@ func invertedResidual(name string, inC, outC, inHW, stride, expand int, rng *ten
 		if err != nil {
 			return nil, 0, err
 		}
-		main = append(main, exp...)
+		main = append(main, exp)
 		hw = outHW
 	}
 	gdw := tensor.ConvGeom{InC: midC, InH: hw, InW: hw, KH: 3, KW: 3, Stride: stride, Pad: 1}
@@ -103,7 +102,7 @@ func invertedResidual(name string, inC, outC, inHW, stride, expand int, rng *ten
 		return nil, 0, err
 	}
 	hw, _ = gdw.OutHW()
-	main = append(main, dw, bnDW, nn.NewReLU6(name+".dwrelu6"))
+	main = append(main, nn.NewConvBNAct(name+".depthwise", dw, bnDW, nn.NewReLU6(name+".dwrelu6")))
 
 	gproj := tensor.ConvGeom{InC: midC, InH: hw, InW: hw, KH: 1, KW: 1, Stride: 1, Pad: 0}
 	proj, err := nn.NewConv2D(nn.Conv2DConfig{Name: name + ".proj", In: gproj, OutC: outC, RNG: rng})
@@ -114,7 +113,7 @@ func invertedResidual(name string, inC, outC, inHW, stride, expand int, rng *ten
 	if err != nil {
 		return nil, 0, err
 	}
-	main = append(main, proj, bnProj)
+	main = append(main, nn.NewConvBNAct(name+".project", proj, bnProj, nil))
 	seq := nn.NewSequential(name+".main", main...)
 
 	if stride == 1 && inC == outC {

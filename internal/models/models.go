@@ -62,8 +62,9 @@ func scaled(base int, width float64) int {
 	return w
 }
 
-// conv+bn+relu helper; returns the layers and the output spatial size.
-func convBNReLU(name string, inC, outC, inHW, k, stride, pad int, rng *tensor.RNG, relu6 bool) ([]nn.Layer, int, error) {
+// convBNReLU builds one conv→BN→ReLU (ReLU6 when relu6) node named name;
+// it also returns the output spatial size.
+func convBNReLU(name string, inC, outC, inHW, k, stride, pad int, rng *tensor.RNG, relu6 bool) (*nn.ConvBNAct, int, error) {
 	g := tensor.ConvGeom{InC: inC, InH: inHW, InW: inHW, KH: k, KW: k, Stride: stride, Pad: pad}
 	conv, err := nn.NewConv2D(nn.Conv2DConfig{Name: name + ".conv", In: g, OutC: outC, RNG: rng})
 	if err != nil {
@@ -74,13 +75,11 @@ func convBNReLU(name string, inC, outC, inHW, k, stride, pad int, rng *tensor.RN
 		return nil, 0, err
 	}
 	oh, _ := g.OutHW()
-	var act nn.Layer
+	act := nn.NewReLU(name + ".relu")
 	if relu6 {
 		act = nn.NewReLU6(name + ".relu6")
-	} else {
-		act = nn.NewReLU(name + ".relu")
 	}
-	return []nn.Layer{conv, bn, act}, oh, nil
+	return nn.NewConvBNAct(name, conv, bn, act), oh, nil
 }
 
 // ResNet builds a CIFAR-style ResNet of the given depth (6n+2: 20, 110).
@@ -103,7 +102,7 @@ func ResNet(depth int, cfg Config) (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	layers := stem
+	layers := []nn.Layer{stem}
 	inC := widths[0]
 	for stage := 0; stage < 3; stage++ {
 		outC := widths[stage]
@@ -157,7 +156,9 @@ func basicBlock(name string, inC, outC, inHW, stride int, rng *tensor.RNG) (nn.L
 	if err != nil {
 		return nil, 0, err
 	}
-	main := nn.NewSequential(name+".main", conv1, bn1, nn.NewReLU(name+".relu1"), conv2, bn2)
+	n1 := nn.NewConvBNAct(name+".n1", conv1, bn1, nn.NewReLU(name+".relu1"))
+	n2 := nn.NewConvBNAct(name+".n2", conv2, bn2, nil)
+	main := nn.NewSequential(name+".main", n1, n2)
 
 	var shortcut nn.Layer
 	if stride != 1 || inC != outC {
@@ -170,7 +171,7 @@ func basicBlock(name string, inC, outC, inHW, stride int, rng *tensor.RNG) (nn.L
 		if err != nil {
 			return nil, 0, err
 		}
-		shortcut = nn.NewSequential(name+".shortcut", convS, bnS)
+		shortcut = nn.NewConvBNAct(name+".shortcut", convS, bnS, nil)
 	}
 	return nn.NewResidual(name, main, shortcut), midHW, nil
 }

@@ -59,10 +59,9 @@ func TestResNet20Shape(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ResNet20: %v", err)
 	}
-	// 6n+2 with n=3: stem + 9 blocks + gap + fc = 13 top-level layers
-	// (stem is conv+bn+relu = 3 entries), so expect 3+9+2 = 14.
-	if got := len(m.Layers()); got != 14 {
-		t.Errorf("top-level layers = %d, want 14", got)
+	// 6n+2 with n=3: stem node + 9 blocks + gap + fc = 12 top-level layers.
+	if got := len(m.Layers()); got != 12 {
+		t.Errorf("top-level layers = %d, want 12", got)
 	}
 	forwardBackward(t, m, 2)
 }
@@ -81,9 +80,9 @@ func TestResNet110Builds(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ResNet110: %v", err)
 	}
-	// 54 blocks + 3 stem entries + gap + fc.
-	if got := len(m.Layers()); got != 59 {
-		t.Errorf("top-level layers = %d, want 59", got)
+	// Stem node + 54 blocks + gap + fc.
+	if got := len(m.Layers()); got != 57 {
+		t.Errorf("top-level layers = %d, want 57", got)
 	}
 	// One cheap forward to prove the deep graph is wired correctly.
 	x := tensor.New(1, 3, 8, 8)
@@ -147,14 +146,14 @@ func TestSmallCNNQuantActReplacesRectifiers(t *testing.T) {
 		t.Fatalf("SmallCNNQuantAct: %v", err)
 	}
 	var aq, relu int
-	for _, l := range m.Layers() {
+	nn.WalkLayers(m.Layers(), func(l nn.Layer) {
 		switch l.(type) {
 		case *nn.ActQuant:
 			aq++
 		case *nn.ReLU:
 			relu++
 		}
-	}
+	})
 	if aq != 4 || relu != 0 {
 		t.Fatalf("layers: %d ActQuant, %d ReLU; want 4, 0", aq, relu)
 	}

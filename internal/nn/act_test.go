@@ -69,9 +69,12 @@ func rectifierInputs(rng *tensor.RNG) []float32 {
 
 func sameBits(t *testing.T, name string, got, want []float32) {
 	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d elements, want %d", name, len(got), len(want))
+	}
 	for i := range want {
 		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
-			t.Fatalf("%s[%d] = %v (%#08x), branchy loop %v (%#08x)", name, i,
+			t.Fatalf("%s[%d] = %v (%#08x), want %v (%#08x)", name, i,
 				got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
 		}
 	}

@@ -54,6 +54,39 @@ func (s *Sequential) Backward(dout *tensor.Tensor) (*tensor.Tensor, error) {
 	return dout, nil
 }
 
+// ConvBNAct is one node of a network: an op (Conv2D, DepthwiseConv2D or
+// Linear), optionally followed by a batch-norm and an activation — the
+// unit a layer's precision, energy row and int8 lowering belong to. It
+// runs its children as a Sequential under the node's name; the children
+// keep their own names, so parameter and batch-norm names do not depend
+// on the grouping.
+type ConvBNAct struct {
+	Sequential
+	bn  *BatchNorm2D
+	act Layer
+}
+
+// NewConvBNAct builds a node; bn and act may be nil.
+func NewConvBNAct(name string, op Layer, bn *BatchNorm2D, act Layer) *ConvBNAct {
+	layers := []Layer{op}
+	if bn != nil {
+		layers = append(layers, bn)
+	}
+	if act != nil {
+		layers = append(layers, act)
+	}
+	return &ConvBNAct{Sequential: Sequential{name: name, layers: layers}, bn: bn, act: act}
+}
+
+// Op returns the node's conv or linear layer.
+func (n *ConvBNAct) Op() Layer { return n.layers[0] }
+
+// BN returns the node's batch-norm, nil when it has none.
+func (n *ConvBNAct) BN() *BatchNorm2D { return n.bn }
+
+// Act returns the node's activation, nil when it has none.
+func (n *ConvBNAct) Act() Layer { return n.act }
+
 // Residual computes relu(main(x) + shortcut(x)); a nil shortcut is the
 // identity. It is the basic block of the CIFAR ResNets. When withReLU is
 // false the block omits the output activation (used by MobileNetV2's
@@ -63,7 +96,8 @@ func (s *Sequential) Backward(dout *tensor.Tensor) (*tensor.Tensor, error) {
 type Residual struct {
 	name     string
 	main     Layer
-	shortcut Layer // nil = identity
+	shortcut Layer   // nil = identity
+	layers   []Layer // main, then shortcut when present
 	withReLU bool
 	y        *tensor.Tensor // rectified output of the last Forward, nil once Backward consumed it
 
@@ -74,25 +108,25 @@ type Residual struct {
 
 // NewResidual builds a residual block with an output ReLU.
 func NewResidual(name string, main, shortcut Layer) *Residual {
-	return &Residual{name: name, main: main, shortcut: shortcut, withReLU: true}
+	r := NewLinearResidual(name, main, shortcut)
+	r.withReLU = true
+	return r
 }
 
 // NewLinearResidual builds a residual block without an output activation.
 func NewLinearResidual(name string, main, shortcut Layer) *Residual {
-	return &Residual{name: name, main: main, shortcut: shortcut}
+	layers := []Layer{main}
+	if shortcut != nil {
+		layers = append(layers, shortcut)
+	}
+	return &Residual{name: name, main: main, shortcut: shortcut, layers: layers}
 }
 
 // Name implements Layer.
 func (r *Residual) Name() string { return r.name }
 
 // Params implements Layer.
-func (r *Residual) Params() []*Param {
-	ps := r.main.Params()
-	if r.shortcut != nil {
-		ps = append(ps, r.shortcut.Params()...)
-	}
-	return ps
-}
+func (r *Residual) Params() []*Param { return CollectParams(r.layers) }
 
 // Main returns the block's main branch.
 func (r *Residual) Main() Layer { return r.main }
@@ -104,29 +138,12 @@ func (r *Residual) Shortcut() Layer { return r.shortcut }
 // add (false for MobileNetV2-style linear bottlenecks).
 func (r *Residual) WithReLU() bool { return r.withReLU }
 
-// Inner returns the block's constituent layers (main branch, then the
-// shortcut when present) so cost accounting can recurse to per-layer
-// bitwidths.
-func (r *Residual) Inner() []Layer {
-	if r.shortcut == nil {
-		return []Layer{r.main}
-	}
-	return []Layer{r.main, r.shortcut}
-}
+// Layers returns the block's branches: the main branch, then the shortcut
+// when present.
+func (r *Residual) Layers() []Layer { return r.layers }
 
 // MACs implements Coster.
-func (r *Residual) MACs() int64 {
-	var total int64
-	if c, ok := r.main.(Coster); ok {
-		total += c.MACs()
-	}
-	if r.shortcut != nil {
-		if c, ok := r.shortcut.(Coster); ok {
-			total += c.MACs()
-		}
-	}
-	return total
-}
+func (r *Residual) MACs() int64 { return TotalMACs(r.layers) }
 
 // Forward implements Layer.
 func (r *Residual) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error) {

@@ -97,3 +97,125 @@ func TestResidualMatchesUnfusedComposition(t *testing.T) {
 		}
 	}
 }
+
+// TestConvBNActMatchesFlat pins a ConvBNAct node to the same layers run as
+// a Sequential: forward output, input gradient and every parameter
+// gradient byte for byte, the same CollectParams, CollectBatchNorms and
+// WalkLayers order, and a warm serial forward+backward that allocates
+// nothing.
+func TestConvBNActMatchesFlat(t *testing.T) {
+	defer tensor.SetMaxWorkers(tensor.SetMaxWorkers(1))
+	g := tensor.ConvGeom{InC: 4, InH: 8, InW: 8, KH: 3, KW: 3, Stride: 1, Pad: 1}
+	mustBN := func(c int) *BatchNorm2D {
+		bn, err := NewBatchNorm2D("bn", c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return bn
+	}
+	for _, c := range []struct {
+		name      string
+		shape     []int
+		allocFree bool
+		build     func(rng *tensor.RNG) (Layer, *BatchNorm2D, Layer, error)
+	}{
+		{"conv-bn-relu", []int{3, 4, 8, 8}, true, func(rng *tensor.RNG) (Layer, *BatchNorm2D, Layer, error) {
+			op, err := NewConv2D(Conv2DConfig{Name: "conv", In: g, OutC: 6, RNG: rng})
+			return op, mustBN(6), NewReLU("relu"), err
+		}},
+		{"depthwise-bn-relu6", []int{3, 4, 8, 8}, false, func(rng *tensor.RNG) (Layer, *BatchNorm2D, Layer, error) {
+			op, err := NewDepthwiseConv2D("dw", g, rng)
+			return op, mustBN(4), NewReLU6("relu6"), err
+		}},
+		{"linear-relu", []int{5, 12}, true, func(rng *tensor.RNG) (Layer, *BatchNorm2D, Layer, error) {
+			op, err := NewLinear("fc", 12, 7, true, rng)
+			return op, nil, NewReLU("relu"), err
+		}},
+		{"conv", []int{3, 4, 8, 8}, true, func(rng *tensor.RNG) (Layer, *BatchNorm2D, Layer, error) {
+			op, err := NewConv2D(Conv2DConfig{Name: "conv", In: g, OutC: 6, Bias: true, RNG: rng})
+			return op, nil, nil, err
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			op, bn, act, err := c.build(tensor.NewRNG(17))
+			if err != nil {
+				t.Fatal(err)
+			}
+			node := NewConvBNAct("blk", op, bn, act)
+			fop, fbn, fact, err := c.build(tensor.NewRNG(17))
+			if err != nil {
+				t.Fatal(err)
+			}
+			flatLayers := []Layer{fop}
+			if fbn != nil {
+				flatLayers = append(flatLayers, fbn)
+			}
+			if fact != nil {
+				flatLayers = append(flatLayers, fact)
+			}
+			flat := NewSequential("blk", flatLayers...)
+
+			rng := tensor.NewRNG(5)
+			x := tensor.New(c.shape...)
+			x.FillNormal(rng, 0, 1)
+			var dout *tensor.Tensor
+			var outs, dxs [2][]float32
+			for i, l := range []Layer{node, flat} {
+				y, err := l.Forward(x, true)
+				if err != nil {
+					t.Fatal(err)
+				}
+				outs[i] = append([]float32(nil), y.Data()...)
+				if dout == nil {
+					dout = tensor.New(y.Shape()...)
+					dout.FillNormal(rng, 0, 1)
+				}
+				dx, err := l.Backward(dout)
+				if err != nil {
+					t.Fatal(err)
+				}
+				dxs[i] = append([]float32(nil), dx.Data()...)
+			}
+			sameBits(t, "forward", outs[0], outs[1])
+			sameBits(t, "dx", dxs[0], dxs[1])
+			np, fp := CollectParams([]Layer{node}), CollectParams([]Layer{flat})
+			if len(np) != len(fp) {
+				t.Fatalf("params: node %d, flat %d", len(np), len(fp))
+			}
+			for i := range np {
+				if np[i].Name != fp[i].Name {
+					t.Errorf("param %d: node %s, flat %s", i, np[i].Name, fp[i].Name)
+				}
+				sameBits(t, "grad "+np[i].Name, np[i].Grad.Data(), fp[i].Grad.Data())
+			}
+			if nb, fb := CollectBatchNorms([]Layer{node}), CollectBatchNorms([]Layer{flat}); len(nb) != len(fb) {
+				t.Errorf("batch-norms: node %d, flat %d", len(nb), len(fb))
+			}
+			if nw, fw := walkNames([]Layer{node}), walkNames([]Layer{flat}); fmt.Sprint(nw) != fmt.Sprint(fw) {
+				t.Errorf("walk: node %v, flat %v", nw, fw)
+			}
+
+			allocs := func(l Layer) float64 {
+				return testing.AllocsPerRun(10, func() {
+					if _, err := l.Forward(x, true); err != nil {
+						t.Fatal(err)
+					}
+					if _, err := l.Backward(dout); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+			// The depthwise layer's own step allocates (its pool closures);
+			// the node must add nothing to what its layers allocate.
+			if na, fa := allocs(node), allocs(flat); na != fa || (c.allocFree && na != 0) {
+				t.Errorf("warm serial forward+backward allocates %.0f objects per step as a node, %.0f flat; want equal (0 for this op)", na, fa)
+			}
+		})
+	}
+}
+
+func walkNames(layers []Layer) []string {
+	var names []string
+	WalkLayers(layers, func(l Layer) { names = append(names, l.Name()) })
+	return names
+}

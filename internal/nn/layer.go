@@ -19,6 +19,12 @@ type Layer interface {
 	Params() []*Param
 }
 
+// Container is implemented by layers built from other layers (Sequential,
+// Residual, ConvBNAct); tree walks recurse through it.
+type Container interface {
+	Layers() []Layer
+}
+
 // Coster is implemented by layers that know their per-sample compute cost.
 // MACs is the number of multiply-accumulate operations in one forward pass
 // for a single sample; the energy model charges forward + 2× backward.

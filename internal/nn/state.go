@@ -51,11 +51,8 @@ type NetState struct {
 func WalkLayers(layers []Layer, visit func(Layer)) {
 	for _, l := range layers {
 		visit(l)
-		switch v := l.(type) {
-		case *Sequential:
-			WalkLayers(v.Layers(), visit)
-		case *Residual:
-			WalkLayers(v.Inner(), visit)
+		if c, ok := l.(Container); ok {
+			WalkLayers(c.Layers(), visit)
 		}
 	}
 }
