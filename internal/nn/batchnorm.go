@@ -19,7 +19,9 @@ import (
 // per-channel scale = γ·invstd and shift = β − mean·scale. No normalized
 // copy x̂ is stored: a training Forward keeps its input by reference (the
 // PERF.md arena rule 6) and the channel's mean and inverse standard
-// deviation, and Backward recomputes x − mean from them.
+// deviation, and Backward recomputes x − mean from them. In a ConvBNAct
+// node with a ReLU the same passes apply the rectifier and mask its
+// gradient (see ConvBNAct), and the output arena stays empty.
 type BatchNorm2D struct {
 	name     string
 	channels int
@@ -77,16 +79,21 @@ func (b *BatchNorm2D) Params() []*Param { return []*Param{b.gamma, b.beta} }
 // statistics and updates the running ones; an evaluation pass normalizes
 // with the running statistics and keeps nothing for Backward.
 func (b *BatchNorm2D) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error) {
+	return b.forward(&b.outA, x, train, tensor.Rect{})
+}
+
+// forward is Forward of r(BN(x)), written into the arena out.
+func (b *BatchNorm2D) forward(out *arenaTensor, x *tensor.Tensor, train bool, r tensor.Rect) (*tensor.Tensor, error) {
 	if x.Rank() != 4 || x.Dim(1) != b.channels {
 		return nil, fmt.Errorf("batchnorm %q: %w: input %v, want (N,%d,H,W)", b.name, tensor.ErrShape, x.Shape(), b.channels)
 	}
-	out := b.outA.like(x)
+	y := out.like(x)
 	b.x = nil
 	if train {
 		b.x = x
 	}
-	forChunks(b.channels, bnForward{b: b, x: x.Data(), y: out.Data(), n: x.Dim(0), plane: x.Dim(2) * x.Dim(3), train: train})
-	return out, nil
+	forChunks(b.channels, bnForward{b: b, x: x.Data(), y: y.Data(), n: x.Dim(0), plane: x.Dim(2) * x.Dim(3), train: train, r: r})
+	return y, nil
 }
 
 // bnForward is the forward pass of one channel.
@@ -95,6 +102,7 @@ type bnForward struct {
 	x, y     []float32
 	n, plane int
 	train    bool
+	r        tensor.Rect
 }
 
 func (f bnForward) run(c int) {
@@ -112,12 +120,18 @@ func (f bnForward) run(c int) {
 	}
 	scale := float32(float64(b.gamma.Value.Data()[c]) * invstd)
 	shift := float32(float64(b.beta.Value.Data()[c]) - mean*float64(scale))
-	tensor.ChannelAffine(f.y[o:], f.x[o:], f.n, f.plane, stride, scale, shift)
+	tensor.ChannelAffine(f.y[o:], f.x[o:], f.n, f.plane, stride, scale, shift, f.r)
 }
 
 // Backward implements Layer using the standard batch-norm gradient, with
 // x̂ = (x − mean)·invstd recomputed from the retained input.
 func (b *BatchNorm2D) Backward(dout *tensor.Tensor) (*tensor.Tensor, error) {
+	return b.backward(dout, dout, tensor.Rect{})
+}
+
+// backward is Backward of r(BN(x)) given r's output y, by which dout is
+// masked inside the channel passes (y is not read without a rectifier).
+func (b *BatchNorm2D) backward(dout, y *tensor.Tensor, r tensor.Rect) (*tensor.Tensor, error) {
 	x := b.x
 	if x == nil {
 		return nil, fmt.Errorf("batchnorm %q: backward before forward", b.name)
@@ -126,18 +140,20 @@ func (b *BatchNorm2D) Backward(dout *tensor.Tensor) (*tensor.Tensor, error) {
 		return nil, fmt.Errorf("batchnorm %q: %w: dout %v, want %v", b.name, tensor.ErrShape, dout.Shape(), x.Shape())
 	}
 	dx := b.dxA.like(x)
-	forChunks(b.channels, bnBackward{b: b, x: x.Data(), dy: dout.Data(), dx: dx.Data(), n: x.Dim(0), plane: x.Dim(2) * x.Dim(3)})
+	forChunks(b.channels, bnBackward{b: b, x: x.Data(), dy: dout.Data(), dx: dx.Data(), y: y.Data(), n: x.Dim(0), plane: x.Dim(2) * x.Dim(3), r: r})
 	b.x = nil
 	return dx, nil
 }
 
 // bnBackward is the backward pass of one channel: the two gradient sums,
 // the parameter gradients, then the input gradient
-// dx = γ·invstd·((dy − Σdy/cnt) − (x − mean)·invstd²·Σdy(x−mean)/cnt).
+// dx = γ·invstd·((dy − Σdy/cnt) − (x − mean)·invstd²·Σdy(x−mean)/cnt),
+// with dy masked by the rectified output y under a rectifier.
 type bnBackward struct {
-	b         *BatchNorm2D
-	x, dy, dx []float32
-	n, plane  int
+	b            *BatchNorm2D
+	x, dy, dx, y []float32
+	n, plane     int
+	r            tensor.Rect
 }
 
 func (j bnBackward) run(c int) {
@@ -145,13 +161,13 @@ func (j bnBackward) run(c int) {
 	stride, o := b.channels*j.plane, c*j.plane
 	cnt := float64(j.n * j.plane)
 	mean, invstd := b.mean[c], b.invstd[c]
-	sumDy, sumDyXc := tensor.ChannelGradSums(j.dy[o:], j.x[o:], j.n, j.plane, stride, mean)
+	sumDy, sumDyXc := tensor.ChannelGradSums(j.dy[o:], j.x[o:], j.y[o:], j.n, j.plane, stride, mean, j.r)
 	b.gamma.Grad.Data()[c] += float32(invstd * sumDyXc)
 	b.beta.Grad.Data()[c] += float32(sumDy)
 	a := float64(b.gamma.Value.Data()[c]) * invstd
 	k := invstd * invstd * sumDyXc / cnt
-	tensor.ChannelGradInput(j.dx[o:], j.dy[o:], j.x[o:], j.n, j.plane, stride,
-		float32(mean), float32(sumDy/cnt), float32(k), float32(a))
+	tensor.ChannelGradInput(j.dx[o:], j.dy[o:], j.x[o:], j.y[o:], j.n, j.plane, stride,
+		float32(mean), float32(sumDy/cnt), float32(k), float32(a), j.r)
 }
 
 // RunningStats exposes the per-channel running mean and variance (used by

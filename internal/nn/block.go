@@ -59,7 +59,12 @@ func (s *Sequential) Backward(dout *tensor.Tensor) (*tensor.Tensor, error) {
 // unit a layer's precision, energy row and int8 lowering belong to. It
 // runs its children as a Sequential under the node's name; the children
 // keep their own names, so parameter and batch-norm names do not depend
-// on the grouping.
+// on the grouping. A node with a batch-norm and a ReLU (or ReLU6) runs
+// the rectifier inside the batch-norm's passes instead: the affine pass
+// writes the rectified output into the ReLU's output arena, and the
+// backward masks dout by that output inside the gradient passes — the
+// same bytes as the chain, with no rectifier pass and without the
+// batch-norm's output and the ReLU's gradient arenas.
 type ConvBNAct struct {
 	Sequential
 	bn  *BatchNorm2D
@@ -86,6 +91,52 @@ func (n *ConvBNAct) BN() *BatchNorm2D { return n.bn }
 
 // Act returns the node's activation, nil when it has none.
 func (n *ConvBNAct) Act() Layer { return n.act }
+
+// fused returns the ReLU the node's batch-norm runs, nil when it runs the
+// chain.
+func (n *ConvBNAct) fused() *ReLU {
+	if r, ok := n.act.(*ReLU); ok && n.bn != nil {
+		return r
+	}
+	return nil
+}
+
+// Forward implements Layer.
+func (n *ConvBNAct) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error) {
+	r := n.fused()
+	if r == nil {
+		return n.Sequential.Forward(x, train)
+	}
+	y, err := n.Op().Forward(x, train)
+	if err == nil {
+		y, err = n.bn.forward(&r.outA, y, train, tensor.Rectifier(r.cap))
+	}
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", n.name, err)
+	}
+	r.y = y
+	return y, nil
+}
+
+// Backward implements Layer.
+func (n *ConvBNAct) Backward(dout *tensor.Tensor) (*tensor.Tensor, error) {
+	r := n.fused()
+	if r == nil {
+		return n.Sequential.Backward(dout)
+	}
+	if r.y == nil {
+		return nil, fmt.Errorf("%s: relu %q: backward before forward", n.name, r.name)
+	}
+	d, err := n.bn.backward(dout, r.y, tensor.Rectifier(r.cap))
+	r.y = nil
+	if err == nil {
+		d, err = n.Op().Backward(d)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", n.name, err)
+	}
+	return d, nil
+}
 
 // Residual computes relu(main(x) + shortcut(x)); a nil shortcut is the
 // identity. It is the basic block of the CIFAR ResNets. When withReLU is

@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/tensor"
@@ -98,13 +99,25 @@ func TestResidualMatchesUnfusedComposition(t *testing.T) {
 	}
 }
 
-// TestConvBNActMatchesFlat pins a ConvBNAct node to the same layers run as
-// a Sequential: forward output, input gradient and every parameter
-// gradient byte for byte, the same CollectParams, CollectBatchNorms and
-// WalkLayers order, and a warm serial forward+backward that allocates
-// nothing.
-func TestConvBNActMatchesFlat(t *testing.T) {
-	defer tensor.SetMaxWorkers(tensor.SetMaxWorkers(1))
+// eachDispatch runs body under the portable kernels and, where the host
+// has them, under the SIMD kernels.
+func eachDispatch(t *testing.T, body func(t *testing.T)) {
+	t.Helper()
+	modes := []bool{false}
+	if tensor.SIMDFeatures() != "" {
+		modes = append(modes, true)
+	}
+	for _, on := range modes {
+		t.Run(map[bool]string{false: "portable", true: "simd"}[on], func(t *testing.T) {
+			defer tensor.SetSIMD(tensor.SetSIMD(on))
+			body(t)
+		})
+	}
+}
+
+// convBNActCases are the node shapes: conv → BN → ReLU (run fused),
+// depthwise → BN → ReLU6 (fused), linear → ReLU and a bare conv (chains).
+func convBNActCases(t *testing.T) []convBNActCase {
 	g := tensor.ConvGeom{InC: 4, InH: 8, InW: 8, KH: 3, KW: 3, Stride: 1, Pad: 1}
 	mustBN := func(c int) *BatchNorm2D {
 		bn, err := NewBatchNorm2D("bn", c)
@@ -113,12 +126,7 @@ func TestConvBNActMatchesFlat(t *testing.T) {
 		}
 		return bn
 	}
-	for _, c := range []struct {
-		name      string
-		shape     []int
-		allocFree bool
-		build     func(rng *tensor.RNG) (Layer, *BatchNorm2D, Layer, error)
-	}{
+	return []convBNActCase{
 		{"conv-bn-relu", []int{3, 4, 8, 8}, true, func(rng *tensor.RNG) (Layer, *BatchNorm2D, Layer, error) {
 			op, err := NewConv2D(Conv2DConfig{Name: "conv", In: g, OutC: 6, RNG: rng})
 			return op, mustBN(6), NewReLU("relu"), err
@@ -135,82 +143,164 @@ func TestConvBNActMatchesFlat(t *testing.T) {
 			op, err := NewConv2D(Conv2DConfig{Name: "conv", In: g, OutC: 6, Bias: true, RNG: rng})
 			return op, nil, nil, err
 		}},
-	} {
+	}
+}
+
+type convBNActCase struct {
+	name      string
+	shape     []int
+	allocFree bool
+	build     func(rng *tensor.RNG) (Layer, *BatchNorm2D, Layer, error)
+}
+
+// node builds the case as a node and as the same layers in a Sequential,
+// from one seed.
+func (c convBNActCase) node(t *testing.T) (node *ConvBNAct, flat *Sequential) {
+	t.Helper()
+	op, bn, act, err := c.build(tensor.NewRNG(17))
+	if err != nil {
+		t.Fatal(err)
+	}
+	node = NewConvBNAct("blk", op, bn, act)
+	fop, fbn, fact, err := c.build(tensor.NewRNG(17))
+	if err != nil {
+		t.Fatal(err)
+	}
+	flatLayers := []Layer{fop}
+	if fbn != nil {
+		flatLayers = append(flatLayers, fbn)
+	}
+	if fact != nil {
+		flatLayers = append(flatLayers, fact)
+	}
+	return node, NewSequential("blk", flatLayers...)
+}
+
+// TestConvBNActMatchesFlat pins a ConvBNAct node to the same layers run as
+// a Sequential, under both dispatches and at 1, 2, 3 and 8 workers:
+// training forward output, input gradient, every parameter gradient and
+// the evaluation-mode forward byte for byte; the same CollectParams,
+// CollectBatchNorms and WalkLayers order; and a warm serial
+// forward+backward that allocates exactly what its layers do.
+func TestConvBNActMatchesFlat(t *testing.T) {
+	defer tensor.SetMaxWorkers(tensor.SetMaxWorkers(1))
+	for _, c := range convBNActCases(t) {
 		t.Run(c.name, func(t *testing.T) {
-			op, bn, act, err := c.build(tensor.NewRNG(17))
-			if err != nil {
-				t.Fatal(err)
-			}
-			node := NewConvBNAct("blk", op, bn, act)
-			fop, fbn, fact, err := c.build(tensor.NewRNG(17))
-			if err != nil {
-				t.Fatal(err)
-			}
-			flatLayers := []Layer{fop}
-			if fbn != nil {
-				flatLayers = append(flatLayers, fbn)
-			}
-			if fact != nil {
-				flatLayers = append(flatLayers, fact)
-			}
-			flat := NewSequential("blk", flatLayers...)
-
-			rng := tensor.NewRNG(5)
-			x := tensor.New(c.shape...)
-			x.FillNormal(rng, 0, 1)
-			var dout *tensor.Tensor
-			var outs, dxs [2][]float32
-			for i, l := range []Layer{node, flat} {
-				y, err := l.Forward(x, true)
-				if err != nil {
-					t.Fatal(err)
-				}
-				outs[i] = append([]float32(nil), y.Data()...)
-				if dout == nil {
-					dout = tensor.New(y.Shape()...)
-					dout.FillNormal(rng, 0, 1)
-				}
-				dx, err := l.Backward(dout)
-				if err != nil {
-					t.Fatal(err)
-				}
-				dxs[i] = append([]float32(nil), dx.Data()...)
-			}
-			sameBits(t, "forward", outs[0], outs[1])
-			sameBits(t, "dx", dxs[0], dxs[1])
-			np, fp := CollectParams([]Layer{node}), CollectParams([]Layer{flat})
-			if len(np) != len(fp) {
-				t.Fatalf("params: node %d, flat %d", len(np), len(fp))
-			}
-			for i := range np {
-				if np[i].Name != fp[i].Name {
-					t.Errorf("param %d: node %s, flat %s", i, np[i].Name, fp[i].Name)
-				}
-				sameBits(t, "grad "+np[i].Name, np[i].Grad.Data(), fp[i].Grad.Data())
-			}
-			if nb, fb := CollectBatchNorms([]Layer{node}), CollectBatchNorms([]Layer{flat}); len(nb) != len(fb) {
-				t.Errorf("batch-norms: node %d, flat %d", len(nb), len(fb))
-			}
-			if nw, fw := walkNames([]Layer{node}), walkNames([]Layer{flat}); fmt.Sprint(nw) != fmt.Sprint(fw) {
-				t.Errorf("walk: node %v, flat %v", nw, fw)
-			}
-
-			allocs := func(l Layer) float64 {
-				return testing.AllocsPerRun(10, func() {
-					if _, err := l.Forward(x, true); err != nil {
+			eachDispatch(t, func(t *testing.T) {
+				x := tensor.New(c.shape...)
+				x.FillNormal(tensor.NewRNG(5), 0, 1)
+				var dout *tensor.Tensor
+				// step runs a training forward and backward and an
+				// evaluation forward, and returns the four results.
+				step := func(l Layer) (out, dx, eval []float32, grads [][]float32) {
+					y, err := l.Forward(x, true)
+					if err != nil {
 						t.Fatal(err)
 					}
-					if _, err := l.Backward(dout); err != nil {
+					out = append([]float32(nil), y.Data()...)
+					if dout == nil {
+						dout = tensor.New(y.Shape()...)
+						dout.FillNormal(tensor.NewRNG(6), 0, 1)
+					}
+					d, err := l.Backward(dout)
+					if err != nil {
 						t.Fatal(err)
 					}
-				})
-			}
-			// The depthwise layer's own step allocates (its pool closures);
-			// the node must add nothing to what its layers allocate.
-			if na, fa := allocs(node), allocs(flat); na != fa || (c.allocFree && na != 0) {
-				t.Errorf("warm serial forward+backward allocates %.0f objects per step as a node, %.0f flat; want equal (0 for this op)", na, fa)
+					dx = append([]float32(nil), d.Data()...)
+					if y, err = l.Forward(x, false); err != nil {
+						t.Fatal(err)
+					}
+					eval = append([]float32(nil), y.Data()...)
+					for _, p := range CollectParams([]Layer{l}) {
+						grads = append(grads, append([]float32(nil), p.Grad.Data()...))
+					}
+					return out, dx, eval, grads
+				}
+				_, flat := c.node(t)
+				tensor.SetMaxWorkers(1)
+				wOut, wDx, wEval, wGrads := step(flat)
+				for _, workers := range []int{1, 2, 3, 8} {
+					tensor.SetMaxWorkers(workers)
+					node, _ := c.node(t)
+					out, dx, eval, grads := step(node)
+					tag := fmt.Sprintf("workers=%d: ", workers)
+					sameBits(t, tag+"forward", out, wOut)
+					sameBits(t, tag+"dx", dx, wDx)
+					sameBits(t, tag+"eval forward", eval, wEval)
+					for i, p := range CollectParams([]Layer{node}) {
+						sameBits(t, tag+"grad "+p.Name, grads[i], wGrads[i])
+					}
+				}
+				tensor.SetMaxWorkers(1)
+
+				node, flat := c.node(t)
+				np, fp := CollectParams([]Layer{node}), CollectParams([]Layer{flat})
+				if len(np) != len(fp) {
+					t.Fatalf("params: node %d, flat %d", len(np), len(fp))
+				}
+				for i := range np {
+					if np[i].Name != fp[i].Name {
+						t.Errorf("param %d: node %s, flat %s", i, np[i].Name, fp[i].Name)
+					}
+				}
+				if nb, fb := CollectBatchNorms([]Layer{node}), CollectBatchNorms([]Layer{flat}); len(nb) != len(fb) {
+					t.Errorf("batch-norms: node %d, flat %d", len(nb), len(fb))
+				}
+				if nw, fw := walkNames([]Layer{node}), walkNames([]Layer{flat}); fmt.Sprint(nw) != fmt.Sprint(fw) {
+					t.Errorf("walk: node %v, flat %v", nw, fw)
+				}
+				allocs := func(l Layer) float64 {
+					return testing.AllocsPerRun(10, func() {
+						if _, err := l.Forward(x, true); err != nil {
+							t.Fatal(err)
+						}
+						if _, err := l.Backward(dout); err != nil {
+							t.Fatal(err)
+						}
+					})
+				}
+				// The depthwise layer's own step allocates (its pool closures);
+				// the node must add nothing to what its layers allocate.
+				if na, fa := allocs(node), allocs(flat); na != fa || (c.allocFree && na != 0) {
+					t.Errorf("warm serial forward+backward allocates %.0f objects per step as a node, %.0f flat; want equal (0 for this op)", na, fa)
+				}
+			})
+		})
+	}
+}
+
+// TestConvBNActFusedArenas is the memory pin of the fused node, on the
+// reflect walk TestConvHoldsNoBatchPatchMatrix uses: after a training step
+// of a conv → BN → ReLU node the batch-norm's activation-sized buffers are
+// its input-gradient arena alone, and the ReLU's are its output arena
+// alone — the batch-norm's output arena and the ReLU's gradient arena hold
+// nothing.
+func TestConvBNActFusedArenas(t *testing.T) {
+	c := convBNActCases(t)[0]
+	node, _ := c.node(t)
+	x := tensor.New(c.shape...)
+	x.FillNormal(tensor.NewRNG(5), 0, 1)
+	y, err := node.Forward(x, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := node.Backward(y); err != nil {
+		t.Fatal(err)
+	}
+	for _, l := range []struct {
+		name string
+		l    Layer
+		want []string
+	}{{"bn", node.BN(), []string{"bn.dxA.buf"}}, {"relu", node.Act(), []string{"relu.outA.buf"}}} {
+		var held []string
+		float32Slices(reflect.ValueOf(l.l), l.name, map[uintptr]bool{}, func(path string, floats int) {
+			if floats >= y.Len() {
+				held = append(held, path)
 			}
 		})
+		if fmt.Sprint(held) != fmt.Sprint(l.want) {
+			t.Errorf("after a fused step the %s holds activation-sized buffers %v, want %v", l.name, held, l.want)
+		}
 	}
 }
 

@@ -1,5 +1,7 @@
 package tensor
 
+import "math"
+
 // Batch-norm channel kernels. Each call walks one channel of an NCHW
 // batch: n planes of plane floats, plane i starting at x[i·stride] (stride
 // = C·plane for a (N, C, H, W) tensor sliced at the channel's first
@@ -21,6 +23,11 @@ package tensor
 //     amd64 and arm64, and the assembly uses separate multiplies and adds.
 //   - Element-wise passes run their float32 operations in the order
 //     written, one rounding each.
+//   - The affine pass and the gradient passes take the rectifier of the
+//     node they run in (Rect): the affine output is then rectified as
+//     nn.ReLU does it, and dy is masked by that output as nn's
+//     rectifyGrad does it, so a fused conv → BN → ReLU node computes the
+//     bytes of the three layers run one after another.
 
 // lanes8 holds a channel reduction in the contract's eight float64 lanes.
 type lanes8 [8]float64
@@ -32,13 +39,37 @@ func (l *lanes8) sum() float64 {
 	return ((l[0] + l[4]) + (l[2] + l[6])) + ((l[1] + l[5]) + (l[3] + l[7]))
 }
 
+// Rect is the rectifier a batch-norm pass fuses: the zero value is none,
+// Rectifier(c) is min(max(·, 0), c).
+type Rect struct {
+	on  bool
+	hi  float32 // the clip: c, or +Inf
+	top int32   // the gradient passes where 0 < bits(y) < top; 0 for none
+}
+
+// Rectifier is nn.ReLU's rectifier with cap c: min(max(·, 0), c), or
+// max(·, 0) when c ≤ 0.
+func Rectifier(c float32) Rect {
+	if c > 0 {
+		return Rect{on: true, hi: c, top: int32(math.Float32bits(c))}
+	}
+	return Rect{on: true, hi: float32(math.Inf(1)), top: math.MaxInt32}
+}
+
+// pass is rectifyGrad's select: g where the rectified output y lies in
+// the pass-through region, +0 elsewhere. y's bits order like an integer.
+func (r Rect) pass(g, y float32) float32 {
+	u := int32(math.Float32bits(y))
+	return math.Float32frombits(math.Float32bits(g) & uint32((-u&(u-r.top))>>31))
+}
+
 // Batch-norm kernel dispatch: non-nil when a SIMD twin of the portable
 // kernel below is installed (set and cleared together by simdApply).
 var (
 	bnMomentsAsm   func(x []float32, n, plane, stride int, cnt float64) (mean, variance float64)
-	bnAffineAsm    func(y, x []float32, n, plane, stride int, scale, shift float32)
-	bnGradSumsAsm  func(dy, x []float32, n, plane, stride int, mean float64) (sumDy, sumDyXc float64)
-	bnGradInputAsm func(dx, dy, x []float32, n, plane, stride int, mean, mdy, k, a float32)
+	bnAffineAsm    func(y, x []float32, n, plane, stride int, scale, shift float32, r Rect)
+	bnGradSumsAsm  func(dy, x, y []float32, n, plane, stride int, mean float64, r Rect) (sumDy, sumDyXc float64)
+	bnGradInputAsm func(dx, dy, x, y []float32, n, plane, stride int, mean, mdy, k, a float32, r Rect)
 )
 
 // ChannelMoments returns the mean and the biased variance of one channel
@@ -70,40 +101,49 @@ func channelMomentsGo(x []float32, n, plane, stride int, cnt float64) (mean, var
 	return mean, q.sum() / cnt
 }
 
-// ChannelAffine writes y = float32(x·scale) + shift over one channel: the
-// batch-norm output with the normalization and the learned affine map
-// folded into one per-channel scale and shift.
-func ChannelAffine(y, x []float32, n, plane, stride int, scale, shift float32) {
+// ChannelAffine writes y = r(float32(x·scale) + shift) over one channel:
+// the batch-norm output with the normalization and the learned affine map
+// folded into one per-channel scale and shift, then the node's rectifier.
+func ChannelAffine(y, x []float32, n, plane, stride int, scale, shift float32, r Rect) {
 	if bnAffineAsm != nil {
-		bnAffineAsm(y, x, n, plane, stride, scale, shift)
+		bnAffineAsm(y, x, n, plane, stride, scale, shift, r)
 		return
 	}
-	channelAffineGo(y, x, n, plane, stride, scale, shift)
+	channelAffineGo(y, x, n, plane, stride, scale, shift, r)
 }
 
-func channelAffineGo(y, x []float32, n, plane, stride int, scale, shift float32) {
+func channelAffineGo(y, x []float32, n, plane, stride int, scale, shift float32, r Rect) {
 	for i := 0; i < n; i++ {
 		ys := y[i*stride : i*stride+plane]
 		for j, v := range x[i*stride : i*stride+plane] {
 			ys[j] = float32(v*scale) + shift
 		}
+		if r.on {
+			for j, v := range ys {
+				ys[j] = min(max(v, 0), r.hi)
+			}
+		}
 	}
 }
 
 // ChannelGradSums returns Σdy and Σdy·(x−mean) over one channel, each in
-// its own eight lanes; dy and x share the layout.
-func ChannelGradSums(dy, x []float32, n, plane, stride int, mean float64) (sumDy, sumDyXc float64) {
+// its own eight lanes, with dy masked by the rectified output y under a
+// rectifier (y is read only then); dy, x and y share the layout.
+func ChannelGradSums(dy, x, y []float32, n, plane, stride int, mean float64, r Rect) (sumDy, sumDyXc float64) {
 	if bnGradSumsAsm != nil {
-		return bnGradSumsAsm(dy, x, n, plane, stride, mean)
+		return bnGradSumsAsm(dy, x, y, n, plane, stride, mean, r)
 	}
-	return channelGradSumsGo(dy, x, n, plane, stride, mean)
+	return channelGradSumsGo(dy, x, y, n, plane, stride, mean, r)
 }
 
-func channelGradSumsGo(dy, x []float32, n, plane, stride int, mean float64) (sumDy, sumDyXc float64) {
+func channelGradSumsGo(dy, x, y []float32, n, plane, stride int, mean float64, r Rect) (sumDy, sumDyXc float64) {
 	var s, p lanes8
 	for i := 0; i < n; i++ {
 		xs := x[i*stride : i*stride+plane]
 		for j, g := range dy[i*stride : i*stride+plane] {
+			if r.on {
+				g = r.pass(g, y[i*stride+j])
+			}
 			d := float64(g)
 			s[j&7] += d
 			p[j&7] += float64(d * (float64(xs[j]) - mean))
@@ -114,21 +154,24 @@ func channelGradSumsGo(dy, x []float32, n, plane, stride int, mean float64) (sum
 
 // ChannelGradInput writes dx = a·((dy − mdy) − float32((x − mean)·k)) over
 // one channel: the batch-norm input gradient with x̂ recomputed from the
-// input, where a = γ·invstd, mdy = Σdy/cnt and k = invstd²·Σdy(x−mean)/cnt.
-// dx, dy and x share the layout.
-func ChannelGradInput(dx, dy, x []float32, n, plane, stride int, mean, mdy, k, a float32) {
+// input, where a = γ·invstd, mdy = Σdy/cnt and k = invstd²·Σdy(x−mean)/cnt,
+// and dy masked as in ChannelGradSums. dx, dy, x and y share the layout.
+func ChannelGradInput(dx, dy, x, y []float32, n, plane, stride int, mean, mdy, k, a float32, r Rect) {
 	if bnGradInputAsm != nil {
-		bnGradInputAsm(dx, dy, x, n, plane, stride, mean, mdy, k, a)
+		bnGradInputAsm(dx, dy, x, y, n, plane, stride, mean, mdy, k, a, r)
 		return
 	}
-	channelGradInputGo(dx, dy, x, n, plane, stride, mean, mdy, k, a)
+	channelGradInputGo(dx, dy, x, y, n, plane, stride, mean, mdy, k, a, r)
 }
 
-func channelGradInputGo(dx, dy, x []float32, n, plane, stride int, mean, mdy, k, a float32) {
+func channelGradInputGo(dx, dy, x, y []float32, n, plane, stride int, mean, mdy, k, a float32, r Rect) {
 	for i := 0; i < n; i++ {
 		o := i * stride
 		ds, xs := dx[o:o+plane], x[o:o+plane]
 		for j, g := range dy[o : o+plane] {
+			if r.on {
+				g = r.pass(g, y[o+j])
+			}
 			ds[j] = a * ((g - mdy) - float32((xs[j]-mean)*k))
 		}
 	}

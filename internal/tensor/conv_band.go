@@ -19,15 +19,24 @@ import "fmt"
 //     the patches into 16-wide column panels of a per-lane tile;
 //   - backward forms the band's weight-gradient partial dWᵀ = patches·doutᵀ
 //     with the patches read from the strip (the small operand, dout, is the
-//     one transposed into panels), then fills the lane tile with the column
-//     gradients Wᵀ·dout and scatters them into dx through the band-local
-//     col2im, which reuses the strip as its accumulator.
+//     one transposed into panels). A stride-1 conv whose output is its
+//     input's size, a multiple of 8 wide, then stages the band's dout into
+//     a second strip and reads dx off it (strip-route dx kernel); every
+//     other conv fills the lane tile with the column gradients Wᵀ·dout and
+//     scatters them into dx through the band-local col2im, which reuses
+//     the strip as its accumulator.
 //
-// A strip read is the value a gather copies, in the same FMA order.
+// A strip read is the value a gather copies, in the same FMA order. The dx
+// kernel sums one segment of outC taps per kernel tap (kh, kw) from zero —
+// the column gradient, in the GEMM's FMA chain — and adds the segments to
+// +0 in (kh, kw) order, the scatter's order; a tap in the dout strip's
+// border adds the +0 the scatter skips. So dx is the scatter's bytes, but
+// for one edge: with a non-finite weight a border tap gives NaN (∞·0), as
+// the forward's zero-padded gather already does.
 //
-// Every output and input-gradient element is one accumulator summed in
-// ascending k inside one task, so both are bit-identical for any worker
-// count and any banding. The weight (and bias) gradient is the sum of the
+// Every output and input-gradient element is computed in a fixed order
+// inside one task, so both are bit-identical for any worker count and any
+// banding. The weight (and bias) gradient is the sum of the
 // per-band partials, added in band order after the join: byte-identical
 // for any worker count, but a function of the band size.
 
@@ -52,6 +61,11 @@ type ConvPlanF32 struct {
 	halves []int32   // strip offset of column 8h of the largest band; nil: the forward gathers
 	dw     stripWalk // the weight-gradient kernels' k walk, nb set per band
 	gather bool      // every product through the lane tile: convGatherOnly at build
+	// dx route (nil dxOfs: dx scatters): the dout-strip offset of tap
+	// (kh, kw, oc), oc·sh·sw + (KH−1−kh)·sw + KW−1−kw, at (kh·KW+kw)·outC+oc.
+	// They lie in [0, dxHi] (tap (KH−1, KW−1, 0) is 0), not ascending.
+	dxOfs, dxHalves []int32 // dxHalves: halves of the dout strip
+	dxHi, dxRows    int     // dxRows: InC rounded up to 4
 }
 
 // convGatherOnly, set by tests before NewConvPlanF32, builds plans that run
@@ -83,15 +97,39 @@ func NewConvPlanF32(g ConvGeom, outC int) (*ConvPlanF32, error) {
 	// The forward rule: a stride-1 conv whose output rows are whole
 	// 8-column halves reads its panels from the strip; every other conv
 	// gathers them.
-	if g.Stride == 1 && ow%8 == 0 && !p.gather {
-		bs := blocks(f32BandCols, p.s)
-		p.halves = make([]int32, p.ld(bs)/8)
-		for h := range p.halves {
+	halves := func(sps int) []int32 { // of a strip with sps floats per sample
+		t := make([]int32, p.ld(blocks(f32BandCols, p.s))/8)
+		for h := range t {
 			il, r := 8*h/p.s, 8*h%p.s
-			p.halves[h] = int32(il*p.dw.sps + r/ow*sw + r%ow)
+			t[h] = int32(il*sps + r/ow*sw + r%ow)
 		}
+		return t
+	}
+	if g.Stride == 1 && ow%8 == 0 && !p.gather {
+		p.halves = halves(p.dw.sps)
+	}
+	// The dx rule: a stride-1 conv whose output is its input's size, in
+	// whole 8-column halves, reads dx off a dout strip; every other conv
+	// scatters. Its planes are bordered as the input's (doutGeom).
+	if p.halves != nil && oh == g.InH && ow == g.InW {
+		sp := sh * sw
+		p.dxOfs = make([]int32, g.KH*g.KW*outC)
+		for t := range p.dxOfs {
+			kh, kw, oc := t/outC/g.KW, t/outC%g.KW, t%outC
+			p.dxOfs[t] = int32(oc*sp + (g.KH-1-kh)*sw + g.KW - 1 - kw)
+			p.dxHi = max(p.dxHi, int(p.dxOfs[t]))
+		}
+		p.dxHalves = halves(outC * sp)
+		p.dxRows = blocks(g.InC, 4) * 4
 	}
 	return p, nil
+}
+
+// doutGeom is the geometry of a dx-route band's dout strip.
+func (p *ConvPlanF32) doutGeom() ConvGeom {
+	g := p.g
+	g.InC = p.outC
+	return g
 }
 
 // bandSamples is the band rule: whole samples per band for a batch of n.
@@ -113,13 +151,15 @@ func (p *ConvPlanF32) partLen() int { return len(p.ofs)*p.tld + p.outC }
 type ConvScratchF32 struct {
 	lanes []convLaneF32
 	part  []float32 // bands × partLen
+	wT    []float32 // dx route: the weights as (dxRows, KH·KW·outC), tap (kh, kw, oc) of row c; rows past InC zero
 }
 
 type convLaneF32 struct {
-	tile  []float32 // kdim × ld: gather-route forward, the band's patches; backward, its column gradients
-	prod  []float32 // outC × ld: forward product; backward, dout in column panels
-	doT   []float32 // ld × tld: backward, doutᵀ in column panels
-	stage []float32 // the band's zero-bordered input planes, all channels; backward, then the scatter's accumulator
+	tile   []float32 // kdim × ld: gather-route forward, the band's patches; scatter-route backward, its column gradients
+	prod   []float32 // max(outC, dxRows) × ld: forward product; scatter-route backward, dout in column panels; dx route, dx
+	doT    []float32 // ld × tld: backward, doutᵀ in column panels
+	stage  []float32 // the band's zero-bordered input planes, all channels; scatter-route backward, then the scatter's accumulator
+	dstage []float32 // dx route: the band's dout, staged as doutGeom
 }
 
 // grow returns buf resized to n elements, reallocated only when its
@@ -143,13 +183,16 @@ func (sc *ConvScratchF32) bandsFor(p *ConvPlanF32, n int, backward bool) (convBa
 	ld := p.ld(bs)
 	for i := range sc.lanes[:nl] {
 		ln := &sc.lanes[i]
-		if backward || p.halves == nil {
+		if p.halves == nil || backward && p.dxOfs == nil {
 			ln.tile = grow(ln.tile, p.kdim*ld)
 		}
-		ln.prod = grow(ln.prod, p.outC*ld)
+		ln.prod = grow(ln.prod, max(p.outC, p.dxRows)*ld)
 		ln.stage = grow(ln.stage, p.g.stageLen(bs))
 		if backward {
 			ln.doT = grow(ln.doT, ld*p.tld)
+		}
+		if backward && p.dxOfs != nil {
+			ln.dstage = grow(ln.dstage, p.doutGeom().stageLen(bs))
 		}
 	}
 	if backward {
@@ -231,28 +274,40 @@ func (j convF32Fwd) compute(t, lane int) {
 		return
 	}
 	for pi := 0; pi < ld/f32PanelCols; pi++ {
-		h0, h1 := int(p.halves[2*pi]), int(p.halves[2*pi+1])
-		if pi*f32PanelCols+8 >= nb*p.s {
-			h1 = h0 // a half past the band: its product is never copied out
-		}
+		h0, h1 := halfBases(p.halves, pi, nb*p.s)
 		f32StripPanel(ln.prod[pi*f32PanelCols:], j.w, ln.stage, p.ofs, p.outC, p.kdim, p.kdim, ld, h0, h1)
 	}
 }
 
 func (j convF32Fwd) epilogue(t, lane int) {
 	ln, i0, nb := j.task(t, lane)
-	p, s, ld := j.p, j.p.s, j.p.ld(nb)
+	drainInto(j.out[i0*j.p.outC*j.p.s:], ln.prod, j.bias, nb, j.p.outC, j.p.s, j.p.ld(nb))
+}
+
+// halfBases is panel pi's two half-bases from a halves table; past a band
+// of cols columns the second re-reads the first (its product is never
+// copied out).
+func halfBases(halves []int32, pi, cols int) (h0, h1 int) {
+	h0, h1 = int(halves[2*pi]), int(halves[2*pi+1])
+	if pi*f32PanelCols+8 >= cols {
+		h1 = h0
+	}
+	return h0, h1
+}
+
+// drainInto copies rows r < c of a band's product (row stride ld, sample
+// il at column il·s) into nb NCHW samples of c planes, adding bias[r]
+// unless bias is nil.
+func drainInto(dst, prod, bias []float32, nb, c, s, ld int) {
 	for il := 0; il < nb; il++ {
-		for oc := 0; oc < p.outC; oc++ {
-			src := ln.prod[oc*ld+il*s : oc*ld+(il+1)*s]
-			dst := j.out[((i0+il)*p.outC+oc)*s:][:s]
-			if j.bias == nil {
-				copy(dst, src)
+		for r := 0; r < c; r++ {
+			src, d := prod[r*ld+il*s:][:s], dst[(il*c+r)*s:][:s]
+			if bias == nil {
+				copy(d, src)
 				continue
 			}
-			bv := j.bias[oc]
 			for k, v := range src {
-				dst[k] = v + bv
+				d[k] = v + bias[r]
 			}
 		}
 	}
@@ -271,6 +326,18 @@ func ConvF32BackwardInto(dx, gw, gb, x, dout []float32, n int, w []float32, p *C
 		return fmt.Errorf("%w: conv backward bias gradient has %d elements, want >= %d", ErrShape, len(gb), p.outC)
 	}
 	b, bands := sc.bandsFor(p, n, true)
+	if p.dxOfs != nil {
+		kk := p.g.KH * p.g.KW
+		sc.wT = grow(sc.wT, p.dxRows*kk*p.outC)
+		clear(sc.wT[p.g.InC*kk*p.outC:])
+		for c := 0; c < p.g.InC; c++ {
+			for t := 0; t < kk; t++ {
+				for oc := 0; oc < p.outC; oc++ {
+					sc.wT[(c*kk+t)*p.outC+oc] = w[oc*p.kdim+c*kk+t]
+				}
+			}
+		}
+	}
 	runBands(convF32Bwd{convBandsF32: b, dx: dx, x: x, dout: dout, w: w}, bands, nil)
 	// Band order, one accumulator per element: the same bytes whichever
 	// worker produced which partial.
@@ -313,15 +380,21 @@ func (j convF32Bwd) gather(t, lane int) {
 	} else {
 		stageInto(ln.stage, x, p.g, nb)
 	}
-	// One read of dout fills both packed forms — column panels for
-	// Wᵀ·dout, transposed panels for patches·doutᵀ — and the bias partial.
-	tpw := p.tpw
+	// One read of dout fills the transposed panels for patches·doutᵀ, the
+	// bias partial and, on the scatter route, the column panels for
+	// Wᵀ·dout; the dx route stages it instead.
+	tpw, dout := p.tpw, j.dout[i0*outC*s:(i0+nb)*outC*s]
+	if p.dxOfs != nil {
+		stageInto(ln.dstage, dout, p.doutGeom(), nb)
+	}
 	for oc := 0; oc < outC; oc++ {
 		var sum float32
 		dT := ln.doT[(oc/tpw)*cols*tpw+oc%tpw:]
 		for il := 0; il < nb; il++ {
-			src := j.dout[((i0+il)*outC+oc)*s:][:s]
-			putPanelRun(ln.prod, src, outC, oc, il*s)
+			src := dout[(il*outC+oc)*s:][:s]
+			if p.dxOfs == nil {
+				putPanelRun(ln.prod, src, outC, oc, il*s)
+			}
 			for k, v := range src {
 				dT[(il*s+k)*tpw] = v
 				sum += v
@@ -344,6 +417,14 @@ func (j convF32Bwd) compute(t, lane int) {
 			f32StripDW(part[pi*p.tpw:], ln.stage, p.ofs, ln.doT[pi*cols*p.tpw:], p.tpw, walk, p.tld)
 		}
 	}
+	if p.dxOfs != nil {
+		clear(ln.prod[:p.dxRows*ld]) // the running sums start at +0
+		for pi := 0; pi < ld/f32PanelCols; pi++ {
+			h0, h1 := halfBases(p.dxHalves, pi, cols)
+			f32StripDX(ln.prod[pi*f32PanelCols:], j.sc.wT, ln.dstage, p.dxOfs, p.outC, p.dxHi, p.dxRows, ld, h0, h1)
+		}
+		return
+	}
 	// The tile becomes dcols = Wᵀ·dout, row q tap oc of the operand at
 	// w[oc·kdim+q].
 	bd := PackedF32{k: p.outC, n: ld, pw: f32PanelCols, panels: ld / f32PanelCols, data: ln.prod}
@@ -352,7 +433,12 @@ func (j convF32Bwd) compute(t, lane int) {
 
 func (j convF32Bwd) epilogue(t, lane int) {
 	ln, i0, nb := j.task(t, lane)
-	col2imInto(j.dx[i0*j.p.inSz:(i0+nb)*j.p.inSz], ln.tile, j.p.g, nb, 0, j.p.ld(nb), ln.stage)
+	p, dx := j.p, j.dx[i0*j.p.inSz:(i0+nb)*j.p.inSz]
+	if p.dxOfs == nil {
+		col2imInto(dx, ln.tile, p.g, nb, 0, p.ld(nb), ln.stage)
+		return
+	}
+	drainInto(dx, ln.prod, nil, nb, p.g.InC, p.s, p.ld(nb))
 }
 
 // putPanelRun copies src into columns [j0, j0+len(src)) of row q of a

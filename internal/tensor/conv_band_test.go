@@ -295,9 +295,15 @@ func TestConvBandSteadyStateAllocs(t *testing.T) {
 		}
 	}
 	small.run(t, &sc)
+	// Nor does a dx-route backward: no column-gradient tile exists.
+	for i, ln := range sc.lanes {
+		if cap(ln.tile) != 0 {
+			t.Errorf("lane %d holds a %d-float tile after a dx-route backward", i, cap(ln.tile))
+		}
+	}
 	laneFloats := func() (n int) {
 		for _, ln := range sc.lanes {
-			n += cap(ln.tile) + cap(ln.prod) + cap(ln.doT) + cap(ln.stage)
+			n += cap(ln.tile) + cap(ln.prod) + cap(ln.doT) + cap(ln.stage) + cap(ln.dstage)
 		}
 		return n
 	}
@@ -379,7 +385,8 @@ func TestConvBandRejectsShortOperands(t *testing.T) {
 // stripCases are the route-identity problems: the determinism cases, the
 // benchmark's ResNet-20 (width 0.25) and SmallCNN convs at 16×16 — stem,
 // stage 1/2/3 stride-1 convs, both stride-2 3×3 convs, both 1×1
-// downsamples, SmallCNN b1–b4 — and outC and kdim off multiples of 4.
+// downsamples, SmallCNN b1–b4 — outC and kdim off multiples of 4, and a
+// 5×5 and a channel-reducing 1×1 conv on the dx route.
 var stripCases = append([]struct {
 	g       ConvGeom
 	n, outC int
@@ -399,22 +406,28 @@ var stripCases = append([]struct {
 	{ConvGeom{InC: 3, InH: 8, InW: 8, KH: 3, KW: 3, Stride: 1, Pad: 1}, 6, 5},     // kdim 27, outC 5
 	{ConvGeom{InC: 5, InH: 5, InW: 24, KH: 3, KW: 3, Stride: 1, Pad: 1}, 5, 7},    // kdim 45, outC 7, OW 24
 	{ConvGeom{InC: 7, InH: 3, InW: 8, KH: 1, KW: 1, Stride: 1, Pad: 0}, 13, 9},    // kdim 7, outC 9
+	{ConvGeom{InC: 3, InH: 8, InW: 8, KH: 5, KW: 5, Stride: 1, Pad: 2}, 5, 6},     // 5×5, dx segments of 6 taps
+	{ConvGeom{InC: 9, InH: 2, InW: 16, KH: 1, KW: 1, Stride: 1, Pad: 0}, 7, 4},    // 1×1 projection: dx rows past outC
 }, bandDeterminismCases...)
 
-// TestConvStripMatchesGather pins the strip route to the gather route it
-// replaces: plans built under convGatherOnly run every product on the
-// gathered lane tile, and out, dW and the bias gradient must come out
-// byte-identical at 1, 2, 3 and 8 workers under both dispatches — the same
-// values meet the same FMA order. On arm64 the compiler may fuse the
-// portable kernels' x*y+z differently in the two routes, so there the
-// match is to float32 rounding.
+// TestConvStripMatchesGather pins the strip routes to the gather route they
+// replace: plans built under convGatherOnly run every product on the
+// gathered lane tile and scatter dx, and out, dx, dW and the bias gradient
+// must come out byte-identical at 1, 2, 3 and 8 workers under both
+// dispatches — the same values meet the same FMA order, and dx's segments
+// meet the scatter's add order. It also pins each route rule per case. On
+// arm64 the compiler may fuse the portable kernels' x*y+z differently in
+// the two routes, so there the match is to float32 rounding.
 func TestConvStripMatchesGather(t *testing.T) {
 	eachDispatch(t, func(t *testing.T) {
 		for ci, bc := range stripCases {
 			c := newConvBandCase(t, int64(61+ci), bc.g, bc.n, bc.outC)
-			_, ow := bc.g.OutHW()
+			oh, ow := bc.g.OutHW()
 			if strip := c.plan.halves != nil; strip != (bc.g.Stride == 1 && ow%8 == 0) {
 				t.Fatalf("case %d %+v: strip-route forward %v, want it exactly for stride 1 and OW a multiple of 8", ci, bc.g, strip)
+			}
+			if strip := c.plan.dxOfs != nil; strip != (bc.g.Stride == 1 && ow%8 == 0 && oh == bc.g.InH && ow == bc.g.InW) {
+				t.Fatalf("case %d %+v: strip-route dx %v, want it exactly for stride 1, the input's size and OW a multiple of 8", ci, bc.g, strip)
 			}
 			convGatherOnly = true
 			ref := newConvBandCase(t, int64(61+ci), bc.g, bc.n, bc.outC)
@@ -427,8 +440,8 @@ func TestConvStripMatchesGather(t *testing.T) {
 				prev := SetMaxWorkers(workers)
 				c.run(t, &sc)
 				SetMaxWorkers(prev)
-				for k, got := range [][]float32{c.out, c.gw, c.gb} {
-					want := [][]float32{ref.out, ref.gw, ref.gb}[k]
+				for k, got := range [][]float32{c.out, c.dx, c.gw, c.gb} {
+					want := [][]float32{ref.out, ref.dx, ref.gw, ref.gb}[k]
 					for i := range got {
 						same := math.Float32bits(got[i]) == math.Float32bits(want[i])
 						if runtime.GOARCH == "arm64" {
@@ -436,7 +449,7 @@ func TestConvStripMatchesGather(t *testing.T) {
 						}
 						if !same {
 							t.Fatalf("case %d %+v workers=%d: %s[%d] = %g, gather route %g", ci, bc.g, workers,
-								[]string{"out", "dW", "db"}[k], i, got[i], want[i])
+								[]string{"out", "dx", "dW", "db"}[k], i, got[i], want[i])
 						}
 					}
 				}
@@ -446,19 +459,20 @@ func TestConvStripMatchesGather(t *testing.T) {
 }
 
 // TestConvStripGuardFloats pre-sizes every lane buffer with NaN: the
-// strip, tile, product and doutᵀ panels wholly, and the strip with guard
-// floats after stageLen. Forward and backward on stride-1 (strip-route)
-// and stride-2 geometries must leave every out, dx, dW and bias-gradient
-// element finite and the guards untouched — which pins the strip-route
-// kernels' reads, the dead half of a ragged band and the stride-2 tap
-// kernels' one-float over-read into the strip's margin.
+// strips, tile, product and doutᵀ panels wholly, and the input and dout
+// strips with guard floats after their stageLen. Forward and backward on
+// stride-1 (strip-route) and stride-2 geometries must leave every out, dx,
+// dW and bias-gradient element finite and the guards untouched — which
+// pins the strip-route kernels' reads, the dead half of a ragged band and
+// the stride-2 tap kernels' one-float over-read into the strip's margin.
 func TestConvStripGuardFloats(t *testing.T) {
 	geoms := []struct {
 		g       ConvGeom
 		n, outC int
 	}{
-		{ConvGeom{InC: 3, InH: 5, InW: 8, KH: 3, KW: 3, Stride: 1, Pad: 1}, 9, 6},   // strip route, a dead half
-		{ConvGeom{InC: 2, InH: 3, InW: 24, KH: 3, KW: 3, Stride: 1, Pad: 1}, 5, 3},  // strip route, OW 24
+		{ConvGeom{InC: 3, InH: 5, InW: 8, KH: 3, KW: 3, Stride: 1, Pad: 1}, 9, 6},   // strip routes, a dead half
+		{ConvGeom{InC: 2, InH: 3, InW: 24, KH: 3, KW: 3, Stride: 1, Pad: 1}, 5, 3},  // strip routes, OW 24, dx rows past InC
+		{ConvGeom{InC: 5, InH: 4, InW: 8, KH: 5, KW: 5, Stride: 1, Pad: 2}, 3, 2},   // strip routes, 5×5, dx rows past outC
 		{ConvGeom{InC: 4, InH: 16, InW: 16, KH: 3, KW: 3, Stride: 1, Pad: 1}, 2, 4}, // ResNet-20 stage 1
 		{ConvGeom{InC: 6, InH: 8, InW: 8, KH: 3, KW: 3, Stride: 2, Pad: 1}, 50, 5},  // stride 2
 		{ConvGeom{InC: 3, InH: 9, InW: 7, KH: 1, KW: 1, Stride: 2, Pad: 0}, 6, 7},   // stride-2 1×1
@@ -469,12 +483,12 @@ func TestConvStripGuardFloats(t *testing.T) {
 				prev := SetMaxWorkers(workers)
 				c := newConvBandCase(t, int64(90+gi), gc.g, gc.n, gc.outC)
 				p, bs := c.plan, c.plan.bandSamples(gc.n)
-				ld, sl := p.ld(bs), gc.g.stageLen(bs)
+				ld, sl, dsl := p.ld(bs), gc.g.stageLen(bs), p.doutGeom().stageLen(bs)
 				sc := ConvScratchF32{lanes: make([]convLaneF32, bandLanes(blocks(gc.n, bs)))}
 				for i := range sc.lanes {
 					ln := &sc.lanes[i]
-					ln.stage = poisoned(sl)[:sl]
-					ln.tile, ln.prod, ln.doT = poisoned(p.kdim*ld), poisoned(p.outC*ld), poisoned(ld*p.tld)
+					ln.stage, ln.dstage = poisoned(sl)[:sl], poisoned(dsl)[:dsl]
+					ln.tile, ln.prod, ln.doT = poisoned(p.kdim*ld), poisoned(max(p.outC, p.dxRows)*ld), poisoned(ld*p.tld)
 				}
 				c.run(t, &sc)
 				SetMaxWorkers(prev)
@@ -487,6 +501,7 @@ func TestConvStripGuardFloats(t *testing.T) {
 				}
 				for _, ln := range sc.lanes {
 					checkUntouched(t, "strip", ln.stage[:cap(ln.stage)], sl)
+					checkUntouched(t, "dout strip", ln.dstage[:cap(ln.dstage)], dsl)
 				}
 			}
 		}
@@ -494,8 +509,9 @@ func TestConvStripGuardFloats(t *testing.T) {
 }
 
 // FuzzConvStripKernels checks each strip-route kernel of the active SIMD
-// dispatch against its portable twin, byte for byte, over random ascending
-// offset tables, half-bases, k walks and row counts. Strip, operand and
+// dispatch against its portable twin, byte for byte, over random offset
+// tables (ascending for the forward and weight-gradient kernels, in any
+// order for dx), half-bases, k walks, segment lengths and row counts. Strip, operand and
 // panel hold small integers, so every product and partial sum is exact in
 // float32 and fused and unfused accumulation agree bit for bit; canary
 // words after the strip and the destination catch a stray read or write.
@@ -565,6 +581,36 @@ func FuzzConvStripKernels(f *testing.F) {
 		f32StripDWGo(want[:dl], strip[:sl], ofs, panel, pw, w, ldd)
 		checkStripKernel(t, "weight-gradient", got, want, dl)
 		checkUntouched(t, "weight-gradient strip", strip, sl)
+
+		// The input-gradient kernel: rows in groups of four, k taps in
+		// segments of seg, offsets in any order up to hi, segments added
+		// into the destination's running sums.
+		seg := 1 + int(taps%9)
+		k = seg * (1 + int(oh%9))
+		m = 4 * (1 + int(rows%3))
+		ofs = make([]int32, k)
+		hi := 0
+		for i := range ofs {
+			ofs[i] = int32(rng.Intn(48))
+			hi = max(hi, int(ofs[i]))
+		}
+		h0, h1 = rng.Intn(24), rng.Intn(24)
+		sl = max(h0, h1) + hi + 8
+		strip = poisoned(sl)
+		small(strip[:sl])
+		a = make([]float32, m*k)
+		small(a)
+		ldd = 16 + rng.Intn(5)
+		dl = (m-1)*ldd + 16
+		got, want = poisoned(dl), poisoned(dl)
+		for i := 0; i < m; i++ { // the running sums, added into
+			small(got[i*ldd : i*ldd+16])
+			copy(want[i*ldd:], got[i*ldd:i*ldd+16])
+		}
+		f32StripDX(got[:dl], a, strip[:sl], ofs, seg, hi, m, ldd, h0, h1)
+		f32StripDXGo(want[:dl], a, strip[:sl], ofs, seg, hi, m, ldd, h0, h1)
+		checkStripKernel(t, "input-gradient", got, want, dl)
+		checkUntouched(t, "input-gradient strip", strip, sl)
 	})
 }
 

@@ -201,6 +201,32 @@ func f32StripPanelGo(dst, a, strip []float32, ofs []int32, m, k, ars, ldd, h0, h
 	}
 }
 
+// f32StripDXGo is the portable strip-route input-gradient kernel: rows
+// i < m of dst (stride ldd) over one 16-column panel read from the strip
+// as f32StripPanelGo reads it, operand row i at a[i·len(ofs):], with the k
+// walk cut into segments of seg taps: each segment sums into a fresh
+// accumulator in f32Panel4Go's order and is then added into dst. Every
+// offset lies in [0, hi].
+func f32StripDXGo(dst, a, strip []float32, ofs []int32, seg, hi, m, ldd, h0, h1 int) {
+	k := len(ofs)
+	for i := 0; i < m; i++ {
+		ar, d := a[i*k:(i+1)*k], dst[i*ldd:i*ldd+16]
+		for q0 := 0; q0 < k; q0 += seg {
+			var c [16]float32
+			for q, o := range ofs[q0 : q0+seg] {
+				v, b0, b1 := ar[q0+q], strip[h0+int(o):][:8], strip[h1+int(o):][:8]
+				for j := 0; j < 8; j++ {
+					c[j] += v * b0[j]
+					c[8+j] += v * b1[j]
+				}
+			}
+			for j, v := range c {
+				d[j] += v
+			}
+		}
+	}
+}
+
 // stripWalk is the k walk of the weight gradient's strip operand: tap
 // k = (il·oh + oy)·ow + ox sits sps·il + rs·oy + st·ox past the row's base.
 type stripWalk struct{ nb, oh, ow, sps, rs, st int }

@@ -2,7 +2,10 @@
 
 package tensor
 
-import "os"
+import (
+	"math"
+	"os"
+)
 
 // Runtime CPU dispatch for the amd64 SIMD kernels. The float assembly in
 // kernels_amd64.s needs AVX2 and FMA3; the integer panel kernels in
@@ -61,19 +64,22 @@ func convStripGEMM4x16FMA(dst, a, b0, b1 *float32, ofs *int32, m, k, ars, ldd in
 func convStripGEMM1x16FMA(dst, a, b0, b1 *float32, ofs *int32, k int)
 
 //go:noescape
+func convStripDX4x16FMA(dst, a, b0, b1 *float32, ofs *int32, m, seg, k, ldd int)
+
+//go:noescape
 func convStripDWT4FMA(dst, strip *float32, ofs *int32, panel *float32, m, nb, oh, ow, st, rskip, sskip, ldd, pw int)
 
 //go:noescape
 func bnMomentsAVX2(x *float32, n, plane, stride int, cnt float64) (mean, variance float64)
 
 //go:noescape
-func bnAffineAVX2(y, x *float32, n, plane, stride int, scale, shift float32)
+func bnAffineAVX2(y, x *float32, n, plane, stride int, scale, shift, lo, z, hi float32)
 
 //go:noescape
-func bnGradSumsAVX2(dy, x *float32, n, plane, stride int, mean float64) (sumDy, sumDyXc float64)
+func bnGradSumsAVX2(dy, x, y *float32, n, plane, stride int, mean float64, top int) (sumDy, sumDyXc float64)
 
 //go:noescape
-func bnGradInputAVX2(dx, dy, x *float32, n, plane, stride int, mean, mdy, k, a float32)
+func bnGradInputAVX2(dx, dy, x, y *float32, n, plane, stride int, mean, mdy, k, a float32, top int)
 
 //go:noescape
 func requantQ31RowsAVX2(dst *uint8, acc *int32, m0, rsh *int32, corr *int64, zp, lo, m, nc4, lda, ldd int)
@@ -131,7 +137,7 @@ func applySIMDAmd64(on bool) {
 		bnMomentsAsm, bnAffineAsm, bnGradSumsAsm, bnGradInputAsm = nil, nil, nil, nil
 		f32Panel4, f32Panel1 = f32Panel4Go, f32Panel1Go
 		f32Panel4w8, f32Panel1w8 = f32Panel4x8Go, f32Panel1x8Go
-		f32StripPanel, f32StripDW = f32StripPanelGo, f32StripDWGo
+		f32StripPanel, f32StripDW, f32StripDX = f32StripPanelGo, f32StripDWGo, f32StripDXGo
 		requantRowsAsm, requantTransAsm = nil, nil
 		return
 	}
@@ -153,6 +159,7 @@ func applySIMDAmd64(on bool) {
 	f32Panel1w8 = f32Panel1w8Asm
 	f32StripPanel = stripPanelFMAWrap
 	f32StripDW = stripDWFMAWrap
+	f32StripDX = stripDXFMAWrap
 	requantRowsAsm = requantRowsAVX2Wrap
 	requantTransAsm = requantTransAVX2Wrap
 }
@@ -199,6 +206,16 @@ func stripPanelFMAWrap(dst, a, strip []float32, ofs []int32, m, k, ars, ldd, h0,
 	}
 }
 
+func stripDXFMAWrap(dst, a, strip []float32, ofs []int32, seg, hi, m, ldd, h0, h1 int) {
+	// m is a positive multiple of 4 and seg divides len(ofs); the offsets
+	// do not ascend, so hi bounds the strip reads.
+	k := len(ofs)
+	_ = strip[max(h0, h1)+hi+7]
+	_ = a[m*k-1]
+	_ = dst[(m-1)*ldd+15]
+	convStripDX4x16FMA(&dst[0], &a[0], &strip[h0], &strip[h1], &ofs[0], m, seg, k, ldd)
+}
+
 func stripDWFMAWrap(dst, strip []float32, ofs []int32, panel []float32, pw int, w stripWalk, ldd int) {
 	// len(ofs) is a positive multiple of 4; the walk's strides are
 	// non-negative, so its first and last taps are its extremes.
@@ -212,33 +229,47 @@ func stripDWFMAWrap(dst, strip []float32, ofs []int32, panel []float32, pw int, 
 
 // The batch-norm wrappers pin the last float of the channel's last plane
 // in every operand: the kernels touch nothing past it (partial groups are
-// masked), and n, plane ≥ 1 make it the walk's extreme.
+// masked), and n, plane ≥ 1 make it the walk's extreme. The kernels read
+// the rectified output y only under a rectifier (top ≠ 0).
 
 func bnMomentsAVX2Wrap(x []float32, n, plane, stride int, cnt float64) (mean, variance float64) {
 	_ = x[(n-1)*stride+plane-1]
 	return bnMomentsAVX2(&x[0], n, plane, stride, cnt)
 }
 
-func bnAffineAVX2Wrap(y, x []float32, n, plane, stride int, scale, shift float32) {
+// clamp is r as min(max(v, lo) + z, hi), the SIMD kernels' branch-free
+// form: none is the identity (−Inf, −0, +Inf), and the +0 of a rectifier
+// turns the −0 that max keeps into the +0 Go's max returns.
+func (r Rect) clamp() (lo, z, hi float32) {
+	if !r.on {
+		return float32(math.Inf(-1)), float32(math.Copysign(0, -1)), float32(math.Inf(1))
+	}
+	return 0, 0, r.hi
+}
+
+func bnAffineAVX2Wrap(y, x []float32, n, plane, stride int, scale, shift float32, r Rect) {
 	e := (n-1)*stride + plane - 1
 	_ = y[e]
 	_ = x[e]
-	bnAffineAVX2(&y[0], &x[0], n, plane, stride, scale, shift)
+	lo, z, hi := r.clamp()
+	bnAffineAVX2(&y[0], &x[0], n, plane, stride, scale, shift, lo, z, hi)
 }
 
-func bnGradSumsAVX2Wrap(dy, x []float32, n, plane, stride int, mean float64) (sumDy, sumDyXc float64) {
+func bnGradSumsAVX2Wrap(dy, x, y []float32, n, plane, stride int, mean float64, r Rect) (sumDy, sumDyXc float64) {
 	e := (n-1)*stride + plane - 1
 	_ = dy[e]
 	_ = x[e]
-	return bnGradSumsAVX2(&dy[0], &x[0], n, plane, stride, mean)
+	_ = y[e]
+	return bnGradSumsAVX2(&dy[0], &x[0], &y[0], n, plane, stride, mean, int(r.top))
 }
 
-func bnGradInputAVX2Wrap(dx, dy, x []float32, n, plane, stride int, mean, mdy, k, a float32) {
+func bnGradInputAVX2Wrap(dx, dy, x, y []float32, n, plane, stride int, mean, mdy, k, a float32, r Rect) {
 	e := (n-1)*stride + plane - 1
 	_ = dx[e]
 	_ = dy[e]
 	_ = x[e]
-	bnGradInputAVX2(&dx[0], &dy[0], &x[0], n, plane, stride, mean, mdy, k, a)
+	_ = y[e]
+	bnGradInputAVX2(&dx[0], &dy[0], &x[0], &y[0], n, plane, stride, mean, mdy, k, a, int(r.top))
 }
 
 func requantRowsAVX2Wrap(dst []uint8, acc []int32, m0, rsh []int32, corr []int64, zp, lo int32, m, nc4, lda, ldd int) {

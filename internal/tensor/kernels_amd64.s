@@ -23,6 +23,40 @@ TEXT ·xgetbv0(SB), NOSPLIT, $0-8
 	MOVL DX, edx+4(FP)
 	RET
 
+// ZERO_4x16 clears the 4×16 kernels' accumulators Y0–Y7: row r in
+// Y(2r) and Y(2r+1).
+#define ZERO_4x16 \
+	VXORPS Y0, Y0, Y0; \
+	VXORPS Y1, Y1, Y1; \
+	VXORPS Y2, Y2, Y2; \
+	VXORPS Y3, Y3, Y3; \
+	VXORPS Y4, Y4, Y4; \
+	VXORPS Y5, Y5, Y5; \
+	VXORPS Y6, Y6, Y6; \
+	VXORPS Y7, Y7, Y7
+
+// STORE_4x16 writes Y0–Y7 to the four dst rows at DI (row stride R11,
+// 3·stride R15); ADD_4x16 first adds those rows into them.
+#define STORE_4x16 \
+	VMOVUPS Y0, (DI); \
+	VMOVUPS Y1, 32(DI); \
+	VMOVUPS Y2, (DI)(R11*1); \
+	VMOVUPS Y3, 32(DI)(R11*1); \
+	VMOVUPS Y4, (DI)(R11*2); \
+	VMOVUPS Y5, 32(DI)(R11*2); \
+	VMOVUPS Y6, (DI)(R15*1); \
+	VMOVUPS Y7, 32(DI)(R15*1)
+
+#define ADD_4x16 \
+	VADDPS (DI), Y0, Y0; \
+	VADDPS 32(DI), Y1, Y1; \
+	VADDPS (DI)(R11*1), Y2, Y2; \
+	VADDPS 32(DI)(R11*1), Y3, Y3; \
+	VADDPS (DI)(R11*2), Y4, Y4; \
+	VADDPS 32(DI)(R11*2), Y5, Y5; \
+	VADDPS (DI)(R15*1), Y6, Y6; \
+	VADDPS 32(DI)(R15*1), Y7, Y7
+
 // func packedF32GEMM4x16FMA(dst, a, panel *float32, m, k, ars, aks, ldd int)
 //
 // Register-blocked 4×16 micro-kernel over a packed column panel (see
@@ -53,14 +87,7 @@ TEXT ·packedF32GEMM4x16FMA(SB), NOSPLIT, $0-64
 grouploop:
 	TESTQ  R8, R8
 	JZ     done
-	VXORPS Y0, Y0, Y0
-	VXORPS Y1, Y1, Y1
-	VXORPS Y2, Y2, Y2
-	VXORPS Y3, Y3, Y3
-	VXORPS Y4, Y4, Y4
-	VXORPS Y5, Y5, Y5
-	VXORPS Y6, Y6, Y6
-	VXORPS Y7, Y7, Y7
+	ZERO_4x16
 	MOVQ   SI, R12            // a cursor (row 0; rows 1–3 via ars offsets)
 	MOVQ   DX, BX             // panel cursor
 	MOVQ   R9, CX
@@ -85,14 +112,7 @@ kloop:
 	DECQ CX
 	JNZ  kloop
 
-	VMOVUPS Y0, (DI)
-	VMOVUPS Y1, 32(DI)
-	VMOVUPS Y2, (DI)(R11*1)
-	VMOVUPS Y3, 32(DI)(R11*1)
-	VMOVUPS Y4, (DI)(R11*2)
-	VMOVUPS Y5, 32(DI)(R11*2)
-	VMOVUPS Y6, (DI)(R15*1)
-	VMOVUPS Y7, 32(DI)(R15*1)
+	STORE_4x16
 	LEAQ    (SI)(R10*4), SI
 	LEAQ    (DI)(R11*4), DI
 	DECQ    R8
@@ -447,6 +467,28 @@ rowdone:
 	VZEROUPPER
 	RET
 
+// STRIP_TAP4x16 is one tap of the strip-route 4×16 kernels: panel row CX,
+// read at ofs[CX] (AX) past the half-bases DX and BX, times the four
+// operand rows at R12 (row stride R10, 3·stride R13) into Y0–Y7; R12
+// steps to the next tap.
+#define STRIP_TAP4x16 \
+	MOVLQSX      (AX)(CX*4), R14; \
+	VMOVUPS      (DX)(R14*4), Y8; \
+	VMOVUPS      (BX)(R14*4), Y9; \
+	VBROADCASTSS (R12), Y10; \
+	VFMADD231PS  Y8, Y10, Y0; \
+	VFMADD231PS  Y9, Y10, Y1; \
+	VBROADCASTSS (R12)(R10*1), Y10; \
+	VFMADD231PS  Y8, Y10, Y2; \
+	VFMADD231PS  Y9, Y10, Y3; \
+	VBROADCASTSS (R12)(R10*2), Y10; \
+	VFMADD231PS  Y8, Y10, Y4; \
+	VFMADD231PS  Y9, Y10, Y5; \
+	VBROADCASTSS (R12)(R13*1), Y10; \
+	VFMADD231PS  Y8, Y10, Y6; \
+	VFMADD231PS  Y9, Y10, Y7; \
+	ADDQ         $4, R12
+
 // func convStripGEMM4x16FMA(dst, a, b0, b1 *float32, ofs *int32, m, k, ars, ldd int)
 //
 // The strip-route forward kernel: packedF32GEMM4x16FMA (aks = 1) with
@@ -472,46 +514,17 @@ TEXT ·convStripGEMM4x16FMA(SB), NOSPLIT, $0-72
 	LEAQ (R11)(R11*2), R15    // 3·ldd bytes
 
 sgroup:
-	VXORPS Y0, Y0, Y0
-	VXORPS Y1, Y1, Y1
-	VXORPS Y2, Y2, Y2
-	VXORPS Y3, Y3, Y3
-	VXORPS Y4, Y4, Y4
-	VXORPS Y5, Y5, Y5
-	VXORPS Y6, Y6, Y6
-	VXORPS Y7, Y7, Y7
+	ZERO_4x16
 	MOVQ   SI, R12
 	XORQ   CX, CX
 
 skloop:
-	MOVLQSX      (AX)(CX*4), R14
-	VMOVUPS      (DX)(R14*4), Y8
-	VMOVUPS      (BX)(R14*4), Y9
-	VBROADCASTSS (R12), Y10
-	VFMADD231PS  Y8, Y10, Y0
-	VFMADD231PS  Y9, Y10, Y1
-	VBROADCASTSS (R12)(R10*1), Y10
-	VFMADD231PS  Y8, Y10, Y2
-	VFMADD231PS  Y9, Y10, Y3
-	VBROADCASTSS (R12)(R10*2), Y10
-	VFMADD231PS  Y8, Y10, Y4
-	VFMADD231PS  Y9, Y10, Y5
-	VBROADCASTSS (R12)(R13*1), Y10
-	VFMADD231PS  Y8, Y10, Y6
-	VFMADD231PS  Y9, Y10, Y7
-	ADDQ         $4, R12
-	INCQ         CX
-	CMPQ         CX, R9
-	JLT          skloop
+	STRIP_TAP4x16
+	INCQ CX
+	CMPQ CX, R9
+	JLT  skloop
 
-	VMOVUPS Y0, (DI)
-	VMOVUPS Y1, 32(DI)
-	VMOVUPS Y2, (DI)(R11*1)
-	VMOVUPS Y3, 32(DI)(R11*1)
-	VMOVUPS Y4, (DI)(R11*2)
-	VMOVUPS Y5, 32(DI)(R11*2)
-	VMOVUPS Y6, (DI)(R15*1)
-	VMOVUPS Y7, 32(DI)(R15*1)
+	STORE_4x16
 	LEAQ    (SI)(R10*4), SI
 	LEAQ    (DI)(R11*4), DI
 	DECQ    R8
@@ -544,6 +557,54 @@ s1kloop:
 
 	VMOVUPS Y0, (DI)
 	VMOVUPS Y1, 32(DI)
+	VZEROUPPER
+	RET
+
+// func convStripDX4x16FMA(dst, a, b0, b1 *float32, ofs *int32, m, seg, k, ldd int)
+//
+// The strip-route input-gradient kernel (f32StripDXGo is the reference):
+// convStripGEMM4x16FMA's panel rows and accumulators over operand rows of
+// k taps, the k walk cut into segments of seg taps. Each segment starts
+// from zeroed accumulators and ends added into dst. m must be a positive
+// multiple of 4. Registers as there, plus R9 the end of the segment.
+TEXT ·convStripDX4x16FMA(SB), NOSPLIT, $0-72
+	MOVQ dst+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b0+16(FP), DX
+	MOVQ b1+24(FP), BX
+	MOVQ ofs+32(FP), AX
+	MOVQ m+40(FP), R8
+	SHRQ $2, R8
+	MOVQ k+56(FP), R10
+	SHLQ $2, R10              // operand row stride in bytes: k floats
+	MOVQ ldd+64(FP), R11
+	SHLQ $2, R11
+	LEAQ (R10)(R10*2), R13    // 3·k bytes
+	LEAQ (R11)(R11*2), R15    // 3·ldd bytes
+
+xgroup:
+	MOVQ SI, R12
+	XORQ CX, CX
+	MOVQ seg+48(FP), R9
+
+xseg:
+	ZERO_4x16
+
+xkloop:
+	STRIP_TAP4x16
+	INCQ CX
+	CMPQ CX, R9
+	JLT  xkloop
+	ADD_4x16
+	STORE_4x16
+	ADDQ seg+48(FP), R9
+	CMPQ CX, k+56(FP)
+	JLT  xseg
+
+	LEAQ (SI)(R10*4), SI
+	LEAQ (DI)(R11*4), DI
+	DECQ R8
+	JNZ  xgroup
 	VZEROUPPER
 	RET
 
@@ -580,14 +641,7 @@ dgroup:
 	LEAQ    (SI)(R12*4), R12
 	MOVLQSX 12(R8), R13
 	LEAQ    (SI)(R13*4), R13
-	VXORPS  Y0, Y0, Y0
-	VXORPS  Y1, Y1, Y1
-	VXORPS  Y2, Y2, Y2
-	VXORPS  Y3, Y3, Y3
-	VXORPS  Y4, Y4, Y4
-	VXORPS  Y5, Y5, Y5
-	VXORPS  Y6, Y6, Y6
-	VXORPS  Y7, Y7, Y7
+	ZERO_4x16
 	MOVQ    panel+24(FP), BX
 	XORQ    AX, AX
 	MOVQ    nb+40(FP), R15

@@ -163,17 +163,32 @@ sqnext:
 	VZEROUPPER
 	RET
 
-// func bnAffineAVX2(y, x *float32, n, plane, stride int, scale, shift float32)
+// BN_PASS masks the dy floats in g by the rectified output y, as
+// rectifyGrad does: a lane passes where 0 < bits(y) < top as int32s (zero
+// holds 0, top the bound; clobbers y and t).
+#define BN_PASS(y, g, t, zero, top) \
+	VPCMPGTD zero, y, t; \
+	VPCMPGTD y, top, y; \
+	VPAND    t, y, y; \
+	VANDPS   y, g, g
+
+// func bnAffineAVX2(y, x *float32, n, plane, stride int, scale, shift, lo, z, hi float32)
 //
-// y = float32(x·scale) + shift, eight floats per step. Registers: DI / SI
-// output and input plane cursors, DX byte offset in the plane, CX planes
-// left, Y15 scale, Y11 shift, Y2 data.
-TEXT ·bnAffineAVX2(SB), NOSPLIT, $0-48
+// y = min(max(float32(x·scale) + shift, lo) + z, hi), eight floats per
+// step: Rect.clamp's form of the rectifier. VMAXPS / VMINPS take the value
+// as the second operand, so a NaN comes through as Go's max and min pass
+// it. Registers: DI / SI output and input plane cursors, DX byte offset in
+// the plane, CX planes left, Y15 scale, Y11 shift, Y12 lo, Y13 z, Y10 hi,
+// Y2 data.
+TEXT ·bnAffineAVX2(SB), NOSPLIT, $0-60
 	MOVQ y+0(FP), DI
 	MOVQ x+8(FP), SI
 	BN_GEOMETRY(plane+24(FP), stride+32(FP))
 	VBROADCASTSS scale+40(FP), Y15
 	VBROADCASTSS shift+44(FP), Y11
+	VBROADCASTSS lo+48(FP), Y12
+	VBROADCASTSS z+52(FP), Y13
+	VBROADCASTSS hi+56(FP), Y10
 	MOVQ         n+16(FP), CX
 
 affplane:
@@ -184,6 +199,9 @@ affgroup:
 	JGE     afftail
 	VMULPS  (SI)(DX*1), Y15, Y2
 	VADDPS  Y11, Y2, Y2
+	VMAXPS  Y2, Y12, Y2
+	VADDPS  Y13, Y2, Y2
+	VMINPS  Y2, Y10, Y2
 	VMOVUPS Y2, (DI)(DX*1)
 	ADDQ    $32, DX
 	JMP     affgroup
@@ -194,6 +212,9 @@ afftail:
 	VMASKMOVPS (SI)(DX*1), Y14, Y2
 	VMULPS     Y15, Y2, Y2
 	VADDPS     Y11, Y2, Y2
+	VMAXPS     Y2, Y12, Y2
+	VADDPS     Y13, Y2, Y2
+	VMINPS     Y2, Y10, Y2
 	VMASKMOVPS Y2, Y14, (DI)(DX*1)
 
 affnext:
@@ -204,96 +225,119 @@ affnext:
 	VZEROUPPER
 	RET
 
-// func bnGradSumsAVX2(dy, x *float32, n, plane, stride int, mean float64) (sumDy, sumDyXc float64)
+// GS_WIDEN widens the group's dy (Y8) into Y4/Y5 and its x (Y9) into
+// Y6/Y7, then forms the products dy·(x−mean) in Y6/Y7; GS_ADD adds the
+// group into the four sums.
+#define GS_WIDEN \
+	VCVTPS2PD    X8, Y4; \
+	VEXTRACTF128 $1, Y8, X8; \
+	VCVTPS2PD    X8, Y5; \
+	VCVTPS2PD    X9, Y6; \
+	VEXTRACTF128 $1, Y9, X9; \
+	VCVTPS2PD    X9, Y7; \
+	VSUBPD       Y15, Y6, Y6; \
+	VSUBPD       Y15, Y7, Y7; \
+	VMULPD       Y6, Y4, Y6; \
+	VMULPD       Y7, Y5, Y7
+
+#define GS_ADD \
+	VADDPD Y4, Y0, Y0; \
+	VADDPD Y5, Y1, Y1; \
+	VADDPD Y6, Y2, Y2; \
+	VADDPD Y7, Y3, Y3
+
+// func bnGradSumsAVX2(dy, x, y *float32, n, plane, stride int, mean float64, top int) (sumDy, sumDyXc float64)
 //
-// One pass: Σdy into Y0/Y1 and Σdy·(x−mean) into Y2/Y3. Registers: SI / DI
-// dy and x plane cursors, DX byte offset in the plane, CX planes left,
-// Y15 mean, Y4/Y5 widened dy, Y6/Y7 widened x and then the products,
-// Y8/Y9 the partial group's floats.
-TEXT ·bnGradSumsAVX2(SB), NOSPLIT, $0-64
+// One pass: Σdy into Y0/Y1 and Σdy·(x−mean) into Y2/Y3, dy masked by y
+// when top ≠ 0 (a rectifier; y is not read otherwise). Registers: SI / DI
+// / R8 dy, x and y plane cursors, DX byte offset in the plane, CX planes
+// left, R9 top, Y15 mean, Y11 zero, Y10 top, Y8 / Y9 the group's dy and x.
+TEXT ·bnGradSumsAVX2(SB), NOSPLIT, $0-80
 	MOVQ dy+0(FP), SI
 	MOVQ x+8(FP), DI
-	BN_GEOMETRY(plane+24(FP), stride+32(FP))
+	MOVQ y+16(FP), R8
+	BN_GEOMETRY(plane+32(FP), stride+40(FP))
 	BN_LANE_MASKS
-	VBROADCASTSD mean+40(FP), Y15
+	VBROADCASTSD mean+48(FP), Y15
+	MOVQ         top+56(FP), R9
+	VPBROADCASTD top+56(FP), Y10
+	VPXOR        Y11, Y11, Y11
 	VXORPD       Y0, Y0, Y0
 	VXORPD       Y1, Y1, Y1
 	VXORPD       Y2, Y2, Y2
 	VXORPD       Y3, Y3, Y3
-	MOVQ         n+16(FP), CX
+	MOVQ         n+24(FP), CX
 
 gsplane:
 	XORQ DX, DX
 
 gsgroup:
-	CMPQ      DX, R11
-	JGE       gstail
-	VCVTPS2PD (SI)(DX*1), Y4
-	VCVTPS2PD 16(SI)(DX*1), Y5
-	VCVTPS2PD (DI)(DX*1), Y6
-	VCVTPS2PD 16(DI)(DX*1), Y7
-	VSUBPD    Y15, Y6, Y6
-	VSUBPD    Y15, Y7, Y7
-	VMULPD    Y6, Y4, Y6
-	VMULPD    Y7, Y5, Y7
-	VADDPD    Y4, Y0, Y0
-	VADDPD    Y5, Y1, Y1
-	VADDPD    Y6, Y2, Y2
-	VADDPD    Y7, Y3, Y3
-	ADDQ      $32, DX
-	JMP       gsgroup
+	CMPQ    DX, R11
+	JGE     gstail
+	VMOVUPS (SI)(DX*1), Y8
+	VMOVUPS (DI)(DX*1), Y9
+	TESTQ   R9, R9
+	JZ      gswiden
+	VMOVUPS (R8)(DX*1), Y4
+	BN_PASS(Y4, Y8, Y5, Y11, Y10)
+
+gswiden:
+	GS_WIDEN
+	GS_ADD
+	ADDQ $32, DX
+	JMP  gsgroup
 
 gstail:
-	TESTQ        R12, R12
-	JZ           gsnext
-	VMASKMOVPS   (SI)(DX*1), Y14, Y8
-	VMASKMOVPS   (DI)(DX*1), Y14, Y9
-	VCVTPS2PD    X8, Y4
-	VEXTRACTF128 $1, Y8, X8
-	VCVTPS2PD    X8, Y5
-	VCVTPS2PD    X9, Y6
-	VEXTRACTF128 $1, Y9, X9
-	VCVTPS2PD    X9, Y7
-	VSUBPD       Y15, Y6, Y6
-	VSUBPD       Y15, Y7, Y7
-	VMULPD       Y6, Y4, Y6
-	VMULPD       Y7, Y5, Y7
-	VANDPD       Y12, Y6, Y6
-	VANDPD       Y13, Y7, Y7
-	VADDPD       Y4, Y0, Y0
-	VADDPD       Y5, Y1, Y1
-	VADDPD       Y6, Y2, Y2
-	VADDPD       Y7, Y3, Y3
+	TESTQ      R12, R12
+	JZ         gsnext
+	VMASKMOVPS (SI)(DX*1), Y14, Y8
+	VMASKMOVPS (DI)(DX*1), Y14, Y9
+	TESTQ      R9, R9
+	JZ         gstwiden
+	VMASKMOVPS (R8)(DX*1), Y14, Y4
+	BN_PASS(Y4, Y8, Y5, Y11, Y10)
+
+gstwiden:
+	GS_WIDEN
+	VANDPD Y12, Y6, Y6
+	VANDPD Y13, Y7, Y7
+	GS_ADD
 
 gsnext:
 	ADDQ R10, SI
 	ADDQ R10, DI
+	ADDQ R10, R8
 	DECQ CX
 	JNZ  gsplane
 
 	BN_SUM8(Y0, Y1, X0, X1)
-	VMOVSD X0, sumDy+48(FP)
+	VMOVSD X0, sumDy+64(FP)
 	BN_SUM8(Y2, Y3, X2, X3)
-	VMOVSD X2, sumDyXc+56(FP)
+	VMOVSD X2, sumDyXc+72(FP)
 	VZEROUPPER
 	RET
 
-// func bnGradInputAVX2(dx, dy, x *float32, n, plane, stride int, mean, mdy, k, a float32)
+// func bnGradInputAVX2(dx, dy, x, y *float32, n, plane, stride int, mean, mdy, k, a float32, top int)
 //
-// dx = a·((dy − mdy) − float32((x − mean)·k)), eight floats per step.
-// Registers: DI / SI / R8 dx, dy and x plane cursors, DX byte offset in
-// the plane, CX planes left, Y8 mean, Y9 mdy, Y10 k, Y11 a, Y2 the x term,
-// Y3 the dy term and the result.
-TEXT ·bnGradInputAVX2(SB), NOSPLIT, $0-64
+// dx = a·((dy − mdy) − float32((x − mean)·k)), eight floats per step, dy
+// masked by y when top ≠ 0. Registers: DI / SI / R8 / R9 dx, dy, x and y
+// plane cursors, DX byte offset in the plane, CX planes left, R13 top,
+// Y8 mean, Y9 mdy, Y10 k, Y11 a, Y12 top, Y13 zero, Y2 the x term, Y3 the
+// dy term and the result, Y4/Y5 the mask.
+TEXT ·bnGradInputAVX2(SB), NOSPLIT, $0-80
 	MOVQ dx+0(FP), DI
 	MOVQ dy+8(FP), SI
 	MOVQ x+16(FP), R8
-	BN_GEOMETRY(plane+32(FP), stride+40(FP))
-	VBROADCASTSS mean+48(FP), Y8
-	VBROADCASTSS mdy+52(FP), Y9
-	VBROADCASTSS k+56(FP), Y10
-	VBROADCASTSS a+60(FP), Y11
-	MOVQ         n+24(FP), CX
+	MOVQ y+24(FP), R9
+	BN_GEOMETRY(plane+40(FP), stride+48(FP))
+	VBROADCASTSS mean+56(FP), Y8
+	VBROADCASTSS mdy+60(FP), Y9
+	VBROADCASTSS k+64(FP), Y10
+	VBROADCASTSS a+68(FP), Y11
+	MOVQ         top+72(FP), R13
+	VPBROADCASTD top+72(FP), Y12
+	VPXOR        Y13, Y13, Y13
+	MOVQ         n+32(FP), CX
 
 giplane:
 	XORQ DX, DX
@@ -305,6 +349,12 @@ gigroup:
 	VSUBPS  Y8, Y2, Y2
 	VMULPS  Y10, Y2, Y2
 	VMOVUPS (SI)(DX*1), Y3
+	TESTQ   R13, R13
+	JZ      gisub
+	VMOVUPS (R9)(DX*1), Y4
+	BN_PASS(Y4, Y3, Y5, Y13, Y12)
+
+gisub:
 	VSUBPS  Y9, Y3, Y3
 	VSUBPS  Y2, Y3, Y3
 	VMULPS  Y11, Y3, Y3
@@ -319,6 +369,12 @@ gitail:
 	VSUBPS     Y8, Y2, Y2
 	VMULPS     Y10, Y2, Y2
 	VMASKMOVPS (SI)(DX*1), Y14, Y3
+	TESTQ      R13, R13
+	JZ         gitsub
+	VMASKMOVPS (R9)(DX*1), Y14, Y4
+	BN_PASS(Y4, Y3, Y5, Y13, Y12)
+
+gitsub:
 	VSUBPS     Y9, Y3, Y3
 	VSUBPS     Y2, Y3, Y3
 	VMULPS     Y11, Y3, Y3
@@ -328,6 +384,7 @@ ginext:
 	ADDQ R10, DI
 	ADDQ R10, SI
 	ADDQ R10, R8
+	ADDQ R10, R9
 	DECQ CX
 	JNZ  giplane
 	VZEROUPPER
