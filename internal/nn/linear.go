@@ -21,10 +21,10 @@ type Linear struct {
 	dxA  arenaTensor // (N, in)
 	dwA  arenaTensor // (out, in)
 
-	// pb is the packed-operand arena for the weight-sided GEMMs (forward
-	// x·Wᵀ and backward dout·W): W is repacked into it each call — the
-	// weights change every optimizer step, so the panels cannot be cached
-	// across steps — and only the storage is reused.
+	// pb is the packed-operand arena of every product (forward x·Wᵀ,
+	// backward doutᵀ·x and dout·W): each call repacks it — the weights
+	// change every optimizer step, so the panels cannot be cached across
+	// steps — and only the storage is reused.
 	pb tensor.PackedF32
 }
 
@@ -94,7 +94,7 @@ func (l *Linear) Backward(dout *tensor.Tensor) (*tensor.Tensor, error) {
 	}
 	// dW = doutᵀ · x → (out, in)
 	dw := l.dwA.get(l.out, l.in)
-	if err := tensor.MatMulTransAInto(dw, dout, l.x); err != nil {
+	if err := tensor.MatMulTransAPackedInto(dw, dout, l.x, &l.pb); err != nil {
 		return nil, fmt.Errorf("linear %q: %w", l.name, err)
 	}
 	if err := l.weight.Grad.Add(dw); err != nil {

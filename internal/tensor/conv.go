@@ -87,19 +87,17 @@ func (g ConvGeom) stageLen(nb int) int {
 
 // stageInto copies nb consecutive (C, H, W) images into the interior of
 // the zero-bordered strip, channel c of sample il at plane il·InC + c.
-// Staging a plane is a stride-1 gather whose panels are its rows: InW
-// columns wide, sw floats apart.
-func stageInto(stage, x []float32, g ConvGeom, nb int) {
+// With ph = 2 each staged row is split into column phases, staged column X
+// at (X%2)·pw + X/2 of a row of 2·pw floats (pw = ⌈sw/2⌉): every tap of a
+// stride-2 conv is then a contiguous run.
+func stageInto(stage, x []float32, g ConvGeom, nb, ph int) {
 	sh, sw := g.stageDims()
-	sp, hw := sh*sw, g.InH*g.InW
-	gather := tapGatherGo
-	if tapGatherAsm != nil {
-		gather = tapGatherAsm
-	}
+	pw := blocks(sw, ph)
+	sp, rl := sh*ph*pw, ph*pw
 	clear(stage[:nb*g.InC*sp])
-	for pl := 0; pl < nb*g.InC; pl++ {
-		gather(stage[pl*sp+g.Pad*sw+g.Pad:], x[pl*hw:], 0, 1, g.InH, g.InW, g.InW, 0, 1, g.InW, sw)
-	}
+	// Input column x lands at staged column x+Pad: even x from +e, odd x from +o.
+	e, o := g.Pad*rl+g.Pad%ph*pw+g.Pad/ph, g.Pad*rl+(g.Pad+1)%ph*pw+(g.Pad+1)/ph
+	stageRows(stage, x[:nb*g.InC*g.InH*g.InW], nb*g.InC, g.InH, g.InW, sp, rl, e, o, ph)
 }
 
 // im2colInto gathers the patch matrices of nb consecutive (C, H, W) images
@@ -118,7 +116,7 @@ func im2colInto(dst, x []float32, g ConvGeom, nb, j0, pw int, stage []float32) {
 	if tapGatherAsm != nil && st <= 2 {
 		gather = tapGatherAsm
 	}
-	stageInto(stage, x, g, nb)
+	stageInto(stage, x, g, nb, 1)
 	q := 0
 	for c := 0; c < g.InC; c++ {
 		for kh := 0; kh < g.KH; kh++ {

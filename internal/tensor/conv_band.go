@@ -8,31 +8,37 @@ import "fmt"
 // samples whose output positions reach f32BandCols columns, clamped to
 // the batch — and one band-driver task (runBands) owns a band end to end.
 // Both directions first stage every channel of the band once into a
-// per-lane zero-bordered strip (stageInto); a patch element is then one
-// strip float, at the plan's row offset ofs[q] plus a column offset.
+// per-lane zero-bordered strip (stageInto); a stride-2 conv stages each
+// row as two column phases, even staged columns then odd, so each of its
+// taps is a contiguous run too. A patch element is then one strip float,
+// at the plan's row offset ofs[q] plus a column offset.
 //
 //   - forward runs the packed micro-kernels against the weights with the
 //     band's patches as B and copies the product into the NCHW output with
-//     the bias folded in. A stride-1 conv whose output width is a multiple
-//     of 8 reads each 16-column panel straight from the strip, as two
-//     8-float runs (strip-route kernels); every other conv first gathers
-//     the patches into 16-wide column panels of a per-lane tile;
+//     the bias folded in. A conv of stride 1 or 2 whose output rows are
+//     whole runs reads each 16-column panel straight from the strip, as
+//     two 8-float halves or four 4-float quarters (strip-route kernels);
+//     every other conv first gathers the patches into 16-wide column panels
+//     of a per-lane tile;
 //   - backward forms the band's weight-gradient partial dWᵀ = patches·doutᵀ
 //     with the patches read from the strip (the small operand, dout, is the
-//     one transposed into panels). A stride-1 conv whose output is its
-//     input's size, a multiple of 8 wide, then stages the band's dout into
-//     a second strip and reads dx off it (strip-route dx kernel); every
-//     other conv fills the lane tile with the column gradients Wᵀ·dout and
-//     scatters them into dx through the band-local col2im, which reuses
-//     the strip as its accumulator.
+//     one transposed into panels). A strip-route conv whose input is Stride
+//     times its output then stages the band's dout into a second strip and
+//     reads dx off it (strip-route dx kernel): at stride 2 dx splits into
+//     four phases (even/odd rows × columns), each a stride-1 correlation of
+//     the dout strip over the kernel taps that reach it, interleaved into
+//     NCHW by the drain. Every other conv fills the lane tile with the
+//     column gradients Wᵀ·dout and scatters them into dx through the
+//     band-local col2im, which reuses the strip as its accumulator.
 //
 // A strip read is the value a gather copies, in the same FMA order. The dx
 // kernel sums one segment of outC taps per kernel tap (kh, kw) from zero —
-// the column gradient, in the GEMM's FMA chain — and adds the segments to
-// +0 in (kh, kw) order, the scatter's order; a tap in the dout strip's
-// border adds the +0 the scatter skips. So dx is the scatter's bytes, but
-// for one edge: with a non-finite weight a border tap gives NaN (∞·0), as
-// the forward's zero-padded gather already does.
+// the column gradient, in the GEMM's FMA chain — and adds its phase's
+// segments to +0 in (kh, kw) order, the scatter's order; a phase no tap
+// reaches stays +0, and a tap in the dout strip's border adds the +0 the
+// scatter skips. So dx is the scatter's bytes on every route, but for one
+// edge: with a non-finite weight a border tap gives NaN (∞·0), as the
+// forward's zero-padded gather already does.
 //
 // Every output and input-gradient element is computed in a fixed order
 // inside one task, so both are bit-identical for any worker count and any
@@ -55,17 +61,27 @@ type ConvPlanF32 struct {
 	inSz int // input floats per sample
 	tpw  int // panel width of the doutᵀ operand: 8 up to 8 channels, else 16
 	tld  int // outC rounded up to tpw: the row stride of a dWᵀ partial
-	// ofs[q] is the strip offset c·sh·sw + kh·sw + kw of patch row q at
-	// column 0, zero-padded to a multiple of 4 rows for the dW kernels.
+	ph   int // column phases of the strip: 2 for a stride-2 conv off the gather route, else 1
+	// ofs[q] is the strip offset of patch row q at column 0 — for tap
+	// (c, kh, kw), c·sh·rl + kh·rl + (kw%ph)·pw + kw/ph with pw = ⌈sw/ph⌉
+	// the phase width and rl = ph·pw the strip's row length — zero-padded
+	// to a multiple of 4 rows for the dW kernels; they lie in [0, ofsHi].
 	ofs    []int32
-	halves []int32   // strip offset of column 8h of the largest band; nil: the forward gathers
+	ofsHi  int
+	rw     int       // run width of the strip routes: 8 (halves) or 4 (quarters)
+	runs   []int32   // strip offset of column rw·h of the largest band; nil: the forward gathers
 	dw     stripWalk // the weight-gradient kernels' k walk, nb set per band
 	gather bool      // every product through the lane tile: convGatherOnly at build
-	// dx route (nil dxOfs: dx scatters): the dout-strip offset of tap
-	// (kh, kw, oc), oc·sh·sw + (KH−1−kh)·sw + KW−1−kw, at (kh·KW+kw)·outC+oc.
-	// They lie in [0, dxHi] (tap (KH−1, KW−1, 0) is 0), not ascending.
-	dxOfs, dxHalves []int32 // dxHalves: halves of the dout strip
-	dxHi, dxRows    int     // dxRows: InC rounded up to 4
+	// dx route (nil dxOfs: dx scatters). Phase f = py·Stride+px of dx (rows
+	// Stride·a+py, columns Stride·b+px) owns the taps dxTaps[dxTap[f]:
+	// dxTap[f+1]] (kh·KW+kw, ascending); tap (kh, kw, oc) reads the dout
+	// strip at oc·sh·sw + (pd+dy)·sw + pd+dx, (dy, dx) its shift onto dout.
+	// The offsets lie in [0, dxHi], not ascending.
+	dxOfs, dxRuns []int32 // dxRuns: runs of the dout strip
+	dxTaps        []int32
+	dxTap         []int // Stride²+1 phase bounds into dxTaps
+	dxHi, dxRows  int   // dxRows: InC rounded up to 4
+	pd            int   // the dout strip's border: the largest |dy| or |dx|
 }
 
 // convGatherOnly, set by tests before NewConvPlanF32, builds plans that run
@@ -81,56 +97,109 @@ func NewConvPlanF32(g ConvGeom, outC int) (*ConvPlanF32, error) {
 		return nil, fmt.Errorf("%w: conv outC %d", ErrShape, outC)
 	}
 	oh, ow := g.OutHW()
-	p := &ConvPlanF32{g: g, outC: outC, kdim: g.InC * g.KH * g.KW, s: oh * ow, inSz: g.InC * g.InH * g.InW, tpw: f32PanelCols}
+	p := &ConvPlanF32{g: g, outC: outC, kdim: g.InC * g.KH * g.KW, s: oh * ow, inSz: g.InC * g.InH * g.InW, tpw: f32PanelCols, ph: 1}
 	if outC <= f32PanelColsNarrow {
 		p.tpw = f32PanelColsNarrow
 	}
 	p.tld = blocks(outC, p.tpw) * p.tpw
+	p.gather = convGatherOnly
+	if g.Stride == 2 && !p.gather {
+		p.ph = 2
+	}
 	sh, sw := g.stageDims()
+	pw := blocks(sw, p.ph)
+	rl := p.ph * pw
 	p.ofs = make([]int32, blocks(p.kdim, 4)*4)
 	for q := 0; q < p.kdim; q++ {
 		c, kh, kw := q/(g.KH*g.KW), q/g.KW%g.KH, q%g.KW
-		p.ofs[q] = int32(c*sh*sw + kh*sw + kw)
+		p.ofs[q] = int32(c*sh*rl + kh*rl + kw%p.ph*pw + kw/p.ph)
+		p.ofsHi = max(p.ofsHi, int(p.ofs[q]))
 	}
-	p.dw = stripWalk{oh: oh, ow: ow, sps: g.InC * sh * sw, rs: g.Stride * sw, st: g.Stride}
-	p.gather = convGatherOnly
-	// The forward rule: a stride-1 conv whose output rows are whole
-	// 8-column halves reads its panels from the strip; every other conv
-	// gathers them.
-	halves := func(sps int) []int32 { // of a strip with sps floats per sample
-		t := make([]int32, p.ld(blocks(f32BandCols, p.s))/8)
-		for h := range t {
-			il, r := 8*h/p.s, 8*h%p.s
-			t[h] = int32(il*sps + r/ow*sw + r%ow)
-		}
-		return t
+	p.dw = stripWalk{oh: oh, ow: ow, sps: g.InC * sh * rl, rs: g.Stride * rl, st: g.Stride / p.ph}
+	p.rw = 8
+	if ow%8 != 0 {
+		p.rw = 4
 	}
-	if g.Stride == 1 && ow%8 == 0 && !p.gather {
-		p.halves = halves(p.dw.sps)
+	// The route rule: a conv of stride 1 or 2 whose output rows are whole
+	// 4-column runs reads its forward panels off the strip when it has at
+	// least 4 output channels, and each phase of dx off a dout strip when
+	// its input is Stride times its output; every other conv gathers its
+	// patches and scatters its column gradients.
+	strip := g.Stride <= 2 && ow%4 == 0 && !p.gather
+	if strip && outC >= 4 {
+		p.runs = p.runsOf(p.dw.sps, p.dw.rs)
 	}
-	// The dx rule: a stride-1 conv whose output is its input's size, in
-	// whole 8-column halves, reads dx off a dout strip; every other conv
-	// scatters. Its planes are bordered as the input's (doutGeom).
-	if p.halves != nil && oh == g.InH && ow == g.InW {
-		sp := sh * sw
-		p.dxOfs = make([]int32, g.KH*g.KW*outC)
-		for t := range p.dxOfs {
-			kh, kw, oc := t/outC/g.KW, t/outC%g.KW, t%outC
-			p.dxOfs[t] = int32(oc*sp + (g.KH-1-kh)*sw + g.KW - 1 - kw)
-			p.dxHi = max(p.dxHi, int(p.dxOfs[t]))
-		}
-		p.dxHalves = halves(outC * sp)
-		p.dxRows = blocks(g.InC, 4) * 4
+	if strip && g.InH == g.Stride*oh && g.InW == g.Stride*ow {
+		p.planDX()
 	}
 	return p, nil
 }
 
-// doutGeom is the geometry of a dx-route band's dout strip.
-func (p *ConvPlanF32) doutGeom() ConvGeom {
-	g := p.g
-	g.InC = p.outC
-	return g
+// planDX builds the dx route's tables (see ConvPlanF32).
+func (p *ConvPlanF32) planDX() {
+	g, st := p.g, p.g.Stride
+	phase := func(k int) int { return ((k-g.Pad)%st + st) % st } // the dx phase tap k lands in
+	shift := func(k int) int { return (phase(k) + g.Pad - k) / st }
+	for k := 0; k < max(g.KH, g.KW); k++ {
+		p.pd = max(p.pd, shift(k), -shift(k))
+	}
+	sh, sw := p.doutGeom().stageDims()
+	p.dxTap = make([]int, st*st+1)
+	for f := 0; f < st*st; f++ {
+		for t := 0; t < g.KH*g.KW; t++ {
+			kh, kw := t/g.KW, t%g.KW
+			if phase(kh)*st+phase(kw) != f {
+				continue
+			}
+			p.dxTaps = append(p.dxTaps, int32(t))
+			for oc := 0; oc < p.outC; oc++ {
+				o := oc*sh*sw + (p.pd+shift(kh))*sw + p.pd + shift(kw)
+				p.dxOfs = append(p.dxOfs, int32(o))
+				p.dxHi = max(p.dxHi, o)
+			}
+		}
+		p.dxTap[f+1] = len(p.dxTaps)
+	}
+	p.dxRuns = p.runsOf(p.outC*sh*sw, sw)
+	p.dxRows = blocks(g.InC, 4) * 4
 }
+
+// runsOf is the run table of a strip with sps floats per sample and
+// output rows rs apart: entry h is the offset of column rw·h of the
+// largest band.
+func (p *ConvPlanF32) runsOf(sps, rs int) []int32 {
+	_, ow := p.g.OutHW()
+	t := make([]int32, p.ld(blocks(f32BandCols, p.s))/p.rw)
+	for h := range t {
+		il, r := p.rw*h/p.s, p.rw*h%p.s
+		t[h] = int32(il*sps + r/ow*rs + r%ow)
+	}
+	return t
+}
+
+// runsAt is panel pi's runs from a run table; a run past a band of cols
+// columns re-reads the panel's first (its product is never copied out).
+func (p *ConvPlanF32) runsAt(t []int32, pi, cols int) stripRuns {
+	r, n := stripRuns{w: p.rw}, f32PanelCols/p.rw
+	for j := 0; j < n; j++ {
+		r.b[j] = int(t[n*pi])
+		if pi*f32PanelCols+j*p.rw < cols {
+			r.b[j] = int(t[n*pi+j])
+		}
+	}
+	return r
+}
+
+// doutGeom is the geometry of a dx-route band's dout strip: dout's planes
+// inside a border of pd, staged as a stride-1 input.
+func (p *ConvPlanF32) doutGeom() ConvGeom {
+	oh, ow := p.g.OutHW()
+	return ConvGeom{InC: p.outC, InH: oh, InW: ow, KH: 2*p.pd + 1, KW: 2*p.pd + 1, Stride: 1, Pad: p.pd}
+}
+
+// stripLen is the float count of a band's input strip for nb samples:
+// the strip routes' layout, or the gather's where the forward gathers.
+func (p *ConvPlanF32) stripLen(nb int) int { return max(p.g.stageLen(nb), nb*p.dw.sps) }
 
 // bandSamples is the band rule: whole samples per band for a batch of n.
 func (p *ConvPlanF32) bandSamples(n int) int { return min(n, blocks(f32BandCols, p.s)) }
@@ -151,12 +220,14 @@ func (p *ConvPlanF32) partLen() int { return len(p.ofs)*p.tld + p.outC }
 type ConvScratchF32 struct {
 	lanes []convLaneF32
 	part  []float32 // bands × partLen
-	wT    []float32 // dx route: the weights as (dxRows, KH·KW·outC), tap (kh, kw, oc) of row c; rows past InC zero
+	wT    []float32 // dx route: per phase f, the weights as (dxRows, taps·outC), tap (kh, kw, oc) of row c; rows past InC zero
+	acc   []float32 // outC band sums
+	bias  bool      // this backward call forms the bias partials (its gb is not nil)
 }
 
 type convLaneF32 struct {
 	tile   []float32 // kdim × ld: gather-route forward, the band's patches; scatter-route backward, its column gradients
-	prod   []float32 // max(outC, dxRows) × ld: forward product; scatter-route backward, dout in column panels; dx route, dx
+	prod   []float32 // max(outC, Stride²·dxRows) × ld: forward product; scatter-route backward, dout in column panels; dx route, dx's phases
 	doT    []float32 // ld × tld: backward, doutᵀ in column panels
 	stage  []float32 // the band's zero-bordered input planes, all channels; scatter-route backward, then the scatter's accumulator
 	dstage []float32 // dx route: the band's dout, staged as doutGeom
@@ -183,11 +254,11 @@ func (sc *ConvScratchF32) bandsFor(p *ConvPlanF32, n int, backward bool) (convBa
 	ld := p.ld(bs)
 	for i := range sc.lanes[:nl] {
 		ln := &sc.lanes[i]
-		if p.halves == nil || backward && p.dxOfs == nil {
+		if p.runs == nil || backward && p.dxOfs == nil {
 			ln.tile = grow(ln.tile, p.kdim*ld)
 		}
-		ln.prod = grow(ln.prod, max(p.outC, p.dxRows)*ld)
-		ln.stage = grow(ln.stage, p.g.stageLen(bs))
+		ln.prod = grow(ln.prod, max(p.outC, p.dxRows*len(p.dxTap)-p.dxRows)*ld)
+		ln.stage = grow(ln.stage, p.stripLen(bs))
 		if backward {
 			ln.doT = grow(ln.doT, ld*p.tld)
 		}
@@ -258,8 +329,8 @@ type convF32Fwd struct {
 func (j convF32Fwd) gather(t, lane int) {
 	ln, i0, nb := j.task(t, lane)
 	x := j.x[i0*j.p.inSz : (i0+nb)*j.p.inSz]
-	if j.p.halves != nil {
-		stageInto(ln.stage, x, j.p.g, nb)
+	if j.p.runs != nil {
+		stageInto(ln.stage, x, j.p.g, nb, j.p.ph)
 		return
 	}
 	im2colInto(ln.tile, x, j.p.g, nb, 0, f32PanelCols, ln.stage)
@@ -268,31 +339,19 @@ func (j convF32Fwd) gather(t, lane int) {
 func (j convF32Fwd) compute(t, lane int) {
 	ln, _, nb := j.task(t, lane)
 	p, ld := j.p, j.p.ld(nb)
-	if p.halves == nil {
+	if p.runs == nil {
 		b := PackedF32{k: p.kdim, n: ld, pw: f32PanelCols, panels: ld / f32PanelCols, data: ln.tile}
 		matMulF32PackedSerial(ln.prod, j.w, &b, p.outC, p.kdim, 1)
 		return
 	}
 	for pi := 0; pi < ld/f32PanelCols; pi++ {
-		h0, h1 := halfBases(p.halves, pi, nb*p.s)
-		f32StripPanel(ln.prod[pi*f32PanelCols:], j.w, ln.stage, p.ofs, p.outC, p.kdim, p.kdim, ld, h0, h1)
+		f32StripPanel(ln.prod[pi*f32PanelCols:], j.w, ln.stage, p.ofs, p.outC, p.kdim, p.kdim, ld, p.ofsHi, p.runsAt(p.runs, pi, nb*p.s))
 	}
 }
 
 func (j convF32Fwd) epilogue(t, lane int) {
 	ln, i0, nb := j.task(t, lane)
 	drainInto(j.out[i0*j.p.outC*j.p.s:], ln.prod, j.bias, nb, j.p.outC, j.p.s, j.p.ld(nb))
-}
-
-// halfBases is panel pi's two half-bases from a halves table; past a band
-// of cols columns the second re-reads the first (its product is never
-// copied out).
-func halfBases(halves []int32, pi, cols int) (h0, h1 int) {
-	h0, h1 = int(halves[2*pi]), int(halves[2*pi+1])
-	if pi*f32PanelCols+8 >= cols {
-		h1 = h0
-	}
-	return h0, h1
 }
 
 // drainInto copies rows r < c of a band's product (row stride ld, sample
@@ -326,37 +385,47 @@ func ConvF32BackwardInto(dx, gw, gb, x, dout []float32, n int, w []float32, p *C
 		return fmt.Errorf("%w: conv backward bias gradient has %d elements, want >= %d", ErrShape, len(gb), p.outC)
 	}
 	b, bands := sc.bandsFor(p, n, true)
+	sc.bias = gb != nil
 	if p.dxOfs != nil {
 		kk := p.g.KH * p.g.KW
 		sc.wT = grow(sc.wT, p.dxRows*kk*p.outC)
-		clear(sc.wT[p.g.InC*kk*p.outC:])
-		for c := 0; c < p.g.InC; c++ {
-			for t := 0; t < kk; t++ {
-				for oc := 0; oc < p.outC; oc++ {
-					sc.wT[(c*kk+t)*p.outC+oc] = w[oc*p.kdim+c*kk+t]
+		for f := 0; f+1 < len(p.dxTap); f++ {
+			taps := p.dxTaps[p.dxTap[f]:p.dxTap[f+1]]
+			wf := sc.wT[p.dxRows*p.dxTap[f]*p.outC:][:p.dxRows*len(taps)*p.outC]
+			clear(wf[p.g.InC*len(taps)*p.outC:])
+			for c := 0; c < p.g.InC; c++ {
+				for t, tap := range taps {
+					for oc := 0; oc < p.outC; oc++ {
+						wf[(c*len(taps)+t)*p.outC+oc] = w[oc*p.kdim+c*kk+int(tap)]
+					}
 				}
 			}
 		}
 	}
 	runBands(convF32Bwd{convBandsF32: b, dx: dx, x: x, dout: dout, w: w}, bands, nil)
-	// Band order, one accumulator per element: the same bytes whichever
-	// worker produced which partial.
+	// Band order, one accumulator per element — a row of them at a time,
+	// so a row's chains run side by side: the same bytes whichever worker
+	// produced which partial.
 	pl := p.partLen()
-	for q := 0; q < p.kdim; q++ {
-		for oc := 0; oc < p.outC; oc++ {
-			var sum float32
-			for t := 0; t < bands; t++ {
-				sum += sc.part[t*pl+q*p.tld+oc]
+	sc.acc = grow(sc.acc, p.outC)
+	sum := func(o int) []float32 { // the band sums of the partials' outC floats at o
+		clear(sc.acc)
+		for t := 0; t < bands; t++ {
+			for oc, v := range sc.part[t*pl+o:][:p.outC] {
+				sc.acc[oc] += v
 			}
-			gw[oc*p.kdim+q] += sum
+		}
+		return sc.acc
+	}
+	for q := 0; q < p.kdim; q++ {
+		for oc, v := range sum(q * p.tld) {
+			gw[oc*p.kdim+q] += v
 		}
 	}
-	for oc := 0; oc < p.outC && gb != nil; oc++ {
-		var sum float32
-		for t := 0; t < bands; t++ {
-			sum += sc.part[t*pl+len(p.ofs)*p.tld+oc]
+	if gb != nil {
+		for oc, v := range sum(len(p.ofs) * p.tld) {
+			gb[oc] += v
 		}
-		gb[oc] += sum
 	}
 	return nil
 }
@@ -378,26 +447,39 @@ func (j convF32Bwd) gather(t, lane int) {
 	if p.gather {
 		im2colInto(ln.tile, x, p.g, nb, 0, p.ld(nb), ln.stage) // patches, row-major at row stride ld
 	} else {
-		stageInto(ln.stage, x, p.g, nb)
+		stageInto(ln.stage, x, p.g, nb, p.ph)
 	}
-	// One read of dout fills the transposed panels for patches·doutᵀ, the
-	// bias partial and, on the scatter route, the column panels for
-	// Wᵀ·dout; the dx route stages it instead.
+	// dout fills the transposed panels for patches·doutᵀ — a panel row at
+	// a time, from tpw channel rows — the bias partial (a serial sum,
+	// skipped when no bias wants it) and, on the scatter route, the column
+	// panels for Wᵀ·dout; the dx route stages it instead.
 	tpw, dout := p.tpw, j.dout[i0*outC*s:(i0+nb)*outC*s]
 	if p.dxOfs != nil {
-		stageInto(ln.dstage, dout, p.doutGeom(), nb)
+		stageInto(ln.dstage, dout, p.doutGeom(), nb, 1)
+	}
+	for o0 := 0; o0 < outC; o0 += tpw {
+		dT, nc := ln.doT[o0*cols:], min(tpw, outC-o0)
+		for il := 0; il < nb; il++ {
+			src := dout[(il*outC+o0)*s:][:nc*s]
+			for k := 0; k < s; k++ {
+				row := dT[(il*s+k)*tpw:][:nc]
+				for r := range row {
+					row[r] = src[r*s+k]
+				}
+			}
+		}
 	}
 	for oc := 0; oc < outC; oc++ {
 		var sum float32
-		dT := ln.doT[(oc/tpw)*cols*tpw+oc%tpw:]
 		for il := 0; il < nb; il++ {
 			src := dout[(il*outC+oc)*s:][:s]
 			if p.dxOfs == nil {
 				putPanelRun(ln.prod, src, outC, oc, il*s)
 			}
-			for k, v := range src {
-				dT[(il*s+k)*tpw] = v
-				sum += v
+			if j.sc.bias {
+				for _, v := range src {
+					sum += v
+				}
 			}
 		}
 		part[len(p.ofs)*p.tld+oc] = sum
@@ -414,14 +496,22 @@ func (j convF32Bwd) compute(t, lane int) {
 		part, walk := j.partOf(t), p.dw
 		walk.nb = nb
 		for pi := 0; pi < p.tld/p.tpw; pi++ {
-			f32StripDW(part[pi*p.tpw:], ln.stage, p.ofs, ln.doT[pi*cols*p.tpw:], p.tpw, walk, p.tld)
+			f32StripDW(part[pi*p.tpw:], ln.stage, p.ofs, p.ofsHi, ln.doT[pi*cols*p.tpw:], p.tpw, walk, p.tld)
 		}
 	}
 	if p.dxOfs != nil {
-		clear(ln.prod[:p.dxRows*ld]) // the running sums start at +0
-		for pi := 0; pi < ld/f32PanelCols; pi++ {
-			h0, h1 := halfBases(p.dxHalves, pi, cols)
-			f32StripDX(ln.prod[pi*f32PanelCols:], j.sc.wT, ln.dstage, p.dxOfs, p.outC, p.dxHi, p.dxRows, ld, h0, h1)
+		// Phase by phase; the running sums start at +0, and stay there in
+		// a phase no tap reaches.
+		clear(ln.prod[:(len(p.dxTap)-1)*p.dxRows*ld])
+		for f := 0; f+1 < len(p.dxTap); f++ {
+			t0, t1 := p.dxTap[f]*p.outC, p.dxTap[f+1]*p.outC
+			if t0 == t1 {
+				continue
+			}
+			wf, dst := j.sc.wT[p.dxRows*t0:][:p.dxRows*(t1-t0)], ln.prod[f*p.dxRows*ld:]
+			for pi := 0; pi < ld/f32PanelCols; pi++ {
+				f32StripDX(dst[pi*f32PanelCols:], wf, ln.dstage, p.dxOfs[t0:t1], p.outC, p.dxHi, p.dxRows, ld, p.runsAt(p.dxRuns, pi, cols))
+			}
 		}
 		return
 	}
@@ -438,7 +528,22 @@ func (j convF32Bwd) epilogue(t, lane int) {
 		col2imInto(dx, ln.tile, p.g, nb, 0, p.ld(nb), ln.stage)
 		return
 	}
-	drainInto(dx, ln.prod, nil, nb, p.g.InC, p.s, p.ld(nb))
+	if p.g.Stride == 1 {
+		drainInto(dx, ln.prod, nil, nb, p.g.InC, p.s, p.ld(nb))
+		return
+	}
+	// Stride 2: row 2a+py of a plane interleaves row a of phases (py, 0)
+	// and (py, 1).
+	oh, ow := p.g.OutHW()
+	ld, hw := p.ld(nb), p.g.InH*p.g.InW
+	for il := 0; il < nb; il++ {
+		for c := 0; c < p.g.InC; c++ {
+			for py := 0; py < 2; py++ {
+				e := ln.prod[(2*py*p.dxRows+c)*ld+il*p.s:]
+				interleave(dx[(il*p.g.InC+c)*hw+py*p.g.InW:], e, e[p.dxRows*ld:], ow, oh, 2*p.g.InW)
+			}
+		}
+	}
 }
 
 // putPanelRun copies src into columns [j0, j0+len(src)) of row q of a

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"slices"
 	"testing"
 )
 
@@ -194,6 +193,11 @@ func FuzzConvBandVsDirect(f *testing.F) {
 		}
 		f.Add(rng.Int63(), b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7], b[8])
 	}
+	// Stride 2 on the phase strip and the per-phase dx route: 3×3 pad 1 at
+	// OW 8 and at OW 4 (quarters), and a 1×1 projection at OW 8.
+	f.Add(int64(41), uint8(2), uint8(7), uint8(15), uint8(2), uint8(2), uint8(1), uint8(1), uint8(5), uint8(7))
+	f.Add(int64(42), uint8(3), uint8(7), uint8(7), uint8(2), uint8(2), uint8(1), uint8(1), uint8(19), uint8(4))
+	f.Add(int64(43), uint8(3), uint8(5), uint8(15), uint8(0), uint8(0), uint8(1), uint8(0), uint8(9), uint8(5))
 	f.Fuzz(func(t *testing.T, seed int64, inC, inH, inW, kh, kw, stride, pad, n, outC uint8) {
 		g, batch, filters := fuzzConvBandGeom(inC, inH, inW, kh, kw, stride, pad, n, outC)
 		if g.Validate() != nil {
@@ -408,7 +412,26 @@ var stripCases = append([]struct {
 	{ConvGeom{InC: 7, InH: 3, InW: 8, KH: 1, KW: 1, Stride: 1, Pad: 0}, 13, 9},    // kdim 7, outC 9
 	{ConvGeom{InC: 3, InH: 8, InW: 8, KH: 5, KW: 5, Stride: 1, Pad: 2}, 5, 6},     // 5×5, dx segments of 6 taps
 	{ConvGeom{InC: 9, InH: 2, InW: 16, KH: 1, KW: 1, Stride: 1, Pad: 0}, 7, 4},    // 1×1 projection: dx rows past outC
+	{ConvGeom{InC: 3, InH: 4, InW: 12, KH: 3, KW: 3, Stride: 1, Pad: 1}, 9, 6},    // OW 12: quarters, outC off a multiple of 4
+	{ConvGeom{InC: 2, InH: 6, InW: 4, KH: 3, KW: 3, Stride: 1, Pad: 1}, 5, 3},     // OW 4, 3 channels: gathered forward, dx quarters
+	{ConvGeom{InC: 5, InH: 6, InW: 24, KH: 3, KW: 3, Stride: 2, Pad: 1}, 4, 6},    // stride 2, OW 12
+	{ConvGeom{InC: 3, InH: 8, InW: 8, KH: 5, KW: 5, Stride: 2, Pad: 2}, 9, 4},     // stride 2, 5×5: dx phases of 9, 6, 6 and 4 taps
+	{ConvGeom{InC: 2, InH: 8, InW: 16, KH: 3, KW: 4, Stride: 2, Pad: 1}, 6, 5},    // stride 2, 3×4 kernel
+	{ConvGeom{InC: 3, InH: 8, InW: 7, KH: 3, KW: 3, Stride: 2, Pad: 1}, 6, 4},     // stride 2 from an odd width: phases of 5 and 4, dx scatters
+	{ConvGeom{InC: 2, InH: 9, InW: 9, KH: 3, KW: 3, Stride: 2, Pad: 0}, 5, 8},     // stride 2, pad 0, OW 4 from 9: dx scatters
+	{ConvGeom{InC: 4, InH: 12, InW: 12, KH: 3, KW: 3, Stride: 2, Pad: 1}, 5, 8},   // Micro's OW 6: both gather
+	{ConvGeom{InC: 2, InH: 12, InW: 12, KH: 3, KW: 3, Stride: 3, Pad: 1}, 5, 4},   // stride 3, OW 4: both gather
 }, bandDeterminismCases...)
+
+// wantStripRoutes is the route rule the plans must follow: at stride 1 or
+// 2 with output rows of whole quarters, the forward reads the strip when
+// there are at least 4 output channels, and dx reads the dout strip when
+// the input is Stride times the output.
+func wantStripRoutes(g ConvGeom, outC int) (fwd, dx bool) {
+	oh, ow := g.OutHW()
+	ok := g.Stride <= 2 && ow%4 == 0
+	return ok && outC >= 4, ok && g.InH == g.Stride*oh && g.InW == g.Stride*ow
+}
 
 // TestConvStripMatchesGather pins the strip routes to the gather route they
 // replace: plans built under convGatherOnly run every product on the
@@ -422,12 +445,12 @@ func TestConvStripMatchesGather(t *testing.T) {
 	eachDispatch(t, func(t *testing.T) {
 		for ci, bc := range stripCases {
 			c := newConvBandCase(t, int64(61+ci), bc.g, bc.n, bc.outC)
-			oh, ow := bc.g.OutHW()
-			if strip := c.plan.halves != nil; strip != (bc.g.Stride == 1 && ow%8 == 0) {
-				t.Fatalf("case %d %+v: strip-route forward %v, want it exactly for stride 1 and OW a multiple of 8", ci, bc.g, strip)
+			fwd, dx := wantStripRoutes(bc.g, bc.outC)
+			if strip := c.plan.runs != nil; strip != fwd {
+				t.Fatalf("case %d %+v outC %d: strip-route forward %v, want %v", ci, bc.g, bc.outC, strip, fwd)
 			}
-			if strip := c.plan.dxOfs != nil; strip != (bc.g.Stride == 1 && ow%8 == 0 && oh == bc.g.InH && ow == bc.g.InW) {
-				t.Fatalf("case %d %+v: strip-route dx %v, want it exactly for stride 1, the input's size and OW a multiple of 8", ci, bc.g, strip)
+			if strip := c.plan.dxOfs != nil; strip != dx {
+				t.Fatalf("case %d %+v: strip-route dx %v, want %v", ci, bc.g, strip, dx)
 			}
 			convGatherOnly = true
 			ref := newConvBandCase(t, int64(61+ci), bc.g, bc.n, bc.outC)
@@ -460,10 +483,11 @@ func TestConvStripMatchesGather(t *testing.T) {
 
 // TestConvStripGuardFloats pre-sizes every lane buffer with NaN: the
 // strips, tile, product and doutᵀ panels wholly, and the input and dout
-// strips with guard floats after their stageLen. Forward and backward on
-// stride-1 (strip-route) and stride-2 geometries must leave every out, dx,
-// dW and bias-gradient element finite and the guards untouched — which
-// pins the strip-route kernels' reads, the dead half of a ragged band and
+// strips with guard floats after their length. Forward and backward on
+// strip-route geometries (halves, quarters, stride-2 phase strips) and
+// gather-route ones must leave every out, dx, dW and bias-gradient element
+// finite and the guards untouched — which pins the strip-route kernels'
+// reads, the dead runs of a ragged band, the stride-2 phase staging and
 // the stride-2 tap kernels' one-float over-read into the strip's margin.
 func TestConvStripGuardFloats(t *testing.T) {
 	geoms := []struct {
@@ -471,11 +495,17 @@ func TestConvStripGuardFloats(t *testing.T) {
 		n, outC int
 	}{
 		{ConvGeom{InC: 3, InH: 5, InW: 8, KH: 3, KW: 3, Stride: 1, Pad: 1}, 9, 6},   // strip routes, a dead half
-		{ConvGeom{InC: 2, InH: 3, InW: 24, KH: 3, KW: 3, Stride: 1, Pad: 1}, 5, 3},  // strip routes, OW 24, dx rows past InC
-		{ConvGeom{InC: 5, InH: 4, InW: 8, KH: 5, KW: 5, Stride: 1, Pad: 2}, 3, 2},   // strip routes, 5×5, dx rows past outC
+		{ConvGeom{InC: 2, InH: 3, InW: 24, KH: 3, KW: 3, Stride: 1, Pad: 1}, 5, 4},  // strip routes, OW 24, dx rows past InC
+		{ConvGeom{InC: 5, InH: 4, InW: 8, KH: 5, KW: 5, Stride: 1, Pad: 2}, 3, 4},   // strip routes, 5×5, dx rows past InC
+		{ConvGeom{InC: 5, InH: 4, InW: 8, KH: 5, KW: 5, Stride: 1, Pad: 2}, 3, 2},   // 2 channels: gathered forward, dx strip
 		{ConvGeom{InC: 4, InH: 16, InW: 16, KH: 3, KW: 3, Stride: 1, Pad: 1}, 2, 4}, // ResNet-20 stage 1
 		{ConvGeom{InC: 6, InH: 8, InW: 8, KH: 3, KW: 3, Stride: 2, Pad: 1}, 50, 5},  // stride 2
 		{ConvGeom{InC: 3, InH: 9, InW: 7, KH: 1, KW: 1, Stride: 2, Pad: 0}, 6, 7},   // stride-2 1×1
+		{ConvGeom{InC: 4, InH: 16, InW: 16, KH: 3, KW: 3, Stride: 2, Pad: 1}, 5, 8}, // phase strip, OW 8
+		{ConvGeom{InC: 4, InH: 16, InW: 16, KH: 1, KW: 1, Stride: 2, Pad: 0}, 5, 8}, // phase strip, three dx phases without taps
+		{ConvGeom{InC: 3, InH: 5, InW: 12, KH: 3, KW: 3, Stride: 1, Pad: 1}, 7, 6},  // quarters, OW 12, a dead quarter
+		{ConvGeom{InC: 5, InH: 8, InW: 7, KH: 3, KW: 3, Stride: 2, Pad: 1}, 9, 4},   // phase strip from an odd width
+		{ConvGeom{InC: 6, InH: 12, InW: 12, KH: 3, KW: 3, Stride: 2, Pad: 1}, 3, 4}, // OW 6: the gather routes
 	}
 	eachDispatch(t, func(t *testing.T) {
 		for gi, gc := range geoms {
@@ -483,12 +513,12 @@ func TestConvStripGuardFloats(t *testing.T) {
 				prev := SetMaxWorkers(workers)
 				c := newConvBandCase(t, int64(90+gi), gc.g, gc.n, gc.outC)
 				p, bs := c.plan, c.plan.bandSamples(gc.n)
-				ld, sl, dsl := p.ld(bs), gc.g.stageLen(bs), p.doutGeom().stageLen(bs)
+				ld, sl, dsl := p.ld(bs), p.stripLen(bs), p.doutGeom().stageLen(bs)
 				sc := ConvScratchF32{lanes: make([]convLaneF32, bandLanes(blocks(gc.n, bs)))}
 				for i := range sc.lanes {
 					ln := &sc.lanes[i]
 					ln.stage, ln.dstage = poisoned(sl)[:sl], poisoned(dsl)[:dsl]
-					ln.tile, ln.prod, ln.doT = poisoned(p.kdim*ld), poisoned(max(p.outC, p.dxRows)*ld), poisoned(ld*p.tld)
+					ln.tile, ln.prod, ln.doT = poisoned(p.kdim*ld), poisoned(max(p.outC, p.dxRows*len(p.dxTap)-p.dxRows)*ld), poisoned(ld*p.tld)
 				}
 				c.run(t, &sc)
 				SetMaxWorkers(prev)
@@ -509,14 +539,15 @@ func TestConvStripGuardFloats(t *testing.T) {
 }
 
 // FuzzConvStripKernels checks each strip-route kernel of the active SIMD
-// dispatch against its portable twin, byte for byte, over random offset
-// tables (ascending for the forward and weight-gradient kernels, in any
-// order for dx), half-bases, k walks, segment lengths and row counts. Strip, operand and
-// panel hold small integers, so every product and partial sum is exact in
-// float32 and fused and unfused accumulation agree bit for bit; canary
-// words after the strip and the destination catch a stray read or write.
-// Plain `go test` replays the seeds; CI also mutates for a bounded
-// -fuzztime.
+// dispatch — and the staging copy and the stride-2 dx drain's interleave
+// — against its portable
+// twin, byte for byte, over random offset tables (in any order, bounded by
+// their largest entry), run bases — halves, or quarters when wide has bit
+// 1 set — k walks, segment lengths and row counts. Strip, operand and panel hold small integers, so every
+// product and partial sum is exact in float32 and fused and unfused
+// accumulation agree bit for bit; canary words after the strip and the
+// destination catch a stray read or write. Plain `go test` replays the
+// seeds; CI also mutates for a bounded -fuzztime.
 func FuzzConvStripKernels(f *testing.F) {
 	rng := rand.New(rand.NewSource(34))
 	for trial := 0; trial < 16; trial++ {
@@ -537,18 +568,32 @@ func FuzzConvStripKernels(f *testing.F) {
 				v[i] = float32(rng.Intn(9) - 4)
 			}
 		}
-		table := func(n, span int) []int32 { // ascending, repeats allowed
-			ofs := make([]int32, n)
+		table := func(n, span int) ([]int32, int) { // any order, repeats allowed; and its largest entry
+			ofs, hi := make([]int32, n), 0
 			for i := range ofs {
 				ofs[i] = int32(rng.Intn(span))
+				hi = max(hi, int(ofs[i]))
 			}
-			slices.Sort(ofs)
-			return ofs
+			return ofs, hi
 		}
-		// The forward kernel: any row count, k taps of two 8-float halves.
-		m, k := 1+int(rows%13), 1+int(taps%40)
-		ofs, h0, h1 := table(k, 64), rng.Intn(24), rng.Intn(24)
-		sl := max(h0, h1) + int(ofs[k-1]) + 8
+		runs := func() (stripRuns, int) { // and the largest base
+			r := stripRuns{w: 8}
+			if wide&2 != 0 {
+				r.w = 4
+			}
+			b := 0
+			for j := 0; j < f32PanelCols/r.w; j++ {
+				r.b[j] = rng.Intn(24)
+				b = max(b, r.b[j])
+			}
+			return r, b
+		}
+		// The forward kernel: any row count from 4, k taps of one panel
+		// row.
+		r, rb := runs()
+		m, k := 4+int(rows%10), 1+int(taps%40)
+		ofs, hi := table(k, 64)
+		sl := rb + hi + r.w
 		strip := poisoned(sl)
 		small(strip[:sl])
 		ars, ldd := k+rng.Intn(3), 16+rng.Intn(5)
@@ -556,8 +601,8 @@ func FuzzConvStripKernels(f *testing.F) {
 		small(a)
 		dl := (m-1)*ldd + 16
 		got, want := poisoned(dl), poisoned(dl)
-		f32StripPanel(got[:dl], a, strip[:sl], ofs, m, k, ars, ldd, h0, h1)
-		f32StripPanelGo(want[:dl], a, strip[:sl], ofs, m, k, ars, ldd, h0, h1)
+		f32StripPanel(got[:dl], a, strip[:sl], ofs, m, k, ars, ldd, hi, r)
+		f32StripPanelGo(want[:dl], a, strip[:sl], ofs, m, k, ars, ldd, hi, r)
 		checkStripKernel(t, "forward", got, want, dl)
 		checkUntouched(t, "forward strip", strip, sl)
 
@@ -568,8 +613,8 @@ func FuzzConvStripKernels(f *testing.F) {
 		w.rs = (w.ow-1)*w.st + 1 + rng.Intn(4)
 		w.sps = (w.oh-1)*w.rs + (w.ow-1)*w.st + 1 + rng.Intn(8)
 		m = 4 * (1 + int(rows%5))
-		ofs = table(m, 32)
-		sl = int(ofs[m-1]) + (w.nb-1)*w.sps + (w.oh-1)*w.rs + (w.ow-1)*w.st + 1
+		ofs, hi = table(m, 32)
+		sl = hi + (w.nb-1)*w.sps + (w.oh-1)*w.rs + (w.ow-1)*w.st + 1
 		strip = poisoned(sl)
 		small(strip[:sl])
 		panel := make([]float32, w.nb*w.oh*w.ow*pw)
@@ -577,25 +622,20 @@ func FuzzConvStripKernels(f *testing.F) {
 		ldd = pw + rng.Intn(9)
 		dl = (m-1)*ldd + pw
 		got, want = poisoned(dl), poisoned(dl)
-		f32StripDW(got[:dl], strip[:sl], ofs, panel, pw, w, ldd)
-		f32StripDWGo(want[:dl], strip[:sl], ofs, panel, pw, w, ldd)
+		f32StripDW(got[:dl], strip[:sl], ofs, hi, panel, pw, w, ldd)
+		f32StripDWGo(want[:dl], strip[:sl], ofs, hi, panel, pw, w, ldd)
 		checkStripKernel(t, "weight-gradient", got, want, dl)
 		checkUntouched(t, "weight-gradient strip", strip, sl)
 
 		// The input-gradient kernel: rows in groups of four, k taps in
-		// segments of seg, offsets in any order up to hi, segments added
-		// into the destination's running sums.
+		// segments of seg, segments added into the destination's running
+		// sums.
 		seg := 1 + int(taps%9)
 		k = seg * (1 + int(oh%9))
 		m = 4 * (1 + int(rows%3))
-		ofs = make([]int32, k)
-		hi := 0
-		for i := range ofs {
-			ofs[i] = int32(rng.Intn(48))
-			hi = max(hi, int(ofs[i]))
-		}
-		h0, h1 = rng.Intn(24), rng.Intn(24)
-		sl = max(h0, h1) + hi + 8
+		ofs, hi = table(k, 48)
+		r, rb = runs()
+		sl = rb + hi + r.w
 		strip = poisoned(sl)
 		small(strip[:sl])
 		a = make([]float32, m*k)
@@ -607,10 +647,47 @@ func FuzzConvStripKernels(f *testing.F) {
 			small(got[i*ldd : i*ldd+16])
 			copy(want[i*ldd:], got[i*ldd:i*ldd+16])
 		}
-		f32StripDX(got[:dl], a, strip[:sl], ofs, seg, hi, m, ldd, h0, h1)
-		f32StripDXGo(want[:dl], a, strip[:sl], ofs, seg, hi, m, ldd, h0, h1)
+		f32StripDX(got[:dl], a, strip[:sl], ofs, seg, hi, m, ldd, r)
+		f32StripDXGo(want[:dl], a, strip[:sl], ofs, seg, hi, m, ldd, r)
 		checkStripKernel(t, "input-gradient", got, want, dl)
 		checkUntouched(t, "input-gradient strip", strip, sl)
+
+		// The stride-2 drain's interleave: rows of n = 4·q floats per
+		// phase, destination rows ds apart.
+		n, rws := 4*(1+int(ow%5)), 1+int(nb%4)
+		ds := 2*n + rng.Intn(5)
+		e, o := make([]float32, rws*n), make([]float32, rws*n)
+		small(e)
+		small(o)
+		dl = (rws-1)*ds + 2*n
+		got, want = poisoned(dl), poisoned(dl)
+		interleave(got[:dl], e, o, n, rws, ds)
+		interleaveGo(want[:dl], e, o, n, rws, ds)
+		checkStripKernel(t, "interleave", got, want, dl)
+
+		// Staging: planes of h rows of w floats into strip rows rs apart,
+		// whole or split into column phases from +e / +o.
+		ph, h := 1+int(st%2), 1+int(oh%5)
+		planes, w0 := 1+int(nb%3), 1+int(ow%20)
+		rs := w0 + 4 + rng.Intn(4) // room for both phases, which never overlap
+		eo := rng.Intn(3)
+		oo := eo + (w0+1)/2 + rng.Intn(2)
+		sp := h*rs + rng.Intn(5)
+		src := make([]float32, planes*h*w0)
+		small(src)
+		dl = (planes-1)*sp + (h-1)*rs + max(eo, oo) + (w0-1)/ph + 1
+		got, want = poisoned(dl), poisoned(dl)
+		stageRows(got[:dl], src, planes, h, w0, sp, rs, eo, oo, ph)
+		stageRowsGo(want[:dl], src, planes, h, w0, sp, rs, eo, oo, ph)
+		for i := range want[:dl] { // poison where neither writes
+			if math.IsNaN(float64(want[i])) != math.IsNaN(float64(got[i])) {
+				t.Fatalf("staging: dst[%d] = %g, portable twin %g", i, got[i], want[i])
+			}
+			if math.IsNaN(float64(want[i])) {
+				got[i], want[i] = 0, 0
+			}
+		}
+		checkStripKernel(t, "staging", got, want, dl)
 	})
 }
 

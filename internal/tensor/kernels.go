@@ -183,21 +183,34 @@ func f32PanelEdgeGo(dst, a, panel []float32, m, k, ars, aks, ldd, pw, nr int) {
 	}
 }
 
+// stripRuns locates one 16-column panel in a strip: 16/w runs of w
+// floats (w = 8, halves, or 4, quarters), run j at b[j] past a row's
+// offset. Every run stays inside one output row, so it is contiguous.
+type stripRuns struct {
+	b [4]int
+	w int
+}
+
 // f32StripPanelGo is the portable strip-route forward kernel: f32Panel4Go's
 // product (aks = 1) over a 16-column panel whose row q is read from the
-// staging strip as strip[h0+ofs[q]:+8] followed by strip[h1+ofs[q]:+8].
-func f32StripPanelGo(dst, a, strip []float32, ofs []int32, m, k, ars, ldd, h0, h1 int) {
+// staging strip as the runs r past ofs[q]. Every offset lies in [0, hi].
+func f32StripPanelGo(dst, a, strip []float32, ofs []int32, m, k, ars, ldd, hi int, r stripRuns) {
 	for i := 0; i < m; i++ {
 		ar := a[i*ars:]
 		var c [16]float32
 		for q, o := range ofs[:k] {
-			v, b0, b1 := ar[q], strip[h0+int(o):][:8], strip[h1+int(o):][:8]
-			for j := 0; j < 8; j++ {
-				c[j] += v * b0[j]
-				c[8+j] += v * b1[j]
-			}
+			stripTap(&c, ar[q], strip, int(o), r)
 		}
 		copy(dst[i*ldd:i*ldd+16], c[:])
+	}
+}
+
+// stripTap adds v times panel row o of the strip (runs r) into c.
+func stripTap(c *[16]float32, v float32, strip []float32, o int, r stripRuns) {
+	for j0 := 0; j0 < 16; j0 += r.w {
+		for j, b := range strip[r.b[j0/r.w]+o:][:r.w] {
+			c[j0+j] += v * b
+		}
 	}
 }
 
@@ -207,18 +220,14 @@ func f32StripPanelGo(dst, a, strip []float32, ofs []int32, m, k, ars, ldd, h0, h
 // walk cut into segments of seg taps: each segment sums into a fresh
 // accumulator in f32Panel4Go's order and is then added into dst. Every
 // offset lies in [0, hi].
-func f32StripDXGo(dst, a, strip []float32, ofs []int32, seg, hi, m, ldd, h0, h1 int) {
+func f32StripDXGo(dst, a, strip []float32, ofs []int32, seg, hi, m, ldd int, r stripRuns) {
 	k := len(ofs)
 	for i := 0; i < m; i++ {
 		ar, d := a[i*k:(i+1)*k], dst[i*ldd:i*ldd+16]
 		for q0 := 0; q0 < k; q0 += seg {
 			var c [16]float32
 			for q, o := range ofs[q0 : q0+seg] {
-				v, b0, b1 := ar[q0+q], strip[h0+int(o):][:8], strip[h1+int(o):][:8]
-				for j := 0; j < 8; j++ {
-					c[j] += v * b0[j]
-					c[8+j] += v * b1[j]
-				}
+				stripTap(&c, ar[q0+q], strip, int(o), r)
 			}
 			for j, v := range c {
 				d[j] += v
@@ -235,7 +244,8 @@ type stripWalk struct{ nb, oh, ow, sps, rs, st int }
 // r < len(ofs) of dst (stride ldd) become A·panel, where A's row r, tap k
 // is strip[ofs[r] + walk(k)] and panel is a packed pw-wide (pw = 16 or 8)
 // column panel of walk-many rows. Same accumulation order as f32Panel4Go.
-func f32StripDWGo(dst, strip []float32, ofs []int32, panel []float32, pw int, w stripWalk, ldd int) {
+// Every offset lies in [0, hi].
+func f32StripDWGo(dst, strip []float32, ofs []int32, hi int, panel []float32, pw int, w stripWalk, ldd int) {
 	for r, o := range ofs {
 		var c [f32PanelCols]float32
 		pq := panel
@@ -252,5 +262,37 @@ func f32StripDWGo(dst, strip []float32, ofs []int32, panel []float32, pw int, w 
 			}
 		}
 		copy(dst[r*ldd:r*ldd+pw], c[:pw])
+	}
+}
+
+// interleaveGo writes rows r < rows of dst (row stride ds) from e's and
+// o's rows of n floats (n a multiple of 4, rows n apart), alternating:
+// dst[2b] = e[b], dst[2b+1] = o[b].
+func interleaveGo(dst, e, o []float32, n, rows, ds int) {
+	for r := 0; r < rows; r++ {
+		d, er, or := dst[r*ds:][:2*n], e[r*n:][:n], o[r*n:][:n]
+		for b := 0; b < n; b += 4 {
+			x, y, q := er[b:b+4:b+4], or[b:b+4:b+4], d[2*b:2*b+8:2*b+8]
+			q[0], q[1], q[2], q[3], q[4], q[5], q[6], q[7] = x[0], y[0], x[1], y[1], x[2], y[2], x[3], y[3]
+		}
+	}
+}
+
+// stageRowsGo copies planes·h rows of w floats (rows w apart) into a
+// strip: row y of plane pl goes to the strip row at pl·sp + y·rs, whole
+// from +e at ph = 1; at ph = 2 its even floats from +e and its odd ones
+// from +o.
+func stageRowsGo(dst, src []float32, planes, h, w, sp, rs, e, o, ph int) {
+	for pl := 0; pl < planes; pl++ {
+		for y := 0; y < h; y++ {
+			d, r := dst[pl*sp+y*rs:], src[(pl*h+y)*w:][:w]
+			if ph == 1 {
+				copy(d[e:], r)
+				continue
+			}
+			for i, v := range r {
+				d[[2]int{e, o}[i%2]+i/2] = v
+			}
+		}
 	}
 }

@@ -58,13 +58,16 @@ func convTapGatherAVX2(dst, src *float32, off, nb, oh, ow, rs, sp, st, pw, kp in
 func convTapScatterAVX2(dst, src *float32, nb, oh, ow, rs, sp, st int)
 
 //go:noescape
-func convStripGEMM4x16FMA(dst, a, b0, b1 *float32, ofs *int32, m, k, ars, ldd int)
+func convStripGEMM4x16FMA(dst, a, b0, b1, b2, b3 *float32, ofs *int32, m, k, ars, ldd, quarter int)
 
 //go:noescape
-func convStripGEMM1x16FMA(dst, a, b0, b1 *float32, ofs *int32, k int)
+func convStripDX4x16FMA(dst, a, b0, b1, b2, b3 *float32, ofs *int32, m, seg, k, ldd, quarter int)
 
 //go:noescape
-func convStripDX4x16FMA(dst, a, b0, b1 *float32, ofs *int32, m, seg, k, ldd int)
+func stageRowsAVX2(dst, src *float32, planes, h, w, sp, rs, e, o, ph int)
+
+//go:noescape
+func interleaveAVX2(dst, e, o *float32, n, rows, ds int)
 
 //go:noescape
 func convStripDWT4FMA(dst, strip *float32, ofs *int32, panel *float32, m, nb, oh, ow, st, rskip, sskip, ldd, pw int)
@@ -138,6 +141,7 @@ func applySIMDAmd64(on bool) {
 		f32Panel4, f32Panel1 = f32Panel4Go, f32Panel1Go
 		f32Panel4w8, f32Panel1w8 = f32Panel4x8Go, f32Panel1x8Go
 		f32StripPanel, f32StripDW, f32StripDX = f32StripPanelGo, f32StripDWGo, f32StripDXGo
+		interleave, stageRows = interleaveGo, stageRowsGo
 		requantRowsAsm, requantTransAsm = nil, nil
 		return
 	}
@@ -160,6 +164,8 @@ func applySIMDAmd64(on bool) {
 	f32StripPanel = stripPanelFMAWrap
 	f32StripDW = stripDWFMAWrap
 	f32StripDX = stripDXFMAWrap
+	interleave = interleaveAVX2Wrap
+	stageRows = stageRowsAVX2Wrap
 	requantRowsAsm = requantRowsAVX2Wrap
 	requantTransAsm = requantTransAVX2Wrap
 }
@@ -190,41 +196,69 @@ func tapScatterAVX2Wrap(dst, src []float32, nb, oh, ow, rs, sp, st int) {
 	convTapScatterAVX2(&dst[0], &src[0], nb, oh, ow, rs, sp, st)
 }
 
-// The strip wrappers rely on ascending offset tables (the plan's): the
-// first and last entries bound every strip read.
+// The strip wrappers take hi, the largest entry of a (non-negative, not
+// ascending) offset table, kept by the plan. runPtrs pins the last strip
+// float of runs r at offsets up to hi and returns the run bases (halves
+// leave b2, b3 unread) and 1 for quarters.
+func runPtrs(strip []float32, r stripRuns, hi int) (b0, b1, b2, b3 *float32, quarter int) {
+	_ = strip[max(r.b[0], r.b[1], r.b[2], r.b[3])+hi+r.w-1]
+	if r.w == 4 {
+		quarter = 1
+	}
+	return &strip[r.b[0]], &strip[r.b[1]], &strip[r.b[2]], &strip[r.b[3]], quarter
+}
 
-func stripPanelFMAWrap(dst, a, strip []float32, ofs []int32, m, k, ars, ldd, h0, h1 int) {
-	_ = strip[max(h0, h1)+int(ofs[k-1])+7]
+func stripPanelFMAWrap(dst, a, strip []float32, ofs []int32, m, k, ars, ldd, hi int, r stripRuns) {
+	_ = ofs[k-1]
 	_ = a[(m-1)*ars+k-1]
 	_ = dst[(m-1)*ldd+15]
+	b0, b1, b2, b3, quarter := runPtrs(strip, r, hi)
+	// m ≥ 4 (pinned: m4 = 0 would not stop the kernel); with no one-row
+	// kernel, rows m−4 … m−1 of a ragged m run once more, to the same bytes.
+	_ = dst[(m-4)*ldd]
 	m4 := m &^ 3
-	if m4 > 0 {
-		convStripGEMM4x16FMA(&dst[0], &a[0], &strip[h0], &strip[h1], &ofs[0], m4, k, ars, ldd)
-	}
-	for i := m4; i < m; i++ {
-		convStripGEMM1x16FMA(&dst[i*ldd], &a[i*ars], &strip[h0], &strip[h1], &ofs[0], k)
+	convStripGEMM4x16FMA(&dst[0], &a[0], b0, b1, b2, b3, &ofs[0], m4, k, ars, ldd, quarter)
+	if m4 < m {
+		convStripGEMM4x16FMA(&dst[(m-4)*ldd], &a[(m-4)*ars], b0, b1, b2, b3, &ofs[0], 4, k, ars, ldd, quarter)
 	}
 }
 
-func stripDXFMAWrap(dst, a, strip []float32, ofs []int32, seg, hi, m, ldd, h0, h1 int) {
-	// m is a positive multiple of 4 and seg divides len(ofs); the offsets
-	// do not ascend, so hi bounds the strip reads.
+func stripDXFMAWrap(dst, a, strip []float32, ofs []int32, seg, hi, m, ldd int, r stripRuns) {
+	// m is a positive multiple of 4 and seg divides len(ofs).
 	k := len(ofs)
-	_ = strip[max(h0, h1)+hi+7]
 	_ = a[m*k-1]
 	_ = dst[(m-1)*ldd+15]
-	convStripDX4x16FMA(&dst[0], &a[0], &strip[h0], &strip[h1], &ofs[0], m, seg, k, ldd)
+	b0, b1, b2, b3, quarter := runPtrs(strip, r, hi)
+	convStripDX4x16FMA(&dst[0], &a[0], b0, b1, b2, b3, &ofs[0], m, seg, k, ldd, quarter)
 }
 
-func stripDWFMAWrap(dst, strip []float32, ofs []int32, panel []float32, pw int, w stripWalk, ldd int) {
+func stripDWFMAWrap(dst, strip []float32, ofs []int32, hi int, panel []float32, pw int, w stripWalk, ldd int) {
 	// len(ofs) is a positive multiple of 4; the walk's strides are
-	// non-negative, so its first and last taps are its extremes.
+	// non-negative, so its last tap is its farthest.
 	m := len(ofs)
-	_ = strip[ofs[0]]
-	_ = strip[int(ofs[m-1])+(w.nb-1)*w.sps+(w.oh-1)*w.rs+(w.ow-1)*w.st]
+	_ = strip[hi+(w.nb-1)*w.sps+(w.oh-1)*w.rs+(w.ow-1)*w.st]
 	_ = panel[w.nb*w.oh*w.ow*pw-1]
 	_ = dst[(m-1)*ldd+pw-1]
 	convStripDWT4FMA(&dst[0], &strip[0], &ofs[0], &panel[0], m, w.nb, w.oh, w.ow, w.st, w.rs-w.ow*w.st, w.sps-w.oh*w.rs, ldd, pw)
+}
+
+func interleaveAVX2Wrap(dst, e, o []float32, n, rows, ds int) {
+	// n is a positive multiple of 4.
+	_ = dst[(rows-1)*ds+2*n-1]
+	_ = e[rows*n-1]
+	_ = o[rows*n-1]
+	interleaveAVX2(&dst[0], &e[0], &o[0], n, rows, ds)
+}
+
+func stageRowsAVX2Wrap(dst, src []float32, planes, h, w, sp, rs, e, o, ph int) {
+	if w%(4*ph) != 0 { // the kernel moves whole steps only
+		stageRowsGo(dst, src, planes, h, w, sp, rs, e, o, ph)
+		return
+	}
+	// The last row's last float lands at +e or +o, both under rs.
+	_ = src[planes*h*w-1]
+	_ = dst[(planes-1)*sp+(h-1)*rs+max(e, o)+(w-1)/ph]
+	stageRowsAVX2(&dst[0], &src[0], planes, h, w, sp, rs, e, o, ph)
 }
 
 // The batch-norm wrappers pin the last float of the channel's last plane

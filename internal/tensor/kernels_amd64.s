@@ -243,7 +243,7 @@ kloop:
 // rows (source stride rs) it copies ow floats at source stride st ∈ {1, 2}
 // into consecutive columns off, off+1, … of the tap's patch row, splitting
 // the row into one run per column panel it crosses (pw columns, panel
-// stride kp); with pw = InW it also moves planes into and out of the
+// stride kp); with pw = InW it also moves the scatter's planes out of the
 // strip. Runs move in 8-, 4- and 1-float steps. Stride 2 loads 2n
 // floats per n-float step and keeps the even ones (VSHUFPS picks them per
 // 128-bit lane, VPERMPD restores column order), so it reads one float
@@ -467,14 +467,26 @@ rowdone:
 	VZEROUPPER
 	RET
 
-// STRIP_TAP4x16 is one tap of the strip-route 4×16 kernels: panel row CX,
-// read at ofs[CX] (AX) past the half-bases DX and BX, times the four
-// operand rows at R12 (row stride R10, 3·stride R13) into Y0–Y7; R12
-// steps to the next tap.
+// STRIP_HALVES and STRIP_QUARTERS load panel row CX of the strip-route
+// 4×16 kernels into Y8 (columns 0–7) and Y9 (8–15), read at ofs[CX] (AX)
+// past the run bases: two 8-float halves at DX and BX, or four 4-float
+// quarters at DX, BX, R11 and R15.
+#define STRIP_HALVES \
+	MOVLQSX (AX)(CX*4), R14; \
+	VMOVUPS (DX)(R14*4), Y8; \
+	VMOVUPS (BX)(R14*4), Y9
+
+#define STRIP_QUARTERS \
+	MOVLQSX     (AX)(CX*4), R14; \
+	VMOVUPS     (DX)(R14*4), X8; \
+	VINSERTF128 $1, (BX)(R14*4), Y8, Y8; \
+	VMOVUPS     (R11)(R14*4), X9; \
+	VINSERTF128 $1, (R15)(R14*4), Y9, Y9
+
+// STRIP_TAP4x16 is one tap of the strip-route 4×16 kernels: Y8/Y9 times
+// the four operand rows at R12 (row stride R10, 3·stride R13) into Y0–Y7;
+// R12 steps on and CX is compared against the loop's end R9.
 #define STRIP_TAP4x16 \
-	MOVLQSX      (AX)(CX*4), R14; \
-	VMOVUPS      (DX)(R14*4), Y8; \
-	VMOVUPS      (BX)(R14*4), Y9; \
 	VBROADCASTSS (R12), Y10; \
 	VFMADD231PS  Y8, Y10, Y0; \
 	VFMADD231PS  Y9, Y10, Y1; \
@@ -487,118 +499,117 @@ rowdone:
 	VBROADCASTSS (R12)(R13*1), Y10; \
 	VFMADD231PS  Y8, Y10, Y6; \
 	VFMADD231PS  Y9, Y10, Y7; \
-	ADDQ         $4, R12
+	ADDQ         $4, R12; \
+	INCQ         CX; \
+	CMPQ         CX, R9
 
-// func convStripGEMM4x16FMA(dst, a, b0, b1 *float32, ofs *int32, m, k, ars, ldd int)
+// STRIP_LDD sets R11 / R15 to the dst row stride ldd in bytes and three
+// times it, for STORE_4x16 and ADD_4x16; the quarter loads borrow both.
+#define STRIP_LDD(ldd) \
+	MOVQ ldd, R11; \
+	SHLQ $2, R11; \
+	LEAQ (R11)(R11*2), R15
+
+// func convStripGEMM4x16FMA(dst, a, b0, b1, b2, b3 *float32, ofs *int32, m, k, ars, ldd, quarter int)
 //
 // The strip-route forward kernel: packedF32GEMM4x16FMA (aks = 1) with
-// panel row q read from the staging strip, its first eight floats at
-// b0[ofs[q]] and its last eight at b1[ofs[q]]. Same accumulators and FMA
-// per tap, so the bytes are that kernel's over the gathered panel. m must
-// be a positive multiple of 4. Registers as there, plus AX ofs, DX / BX
-// the two half-bases, CX the tap and R14 its offset.
-TEXT ·convStripGEMM4x16FMA(SB), NOSPLIT, $0-72
+// panel row q read from the staging strip at ofs[q] past the run bases:
+// halves b0 and b1 (quarter = 0) or quarters b0–b3 (quarter = 1). Same
+// accumulators and FMA per tap, so the bytes are that kernel's over the
+// gathered panel. m must be a positive multiple of 4. Registers as there,
+// plus AX ofs, DX / BX / R11 / R15 the run bases, CX the tap and R14 its
+// offset.
+TEXT ·convStripGEMM4x16FMA(SB), NOSPLIT, $0-96
 	MOVQ dst+0(FP), DI
 	MOVQ a+8(FP), SI
 	MOVQ b0+16(FP), DX
 	MOVQ b1+24(FP), BX
-	MOVQ ofs+32(FP), AX
-	MOVQ m+40(FP), R8
+	MOVQ ofs+48(FP), AX
+	MOVQ m+56(FP), R8
 	SHRQ $2, R8
-	MOVQ k+48(FP), R9
-	MOVQ ars+56(FP), R10
+	MOVQ k+64(FP), R9
+	MOVQ ars+72(FP), R10
 	SHLQ $2, R10
-	MOVQ ldd+64(FP), R11
-	SHLQ $2, R11
 	LEAQ (R10)(R10*2), R13    // 3·ars bytes
-	LEAQ (R11)(R11*2), R15    // 3·ldd bytes
 
 sgroup:
 	ZERO_4x16
-	MOVQ   SI, R12
-	XORQ   CX, CX
+	MOVQ SI, R12
+	XORQ CX, CX
+	MOVQ b2+32(FP), R11
+	MOVQ b3+40(FP), R15
+	CMPQ quarter+88(FP), $0
+	JNE  sqloop
 
-skloop:
+shloop:
+	STRIP_HALVES
 	STRIP_TAP4x16
-	INCQ CX
-	CMPQ CX, R9
-	JLT  skloop
+	JLT  shloop
+	JMP  sstore
 
+sqloop:
+	STRIP_QUARTERS
+	STRIP_TAP4x16
+	JLT  sqloop
+
+sstore:
+	STRIP_LDD(ldd+80(FP))
 	STORE_4x16
-	LEAQ    (SI)(R10*4), SI
-	LEAQ    (DI)(R11*4), DI
-	DECQ    R8
-	JNZ     sgroup
+	LEAQ (SI)(R10*4), SI
+	LEAQ (DI)(R11*4), DI
+	DECQ R8
+	JNZ  sgroup
 	VZEROUPPER
 	RET
 
-// func convStripGEMM1x16FMA(dst, a, b0, b1 *float32, ofs *int32, k int)
-//
-// One-row remainder of convStripGEMM4x16FMA, after packedF32GEMM1x16FMA.
-TEXT ·convStripGEMM1x16FMA(SB), NOSPLIT, $0-48
-	MOVQ   dst+0(FP), DI
-	MOVQ   a+8(FP), SI
-	MOVQ   b0+16(FP), DX
-	MOVQ   b1+24(FP), BX
-	MOVQ   ofs+32(FP), AX
-	MOVQ   k+40(FP), CX
-	VXORPS Y0, Y0, Y0
-	VXORPS Y1, Y1, Y1
-
-s1kloop:
-	MOVLQSX      (AX), R14
-	VBROADCASTSS (SI), Y10
-	VFMADD231PS  (DX)(R14*4), Y10, Y0
-	VFMADD231PS  (BX)(R14*4), Y10, Y1
-	ADDQ         $4, SI
-	ADDQ         $4, AX
-	DECQ         CX
-	JNZ          s1kloop
-
-	VMOVUPS Y0, (DI)
-	VMOVUPS Y1, 32(DI)
-	VZEROUPPER
-	RET
-
-// func convStripDX4x16FMA(dst, a, b0, b1 *float32, ofs *int32, m, seg, k, ldd int)
+// func convStripDX4x16FMA(dst, a, b0, b1, b2, b3 *float32, ofs *int32, m, seg, k, ldd, quarter int)
 //
 // The strip-route input-gradient kernel (f32StripDXGo is the reference):
 // convStripGEMM4x16FMA's panel rows and accumulators over operand rows of
 // k taps, the k walk cut into segments of seg taps. Each segment starts
 // from zeroed accumulators and ends added into dst. m must be a positive
 // multiple of 4. Registers as there, plus R9 the end of the segment.
-TEXT ·convStripDX4x16FMA(SB), NOSPLIT, $0-72
+TEXT ·convStripDX4x16FMA(SB), NOSPLIT, $0-96
 	MOVQ dst+0(FP), DI
 	MOVQ a+8(FP), SI
 	MOVQ b0+16(FP), DX
 	MOVQ b1+24(FP), BX
-	MOVQ ofs+32(FP), AX
-	MOVQ m+40(FP), R8
+	MOVQ ofs+48(FP), AX
+	MOVQ m+56(FP), R8
 	SHRQ $2, R8
-	MOVQ k+56(FP), R10
+	MOVQ k+72(FP), R10
 	SHLQ $2, R10              // operand row stride in bytes: k floats
-	MOVQ ldd+64(FP), R11
-	SHLQ $2, R11
 	LEAQ (R10)(R10*2), R13    // 3·k bytes
-	LEAQ (R11)(R11*2), R15    // 3·ldd bytes
 
 xgroup:
 	MOVQ SI, R12
 	XORQ CX, CX
-	MOVQ seg+48(FP), R9
+	MOVQ seg+64(FP), R9
 
 xseg:
 	ZERO_4x16
+	MOVQ b2+32(FP), R11
+	MOVQ b3+40(FP), R15
+	CMPQ quarter+88(FP), $0
+	JNE  xqloop
 
-xkloop:
+xhloop:
+	STRIP_HALVES
 	STRIP_TAP4x16
-	INCQ CX
-	CMPQ CX, R9
-	JLT  xkloop
+	JLT  xhloop
+	JMP  xsum
+
+xqloop:
+	STRIP_QUARTERS
+	STRIP_TAP4x16
+	JLT  xqloop
+
+xsum:
+	STRIP_LDD(ldd+80(FP))
 	ADD_4x16
 	STORE_4x16
-	ADDQ seg+48(FP), R9
-	CMPQ CX, k+56(FP)
+	ADDQ seg+64(FP), R9
+	CMPQ CX, k+72(FP)
 	JLT  xseg
 
 	LEAQ (SI)(R10*4), SI
@@ -606,6 +617,111 @@ xkloop:
 	DECQ R8
 	JNZ  xgroup
 	VZEROUPPER
+	RET
+
+// func stageRowsAVX2(dst, src *float32, planes, h, w, sp, rs, e, o, ph int)
+//
+// stageRowsGo's copy (its reference) for w a multiple of 4·ph, in 8-float
+// steps (one of 4 ends a ph = 1 row); at ph = 2 a step's even floats go to
+// AX and its odd ones to BX. DI plane base, R10 row base, SI source, R8 /
+// R9 planes / rows left, R11–R14 sp / rs / e / o bytes, CX floats left.
+TEXT ·stageRowsAVX2(SB), NOSPLIT, $0-80
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ planes+16(FP), R8
+	MOVQ sp+40(FP), R11
+	SHLQ $2, R11
+	MOVQ rs+48(FP), R12
+	SHLQ $2, R12
+	MOVQ e+56(FP), R13
+	SHLQ $2, R13
+	MOVQ o+64(FP), R14
+	SHLQ $2, R14
+
+gplane:
+	MOVQ DI, R10
+	MOVQ h+24(FP), R9
+
+grow:
+	LEAQ (R10)(R13*1), AX
+	LEAQ (R10)(R14*1), BX
+	MOVQ w+32(FP), CX
+	CMPQ ph+72(FP), $1
+	JNE  g2
+
+g1:
+	CMPQ    CX, $8
+	JLT     g1x4
+	VMOVUPS (SI), Y0
+	VMOVUPS Y0, (AX)
+	ADDQ    $32, SI
+	ADDQ    $32, AX
+	SUBQ    $8, CX
+	JMP     g1
+
+g1x4:
+	TESTQ   CX, CX
+	JZ      gnext
+	VMOVUPS (SI), X0
+	VMOVUPS X0, (AX)
+	ADDQ    $16, SI
+	JMP     gnext
+
+g2:
+	VMOVUPS (SI), X0
+	VMOVUPS 16(SI), X1
+	VSHUFPS $0x88, X1, X0, X2 // a0 a2 a4 a6
+	VSHUFPS $0xDD, X1, X0, X3 // a1 a3 a5 a7
+	VMOVUPS X2, (AX)
+	VMOVUPS X3, (BX)
+	ADDQ    $32, SI
+	ADDQ    $16, AX
+	ADDQ    $16, BX
+	SUBQ    $8, CX
+	JNZ     g2
+
+gnext:
+	ADDQ R12, R10
+	DECQ R9
+	JNZ  grow
+	ADDQ R11, DI
+	DECQ R8
+	JNZ  gplane
+	VZEROUPPER
+	RET
+
+// func interleaveAVX2(dst, e, o *float32, n, rows, ds int)
+//
+// interleaveGo's rows (its reference): four floats of e and four of o per
+// step, VUNPCKLPS / VUNPCKHPS pairing them. n must be a positive multiple
+// of 4.
+TEXT ·interleaveAVX2(SB), NOSPLIT, $0-48
+	MOVQ dst+0(FP), DI
+	MOVQ e+8(FP), SI
+	MOVQ o+16(FP), DX
+	MOVQ rows+32(FP), R8
+	MOVQ ds+40(FP), R9
+	SHLQ $2, R9
+
+irow:
+	MOVQ DI, AX
+	MOVQ n+24(FP), CX
+
+ipair:
+	VMOVUPS   (SI), X0
+	VMOVUPS   (DX), X1
+	VUNPCKLPS X1, X0, X2      // e0 o0 e1 o1
+	VUNPCKHPS X1, X0, X3      // e2 o2 e3 o3
+	VMOVUPS   X2, (AX)
+	VMOVUPS   X3, 16(AX)
+	ADDQ      $16, SI
+	ADDQ      $16, DX
+	ADDQ      $32, AX
+	SUBQ      $4, CX
+	JNZ       ipair
+	ADDQ      R9, DI
+	DECQ      R8
+	JNZ       irow
 	RET
 
 // func convStripDWT4FMA(dst, strip *float32, ofs *int32, panel *float32, m, nb, oh, ow, st, rskip, sskip, ldd, pw int)

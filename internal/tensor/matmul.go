@@ -76,6 +76,15 @@ func matMulKernel(od, ad, bd []float32, m, k, n int) {
 // without allocating: weight gradients without materializing transposes.
 // dst must have shape (m, n) and must not alias a or b.
 func MatMulTransAInto(dst, a, b *Tensor) error {
+	pb := f32PackPool.Get().(*PackedF32)
+	defer f32PackPool.Put(pb)
+	return MatMulTransAPackedInto(dst, a, b, pb)
+}
+
+// MatMulTransAPackedInto is MatMulTransAInto packing b into the caller's
+// pb, the same adᵀ·bd on the 4×16 kernel with swapped operand strides: a
+// layer that keeps pb across steps never touches the shared pack pool.
+func MatMulTransAPackedInto(dst, a, b *Tensor, pb *PackedF32) error {
 	m, k, n, err := checkMatMul2D("matmulTA", a, b, true, false)
 	if err != nil {
 		return err
@@ -83,17 +92,9 @@ func MatMulTransAInto(dst, a, b *Tensor) error {
 	if err := checkDst("matmulTA", dst, m, n); err != nil {
 		return err
 	}
-	matMulTransAKernel(dst.data, a.data, b.data, m, k, n)
+	_ = pb.PackB(b.data, k, n) // cannot fail: checkMatMul2D validated the shapes
+	matMulF32PackedDriver(dst.data, a.data, pb, m, 1, m)
 	return nil
-}
-
-// matMulTransAKernel computes od = adᵀ·bd where ad is (k, m): the same
-// 4×16 kernel as matMulKernel with swapped operand strides.
-func matMulTransAKernel(od, ad, bd []float32, m, k, n int) {
-	pb := f32PackPool.Get().(*PackedF32)
-	_ = pb.PackB(bd, k, n) // cannot fail: checkMatMul2D validated the shapes
-	matMulF32PackedDriver(od, ad, pb, m, 1, m)
-	f32PackPool.Put(pb)
 }
 
 // MatMulTransBInto computes dst = a·bᵀ where a is (m, k) and b is (n, k),

@@ -193,6 +193,8 @@ var (
 	f32StripPanel = f32StripPanelGo // strip-route forward: m rows × one panel read from the strip
 	f32StripDW    = f32StripDWGo    // strip-route dWᵀ: rows read from the strip × one pw-wide panel
 	f32StripDX    = f32StripDXGo    // strip-route dx: 4-row groups × one panel read from the dout strip, segment by segment
+	interleave    = interleaveGo    // strip-route stride-2 dx: two column phases into one row
+	stageRows     = stageRowsGo     // every band's staging: planes into a strip, split into column phases at stride 2
 )
 
 // MatMulF32PackedInto computes dst = a·b where a is a float32 (m, k)
