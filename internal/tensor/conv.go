@@ -41,8 +41,8 @@ func (g ConvGeom) Validate() error {
 // s of sample i. Out-of-bounds taps contribute zeros (zero padding). dst is
 // caller-owned; every element is written (zeros included), so stale
 // contents are harmless. The training convolution never builds this
-// matrix — it gathers cache-resident sample bands (conv_band.go) through
-// the same body; the batch form stays for callers that want the explicit
+// matrix — it reads its patches off cache-resident band strips
+// (conv_band.go); the batch form stays for callers that want the explicit
 // matrix.
 func Im2ColBatchInto(dst, x *Tensor, g ConvGeom) error {
 	if err := validateBatchImage(x, g); err != nil {
@@ -66,23 +66,26 @@ func Im2ColBatchInto(dst, x *Tensor, g ConvGeom) error {
 
 // stageDims is the (height, width) of one staged plane: the input plane
 // inside its zero border, grown to cover a kernel that overhangs the
-// padded input (OutHW rounds such a geometry up to one output). The gather
-// and the scatter go through a strip of staged planes so that every tap of
-// every output row is an unconditional run: with the border materialized
-// there is no per-run clipping, which at 4 to 16 floats a run cost more
-// than the copy.
+// padded input (OutHW rounds such a geometry up to one output) and output
+// rows padded to outRowPad columns. The gather, the scatter and the strip
+// routes go through a strip of staged planes so that every tap of every
+// output row is an unconditional run: with the border materialized there
+// is no per-run clipping, which at 4 to 16 floats a run cost more than the
+// copy.
 func (g ConvGeom) stageDims() (sh, sw int) {
 	oh, ow := g.OutHW()
-	return max(g.InH+2*g.Pad, (oh-1)*g.Stride+g.KH), max(g.InW+2*g.Pad, (ow-1)*g.Stride+g.KW)
+	return max(g.InH+2*g.Pad, (oh-1)*g.Stride+g.KH), max(g.InW+2*g.Pad, (outRowPad(ow)-1)*g.Stride+g.KW)
 }
 
-// stageLen is the float count of the staging strip for nb samples — every
-// channel of each, plane il·InC + c — plus one float of margin: the
-// stride-2 tap kernels touch the float after the last one they use (see
-// kernels_amd64.s).
+// outRowPad is an output row of ow columns rounded up to whole 4-column
+// runs: the row width the strip routes compute.
+func outRowPad(ow int) int { return blocks(ow, 4) * 4 }
+
+// stageLen is the float count of the staging strip for nb samples: every
+// channel of each, plane il·InC + c.
 func (g ConvGeom) stageLen(nb int) int {
 	sh, sw := g.stageDims()
-	return nb*g.InC*sh*sw + 1
+	return nb * g.InC * sh * sw
 }
 
 // stageInto copies nb consecutive (C, H, W) images into the interior of
@@ -112,30 +115,17 @@ func im2colInto(dst, x []float32, g ConvGeom, nb, j0, pw int, stage []float32) {
 	sh, sw := g.stageDims()
 	sp := sh * sw
 	kp := g.InC * g.KH * g.KW * pw // floats per column panel
-	gather := tapGatherGo
-	if tapGatherAsm != nil && st <= 2 {
-		gather = tapGatherAsm
-	}
 	stageInto(stage, x, g, nb, 1)
 	q := 0
 	for c := 0; c < g.InC; c++ {
 		for kh := 0; kh < g.KH; kh++ {
 			for kw := 0; kw < g.KW; kw++ {
-				gather(dst[(j0/pw)*kp+q*pw:], stage[c*sp+kh*sw+kw:], j0%pw, nb, oh, ow, st*sw, g.InC*sp, st, pw, kp)
+				tapGatherGo(dst[(j0/pw)*kp+q*pw:], stage[c*sp+kh*sw+kw:], j0%pw, nb, oh, ow, st*sw, g.InC*sp, st, pw, kp)
 				q++
 			}
 		}
 	}
 }
-
-// tapGatherAsm and tapScatterAsm, when non-nil, are the SIMD walks of one
-// tap for strides 1 and 2, byte-identical to tapGatherGo / tapScatterGo;
-// at stride 2 they touch the one-float margin stageLen allocates. They are
-// set and cleared together.
-var (
-	tapGatherAsm  func(dst, src []float32, off, nb, oh, ow, rs, sp, st, pw, kp int)
-	tapScatterAsm func(dst, src []float32, nb, oh, ow, rs, sp, st int)
-)
 
 // tapGatherGo copies one (channel, kh, kw) tap of nb staged samples into
 // its patch row: the ow floats of output row oy of sample il, at
@@ -187,7 +177,7 @@ func Col2ImBatchInto(dst, cols *Tensor, g ConvGeom) error {
 		return fmt.Errorf("%w: col2im batch cols %v does not match geometry %+v for batch %d", ErrShape, cols.shape, g, n)
 	}
 	sh, sw := g.stageDims()
-	inSz, sl := g.InC*g.InH*g.InW, sh*sw+1 // col2imInto accumulates one channel at a time
+	inSz, sl := g.InC*g.InH*g.InW, sh*sw // col2imInto accumulates one channel at a time
 	stage := make([]float32, n*sl)
 	ParallelFor(n, func(i int) {
 		col2imInto(dst.data[i*inSz:(i+1)*inSz], cols.data, g, 1, i*s, ns, stage[i*sl:(i+1)*sl])
@@ -201,28 +191,24 @@ func Col2ImBatchInto(dst, cols *Tensor, g ConvGeom) error {
 // (kh, kw, oy) order whatever the batch or band around it, so input
 // gradients do not depend on how the batch was cut; taps that fall in the
 // padding accumulate in the staging border and are dropped. stage holds
-// nb·sh·sw + 1 floats: one channel of the band and the stride-2 margin.
+// nb·sh·sw floats: one channel of the band.
 func col2imInto(dx, cols []float32, g ConvGeom, nb, j0, ld int, stage []float32) {
 	oh, ow := g.OutHW()
 	st, hw := g.Stride, g.InH*g.InW
 	sh, sw := g.stageDims()
 	sp := sh * sw
-	gather, scatter := tapGatherGo, tapScatterGo
-	if tapScatterAsm != nil && st <= 2 {
-		gather, scatter = tapGatherAsm, tapScatterAsm
-	}
 	q := 0
 	for c := 0; c < g.InC; c++ {
 		clear(stage[:nb*sp])
 		for kh := 0; kh < g.KH; kh++ {
 			for kw := 0; kw < g.KW; kw++ {
-				scatter(stage[kh*sw+kw:], cols[q*ld+j0:], nb, oh, ow, st*sw, sp, st)
+				tapScatterGo(stage[kh*sw+kw:], cols[q*ld+j0:], nb, oh, ow, st*sw, sp, st)
 				q++
 			}
 		}
 		// The interior back out: the staging gather with the strides swapped.
 		for il := 0; il < nb; il++ {
-			gather(dx[(il*g.InC+c)*hw:], stage[il*sp+g.Pad*sw+g.Pad:], 0, 1, g.InH, g.InW, sw, 0, 1, g.InW, g.InW)
+			tapGatherGo(dx[(il*g.InC+c)*hw:], stage[il*sp+g.Pad*sw+g.Pad:], 0, 1, g.InH, g.InW, sw, 0, 1, g.InW, g.InW)
 		}
 	}
 }

@@ -15,21 +15,26 @@ import "fmt"
 //
 //   - forward runs the packed micro-kernels against the weights with the
 //     band's patches as B and copies the product into the NCHW output with
-//     the bias folded in. A conv of stride 1 or 2 whose output rows are
-//     whole runs reads each 16-column panel straight from the strip, as
-//     two 8-float halves or four 4-float quarters (strip-route kernels);
-//     every other conv first gathers the patches into 16-wide column panels
-//     of a per-lane tile;
+//     the bias folded in. A conv of stride 1 or 2 with at least 4 output
+//     channels reads each 16-column panel straight from the strip, as two
+//     8-float halves or four 4-float quarters (strip-route kernels): it
+//     computes its output rows padded to owp, OW rounded up to whole
+//     4-column runs, over a strip wide enough for the padded columns, and
+//     the drain copies OW of every owp columns. Every other conv (stride
+//     above 2, fewer than 4 channels) first gathers the patches into
+//     16-wide column panels of a per-lane tile;
 //   - backward forms the band's weight-gradient partial dWᵀ = patches·doutᵀ
 //     with the patches read from the strip (the small operand, dout, is the
-//     one transposed into panels). A strip-route conv whose input is Stride
-//     times its output then stages the band's dout into a second strip and
-//     reads dx off it (strip-route dx kernel): at stride 2 dx splits into
-//     four phases (even/odd rows × columns), each a stride-1 correlation of
-//     the dout strip over the kernel taps that reach it, interleaved into
-//     NCHW by the drain. Every other conv fills the lane tile with the
-//     column gradients Wᵀ·dout and scatters them into dx through the
-//     band-local col2im, which reuses the strip as its accumulator.
+//     one transposed into panels), over the real OH·OW positions. A conv of
+//     stride 1 or 2 whose input is Stride times its output then stages the
+//     band's dout into a second strip and reads dx off it, rows padded to
+//     owp as in the forward (strip-route dx kernel): at stride 2 dx splits
+//     into four phases (even/odd rows × columns), each a stride-1
+//     correlation of the dout strip over the kernel taps that reach it,
+//     interleaved into NCHW by the drain. Every other conv fills the lane
+//     tile with the column gradients Wᵀ·dout and scatters them into dx
+//     through the band-local col2im, which reuses the strip as its
+//     accumulator.
 //
 // A strip read is the value a gather copies, in the same FMA order. The dx
 // kernel sums one segment of outC taps per kernel tap (kh, kw) from zero —
@@ -58,6 +63,10 @@ type ConvPlanF32 struct {
 	outC int
 	kdim int // patch rows: InC·KH·KW
 	s    int // output positions per sample: OH·OW
+	oh   int // output rows
+	ow   int // output columns
+	owp  int // the strip routes' output row width: OW rounded up to whole 4-column runs
+	ps   int // the strip routes' output positions per sample: OH·owp
 	inSz int // input floats per sample
 	tpw  int // panel width of the doutᵀ operand: 8 up to 8 channels, else 16
 	tld  int // outC rounded up to tpw: the row stride of a dWᵀ partial
@@ -68,7 +77,7 @@ type ConvPlanF32 struct {
 	// to a multiple of 4 rows for the dW kernels; they lie in [0, ofsHi].
 	ofs    []int32
 	ofsHi  int
-	rw     int       // run width of the strip routes: 8 (halves) or 4 (quarters)
+	rw     int       // run width of the strip routes: 8 (halves) or 4 (quarters), dividing owp
 	runs   []int32   // strip offset of column rw·h of the largest band; nil: the forward gathers
 	dw     stripWalk // the weight-gradient kernels' k walk, nb set per band
 	gather bool      // every product through the lane tile: convGatherOnly at build
@@ -97,7 +106,8 @@ func NewConvPlanF32(g ConvGeom, outC int) (*ConvPlanF32, error) {
 		return nil, fmt.Errorf("%w: conv outC %d", ErrShape, outC)
 	}
 	oh, ow := g.OutHW()
-	p := &ConvPlanF32{g: g, outC: outC, kdim: g.InC * g.KH * g.KW, s: oh * ow, inSz: g.InC * g.InH * g.InW, tpw: f32PanelCols, ph: 1}
+	p := &ConvPlanF32{g: g, outC: outC, kdim: g.InC * g.KH * g.KW, s: oh * ow, oh: oh, ow: ow, owp: outRowPad(ow), ps: oh * outRowPad(ow),
+		inSz: g.InC * g.InH * g.InW, tpw: f32PanelCols, ph: 1}
 	if outC <= f32PanelColsNarrow {
 		p.tpw = f32PanelColsNarrow
 	}
@@ -117,15 +127,14 @@ func NewConvPlanF32(g ConvGeom, outC int) (*ConvPlanF32, error) {
 	}
 	p.dw = stripWalk{oh: oh, ow: ow, sps: g.InC * sh * rl, rs: g.Stride * rl, st: g.Stride / p.ph}
 	p.rw = 8
-	if ow%8 != 0 {
+	if p.owp%8 != 0 {
 		p.rw = 4
 	}
-	// The route rule: a conv of stride 1 or 2 whose output rows are whole
-	// 4-column runs reads its forward panels off the strip when it has at
-	// least 4 output channels, and each phase of dx off a dout strip when
-	// its input is Stride times its output; every other conv gathers its
-	// patches and scatters its column gradients.
-	strip := g.Stride <= 2 && ow%4 == 0 && !p.gather
+	// The route rule: a conv of stride 1 or 2 reads its forward panels off
+	// the strip when it has at least 4 output channels, and each phase of
+	// dx off a dout strip when its input is Stride times its output; every
+	// other conv gathers its patches and scatters its column gradients.
+	strip := g.Stride <= 2 && !p.gather
 	if strip && outC >= 4 {
 		p.runs = p.runsOf(p.dw.sps, p.dw.rs)
 	}
@@ -165,14 +174,13 @@ func (p *ConvPlanF32) planDX() {
 }
 
 // runsOf is the run table of a strip with sps floats per sample and
-// output rows rs apart: entry h is the offset of column rw·h of the
+// output rows rs apart: entry h is the offset of padded column rw·h of the
 // largest band.
 func (p *ConvPlanF32) runsOf(sps, rs int) []int32 {
-	_, ow := p.g.OutHW()
-	t := make([]int32, p.ld(blocks(f32BandCols, p.s))/p.rw)
+	t := make([]int32, p.ldp(blocks(f32BandCols, p.s))/p.rw)
 	for h := range t {
-		il, r := p.rw*h/p.s, p.rw*h%p.s
-		t[h] = int32(il*sps + r/ow*rs + r%ow)
+		il, r := p.rw*h/p.ps, p.rw*h%p.ps
+		t[h] = int32(il*sps + r/p.owp*rs + r%p.owp)
 	}
 	return t
 }
@@ -193,8 +201,7 @@ func (p *ConvPlanF32) runsAt(t []int32, pi, cols int) stripRuns {
 // doutGeom is the geometry of a dx-route band's dout strip: dout's planes
 // inside a border of pd, staged as a stride-1 input.
 func (p *ConvPlanF32) doutGeom() ConvGeom {
-	oh, ow := p.g.OutHW()
-	return ConvGeom{InC: p.outC, InH: oh, InW: ow, KH: 2*p.pd + 1, KW: 2*p.pd + 1, Stride: 1, Pad: p.pd}
+	return ConvGeom{InC: p.outC, InH: p.oh, InW: p.ow, KH: 2*p.pd + 1, KW: 2*p.pd + 1, Stride: 1, Pad: p.pd}
 }
 
 // stripLen is the float count of a band's input strip for nb samples:
@@ -207,6 +214,10 @@ func (p *ConvPlanF32) bandSamples(n int) int { return min(n, blocks(f32BandCols,
 // ld is the tile row stride of a band of nb samples: its columns rounded
 // up to whole panels.
 func (p *ConvPlanF32) ld(nb int) int { return blocks(nb*p.s, f32PanelCols) * f32PanelCols }
+
+// ldp is the row stride of a strip route's product for a band of nb
+// samples: its padded columns rounded up to whole panels.
+func (p *ConvPlanF32) ldp(nb int) int { return blocks(nb*p.ps, f32PanelCols) * f32PanelCols }
 
 // partLen is the float count of one band's gradient partial: dWᵀ as
 // (len(ofs), tld) — rows past kdim are never read — followed by outC bias
@@ -227,7 +238,7 @@ type ConvScratchF32 struct {
 
 type convLaneF32 struct {
 	tile   []float32 // kdim × ld: gather-route forward, the band's patches; scatter-route backward, its column gradients
-	prod   []float32 // max(outC, Stride²·dxRows) × ld: forward product; scatter-route backward, dout in column panels; dx route, dx's phases
+	prod   []float32 // max(outC, Stride²·dxRows) × ldp: forward product; scatter-route backward, dout in column panels; dx route, dx's phases
 	doT    []float32 // ld × tld: backward, doutᵀ in column panels
 	stage  []float32 // the band's zero-bordered input planes, all channels; scatter-route backward, then the scatter's accumulator
 	dstage []float32 // dx route: the band's dout, staged as doutGeom
@@ -257,7 +268,7 @@ func (sc *ConvScratchF32) bandsFor(p *ConvPlanF32, n int, backward bool) (convBa
 		if p.runs == nil || backward && p.dxOfs == nil {
 			ln.tile = grow(ln.tile, p.kdim*ld)
 		}
-		ln.prod = grow(ln.prod, max(p.outC, p.dxRows*len(p.dxTap)-p.dxRows)*ld)
+		ln.prod = grow(ln.prod, max(p.outC, p.dxRows*len(p.dxTap)-p.dxRows)*p.ldp(bs))
 		ln.stage = grow(ln.stage, p.stripLen(bs))
 		if backward {
 			ln.doT = grow(ln.doT, ld*p.tld)
@@ -344,29 +355,39 @@ func (j convF32Fwd) compute(t, lane int) {
 		matMulF32PackedSerial(ln.prod, j.w, &b, p.outC, p.kdim, 1)
 		return
 	}
+	ld = p.ldp(nb)
 	for pi := 0; pi < ld/f32PanelCols; pi++ {
-		f32StripPanel(ln.prod[pi*f32PanelCols:], j.w, ln.stage, p.ofs, p.outC, p.kdim, p.kdim, ld, p.ofsHi, p.runsAt(p.runs, pi, nb*p.s))
+		f32StripPanel(ln.prod[pi*f32PanelCols:], j.w, ln.stage, p.ofs, p.outC, p.kdim, p.kdim, ld, p.ofsHi, p.runsAt(p.runs, pi, nb*p.ps))
 	}
 }
 
 func (j convF32Fwd) epilogue(t, lane int) {
 	ln, i0, nb := j.task(t, lane)
-	drainInto(j.out[i0*j.p.outC*j.p.s:], ln.prod, j.bias, nb, j.p.outC, j.p.s, j.p.ld(nb))
+	p, owp, ld := j.p, j.p.ow, j.p.ld(nb)
+	if p.runs != nil {
+		owp, ld = p.owp, p.ldp(nb)
+	}
+	drainInto(j.out[i0*p.outC*p.s:], ln.prod, j.bias, nb, p.outC, p.oh, p.ow, owp, ld)
 }
 
-// drainInto copies rows r < c of a band's product (row stride ld, sample
-// il at column il·s) into nb NCHW samples of c planes, adding bias[r]
-// unless bias is nil.
-func drainInto(dst, prod, bias []float32, nb, c, s, ld int) {
+// drainInto copies rows r < c of a band's product (row stride ld; sample
+// il's oh rows of ow positions from column il·oh·owp, owp apart) into nb
+// NCHW samples of c planes, adding bias[r] unless bias is nil.
+func drainInto(dst, prod, bias []float32, nb, c, oh, ow, owp, ld int) {
+	if ow == owp { // whole planes are contiguous
+		oh, ow, owp = 1, oh*ow, oh*ow
+	}
 	for il := 0; il < nb; il++ {
 		for r := 0; r < c; r++ {
-			src, d := prod[r*ld+il*s:][:s], dst[(il*c+r)*s:][:s]
-			if bias == nil {
-				copy(d, src)
-				continue
-			}
-			for k, v := range src {
-				d[k] = v + bias[r]
+			for y := 0; y < oh; y++ {
+				src, d := prod[r*ld+(il*oh+y)*owp:][:ow], dst[((il*c+r)*oh+y)*ow:][:ow]
+				if bias == nil {
+					copy(d, src)
+					continue
+				}
+				for k, v := range src {
+					d[k] = v + bias[r]
+				}
 			}
 		}
 	}
@@ -500,8 +521,9 @@ func (j convF32Bwd) compute(t, lane int) {
 		}
 	}
 	if p.dxOfs != nil {
-		// Phase by phase; the running sums start at +0, and stay there in
-		// a phase no tap reaches.
+		// Phase by phase over padded rows; the running sums start at +0,
+		// and stay there in a phase no tap reaches.
+		ld = p.ldp(nb)
 		clear(ln.prod[:(len(p.dxTap)-1)*p.dxRows*ld])
 		for f := 0; f+1 < len(p.dxTap); f++ {
 			t0, t1 := p.dxTap[f]*p.outC, p.dxTap[f+1]*p.outC
@@ -510,7 +532,7 @@ func (j convF32Bwd) compute(t, lane int) {
 			}
 			wf, dst := j.sc.wT[p.dxRows*t0:][:p.dxRows*(t1-t0)], ln.prod[f*p.dxRows*ld:]
 			for pi := 0; pi < ld/f32PanelCols; pi++ {
-				f32StripDX(dst[pi*f32PanelCols:], wf, ln.dstage, p.dxOfs[t0:t1], p.outC, p.dxHi, p.dxRows, ld, p.runsAt(p.dxRuns, pi, cols))
+				f32StripDX(dst[pi*f32PanelCols:], wf, ln.dstage, p.dxOfs[t0:t1], p.outC, p.dxHi, p.dxRows, ld, p.runsAt(p.dxRuns, pi, nb*p.ps))
 			}
 		}
 		return
@@ -528,19 +550,28 @@ func (j convF32Bwd) epilogue(t, lane int) {
 		col2imInto(dx, ln.tile, p.g, nb, 0, p.ld(nb), ln.stage)
 		return
 	}
+	ld := p.ldp(nb)
 	if p.g.Stride == 1 {
-		drainInto(dx, ln.prod, nil, nb, p.g.InC, p.s, p.ld(nb))
+		drainInto(dx, ln.prod, nil, nb, p.g.InC, p.oh, p.ow, p.owp, ld)
 		return
 	}
 	// Stride 2: row 2a+py of a plane interleaves row a of phases (py, 0)
-	// and (py, 1).
-	oh, ow := p.g.OutHW()
-	ld, hw := p.ld(nb), p.g.InH*p.g.InW
+	// and (py, 1), whole 4-column steps through interleave and the last
+	// OW%4 columns here.
+	n4, ds, hw := p.ow&^3, 2*p.g.InW, p.g.InH*p.g.InW
 	for il := 0; il < nb; il++ {
 		for c := 0; c < p.g.InC; c++ {
 			for py := 0; py < 2; py++ {
-				e := ln.prod[(2*py*p.dxRows+c)*ld+il*p.s:]
-				interleave(dx[(il*p.g.InC+c)*hw+py*p.g.InW:], e, e[p.dxRows*ld:], ow, oh, 2*p.g.InW)
+				d, e := dx[(il*p.g.InC+c)*hw+py*p.g.InW:], ln.prod[(2*py*p.dxRows+c)*ld+il*p.ps:]
+				o := e[p.dxRows*ld:]
+				if n4 > 0 {
+					interleave(d, e, o, n4, p.oh, p.owp, ds)
+				}
+				for a := 0; a < p.oh; a++ {
+					for b := n4; b < p.ow; b++ {
+						d[a*ds+2*b], d[a*ds+2*b+1] = e[a*p.owp+b], o[a*p.owp+b]
+					}
+				}
 			}
 		}
 	}

@@ -198,6 +198,19 @@ func FuzzConvBandVsDirect(f *testing.F) {
 	f.Add(int64(41), uint8(2), uint8(7), uint8(15), uint8(2), uint8(2), uint8(1), uint8(1), uint8(5), uint8(7))
 	f.Add(int64(42), uint8(3), uint8(7), uint8(7), uint8(2), uint8(2), uint8(1), uint8(1), uint8(19), uint8(4))
 	f.Add(int64(43), uint8(3), uint8(5), uint8(15), uint8(0), uint8(0), uint8(1), uint8(0), uint8(9), uint8(5))
+	// Output rows padded to whole 4-column runs, forward and dx: OW 2, 3,
+	// 5, 6 and 7 at stride 1 (3×3, 5×5 and 1×1) and at stride 2, where
+	// the dx drain interleaves OW%4 tail columns.
+	f.Add(int64(51), uint8(1), uint8(3), uint8(1), uint8(2), uint8(2), uint8(0), uint8(1), uint8(6), uint8(4))
+	f.Add(int64(52), uint8(2), uint8(2), uint8(2), uint8(2), uint8(2), uint8(0), uint8(1), uint8(11), uint8(7))
+	f.Add(int64(53), uint8(0), uint8(4), uint8(4), uint8(4), uint8(4), uint8(0), uint8(2), uint8(3), uint8(5))
+	f.Add(int64(54), uint8(3), uint8(5), uint8(5), uint8(2), uint8(2), uint8(0), uint8(1), uint8(9), uint8(15))
+	f.Add(int64(55), uint8(1), uint8(6), uint8(6), uint8(0), uint8(0), uint8(0), uint8(0), uint8(5), uint8(8))
+	f.Add(int64(56), uint8(3), uint8(3), uint8(3), uint8(2), uint8(2), uint8(1), uint8(1), uint8(17), uint8(7))
+	f.Add(int64(57), uint8(2), uint8(5), uint8(5), uint8(2), uint8(2), uint8(1), uint8(1), uint8(7), uint8(4))
+	f.Add(int64(58), uint8(1), uint8(9), uint8(9), uint8(0), uint8(0), uint8(1), uint8(0), uint8(4), uint8(5))
+	f.Add(int64(59), uint8(3), uint8(11), uint8(11), uint8(2), uint8(2), uint8(1), uint8(1), uint8(5), uint8(15))
+	f.Add(int64(60), uint8(2), uint8(1), uint8(13), uint8(4), uint8(4), uint8(1), uint8(2), uint8(3), uint8(6))
 	f.Fuzz(func(t *testing.T, seed int64, inC, inH, inW, kh, kw, stride, pad, n, outC uint8) {
 		g, batch, filters := fuzzConvBandGeom(inC, inH, inW, kh, kw, stride, pad, n, outC)
 		if g.Validate() != nil {
@@ -389,8 +402,10 @@ func TestConvBandRejectsShortOperands(t *testing.T) {
 // stripCases are the route-identity problems: the determinism cases, the
 // benchmark's ResNet-20 (width 0.25) and SmallCNN convs at 16×16 — stem,
 // stage 1/2/3 stride-1 convs, both stride-2 3×3 convs, both 1×1
-// downsamples, SmallCNN b1–b4 — outC and kdim off multiples of 4, and a
-// 5×5 and a channel-reducing 1×1 conv on the dx route.
+// downsamples, SmallCNN b1–b4 — outC and kdim off multiples of 4, a 5×5
+// and a channel-reducing 1×1 conv on the dx route, and Micro's 12×12
+// geometries, whose output rows of 6, 3 and 2 the strip routes pad to
+// whole 4-column runs.
 var stripCases = append([]struct {
 	g       ConvGeom
 	n, outC int
@@ -419,17 +434,21 @@ var stripCases = append([]struct {
 	{ConvGeom{InC: 2, InH: 8, InW: 16, KH: 3, KW: 4, Stride: 2, Pad: 1}, 6, 5},    // stride 2, 3×4 kernel
 	{ConvGeom{InC: 3, InH: 8, InW: 7, KH: 3, KW: 3, Stride: 2, Pad: 1}, 6, 4},     // stride 2 from an odd width: phases of 5 and 4, dx scatters
 	{ConvGeom{InC: 2, InH: 9, InW: 9, KH: 3, KW: 3, Stride: 2, Pad: 0}, 5, 8},     // stride 2, pad 0, OW 4 from 9: dx scatters
-	{ConvGeom{InC: 4, InH: 12, InW: 12, KH: 3, KW: 3, Stride: 2, Pad: 1}, 5, 8},   // Micro's OW 6: both gather
+	{ConvGeom{InC: 4, InH: 12, InW: 12, KH: 3, KW: 3, Stride: 2, Pad: 1}, 5, 8},   // OW 6 from 12: padded rows, dx tail of 2
+	{ConvGeom{InC: 16, InH: 12, InW: 12, KH: 3, KW: 3, Stride: 2, Pad: 1}, 7, 16}, // Micro SmallCNN b2: 6×6
+	{ConvGeom{InC: 32, InH: 6, InW: 6, KH: 3, KW: 3, Stride: 2, Pad: 1}, 19, 32},  // Micro SmallCNN b4: 3×3, no interleaved step
+	{ConvGeom{InC: 8, InH: 6, InW: 6, KH: 1, KW: 1, Stride: 2, Pad: 0}, 19, 16},   // Micro ResNet-20 stage 3 downsample: 3×3
+	{ConvGeom{InC: 16, InH: 6, InW: 6, KH: 5, KW: 5, Stride: 1, Pad: 2}, 7, 16},   // Micro 5×5 at 6×6
+	{ConvGeom{InC: 12, InH: 2, InW: 2, KH: 1, KW: 1, Stride: 1, Pad: 0}, 70, 6},   // Micro MobileNetV2 1×1 at 2×2
 	{ConvGeom{InC: 2, InH: 12, InW: 12, KH: 3, KW: 3, Stride: 3, Pad: 1}, 5, 4},   // stride 3, OW 4: both gather
 }, bandDeterminismCases...)
 
 // wantStripRoutes is the route rule the plans must follow: at stride 1 or
-// 2 with output rows of whole quarters, the forward reads the strip when
-// there are at least 4 output channels, and dx reads the dout strip when
-// the input is Stride times the output.
+// 2 the forward reads the strip when there are at least 4 output channels,
+// and dx reads the dout strip when the input is Stride times the output.
 func wantStripRoutes(g ConvGeom, outC int) (fwd, dx bool) {
 	oh, ow := g.OutHW()
-	ok := g.Stride <= 2 && ow%4 == 0
+	ok := g.Stride <= 2
 	return ok && outC >= 4, ok && g.InH == g.Stride*oh && g.InW == g.Stride*ow
 }
 
@@ -487,8 +506,9 @@ func TestConvStripMatchesGather(t *testing.T) {
 // strip-route geometries (halves, quarters, stride-2 phase strips) and
 // gather-route ones must leave every out, dx, dW and bias-gradient element
 // finite and the guards untouched — which pins the strip-route kernels'
-// reads, the dead runs of a ragged band, the stride-2 phase staging and
-// the stride-2 tap kernels' one-float over-read into the strip's margin.
+// reads (the padded columns of rows that are not whole 4-column runs
+// included), the dead runs of a ragged band and the stride-2 phase
+// staging: no kernel reads past the strips.
 func TestConvStripGuardFloats(t *testing.T) {
 	geoms := []struct {
 		g       ConvGeom
@@ -505,7 +525,10 @@ func TestConvStripGuardFloats(t *testing.T) {
 		{ConvGeom{InC: 4, InH: 16, InW: 16, KH: 1, KW: 1, Stride: 2, Pad: 0}, 5, 8}, // phase strip, three dx phases without taps
 		{ConvGeom{InC: 3, InH: 5, InW: 12, KH: 3, KW: 3, Stride: 1, Pad: 1}, 7, 6},  // quarters, OW 12, a dead quarter
 		{ConvGeom{InC: 5, InH: 8, InW: 7, KH: 3, KW: 3, Stride: 2, Pad: 1}, 9, 4},   // phase strip from an odd width
-		{ConvGeom{InC: 6, InH: 12, InW: 12, KH: 3, KW: 3, Stride: 2, Pad: 1}, 3, 4}, // OW 6: the gather routes
+		{ConvGeom{InC: 6, InH: 12, InW: 12, KH: 3, KW: 3, Stride: 2, Pad: 1}, 3, 4}, // OW 6: padded rows
+		{ConvGeom{InC: 4, InH: 6, InW: 6, KH: 3, KW: 3, Stride: 2, Pad: 1}, 9, 5},   // OW 3: a padded column a row
+		{ConvGeom{InC: 3, InH: 5, InW: 5, KH: 5, KW: 5, Stride: 1, Pad: 2}, 4, 6},   // OW 5, 5×5
+		{ConvGeom{InC: 2, InH: 12, InW: 12, KH: 3, KW: 3, Stride: 3, Pad: 1}, 5, 4}, // stride 3: the gather routes
 	}
 	eachDispatch(t, func(t *testing.T) {
 		for gi, gc := range geoms {
@@ -518,7 +541,7 @@ func TestConvStripGuardFloats(t *testing.T) {
 				for i := range sc.lanes {
 					ln := &sc.lanes[i]
 					ln.stage, ln.dstage = poisoned(sl)[:sl], poisoned(dsl)[:dsl]
-					ln.tile, ln.prod, ln.doT = poisoned(p.kdim*ld), poisoned(max(p.outC, p.dxRows*len(p.dxTap)-p.dxRows)*ld), poisoned(ld*p.tld)
+					ln.tile, ln.prod, ln.doT = poisoned(p.kdim*ld), poisoned(max(p.outC, p.dxRows*len(p.dxTap)-p.dxRows)*p.ldp(bs)), poisoned(ld*p.tld)
 				}
 				c.run(t, &sc)
 				SetMaxWorkers(prev)
@@ -653,16 +676,17 @@ func FuzzConvStripKernels(f *testing.F) {
 		checkUntouched(t, "input-gradient strip", strip, sl)
 
 		// The stride-2 drain's interleave: rows of n = 4·q floats per
-		// phase, destination rows ds apart.
+		// phase, es apart, destination rows ds apart.
 		n, rws := 4*(1+int(ow%5)), 1+int(nb%4)
-		ds := 2*n + rng.Intn(5)
-		e, o := make([]float32, rws*n), make([]float32, rws*n)
+		es, ds := n+rng.Intn(5), 2*n+rng.Intn(5)
+		el := (rws-1)*es + n
+		e, o := make([]float32, el), make([]float32, el)
 		small(e)
 		small(o)
 		dl = (rws-1)*ds + 2*n
 		got, want = poisoned(dl), poisoned(dl)
-		interleave(got[:dl], e, o, n, rws, ds)
-		interleaveGo(want[:dl], e, o, n, rws, ds)
+		interleave(got[:dl], e, o, n, rws, es, ds)
+		interleaveGo(want[:dl], e, o, n, rws, es, ds)
 		checkStripKernel(t, "interleave", got, want, dl)
 
 		// Staging: planes of h rows of w floats into strip rows rs apart,
@@ -689,6 +713,32 @@ func FuzzConvStripKernels(f *testing.F) {
 		}
 		checkStripKernel(t, "staging", got, want, dl)
 	})
+}
+
+// canaryWords is the count of canary words poisoned places after a
+// buffer.
+const canaryWords = 8
+
+// poisoned returns n floats followed by canaryWords canary words, every
+// word a NaN whose payload is its index: a stale or misplaced word shows in
+// a bitwise comparison, and a kernel that folds one into a result turns
+// the result into a NaN.
+func poisoned(n int) []float32 {
+	v := make([]float32, n+canaryWords)
+	for i := range v {
+		v[i] = math.Float32frombits(0x7fa00000 | uint32(i))
+	}
+	return v
+}
+
+// checkUntouched fails when a word of v from index n on lost its poison.
+func checkUntouched(t *testing.T, what string, v []float32, n int) {
+	t.Helper()
+	for i := n; i < len(v); i++ {
+		if math.Float32bits(v[i]) != 0x7fa00000|uint32(i) {
+			t.Fatalf("word %d past the end of the %s was overwritten", i-n, what)
+		}
+	}
 }
 
 // checkStripKernel demands the portable twin's bytes in the first n words

@@ -20,11 +20,11 @@ import (
 
 // SIMD dispatch state. simdApply is overridden by the per-arch init when
 // usable vector kernels exist; it repoints every dispatch variable (the
-// packed float and integer panel kernels, the conv gathers and the
-// requant epilogue) at either the assembly or the portable
-// implementations. The APT_NOSIMD environment variable
-// keeps the portable kernels in place at startup, so the fallback path is
-// testable on SIMD hardware.
+// packed float and integer panel kernels, the float conv's strip kernels,
+// the int8 conv's gather, the batch-norm kernels and the requant
+// epilogue) at either the assembly or the portable implementations. The
+// APT_NOSIMD environment variable keeps the portable kernels in place at
+// startup, so the fallback path is testable on SIMD hardware.
 var (
 	simdOn       bool
 	simdFeatures string
@@ -266,11 +266,11 @@ func f32StripDWGo(dst, strip []float32, ofs []int32, hi int, panel []float32, pw
 }
 
 // interleaveGo writes rows r < rows of dst (row stride ds) from e's and
-// o's rows of n floats (n a multiple of 4, rows n apart), alternating:
+// o's rows of n floats (n a multiple of 4, rows es apart), alternating:
 // dst[2b] = e[b], dst[2b+1] = o[b].
-func interleaveGo(dst, e, o []float32, n, rows, ds int) {
+func interleaveGo(dst, e, o []float32, n, rows, es, ds int) {
 	for r := 0; r < rows; r++ {
-		d, er, or := dst[r*ds:][:2*n], e[r*n:][:n], o[r*n:][:n]
+		d, er, or := dst[r*ds:][:2*n], e[r*es:][:n], o[r*es:][:n]
 		for b := 0; b < n; b += 4 {
 			x, y, q := er[b:b+4:b+4], or[b:b+4:b+4], d[2*b:2*b+8:2*b+8]
 			q[0], q[1], q[2], q[3], q[4], q[5], q[6], q[7] = x[0], y[0], x[1], y[1], x[2], y[2], x[3], y[3]

@@ -52,12 +52,6 @@ func packedF32GEMM4x8FMA(dst, a, panel *float32, m, k, ars, aks, ldd int)
 func packedF32GEMM1x8FMA(dst, a, panel *float32, k, aks int)
 
 //go:noescape
-func convTapGatherAVX2(dst, src *float32, off, nb, oh, ow, rs, sp, st, pw, kp int)
-
-//go:noescape
-func convTapScatterAVX2(dst, src *float32, nb, oh, ow, rs, sp, st int)
-
-//go:noescape
 func convStripGEMM4x16FMA(dst, a, b0, b1, b2, b3 *float32, ofs *int32, m, k, ars, ldd, quarter int)
 
 //go:noescape
@@ -67,7 +61,7 @@ func convStripDX4x16FMA(dst, a, b0, b1, b2, b3 *float32, ofs *int32, m, seg, k, 
 func stageRowsAVX2(dst, src *float32, planes, h, w, sp, rs, e, o, ph int)
 
 //go:noescape
-func interleaveAVX2(dst, e, o *float32, n, rows, ds int)
+func interleaveAVX2(dst, e, o *float32, n, rows, es, ds int)
 
 //go:noescape
 func convStripDWT4FMA(dst, strip *float32, ofs *int32, panel *float32, m, nb, oh, ow, st, rskip, sskip, ldd, pw int)
@@ -136,7 +130,6 @@ func applySIMDAmd64(on bool) {
 		packedAsmFast4, packedAsmWide4 = nil, nil
 		packedAsmEdge = nil
 		pack3Asm = nil
-		tapGatherAsm, tapScatterAsm = nil, nil
 		bnMomentsAsm, bnAffineAsm, bnGradSumsAsm, bnGradInputAsm = nil, nil, nil, nil
 		f32Panel4, f32Panel1 = f32Panel4Go, f32Panel1Go
 		f32Panel4w8, f32Panel1w8 = f32Panel4x8Go, f32Panel1x8Go
@@ -151,8 +144,6 @@ func applySIMDAmd64(on bool) {
 	packedAsmWide4 = packedWide4Asm
 	packedAsmEdge = packedEdgeAsm
 	pack3Asm = pack3AVX2Wrap
-	tapGatherAsm = tapGatherAVX2Wrap
-	tapScatterAsm = tapScatterAVX2Wrap
 	bnMomentsAsm = bnMomentsAVX2Wrap
 	bnAffineAsm = bnAffineAVX2Wrap
 	bnGradSumsAsm = bnGradSumsAVX2Wrap
@@ -179,21 +170,6 @@ func pack3AVX2Wrap(dst, r0, r1, r2 []uint8, n, nc, kdim, stride, plane int) {
 	_ = r1[e+3]
 	_ = r2[e+3]
 	im2colPack3AVX2(&dst[0], &r0[0], &r1[0], &r2[0], n, nc, kdim, stride, plane)
-}
-
-func tapGatherAVX2Wrap(dst, src []float32, off, nb, oh, ow, rs, sp, st, pw, kp int) {
-	// Pin the last column the walk writes and the last float it reads,
-	// the stride-2 margin float included.
-	jl := off + nb*oh*ow - 1
-	_ = dst[(jl/pw)*kp+jl%pw]
-	_ = src[(nb-1)*sp+(oh-1)*rs+(ow-1)*st+st-1]
-	convTapGatherAVX2(&dst[0], &src[0], off, nb, oh, ow, rs, sp, st, pw, kp)
-}
-
-func tapScatterAVX2Wrap(dst, src []float32, nb, oh, ow, rs, sp, st int) {
-	_ = src[nb*oh*ow-1]
-	_ = dst[(nb-1)*sp+(oh-1)*rs+(ow-1)*st+st-1]
-	convTapScatterAVX2(&dst[0], &src[0], nb, oh, ow, rs, sp, st)
 }
 
 // The strip wrappers take hi, the largest entry of a (non-negative, not
@@ -242,12 +218,12 @@ func stripDWFMAWrap(dst, strip []float32, ofs []int32, hi int, panel []float32, 
 	convStripDWT4FMA(&dst[0], &strip[0], &ofs[0], &panel[0], m, w.nb, w.oh, w.ow, w.st, w.rs-w.ow*w.st, w.sps-w.oh*w.rs, ldd, pw)
 }
 
-func interleaveAVX2Wrap(dst, e, o []float32, n, rows, ds int) {
+func interleaveAVX2Wrap(dst, e, o []float32, n, rows, es, ds int) {
 	// n is a positive multiple of 4.
 	_ = dst[(rows-1)*ds+2*n-1]
-	_ = e[rows*n-1]
-	_ = o[rows*n-1]
-	interleaveAVX2(&dst[0], &e[0], &o[0], n, rows, ds)
+	_ = e[(rows-1)*es+n-1]
+	_ = o[(rows-1)*es+n-1]
+	interleaveAVX2(&dst[0], &e[0], &o[0], n, rows, es, ds)
 }
 
 func stageRowsAVX2Wrap(dst, src []float32, planes, h, w, sp, rs, e, o, ph int) {
@@ -255,9 +231,14 @@ func stageRowsAVX2Wrap(dst, src []float32, planes, h, w, sp, rs, e, o, ph int) {
 		stageRowsGo(dst, src, planes, h, w, sp, rs, e, o, ph)
 		return
 	}
-	// The last row's last float lands at +e or +o, both under rs.
+	// The last row's last float lands w−1 past +e, or at ph = 2 (w even)
+	// w/2−1 past the later of +e and +o; all under rs.
+	hi := e
+	if ph == 2 {
+		hi = max(e, o)
+	}
 	_ = src[planes*h*w-1]
-	_ = dst[(planes-1)*sp+(h-1)*rs+max(e, o)+(w-1)/ph]
+	_ = dst[(planes-1)*sp+(h-1)*rs+hi+(w-1)/ph]
 	stageRowsAVX2(&dst[0], &src[0], planes, h, w, sp, rs, e, o, ph)
 }
 

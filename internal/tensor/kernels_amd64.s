@@ -236,237 +236,6 @@ kloop:
 	VZEROUPPER
 	RET
 
-// func convTapGatherAVX2(dst, src *float32, off, nb, oh, ow, rs, sp, st, pw, kp int)
-//
-// One (channel, kh, kw) tap of the staged float gather (tapGatherGo is the
-// reference walk): for each of nb samples (source stride sp) and oh output
-// rows (source stride rs) it copies ow floats at source stride st ∈ {1, 2}
-// into consecutive columns off, off+1, … of the tap's patch row, splitting
-// the row into one run per column panel it crosses (pw columns, panel
-// stride kp); with pw = InW it also moves the scatter's planes out of the
-// strip. Runs move in 8-, 4- and 1-float steps. Stride 2 loads 2n
-// floats per n-float step and keeps the even ones (VSHUFPS picks them per
-// 128-bit lane, VPERMPD restores column order), so it reads one float
-// past the last one it uses: the staging strip's one-float margin.
-//
-// Registers: DI panel-row base, R8 off, R9 pw, R10 kp bytes, SI sample
-// cursor, R11 samples left, R13 row cursor, R12 rows left, R14 rs bytes,
-// R15 sp bytes, BX floats left in the row, CX run length, DX source and AX
-// destination cursors, Y0/Y1 data.
-TEXT ·convTapGatherAVX2(SB), NOSPLIT, $0-88
-	MOVQ dst+0(FP), DI
-	MOVQ src+8(FP), SI
-	MOVQ off+16(FP), R8
-	MOVQ nb+24(FP), R11
-	MOVQ rs+48(FP), R14
-	SHLQ $2, R14
-	MOVQ sp+56(FP), R15
-	SHLQ $2, R15
-	MOVQ pw+72(FP), R9
-	MOVQ kp+80(FP), R10
-	SHLQ $2, R10
-
-sample:
-	MOVQ SI, R13
-	MOVQ oh+32(FP), R12
-
-row:
-	MOVQ R13, DX
-	MOVQ ow+40(FP), BX
-
-run:
-	MOVQ    R9, CX
-	SUBQ    R8, CX            // pw - off
-	CMPQ    CX, BX
-	CMOVQGT BX, CX            // run = min(pw - off, floats left)
-	SUBQ    CX, BX
-	LEAQ    (DI)(R8*4), AX
-	ADDQ    CX, R8
-	CMPQ    st+64(FP), $1
-	JNE     s2x8
-
-s1x8:
-	CMPQ    CX, $8
-	JLT     s1x4
-	VMOVUPS (DX), Y0
-	VMOVUPS Y0, (AX)
-	ADDQ    $32, DX
-	ADDQ    $32, AX
-	SUBQ    $8, CX
-	JMP     s1x8
-
-s1x4:
-	CMPQ    CX, $4
-	JLT     s1x1
-	VMOVUPS (DX), X0
-	VMOVUPS X0, (AX)
-	ADDQ    $16, DX
-	ADDQ    $16, AX
-	SUBQ    $4, CX
-
-s1x1:
-	TESTQ  CX, CX
-	JZ     rundone
-	VMOVSS (DX), X0
-	VMOVSS X0, (AX)
-	ADDQ   $4, DX
-	ADDQ   $4, AX
-	DECQ   CX
-	JMP    s1x1
-
-s2x8:
-	CMPQ    CX, $8
-	JLT     s2x4
-	VMOVUPS (DX), Y0
-	VMOVUPS 32(DX), Y1
-	VSHUFPS $0x88, Y1, Y0, Y0 // lanes: a0 a2 a8 a10 | a4 a6 a12 a14
-	VPERMPD $0xD8, Y0, Y0     // a0 a2 a4 a6 a8 a10 a12 a14
-	VMOVUPS Y0, (AX)
-	ADDQ    $64, DX
-	ADDQ    $32, AX
-	SUBQ    $8, CX
-	JMP     s2x8
-
-s2x4:
-	CMPQ    CX, $4
-	JLT     s2x1
-	VMOVUPS (DX), X0
-	VMOVUPS 16(DX), X1
-	VSHUFPS $0x88, X1, X0, X0 // a0 a2 a4 a6
-	VMOVUPS X0, (AX)
-	ADDQ    $32, DX
-	ADDQ    $16, AX
-	SUBQ    $4, CX
-
-s2x1:
-	TESTQ  CX, CX
-	JZ     rundone
-	VMOVSS (DX), X0
-	VMOVSS X0, (AX)
-	ADDQ   $8, DX
-	ADDQ   $4, AX
-	DECQ   CX
-	JMP    s2x1
-
-rundone:
-	CMPQ R8, R9
-	JNE  rowleft
-	XORQ R8, R8               // panel full: next run starts the next panel
-	ADDQ R10, DI
-
-rowleft:
-	TESTQ BX, BX
-	JNZ   run
-	ADDQ  R14, R13
-	DECQ  R12
-	JNZ   row
-	ADDQ  R15, SI
-	DECQ  R11
-	JNZ   sample
-	VZEROUPPER
-	RET
-
-// func convTapScatterAVX2(dst, src *float32, nb, oh, ow, rs, sp, st int)
-//
-// The adjoint of convTapGatherAVX2 over a row-major source (tapScatterGo
-// is the reference walk): the nb·oh·ow contiguous column-gradient floats
-// at src are added, one add each, into the staging strip at the same
-// sample / row / stride positions the gather reads. Stride 2 widens four
-// source floats into the even lanes of a zero-interleaved YMM
-// (VPMOVZXDQ), adds it to eight strip floats and blends the odd lanes
-// back from the strip, so each step rewrites the float after the last one
-// it updates with its own bits: the same one-float margin as the gather.
-//
-// Registers: DI sample cursor, R11 samples left, R13 row cursor, R12 rows
-// left, R14 rs bytes, R15 sp bytes, R9 ow, R10 st, SI source and AX strip
-// cursors, CX floats left in the row, Y0/Y1 data.
-TEXT ·convTapScatterAVX2(SB), NOSPLIT, $0-64
-	MOVQ dst+0(FP), DI
-	MOVQ src+8(FP), SI
-	MOVQ nb+16(FP), R11
-	MOVQ ow+32(FP), R9
-	MOVQ rs+40(FP), R14
-	SHLQ $2, R14
-	MOVQ sp+48(FP), R15
-	SHLQ $2, R15
-	MOVQ st+56(FP), R10
-
-sample:
-	MOVQ DI, R13
-	MOVQ oh+24(FP), R12
-
-row:
-	MOVQ R13, AX
-	MOVQ R9, CX
-	CMPQ R10, $1
-	JNE  a2x4
-
-a1x8:
-	CMPQ    CX, $8
-	JLT     a1x4
-	VMOVUPS (AX), Y0
-	VADDPS  (SI), Y0, Y0
-	VMOVUPS Y0, (AX)
-	ADDQ    $32, AX
-	ADDQ    $32, SI
-	SUBQ    $8, CX
-	JMP     a1x8
-
-a1x4:
-	CMPQ    CX, $4
-	JLT     a1x1
-	VMOVUPS (AX), X0
-	VADDPS  (SI), X0, X0
-	VMOVUPS X0, (AX)
-	ADDQ    $16, AX
-	ADDQ    $16, SI
-	SUBQ    $4, CX
-
-a1x1:
-	TESTQ  CX, CX
-	JZ     rowdone
-	VMOVSS (AX), X0
-	VADDSS (SI), X0, X0
-	VMOVSS X0, (AX)
-	ADDQ   $4, AX
-	ADDQ   $4, SI
-	DECQ   CX
-	JMP    a1x1
-
-a2x4:
-	CMPQ      CX, $4
-	JLT       a2x1
-	VMOVUPS   (AX), Y0
-	VPMOVZXDQ (SI), Y1          // v0 0 v1 0 v2 0 v3 0
-	VADDPS    Y1, Y0, Y1
-	VBLENDPS  $0xAA, Y0, Y1, Y1 // odd lanes: the strip's own bits
-	VMOVUPS   Y1, (AX)
-	ADDQ      $32, AX
-	ADDQ      $16, SI
-	SUBQ      $4, CX
-	JMP       a2x4
-
-a2x1:
-	TESTQ  CX, CX
-	JZ     rowdone
-	VMOVSS (AX), X0
-	VADDSS (SI), X0, X0
-	VMOVSS X0, (AX)
-	ADDQ   $8, AX
-	ADDQ   $4, SI
-	DECQ   CX
-	JMP    a2x1
-
-rowdone:
-	ADDQ R14, R13
-	DECQ R12
-	JNZ  row
-	ADDQ R15, DI
-	DECQ R11
-	JNZ  sample
-	VZEROUPPER
-	RET
-
 // STRIP_HALVES and STRIP_QUARTERS load panel row CX of the strip-route
 // 4×16 kernels into Y8 (columns 0–7) and Y9 (8–15), read at ofs[CX] (AX)
 // past the run bases: two 8-float halves at DX and BX, or four 4-float
@@ -690,36 +459,42 @@ gnext:
 	VZEROUPPER
 	RET
 
-// func interleaveAVX2(dst, e, o *float32, n, rows, ds int)
+// func interleaveAVX2(dst, e, o *float32, n, rows, es, ds int)
 //
 // interleaveGo's rows (its reference): four floats of e and four of o per
 // step, VUNPCKLPS / VUNPCKHPS pairing them. n must be a positive multiple
 // of 4.
-TEXT ·interleaveAVX2(SB), NOSPLIT, $0-48
+TEXT ·interleaveAVX2(SB), NOSPLIT, $0-56
 	MOVQ dst+0(FP), DI
 	MOVQ e+8(FP), SI
 	MOVQ o+16(FP), DX
 	MOVQ rows+32(FP), R8
-	MOVQ ds+40(FP), R9
+	MOVQ es+40(FP), R10
+	SHLQ $2, R10
+	MOVQ ds+48(FP), R9
 	SHLQ $2, R9
 
 irow:
 	MOVQ DI, AX
+	MOVQ SI, R11
+	MOVQ DX, R12
 	MOVQ n+24(FP), CX
 
 ipair:
-	VMOVUPS   (SI), X0
-	VMOVUPS   (DX), X1
+	VMOVUPS   (R11), X0
+	VMOVUPS   (R12), X1
 	VUNPCKLPS X1, X0, X2      // e0 o0 e1 o1
 	VUNPCKHPS X1, X0, X3      // e2 o2 e3 o3
 	VMOVUPS   X2, (AX)
 	VMOVUPS   X3, 16(AX)
-	ADDQ      $16, SI
-	ADDQ      $16, DX
+	ADDQ      $16, R11
+	ADDQ      $16, R12
 	ADDQ      $32, AX
 	SUBQ      $4, CX
 	JNZ       ipair
 	ADDQ      R9, DI
+	ADDQ      R10, SI
+	ADDQ      R10, DX
 	DECQ      R8
 	JNZ       irow
 	RET

@@ -14,10 +14,9 @@ import "os"
 // Deliberately left portable on arm64: the nr<8 integer edge kernel
 // (packedAsmEdge stays nil; the portable edge loop handles partial
 // panels, which only ever cover the last few columns of a layer), the
-// float conv's tap gather and scatter (tapGatherAsm / tapScatterAsm stay
-// nil; the portable run loops walk the staging strip) and the batch-norm
-// channel kernels (bnMomentsAsm and its three siblings stay nil; the
-// portable lane loops in batchnorm.go run).
+// float conv's strip kernels (f32StripPanel and its siblings keep their
+// portable twins) and the batch-norm channel kernels (bnMomentsAsm and its
+// three siblings stay nil; the portable lane loops in batchnorm.go run).
 
 //go:noescape
 func packedGEMMNEON(dst *int32, a *uint8, panel *int8, m, kq, lda, ldd int)
