@@ -208,10 +208,12 @@ func runKernelBenches(out io.Writer, jsonPath string) error {
 		}
 	})
 
-	// ConvImplicitU8: the whole int8 conv lowering — band gather + packed
-	// GEMM — on the deploy-shaped stride-1 layer (16ch 16×16 3×3 pad 1, 16
-	// samples → the exact 4096×144×32 product of IntGEMMPacked4Row, so the
-	// gap between this row and that one is the gather cost).
+	// ConvImplicitU8: the NCHW int8 conv (ConvU8I8ImplicitInto, the
+	// engine's oracle: portable band patch gather + packed GEMM) on the
+	// deploy-shaped stride-1 layer (16ch 16×16 3×3 pad 1, 16 samples →
+	// the exact 4096×144×32 product of IntGEMMPacked4Row, so the gap
+	// between this row and that one is the gather cost). The engine's own
+	// conv reads an NHWC row strip instead (ConvU8I8StripInto).
 	convG := tensor.ConvGeom{InC: 16, InH: 16, InW: 16, KH: 3, KW: 3, Stride: 1, Pad: 1}
 	convN := 16
 	convOH, convOW := convG.OutHW()
@@ -241,13 +243,12 @@ func runKernelBenches(out io.Writer, jsonPath string) error {
 		}
 	})
 
-	// RequantQ31: the serving epilogue alone — requantize the transposed
-	// (position-major) accumulator block the packed GEMM above produces,
-	// at the same deploy geometry. This is the part of Engine.Forward that
-	// the SIMD requant kernels vectorized; tracking it next to the GEMM
-	// rows shows how the epilogue share of an int8 layer evolves. The op
-	// count is per-element (not MACs), so the MFLOP/s column reads as
-	// requantized elements ×2 per ns.
+	// RequantQ31: the NCHW epilogue alone — requantize the position-major
+	// accumulator block the packed GEMM above produces into channel-major
+	// bytes (RequantQ31Transpose, portable Go since the engine went NHWC
+	// and requantizes rows), at the same deploy geometry. The op count is
+	// per-element (not MACs), so the MFLOP/s column reads as requantized
+	// elements ×2 per ns.
 	rqNP, rqNC := intM, intN
 	rqM0 := make([]int32, rqNC)
 	rqRsh := make([]int32, rqNC)

@@ -95,7 +95,7 @@ func run(args []string, out io.Writer) error {
 	fmt.Fprintf(out, "per-MAC energy at %d bits: %.4f of a 32-bit MAC\n",
 		*bits, em.MACCost(*bits)/em.MACCost(quant.MaxBits))
 	fmt.Fprintf(out, "kernel dispatch: %s\n", tensor.KernelSummary())
-	fmt.Fprintf(out, "int8 conv: implicit band gather (all geometries)\n")
+	fmt.Fprintf(out, "int8 conv: NHWC row strip (all geometries)\n")
 	return nil
 }
 

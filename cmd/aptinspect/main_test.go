@@ -27,7 +27,7 @@ func TestInspectReportsLayers(t *testing.T) {
 	if want := "kernel dispatch: "; !strings.Contains(s, want) {
 		t.Errorf("output missing %q", want)
 	}
-	if want := "int8 conv: implicit band gather (all geometries)\n"; !strings.HasSuffix(s, want) {
+	if want := "int8 conv: NHWC row strip (all geometries)\n"; !strings.HasSuffix(s, want) {
 		t.Errorf("output does not end with the conv lowering line %q:\n%s", want, s)
 	}
 }

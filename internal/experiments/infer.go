@@ -30,9 +30,9 @@ type inferBenchRow struct {
 }
 
 // inferLoopShare is the per-stage decomposition of one batch-64 int8
-// forward (infer.Engine.ForwardProfile): wall time split into the
-// im2col gather/pack, the packed GEMM, the requant epilogue and
-// everything else. Best-of-N profiled forwards, since the shared
+// forward (infer.Engine.ForwardProfile): wall time split into the conv
+// strip staging (im2col_ns, the stage an im2col gather used to be), the
+// packed GEMM, the requant epilogue and everything else. Best-of-N profiled forwards, since the shared
 // reference machine is noisy and the floor is the honest kernel cost.
 type inferLoopShare struct {
 	Batch     int     `json:"batch"`
@@ -44,12 +44,16 @@ type inferLoopShare struct {
 	OtherNs   float64 `json:"other_ns"`
 }
 
-// inferConvLowering records one conv layer's lowering (always the
-// implicit band gather) and the gather route its kernel shape selects.
+// inferConvLowering records one conv layer's lowering (always the NHWC
+// row strip, folded for a KW·InC that is not a multiple of 4) and how
+// many of its weight panels run the exact widening kernel.
 type inferConvLowering struct {
-	Layer string `json:"layer"`
-	Mode  string `json:"mode"`
-	Why   string `json:"why"`
+	Layer      string `json:"layer"`
+	Mode       string `json:"mode"`
+	Why        string `json:"why"`
+	Fold       bool   `json:"fold"`
+	WidePanels int    `json:"wide_panels"`
+	Panels     int    `json:"panels"`
 }
 
 // inferServingStats is the micro-batching server section.
@@ -83,9 +87,9 @@ type inferBenchReport struct {
 	Scale      string          `json:"scale"`
 	Rows       []inferBenchRow `json:"rows"`
 	// LoopShare and ConvLowerings track where the batch-64 forward
-	// spends its time and which gather route each conv layer compiled
-	// onto — the machine-readable form of the "kernel-bound, not
-	// packer-bound" claim.
+	// spends its time and which strip route and kernels each conv layer
+	// compiled onto — the machine-readable form of the "kernel-bound,
+	// not packer-bound" claim.
 	LoopShare     inferLoopShare      `json:"loop_share"`
 	ConvLowerings []inferConvLowering `json:"conv_lowerings"`
 	Serving       inferServingStats   `json:"serving"`
@@ -213,7 +217,7 @@ func Infer(s Scale, log io.Writer) (*Report, error) {
 	}
 
 	// Per-stage loop share of the batch-64 int8 forward, plus each conv
-	// layer's gather route.
+	// layer's strip route.
 	x64, err := tensor.FromSlice(x.Data()[:batch*3*s.InputSize*s.InputSize], batch, 3, s.InputSize, s.InputSize)
 	if err != nil {
 		return nil, err
@@ -240,14 +244,15 @@ func Infer(s Scale, log io.Writer) (*Report, error) {
 	lows := eng.ConvLowerings()
 	lowParts := make([]string, 0, len(lows))
 	for _, l := range lows {
-		jrep.ConvLowerings = append(jrep.ConvLowerings, inferConvLowering{Layer: l.Layer, Mode: l.Mode, Why: l.Why})
-		lowParts = append(lowParts, fmt.Sprintf("%s=%s", l.Layer, l.Why))
+		jrep.ConvLowerings = append(jrep.ConvLowerings, inferConvLowering{Layer: l.Layer, Mode: l.Mode, Why: l.Why,
+			Fold: l.Fold, WidePanels: l.WidePanels, Panels: l.Panels})
+		lowParts = append(lowParts, fmt.Sprintf("%s=%s (%d/%d panels wide)", l.Layer, l.Why, l.WidePanels, l.Panels))
 	}
 	pct := func(d time.Duration) float64 { return 100 * float64(d) / float64(prof.Total) }
-	rep.AddNote("loop share at batch %d (best of %d profiled forwards): im2col %.0f%%, GEMM %.0f%%, requant %.0f%%, other %.0f%% of %.2fms.",
+	rep.AddNote("loop share at batch %d (best of %d profiled forwards): strip staging %.0f%%, GEMM %.0f%%, requant %.0f%%, other %.0f%% of %.2fms.",
 		batch, profRuns, pct(prof.Im2col), pct(prof.GEMM), pct(prof.Requant), pct(prof.Other),
 		float64(prof.Total.Nanoseconds())/1e6)
-	rep.AddNote("conv lowerings, all implicit band gather: %s.", strings.Join(lowParts, ", "))
+	rep.AddNote("conv lowerings, all on the NHWC row strip: %s.", strings.Join(lowParts, ", "))
 	rep.SetSeries("loop_share_b64", []float64{
 		jrep.LoopShare.TotalNs, jrep.LoopShare.Im2colNs, jrep.LoopShare.GEMMNs,
 		jrep.LoopShare.RequantNs, jrep.LoopShare.OtherNs,

@@ -25,9 +25,13 @@ import (
 
 // flow is what reaches a group during the walk: the calibration samples,
 // one fresh (1, …) tensor each, and the grid the engine carries them on.
+// Right after a flatten of a feature map, chw holds the map's (C, H, W):
+// the engine's payload is then in (h, w, c) order, and the linear that
+// consumes it takes its weight columns in that order.
 type flow struct {
-	xs []*tensor.Tensor
-	g  grid
+	xs  []*tensor.Tensor
+	g   grid
+	chw []int
 }
 
 // compiler allocates the scratch slots of the layers one walk lowers.
@@ -100,7 +104,14 @@ func (c *compiler) lower(l nn.Layer, f flow) (qlayer, flow, error) {
 	if err != nil {
 		return nil, flow{}, err
 	}
-	return q, flow{ys, f.g}, nil
+	out := flow{xs: ys, g: f.g}
+	if _, ok := l.(*nn.Flatten); ok {
+		out.chw = f.chw
+		if x := f.xs[0]; x.Rank() == 4 {
+			out.chw = x.Shape()[1:]
+		}
+	}
+	return q, out, nil
 }
 
 // node lowers a Conv2D or Linear node: it calibrates, then folds the
@@ -133,12 +144,32 @@ func (c *compiler) node(n *nn.ConvBNAct, f flow) (qlayer, flow, error) {
 	if bn := n.BN(); bn != nil {
 		foldBN(w, bias, bn)
 	}
+	if f.chw != nil {
+		hwcColumns(w, f.chw[0], f.chw[1]*f.chw[2])
+	}
 	out := gridFor(lo, hi)
 	q, err := lowerAffine(n.Name(), w, bias, geom, relu, f.g, out, c.nextID())
 	if err != nil {
 		return nil, flow{}, err
 	}
-	return q, flow{ys, out}, nil
+	return q, flow{xs: ys, g: out}, nil
+}
+
+// hwcColumns reorders the columns of a linear's (outF, C·HW) weights from
+// the float model's (c, hw) flatten order into the (hw, c) order of the
+// engine's flattened NHWC payload.
+func hwcColumns(w *tensor.Tensor, c, hw int) {
+	d := w.Data()
+	row := make([]float32, c*hw)
+	for o := 0; o < w.Dim(0); o++ {
+		r := d[o*c*hw : (o+1)*c*hw]
+		copy(row, r)
+		for ch := 0; ch < c; ch++ {
+			for p := 0; p < hw; p++ {
+				r[p*c+ch] = row[ch*hw+p]
+			}
+		}
+	}
 }
 
 // residual lowers a residual block: both branches as chains of their own
@@ -146,6 +177,9 @@ func (c *compiler) node(n *nn.ConvBNAct, f flow) (qlayer, flow, error) {
 // joining add, calibrated by the block itself, as a pair of fixed-point
 // rescales onto the block's output grid.
 func (c *compiler) residual(r *nn.Residual, f flow) (qlayer, flow, error) {
+	if f.chw != nil {
+		return nil, flow{}, fmt.Errorf("residual %s after a flatten", r.Name())
+	}
 	main, mainOut, err := c.chain([]nn.Layer{r.Main()}, f)
 	if err != nil {
 		return nil, flow{}, fmt.Errorf("main: %w", err)
@@ -165,7 +199,7 @@ func (c *compiler) residual(r *nn.Residual, f flow) (qlayer, flow, error) {
 	q.mainZ, q.shortZ = mainOut.g.zero, shortOut.g.zero
 	q.m0Main, q.rshMain = lowerMultiplier(float64(mainOut.g.scale) / float64(q.out.scale))
 	q.m0Short, q.rshShort = lowerMultiplier(float64(shortOut.g.scale) / float64(q.out.scale))
-	return q, flow{ys, q.out}, nil
+	return q, flow{xs: ys, g: q.out}, nil
 }
 
 // feed runs each sample through l in evaluation mode and returns the
@@ -216,38 +250,40 @@ func lowerAffine(label string, w *tensor.Tensor, bias []float32, geom *tensor.Co
 	per := w.Len() / outC
 	weights, wscale := quantizeWeightsPerChannel(w)
 
-	// Lower the weights to prepacked column panels once, here: the weight
-	// tensor's (outC, per) layout is exactly the transposed-B orientation
-	// the packer consumes, and the hot path never repacks. Pack time also
-	// fixes the kernel route for this layer (fast saturating-int16 kernel
-	// vs exact widening kernel; see tensor/matmul_int_packed.go).
-	packed, err := tensor.PackI8PanelsBT(weights, per, outC)
-	if err != nil {
-		return nil, err
-	}
 	q := &qaffine{
-		label:  label,
-		buf:    buf,
-		packed: packed,
-		outC:   outC,
-		in:     in,
-		out:    out,
-		m0:     make([]int32, outC),
-		rsh:    make([]int32, outC),
-		corr:   make([]int64, outC),
-		nbias:  len(bias),
-		relu:   relu,
+		label: label,
+		buf:   buf,
+		outC:  outC,
+		in:    in,
+		out:   out,
+		m0:    make([]int32, outC),
+		rsh:   make([]int32, outC),
+		corr:  make([]int64, outC),
+		nbias: len(bias),
+		relu:  relu,
 	}
+	// Lower the weights to prepacked column panels once, here: the weight
+	// tensor's (outC, per) layout is the transposed-B orientation the
+	// packer consumes (a conv's filters reordered into the k order its
+	// strip runs read), and the hot path never repacks. Pack time also
+	// fixes the kernel route of each panel (fast saturating-int16 kernel
+	// vs exact widening kernel; see tensor/matmul_int_packed.go).
+	var err error
 	if geom != nil {
 		if q.plan, err = tensor.NewConvPlanU8(*geom); err != nil {
 			return nil, err
 		}
+		q.packed, err = q.plan.PackWeights(weights, outC)
 	} else {
 		q.inF = per
+		q.packed, err = tensor.PackI8PanelsBT(weights, per, outC)
+	}
+	if err != nil {
+		return nil, err
 	}
 	for c := 0; c < outC; c++ {
-		// Σ q_w for the zero-point correction: with the im2col padding
-		// value equal to Z_x, acc − Z_x·Σq_w is exact at every position.
+		// Σ q_w for the zero-point correction: with the strip border
+		// equal to Z_x, acc − Z_x·Σq_w is exact at every position.
 		var ksum int64
 		for _, w := range weights[c*per : (c+1)*per] {
 			ksum += int64(w)

@@ -15,12 +15,16 @@
 //     compile time;
 //  3. integer lowering — weights become symmetric int8 with
 //     per-output-channel scales (zero point 0), activations affine uint8;
-//     convolutions and linears run as one batched uint8×int8→int32 GEMM
-//     (im2col'd with the zero point as padding, so no border
-//     special-casing) and requantize through the fixed-point multiplier
-//     M = S_x·S_w/S_y ≈ m0·2^−rsh, fusing the ReLU as a clamp at the
-//     output zero point. Residual blocks lower to a requantizing integer
-//     add; pooling/reshape layers run directly on the uint8 payload.
+//     feature maps are NHWC, so a conv reads each output position's GEMM
+//     row straight off a row strip its band stages once, with the zero
+//     point as border (no border special-casing, no patch matrix), and
+//     writes its int32 tile in output order; convolutions and linears
+//     run as uint8×int8→int32 GEMMs and requantize through the
+//     fixed-point multiplier M = S_x·S_w/S_y ≈ m0·2^−rsh, fusing the
+//     ReLU as a clamp at the output zero point. Residual blocks lower to
+//     a requantizing integer add; pooling/reshape layers run directly on
+//     the uint8 payload, and a linear fed by a flatten takes its weight
+//     columns in the NHWC payload's (h, w, c) order.
 //
 // The hot path is integer-only end to end (floats appear only at the
 // input/output boundary, as in a deployed runtime) and allocation-free at
@@ -89,7 +93,7 @@ func Compile(m *models.Model, cfg Config) (*Engine, error) {
 	c := &compiler{}
 	c.nextID() // slot 0: the quantized input
 	in := gridFor(x.MinMax())
-	layers, _, err := c.chain(m.Layers(), flow{samples(x), in})
+	layers, _, err := c.chain(m.Layers(), flow{xs: samples(x), g: in})
 	if err != nil {
 		return nil, fmt.Errorf("infer: %w", err)
 	}
@@ -158,11 +162,11 @@ func (e *Engine) run(x *tensor.Tensor, s *scratch) (*tensor.Tensor, error) {
 }
 
 // ForwardProfile runs one forward pass with per-stage timing: the
-// returned profile splits wall time into im2col/gather packing, packed
+// returned profile splits wall time into conv strip staging, packed
 // GEMM, requantization and everything else. Outputs are bit-identical to
 // Forward (profiling only inserts clock reads and forces the conv band
-// tasks serial so gather and GEMM attribute separately); it is meant for
-// benchmarking, not the serving hot path.
+// tasks serial so staging and GEMM attribute separately); it is meant
+// for benchmarking, not the serving hot path.
 func (e *Engine) ForwardProfile(x *tensor.Tensor) (*tensor.Tensor, *ForwardProfile, error) {
 	if x.Rank() != 4 || x.Dim(1) != e.inC || x.Dim(2) != e.inH || x.Dim(3) != e.inW {
 		return nil, nil, fmt.Errorf("infer: %w: input %v, want (N,%d,%d,%d)",
@@ -188,8 +192,15 @@ func (e *Engine) ForwardProfile(x *tensor.Tensor) (*tensor.Tensor, *ForwardProfi
 // benchmarks and traces.
 type ConvLowering struct {
 	Layer string // stage label
-	Mode  string // always "implicit": the band gather is the one lowering
-	Why   string // the gather route: "3x3 staged band" or "generic band"
+	Mode  string // always "implicit": no patch matrix is materialized
+	Why   string // the route: "row strip", or "folded row strip"
+	// Fold reports a folded strip (KW·InC not a multiple of 4): one run
+	// of KW·KH·InC bytes per position instead of KH runs.
+	Fold bool
+	// WidePanels counts the layer's full weight panels on the exact
+	// widening kernel (some even weight pair could saturate the fast
+	// one); Panels counts all of them, the partial last one included.
+	WidePanels, Panels int
 }
 
 // ConvLowerings reports every conv layer's lowering in forward order,
@@ -207,11 +218,12 @@ func collectLowerings(layers []qlayer, out *[]ConvLowering) {
 			if q.plan == nil {
 				continue
 			}
-			why := "generic band"
-			if g := q.plan.Geom(); g.KH == 3 && g.KW == 3 {
-				why = "3x3 staged band"
+			why := "row strip"
+			if q.plan.Fold() {
+				why = "folded row strip"
 			}
-			*out = append(*out, ConvLowering{Layer: q.label, Mode: "implicit", Why: why})
+			*out = append(*out, ConvLowering{Layer: q.label, Mode: "implicit", Why: why, Fold: q.plan.Fold(),
+				WidePanels: q.packed.WidePanels(), Panels: (q.outC + 7) / 8})
 		case *qresidual:
 			collectLowerings(q.main, out)
 			collectLowerings(q.shortcut, out)
@@ -268,8 +280,8 @@ func (e *Engine) SizeBytes() int {
 type qaffine struct {
 	label   string
 	buf     int
-	packed  *tensor.PackedI8   // conv: (kdim, outC); linear: (inF, outC)
-	plan    *tensor.ConvPlanU8 // conv band-gather schedule; nil => linear
+	packed  *tensor.PackedI8   // conv: (kdim, outC) in strip k order; linear: (inF, outC)
+	plan    *tensor.ConvPlanU8 // conv strip schedule; nil => linear
 	outC    int
 	inF     int // linear input features
 	in, out grid
@@ -291,22 +303,22 @@ func (q *qaffine) forward(x *qtensor, s *scratch) (*qtensor, error) {
 	return q.linear(x, s)
 }
 
-// conv runs the band-gather lowering: each band task gathers into a lane
-// of the cols arena, accumulates into the lane's int32 tile in the acc
-// arena and requantizes that tile into the NCHW output. Out-of-bounds taps
-// gather as Z_x, exact float zero, so the per-channel correction term is
-// position-independent.
+// conv runs the strip lowering on NHWC payloads: each band task stages
+// its rows into a lane of the strip arena, accumulates into the lane's
+// int32 tile in the acc arena and requantizes that tile into its output
+// rows. Border taps read Z_x, exact float zero, so the per-channel
+// correction term is position-independent.
 func (q *qaffine) conv(x *qtensor, s *scratch) (*qtensor, error) {
 	g := q.plan.Geom()
-	if len(x.shape) != 4 || x.shape[1] != g.InC || x.shape[2] != g.InH || x.shape[3] != g.InW {
+	if len(x.shape) != 4 || x.shape[1] != g.InH || x.shape[2] != g.InW || x.shape[3] != g.InC {
 		return nil, fmt.Errorf("input %v does not match geometry %+v", x.shape, g)
 	}
 	n := x.dim(0)
 	oh, ow := g.OutHW()
-	out := s.act(q.buf, n, q.outC, oh, ow)
+	out := s.act(q.buf, n, oh, ow, q.outC)
 	out.g = q.out
-	if err := tensor.ConvU8I8RequantInto(out.data, x.data, n, q.packed, q.plan, uint8(q.in.zero),
-		q.m0, q.rsh, q.corr, q.out.zero, q.floor(), &s.cols, &s.acc, s.prof); err != nil {
+	if err := tensor.ConvU8I8StripInto(out.data, x.data, n, q.packed, q.plan, uint8(q.in.zero),
+		q.m0, q.rsh, q.corr, q.out.zero, q.floor(), &s.strip, &s.acc, s.prof); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -347,8 +359,8 @@ func (q *qaffine) linear(x *qtensor, s *scratch) (*qtensor, error) {
 }
 
 // qmaxpool is a non-overlapping k×k max pool running directly on the
-// uint8 payload: max commutes with the monotone affine map, so the output
-// stays on the input grid.
+// uint8 NHWC payload: max commutes with the monotone affine map, so the
+// output stays on the input grid.
 type qmaxpool struct {
 	label string
 	buf   int
@@ -361,48 +373,44 @@ func (p *qmaxpool) forward(x *qtensor, s *scratch) (*qtensor, error) {
 	if len(x.shape) != 4 {
 		return nil, fmt.Errorf("%w: maxpool input %v", tensor.ErrShape, x.shape)
 	}
-	n, c, h, w := x.shape[0], x.shape[1], x.shape[2], x.shape[3]
+	n, h, w, c := x.shape[0], x.shape[1], x.shape[2], x.shape[3]
 	if h%p.k != 0 || w%p.k != 0 {
 		return nil, fmt.Errorf("%w: maxpool input %dx%d not divisible by window %d", tensor.ErrShape, h, w, p.k)
 	}
-	oh, ow := h/p.k, w/p.k
-	out := s.act(p.buf, n, c, oh, ow)
+	out := s.act(p.buf, n, h/p.k, w/p.k, c)
 	out.g = x.g
 	if tensor.MaxWorkers() == 1 {
-		for t := 0; t < n*c; t++ {
-			p.poolPlane(x.data, out.data, h, w, t)
+		for t := 0; t < n*h/p.k; t++ {
+			p.poolRow(x.data, out.data, w, c, t)
 		}
 		return out, nil
 	}
-	tensor.ParallelFor(n*c, func(t int) { p.poolPlane(x.data, out.data, h, w, t) })
+	tensor.ParallelFor(n*h/p.k, func(t int) { p.poolRow(x.data, out.data, w, c, t) })
 	return out, nil
 }
 
-// poolPlane max-pools one channel plane of the uint8 payload.
-func (p *qmaxpool) poolPlane(src, dst []uint8, h, w, t int) {
-	k := p.k
-	oh, ow := h/k, w/k
-	in := src[t*h*w : (t+1)*h*w]
-	out := dst[t*oh*ow : (t+1)*oh*ow]
-	for oy := 0; oy < oh; oy++ {
-		for ox := 0; ox < ow; ox++ {
-			bv := in[oy*k*w+ox*k]
-			for ky := 0; ky < k; ky++ {
-				row := in[(oy*k+ky)*w+ox*k : (oy*k+ky)*w+ox*k+k]
-				for _, v := range row {
-					if v > bv {
-						bv = v
-					}
+// poolRow max-pools output row t (counted across the batch) of the NHWC
+// payload: each output pixel's C bytes start as the window's first pixel
+// and take the bytewise max of every pixel in the window.
+func (p *qmaxpool) poolRow(src, dst []uint8, w, c, t int) {
+	k, ow := p.k, w/p.k
+	for ox := 0; ox < ow; ox++ {
+		o := dst[(t*ow+ox)*c : (t*ow+ox+1)*c]
+		copy(o, src[(t*k*w+ox*k)*c:])
+		for ky := 0; ky < k; ky++ {
+			for kx := 0; kx < k; kx++ {
+				for j, v := range src[((t*k+ky)*w+ox*k+kx)*c:][:c] {
+					o[j] = max(o[j], v)
 				}
 			}
-			out[oy*ow+ox] = bv
 		}
 	}
 }
 
-// qgap is a global average pool on the uint8 payload: the mean of grid
-// points is the grid point of the mean (up to one rounding quantum), so
-// the output stays on the input grid, computed with integer rounding.
+// qgap is a global average pool on the uint8 NHWC payload: the mean of
+// grid points is the grid point of the mean (up to one rounding
+// quantum), so the output stays on the input grid, computed with integer
+// rounding.
 type qgap struct {
 	label string
 	buf   int
@@ -414,15 +422,15 @@ func (p *qgap) forward(x *qtensor, s *scratch) (*qtensor, error) {
 	if len(x.shape) != 4 {
 		return nil, fmt.Errorf("%w: gap input %v", tensor.ErrShape, x.shape)
 	}
-	n, c, h, w := x.shape[0], x.shape[1], x.shape[2], x.shape[3]
+	n, h, w, c := x.shape[0], x.shape[1], x.shape[2], x.shape[3]
 	plane := h * w
 	out := s.act(p.buf, n, c)
 	out.g = x.g
 	for t := 0; t < n*c; t++ {
-		row := x.data[t*plane : (t+1)*plane]
+		img := x.data[t/c*plane*c+t%c:]
 		var sum int32
-		for _, v := range row {
-			sum += int32(v)
+		for q := 0; q < plane; q++ {
+			sum += int32(img[q*c])
 		}
 		// Round half up: (2·sum + plane) / (2·plane).
 		out.data[t] = uint8((2*sum + int32(plane)) / int32(2*plane))
@@ -430,7 +438,8 @@ func (p *qgap) forward(x *qtensor, s *scratch) (*qtensor, error) {
 	return out, nil
 }
 
-// qflatten reshapes (N, C, H, W) to (N, C·H·W) without moving data.
+// qflatten reshapes (N, H, W, C) to (N, H·W·C) without moving data; the
+// linear it feeds was compiled with its columns in that order.
 type qflatten struct {
 	label string
 	buf   int

@@ -1,7 +1,7 @@
 package infer
 
 import (
-	"reflect"
+	"fmt"
 	"testing"
 
 	"repro/internal/models"
@@ -9,55 +9,50 @@ import (
 	"repro/internal/tensor"
 )
 
-// TestConvLoweringPerGeometry pins that the band gather is the lowering of
-// every conv, strided ones included: each conv of SmallCNN (stride-2 3×3)
-// and ResNet-20 (stride-2 3×3 and 1×1 projections) reports Mode
-// "implicit", with the gather route its kernel shape selects.
+// TestConvLoweringPerGeometry pins the strip route as the lowering of
+// every conv of the four backbones the engine serves, at the 12×12 Micro
+// input and at 16×16: each reports Mode "implicit" and the strip its
+// kernel width selects — folded exactly when KW·InC is not a multiple of
+// 4 (the 3-channel stems) — with its panel count and a wide-panel count
+// no larger. The strided convs (stride-2 3×3 and ResNet-20's 1×1
+// projections) and ResNet-20's output rows of 3 at 12×12 are in the set.
 func TestConvLoweringPerGeometry(t *testing.T) {
-	for _, bb := range []struct {
-		name  string
-		build func(models.Config) (*models.Model, error)
-	}{
-		{"smallcnn", models.SmallCNN},
-		{"resnet20", models.ResNet20},
-	} {
-		t.Run(bb.name, func(t *testing.T) {
-			m, err := bb.build(models.Config{Classes: 4, InputSize: 12, Width: 0.25, Seed: 6})
-			if err != nil {
-				t.Fatal(err)
-			}
-			calib := tensor.New(8, m.InC, m.InH, m.InW)
-			calib.FillNormal(tensor.NewRNG(3), 0, 1)
-			eng, err := Compile(m, Config{Calibration: calib})
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := map[string]int{} // gather route → convs in the model
-			strided := map[string]bool{}
-			nn.WalkLayers(m.Layers(), func(l nn.Layer) {
-				if c, ok := l.(*nn.Conv2D); ok {
-					route := "generic band"
-					if g := c.Geom(); g.KH == 3 && g.KW == 3 {
-						route = "3x3 staged band"
+	for _, name := range []string{"smallcnn", "resnet20", "vggsmall", "cifarnet"} {
+		t.Run(name, func(t *testing.T) {
+			for _, size := range []int{12, 16} {
+				t.Run(fmt.Sprint(size), func(t *testing.T) {
+					m, err := models.Build(name, models.Config{Classes: 4, InputSize: size, Width: 0.25, Seed: 6})
+					if err != nil {
+						t.Fatal(err)
 					}
-					want[route]++
-					if c.Geom().Stride > 1 {
-						strided[route] = true
+					calib := tensor.New(8, m.InC, m.InH, m.InW)
+					calib.FillNormal(tensor.NewRNG(3), 0, 1)
+					eng, err := Compile(m, Config{Calibration: calib})
+					if err != nil {
+						t.Fatal(err)
 					}
-				}
-			})
-			if !strided["3x3 staged band"] || (bb.name == "resnet20" && !strided["generic band"]) {
-				t.Fatalf("fixture lost its strided convs: %v", strided)
-			}
-			got := map[string]int{}
-			for _, l := range eng.ConvLowerings() {
-				if l.Mode != "implicit" {
-					t.Errorf("%s: lowering mode %q, want implicit", l.Layer, l.Mode)
-				}
-				got[l.Why]++
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("lowerings by route = %v, model convs by route = %v", got, want)
+					var convs []*nn.Conv2D
+					nn.WalkLayers(m.Layers(), func(l nn.Layer) {
+						if c, ok := l.(*nn.Conv2D); ok {
+							convs = append(convs, c)
+						}
+					})
+					lows := eng.ConvLowerings()
+					if len(lows) != len(convs) {
+						t.Fatalf("%d lowerings for %d convs", len(lows), len(convs))
+					}
+					for i, l := range lows {
+						g := convs[i].Geom()
+						fold := g.KW*g.InC%4 != 0
+						why := map[bool]string{false: "row strip", true: "folded row strip"}[fold]
+						if l.Mode != "implicit" || l.Why != why || l.Fold != fold {
+							t.Errorf("%s (%+v): lowering %+v, want implicit %q fold=%v", l.Layer, g, l, why, fold)
+						}
+						if panels := (convs[i].Params()[0].Value.Dim(0) + 7) / 8; l.Panels != panels || l.WidePanels > l.Panels {
+							t.Errorf("%s: %d of %d panels wide, want %d panels", l.Layer, l.WidePanels, l.Panels, panels)
+						}
+					}
+				})
 			}
 		})
 	}

@@ -55,9 +55,12 @@ func (g grid) dequantize(q uint8) float32 {
 	return g.scale * float32(int32(q)-g.zero)
 }
 
-// qtensor is an affine-quantized activation: uint8 payload on a grid,
-// NCHW. Inside the engine every qtensor is a view into a scratch slot;
-// shape and data are reused across Forward calls.
+// qtensor is an affine-quantized activation: uint8 payload on a grid. A
+// feature map is NHWC — shape (N, H, W, C), channels innermost — so a
+// conv's GEMM rows and its int32 tile rows are both positions; a
+// flattened or linear payload is (N, F). Inside the engine every qtensor
+// is a view into a scratch slot; shape and data are reused across
+// Forward calls.
 type qtensor struct {
 	shape []int
 	data  []uint8
@@ -91,36 +94,62 @@ func (q *qtensor) setShape(shape ...int) {
 	q.data = q.data[:n]
 }
 
-// quantizeInto fills q with t quantized onto g.
+// quantizeInto fills q with t quantized onto g; an (N, C, H, W) batch
+// lands NHWC.
 func quantizeInto(q *qtensor, t *tensor.Tensor, g grid) {
-	q.setShape(t.Shape()...)
 	q.g = g
-	for i, v := range t.Data() {
-		q.data[i] = g.quantize(v)
+	d := t.Data()
+	if t.Rank() != 4 {
+		q.setShape(t.Shape()...)
+		for i, v := range d {
+			q.data[i] = g.quantize(v)
+		}
+		return
+	}
+	n, c, h, w := t.Dim(0), t.Dim(1), t.Dim(2), t.Dim(3)
+	q.setShape(n, h, w, c)
+	for i := 0; i < n*c; i++ {
+		out := q.data[i/c*h*w*c+i%c:]
+		for p, v := range d[i*h*w : (i+1)*h*w] {
+			out[p*c] = g.quantize(v)
+		}
 	}
 }
 
-// dequantize restores the float view as a fresh tensor.
+// dequantize restores the float view as a fresh tensor, NCHW for a
+// feature map.
 func (q *qtensor) dequantize() *tensor.Tensor {
-	out := tensor.New(q.shape...)
+	if len(q.shape) != 4 {
+		out := tensor.New(q.shape...)
+		d := out.Data()
+		for i, v := range q.data {
+			d[i] = q.g.dequantize(v)
+		}
+		return out
+	}
+	n, h, w, c := q.shape[0], q.shape[1], q.shape[2], q.shape[3]
+	out := tensor.New(n, c, h, w)
 	d := out.Data()
-	for i, v := range q.data {
-		d[i] = q.g.dequantize(v)
+	for i := 0; i < n*c; i++ {
+		in := q.data[i/c*h*w*c+i%c:]
+		for p := range d[i*h*w : (i+1)*h*w] {
+			d[i*h*w+p] = q.g.dequantize(in[p*c])
+		}
 	}
 	return out
 }
 
 // scratch is the workspace one Forward call runs in: an activation slot
-// per compiled layer buffer plus the conv gather-lane arena and the int32
+// per compiled layer buffer plus the conv strip-lane arena and the int32
 // arena shared by the conv lane tiles and the linear accumulators.
 // Engines keep a free list of scratches (see Engine.lease); a scratch is
 // only ever touched by the goroutine that leased it, which is what makes
 // concurrent Forward calls on one Engine safe — the compiled layers
 // themselves are immutable after Compile.
 type scratch struct {
-	acts []qtensor
-	cols []uint8
-	acc  []int32
+	acts  []qtensor
+	strip []uint8
+	acc   []int32
 	// prof, when non-nil, makes the conv/linear stages accumulate
 	// per-stage wall time into it, indexed by the stage identifiers below
 	// (ForwardProfile sets it for the call; the conv band driver reads it
@@ -134,9 +163,9 @@ func newScratch(nbuf int) *scratch {
 }
 
 // ForwardProfile is the per-stage wall-time split of one profiled
-// forward pass: the im2col/gather packing work, the packed GEMM, the
-// requantization, and everything else (quantize, pooling, residual adds,
-// dequantize).
+// forward pass: the conv strip staging (Im2col, the stage an im2col
+// gather used to be), the packed GEMM, the requantization, and
+// everything else (quantize, pooling, residual adds, dequantize).
 type ForwardProfile struct {
 	Im2col  time.Duration
 	GEMM    time.Duration

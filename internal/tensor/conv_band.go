@@ -3,7 +3,7 @@ package tensor
 import "fmt"
 
 // Band-resident float convolution: the training conv's one lowering, the
-// float twin of ConvU8I8ImplicitInto. No full-batch patch matrix exists in
+// float twin of ConvU8I8StripInto. No full-batch patch matrix exists in
 // either direction. The unit of work is a sample band — the fewest whole
 // samples whose output positions reach f32BandCols columns, clamped to
 // the batch — and one band-driver task (runBands) owns a band end to end.

@@ -213,30 +213,39 @@ func checkConvImplicit(t *testing.T, rng *rand.Rand, g ConvGeom, n, outC int) {
 	}
 }
 
-// naiveGatherRow writes output row oy's ow patch rows tap by tap.
-func naiveGatherRow(rows, img []uint8, g ConvGeom, pad uint8, oy, ow int) {
-	for ox := 0; ox < ow; ox++ {
-		for c := 0; c < g.InC; c++ {
-			for kh := 0; kh < g.KH; kh++ {
-				for kw := 0; kw < g.KW; kw++ {
-					iy, ix := oy*g.Stride+kh-g.Pad, ox*g.Stride+kw-g.Pad
-					v := pad
-					if iy >= 0 && iy < g.InH && ix >= 0 && ix < g.InW {
-						v = img[(c*g.InH+iy)*g.InW+ix]
-					}
-					rows[(ox*g.InC+c)*g.KH*g.KW+kh*g.KW+kw] = v
-				}
-			}
+// nhwc transposes an NCHW uint8 batch of n (c, h, w) images to NHWC.
+func nhwc(src []uint8, n, c, h, w int) []uint8 {
+	out := make([]uint8, len(src))
+	for i := 0; i < n*c; i++ {
+		for p := 0; p < h*w; p++ {
+			out[(i/c*h*w+p)*c+i%c] = src[i*h*w+p]
 		}
 	}
+	return out
 }
 
-// TestGatherBand3MatchesNaive pins the staged 3×3 band gather (the
-// padded staging strip + branch-free compose, SIMD pack kernel
-// included) byte-for-byte against a per-tap gather on every band of
-// every sample — including the spill contract of the 16-byte
-// pack-kernel stores: a spilled byte that survives anywhere in the
-// band's patch rows shows up as a mismatch here.
+// stripTapU8 returns the value of strip k index k at output position
+// (oy, ox) of one NCHW image: the tap the strip's runs must hold there.
+func stripTapU8(p *ConvPlanU8, img []uint8, pad uint8, oy, ox, k int) uint8 {
+	g := p.g
+	c, kh, kw := k%g.InC, k/g.InC/g.KW, k/g.InC%g.KW
+	if p.fold {
+		kh, kw = k/g.InC%g.KH, k/g.InC/g.KH
+	}
+	iy, ix := oy*g.Stride+kh-g.Pad, ox*g.Stride+kw-g.Pad
+	if iy < 0 || iy >= g.InH || ix < 0 || ix >= g.InW {
+		return pad
+	}
+	return img[(c*g.InH+iy)*g.InW+ix]
+}
+
+// TestGatherBand3MatchesNaive pins the band staging of the strip route on
+// 3×3 geometries (the folded 3-channel stem included): on every band of
+// every sample, the GEMM row the kernels' walk reads off the staged strip
+// for each output position — its runs, concatenated — must equal the
+// position's receptive field tap by tap in the strip's k order, border
+// taps as the zero point. Stale lane bytes are poisoned, so a strip byte
+// the staging failed to write shows up here.
 func TestGatherBand3MatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	geoms := []ConvGeom{
@@ -251,38 +260,48 @@ func TestGatherBand3MatchesNaive(t *testing.T) {
 	}
 	eachDispatch(t, func(t *testing.T) {
 		for _, g := range geoms {
-			g := g
 			t.Run(fmt.Sprintf("c%d_%dx%d_s%d_p%d", g.InC, g.InH, g.InW, g.Stride, g.Pad), func(t *testing.T) {
 				plan, err := NewConvPlanU8(g)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if plan.stage == 0 {
-					t.Fatal("3×3 plan did not enable the staged gather")
+				if want := g.InC*g.KW%4 != 0; plan.Fold() != want {
+					t.Fatalf("fold = %v, want %v", plan.Fold(), want)
 				}
 				n := 2
-				src := make([]uint8, n*g.InC*g.InH*g.InW)
+				inSz := g.InC * g.InH * g.InW
+				src := make([]uint8, n*inSz)
 				for i := range src {
 					src[i] = uint8(rng.Intn(256))
 				}
 				pad := uint8(rng.Intn(256))
-				kdim := plan.kdim
-				rowLen := plan.ow * kdim
-				buf := make([]uint8, plan.BandLen())
-				want := make([]uint8, plan.brows*rowLen)
+				img8 := nhwc(src, n, g.InC, g.InH, g.InW)
+				strip := make([]uint8, plan.strip)
 				for task := 0; task < n*plan.Bands(); task++ {
-					for i := range buf {
-						buf[i] = 0xA5 // stale lane bytes must not leak through
+					for i := range strip {
+						strip[i] = 0xA5 // stale lane bytes must not leak through
 					}
-					plan.gatherBand(buf, src, pad, task)
 					i, oy0, oy1 := plan.bandSpan(task)
-					img := src[i*g.InC*g.InH*g.InW:][:g.InC*g.InH*g.InW]
-					for oy := oy0; oy < oy1; oy++ {
-						naiveGatherRow(want[(oy-oy0)*rowLen:][:rowLen], img, g, pad, oy, plan.ow)
+					plan.stage(strip, img8[i*inSz:(i+1)*inSz], pad, oy0, oy1)
+					w := plan.walk
+					w.m = (oy1 - oy0) * plan.ow
+					if last := w.last(); last > len(strip) {
+						t.Fatalf("task %d: walk reads %d bytes of a %d-byte strip", task, last, len(strip))
 					}
-					for j := 0; j < (oy1-oy0)*rowLen; j++ {
-						if buf[j] != want[j] {
-							t.Fatalf("task %d: staged byte %d = %d, naive %d", task, j, buf[j], want[j])
+					for p := 0; p < w.m; p++ {
+						k := 0
+						for s := 0; s < w.nseg; s++ {
+							run := strip[w.at(p)+s*w.sst:][:4*w.segq]
+							for _, v := range run[:min(len(run), plan.kdim-k)] {
+								want := stripTapU8(plan, src[i*inSz:], pad, oy0+p/plan.ow, p%plan.ow, k)
+								if v != want {
+									t.Fatalf("task %d position %d: strip tap k=%d = %d, naive %d", task, p, k, v, want)
+								}
+								k++
+							}
+						}
+						if k != plan.kdim {
+							t.Fatalf("walk covers %d taps, want %d", k, plan.kdim)
 						}
 					}
 				}
@@ -315,7 +334,8 @@ func TestConvImplicitDeterministicAcrossWorkers(t *testing.T) {
 	})
 }
 
-// TestConvImplicitErrors covers the driver's validation surface.
+// TestConvImplicitErrors covers the validation surface of both int8
+// conv entry points.
 func TestConvImplicitErrors(t *testing.T) {
 	g := ConvGeom{InC: 2, InH: 5, InW: 5, KH: 3, KW: 3, Stride: 1, Pad: 1}
 	plan, err := NewConvPlanU8(g)
@@ -356,24 +376,27 @@ func TestConvImplicitErrors(t *testing.T) {
 	corr := make([]int64, 4)
 	var lanes []uint8
 	var tile []int32
-	requant := func(dst, src []uint8, n int, b *PackedI8) error {
-		return ConvU8I8RequantInto(dst, src, n, b, plan, 0, one, rsh, corr, 0, 0, &lanes, &tile, nil)
+	strip := func(dst, src []uint8, n int, b *PackedI8) error {
+		return ConvU8I8StripInto(dst, src, n, b, plan, 0, one, rsh, corr, 0, 0, &lanes, &tile, nil)
 	}
 	dst := make([]uint8, 2*oh*ow*4)
-	if err := requant(dst, src, 2, packed); err != nil {
-		t.Errorf("valid requant conv: %v", err)
+	if err := strip(dst, src, 2, packed); err != nil {
+		t.Errorf("valid strip conv: %v", err)
 	}
-	if err := requant(dst[:5], src, 2, packed); err == nil {
-		t.Error("short requant dst did not error")
+	if err := strip(dst[:5], src, 2, packed); err == nil {
+		t.Error("short strip dst did not error")
 	}
-	if err := requant(dst, src[:5], 2, packed); err == nil {
-		t.Error("short requant src did not error")
+	if err := strip(dst, src[:5], 2, packed); err == nil {
+		t.Error("short strip src did not error")
 	}
-	if err := requant(dst, src, 0, packed); err == nil {
-		t.Error("zero requant batch did not error")
+	if err := strip(dst, src, 0, packed); err == nil {
+		t.Error("zero strip batch did not error")
 	}
-	if err := requant(dst, src, 2, wrongK); err == nil {
-		t.Error("mismatched requant packed k did not error")
+	if err := strip(dst, src, 2, wrongK); err == nil {
+		t.Error("mismatched strip packed k did not error")
+	}
+	if _, err := plan.PackWeights(make([]int8, 4*kdim-1), 4); err == nil {
+		t.Error("short strip weights did not error")
 	}
 	if _, err := NewConvPlanU8(ConvGeom{InC: 1, InH: 2, InW: 2, KH: 5, KW: 5, Stride: 1, Pad: 0}); err == nil {
 		t.Error("degenerate geometry did not error")
@@ -381,8 +404,8 @@ func TestConvImplicitErrors(t *testing.T) {
 }
 
 // TestConvImplicitSerialPathAllocs pins the zero-allocation contract of
-// the serial driver: plan, packed weights and work lanes are built once;
-// the per-call path allocates nothing, with or without the band epilogue.
+// the serial drivers: plan, packed weights and lanes are built once; the
+// per-call path allocates nothing, NCHW oracle or strip layer.
 func TestConvImplicitSerialPathAllocs(t *testing.T) {
 	g := ConvGeom{InC: 4, InH: 12, InW: 12, KH: 3, KW: 3, Stride: 1, Pad: 1}
 	n, outC := 2, 8
@@ -418,29 +441,32 @@ func TestConvImplicitSerialPathAllocs(t *testing.T) {
 	var tile []int32
 	dst := c.run(t, &lanes, &tile, nil) // warm the arenas
 	allocs = testing.AllocsPerRun(20, func() {
-		if err := ConvU8I8RequantInto(dst, c.src, n, c.packed, c.plan, c.pad,
+		if err := ConvU8I8StripInto(dst, c.src8, n, c.strip, c.plan, c.pad,
 			c.m0, c.rsh, c.corr, c.zp, c.lo, &lanes, &tile, nil); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("serial requant conv allocates %v objects per call, want 0", allocs)
+		t.Fatalf("serial strip conv allocates %v objects per call, want 0", allocs)
 	}
 }
 
 // convRequantCase is one quantized conv layer: payload, weights and Q31
 // requantization parameters drawn from a seed, scaled so the outputs
-// spread over the uint8 range instead of saturating.
+// spread over the uint8 range instead of saturating. It holds the NCHW
+// form (src, wt, packed) and the strip route's NHWC form (src8, strip).
 type convRequantCase struct {
-	plan     *ConvPlanU8
-	packed   *PackedI8
-	n, outC  int
-	src      []uint8
-	pad      uint8
-	m0, rsh  []int32
-	corr     []int64
-	zp, lo   int32
-	outBytes int
+	g             ConvGeom
+	plan          *ConvPlanU8
+	packed, strip *PackedI8
+	n, outC       int
+	src, src8     []uint8
+	wt            []int8
+	pad           uint8
+	m0, rsh       []int32
+	corr          []int64
+	zp, lo        int32
+	outBytes      int
 }
 
 func newConvRequantCase(t *testing.T, seed int64, g ConvGeom, n, outC int, relu bool) *convRequantCase {
@@ -450,17 +476,21 @@ func newConvRequantCase(t *testing.T, seed int64, g ConvGeom, n, outC int, relu 
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := &convRequantCase{plan: plan, n: n, outC: outC, pad: uint8(rng.Intn(256)),
+	c := &convRequantCase{g: g, plan: plan, n: n, outC: outC, pad: uint8(rng.Intn(256)),
 		src: make([]uint8, n*g.InC*g.InH*g.InW), outBytes: n * outC * plan.oh * plan.ow,
 		m0: make([]int32, outC), rsh: make([]int32, outC), corr: make([]int64, outC), zp: int32(rng.Intn(256))}
 	for i := range c.src {
 		c.src[i] = uint8(rng.Intn(256))
 	}
-	wt := make([]int8, outC*plan.kdim)
-	for i := range wt {
-		wt[i] = int8(rng.Intn(255) - 127)
+	c.src8 = nhwc(c.src, n, g.InC, g.InH, g.InW)
+	c.wt = make([]int8, outC*plan.kdim)
+	for i := range c.wt {
+		c.wt[i] = int8(rng.Intn(255) - 127)
 	}
-	if c.packed, err = PackI8PanelsBT(wt, plan.kdim, outC); err != nil {
+	if c.packed, err = PackI8PanelsBT(c.wt, plan.kdim, outC); err != nil {
+		t.Fatal(err)
+	}
+	if c.strip, err = plan.PackWeights(c.wt, outC); err != nil {
 		t.Fatal(err)
 	}
 	for ch := 0; ch < outC; ch++ {
@@ -474,9 +504,9 @@ func newConvRequantCase(t *testing.T, seed int64, g ConvGeom, n, outC int, relu 
 	return c
 }
 
-// oracle is the two-pass path the band epilogue replaced: the full-batch
-// accumulator from ConvU8I8ImplicitInto, then one RequantQ31Transpose per
-// sample.
+// oracle is the NCHW two-pass path: the full-batch accumulator from
+// ConvU8I8ImplicitInto, then one RequantQ31Transpose per sample, with
+// the result transposed to the strip route's NHWC output.
 func (c *convRequantCase) oracle(t *testing.T) []uint8 {
 	t.Helper()
 	sp := c.plan.oh * c.plan.ow
@@ -488,17 +518,29 @@ func (c *convRequantCase) oracle(t *testing.T) []uint8 {
 	for i := 0; i < c.n; i++ {
 		RequantQ31Transpose(out[i*c.outC*sp:], acc[i*sp*c.outC:], c.m0, c.rsh, c.corr, c.zp, c.lo, sp, c.outC, c.outC, sp)
 	}
+	return nhwc(out, c.n, c.outC, c.plan.oh, c.plan.ow)
+}
+
+// naive is the strip route's spec: direct tap enumeration over the NCHW
+// payload, then the scalar requant reference per element, in NHWC order.
+func (c *convRequantCase) naive() []uint8 {
+	acc := naiveConvAccRef(c.src, c.n, c.g, c.pad, c.wt, c.outC)
+	out := make([]uint8, len(acc))
+	for i, a := range acc {
+		ch := i % c.outC
+		out[i] = requantQ31One(a, c.corr[ch], c.m0[ch], c.rsh[ch], c.zp, c.lo)
+	}
 	return out
 }
 
-// run is the band epilogue through its entry point; dst starts poisoned.
+// run is the strip layer through its entry point; dst starts poisoned.
 func (c *convRequantCase) run(t *testing.T, work *[]uint8, tile *[]int32, clock *[3]time.Duration) []uint8 {
 	t.Helper()
 	dst := make([]uint8, c.outBytes)
 	for i := range dst {
 		dst[i] = 0xA5
 	}
-	if err := ConvU8I8RequantInto(dst, c.src, c.n, c.packed, c.plan, c.pad,
+	if err := ConvU8I8StripInto(dst, c.src8, c.n, c.strip, c.plan, c.pad,
 		c.m0, c.rsh, c.corr, c.zp, c.lo, work, tile, clock); err != nil {
 		t.Fatal(err)
 	}
@@ -506,7 +548,7 @@ func (c *convRequantCase) run(t *testing.T, work *[]uint8, tile *[]int32, clock 
 }
 
 // Guard regions of the canaried run: before the first lane and after
-// every lane of the gather arena and of the tile arena.
+// every lane of the strip arena and of the tile arena.
 const (
 	guardBytes = 64
 	guardWords = 16
@@ -515,14 +557,17 @@ const (
 )
 
 // runCanaried runs the band job with a guard region around every lane's
-// gather buffer and int32 tile and fails if the call touched one.
+// strip and int32 tile and fails if the call wrote one. A kernel read
+// past a strip (the folded walk reads up to 3 bytes past its last run,
+// inside the strip's slack) fails the kernel's bounds pin instead: the
+// job hands each kernel its lane cut to the strip's length.
 func (c *convRequantCase) runCanaried(t *testing.T) []uint8 {
 	t.Helper()
 	p := c.plan
 	tasks := c.n * p.Bands()
 	lanes := bandLanes(tasks)
-	bl, tl := p.BandLen(), p.brows*p.ow*c.outC
-	j := convU8Job{p: p, b: c.packed, src: c.src, pad: c.pad, wl: bl + guardBytes, tl: tl + guardWords,
+	bl, tl := p.strip, p.brows*p.ow*c.outC
+	j := convU8Job{p: p, b: c.strip, src: c.src8, pad: c.pad, wl: bl + guardBytes, tl: tl + guardWords,
 		dst: make([]uint8, c.outBytes), m0: c.m0, rsh: c.rsh, corr: c.corr, zp: c.zp, lo: c.lo}
 	work := make([]uint8, guardBytes+lanes*j.wl)
 	tile := make([]int32, guardWords+lanes*j.tl)
@@ -537,7 +582,7 @@ func (c *convRequantCase) runCanaried(t *testing.T) []uint8 {
 	inLane := func(off, stride, length int) bool { return off >= 0 && off%stride < length }
 	for i, v := range work {
 		if v != canaryByte && !inLane(i-guardBytes, j.wl, bl) {
-			t.Fatalf("gather arena byte %d (lane stride %d, band %d bytes) overwritten: %#x", i-guardBytes, j.wl, bl, v)
+			t.Fatalf("strip arena byte %d (lane stride %d, strip %d bytes) overwritten: %#x", i-guardBytes, j.wl, bl, v)
 		}
 	}
 	for i, v := range tile {
@@ -548,11 +593,21 @@ func (c *convRequantCase) runCanaried(t *testing.T) []uint8 {
 	return j.dst
 }
 
-// TestConvRequantBandsMatchTwoPass pins the band epilogue byte for byte
-// against the two-pass oracle on both dispatches at 1/2/3/8 workers, with
-// and without the ReLU floor, through the entry point (arenas reused across
-// worker counts, as an engine scratch is), through the canaried job, and
-// serially under the phase clock.
+// sameBytes fails at the first byte where got differs from want.
+func sameBytes(t *testing.T, how string, got, want []uint8) {
+	t.Helper()
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: byte %d = %d, want %d", how, i, got[i], want[i])
+		}
+	}
+}
+
+// TestConvRequantBandsMatchTwoPass pins the strip layer byte for byte
+// against the NCHW two-pass oracle on both dispatches at 1/2/3/8 workers,
+// with and without the ReLU floor, through the entry point (arenas reused
+// across worker counts, as an engine scratch is), through the canaried
+// job, and serially under the phase clock.
 func TestConvRequantBandsMatchTwoPass(t *testing.T) {
 	cases := []struct {
 		name string
@@ -565,6 +620,8 @@ func TestConvRequantBandsMatchTwoPass(t *testing.T) {
 		{"5x5", ConvGeom{InC: 3, InH: 11, InW: 11, KH: 5, KW: 5, Stride: 1, Pad: 2}, 2},
 		{"3x3_ragged_last_band", ConvGeom{InC: 8, InH: 20, InW: 16, KH: 3, KW: 3, Stride: 1, Pad: 1}, 2},
 		{"3x3_batch1", ConvGeom{InC: 3, InH: 16, InW: 16, KH: 3, KW: 3, Stride: 1, Pad: 1}, 1},
+		{"3x4_s3_fold", ConvGeom{InC: 5, InH: 14, InW: 13, KH: 3, KW: 4, Stride: 3, Pad: 2}, 3},
+		{"3x3_s2_ow3", ConvGeom{InC: 16, InH: 6, InW: 6, KH: 3, KW: 3, Stride: 2, Pad: 1}, 3},
 	}
 	eachDispatch(t, func(t *testing.T) {
 		for ci, tc := range cases {
@@ -575,29 +632,73 @@ func TestConvRequantBandsMatchTwoPass(t *testing.T) {
 						t.Fatalf("fixture lost its ragged band: %d rows in bands of %d", oh, c.plan.brows)
 					}
 					want := c.oracle(t)
-					same := func(how string, got []uint8) {
-						t.Helper()
-						for i := range want {
-							if got[i] != want[i] {
-								t.Fatalf("%s: byte %d = %d, two-pass %d", how, i, got[i], want[i])
-							}
-						}
-					}
 					var work []uint8
 					var tile []int32
 					for _, workers := range []int{1, 2, 3, 8} {
 						prev := SetMaxWorkers(workers)
-						same(fmt.Sprintf("workers=%d", workers), c.run(t, &work, &tile, nil))
-						same(fmt.Sprintf("workers=%d canaried", workers), c.runCanaried(t))
+						sameBytes(t, fmt.Sprintf("workers=%d", workers), c.run(t, &work, &tile, nil), want)
+						sameBytes(t, fmt.Sprintf("workers=%d canaried", workers), c.runCanaried(t), want)
 						SetMaxWorkers(prev)
 					}
 					var clock [3]time.Duration
-					same("phase clock", c.run(t, &work, &tile, &clock))
+					sameBytes(t, "phase clock", c.run(t, &work, &tile, &clock), want)
 					if clock[0] <= 0 || clock[1] <= 0 || clock[2] <= 0 {
 						t.Fatalf("phase clock left a hook untimed: %v", clock)
 					}
 				})
 			}
 		}
+	})
+}
+
+// FuzzConvU8StripVsNaive drives fuzzed geometries — stride 1–3, pad 0–2,
+// kernels 1–5 per axis (non-square included), 1–16 channels (folded
+// strips whenever KW·C is not a multiple of 4), output widths of every
+// residue mod 4 — payloads, zero points and requant parameters through
+// the strip layer, canaried, under both dispatches, and requires its
+// bytes to equal a naive NCHW conv followed by the scalar requant
+// reference. safe keeps every weight pair under the fast kernel's
+// saturation bound; otherwise weights span the full int8 range and
+// hazardous pairs route panels to the widening kernel.
+func FuzzConvU8StripVsNaive(f *testing.F) {
+	seeds := []struct {
+		c, h, w, kh, kw, s, p uint8
+	}{
+		{3, 12, 12, 3, 3, 1, 1},  // the folded stem, OW 12
+		{16, 6, 6, 3, 3, 2, 1},   // OW 3
+		{16, 12, 12, 1, 1, 2, 0}, // 1×1 projection, KH < S
+		{5, 11, 11, 5, 5, 1, 2},  // 5×5, folded
+		{16, 9, 10, 3, 4, 3, 2},  // 3×4, stride 3
+		{4, 7, 13, 3, 3, 1, 0},   // OW 11
+		{8, 5, 5, 5, 5, 2, 2},    // OW 3, stride 2, pad 2
+	}
+	for i, sd := range seeds {
+		f.Add(int64(i), sd.c-1, sd.h-1, sd.w-1, sd.kh-1, sd.kw-1, sd.s-1, sd.p, uint8(i), uint8(9+i), i%2 == 0)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, inC, inH, inW, kh, kw, stride, pad, n, outC uint8, safe bool) {
+		g := ConvGeom{
+			InC: 1 + int(inC%16), InH: 1 + int(inH%14), InW: 1 + int(inW%14),
+			KH: 1 + int(kh%5), KW: 1 + int(kw%5), Stride: 1 + int(stride%3), Pad: int(pad % 3),
+		}
+		if g.Validate() != nil {
+			t.Skip("degenerate geometry")
+		}
+		c := newConvRequantCase(t, seed, g, 1+int(n%4), 1+int(outC%24), seed%2 == 0)
+		if safe {
+			for i := range c.wt {
+				c.wt[i] /= 2
+			}
+			var err error
+			if c.strip, err = c.plan.PackWeights(c.wt, c.outC); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want := c.naive()
+		eachDispatch(t, func(t *testing.T) {
+			var work []uint8
+			var tile []int32
+			sameBytes(t, "strip", c.run(t, &work, &tile, nil), want)
+			sameBytes(t, "canaried", c.runCanaried(t), want)
+		})
 	})
 }

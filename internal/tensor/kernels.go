@@ -21,10 +21,10 @@ import (
 // SIMD dispatch state. simdApply is overridden by the per-arch init when
 // usable vector kernels exist; it repoints every dispatch variable (the
 // packed float and integer panel kernels, the float conv's strip kernels,
-// the int8 conv's gather, the batch-norm kernels and the requant
-// epilogue) at either the assembly or the portable implementations. The
-// APT_NOSIMD environment variable keeps the portable kernels in place at
-// startup, so the fallback path is testable on SIMD hardware.
+// the batch-norm kernels and the requant epilogue) at either the
+// assembly or the portable implementations. The APT_NOSIMD environment
+// variable keeps the portable kernels in place at startup, so the
+// fallback path is testable on SIMD hardware.
 var (
 	simdOn       bool
 	simdFeatures string
@@ -70,7 +70,7 @@ func KernelSummary() string {
 		edge = "masked-store edge"
 	}
 	requant := "portable requant"
-	if requantRowsAsm != nil && requantTransAsm != nil {
+	if requantRowsAsm != nil {
 		requant = "SIMD requant"
 	}
 	return fmt.Sprintf("%s: %s packed GEMM + %s + %s", runtime.GOARCH, simdFeatures, edge, requant)

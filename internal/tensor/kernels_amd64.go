@@ -22,22 +22,13 @@ func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv0() (eax, edx uint32)
 
 //go:noescape
-func packedGEMMFastAVX2(dst *int32, a *uint8, panel *int8, m, kq, lda, ldd int)
+func packedGEMMFastAVX2(dst *int32, a *uint8, panel *int8, m, ow, lda, rs, segq, nseg, sst, ldd int)
 
 //go:noescape
-func packedGEMMWideAVX2(dst *int32, a *uint8, panel *int8, m, kq, lda, ldd int)
+func packedGEMMWideAVX2(dst *int32, a *uint8, panel *int8, m, ow, lda, rs, segq, nseg, sst, ldd int)
 
 //go:noescape
-func packedGEMMFast4AVX2(dst *int32, a *uint8, panel *int8, m, kq, lda, ldd int)
-
-//go:noescape
-func packedGEMMWide4AVX2(dst *int32, a *uint8, panel *int8, m, kq, lda, ldd int)
-
-//go:noescape
-func packedGEMMEdgeAVX2(dst *int32, a *uint8, panel *int8, m, kq, lda, ldd, nr int)
-
-//go:noescape
-func im2colPack3AVX2(dst, r0, r1, r2 *uint8, n, nc, kdim, stride, plane int)
+func packedGEMMEdgeAVX2(dst *int32, a *uint8, panel *int8, m, ow, lda, rs, segq, nseg, sst, ldd, nr int)
 
 //go:noescape
 func packedF32GEMM4x16FMA(dst, a, panel *float32, m, k, ars, aks, ldd int)
@@ -81,9 +72,6 @@ func bnGradInputAVX2(dx, dy, x, y *float32, n, plane, stride int, mean, mdy, k, 
 //go:noescape
 func requantQ31RowsAVX2(dst *uint8, acc *int32, m0, rsh *int32, corr *int64, zp, lo, m, nc4, lda, ldd int)
 
-//go:noescape
-func requantQ31TransAVX2(dst *uint8, acc *int32, m0, rsh *int32, corr *int64, zp, lo, np8, nc4, lda, ldd int)
-
 // hasFMA reports whether AVX2+FMA kernels are usable on this CPU/OS.
 var hasFMA = detectFMA()
 
@@ -126,24 +114,18 @@ func init() {
 func applySIMDAmd64(on bool) {
 	simdOn = on
 	if !on {
-		packedAsmFast, packedAsmWide = nil, nil
-		packedAsmFast4, packedAsmWide4 = nil, nil
-		packedAsmEdge = nil
-		pack3Asm = nil
+		packedAsmFast, packedAsmWide, packedAsmEdge = nil, nil, nil
 		bnMomentsAsm, bnAffineAsm, bnGradSumsAsm, bnGradInputAsm = nil, nil, nil, nil
 		f32Panel4, f32Panel1 = f32Panel4Go, f32Panel1Go
 		f32Panel4w8, f32Panel1w8 = f32Panel4x8Go, f32Panel1x8Go
 		f32StripPanel, f32StripDW, f32StripDX = f32StripPanelGo, f32StripDWGo, f32StripDXGo
 		interleave, stageRows = interleaveGo, stageRowsGo
-		requantRowsAsm, requantTransAsm = nil, nil
+		requantRowsAsm = nil
 		return
 	}
 	packedAsmFast = packedFastAsm
 	packedAsmWide = packedWideAsm
-	packedAsmFast4 = packedFast4Asm
-	packedAsmWide4 = packedWide4Asm
 	packedAsmEdge = packedEdgeAsm
-	pack3Asm = pack3AVX2Wrap
 	bnMomentsAsm = bnMomentsAVX2Wrap
 	bnAffineAsm = bnAffineAVX2Wrap
 	bnGradSumsAsm = bnGradSumsAVX2Wrap
@@ -158,18 +140,6 @@ func applySIMDAmd64(on bool) {
 	interleave = interleaveAVX2Wrap
 	stageRows = stageRowsAVX2Wrap
 	requantRowsAsm = requantRowsAVX2Wrap
-	requantTransAsm = requantTransAVX2Wrap
-}
-
-func pack3AVX2Wrap(dst, r0, r1, r2 []uint8, n, nc, kdim, stride, plane int) {
-	// Pin the extreme bytes the kernel touches: the last block's 16-byte
-	// store and each cursor's final 4-byte load.
-	_ = dst[(n-1)*kdim+(nc-1)*9+15]
-	e := (nc-1)*plane + (n-1)*stride
-	_ = r0[e+3]
-	_ = r1[e+3]
-	_ = r2[e+3]
-	im2colPack3AVX2(&dst[0], &r0[0], &r1[0], &r2[0], n, nc, kdim, stride, plane)
 }
 
 // The strip wrappers take hi, the largest entry of a (non-negative, not
@@ -298,53 +268,30 @@ func requantRowsAVX2Wrap(dst []uint8, acc []int32, m0, rsh []int32, corr []int64
 	requantQ31RowsAVX2(&dst[0], &acc[0], &m0[0], &rsh[0], &corr[0], int(zp), int(lo), m, nc4, lda, ldd)
 }
 
-func requantTransAVX2Wrap(dst []uint8, acc []int32, m0, rsh []int32, corr []int64, zp, lo int32, np8, nc4, lda, ldd int) {
-	_ = acc[(np8-1)*lda+nc4-1]
-	_ = dst[(nc4-1)*ldd+np8-1]
-	_ = m0[nc4-1]
-	_ = rsh[nc4-1]
-	_ = corr[nc4-1]
-	requantQ31TransAVX2(&dst[0], &acc[0], &m0[0], &rsh[0], &corr[0], int(zp), int(lo), np8, nc4, lda, ldd)
+// The packed wrappers pin the extremes a walk touches: one past its last
+// operand byte, the last row's last stored int32 and the panel's last
+// quad (runPackedPanel sizes them).
+
+func packedFastAsm(dst []int32, a []uint8, panel []int8, w aWalk, ldd int) {
+	_ = a[w.last()-1]
+	_ = dst[(w.m-1)*ldd+7]
+	_ = panel[w.nseg*w.segq*32-1]
+	packedGEMMFastAVX2(&dst[0], &a[0], &panel[0], w.m, w.ow, w.lda, w.rs, w.segq, w.nseg, w.sst, ldd)
 }
 
-func packedFastAsm(dst []int32, a []uint8, panel []int8, m, kq, lda, ldd int) {
-	// Bounds asserted by MatMulU8I8PackedInto; the kernel reads 4·kq bytes
-	// per operand row and writes 8 int32 per dst row.
-	_ = a[(m-1)*lda+4*kq-1]
-	_ = dst[(m-1)*ldd+7]
-	_ = panel[kq*32-1]
-	packedGEMMFastAVX2(&dst[0], &a[0], &panel[0], m, kq, lda, ldd)
+func packedWideAsm(dst []int32, a []uint8, panel []int8, w aWalk, ldd int) {
+	_ = a[w.last()-1]
+	_ = dst[(w.m-1)*ldd+7]
+	_ = panel[w.nseg*w.segq*32-1]
+	packedGEMMWideAVX2(&dst[0], &a[0], &panel[0], w.m, w.ow, w.lda, w.rs, w.segq, w.nseg, w.sst, ldd)
 }
 
-func packedWideAsm(dst []int32, a []uint8, panel []int8, m, kq, lda, ldd int) {
-	_ = a[(m-1)*lda+4*kq-1]
-	_ = dst[(m-1)*ldd+7]
-	_ = panel[kq*32-1]
-	packedGEMMWideAVX2(&dst[0], &a[0], &panel[0], m, kq, lda, ldd)
-}
-
-func packedFast4Asm(dst []int32, a []uint8, panel []int8, m, kq, lda, ldd int) {
-	// m is a positive multiple of 4 (asserted by the caller's row split).
-	_ = a[(m-1)*lda+4*kq-1]
-	_ = dst[(m-1)*ldd+7]
-	_ = panel[kq*32-1]
-	packedGEMMFast4AVX2(&dst[0], &a[0], &panel[0], m, kq, lda, ldd)
-}
-
-func packedWide4Asm(dst []int32, a []uint8, panel []int8, m, kq, lda, ldd int) {
-	_ = a[(m-1)*lda+4*kq-1]
-	_ = dst[(m-1)*ldd+7]
-	_ = panel[kq*32-1]
-	packedGEMMWide4AVX2(&dst[0], &a[0], &panel[0], m, kq, lda, ldd)
-}
-
-func packedEdgeAsm(dst []int32, a []uint8, panel []int8, m, kq, lda, ldd, nr int) {
-	// nr ∈ [1, 7] (checked by gemmPackedBlock's panel split); the masked
-	// store writes exactly nr int32 per row.
-	_ = a[(m-1)*lda+4*kq-1]
-	_ = dst[(m-1)*ldd+nr-1]
-	_ = panel[kq*32-1]
-	packedGEMMEdgeAVX2(&dst[0], &a[0], &panel[0], m, kq, lda, ldd, nr)
+func packedEdgeAsm(dst []int32, a []uint8, panel []int8, w aWalk, ldd, nr int) {
+	// nr ∈ [1, 7]; the masked store writes exactly nr int32 per row.
+	_ = a[w.last()-1]
+	_ = dst[(w.m-1)*ldd+nr-1]
+	_ = panel[w.nseg*w.segq*32-1]
+	packedGEMMEdgeAVX2(&dst[0], &a[0], &panel[0], w.m, w.ow, w.lda, w.rs, w.segq, w.nseg, w.sst, ldd, nr)
 }
 
 func f32Panel4Asm(dst, a, panel []float32, m, k, ars, aks, ldd int) {

@@ -19,7 +19,7 @@ import "os"
 // three siblings stay nil; the portable lane loops in batchnorm.go run).
 
 //go:noescape
-func packedGEMMNEON(dst *int32, a *uint8, panel *int8, m, kq, lda, ldd int)
+func packedGEMMNEON(dst *int32, a *uint8, panel *int8, m, ow, lda, rs, segq, nseg, sst, ldd int)
 
 //go:noescape
 func packedF32GEMM4x16NEON(dst, a, panel *float32, m, k, ars, aks, ldd int)
@@ -36,9 +36,6 @@ func packedF32GEMM1x8NEON(dst, a, panel *float32, k, aks int)
 //go:noescape
 func requantQ31RowsNEON(dst *uint8, acc *int32, m0, rsh *int32, corr *int64, zp, lo, m, nc4, lda, ldd int)
 
-//go:noescape
-func requantQ31TransNEON(dst *uint8, acc *int32, m0, rsh *int32, corr *int64, zp, lo, np8, nc4, lda, ldd int)
-
 func init() {
 	simdFeatures = "neon"
 	simdApply = applySIMDArm64
@@ -52,34 +49,30 @@ func applySIMDArm64(on bool) {
 	simdOn = on
 	if !on {
 		packedAsmFast, packedAsmWide = nil, nil
-		packedAsmFast4, packedAsmWide4 = nil, nil
 		f32Panel4, f32Panel1 = f32Panel4Go, f32Panel1Go
 		f32Panel4w8, f32Panel1w8 = f32Panel4x8Go, f32Panel1x8Go
-		requantRowsAsm, requantTransAsm = nil, nil
+		requantRowsAsm = nil
 		return
 	}
-	// One integer routine serves all four slots: the widening SMLAL
-	// kernel is exact for any weights, so the fast/wide (saturation
-	// hazard) split that AVX2's VPMADDUBSW forces does not exist here.
+	// One integer routine serves both slots: the widening SMLAL kernel
+	// is exact for any weights, so the fast/wide (saturation hazard)
+	// split that AVX2's VPMADDUBSW forces does not exist here.
 	packedAsmFast = packedNEONAsm
 	packedAsmWide = packedNEONAsm
-	packedAsmFast4 = packedNEONAsm
-	packedAsmWide4 = packedNEONAsm
 	f32Panel4 = f32Panel4NEONWrap
 	f32Panel1 = f32Panel1NEONWrap
 	f32Panel4w8 = f32Panel4w8NEONWrap
 	f32Panel1w8 = f32Panel1w8NEONWrap
 	requantRowsAsm = requantRowsNEONWrap
-	requantTransAsm = requantTransNEONWrap
 }
 
-func packedNEONAsm(dst []int32, a []uint8, panel []int8, m, kq, lda, ldd int) {
-	// Bounds asserted by MatMulU8I8PackedInto; the kernel reads 4·kq bytes
-	// per operand row and writes 8 int32 per dst row.
-	_ = a[(m-1)*lda+4*kq-1]
-	_ = dst[(m-1)*ldd+7]
-	_ = panel[kq*32-1]
-	packedGEMMNEON(&dst[0], &a[0], &panel[0], m, kq, lda, ldd)
+func packedNEONAsm(dst []int32, a []uint8, panel []int8, w aWalk, ldd int) {
+	// Pin one past the walk's last operand byte, the last row's last
+	// stored int32 and the panel's last quad (runPackedPanel sizes them).
+	_ = a[w.last()-1]
+	_ = dst[(w.m-1)*ldd+7]
+	_ = panel[w.nseg*w.segq*32-1]
+	packedGEMMNEON(&dst[0], &a[0], &panel[0], w.m, w.ow, w.lda, w.rs, w.segq, w.nseg, w.sst, ldd)
 }
 
 func f32Panel4NEONWrap(dst, a, panel []float32, m, k, ars, aks, ldd int) {
@@ -121,13 +114,4 @@ func requantRowsNEONWrap(dst []uint8, acc []int32, m0, rsh []int32, corr []int64
 	_ = rsh[nc4-1]
 	_ = corr[nc4-1]
 	requantQ31RowsNEON(&dst[0], &acc[0], &m0[0], &rsh[0], &corr[0], int(zp), int(lo), m, nc4, lda, ldd)
-}
-
-func requantTransNEONWrap(dst []uint8, acc []int32, m0, rsh []int32, corr []int64, zp, lo int32, np8, nc4, lda, ldd int) {
-	_ = acc[(np8-1)*lda+nc4-1]
-	_ = dst[(nc4-1)*ldd+np8-1]
-	_ = m0[nc4-1]
-	_ = rsh[nc4-1]
-	_ = corr[nc4-1]
-	requantQ31TransNEON(&dst[0], &acc[0], &m0[0], &rsh[0], &corr[0], int(zp), int(lo), np8, nc4, lda, ldd)
 }

@@ -22,31 +22,45 @@
 // holds four per-tap partial sums of one column, folded with an ADDP
 // tree after the k loop.
 //
-// Rows run in pairs (16 accumulator registers); an odd tail row runs
-// the same body with the row-1 instructions dropped.
+// The operand walk (see matmul_int_packed.go) comes ow positions per
+// output row: within a row, positions run in pairs (16 accumulator
+// registers) and an odd last position runs the same body with the
+// row-1 instructions dropped; each position reads nseg runs of segq
+// quads, sst bytes apart (rewritten on entry into the hop from one
+// run's end to the next run's start).
 //
 // The signed widening/multiply instructions are not in the Go 1.24
 // arm64 assembler's vocabulary, hence the WORD encodings; each carries
 // its ARM mnemonic. Operand roles: smlal vd, vn, vm ⇒ vd += vn·vm.
 
-// func packedGEMMNEON(dst *int32, a *uint8, panel *int8, m, kq, lda, ldd int)
-TEXT ·packedGEMMNEON(SB), NOSPLIT, $0-56
+// func packedGEMMNEON(dst *int32, a *uint8, panel *int8, m, ow, lda, rs, segq, nseg, sst, ldd int)
+TEXT ·packedGEMMNEON(SB), NOSPLIT, $0-88
 	MOVD dst+0(FP), R0
-	MOVD a+8(FP), R1
+	MOVD a+8(FP), R1          // output-row base
 	MOVD panel+16(FP), R2
-	MOVD m+24(FP), R3
-	MOVD kq+32(FP), R4
+	MOVD m+24(FP), R3         // positions left
+	MOVD ow+32(FP), R12
 	MOVD lda+40(FP), R5
-	MOVD ldd+48(FP), R6
+	MOVD rs+48(FP), R13
+	MOVD segq+56(FP), R4
+	MOVD nseg+64(FP), R14
+	MOVD sst+72(FP), R15
+	SUB  R4<<2, R15, R15      // run end → next run
+	MOVD ldd+80(FP), R6
 	LSL  $2, R6, R6           // dst row stride in bytes
 
+row:
+	CBZ  R3, done
+	MOVD R1, R19              // position cursor
+	MOVD R12, R20             // positions left in this output row
+
 pairloop:
-	CMP  $2, R3
+	CMP  $2, R20
 	BLT  tail
-	MOVD R1, R7               // row 0 activation cursor
+	MOVD R19, R7              // row 0 activation cursor
 	ADD  R5, R7, R8           // row 1
 	MOVD R2, R9               // panel cursor
-	MOVD R4, R10              // quad counter
+	MOVD R14, R21             // runs left
 	VEOR V8.B16, V8.B16, V8.B16
 	VEOR V9.B16, V9.B16, V9.B16
 	VEOR V10.B16, V10.B16, V10.B16
@@ -63,6 +77,9 @@ pairloop:
 	VEOR V21.B16, V21.B16, V21.B16
 	VEOR V22.B16, V22.B16, V22.B16
 	VEOR V23.B16, V23.B16, V23.B16
+
+pairseg:
+	MOVD R4, R10              // quad counter
 
 pairquad:
 	VLD1.P 32(R9), [V0.B16, V1.B16]
@@ -94,6 +111,10 @@ pairquad:
 	WORD $0x4E6780B7 // smlal2 v23.4s, v5.8h, v7.8h
 	SUB  $1, R10, R10
 	CBNZ R10, pairquad
+	ADD  R15, R7, R7
+	ADD  R15, R8, R8
+	SUB  $1, R21, R21
+	CBNZ R21, pairseg
 
 	// Fold each column's four partial lanes: ADDP(ADDP(c0,c1),
 	// ADDP(c2,c3)) yields [c0 c1 c2 c3] in one register.
@@ -113,16 +134,16 @@ pairquad:
 	VADDP V26.S4, V25.S4, V25.S4
 	VST1  [V24.S4, V25.S4], (R11)
 
-	ADD R5<<1, R1, R1         // two activation rows
+	ADD R5<<1, R19, R19       // two positions
 	ADD R6<<1, R0, R0         // two dst rows
-	SUB $2, R3, R3
+	SUB $2, R20, R20
 	B   pairloop
 
 tail:
-	CBZ  R3, done
-	MOVD R1, R7
+	CBZ  R20, rowend
+	MOVD R19, R7
 	MOVD R2, R9
-	MOVD R4, R10
+	MOVD R14, R21
 	VEOR V8.B16, V8.B16, V8.B16
 	VEOR V9.B16, V9.B16, V9.B16
 	VEOR V10.B16, V10.B16, V10.B16
@@ -131,6 +152,9 @@ tail:
 	VEOR V13.B16, V13.B16, V13.B16
 	VEOR V14.B16, V14.B16, V14.B16
 	VEOR V15.B16, V15.B16, V15.B16
+
+tailseg:
+	MOVD R4, R10
 
 tailquad:
 	VLD1.P 32(R9), [V0.B16, V1.B16]
@@ -151,6 +175,9 @@ tailquad:
 	WORD $0x4E6680AF // smlal2 v15.4s, v5.8h, v6.8h
 	SUB  $1, R10, R10
 	CBNZ R10, tailquad
+	ADD  R15, R7, R7
+	SUB  $1, R21, R21
+	CBNZ R21, tailseg
 
 	VADDP V9.S4, V8.S4, V24.S4
 	VADDP V11.S4, V10.S4, V25.S4
@@ -160,10 +187,15 @@ tailquad:
 	VADDP V26.S4, V25.S4, V25.S4
 	VST1  [V24.S4, V25.S4], (R0)
 
-	ADD R5, R1, R1
+	ADD R5, R19, R19
 	ADD R6, R0, R0
-	SUB $1, R3, R3
+	SUB $1, R20, R20
 	B   tail
+
+rowend:
+	ADD R13, R1, R1
+	SUB R12, R3, R3
+	B   row
 
 done:
 	RET

@@ -3,7 +3,7 @@
 #include "textflag.h"
 
 // AVX2 Q31 requantization kernels (see requant.go for the pinned
-// semantics and PERF.md for the register layout). Both kernels process
+// semantics and PERF.md for the register layout). The kernel processes
 // channel groups of four: one YMM register holds the group's four int64
 // lanes through the whole chain
 //
@@ -134,86 +134,5 @@ rowsRow:
 	ADDQ $4, R15
 	CMPQ R15, R12
 	JLT  rowsGroup
-	VZEROUPPER
-	RET
-
-// func requantQ31TransAVX2(dst *uint8, acc *int32, m0, rsh *int32, corr *int64, zp, lo, np8, nc4, lda, ldd int)
-//
-// Position-major accumulator → channel-major bytes: each iteration
-// requantizes an 8-position × 4-channel tile into X0–X7 (one low dword
-// per position), transposes the 8×4 bytes in registers (VPUNPCKLBW/WD/DQ
-// cascade) and stores one contiguous 8-byte run per channel.
-TEXT ·requantQ31TransAVX2(SB), NOSPLIT, $64-88
-	MOVQ dst+0(FP), DI
-	MOVQ acc+8(FP), SI
-	MOVQ m0+16(FP), R8
-	MOVQ rsh+24(FP), R9
-	MOVQ corr+32(FP), R10
-	MOVQ zp+40(FP), AX
-	MOVQ AX, 0(SP)
-	MOVQ AX, 8(SP)
-	MOVQ AX, 16(SP)
-	MOVQ AX, 24(SP)
-	MOVQ lo+48(FP), AX
-	MOVQ AX, 32(SP)
-	MOVQ AX, 40(SP)
-	MOVQ AX, 48(SP)
-	MOVQ AX, 56(SP)
-	MOVQ np8+56(FP), R11
-	MOVQ nc4+64(FP), R12
-	MOVQ lda+72(FP), R13
-	SHLQ $2, R13             // position stride in bytes
-	MOVQ ldd+80(FP), R14
-	XORQ R15, R15            // g: channel group base
-
-transGroup:
-	rqGroupSetup
-	MOVQ R15, DX
-	IMULQ R14, DX
-	LEAQ (DI)(DX*1), BX      // &dst[g*ldd]: channel g's plane run
-	LEAQ (SI)(R15*4), AX     // &acc[g], walks 8 positions per tile
-	MOVQ R11, CX             // remaining positions (multiple of 8)
-
-transTile:
-	rqChain(AX, X0)
-	ADDQ R13, AX
-	rqChain(AX, X1)
-	ADDQ R13, AX
-	rqChain(AX, X2)
-	ADDQ R13, AX
-	rqChain(AX, X3)
-	ADDQ R13, AX
-	rqChain(AX, X4)
-	ADDQ R13, AX
-	rqChain(AX, X5)
-	ADDQ R13, AX
-	rqChain(AX, X6)
-	ADDQ R13, AX
-	rqChain(AX, X7)
-	ADDQ R13, AX
-
-	// 8 positions × 4 channels byte transpose.
-	VPUNPCKLBW X1, X0, X0    // c?p0,c?p1 pairs
-	VPUNPCKLBW X3, X2, X2
-	VPUNPCKLBW X5, X4, X4
-	VPUNPCKLBW X7, X6, X6
-	VPUNPCKLWD X2, X0, X1    // channel-major p0..p3 dwords
-	VPUNPCKLWD X6, X4, X5    // channel-major p4..p7 dwords
-	VPUNPCKLDQ X5, X1, X0    // qwords: c0 row, c1 row
-	VPUNPCKHDQ X5, X1, X2    // qwords: c2 row, c3 row
-
-	MOVQ    X0, (BX)
-	VPEXTRQ $1, X0, (BX)(R14*1)
-	LEAQ    (BX)(R14*2), DX
-	MOVQ    X2, (DX)
-	VPEXTRQ $1, X2, (DX)(R14*1)
-
-	ADDQ $8, BX
-	SUBQ $8, CX
-	JNZ  transTile
-
-	ADDQ $4, R15
-	CMPQ R15, R12
-	JLT  transGroup
 	VZEROUPPER
 	RET

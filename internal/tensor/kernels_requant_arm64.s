@@ -2,7 +2,7 @@
 
 #include "textflag.h"
 
-// NEON Q31 requantization kernels (see requant.go for the pinned
+// NEON Q31 requantization kernel (see requant.go for the pinned
 // semantics). The per-lane chain maps 1:1 onto NEON saturating ops:
 //
 //	sxtl/sxtl2 widen the four int32 accumulators to 2×int64 → add
@@ -88,251 +88,4 @@ rowsrow:
 	ADD $4, R13, R13
 	CMP R8, R13
 	BLT rowsgroup
-	RET
-
-// func requantQ31TransNEON(dst *uint8, acc *int32, m0, rsh *int32, corr *int64, zp, lo, np8, nc4, lda, ldd int)
-//
-// Position-major accumulators → channel-major bytes. Each tile
-// requantizes 8 positions × 4 channels into V8–V15 (one int32x4 result
-// per position), transposes the two 4×4 int32 blocks with ZIP cascades
-// into per-channel rows (positions 0–3 in V4–V7, 4–7 in V22–V25),
-// narrows each channel's eight values to bytes (already clamped to
-// [0, 255], so truncating xtn is exact) and stores one contiguous
-// 8-byte run per channel.
-TEXT ·requantQ31TransNEON(SB), NOSPLIT, $0-88
-	MOVD dst+0(FP), R0
-	MOVD acc+8(FP), R1
-	MOVD m0+16(FP), R2
-	MOVD rsh+24(FP), R3
-	MOVD corr+32(FP), R4
-	MOVD zp+40(FP), R5
-	MOVD lo+48(FP), R6
-	MOVD np8+56(FP), R7
-	MOVD nc4+64(FP), R8
-	MOVD lda+72(FP), R9
-	LSL  $2, R9, R9           // position stride in bytes
-	MOVD ldd+80(FP), R10
-	SUB  R5, R6, R11
-	MOVD $255, R12
-	SUB  R5, R12, R12
-	VDUP R5, V28.S4
-	VDUP R11, V29.S4
-	VDUP R12, V30.S4
-	VEOR V31.B16, V31.B16, V31.B16
-	MOVD $0, R13              // g: channel group base
-
-transgroup:
-	VLD1.P 16(R2), [V16.S4]
-	VLD1.P 16(R3), [V19.S4]
-	VLD1.P 32(R4), [V17.D2, V18.D2]
-	WORD $0x0F20A674 // sxtl  v20.2d, v19.2s
-	WORD $0x4F20A675 // sxtl2 v21.2d, v19.4s
-	VSUB V20.D2, V31.D2, V20.D2
-	VSUB V21.D2, V31.D2, V21.D2
-	ADD  R13<<2, R1, R17      // &acc[g], walks 8 positions per tile
-	MUL  R10, R13, R19
-	ADD  R0, R19, R19         // &dst[g·ldd]: channel g's plane run
-	MOVD R7, R20              // remaining positions (multiple of 8)
-
-transtile:
-	// Eight chain runs; the final native VADD (+zp) retargets each
-	// position's result register, so the WORD body stays fixed.
-	VLD1 (R17), [V0.S4]
-	ADD  R9, R17, R17
-	WORD $0x0F20A401 // sxtl  v1.2d, v0.2s
-	WORD $0x4F20A402 // sxtl2 v2.2d, v0.4s
-	VADD V17.D2, V1.D2, V1.D2
-	VADD V18.D2, V2.D2, V2.D2
-	WORD $0x0EA14823 // sqxtn  v3.2s, v1.2d
-	WORD $0x4EA14843 // sqxtn2 v3.4s, v2.2d
-	WORD $0x0EB0C061 // smull  v1.2d, v3.2s, v16.2s
-	WORD $0x4EB0C062 // smull2 v2.2d, v3.4s, v16.4s
-	WORD $0x4EF45421 // srshl  v1.2d, v1.2d, v20.2d
-	WORD $0x4EF55442 // srshl  v2.2d, v2.2d, v21.2d
-	WORD $0x0EA14823 // sqxtn  v3.2s, v1.2d
-	WORD $0x4EA14843 // sqxtn2 v3.4s, v2.2d
-	WORD $0x4EBD6463 // smax   v3.4s, v3.4s, v29.4s
-	WORD $0x4EBE6C63 // smin   v3.4s, v3.4s, v30.4s
-	VADD V28.S4, V3.S4, V8.S4
-
-	VLD1 (R17), [V0.S4]
-	ADD  R9, R17, R17
-	WORD $0x0F20A401 // sxtl  v1.2d, v0.2s
-	WORD $0x4F20A402 // sxtl2 v2.2d, v0.4s
-	VADD V17.D2, V1.D2, V1.D2
-	VADD V18.D2, V2.D2, V2.D2
-	WORD $0x0EA14823 // sqxtn  v3.2s, v1.2d
-	WORD $0x4EA14843 // sqxtn2 v3.4s, v2.2d
-	WORD $0x0EB0C061 // smull  v1.2d, v3.2s, v16.2s
-	WORD $0x4EB0C062 // smull2 v2.2d, v3.4s, v16.4s
-	WORD $0x4EF45421 // srshl  v1.2d, v1.2d, v20.2d
-	WORD $0x4EF55442 // srshl  v2.2d, v2.2d, v21.2d
-	WORD $0x0EA14823 // sqxtn  v3.2s, v1.2d
-	WORD $0x4EA14843 // sqxtn2 v3.4s, v2.2d
-	WORD $0x4EBD6463 // smax   v3.4s, v3.4s, v29.4s
-	WORD $0x4EBE6C63 // smin   v3.4s, v3.4s, v30.4s
-	VADD V28.S4, V3.S4, V9.S4
-
-	VLD1 (R17), [V0.S4]
-	ADD  R9, R17, R17
-	WORD $0x0F20A401 // sxtl  v1.2d, v0.2s
-	WORD $0x4F20A402 // sxtl2 v2.2d, v0.4s
-	VADD V17.D2, V1.D2, V1.D2
-	VADD V18.D2, V2.D2, V2.D2
-	WORD $0x0EA14823 // sqxtn  v3.2s, v1.2d
-	WORD $0x4EA14843 // sqxtn2 v3.4s, v2.2d
-	WORD $0x0EB0C061 // smull  v1.2d, v3.2s, v16.2s
-	WORD $0x4EB0C062 // smull2 v2.2d, v3.4s, v16.4s
-	WORD $0x4EF45421 // srshl  v1.2d, v1.2d, v20.2d
-	WORD $0x4EF55442 // srshl  v2.2d, v2.2d, v21.2d
-	WORD $0x0EA14823 // sqxtn  v3.2s, v1.2d
-	WORD $0x4EA14843 // sqxtn2 v3.4s, v2.2d
-	WORD $0x4EBD6463 // smax   v3.4s, v3.4s, v29.4s
-	WORD $0x4EBE6C63 // smin   v3.4s, v3.4s, v30.4s
-	VADD V28.S4, V3.S4, V10.S4
-
-	VLD1 (R17), [V0.S4]
-	ADD  R9, R17, R17
-	WORD $0x0F20A401 // sxtl  v1.2d, v0.2s
-	WORD $0x4F20A402 // sxtl2 v2.2d, v0.4s
-	VADD V17.D2, V1.D2, V1.D2
-	VADD V18.D2, V2.D2, V2.D2
-	WORD $0x0EA14823 // sqxtn  v3.2s, v1.2d
-	WORD $0x4EA14843 // sqxtn2 v3.4s, v2.2d
-	WORD $0x0EB0C061 // smull  v1.2d, v3.2s, v16.2s
-	WORD $0x4EB0C062 // smull2 v2.2d, v3.4s, v16.4s
-	WORD $0x4EF45421 // srshl  v1.2d, v1.2d, v20.2d
-	WORD $0x4EF55442 // srshl  v2.2d, v2.2d, v21.2d
-	WORD $0x0EA14823 // sqxtn  v3.2s, v1.2d
-	WORD $0x4EA14843 // sqxtn2 v3.4s, v2.2d
-	WORD $0x4EBD6463 // smax   v3.4s, v3.4s, v29.4s
-	WORD $0x4EBE6C63 // smin   v3.4s, v3.4s, v30.4s
-	VADD V28.S4, V3.S4, V11.S4
-
-	VLD1 (R17), [V0.S4]
-	ADD  R9, R17, R17
-	WORD $0x0F20A401 // sxtl  v1.2d, v0.2s
-	WORD $0x4F20A402 // sxtl2 v2.2d, v0.4s
-	VADD V17.D2, V1.D2, V1.D2
-	VADD V18.D2, V2.D2, V2.D2
-	WORD $0x0EA14823 // sqxtn  v3.2s, v1.2d
-	WORD $0x4EA14843 // sqxtn2 v3.4s, v2.2d
-	WORD $0x0EB0C061 // smull  v1.2d, v3.2s, v16.2s
-	WORD $0x4EB0C062 // smull2 v2.2d, v3.4s, v16.4s
-	WORD $0x4EF45421 // srshl  v1.2d, v1.2d, v20.2d
-	WORD $0x4EF55442 // srshl  v2.2d, v2.2d, v21.2d
-	WORD $0x0EA14823 // sqxtn  v3.2s, v1.2d
-	WORD $0x4EA14843 // sqxtn2 v3.4s, v2.2d
-	WORD $0x4EBD6463 // smax   v3.4s, v3.4s, v29.4s
-	WORD $0x4EBE6C63 // smin   v3.4s, v3.4s, v30.4s
-	VADD V28.S4, V3.S4, V12.S4
-
-	VLD1 (R17), [V0.S4]
-	ADD  R9, R17, R17
-	WORD $0x0F20A401 // sxtl  v1.2d, v0.2s
-	WORD $0x4F20A402 // sxtl2 v2.2d, v0.4s
-	VADD V17.D2, V1.D2, V1.D2
-	VADD V18.D2, V2.D2, V2.D2
-	WORD $0x0EA14823 // sqxtn  v3.2s, v1.2d
-	WORD $0x4EA14843 // sqxtn2 v3.4s, v2.2d
-	WORD $0x0EB0C061 // smull  v1.2d, v3.2s, v16.2s
-	WORD $0x4EB0C062 // smull2 v2.2d, v3.4s, v16.4s
-	WORD $0x4EF45421 // srshl  v1.2d, v1.2d, v20.2d
-	WORD $0x4EF55442 // srshl  v2.2d, v2.2d, v21.2d
-	WORD $0x0EA14823 // sqxtn  v3.2s, v1.2d
-	WORD $0x4EA14843 // sqxtn2 v3.4s, v2.2d
-	WORD $0x4EBD6463 // smax   v3.4s, v3.4s, v29.4s
-	WORD $0x4EBE6C63 // smin   v3.4s, v3.4s, v30.4s
-	VADD V28.S4, V3.S4, V13.S4
-
-	VLD1 (R17), [V0.S4]
-	ADD  R9, R17, R17
-	WORD $0x0F20A401 // sxtl  v1.2d, v0.2s
-	WORD $0x4F20A402 // sxtl2 v2.2d, v0.4s
-	VADD V17.D2, V1.D2, V1.D2
-	VADD V18.D2, V2.D2, V2.D2
-	WORD $0x0EA14823 // sqxtn  v3.2s, v1.2d
-	WORD $0x4EA14843 // sqxtn2 v3.4s, v2.2d
-	WORD $0x0EB0C061 // smull  v1.2d, v3.2s, v16.2s
-	WORD $0x4EB0C062 // smull2 v2.2d, v3.4s, v16.4s
-	WORD $0x4EF45421 // srshl  v1.2d, v1.2d, v20.2d
-	WORD $0x4EF55442 // srshl  v2.2d, v2.2d, v21.2d
-	WORD $0x0EA14823 // sqxtn  v3.2s, v1.2d
-	WORD $0x4EA14843 // sqxtn2 v3.4s, v2.2d
-	WORD $0x4EBD6463 // smax   v3.4s, v3.4s, v29.4s
-	WORD $0x4EBE6C63 // smin   v3.4s, v3.4s, v30.4s
-	VADD V28.S4, V3.S4, V14.S4
-
-	VLD1 (R17), [V0.S4]
-	ADD  R9, R17, R17
-	WORD $0x0F20A401 // sxtl  v1.2d, v0.2s
-	WORD $0x4F20A402 // sxtl2 v2.2d, v0.4s
-	VADD V17.D2, V1.D2, V1.D2
-	VADD V18.D2, V2.D2, V2.D2
-	WORD $0x0EA14823 // sqxtn  v3.2s, v1.2d
-	WORD $0x4EA14843 // sqxtn2 v3.4s, v2.2d
-	WORD $0x0EB0C061 // smull  v1.2d, v3.2s, v16.2s
-	WORD $0x4EB0C062 // smull2 v2.2d, v3.4s, v16.4s
-	WORD $0x4EF45421 // srshl  v1.2d, v1.2d, v20.2d
-	WORD $0x4EF55442 // srshl  v2.2d, v2.2d, v21.2d
-	WORD $0x0EA14823 // sqxtn  v3.2s, v1.2d
-	WORD $0x4EA14843 // sqxtn2 v3.4s, v2.2d
-	WORD $0x4EBD6463 // smax   v3.4s, v3.4s, v29.4s
-	WORD $0x4EBE6C63 // smin   v3.4s, v3.4s, v30.4s
-	VADD V28.S4, V3.S4, V15.S4
-
-	// Transpose positions 0–3 (V8–V11): 4×4 int32 ZIP cascade into
-	// per-channel rows V4–V7.
-	VZIP1 V9.S4, V8.S4, V0.S4
-	VZIP2 V9.S4, V8.S4, V1.S4
-	VZIP1 V11.S4, V10.S4, V2.S4
-	VZIP2 V11.S4, V10.S4, V3.S4
-	VZIP1 V2.D2, V0.D2, V4.D2
-	VZIP2 V2.D2, V0.D2, V5.D2
-	VZIP1 V3.D2, V1.D2, V6.D2
-	VZIP2 V3.D2, V1.D2, V7.D2
-	// Positions 4–7 (V12–V15) into V22–V25.
-	VZIP1 V13.S4, V12.S4, V0.S4
-	VZIP2 V13.S4, V12.S4, V1.S4
-	VZIP1 V15.S4, V14.S4, V2.S4
-	VZIP2 V15.S4, V14.S4, V3.S4
-	VZIP1 V2.D2, V0.D2, V22.D2
-	VZIP2 V2.D2, V0.D2, V23.D2
-	VZIP1 V3.D2, V1.D2, V24.D2
-	VZIP2 V3.D2, V1.D2, V25.D2
-
-	// Per channel: merge the two position quads to eight halfwords,
-	// narrow to bytes, store one 8-byte run.
-	MOVD R19, R21
-	WORD $0x0E612881 // xtn  v1.4h, v4.4s
-	WORD $0x4E612AC1 // xtn2 v1.8h, v22.4s
-	WORD $0x0E212821 // xtn  v1.8b, v1.8h
-	VMOV V1.D[0], R22
-	MOVD R22, (R21)
-	ADD  R10, R21, R21
-	WORD $0x0E6128A1 // xtn  v1.4h, v5.4s
-	WORD $0x4E612AE1 // xtn2 v1.8h, v23.4s
-	WORD $0x0E212821 // xtn  v1.8b, v1.8h
-	VMOV V1.D[0], R22
-	MOVD R22, (R21)
-	ADD  R10, R21, R21
-	WORD $0x0E6128C1 // xtn  v1.4h, v6.4s
-	WORD $0x4E612B01 // xtn2 v1.8h, v24.4s
-	WORD $0x0E212821 // xtn  v1.8b, v1.8h
-	VMOV V1.D[0], R22
-	MOVD R22, (R21)
-	ADD  R10, R21, R21
-	WORD $0x0E6128E1 // xtn  v1.4h, v7.4s
-	WORD $0x4E612B21 // xtn2 v1.8h, v25.4s
-	WORD $0x0E212821 // xtn  v1.8b, v1.8h
-	VMOV V1.D[0], R22
-	MOVD R22, (R21)
-
-	ADD $8, R19, R19
-	SUB $8, R20, R20
-	CBNZ R20, transtile
-
-	ADD $4, R13, R13
-	CMP R8, R13
-	BLT transgroup
 	RET

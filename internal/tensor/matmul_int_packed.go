@@ -10,7 +10,7 @@ import "fmt"
 // Rows run in register-blocked groups of four: the 4×8 micro-kernels
 // hold four rows' int32 accumulators in registers and reuse every
 // loaded panel quad across all four rows (4× fewer B-panel loads than
-// the one-row kernels, which the remainder rows still take).
+// the one-row bodies, which the remainder rows still take).
 //
 // Panel layout: columns are grouped 8 at a time (one YMM register of
 // int32 accumulators) and the k dimension 4 at a time (one 32-bit lane of
@@ -54,6 +54,19 @@ func (p *PackedI8) PaddedK() int { return 4 * p.kq }
 
 // SizeBytes returns the packed storage footprint.
 func (p *PackedI8) SizeBytes() int { return len(p.data) }
+
+// WidePanels returns how many full 8-column panels run the exact
+// widening kernel because some even weight pair could saturate the fast
+// one (the partial last panel always runs the exact edge kernel).
+func (p *PackedI8) WidePanels() int {
+	n := 0
+	for pi, sat := range p.satp {
+		if sat && pi*8+8 <= p.n {
+			n++
+		}
+	}
+	return n
+}
 
 // PackI8PanelsBT packs the transpose of a row-major (n, k) int8 matrix —
 // the natural orientation of weight tensors, whose rows are output
@@ -133,22 +146,42 @@ func absI8(v int8) int {
 	return int(v)
 }
 
+// aWalk addresses the operand rows of one packed panel call: m rows that
+// come ow at a time (output row r starts r·rs bytes in, position x of it
+// x·lda bytes further), each read as nseg runs of 4·segq bytes, sst
+// apart. A plain matrix is one run per row and one output row (ow = m);
+// the int8 conv reads KH runs per position off a staged row strip, or
+// one run when the strip is folded. Runs are whole quads, so a quad — and
+// the even tap pair the fast kernel fuses — never straddles two runs.
+type aWalk struct {
+	m, ow, lda, rs  int
+	segq, nseg, sst int
+}
+
+// last returns one past the last operand byte the walk reads (every
+// stride is non-negative, so the last position's last run ends farthest).
+func (w aWalk) last() int {
+	return (w.m/w.ow-1)*w.rs + (w.ow-1)*w.lda + (w.nseg-1)*w.sst + 4*w.segq
+}
+
+// at returns the byte offset of operand row p.
+func (w aWalk) at(p int) int { return p/w.ow*w.rs + p%w.ow*w.lda }
+
 // Assembly micro-kernels, repointed by the per-arch SIMD dispatch (nil
-// where unavailable). Each computes one full 8-column panel against m
-// operand rows: dst row stride ldd int32s, operand row stride lda bytes.
-// The 4-row variants are the register-blocked shape (m must be a
-// positive multiple of 4): four rows' accumulators live in registers and
-// every panel quad is loaded once per four rows instead of once per row.
+// where unavailable). Each computes one full 8-column panel against the
+// m operand rows of a walk (dst row stride ldd int32s): within every
+// output row, groups of four positions run register-blocked — four
+// rows' accumulators live in registers and every panel quad is loaded
+// once per four rows — and the last ow mod 4 positions one at a time.
+// A group never straddles two output rows.
 var (
-	packedAsmFast  func(dst []int32, a []uint8, panel []int8, m, kq, lda, ldd int)
-	packedAsmWide  func(dst []int32, a []uint8, panel []int8, m, kq, lda, ldd int)
-	packedAsmFast4 func(dst []int32, a []uint8, panel []int8, m, kq, lda, ldd int)
-	packedAsmWide4 func(dst []int32, a []uint8, panel []int8, m, kq, lda, ldd int)
+	packedAsmFast func(dst []int32, a []uint8, panel []int8, w aWalk, ldd int)
+	packedAsmWide func(dst []int32, a []uint8, panel []int8, w aWalk, ldd int)
 	// packedAsmEdge covers the final partial panel (nr < 8 valid
 	// columns): exact widening arithmetic regardless of the matrix's
-	// saturation hazard, masked stores so lanes past nr are never
-	// written.
-	packedAsmEdge func(dst []int32, a []uint8, panel []int8, m, kq, lda, ldd, nr int)
+	// saturation hazard, one row at a time, masked stores so lanes past
+	// nr are never written.
+	packedAsmEdge func(dst []int32, a []uint8, panel []int8, w aWalk, ldd, nr int)
 )
 
 // MatMulU8I8PackedInto computes dst = a·b where a is a uint8 (m, k)
@@ -191,139 +224,65 @@ func gemmPackedBlock(dst []int32, a []uint8, b *PackedI8, m, lda, t int) {
 	ib, pi := t/b.panels, t%b.panels
 	i0 := ib * gemmRowBlock
 	mr := min(gemmRowBlock, m-i0)
-	runPackedPanel(dst[i0*b.n:], a[i0*lda:], b, pi, mr, lda, b.n)
+	runPackedPanel(dst[i0*b.n:], a[i0*lda:], b, pi, aWalk{m: mr, ow: mr, lda: lda, segq: b.kq, nseg: 1}, b.n)
 }
 
-// runPackedPanel computes one weight panel against mr operand rows: dst
-// and a point at the tile's first row (dst row stride ldd int32s, operand
-// row stride lda bytes); the panel's column offset within dst is derived
-// from pi. Kernel selection is per panel — saturating weight panels take
-// the exact widening kernels, everything else the fast VPMADDUBSW kernels
-// — and per row count: groups of four rows run the register-blocked 4-row
-// micro-kernel (one panel-quad load per four rows), the remainder rows
-// the one-row kernel. mr is arbitrary (the 4-row kernels loop internally),
-// which is what lets the implicit-im2col conv driver run a whole gathered
-// row band through one call per panel.
-func runPackedPanel(dst []int32, a []uint8, b *PackedI8, pi, mr, lda, ldd int) {
+// runPackedPanel computes one weight panel against the operand rows of
+// walk w: dst points at the tile's first row (row stride ldd int32s) and
+// the panel's column offset within it is derived from pi. Kernel
+// selection is per panel — saturating weight panels take the exact
+// widening kernel, everything else the fast VPMADDUBSW kernel — and one
+// call covers every row of the walk, which is what lets the int8 conv
+// run a whole band through one call per panel.
+func runPackedPanel(dst []int32, a []uint8, b *PackedI8, pi int, w aWalk, ldd int) {
 	j0 := pi * 8
 	nr := min(8, b.n-j0)
 	panel := b.data[pi*b.kq*32 : (pi+1)*b.kq*32]
 	if nr < 8 {
 		if packedAsmEdge != nil {
-			packedAsmEdge(dst[j0:], a, panel, mr, b.kq, lda, ldd, nr)
+			packedAsmEdge(dst[j0:], a, panel, w, ldd, nr)
 		} else {
-			packedPanelGo(dst[j0:], a, panel, mr, b.kq, lda, ldd, nr)
+			packedPanelGo(dst[j0:], a, panel, w, ldd, nr)
 		}
 		return
 	}
-	asm1, asm4 := packedAsmFast, packedAsmFast4
+	k := packedAsmFast
 	if b.satp[pi] {
-		asm1, asm4 = packedAsmWide, packedAsmWide4
+		k = packedAsmWide
 	}
-	m4 := mr &^ 3
-	if m4 > 0 {
-		if asm4 != nil {
-			asm4(dst[j0:], a, panel, m4, b.kq, lda, ldd)
-		} else {
-			packedPanelGo8x4(dst[j0:], a, panel, m4, b.kq, lda, ldd)
-		}
-	}
-	if m4 == mr {
+	if k != nil {
+		k(dst[j0:], a, panel, w, ldd)
 		return
 	}
-	if asm1 != nil {
-		asm1(dst[m4*ldd+j0:], a[m4*lda:], panel, mr-m4, b.kq, lda, ldd)
-		return
-	}
-	packedPanelGo8(dst[m4*ldd+j0:], a[m4*lda:], panel, mr-m4, b.kq, lda, ldd)
+	packedPanelGo(dst[j0:], a, panel, w, ldd, 8)
 }
 
-// packedPanelGo8 is the portable kernel for full 8-column panels: the 8
-// dot products live in registers across the k loop, and the packed quad
-// is indexed with constant offsets (one bounds check per quad). Exact
-// int32 accumulation, bit-identical to both assembly kernels.
-func packedPanelGo8(dst []int32, a []uint8, panel []int8, m, kq, lda, ldd int) {
-	for i := 0; i < m; i++ {
-		arow := a[i*lda:]
+// packedPanelGo is the portable panel kernel: each operand row's 8
+// column dot products live in registers across its runs, and the first
+// nr are stored. Exact int32 accumulation, so it is bit-identical to
+// every assembly kernel whatever their row grouping (integer addition is
+// associative).
+func packedPanelGo(dst []int32, a []uint8, panel []int8, w aWalk, ldd, nr int) {
+	for p := 0; p < w.m; p++ {
+		arow := a[w.at(p):]
 		var o0, o1, o2, o3, o4, o5, o6, o7 int32
-		for q := 0; q < kq; q++ {
-			a0 := int32(arow[4*q])
-			a1 := int32(arow[4*q+1])
-			a2 := int32(arow[4*q+2])
-			a3 := int32(arow[4*q+3])
-			pq := panel[q*32 : q*32+32 : q*32+32]
-			o0 += a0*int32(pq[0]) + a1*int32(pq[1]) + a2*int32(pq[2]) + a3*int32(pq[3])
-			o1 += a0*int32(pq[4]) + a1*int32(pq[5]) + a2*int32(pq[6]) + a3*int32(pq[7])
-			o2 += a0*int32(pq[8]) + a1*int32(pq[9]) + a2*int32(pq[10]) + a3*int32(pq[11])
-			o3 += a0*int32(pq[12]) + a1*int32(pq[13]) + a2*int32(pq[14]) + a3*int32(pq[15])
-			o4 += a0*int32(pq[16]) + a1*int32(pq[17]) + a2*int32(pq[18]) + a3*int32(pq[19])
-			o5 += a0*int32(pq[20]) + a1*int32(pq[21]) + a2*int32(pq[22]) + a3*int32(pq[23])
-			o6 += a0*int32(pq[24]) + a1*int32(pq[25]) + a2*int32(pq[26]) + a3*int32(pq[27])
-			o7 += a0*int32(pq[28]) + a1*int32(pq[29]) + a2*int32(pq[30]) + a3*int32(pq[31])
-		}
-		orow := dst[i*ldd : i*ldd+8 : i*ldd+8]
-		orow[0], orow[1], orow[2], orow[3] = o0, o1, o2, o3
-		orow[4], orow[5], orow[6], orow[7] = o4, o5, o6, o7
-	}
-}
-
-// packedPanelGo8x4 is the portable register-blocked kernel for full
-// panels (m a positive multiple of 4): the packed quad's 32 weights are
-// loaded once per four rows and multiplied against each row's
-// activation quad, mirroring the data reuse of the 4-row assembly
-// kernels. Exact int32 accumulation, bit-identical to every other
-// packed kernel (integer addition is associative).
-func packedPanelGo8x4(dst []int32, a []uint8, panel []int8, m, kq, lda, ldd int) {
-	for i := 0; i+3 < m; i += 4 {
-		r0 := a[i*lda:]
-		r1 := a[(i+1)*lda:]
-		r2 := a[(i+2)*lda:]
-		r3 := a[(i+3)*lda:]
-		var o0, o1, o2, o3 [8]int32
-		for q := 0; q < kq; q++ {
-			a00, a01, a02, a03 := int32(r0[4*q]), int32(r0[4*q+1]), int32(r0[4*q+2]), int32(r0[4*q+3])
-			a10, a11, a12, a13 := int32(r1[4*q]), int32(r1[4*q+1]), int32(r1[4*q+2]), int32(r1[4*q+3])
-			a20, a21, a22, a23 := int32(r2[4*q]), int32(r2[4*q+1]), int32(r2[4*q+2]), int32(r2[4*q+3])
-			a30, a31, a32, a33 := int32(r3[4*q]), int32(r3[4*q+1]), int32(r3[4*q+2]), int32(r3[4*q+3])
-			pq := panel[q*32 : q*32+32 : q*32+32]
-			for j := 0; j < 8; j++ {
-				w0 := int32(pq[4*j])
-				w1 := int32(pq[4*j+1])
-				w2 := int32(pq[4*j+2])
-				w3 := int32(pq[4*j+3])
-				o0[j] += a00*w0 + a01*w1 + a02*w2 + a03*w3
-				o1[j] += a10*w0 + a11*w1 + a12*w2 + a13*w3
-				o2[j] += a20*w0 + a21*w1 + a22*w2 + a23*w3
-				o3[j] += a30*w0 + a31*w1 + a32*w2 + a33*w3
+		q := 0
+		for s := 0; s < w.nseg; s++ {
+			run := arow[s*w.sst : s*w.sst+4*w.segq]
+			for t := 0; t < len(run); t, q = t+4, q+1 {
+				a0, a1, a2, a3 := int32(run[t]), int32(run[t+1]), int32(run[t+2]), int32(run[t+3])
+				pq := panel[q*32 : q*32+32 : q*32+32]
+				o0 += a0*int32(pq[0]) + a1*int32(pq[1]) + a2*int32(pq[2]) + a3*int32(pq[3])
+				o1 += a0*int32(pq[4]) + a1*int32(pq[5]) + a2*int32(pq[6]) + a3*int32(pq[7])
+				o2 += a0*int32(pq[8]) + a1*int32(pq[9]) + a2*int32(pq[10]) + a3*int32(pq[11])
+				o3 += a0*int32(pq[12]) + a1*int32(pq[13]) + a2*int32(pq[14]) + a3*int32(pq[15])
+				o4 += a0*int32(pq[16]) + a1*int32(pq[17]) + a2*int32(pq[18]) + a3*int32(pq[19])
+				o5 += a0*int32(pq[20]) + a1*int32(pq[21]) + a2*int32(pq[22]) + a3*int32(pq[23])
+				o6 += a0*int32(pq[24]) + a1*int32(pq[25]) + a2*int32(pq[26]) + a3*int32(pq[27])
+				o7 += a0*int32(pq[28]) + a1*int32(pq[29]) + a2*int32(pq[30]) + a3*int32(pq[31])
 			}
 		}
-		copy(dst[i*ldd:i*ldd+8], o0[:])
-		copy(dst[(i+1)*ldd:(i+1)*ldd+8], o1[:])
-		copy(dst[(i+2)*ldd:(i+2)*ldd+8], o2[:])
-		copy(dst[(i+3)*ldd:(i+3)*ldd+8], o3[:])
-	}
-}
-
-// packedPanelGo is the portable kernel for the final partial panel
-// (nr < 8 valid columns): straight int32 multiply-accumulate over the
-// packed layout, exact for any weights.
-func packedPanelGo(dst []int32, a []uint8, panel []int8, m, kq, lda, ldd, nr int) {
-	for i := 0; i < m; i++ {
-		arow := a[i*lda:]
-		orow := dst[i*ldd : i*ldd+nr]
-		for j := range orow {
-			orow[j] = 0
-		}
-		for q := 0; q < kq; q++ {
-			a0 := int32(arow[4*q])
-			a1 := int32(arow[4*q+1])
-			a2 := int32(arow[4*q+2])
-			a3 := int32(arow[4*q+3])
-			pq := panel[q*32 : q*32+32]
-			for j := 0; j < nr; j++ {
-				pj := pq[4*j : 4*j+4]
-				orow[j] += a0*int32(pj[0]) + a1*int32(pj[1]) + a2*int32(pj[2]) + a3*int32(pj[3])
-			}
-		}
+		o := [8]int32{o0, o1, o2, o3, o4, o5, o6, o7}
+		copy(dst[p*ldd:p*ldd+nr], o[:nr])
 	}
 }

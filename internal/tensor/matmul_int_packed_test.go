@@ -47,6 +47,60 @@ func padForQuads(a []uint8) []uint8 {
 	return append(a, 0xA5, 0xA5, 0xA5)
 }
 
+// randWalk draws a conv-shaped operand walk: rows·ow positions, ow not
+// a multiple of 4 unless ow4 is set, each position nseg runs of segq
+// quads. Strides are arbitrary and may overlap, as a strip's positions
+// and kernel rows do.
+func randWalk(rng *RNG, nseg, segq int, ow4 bool) aWalk {
+	ow := []int{1, 2, 3, 5, 6, 7, 9, 11}[rng.Intn(8)]
+	if ow4 {
+		ow = 4 * (1 + rng.Intn(3))
+	}
+	return aWalk{m: ow * (1 + rng.Intn(3)), ow: ow, lda: 1 + rng.Intn(40), rs: rng.Intn(300),
+		segq: segq, nseg: nseg, sst: rng.Intn(60)}
+}
+
+// naiveWalkRef computes the (m, n) product of a walk's operand rows —
+// each its runs concatenated, first k bytes — and b given as its
+// transpose bt (n, k).
+func naiveWalkRef(a []uint8, w aWalk, bt []int8, k, n int) []int32 {
+	out := make([]int32, w.m*n)
+	row := make([]uint8, 0, w.nseg*4*w.segq)
+	for p := 0; p < w.m; p++ {
+		row = row[:0]
+		for s := 0; s < w.nseg; s++ {
+			row = append(row, a[w.at(p)+s*w.sst:][:4*w.segq]...)
+		}
+		for j := 0; j < n; j++ {
+			var acc int32
+			for kk := 0; kk < k; kk++ {
+				acc += int32(row[kk]) * int32(bt[j*k+kk])
+			}
+			out[p*n+j] = acc
+		}
+	}
+	return out
+}
+
+// checkWalk runs every panel of pb over walk w (a sized to exactly the
+// walk's reach, dst poisoned) and compares with the naive product.
+func checkWalk(t *testing.T, what string, a []uint8, w aWalk, bt []int8, pb *PackedI8) {
+	t.Helper()
+	want := naiveWalkRef(a, w, bt, pb.k, pb.n)
+	got := make([]int32, w.m*pb.n)
+	for i := range got {
+		got[i] = -1
+	}
+	for pi := 0; pi < pb.panels; pi++ {
+		runPackedPanel(got, a[:w.last()], pb, pi, w, pb.n)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s (walk %+v, k=%d n=%d sat=%v): got[%d] = %d, want %d", what, w, pb.k, pb.n, saturating(pb), i, got[i], want[i])
+		}
+	}
+}
+
 // eachDispatch runs the test body once per reachable kernel dispatch. On
 // hosts without SIMD kernels only the portable path runs; APT_NOSIMD
 // does not remove the SIMD pass, it only changes the startup dispatch.
@@ -228,6 +282,30 @@ func TestPackedSaturationAdversarial(t *testing.T) {
 					t.Fatalf("pattern %v: got[%d] = %d, want %d (saturation leaked)", pat, i, got[i], want[i])
 				}
 			}
+			// The same worst case on conv walks: three runs per position
+			// (a 3×3 kernel's rows) and a single folded run, output rows of
+			// 5 and 6 positions, 20 columns (two full panels and an edge).
+			rng := NewRNG(54)
+			for si, shape := range [][2]int{{3, 2}, {1, 8}} {
+				w := randWalk(rng, shape[0], shape[1], false)
+				w.ow, w.m = 5+si, 2*(5+si)
+				wk, wn := 4*shape[0]*shape[1], 20
+				wa := make([]uint8, w.last())
+				for i := range wa {
+					wa[i] = 255
+				}
+				wbt := make([]int8, wn*wk)
+				for j := 0; j < wn; j++ {
+					for p := 0; p < wk; p += 2 {
+						wbt[j*wk+p], wbt[j*wk+p+1] = pat[0], pat[1]
+					}
+				}
+				wpb, err := PackI8PanelsBT(wbt, wk, wn)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkWalk(t, fmt.Sprintf("pattern %v walk", pat), wa, w, wbt, wpb)
+			}
 		}
 	})
 }
@@ -306,6 +384,30 @@ func TestPackedFuzzAgainstNaive(t *testing.T) {
 						trial, m, k, n, lda, saturating(pb), i, got[i], want[i])
 				}
 			}
+		}
+		// Conv walks: 1–5 runs per position (only the last run of a
+		// folded single-run walk ends in quad padding), output rows of
+		// every width residue mod 4, so the 4-row groups, the one-row
+		// remainder, the widening route and the edge panel all run.
+		for trial := 0; trial < 60; trial++ {
+			nseg, segq := 1+rng.Intn(5), 1+rng.Intn(6)
+			w := randWalk(rng, nseg, segq, trial%4 == 0)
+			k := 4 * nseg * segq
+			if nseg == 1 {
+				k -= rng.Intn(4)
+			}
+			n := 1 + rng.Intn(30)
+			bt := randI8(rng, n*k)
+			if trial%3 == 0 {
+				for i := range bt {
+					bt[i] = int8(rng.Intn(129) - 64)
+				}
+			}
+			pb, err := PackI8PanelsBT(bt, k, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkWalk(t, fmt.Sprintf("walk trial %d", trial), randU8(rng, w.last()), w, bt, pb)
 		}
 	})
 }

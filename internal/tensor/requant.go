@@ -57,24 +57,14 @@ func requantQ31One(acc int32, corr int64, m0, rsh, zp, lo int32) uint8 {
 	return uint8(y)
 }
 
-// Assembly requant kernels, repointed by the per-arch SIMD dispatch (nil
-// where unavailable). Both process channel groups of four — one vector
-// register of int64 lanes per group on both ISAs — with per-group
-// parameters hoisted out of the row/position loop:
-//
-//   - requantRowsAsm covers m rows × nc4 channels of a row-major
-//     accumulator (stride lda int32s) into a row-major uint8 destination
-//     (stride ldd bytes); nc4 is a positive multiple of 4.
-//   - requantTransAsm covers np8 positions × nc4 channels of a
-//     position-major accumulator into a channel-major destination
-//     (dst[c·ldd+p]), transposing 8×4 byte tiles in registers; np8 is a
-//     positive multiple of 8.
-//
-// Remainder channels and positions always take the scalar reference.
-var (
-	requantRowsAsm  func(dst []uint8, acc []int32, m0, rsh []int32, corr []int64, zp, lo int32, m, nc4, lda, ldd int)
-	requantTransAsm func(dst []uint8, acc []int32, m0, rsh []int32, corr []int64, zp, lo int32, np8, nc4, lda, ldd int)
-)
+// requantRowsAsm, repointed by the per-arch SIMD dispatch (nil where
+// unavailable), covers m rows × nc4 channels of a row-major accumulator
+// (stride lda int32s) into a row-major uint8 destination (stride ldd
+// bytes); nc4 is a positive multiple of 4. It processes channel groups
+// of four — one vector register of int64 lanes per group on both ISAs —
+// with per-group parameters hoisted out of the row loop. Remainder
+// channels always take the scalar reference.
+var requantRowsAsm func(dst []uint8, acc []int32, m0, rsh []int32, corr []int64, zp, lo int32, m, nc4, lda, ldd int)
 
 func checkRequantParams(m0, rsh []int32, corr []int64, zp, lo int32, nc int) {
 	if len(m0) < nc || len(rsh) < nc || len(corr) < nc {
@@ -96,8 +86,9 @@ func checkRequantParams(m0, rsh []int32, corr []int64, zp, lo int32, nc int) {
 
 // RequantQ31Rows requantizes a row-major (m, nc) int32 accumulator (row
 // stride lda ≥ nc) into a row-major uint8 destination (row stride
-// ldd ≥ nc) with per-channel multipliers: the linear-layer epilogue
-// shape, rows are samples and columns output features.
+// ldd ≥ nc) with per-channel multipliers: the epilogue of both int8
+// layers — rows are samples of a linear, output positions of an NHWC
+// conv band — with columns the output channels.
 func RequantQ31Rows(dst []uint8, acc []int32, m0, rsh []int32, corr []int64, zp, lo int32, m, nc, lda, ldd int) {
 	if m <= 0 || nc <= 0 {
 		panic(fmt.Sprintf("tensor: requantQ31Rows dims (%d,%d) must be positive", m, nc))
@@ -147,11 +138,9 @@ func requantRowsGo(dst []uint8, acc []int32, m0, rsh []int32, corr []int64, zp, 
 // RequantQ31Transpose requantizes a position-major (np, nc) int32
 // accumulator (position stride lda ≥ nc) into a channel-major uint8
 // destination — element (p, c) lands at dst[c·ldd+p] — with per-channel
-// multipliers: the convolution epilogue shape, where the packed GEMM
-// emits rows per output position but the NCHW output wants contiguous
-// channel planes. The vector kernels requantize 8 positions × 4 channels
-// at a time and transpose the byte tile in registers, so the destination
-// is written in contiguous 8-byte runs.
+// multipliers: the epilogue shape of the NCHW conv form
+// (ConvU8I8ImplicitInto), kept as portable Go for its oracle and
+// benchmark.
 func RequantQ31Transpose(dst []uint8, acc []int32, m0, rsh []int32, corr []int64, zp, lo int32, np, nc, lda, ldd int) {
 	if np <= 0 || nc <= 0 {
 		panic(fmt.Sprintf("tensor: requantQ31Transpose dims (%d,%d) must be positive", np, nc))
@@ -166,41 +155,11 @@ func RequantQ31Transpose(dst []uint8, acc []int32, m0, rsh []int32, corr []int64
 		panic(fmt.Sprintf("tensor: requantQ31Transpose destination has %d elements, want >= %d", len(dst), need))
 	}
 	checkRequantParams(m0, rsh, corr, zp, lo, nc)
-	np8, nc4 := np&^7, nc&^3
-	if np8 > 0 && nc4 > 0 {
-		if f := requantTransAsm; f != nil {
-			f(dst, acc, m0, rsh, corr, zp, lo, np8, nc4, lda, ldd)
-		} else {
-			requantTransGo(dst, acc, m0, rsh, corr, zp, lo, np8, nc4, lda, ldd)
-		}
-	}
-	// Channel remainder over the vectorized positions, then the position
-	// remainder over every channel.
-	for c := nc4; c < nc; c++ {
-		row := dst[c*ldd:]
-		corrc, m0c, rshc := corr[c], m0[c], rsh[c]
-		for p := 0; p < np8; p++ {
-			row[p] = requantQ31One(acc[p*lda+c], corrc, m0c, rshc, zp, lo)
-		}
-	}
 	for c := 0; c < nc; c++ {
-		row := dst[c*ldd:]
-		corrc, m0c, rshc := corr[c], m0[c], rsh[c]
-		for p := np8; p < np; p++ {
-			row[p] = requantQ31One(acc[p*lda+c], corrc, m0c, rshc, zp, lo)
-		}
-	}
-}
-
-// requantTransGo is the portable mirror of the transposing kernel,
-// walking channel-outer like the destination layout wants.
-func requantTransGo(dst []uint8, acc []int32, m0, rsh []int32, corr []int64, zp, lo int32, np8, nc4, lda, ldd int) {
-	for c := 0; c < nc4; c++ {
-		row := dst[c*ldd : c*ldd+np8]
-		src := acc[c:]
+		row := dst[c*ldd : c*ldd+np]
 		corrc, m0c, rshc := corr[c], m0[c], rsh[c]
 		for p := range row {
-			row[p] = requantQ31One(src[p*lda], corrc, m0c, rshc, zp, lo)
+			row[p] = requantQ31One(acc[p*lda+c], corrc, m0c, rshc, zp, lo)
 		}
 	}
 }

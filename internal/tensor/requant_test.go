@@ -295,38 +295,3 @@ func BenchmarkRequantQ31Transpose(b *testing.B) {
 		SetSIMD(prev)
 	}
 }
-
-// TestRequantZipTransposeModel validates, on any architecture, the ZIP
-// cascade the NEON transposed-form kernel (kernels_requant_arm64.s) uses
-// to turn four position-major int32x4 results into channel-major rows.
-// zip1/zip2 are modeled exactly per the ARM pseudocode on .4S (int32
-// lanes) and .2D (adjacent int32 pairs); the cascade must be a 4×4
-// transpose. This pins the algebra so an encoding or operand-order slip
-// in the assembly cannot hide behind "only fails under qemu".
-func TestRequantZipTransposeModel(t *testing.T) {
-	type vec = [4]int32
-	zip1s := func(n, m vec) vec { return vec{n[0], m[0], n[1], m[1]} }
-	zip2s := func(n, m vec) vec { return vec{n[2], m[2], n[3], m[3]} }
-	zip1d := func(n, m vec) vec { return vec{n[0], n[1], m[0], m[1]} }
-	zip2d := func(n, m vec) vec { return vec{n[2], n[3], m[2], m[3]} }
-
-	// Position p's requantized quad: lane c holds channel c's value.
-	var pos [4]vec
-	for p := range pos {
-		for c := range pos[p] {
-			pos[p][c] = int32(100*p + c)
-		}
-	}
-	v0 := zip1s(pos[0], pos[1])
-	v1 := zip2s(pos[0], pos[1])
-	v2 := zip1s(pos[2], pos[3])
-	v3 := zip2s(pos[2], pos[3])
-	ch := [4]vec{zip1d(v0, v2), zip2d(v0, v2), zip1d(v1, v3), zip2d(v1, v3)}
-	for c := 0; c < 4; c++ {
-		for p := 0; p < 4; p++ {
-			if got, want := ch[c][p], pos[p][c]; got != want {
-				t.Fatalf("channel %d position %d: got %d want %d", c, p, got, want)
-			}
-		}
-	}
-}
