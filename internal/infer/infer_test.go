@@ -3,6 +3,7 @@ package infer
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"runtime"
 	"strings"
 	"sync"
@@ -681,4 +682,91 @@ func quantizeNew(t *tensor.Tensor, min, max float32) *qtensor {
 	q := &qtensor{}
 	quantizeInto(q, t, gridFor(min, max))
 	return q
+}
+
+// quantizeRef is the input quantize spelled out independently of the
+// engine: the float64 quotient rounded half away from zero through
+// trunc (q+0.5 would round 0.49999999999999994 up), offset by the zero
+// point and clamped to [0, 255], NaN pinned to the zero point.
+func quantizeRef(v, scale float32, zero int32) uint8 {
+	q := float64(v) / float64(scale)
+	r := math.Trunc(q)
+	if math.Abs(q-r) >= 0.5 {
+		r += math.Copysign(1, q)
+	}
+	switch x := r + float64(zero); {
+	case math.IsNaN(x):
+		return uint8(zero)
+	case x < 0:
+		return 0
+	case x > 255:
+		return 255
+	default:
+		return uint8(x)
+	}
+}
+
+// FuzzQuantizeNHWC drives the engine's input quantize (an NCHW float
+// batch onto an NHWC uint8 grid) under both dispatches against
+// quantizeRef, byte for byte, with canary bytes in the payload's spare
+// capacity: C ∈ {1, 3, 4, 16}, any H·W (odd included), and a batch that
+// holds NaN, ±Inf, ±0, subnormals, ±MaxFloat32 and every float32 within
+// 4 ulps of each rounding boundary (k+½)·scale of the grid.
+func FuzzQuantizeNHWC(f *testing.F) {
+	for i, r := range [][2]float32{{-2, 2}, {0, 6}, {-1, 3}, {-0.25, 8}, {-1e-3, 1e-4}} {
+		g := gridFor(r[0], r[1])
+		f.Add(int64(i), g.scale, uint8(g.zero), uint8(i), uint8(3+2*i), uint8(5+i))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, scale float32, zero, cs, h, w uint8) {
+		if !(scale > 0) || math.IsInf(float64(scale), 0) {
+			t.Skip("grid scale must be positive and finite")
+		}
+		g := grid{scale: scale, zero: int32(zero)}
+		c := []int{1, 3, 4, 16}[cs%4]
+		hw := (1 + int(h%16)) * (1 + int(w%16))
+		vals := []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)), 0,
+			float32(math.Copysign(0, -1)), math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32,
+			math.Float32frombits(0x007fffff), math.Float32frombits(0x807fffff), math.MaxFloat32, -math.MaxFloat32}
+		for k := -int(zero) - 2; k <= 257-int(zero); k++ {
+			b := float32((float64(k) + 0.5) * float64(scale))
+			lo, hi := b, b
+			vals = append(vals, b)
+			for u := 0; u < 4; u++ {
+				lo, hi = math.Nextafter32(lo, float32(math.Inf(-1))), math.Nextafter32(hi, float32(math.Inf(1)))
+				vals = append(vals, lo, hi)
+			}
+		}
+		n := (len(vals) + c*hw - 1) / (c * hw)
+		rng := rand.New(rand.NewSource(seed))
+		x := tensor.New(n, c, 1, hw)
+		d := x.Data()
+		for i, j := range rng.Perm(len(d)) {
+			if j < len(vals) {
+				d[i] = vals[j]
+			} else {
+				d[i] = float32(rng.NormFloat64()) * scale * 128
+			}
+		}
+		for _, on := range []bool{false, true} {
+			prev := tensor.SetSIMD(on)
+			q := &qtensor{}
+			quantizeInto(q, x, g)
+			full := q.data[:cap(q.data)]
+			for i := range full {
+				full[i] = 0xA5
+			}
+			quantizeInto(q, x, g)
+			tensor.SetSIMD(prev)
+			for i := range full {
+				want := uint8(0xA5)
+				if i < len(q.data) {
+					s, p, ch := i/(hw*c), i/c%hw, i%c
+					want = quantizeRef(d[(s*c+ch)*hw+p], scale, g.zero)
+				}
+				if full[i] != want {
+					t.Fatalf("simd=%v C=%d HW=%d: byte %d = %d, want %d", on, c, hw, i, full[i], want)
+				}
+			}
+		}
+	})
 }

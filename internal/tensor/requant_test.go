@@ -295,3 +295,86 @@ func BenchmarkRequantQ31Transpose(b *testing.B) {
 		SetSIMD(prev)
 	}
 }
+
+// FuzzRequantQ31Rows drives RequantQ31Rows under both dispatches against
+// the independent reference, byte for byte: shapes m ≥ 1 and nc ∈ [1, 20]
+// (every 8-, 4- and one-channel tail), row strides past nc, canary bytes
+// after every destination row, and per-channel draws that pin rsh to
+// 1/31/32/33/62, m0 to 0 or 2^31−1, corr beyond ±2^32, with zp/lo at
+// their edges and accumulators at both int32 extremes and next to the
+// points where the output saturates at lo and at 255.
+func FuzzRequantQ31Rows(f *testing.F) {
+	for i, sd := range []struct{ m, nc, pa, pd, zp, lo uint8 }{
+		{1, 1, 0, 0, 0, 0}, {3, 4, 1, 2, 255, 255}, {5, 8, 0, 3, 128, 0},
+		{2, 12, 3, 0, 0, 255}, {7, 19, 2, 1, 37, 200}, {4, 20, 0, 0, 255, 0},
+	} {
+		f.Add(int64(i), sd.m, sd.nc, sd.pa, sd.pd, sd.zp, sd.lo)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, mb, ncb, pa, pd, zpb, lob uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		m, nc := 1+int(mb%9), 1+int(ncb%20)
+		lda, ldd := nc+int(pa%5), nc+1+int(pd%4)
+		zp, lo := int32(zpb), int32(lob)
+		m0 := make([]int32, nc)
+		rsh := make([]int32, nc)
+		corr := make([]int64, nc)
+		for c := range m0 {
+			cs := randRequantCase(rng)
+			m0[c], rsh[c], corr[c] = cs.m0, cs.rsh, cs.corr
+			switch rng.Intn(4) {
+			case 0:
+				rsh[c] = []int32{1, 31, 32, 33, 62}[rng.Intn(5)]
+			case 1:
+				m0[c] = []int32{0, math.MaxInt32, 1, 1 << 30}[rng.Intn(4)]
+			case 2:
+				corr[c] = []int64{1<<32 + 7, -(1 << 32) - 7, 1 << 40, -(1 << 40), 0}[rng.Intn(5)]
+			}
+		}
+		acc := make([]int32, (m-1)*lda+nc)
+		for i := range acc {
+			c := i % lda
+			if c >= nc || rng.Intn(3) != 0 {
+				acc[i] = randAcc(rng)
+				continue
+			}
+			// Next to a saturation point: the accumulator at which
+			// acc+corr times m0·2^−rsh reaches lo−zp or 255−zp.
+			edge := float64(255 - zp)
+			if rng.Intn(2) == 0 {
+				edge = float64(lo - zp)
+			}
+			a := float64(int64(rng.Intn(7))-3) - float64(corr[c])
+			if m0[c] > 0 {
+				a += math.Ldexp(edge, int(rsh[c])) / float64(m0[c])
+			}
+			acc[i] = int32(max(math.MinInt32, min(math.MaxInt32, a)))
+		}
+		want := make([]uint8, (m-1)*ldd+nc)
+		for i := 0; i < m; i++ {
+			for c := 0; c < nc; c++ {
+				want[i*ldd+c] = requantRef(acc[i*lda+c], corr[c], m0[c], rsh[c], zp, lo)
+			}
+		}
+		const canary = 0xA5
+		eachDispatch(t, func(t *testing.T) {
+			dst := make([]uint8, m*ldd)
+			for i := range dst {
+				dst[i] = canary
+			}
+			RequantQ31Rows(dst, acc, m0, rsh, corr, zp, lo, m, nc, lda, ldd)
+			for i := 0; i < m; i++ {
+				for c := 0; c < ldd; c++ {
+					w := uint8(canary)
+					if c < nc {
+						w = want[i*ldd+c]
+					}
+					if got := dst[i*ldd+c]; got != w {
+						t.Fatalf("rows(%d,%d) lda=%d ldd=%d at (%d,%d): got %d, want %d (acc=%d m0=%d rsh=%d corr=%d zp=%d lo=%d)",
+							m, nc, lda, ldd, i, c, got, w, acc[i*lda+min(c, nc-1)], m0[min(c, nc-1)],
+							rsh[min(c, nc-1)], corr[min(c, nc-1)], zp, lo)
+					}
+				}
+			}
+		})
+	})
+}
