@@ -1,6 +1,7 @@
 package infer
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/data"
@@ -91,5 +92,30 @@ func BenchmarkFloatForward64(b *testing.B) {
 		if _, err := m.Net.Forward(x, false); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkQuantizeInto times the engine's input quantize on a
+// 16×3×16×16 batch (NCHW float onto the NHWC uint8 grid) under both
+// dispatches, in ns per element.
+func BenchmarkQuantizeInto(b *testing.B) {
+	x := tensor.New(16, 3, 16, 16)
+	for i, d := 0, x.Data(); i < len(d); i++ {
+		d[i] = float32(i%97)/24 - 2
+	}
+	g, q := gridFor(-2, 2), &qtensor{}
+	for _, simd := range []bool{false, true} {
+		prev := tensor.SetSIMD(simd)
+		if simd && !tensor.SIMDActive() {
+			tensor.SetSIMD(prev)
+			continue
+		}
+		b.Run(fmt.Sprintf("simd=%v", simd), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				quantizeInto(q, x, g)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*x.Len()), "ns/elem")
+		})
+		tensor.SetSIMD(prev)
 	}
 }

@@ -196,10 +196,19 @@ func (c *compiler) residual(r *nn.Residual, f flow) (qlayer, flow, error) {
 		return nil, flow{}, err
 	}
 	q.out = gridFor(lo, hi)
-	q.mainZ, q.shortZ = mainOut.g.zero, shortOut.g.zero
-	q.m0Main, q.rshMain = lowerMultiplier(float64(mainOut.g.scale) / float64(q.out.scale))
-	q.m0Short, q.rshShort = lowerMultiplier(float64(shortOut.g.scale) / float64(q.out.scale))
+	q.tMain, q.tShort = joinTable(mainOut.g, q.out), joinTable(shortOut.g, q.out)
 	return q, flow{xs: ys, g: q.out}, nil
+}
+
+// joinTable rescales every byte of a branch grid b onto the block grid y
+// through the lowered multiplier S_b/S_y: a residual join term depends
+// on one uint8 only.
+func joinTable(b, y grid) (t [256]int32) {
+	m0, rsh := lowerMultiplier(float64(b.scale) / float64(y.scale))
+	for v := range t {
+		t[v] = int32(requantize(int64(v)-int64(b.zero), m0, rsh))
+	}
+	return t
 }
 
 // feed runs each sample through l in evaluation mode and returns the

@@ -56,7 +56,7 @@ func lowerMultiplier(m float64) (m0 int32, rsh int32) {
 // tensor.RequantQ31Rows/Transpose (the rounding contract is pinned by
 // TestRequantizeRounding and the tensor package's bit-identity fuzz
 // suite); the conv/linear epilogues run the vector form, while the
-// residual join below applies it to values far inside both clamps.
+// residual join tabulates it per branch byte at compile time.
 func requantize(acc int64, m0 int32, rsh int32) int64 {
 	if acc > accMax {
 		acc = accMax

@@ -426,14 +426,20 @@ func (p *qgap) forward(x *qtensor, s *scratch) (*qtensor, error) {
 	plane := h * w
 	out := s.act(p.buf, n, c)
 	out.g = x.g
-	for t := 0; t < n*c; t++ {
-		img := x.data[t/c*plane*c+t%c:]
-		var sum int32
-		for q := 0; q < plane; q++ {
-			sum += int32(img[q*c])
+	// Per-sample channel sums over the positions, read in payload order.
+	sums := s.accBuf(c)
+	for i := 0; i < n; i++ {
+		clear(sums)
+		img := x.data[i*plane*c : (i+1)*plane*c]
+		for q := 0; q < len(img); q += c {
+			for j, v := range img[q : q+c] {
+				sums[j] += int32(v)
+			}
 		}
 		// Round half up: (2·sum + plane) / (2·plane).
-		out.data[t] = uint8((2*sum + int32(plane)) / int32(2*plane))
+		for j, sum := range sums {
+			out.data[i*c+j] = uint8((2*sum + int32(plane)) / int32(2*plane))
+		}
 	}
 	return out, nil
 }
@@ -457,21 +463,17 @@ func (f *qflatten) forward(x *qtensor, s *scratch) (*qtensor, error) {
 
 // qresidual joins two lowered branch chains with a requantizing integer
 // add: each branch output rescales onto the block's output grid through
-// its own fixed-point multiplier (M_b = S_b/S_y), and the block ReLU is
-// the clamp at the output zero point.
+// its own fixed-point multiplier (M_b = S_b/S_y), tabulated per input
+// byte at compile time, and the block ReLU is the clamp at the output
+// zero point.
 type qresidual struct {
-	label    string
-	buf      int
-	main     []qlayer
-	shortcut []qlayer // nil = identity
-	mainZ    int32
-	shortZ   int32
-	out      grid
-	m0Main   int32
-	rshMain  int32
-	m0Short  int32
-	rshShort int32
-	relu     bool
+	label         string
+	buf           int
+	main          []qlayer
+	shortcut      []qlayer // nil = identity
+	out           grid
+	tMain, tShort [256]int32 // requantize(b − Z_b, M_b) per branch byte b
+	relu          bool
 }
 
 func (r *qresidual) name() string { return r.label }
@@ -530,10 +532,7 @@ func (r *qresidual) addRow(main, short, dst []uint8, per, i int) {
 		lo = r.out.zero
 	}
 	zy := int64(r.out.zero)
-	zm, zs := int64(r.mainZ), int64(r.shortZ)
 	for j := range row {
-		y := requantize(int64(ms[j])-zm, r.m0Main, r.rshMain) +
-			requantize(int64(ss[j])-zs, r.m0Short, r.rshShort) + zy
-		row[j] = clampU8(y, lo)
+		row[j] = clampU8(int64(r.tMain[ms[j]])+int64(r.tShort[ss[j]])+zy, lo)
 	}
 }

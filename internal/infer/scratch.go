@@ -32,23 +32,9 @@ func gridFor(min, max float32) grid {
 	return grid{scale: scale, zero: zero}
 }
 
-// quantize maps a float value onto the grid. NaN pins to the zero point
-// (the grid's representation of 0.0): uint8(NaN) is platform-defined in
-// Go, and a serving tier fed a hostile payload must stay deterministic
-// across amd64 and the portable arm64 kernels, not inherit whatever the
-// hardware's conversion does.
-func (g grid) quantize(v float32) uint8 {
-	x := math.Round(float64(v)/float64(g.scale)) + float64(g.zero)
-	switch {
-	case math.IsNaN(x):
-		x = float64(g.zero)
-	case x < 0:
-		x = 0
-	case x > 255:
-		x = 255
-	}
-	return uint8(x)
-}
+// quantize maps a float value onto the grid (tensor.QuantizeU8: NaN
+// pins to the zero point).
+func (g grid) quantize(v float32) uint8 { return tensor.QuantizeU8(v, g.scale, g.zero) }
 
 // dequantize restores the float value of a grid point.
 func (g grid) dequantize(q uint8) float32 {
@@ -98,22 +84,14 @@ func (q *qtensor) setShape(shape ...int) {
 // lands NHWC.
 func quantizeInto(q *qtensor, t *tensor.Tensor, g grid) {
 	q.g = g
-	d := t.Data()
 	if t.Rank() != 4 {
 		q.setShape(t.Shape()...)
-		for i, v := range d {
-			q.data[i] = g.quantize(v)
-		}
+		tensor.QuantizeNHWC(q.data, t.Data(), 1, 1, t.Len(), g.scale, g.zero)
 		return
 	}
 	n, c, h, w := t.Dim(0), t.Dim(1), t.Dim(2), t.Dim(3)
 	q.setShape(n, h, w, c)
-	for i := 0; i < n*c; i++ {
-		out := q.data[i/c*h*w*c+i%c:]
-		for p, v := range d[i*h*w : (i+1)*h*w] {
-			out[p*c] = g.quantize(v)
-		}
-	}
+	tensor.QuantizeNHWC(q.data, t.Data(), n, c, h*w, g.scale, g.zero)
 }
 
 // dequantize restores the float view as a fresh tensor, NCHW for a

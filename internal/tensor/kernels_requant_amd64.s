@@ -2,114 +2,155 @@
 
 #include "textflag.h"
 
-// AVX2 Q31 requantization kernels (see requant.go for the pinned
-// semantics and PERF.md for the register layout). The kernel processes
-// channel groups of four: one YMM register holds the group's four int64
-// lanes through the whole chain
+// AVX2 Q31 requantization (see requant.go for the pinned semantics and
+// PERF.md for the register layout). One step requantizes 8 channels of a
+// row as 8 int32 lanes:
 //
-//	widen acc → +corr → saturate to int32 (compare/blend against
-//	±2^31) → VPMULDQ by m0 → +2^(rsh−1) → arithmetic shift right by
-//	rsh (VPSRLVQ + sign fill through a precomputed himask) → +zp →
-//	clamp [lo, 255] → low-byte extract
+//	clamp acc to [aLo, aHi] (VPMAXSD/VPMINSD) → +c (wrapping VPADDD) →
+//	two VPMULDQ by m0 (even, odd lanes) → +2^(rsh−1) → VPSLLVQ by
+//	max(0, 32−rsh), keep the high dword → VPSRAVD by max(0, rsh−32) →
+//	+zp → pack with saturation to [0, 255] → VPMAXUB lo
 //
-// with the per-channel parameters (m0, corr, rsh, the derived rounding
-// constant and himask) hoisted into Y8–Y12 once per group, amortized
-// over every row/position the group covers. AVX2 has no 64-bit
-// arithmetic variable shift or 64-bit min/max, hence the sign-fill OR
-// and the compare/blend clamps; both produce exactly the int64
-// semantics of the portable reference, so SIMD and portable bytes are
-// identical for every input in the contract domain.
+// The map is monotone in acc, so it may clamp v = acc+corr to any
+// [vLo, vHi] on whose far sides the output already saturates. With
+// k = clamp(rsh − e + 11, 1, 31), where e = b or b+1 is the exponent of
+// float32(m0) ∈ [2^b, 2^(b+1)), vLo = −2^k and vHi = 2^k − 1 give
+// r(vHi) ≥ 512 and r(vLo) ≤ −1024 when k < 31 (k = 31 is the int32
+// range), and |r| < 2^31 on the whole range, so the high dword after the
+// left shift is exact for rsh ≤ 32 (and the 64-bit product never
+// overflows for any rsh). The clamp moves to the accumulator as
+// aLo/aHi = sat32(vLo/vHi − corr), and c = clamp(corr, vLo − aLo,
+// vHi − aHi) wrapped to 32 bits makes acc+c land on clamp(sat32(acc +
+// corr), vLo, vHi) also when corr puts every accumulator past one edge.
+// These per-channel parameters are set up once per channel group per
+// call; SIMD and portable bytes are identical over the whole contract.
 
-// Constant pool: 4×int64 replicas so compares/adds can use memory
-// operands, plus the byte-gather shuffle for the low-byte extract.
-DATA rqConsts<>+0(SB)/8, $0x000000007fffffff   // MaxInt32
-DATA rqConsts<>+8(SB)/8, $0x000000007fffffff
-DATA rqConsts<>+16(SB)/8, $0x000000007fffffff
-DATA rqConsts<>+24(SB)/8, $0x000000007fffffff
-DATA rqConsts<>+32(SB)/8, $0xffffffff80000000  // MinInt32
-DATA rqConsts<>+40(SB)/8, $0xffffffff80000000
-DATA rqConsts<>+48(SB)/8, $0xffffffff80000000
-DATA rqConsts<>+56(SB)/8, $0xffffffff80000000
-DATA rqConsts<>+64(SB)/8, $0x00000000000000ff  // 255
-DATA rqConsts<>+72(SB)/8, $0x00000000000000ff
-DATA rqConsts<>+80(SB)/8, $0x00000000000000ff
-DATA rqConsts<>+88(SB)/8, $0x00000000000000ff
-DATA rqConsts<>+96(SB)/8, $0x0000000000000040  // 64 (himask shift base)
-DATA rqConsts<>+104(SB)/8, $0x0000000000000040
-DATA rqConsts<>+112(SB)/8, $0x0000000000000040
-DATA rqConsts<>+120(SB)/8, $0x0000000000000040
-DATA rqConsts<>+128(SB)/8, $0x8080808080800800 // VPSHUFB: qword low bytes → b0,b1
-DATA rqConsts<>+136(SB)/8, $0x8080808080808080
-DATA rqConsts<>+144(SB)/8, $0x8080808080800800
-DATA rqConsts<>+152(SB)/8, $0x8080808080808080
-GLOBL rqConsts<>(SB), RODATA|NOPTR, $160
+DATA rq138<>+0(SB)/4, $138
+GLOBL rq138<>(SB), RODATA|NOPTR, $4
 
-// rqGroupSetup loads the parameters of channel group g (GPR R15) into
-//
-//	Y8  m0 (widened to int64)
-//	Y9  corr
-//	Y10 rsh
-//	Y11 1 << (rsh−1)
-//	Y12 himask = ^0 << (64−rsh)
-//
-// clobbering Y13–Y15.
-#define rqGroupSetup                   \
-	VPMOVSXDQ (R8)(R15*4), Y8      \
-	VMOVDQU   (R10)(R15*8), Y9     \
-	VPMOVSXDQ (R9)(R15*4), Y10     \
-	VPCMPEQD  Y13, Y13, Y13        \
-	VPSRLQ    $63, Y13, Y14        \
-	VPSUBQ    Y14, Y10, Y15        \
-	VPSLLVQ   Y15, Y14, Y11        \
-	VMOVDQU   rqConsts<>+96(SB), Y15 \
-	VPSUBQ    Y10, Y15, Y15        \
-	VPSLLVQ   Y15, Y13, Y12
+// rqBoundsV leaves vLo in Y14 and vHi in Y15 for the group at R15 (Y13
+// masks the lanes loaded). Clobbers Y3, Y12.
+#define rqBoundsV                        \
+	VPMASKMOVD (R9)(R15*4), Y13, Y12 \
+	VPMASKMOVD (R8)(R15*4), Y13, Y14 \
+	VCVTDQ2PS  Y14, Y14              \
+	VPSRLD     $23, Y14, Y14         \
+	VPBROADCASTD rq138<>(SB), Y15    \
+	VPADDD     Y12, Y15, Y15         \
+	VPSUBD     Y14, Y15, Y15         \
+	VPCMPEQD   Y14, Y14, Y14         \
+	VPSRLD     $31, Y14, Y14         \
+	VPMAXSD    Y14, Y15, Y15         \
+	VPSLLD     $5, Y14, Y3           \
+	VPSUBD     Y14, Y3, Y3           \
+	VPMINSD    Y3, Y15, Y15          \
+	VPSLLVD    Y15, Y14, Y15         \
+	VPXOR      Y3, Y3, Y3            \
+	VPSUBD     Y15, Y3, Y3           \
+	VPSUBD     Y14, Y15, Y15         \
+	VMOVDQU    Y3, Y14
 
-// rqChain requantizes the four int32 accumulators at (ptr) through the
-// group parameters, leaving the four result bytes in the low dword of
-// the named X register. Clobbers Y13–Y15.
-#define rqChain(ptr, xout)                          \
-	VPMOVSXDQ (ptr), Y13                        \
-	VPADDQ    Y9, Y13, Y13                      \
-	VPCMPGTQ  rqConsts<>+0(SB), Y13, Y14        \
-	VPBLENDVB Y14, rqConsts<>+0(SB), Y13, Y13   \
-	VMOVDQU   rqConsts<>+32(SB), Y15            \
-	VPCMPGTQ  Y13, Y15, Y14                     \
-	VPBLENDVB Y14, Y15, Y13, Y13                \
-	VPMULDQ   Y8, Y13, Y13                      \
-	VPADDQ    Y11, Y13, Y13                     \
-	VPSRLVQ   Y10, Y13, Y14                     \
-	VPXOR     Y15, Y15, Y15                     \
-	VPCMPGTQ  Y13, Y15, Y15                     \
-	VPAND     Y12, Y15, Y15                     \
-	VPOR      Y15, Y14, Y13                     \
-	VPADDQ    0(SP), Y13, Y13                   \
-	VMOVDQU   32(SP), Y15                       \
-	VPCMPGTQ  Y13, Y15, Y14                     \
-	VPBLENDVB Y14, Y15, Y13, Y13                \
-	VPCMPGTQ  rqConsts<>+64(SB), Y13, Y14       \
-	VPBLENDVB Y14, rqConsts<>+64(SB), Y13, Y13  \
-	VPSHUFB   rqConsts<>+128(SB), Y13, Y13      \
-	VEXTRACTI128 $1, Y13, X14                   \
-	VPUNPCKLWD X14, X13, xout
+// rqHalf turns vLo/vHi (int64 lanes in Y3/Y4) and the corr of 4 channels
+// at off past the group into aLo, aHi and c as 4 dwords in X6, X7, X5.
+// Clobbers Y3, Y4, Y8, Y9, Y12.
+#define rqHalf(off)                          \
+	VMOVDQU   off(R10)(R15*8), Y5        \
+	VPSUBQ    Y5, Y3, Y6                 \
+	VPSUBQ    Y5, Y4, Y7                 \
+	VPCMPEQD  Y8, Y8, Y8                 \
+	VPSRLQ    $33, Y8, Y9                \
+	VPSLLQ    $31, Y8, Y12               \
+	VPCMPGTQ  Y9, Y6, Y8                 \
+	VPBLENDVB Y8, Y9, Y6, Y6             \
+	VPCMPGTQ  Y6, Y12, Y8                \
+	VPBLENDVB Y8, Y12, Y6, Y6            \
+	VPCMPGTQ  Y9, Y7, Y8                 \
+	VPBLENDVB Y8, Y9, Y7, Y7             \
+	VPCMPGTQ  Y7, Y12, Y8                \
+	VPBLENDVB Y8, Y12, Y7, Y7            \
+	VPSUBQ    Y6, Y3, Y3                 \
+	VPSUBQ    Y7, Y4, Y4                 \
+	VPCMPGTQ  Y5, Y3, Y8                 \
+	VPBLENDVB Y8, Y3, Y5, Y5             \
+	VPCMPGTQ  Y4, Y5, Y8                 \
+	VPBLENDVB Y8, Y4, Y5, Y5             \
+	VPSHUFD   $0x88, Y6, Y6              \
+	VPERMQ    $0x08, Y6, Y6              \
+	VPSHUFD   $0x88, Y7, Y7              \
+	VPERMQ    $0x08, Y7, Y7              \
+	VPSHUFD   $0x88, Y5, Y5              \
+	VPERMQ    $0x08, Y5, Y5
+
+// rqMul loads the multiply parameters of the group at R15 (Y13 masks
+// the lanes): Y3 m0, Y4 m0 of the odd lanes, Y5/Y6 2^(rsh−1) of the
+// even/odd lanes, Y7 min(rsh, 32) of the even lanes (a right shift),
+// Y8 max(0, 32−rsh) of the odd lanes (a left shift), Y9 max(0, rsh−32).
+// Clobbers Y12–Y15.
+#define rqMul                            \
+	VPMASKMOVD (R8)(R15*4), Y13, Y3  \
+	VPMASKMOVD (R9)(R15*4), Y13, Y12 \
+	VPSRLQ     $32, Y3, Y4           \
+	VPCMPEQD   Y13, Y13, Y13         \
+	VPSRLD     $31, Y13, Y14         \
+	VPSLLD     $5, Y14, Y15          \
+	VPMINSD    Y15, Y12, Y7          \
+	VPSUBD     Y15, Y12, Y9          \
+	VPSUBD     Y12, Y15, Y15         \
+	VPXOR      Y8, Y8, Y8            \
+	VPMAXSD    Y8, Y9, Y9            \
+	VPMAXSD    Y8, Y15, Y15          \
+	VPSRLQ     $32, Y13, Y5          \
+	VPAND      Y5, Y7, Y7            \
+	VPSRLQ     $32, Y15, Y8          \
+	VPSUBD     Y14, Y12, Y12         \
+	VPAND      Y5, Y12, Y15          \
+	VPSRLQ     $63, Y13, Y14         \
+	VPSLLVQ    Y15, Y14, Y5          \
+	VPSRLQ     $32, Y12, Y15         \
+	VPSLLVQ    Y15, Y14, Y6
+
+// rqChain requantizes the 8 accumulators in v, already raised to aLo,
+// into v as 8 dwords r+zp. The even lanes take r (or, past rsh = 32,
+// the high dword) from the low dword after a logical right shift, the
+// odd lanes from the high dword after a left shift. Clobbers t.
+#define rqChain(v, t)                    \
+	VPMINSD   Y1, v, v               \
+	VPADDD    Y2, v, v               \
+	VPSRLQ    $32, v, t              \
+	VPMULDQ   Y3, v, v               \
+	VPMULDQ   Y4, t, t               \
+	VPADDQ    Y5, v, v               \
+	VPADDQ    Y6, t, t               \
+	VPSRLVQ   Y7, v, v               \
+	VPSLLVQ   Y8, t, t               \
+	VPBLENDD  $0xAA, t, v, v         \
+	VPSRAVD   Y9, v, v               \
+	VPADDD    Y10, v, v
+
+// rqPack narrows the dwords of Y12 to bytes saturated to [lo, 255] in
+// the low 8 bytes of X12. Clobbers Y14.
+#define rqPack                           \
+	VEXTRACTI128 $1, Y12, X14        \
+	VPACKSSDW X14, X12, X12          \
+	VPACKUSWB X12, X12, X12          \
+	VPMAXUB   X11, X12, X12
 
 // func requantQ31RowsAVX2(dst *uint8, acc *int32, m0, rsh *int32, corr *int64, zp, lo, m, nc4, lda, ldd int)
-TEXT ·requantQ31RowsAVX2(SB), NOSPLIT, $64-88
+//
+// Groups of 8 channels, then a group of 4 through masked loads; each
+// group walks every row with Y0 aLo, Y1 aHi, Y2 c, Y10 zp and Y11 lo.
+TEXT ·requantQ31RowsAVX2(SB), NOSPLIT, $0-88
 	MOVQ dst+0(FP), DI
 	MOVQ acc+8(FP), SI
 	MOVQ m0+16(FP), R8
 	MOVQ rsh+24(FP), R9
 	MOVQ corr+32(FP), R10
 	MOVQ zp+40(FP), AX
-	MOVQ AX, 0(SP)
-	MOVQ AX, 8(SP)
-	MOVQ AX, 16(SP)
-	MOVQ AX, 24(SP)
+	VMOVQ AX, X10
+	VPBROADCASTD X10, Y10
 	MOVQ lo+48(FP), AX
-	MOVQ AX, 32(SP)
-	MOVQ AX, 40(SP)
-	MOVQ AX, 48(SP)
-	MOVQ AX, 56(SP)
+	VMOVQ AX, X11
+	VPBROADCASTB X11, Y11
 	MOVQ m+56(FP), R11
 	MOVQ nc4+64(FP), R12
 	MOVQ lda+72(FP), DX
@@ -117,22 +158,166 @@ TEXT ·requantQ31RowsAVX2(SB), NOSPLIT, $64-88
 	MOVQ ldd+80(FP), R14
 	XORQ R15, R15            // g: channel group base
 
-rowsGroup:
-	rqGroupSetup
+group8:
+	LEAQ 8(R15), AX
+	CMPQ AX, R12
+	JGT  group4
+	VPCMPEQD Y13, Y13, Y13
+	rqBoundsV
+	VPMOVSXDQ X14, Y3
+	VPMOVSXDQ X15, Y4
+	rqHalf(0)
+	VMOVDQU Y6, Y0
+	VMOVDQU Y7, Y1
+	VMOVDQU Y5, Y2
+	VEXTRACTI128 $1, Y14, X3
+	VPMOVSXDQ X3, Y3
+	VEXTRACTI128 $1, Y15, X4
+	VPMOVSXDQ X4, Y4
+	rqHalf(32)
+	VINSERTI128 $1, X6, Y0, Y0
+	VINSERTI128 $1, X7, Y1, Y1
+	VINSERTI128 $1, X5, Y2, Y2
+	VPCMPEQD Y13, Y13, Y13
+	rqMul
 	LEAQ (SI)(R15*4), AX     // &acc[g]
 	LEAQ (DI)(R15*1), BX     // &dst[g]
-	MOVQ R11, CX             // remaining rows
 
-rowsRow:
-	rqChain(AX, X13)
-	VMOVD X13, (BX)
+	MOVQ R11, CX
+	SHRQ $1, CX              // row pairs
+	JZ   row8odd
+
+row8:
+	VPMAXSD (AX), Y0, Y12
+	VPMAXSD (AX)(DX*1), Y0, Y13
+	rqChain(Y12, Y14)
+	rqChain(Y13, Y15)
+	VPACKSSDW  Y13, Y12, Y12 // lane words: row 0 ch 0–3, row 1 ch 0–3 | ch 4–7
+	VPACKUSWB  Y12, Y12, Y12
+	VPMAXUB    Y11, Y12, Y12
+	VEXTRACTI128 $1, Y12, X14
+	VPUNPCKLDQ X14, X12, X12 // row 0 ch 0–7, row 1 ch 0–7
+	VMOVQ      X12, (BX)
+	VPEXTRQ    $1, X12, (BX)(R14*1)
+	LEAQ (AX)(DX*2), AX
+	LEAQ (BX)(R14*2), BX
+	DECQ CX
+	JNZ  row8
+
+row8odd:
+	TESTQ $1, R11
+	JZ    next8
+	VPMAXSD (AX), Y0, Y12
+	rqChain(Y12, Y14)
+	rqPack
+	VMOVQ X12, (BX)
+
+next8:
+	ADDQ $8, R15
+	JMP  group8
+
+group4:
+	CMPQ R15, R12
+	JGE  done
+	VPCMPEQD X13, X13, X13   // lanes 0–3
+	rqBoundsV
+	VPMOVSXDQ X14, Y3
+	VPMOVSXDQ X15, Y4
+	rqHalf(0)
+	VMOVDQU Y6, Y0
+	VMOVDQU Y7, Y1
+	VMOVDQU Y5, Y2
+	VPCMPEQD X13, X13, X13
+	rqMul
+	VPCMPEQD X13, X13, X13
+	LEAQ (SI)(R15*4), AX
+	LEAQ (DI)(R15*1), BX
+	MOVQ R11, CX
+
+row4:
+	VPMASKMOVD (AX), Y13, Y12
+	VPMAXSD    Y0, Y12, Y12
+	rqChain(Y12, Y14)
+	rqPack
+	VMOVD X12, (BX)
 	ADDQ  DX, AX
 	ADDQ  R14, BX
 	DECQ  CX
-	JNZ   rowsRow
+	JNZ   row4
 
-	ADDQ $4, R15
-	CMPQ R15, R12
-	JLT  rowsGroup
+done:
+	VZEROUPPER
+	RET
+
+// rqQuant4 quantizes the 4 floats at src into 4 float64 grid values in
+// out (see QuantizeU8): the division, round half away from zero as
+// trunc(q + copysign(0.49999999999999994, q)), +zero, the clamp to
+// [0, 255] and NaN → zero. Clobbers Y8, Y9.
+#define rqQuant4(src, out)               \
+	VCVTPS2PD src, out               \
+	VDIVPD    Y15, out, out          \
+	VCMPPD    $3, out, out, Y9       \
+	VANDPD    Y13, out, Y8           \
+	VORPD     Y12, Y8, Y8            \
+	VADDPD    Y8, out, out           \
+	VROUNDPD  $3, out, out           \
+	VADDPD    Y14, out, out          \
+	VMAXPD    Y10, out, out          \
+	VMINPD    Y11, out, out          \
+	VBLENDVPD Y9, Y14, out, out
+
+// func quantizeU8AVX2(dst *uint8, src *float32, n, ds int, scale, zero float64)
+//
+// Quantizes n floats (a positive multiple of 8) into dst[p·ds], 8 per
+// step: one 8-byte store when ds = 1, else 8 byte stores.
+TEXT ·quantizeU8AVX2(SB), NOSPLIT, $0-48
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ n+16(FP), CX
+	SHRQ $3, CX
+	MOVQ ds+24(FP), R8
+	LEAQ (R8)(R8*2), R9      // 3·ds
+	LEAQ (R8)(R8*4), R10     // 5·ds
+	LEAQ (R9)(R8*4), R11     // 7·ds
+	VBROADCASTSD scale+32(FP), Y15
+	VBROADCASTSD zero+40(FP), Y14
+	VPCMPEQQ Y13, Y13, Y13
+	VPSLLQ   $63, Y13, Y13   // sign bit
+	MOVQ $0x3fdfffffffffffff, AX // 0.49999999999999994
+	VMOVQ AX, X12
+	VBROADCASTSD X12, Y12
+	MOVQ $0x406fe00000000000, AX // 255.0
+	VMOVQ AX, X11
+	VBROADCASTSD X11, Y11
+	VXORPD Y10, Y10, Y10
+
+quantLoop:
+	rqQuant4((SI), Y0)
+	rqQuant4(16(SI), Y1)
+	VCVTTPD2DQY Y0, X0
+	VCVTTPD2DQY Y1, X1
+	VPACKSSDW X1, X0, X0
+	VPACKUSWB X0, X0, X0
+	CMPQ R8, $1
+	JNE  quantStrided
+	VMOVQ X0, (DI)
+	ADDQ  $8, DI
+	JMP   quantNext
+
+quantStrided:
+	VPEXTRB $0, X0, (DI)
+	VPEXTRB $1, X0, (DI)(R8*1)
+	VPEXTRB $2, X0, (DI)(R8*2)
+	VPEXTRB $3, X0, (DI)(R9*1)
+	VPEXTRB $4, X0, (DI)(R8*4)
+	VPEXTRB $5, X0, (DI)(R10*1)
+	VPEXTRB $6, X0, (DI)(R9*2)
+	VPEXTRB $7, X0, (DI)(R11*1)
+	LEAQ    (DI)(R8*8), DI
+
+quantNext:
+	ADDQ $32, SI
+	DECQ CX
+	JNZ  quantLoop
 	VZEROUPPER
 	RET

@@ -163,3 +163,56 @@ func RequantQ31Transpose(dst []uint8, acc []int32, m0, rsh []int32, corr []int64
 		}
 	}
 }
+
+// The input quantize: the integer engine's prologue, mapping a float
+// onto an affine uint8 grid r = scale·(q − zero) as
+//
+//	q = clamp(round(float64(v) / float64(scale)) + zero, 0, 255)
+//
+// with the float64 division correctly rounded, round half away from
+// zero, and NaN pinned to the zero point (the grid's 0.0): uint8(NaN) is
+// platform-defined in Go, and a serving tier fed a hostile payload must
+// stay deterministic. QuantizeU8 is the one scalar definition; the AVX2
+// kernel divides in float64 too (the same IEEE division, so the same
+// bits) and rounds by trunc(q + copysign(0.49999999999999994, q)), which
+// equals math.Round for every float64 where q+0.5 does not.
+func QuantizeU8(v, scale float32, zero int32) uint8 {
+	x := math.Round(float64(v)/float64(scale)) + float64(zero)
+	switch {
+	case math.IsNaN(x):
+		x = float64(zero)
+	case x < 0:
+		x = 0
+	case x > 255:
+		x = 255
+	}
+	return uint8(x)
+}
+
+// quantizeRunAsm, repointed by the SIMD dispatch (nil where
+// unavailable), quantizes the len(src) floats of src, a positive
+// multiple of 8, into dst[p·ds].
+var quantizeRunAsm func(dst []uint8, src []float32, ds int, scale float64, zero int32)
+
+// QuantizeNHWC quantizes an (n, c, hw) float batch onto the uint8 grid
+// (scale, zero) by QuantizeU8, storing it (n, hw, c): the engine's input
+// boundary, an NCHW tensor onto an NHWC payload.
+func QuantizeNHWC(dst []uint8, src []float32, n, c, hw int, scale float32, zero int32) {
+	if n < 0 || c < 0 || hw < 0 || len(src) < n*c*hw || len(dst) < n*c*hw {
+		panic(fmt.Sprintf("tensor: QuantizeNHWC (%d,%d,%d) over src %d / dst %d", n, c, hw, len(src), len(dst)))
+	}
+	if zero < 0 || zero > 255 {
+		panic(fmt.Sprintf("tensor: QuantizeNHWC zero point %d outside [0, 255]", zero))
+	}
+	for t := 0; t < n*c; t++ {
+		run, out := src[t*hw:(t+1)*hw], dst[t/c*hw*c+t%c:]
+		p := 0
+		if f := quantizeRunAsm; f != nil && hw >= 8 {
+			p = hw &^ 7
+			f(out, run[:p], c, float64(scale), zero)
+		}
+		for ; p < hw; p++ {
+			out[p*c] = QuantizeU8(run[p], scale, zero)
+		}
+	}
+}

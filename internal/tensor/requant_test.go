@@ -378,3 +378,37 @@ func FuzzRequantQ31Rows(f *testing.F) {
 		})
 	})
 }
+
+// BenchmarkRequantQ31Rows times the conv epilogue at the band tiles of
+// SmallCNN at 16×16 (positions × output channels: b1 128×16, b2 and b3
+// 64×16 and 64×32, b4 16×32) under both dispatches, in ns per element.
+func BenchmarkRequantQ31Rows(b *testing.B) {
+	for _, sh := range [][2]int{{128, 16}, {64, 16}, {64, 32}, {16, 32}} {
+		m, nc := sh[0], sh[1]
+		m0 := make([]int32, nc)
+		rsh := make([]int32, nc)
+		corr := make([]int64, nc)
+		for c := range m0 {
+			m0[c], rsh[c], corr[c] = 1<<30+int32(c)*12345, 38, int64(c)*1000-8000
+		}
+		acc := make([]int32, m*nc)
+		for i := range acc {
+			acc[i] = int32(i*2654435761) % (1 << 20)
+		}
+		dst := make([]uint8, m*nc)
+		for _, simd := range []bool{false, true} {
+			prev := SetSIMD(simd)
+			if simd && !SIMDActive() {
+				SetSIMD(prev)
+				continue
+			}
+			b.Run(fmt.Sprintf("%dx%d/simd=%v", m, nc, simd), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					RequantQ31Rows(dst, acc, m0, rsh, corr, 3, 3, m, nc, nc, nc)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*m*nc), "ns/elem")
+			})
+			SetSIMD(prev)
+		}
+	}
+}
