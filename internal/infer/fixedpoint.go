@@ -15,10 +15,10 @@ import "math"
 
 // accMax/accMin saturate the accumulator to the int32 range before the
 // Q31 multiply so the 64-bit product cannot overflow (2^31·2^31 = 2^62 <
-// 2^63). The bounds are exactly int32 saturation — the semantics the
-// vector requant kernels get for free from their hardware narrowing
-// (SQXTN on NEON, compare/blend on AVX2) — so the scalar path here, the
-// portable tensor kernels and the assembly are bit-identical everywhere.
+// 2^63). The bounds are exactly int32 saturation — the pinned semantics
+// of the vector requant kernels (tensor/requant.go) — so the scalar path
+// here, the portable tensor kernels and the assembly are bit-identical
+// everywhere.
 // Real accumulators are far smaller; the clamp only matters for
 // degenerate channels whose folded bias exploded the accumulator domain,
 // and those saturate at the uint8 boundary anyway.

@@ -27,10 +27,14 @@
 //     columns in the NHWC payload's (h, w, c) order.
 //
 // The hot path is integer-only end to end (floats appear only at the
-// input/output boundary, as in a deployed runtime) and allocation-free at
-// steady state: all intermediates live in per-call scratch workspaces
-// leased from the engine's free list, which also makes concurrent
-// Forward calls on one Engine safe — the compiled layers are immutable.
+// input/output boundary, as in a deployed runtime): the input boundary
+// quantizes the NCHW float batch onto the NHWC uint8 input grid through
+// tensor.QuantizeNHWC (float64 division, round half away from zero, NaN
+// to the zero point: tensor.QuantizeU8, the one scalar definition), and
+// the output dequantizes the logits. It is allocation-free at steady
+// state: all intermediates live in per-call scratch workspaces leased
+// from the engine's free list, which also makes concurrent Forward calls
+// on one Engine safe — the compiled layers are immutable.
 //
 // Supported graphs are the sequential conv backbones (SmallCNN, CifarNet,
 // VGGSmall) and residual topologies (ResNet): ConvBNAct nodes over a

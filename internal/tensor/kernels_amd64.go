@@ -72,9 +72,6 @@ func bnGradInputAVX2(dx, dy, x, y *float32, n, plane, stride int, mean, mdy, k, 
 //go:noescape
 func requantQ31RowsAVX2(dst *uint8, acc *int32, m0, rsh *int32, corr *int64, zp, lo, m, nc4, lda, ldd int)
 
-//go:noescape
-func quantizeU8AVX2(dst *uint8, src *float32, n, ds int, scale, zero float64)
-
 // hasFMA reports whether AVX2+FMA kernels are usable on this CPU/OS.
 var hasFMA = detectFMA()
 
@@ -123,7 +120,7 @@ func applySIMDAmd64(on bool) {
 		f32Panel4w8, f32Panel1w8 = f32Panel4x8Go, f32Panel1x8Go
 		f32StripPanel, f32StripDW, f32StripDX = f32StripPanelGo, f32StripDWGo, f32StripDXGo
 		interleave, stageRows = interleaveGo, stageRowsGo
-		requantRowsAsm, quantizeRunAsm = nil, nil
+		requantRowsAsm = nil
 		return
 	}
 	packedAsmFast = packedFastAsm
@@ -143,7 +140,6 @@ func applySIMDAmd64(on bool) {
 	interleave = interleaveAVX2Wrap
 	stageRows = stageRowsAVX2Wrap
 	requantRowsAsm = requantRowsAVX2Wrap
-	quantizeRunAsm = quantizeRunAVX2Wrap
 }
 
 // The strip wrappers take hi, the largest entry of a (non-negative, not
@@ -270,12 +266,6 @@ func requantRowsAVX2Wrap(dst []uint8, acc []int32, m0, rsh []int32, corr []int64
 	_ = rsh[nc4-1]
 	_ = corr[nc4-1]
 	requantQ31RowsAVX2(&dst[0], &acc[0], &m0[0], &rsh[0], &corr[0], int(zp), int(lo), m, nc4, lda, ldd)
-}
-
-func quantizeRunAVX2Wrap(dst []uint8, src []float32, ds int, scale float64, zero int32) {
-	// len(src) is a positive multiple of 8.
-	_ = dst[(len(src)-1)*ds]
-	quantizeU8AVX2(&dst[0], &src[0], len(src), ds, scale, float64(zero))
 }
 
 // The packed wrappers pin the extremes a walk touches: one past its last

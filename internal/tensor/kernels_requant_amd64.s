@@ -248,76 +248,3 @@ row4:
 done:
 	VZEROUPPER
 	RET
-
-// rqQuant4 quantizes the 4 floats at src into 4 float64 grid values in
-// out (see QuantizeU8): the division, round half away from zero as
-// trunc(q + copysign(0.49999999999999994, q)), +zero, the clamp to
-// [0, 255] and NaN → zero. Clobbers Y8, Y9.
-#define rqQuant4(src, out)               \
-	VCVTPS2PD src, out               \
-	VDIVPD    Y15, out, out          \
-	VCMPPD    $3, out, out, Y9       \
-	VANDPD    Y13, out, Y8           \
-	VORPD     Y12, Y8, Y8            \
-	VADDPD    Y8, out, out           \
-	VROUNDPD  $3, out, out           \
-	VADDPD    Y14, out, out          \
-	VMAXPD    Y10, out, out          \
-	VMINPD    Y11, out, out          \
-	VBLENDVPD Y9, Y14, out, out
-
-// func quantizeU8AVX2(dst *uint8, src *float32, n, ds int, scale, zero float64)
-//
-// Quantizes n floats (a positive multiple of 8) into dst[p·ds], 8 per
-// step: one 8-byte store when ds = 1, else 8 byte stores.
-TEXT ·quantizeU8AVX2(SB), NOSPLIT, $0-48
-	MOVQ dst+0(FP), DI
-	MOVQ src+8(FP), SI
-	MOVQ n+16(FP), CX
-	SHRQ $3, CX
-	MOVQ ds+24(FP), R8
-	LEAQ (R8)(R8*2), R9      // 3·ds
-	LEAQ (R8)(R8*4), R10     // 5·ds
-	LEAQ (R9)(R8*4), R11     // 7·ds
-	VBROADCASTSD scale+32(FP), Y15
-	VBROADCASTSD zero+40(FP), Y14
-	VPCMPEQQ Y13, Y13, Y13
-	VPSLLQ   $63, Y13, Y13   // sign bit
-	MOVQ $0x3fdfffffffffffff, AX // 0.49999999999999994
-	VMOVQ AX, X12
-	VBROADCASTSD X12, Y12
-	MOVQ $0x406fe00000000000, AX // 255.0
-	VMOVQ AX, X11
-	VBROADCASTSD X11, Y11
-	VXORPD Y10, Y10, Y10
-
-quantLoop:
-	rqQuant4((SI), Y0)
-	rqQuant4(16(SI), Y1)
-	VCVTTPD2DQY Y0, X0
-	VCVTTPD2DQY Y1, X1
-	VPACKSSDW X1, X0, X0
-	VPACKUSWB X0, X0, X0
-	CMPQ R8, $1
-	JNE  quantStrided
-	VMOVQ X0, (DI)
-	ADDQ  $8, DI
-	JMP   quantNext
-
-quantStrided:
-	VPEXTRB $0, X0, (DI)
-	VPEXTRB $1, X0, (DI)(R8*1)
-	VPEXTRB $2, X0, (DI)(R8*2)
-	VPEXTRB $3, X0, (DI)(R9*1)
-	VPEXTRB $4, X0, (DI)(R8*4)
-	VPEXTRB $5, X0, (DI)(R10*1)
-	VPEXTRB $6, X0, (DI)(R9*2)
-	VPEXTRB $7, X0, (DI)(R11*1)
-	LEAQ    (DI)(R8*8), DI
-
-quantNext:
-	ADDQ $32, SI
-	DECQ CX
-	JNZ  quantLoop
-	VZEROUPPER
-	RET

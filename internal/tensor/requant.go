@@ -20,10 +20,13 @@ import (
 // SetSIMD dispatch — produces identical bytes for identical inputs,
 // including the Q31 rounding ties and both saturation edges (the
 // requantization is elementwise, so there is no accumulation-order
-// freedom to lose). The int32 saturations match the hardware narrowing
-// the vector kernels use (VPCMPGTQ blends on AVX2, SQXTN on NEON); they
-// only engage for degenerate channels whose folded bias exploded the
-// accumulator domain, and those saturate at the uint8 boundary anyway.
+// freedom to lose). The int32 saturations only engage for degenerate
+// channels whose folded bias exploded the accumulator domain, and those
+// saturate at the uint8 boundary anyway. NEON narrows with SQXTN; the
+// AVX2 kernel uses that the map is monotone in acc: it clamps acc per
+// channel to a range on whose far sides the output already sits at lo
+// or 255 and inside which the product and its high dword stay exact,
+// then runs the chain on 8 int32 lanes (kernels_requant_amd64.s).
 //
 // Argument contract (checked; violations panic like an out-of-range slice
 // index, since the epilogue runs inside parallel workers with no error
@@ -61,9 +64,8 @@ func requantQ31One(acc int32, corr int64, m0, rsh, zp, lo int32) uint8 {
 // unavailable), covers m rows × nc4 channels of a row-major accumulator
 // (stride lda int32s) into a row-major uint8 destination (stride ldd
 // bytes); nc4 is a positive multiple of 4. It processes channel groups
-// of four — one vector register of int64 lanes per group on both ISAs —
-// with per-group parameters hoisted out of the row loop. Remainder
-// channels always take the scalar reference.
+// — 8 then 4 on AVX2, 4 on NEON — with per-group parameters hoisted out
+// of the row loop. Remainder channels always take the scalar reference.
 var requantRowsAsm func(dst []uint8, acc []int32, m0, rsh []int32, corr []int64, zp, lo int32, m, nc4, lda, ldd int)
 
 func checkRequantParams(m0, rsh []int32, corr []int64, zp, lo int32, nc int) {
@@ -164,18 +166,12 @@ func RequantQ31Transpose(dst []uint8, acc []int32, m0, rsh []int32, corr []int64
 	}
 }
 
-// The input quantize: the integer engine's prologue, mapping a float
-// onto an affine uint8 grid r = scale·(q − zero) as
-//
-//	q = clamp(round(float64(v) / float64(scale)) + zero, 0, 255)
-//
-// with the float64 division correctly rounded, round half away from
-// zero, and NaN pinned to the zero point (the grid's 0.0): uint8(NaN) is
-// platform-defined in Go, and a serving tier fed a hostile payload must
-// stay deterministic. QuantizeU8 is the one scalar definition; the AVX2
-// kernel divides in float64 too (the same IEEE division, so the same
-// bits) and rounds by trunc(q + copysign(0.49999999999999994, q)), which
-// equals math.Round for every float64 where q+0.5 does not.
+// QuantizeU8 is the integer engine's input quantize, the one scalar
+// definition: v onto the affine uint8 grid r = scale·(q − zero) as
+// round(float64(v)/float64(scale)) + zero (round half away from zero),
+// clamped to [0, 255], with NaN pinned to the zero point (the grid's
+// 0.0): uint8(NaN) is platform-defined in Go, and a serving tier fed a
+// hostile payload must stay deterministic.
 func QuantizeU8(v, scale float32, zero int32) uint8 {
 	x := math.Round(float64(v)/float64(scale)) + float64(zero)
 	switch {
@@ -189,30 +185,18 @@ func QuantizeU8(v, scale float32, zero int32) uint8 {
 	return uint8(x)
 }
 
-// quantizeRunAsm, repointed by the SIMD dispatch (nil where
-// unavailable), quantizes the len(src) floats of src, a positive
-// multiple of 8, into dst[p·ds].
-var quantizeRunAsm func(dst []uint8, src []float32, ds int, scale float64, zero int32)
-
-// QuantizeNHWC quantizes an (n, c, hw) float batch onto the uint8 grid
+// QuantizeNHWC quantizes an (n, c, hw) float batch onto the grid
 // (scale, zero) by QuantizeU8, storing it (n, hw, c): the engine's input
-// boundary, an NCHW tensor onto an NHWC payload.
+// boundary, an NCHW tensor onto an NHWC payload. Each channel plane is
+// read contiguously.
 func QuantizeNHWC(dst []uint8, src []float32, n, c, hw int, scale float32, zero int32) {
 	if n < 0 || c < 0 || hw < 0 || len(src) < n*c*hw || len(dst) < n*c*hw {
 		panic(fmt.Sprintf("tensor: QuantizeNHWC (%d,%d,%d) over src %d / dst %d", n, c, hw, len(src), len(dst)))
 	}
-	if zero < 0 || zero > 255 {
-		panic(fmt.Sprintf("tensor: QuantizeNHWC zero point %d outside [0, 255]", zero))
-	}
 	for t := 0; t < n*c; t++ {
-		run, out := src[t*hw:(t+1)*hw], dst[t/c*hw*c+t%c:]
-		p := 0
-		if f := quantizeRunAsm; f != nil && hw >= 8 {
-			p = hw &^ 7
-			f(out, run[:p], c, float64(scale), zero)
-		}
-		for ; p < hw; p++ {
-			out[p*c] = QuantizeU8(run[p], scale, zero)
+		out := dst[t/c*hw*c+t%c:]
+		for p, v := range src[t*hw : (t+1)*hw] {
+			out[p*c] = QuantizeU8(v, scale, zero)
 		}
 	}
 }
