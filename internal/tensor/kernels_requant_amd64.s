@@ -7,18 +7,20 @@
 // row as 8 int32 lanes:
 //
 //	clamp acc to [aLo, aHi] (VPMAXSD/VPMINSD) → +c (wrapping VPADDD) →
-//	two VPMULDQ by m0 (even, odd lanes) → +2^(rsh−1) → VPSLLVQ by
-//	max(0, 32−rsh), keep the high dword → VPSRAVD by max(0, rsh−32) →
-//	+zp → pack with saturation to [0, 255] → VPMAXUB lo
+//	two VPMULDQ by m0 (even, odd lanes) → +2^(rsh−1) → r, or past
+//	rsh = 32 the product's high dword, as the low dword after VPSRLVQ
+//	by min(rsh, 32) (even lanes) or the high dword after VPSLLVQ by
+//	max(0, 32−rsh) (odd lanes) → VPSRAVD by max(0, rsh−32) → +zp →
+//	pack with saturation to [0, 255] → VPMAXUB lo
 //
 // The map is monotone in acc, so it may clamp v = acc+corr to any
 // [vLo, vHi] on whose far sides the output already saturates. With
 // k = clamp(rsh − e + 11, 1, 31), where e = b or b+1 is the exponent of
 // float32(m0) ∈ [2^b, 2^(b+1)), vLo = −2^k and vHi = 2^k − 1 give
 // r(vHi) ≥ 512 and r(vLo) ≤ −1024 when k < 31 (k = 31 is the int32
-// range), and |r| < 2^31 on the whole range, so the high dword after the
-// left shift is exact for rsh ≤ 32 (and the 64-bit product never
-// overflows for any rsh). The clamp moves to the accumulator as
+// range), and |r| < 2^31 on the whole range, so both dwords are exact
+// for rsh ≤ 32 (and the 64-bit product never overflows for any rsh).
+// The clamp moves to the accumulator as
 // aLo/aHi = sat32(vLo/vHi − corr), and c = clamp(corr, vLo − aLo,
 // vHi − aHi) wrapped to 32 bits makes acc+c land on clamp(sat32(acc +
 // corr), vLo, vHi) also when corr puts every accumulator past one edge.
