@@ -83,6 +83,17 @@ GLOBL rq138<>(SB), RODATA|NOPTR, $4
 	VPSHUFD   $0x88, Y5, Y5              \
 	VPERMQ    $0x08, Y5, Y5
 
+// rqLow sets the clamp of the group's lanes 0–3: aLo, aHi and c in the
+// low halves of Y0, Y1, Y2 (Y14/Y15 keep vLo/vHi of all 8 lanes).
+#define rqLow                 \
+	rqBoundsV             \
+	VPMOVSXDQ X14, Y3     \
+	VPMOVSXDQ X15, Y4     \
+	rqHalf(0)             \
+	VMOVDQU   Y6, Y0      \
+	VMOVDQU   Y7, Y1      \
+	VMOVDQU   Y5, Y2
+
 // rqMul loads the multiply parameters of the group at R15 (Y13 masks
 // the lanes): Y3 m0, Y4 m0 of the odd lanes, Y5/Y6 2^(rsh−1) of the
 // even/odd lanes, Y7 min(rsh, 32) of the even lanes (a right shift),
@@ -165,13 +176,7 @@ group8:
 	CMPQ AX, R12
 	JGT  group4
 	VPCMPEQD Y13, Y13, Y13
-	rqBoundsV
-	VPMOVSXDQ X14, Y3
-	VPMOVSXDQ X15, Y4
-	rqHalf(0)
-	VMOVDQU Y6, Y0
-	VMOVDQU Y7, Y1
-	VMOVDQU Y5, Y2
+	rqLow
 	VEXTRACTI128 $1, Y14, X3
 	VPMOVSXDQ X3, Y3
 	VEXTRACTI128 $1, Y15, X4
@@ -184,7 +189,6 @@ group8:
 	rqMul
 	LEAQ (SI)(R15*4), AX     // &acc[g]
 	LEAQ (DI)(R15*1), BX     // &dst[g]
-
 	MOVQ R11, CX
 	SHRQ $1, CX              // row pairs
 	JZ   row8odd
@@ -222,13 +226,7 @@ group4:
 	CMPQ R15, R12
 	JGE  done
 	VPCMPEQD X13, X13, X13   // lanes 0–3
-	rqBoundsV
-	VPMOVSXDQ X14, Y3
-	VPMOVSXDQ X15, Y4
-	rqHalf(0)
-	VMOVDQU Y6, Y0
-	VMOVDQU Y7, Y1
-	VMOVDQU Y5, Y2
+	rqLow
 	VPCMPEQD X13, X13, X13
 	rqMul
 	VPCMPEQD X13, X13, X13
