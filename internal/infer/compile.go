@@ -204,9 +204,9 @@ func (c *compiler) residual(r *nn.Residual, f flow) (qlayer, flow, error) {
 // through the lowered multiplier S_b/S_y: a residual join term depends
 // on one uint8 only.
 func joinTable(b, y grid) (t [256]int32) {
-	m0, rsh := lowerMultiplier(float64(b.scale) / float64(y.scale))
+	m0, rsh := tensor.LowerMultiplier(float64(b.scale) / float64(y.scale))
 	for v := range t {
-		t[v] = int32(requantize(int64(v)-int64(b.zero), m0, rsh))
+		t[v] = tensor.MulQ31(int64(v)-int64(b.zero), m0, rsh)
 	}
 	return t
 }
@@ -265,9 +265,6 @@ func lowerAffine(label string, w *tensor.Tensor, bias []float32, geom *tensor.Co
 		outC:  outC,
 		in:    in,
 		out:   out,
-		m0:    make([]int32, outC),
-		rsh:   make([]int32, outC),
-		corr:  make([]int64, outC),
 		nbias: len(bias),
 		relu:  relu,
 	}
@@ -290,6 +287,7 @@ func lowerAffine(label string, w *tensor.Tensor, bias []float32, geom *tensor.Co
 	if err != nil {
 		return nil, err
 	}
+	m0, rsh, corr := make([]int32, outC), make([]int32, outC), make([]int64, outC)
 	for c := 0; c < outC; c++ {
 		// Σ q_w for the zero-point correction: with the strip border
 		// equal to Z_x, acc − Z_x·Σq_w is exact at every position.
@@ -298,9 +296,16 @@ func lowerAffine(label string, w *tensor.Tensor, bias []float32, geom *tensor.Co
 			ksum += int64(w)
 		}
 		sw := float64(in.scale) * float64(wscale[c])
-		q.m0[c], q.rsh[c] = lowerMultiplier(sw / float64(out.scale))
-		biasq := min(max(math.Round(float64(bias[c])/sw), float64(accMin)), float64(accMax))
-		q.corr[c] = int64(biasq) - int64(in.zero)*ksum
+		m0[c], rsh[c] = tensor.LowerMultiplier(sw / float64(out.scale))
+		biasq := min(max(math.Round(float64(bias[c])/sw), math.MinInt32), math.MaxInt32)
+		corr[c] = int64(biasq) - int64(in.zero)*ksum
+	}
+	lo := int32(0) // the clamp: the output zero point under a fused ReLU
+	if relu {
+		lo = out.zero
+	}
+	if q.rq, err = tensor.NewRequant(m0, rsh, corr, out.zero, lo); err != nil {
+		return nil, err
 	}
 	return q, nil
 }

@@ -289,9 +289,7 @@ type qaffine struct {
 	outC    int
 	inF     int // linear input features
 	in, out grid
-	m0      []int32 // per-channel fixed-point multiplier mantissa
-	rsh     []int32 // per-channel right shift
-	corr    []int64 // per-channel int32-domain bias − Z_x·Σq_w
+	rq      *tensor.Requant // per-channel Q31 multiplier and bias − Z_x·Σq_w, clamp at lo
 	nbias   int
 	relu    bool
 }
@@ -322,19 +320,10 @@ func (q *qaffine) conv(x *qtensor, s *scratch) (*qtensor, error) {
 	out := s.act(q.buf, n, oh, ow, q.outC)
 	out.g = q.out
 	if err := tensor.ConvU8I8StripInto(out.data, x.data, n, q.packed, q.plan, uint8(q.in.zero),
-		q.m0, q.rsh, q.corr, q.out.zero, q.floor(), &s.strip, &s.acc, s.prof); err != nil {
+		q.rq, &s.strip, &s.acc, s.prof); err != nil {
 		return nil, err
 	}
 	return out, nil
-}
-
-// floor is the requantization clamp: the output zero point under a fused
-// ReLU, else 0.
-func (q *qaffine) floor() int32 {
-	if q.relu {
-		return q.out.zero
-	}
-	return 0
 }
 
 // linear runs the batch as one packed integer GEMM against the prepacked
@@ -356,8 +345,7 @@ func (q *qaffine) linear(x *qtensor, s *scratch) (*qtensor, error) {
 	out := s.act(q.buf, n, q.outC)
 	out.g = q.out
 	t0 = profClock(s)
-	tensor.RequantQ31Rows(out.data, acc, q.m0, q.rsh, q.corr, q.out.zero, q.floor(),
-		n, q.outC, q.outC, q.outC)
+	tensor.RequantQ31Rows(out.data, acc, q.rq, n, q.outC, q.outC)
 	profSpan(s, stageRequant, t0)
 	return out, nil
 }
@@ -476,7 +464,7 @@ type qresidual struct {
 	main          []qlayer
 	shortcut      []qlayer // nil = identity
 	out           grid
-	tMain, tShort [256]int32 // requantize(b − Z_b, M_b) per branch byte b
+	tMain, tShort [256]int32 // tensor.MulQ31(b − Z_b, M_b) per branch byte b
 	relu          bool
 }
 
@@ -537,6 +525,6 @@ func (r *qresidual) addRow(main, short, dst []uint8, per, i int) {
 	}
 	zy := int64(r.out.zero)
 	for j := range row {
-		row[j] = clampU8(int64(r.tMain[ms[j]])+int64(r.tShort[ss[j]])+zy, lo)
+		row[j] = uint8(min(max(int64(r.tMain[ms[j]])+int64(r.tShort[ss[j]])+zy, int64(lo)), 255))
 	}
 }

@@ -387,9 +387,9 @@ func TestEngineForwardSteadyStateAllocs(t *testing.T) {
 // TestEngineForwardSIMDPortableIdentical pins the dispatch contract: the
 // assembly integer kernels and the portable Go fallback produce
 // bit-identical engine outputs (integer arithmetic, exact kernels — the
-// saturating fast path is only ever selected when it cannot saturate).
-// On hosts without SIMD kernels both runs take the portable path and the
-// test degenerates to a determinism check.
+// saturating fast path is only ever selected when it cannot saturate), at
+// 1, 2, 3 and 8 workers alike. On hosts without SIMD kernels both runs
+// take the portable path and the test degenerates to a determinism check.
 func TestEngineForwardSIMDPortableIdentical(t *testing.T) {
 	m, te, calib := trainedSmallCNN(t)
 	eng, err := Compile(m, Config{Calibration: calib})
@@ -397,20 +397,27 @@ func TestEngineForwardSIMDPortableIdentical(t *testing.T) {
 		t.Fatalf("Compile: %v", err)
 	}
 	x, _ := testBatch(t, te, 32)
-	prev := tensor.SetSIMD(true)
-	defer tensor.SetSIMD(prev)
-	simd, err := eng.Forward(x)
-	if err != nil {
-		t.Fatalf("Forward (simd): %v", err)
-	}
-	tensor.SetSIMD(false)
-	portable, err := eng.Forward(x)
-	if err != nil {
-		t.Fatalf("Forward (portable): %v", err)
-	}
-	for i, v := range simd.Data() {
-		if v != portable.Data()[i] {
-			t.Fatalf("logit[%d]: simd %v != portable %v", i, v, portable.Data()[i])
+	prevSIMD, prevW := tensor.SetSIMD(true), tensor.MaxWorkers()
+	defer tensor.SetSIMD(prevSIMD)
+	defer tensor.SetMaxWorkers(prevW)
+	var want []float32
+	for _, workers := range []int{1, 2, 3, 8} {
+		tensor.SetMaxWorkers(workers)
+		for _, simd := range []bool{true, false} {
+			tensor.SetSIMD(simd)
+			out, err := eng.Forward(x)
+			if err != nil {
+				t.Fatalf("Forward (workers %d, simd %v): %v", workers, simd, err)
+			}
+			if want == nil {
+				want = out.Data()
+				continue
+			}
+			for i, v := range out.Data() {
+				if v != want[i] {
+					t.Fatalf("workers %d, simd %v: logit[%d] = %v, want %v", workers, simd, i, v, want[i])
+				}
+			}
 		}
 	}
 }

@@ -105,70 +105,6 @@ func TestGridForNegativeOnlyRange(t *testing.T) {
 	}
 }
 
-// lowerMultiplier must satisfy requantize(acc, m0, rsh) ≈ round(acc·m)
-// across magnitudes spanning the multipliers real grids produce (the
-// expectation saturates to int32 like requantize itself: the output
-// clamp is part of the pinned kernel semantics).
-func TestLowerMultiplierRoundTrip(t *testing.T) {
-	ms := []float64{1e-6, 3.7e-4, 0.0021, 0.04, 0.5, 0.9999, 1.0, 3.25, 117.0}
-	accs := []int64{0, 1, -1, 7, -13, 100, -255, 1 << 15, -(1 << 20), 1 << 28}
-	for _, m := range ms {
-		m0, rsh := lowerMultiplier(m)
-		for _, a := range accs {
-			got := requantize(a, m0, rsh)
-			want := float64(a) * m
-			if want > float64(accMax) {
-				want = float64(accMax)
-			} else if want < float64(accMin) {
-				want = float64(accMin)
-			}
-			// One unit of slack plus the Q31 mantissa's relative error.
-			tol := 1.0 + math.Abs(want)*1e-8
-			if math.Abs(float64(got)-want) > tol {
-				t.Errorf("m=%v acc=%d: requantize = %d, want ~%v", m, a, got, want)
-			}
-		}
-	}
-}
-
-func TestLowerMultiplierDegenerate(t *testing.T) {
-	if m0, _ := lowerMultiplier(0); m0 != 0 {
-		t.Errorf("m=0 lowered to m0=%d", m0)
-	}
-	if m0, _ := lowerMultiplier(-1); m0 != 0 {
-		t.Errorf("m<0 lowered to m0=%d", m0)
-	}
-	if m0, _ := lowerMultiplier(math.NaN()); m0 != 0 {
-		t.Errorf("NaN lowered to m0=%d", m0)
-	}
-	// Absurdly small multipliers requantize everything to zero.
-	m0, rsh := lowerMultiplier(1e-12)
-	if got := requantize(1<<28, m0, rsh); got != 0 {
-		t.Errorf("tiny multiplier requantized %d", got)
-	}
-}
-
-func TestRequantizeSaturates(t *testing.T) {
-	m0, rsh := lowerMultiplier(1.0)
-	// Accumulators beyond ±2^31 clamp instead of overflowing the product.
-	big := int64(1) << 40
-	if got := requantize(big, m0, rsh); got < (1<<31)-2 || got > (1<<31)+1 {
-		t.Errorf("overflowing acc requantized to %d", got)
-	}
-	if got := requantize(-big, m0, rsh); got > -(1<<31)+2 || got < -(1<<31)-1 {
-		t.Errorf("underflowing acc requantized to %d", got)
-	}
-	if got := clampU8(300, 0); got != 255 {
-		t.Errorf("clampU8(300) = %d", got)
-	}
-	if got := clampU8(-7, 0); got != 0 {
-		t.Errorf("clampU8(-7) = %d", got)
-	}
-	if got := clampU8(3, 12); got != 12 {
-		t.Errorf("clampU8 below ReLU floor = %d, want 12", got)
-	}
-}
-
 // Property: a lowered linear stage matches the float affine map within
 // the combined quantization error budget for random small problems.
 func TestIntegerLinearMatchesFloatProperty(t *testing.T) {

@@ -142,15 +142,18 @@ func (p *ConvPlanU8) PackWeights(w []int8, outC int) (*PackedI8, error) {
 // (n, InH, InW, InC) → dst (n, OH, OW, outC). b holds the weights packed
 // by p.PackWeights; pad is the input zero point. Each band task stages
 // its strip into a lane of work, accumulates every weight panel into the
-// lane's int32 tile and requantizes the tile (RequantQ31Rows with m0,
-// rsh, corr, zp, lo) into its rows of dst, so no full-batch accumulator
-// exists. work and tile are the caller's lane arenas, grown here as
-// needed. A non-nil clock runs serially and accrues staging / GEMM /
-// requant time into clock[0..2]; the output bytes do not change.
+// lane's int32 tile and requantizes the tile (RequantQ31Rows through r,
+// one channel per output channel) into its rows of dst, so no full-batch
+// accumulator exists. work and tile are the caller's lane arenas, grown
+// here as needed. A non-nil clock runs serially and accrues staging /
+// GEMM / requant time into clock[0..2]; the output bytes do not change.
 func ConvU8I8StripInto(dst, src []uint8, n int, b *PackedI8, p *ConvPlanU8, pad uint8,
-	m0, rsh []int32, corr []int64, zp, lo int32, work *[]uint8, tile *[]int32, clock *[3]time.Duration) error {
+	r *Requant, work *[]uint8, tile *[]int32, clock *[3]time.Duration) error {
 	if err := p.check(src, n, b); err != nil {
 		return err
+	}
+	if len(r.m0) != b.n {
+		return fmt.Errorf("%w: conv strip requant has %d channels, want %d", ErrShape, len(r.m0), b.n)
 	}
 	if len(dst) < n*p.oh*p.ow*b.n {
 		return fmt.Errorf("%w: conv strip dst has %d elements, want >= %d", ErrShape, len(dst), n*p.oh*p.ow*b.n)
@@ -158,7 +161,7 @@ func ConvU8I8StripInto(dst, src []uint8, n int, b *PackedI8, p *ConvPlanU8, pad 
 	tasks := n * p.bands
 	lanes := bandLanes(tasks)
 	j := convU8Job{p: p, b: b, src: src, pad: pad, wl: p.strip, tl: p.brows * p.ow * b.n,
-		dst: dst, m0: m0, rsh: rsh, corr: corr, zp: zp, lo: lo}
+		dst: dst, rq: r}
 	*work = grow(*work, lanes*j.wl)
 	*tile = grow(*tile, lanes*j.tl)
 	j.work, j.tile = *work, *tile
@@ -208,19 +211,17 @@ func (p *ConvPlanU8) check(src []uint8, n int, b *PackedI8) error {
 // tile[l·tl:], which the epilogue requantizes into dst — or into the
 // band's rows of the full accumulator acc, with no epilogue.
 type convU8Job struct {
-	p       *ConvPlanU8
-	b       *PackedI8
-	src     []uint8
-	pad     uint8
-	work    []uint8
-	wl      int // lane stride, >= one band's strip or patch rows
-	acc     []int32
-	tile    []int32
-	tl      int // tile lane stride, >= one band's positions × outC
-	dst     []uint8
-	m0, rsh []int32
-	corr    []int64
-	zp, lo  int32
+	p    *ConvPlanU8
+	b    *PackedI8
+	src  []uint8
+	pad  uint8
+	work []uint8
+	wl   int // lane stride, >= one band's strip or patch rows
+	acc  []int32
+	tile []int32
+	tl   int // tile lane stride, >= one band's positions × outC
+	dst  []uint8
+	rq   *Requant
 }
 
 // lane returns lane l of the work arena cut to what a band uses, so a
@@ -267,7 +268,7 @@ func (j convU8Job) epilogue(t, lane int) {
 	p, nc := j.p, j.b.n
 	i, oy0, oy1 := p.bandSpan(t)
 	m := (oy1 - oy0) * p.ow
-	RequantQ31Rows(j.dst[(i*p.oh+oy0)*p.ow*nc:], j.tile[lane*j.tl:], j.m0, j.rsh, j.corr, j.zp, j.lo, m, nc, nc, nc)
+	RequantQ31Rows(j.dst[(i*p.oh+oy0)*p.ow*nc:], j.tile[lane*j.tl:], j.rq, m, nc, nc)
 }
 
 // bandSpan resolves task t into its sample index and output-row range.

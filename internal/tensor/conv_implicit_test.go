@@ -373,11 +373,14 @@ func TestConvImplicitErrors(t *testing.T) {
 	}
 	one := []int32{1 << 30, 1 << 30, 1 << 30, 1 << 30}
 	rsh := []int32{31, 31, 31, 31}
-	corr := make([]int64, 4)
+	rq, err := NewRequant(one, rsh, make([]int64, 4), 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var lanes []uint8
 	var tile []int32
 	strip := func(dst, src []uint8, n int, b *PackedI8) error {
-		return ConvU8I8StripInto(dst, src, n, b, plan, 0, one, rsh, corr, 0, 0, &lanes, &tile, nil)
+		return ConvU8I8StripInto(dst, src, n, b, plan, 0, rq, &lanes, &tile, nil)
 	}
 	dst := make([]uint8, 2*oh*ow*4)
 	if err := strip(dst, src, 2, packed); err != nil {
@@ -394,6 +397,12 @@ func TestConvImplicitErrors(t *testing.T) {
 	}
 	if err := strip(dst, src, 2, wrongK); err == nil {
 		t.Error("mismatched strip packed k did not error")
+	}
+	if rq, err = NewRequant(one[:3], rsh, make([]int64, 4), 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := strip(dst, src, 2, packed); err == nil {
+		t.Error("requant of 3 channels for 4 output channels did not error")
 	}
 	if _, err := plan.PackWeights(make([]int8, 4*kdim-1), 4); err == nil {
 		t.Error("short strip weights did not error")
@@ -441,8 +450,7 @@ func TestConvImplicitSerialPathAllocs(t *testing.T) {
 	var tile []int32
 	dst := c.run(t, &lanes, &tile, nil) // warm the arenas
 	allocs = testing.AllocsPerRun(20, func() {
-		if err := ConvU8I8StripInto(dst, c.src8, n, c.strip, c.plan, c.pad,
-			c.m0, c.rsh, c.corr, c.zp, c.lo, &lanes, &tile, nil); err != nil {
+		if err := ConvU8I8StripInto(dst, c.src8, n, c.strip, c.plan, c.pad, c.rq, &lanes, &tile, nil); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -466,6 +474,7 @@ type convRequantCase struct {
 	m0, rsh       []int32
 	corr          []int64
 	zp, lo        int32
+	rq            *Requant // built from m0, rsh, corr, zp, lo
 	outBytes      int
 }
 
@@ -500,6 +509,9 @@ func newConvRequantCase(t *testing.T, seed int64, g ConvGeom, n, outC int, relu 
 	}
 	if relu {
 		c.lo = c.zp
+	}
+	if c.rq, err = NewRequant(c.m0, c.rsh, c.corr, c.zp, c.lo); err != nil {
+		t.Fatal(err)
 	}
 	return c
 }
@@ -540,8 +552,7 @@ func (c *convRequantCase) run(t *testing.T, work *[]uint8, tile *[]int32, clock 
 	for i := range dst {
 		dst[i] = 0xA5
 	}
-	if err := ConvU8I8StripInto(dst, c.src8, c.n, c.strip, c.plan, c.pad,
-		c.m0, c.rsh, c.corr, c.zp, c.lo, work, tile, clock); err != nil {
+	if err := ConvU8I8StripInto(dst, c.src8, c.n, c.strip, c.plan, c.pad, c.rq, work, tile, clock); err != nil {
 		t.Fatal(err)
 	}
 	return dst
@@ -568,7 +579,7 @@ func (c *convRequantCase) runCanaried(t *testing.T) []uint8 {
 	lanes := bandLanes(tasks)
 	bl, tl := p.strip, p.brows*p.ow*c.outC
 	j := convU8Job{p: p, b: c.strip, src: c.src8, pad: c.pad, wl: bl + guardBytes, tl: tl + guardWords,
-		dst: make([]uint8, c.outBytes), m0: c.m0, rsh: c.rsh, corr: c.corr, zp: c.zp, lo: c.lo}
+		dst: make([]uint8, c.outBytes), rq: c.rq}
 	work := make([]uint8, guardBytes+lanes*j.wl)
 	tile := make([]int32, guardWords+lanes*j.tl)
 	for i := range work {

@@ -70,7 +70,7 @@ func bnGradSumsAVX2(dy, x, y *float32, n, plane, stride int, mean float64, top i
 func bnGradInputAVX2(dx, dy, x, y *float32, n, plane, stride int, mean, mdy, k, a float32, top int)
 
 //go:noescape
-func requantQ31RowsAVX2(dst *uint8, acc *int32, m0, rsh *int32, corr *int64, zp, lo, m, nc4, lda, ldd int)
+func requantQ31RowsAVX2(dst *uint8, acc *int32, lanes *rqLanes, zp, lo, m, nc4, lda, ldd int)
 
 // hasFMA reports whether AVX2+FMA kernels are usable on this CPU/OS.
 var hasFMA = detectFMA()
@@ -257,15 +257,13 @@ func bnGradInputAVX2Wrap(dx, dy, x, y []float32, n, plane, stride int, mean, mdy
 	bnGradInputAVX2(&dx[0], &dy[0], &x[0], &y[0], n, plane, stride, mean, mdy, k, a, int(r.top))
 }
 
-func requantRowsAVX2Wrap(dst []uint8, acc []int32, m0, rsh []int32, corr []int64, zp, lo int32, m, nc4, lda, ldd int) {
+func requantRowsAVX2Wrap(dst []uint8, acc []int32, r *Requant, m, nc4, lda, ldd int) {
 	// Bounds asserted by RequantQ31Rows; re-pin the extremes the kernel
-	// touches (last row's last group and every per-channel parameter).
+	// touches (last row's last group and the last lane-table group).
 	_ = acc[(m-1)*lda+nc4-1]
 	_ = dst[(m-1)*ldd+nc4-1]
-	_ = m0[nc4-1]
-	_ = rsh[nc4-1]
-	_ = corr[nc4-1]
-	requantQ31RowsAVX2(&dst[0], &acc[0], &m0[0], &rsh[0], &corr[0], int(zp), int(lo), m, nc4, lda, ldd)
+	_ = r.lanes[(nc4-1)/8]
+	requantQ31RowsAVX2(&dst[0], &acc[0], &r.lanes[0], int(r.zp), int(r.lo), m, nc4, lda, ldd)
 }
 
 // The packed wrappers pin the extremes a walk touches: one past its last

@@ -105,13 +105,13 @@ func f32Panel1w8NEONWrap(dst, a, panel []float32, k, aks int) {
 	packedF32GEMM1x8NEON(&dst[0], &a[0], &panel[0], k, aks)
 }
 
-func requantRowsNEONWrap(dst []uint8, acc []int32, m0, rsh []int32, corr []int64, zp, lo int32, m, nc4, lda, ldd int) {
+func requantRowsNEONWrap(dst []uint8, acc []int32, r *Requant, m, nc4, lda, ldd int) {
 	// Bounds asserted by RequantQ31Rows; re-pin the extremes the kernel
 	// touches (last row's last group and every per-channel parameter).
 	_ = acc[(m-1)*lda+nc4-1]
 	_ = dst[(m-1)*ldd+nc4-1]
-	_ = m0[nc4-1]
-	_ = rsh[nc4-1]
-	_ = corr[nc4-1]
-	requantQ31RowsNEON(&dst[0], &acc[0], &m0[0], &rsh[0], &corr[0], int(zp), int(lo), m, nc4, lda, ldd)
+	_ = r.m0[nc4-1]
+	_ = r.rsh[nc4-1]
+	_ = r.corr[nc4-1]
+	requantQ31RowsNEON(&dst[0], &acc[0], &r.m0[0], &r.rsh[0], &r.corr[0], int(r.zp), int(r.lo), m, nc4, lda, ldd)
 }

@@ -412,6 +412,146 @@ func TestPackedFuzzAgainstNaive(t *testing.T) {
 	})
 }
 
+// hazardWeights draws an (n, k) weight matrix around the fast kernel's
+// saturation bound: hazard 0 keeps every even pair at |w0|+|w1| ≤ 128,
+// half of them at the bound; 1 also lifts one pair per column to 129, so
+// every full panel takes the widening kernel; 2 draws the full int8 range.
+func hazardWeights(rng *RNG, n, k, hazard int) []int8 {
+	if hazard == 2 {
+		return randI8(rng, n*k)
+	}
+	sign := func(v int) int8 {
+		if rng.Intn(2) == 0 {
+			return int8(-v)
+		}
+		return int8(v)
+	}
+	bt := make([]int8, n*k)
+	for j := 0; j < n; j++ {
+		col, lift := bt[j*k:(j+1)*k], -1
+		if hazard == 1 && k >= 2 {
+			lift = 2 * rng.Intn(k/2)
+		}
+		for s := 0; s+1 < k; s += 2 {
+			w0 := 1 + rng.Intn(127)
+			w1 := 128 - w0
+			if s == lift {
+				w0 = 2 + rng.Intn(126)
+				w1 = 129 - w0
+			} else if rng.Intn(2) == 0 {
+				w1 = rng.Intn(w1 + 1)
+			}
+			col[s], col[s+1] = sign(w0), sign(w1)
+		}
+		if k%2 == 1 {
+			col[k-1] = sign(rng.Intn(128))
+		}
+	}
+	return bt
+}
+
+// FuzzPackedU8I8VsNaive drives the packed u8×s8 GEMM under both
+// dispatches against the naive products, word for word: the plain GEMM
+// through MatMulU8I8PackedInto and panel by panel at a padded row stride,
+// then a conv operand walk (1–5 runs of 1–6 quads, output rows of every
+// width residue mod 4). Weights sit on both sides of the |w0|+|w1| > 128
+// hazard (hazardWeights; the pack must route them accordingly) and n of
+// any residue mod 8, so the fast, wide and masked-edge kernels all run;
+// A's bytes past k in every row, its PaddedK spare included, read 0xFF
+// and half of the rest 255, and guard words follow every dst row.
+func FuzzPackedU8I8VsNaive(f *testing.F) {
+	// TestPackedFuzzAgainstNaive's shape ranges: m 1–20, k 1–70, n 1–40,
+	// lda k..k+4.
+	for i, sd := range []struct{ m, k, n, gap uint8 }{
+		{1, 1, 1, 0}, {20, 70, 40, 4}, {4, 5, 8, 1}, {7, 64, 16, 3},
+		{13, 33, 9, 2}, {3, 70, 39, 0}, {20, 2, 17, 4}, {9, 31, 24, 1},
+	} {
+		f.Add(uint64(i), sd.m-1, sd.k-1, sd.n-1, sd.gap, uint8(i))
+	}
+	f.Fuzz(func(t *testing.T, seed uint64, mb, kb, nb, gap, hz uint8) {
+		rng := NewRNG(seed)
+		m, k, n := 1+int(mb%20), 1+int(kb%70), 1+int(nb%40)
+		lda, hazard := k+int(gap%5), int(hz%3)
+		bt := hazardWeights(rng, n, k, hazard)
+		pb, err := PackI8PanelsBT(bt, k, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hazard < 2 && k >= 2 && saturating(pb) != (hazard == 1) {
+			t.Fatalf("hazard %d weights (k=%d n=%d) packed with saturating panels %v", hazard, k, n, pb.satp)
+		}
+		a := make([]uint8, (m-1)*lda+pb.PaddedK())
+		for i := range a {
+			row := min(i/lda, m-1)
+			switch {
+			case i-row*lda >= k:
+				a[i] = 0xFF
+			case rng.Intn(2) == 0:
+				a[i] = 255
+			default:
+				a[i] = uint8(rng.Intn(256))
+			}
+		}
+		want := naivePackedRef(a, lda, bt, m, k, n)
+
+		nseg, segq := 1+rng.Intn(5), 1+rng.Intn(6)
+		w := randWalk(rng, nseg, segq, rng.Intn(4) == 0)
+		kw := 4 * nseg * segq
+		if nseg == 1 {
+			kw -= rng.Intn(4)
+		}
+		btw := hazardWeights(rng, n, kw, hazard)
+		pw, err := PackI8PanelsBT(btw, kw, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		aw := randU8(rng, w.last())
+		wantW := naiveWalkRef(aw, w, btw, kw, n)
+
+		const guard, canary = 3, int32(-0x21524111)
+		ldd := n + guard
+		// check compares rows of got (row stride ld, guard words past n,
+		// then the words past the last row) with the dense want.
+		check := func(t *testing.T, what string, got, want []int32, rows, ld int) {
+			t.Helper()
+			for i := range got {
+				exp := canary
+				if r, j := i/ld, i%ld; r < rows && j < n {
+					exp = want[r*n+j]
+				}
+				if got[i] != exp {
+					t.Fatalf("%s (m=%d k=%d n=%d lda=%d hazard=%d, walk %+v kw=%d): word %d (row stride %d) = %d, want %d",
+						what, m, k, n, lda, hazard, w, kw, i, ld, got[i], exp)
+				}
+			}
+		}
+		poisoned := func(n int) []int32 {
+			d := make([]int32, n)
+			for i := range d {
+				d[i] = canary
+			}
+			return d
+		}
+		eachDispatch(t, func(t *testing.T) {
+			got := poisoned(m*n + guard)
+			if err := MatMulU8I8PackedInto(got, a, pb, m, lda); err != nil {
+				t.Fatal(err)
+			}
+			check(t, "gemm", got, want, m, n)
+			got = poisoned(m * ldd)
+			for pi := 0; pi < pb.panels; pi++ {
+				runPackedPanel(got, a, pb, pi, aWalk{m: m, ow: m, lda: lda, segq: pb.kq, nseg: 1}, ldd)
+			}
+			check(t, "panels", got, want, m, ldd)
+			got = poisoned(w.m * ldd)
+			for pi := 0; pi < pw.panels; pi++ {
+				runPackedPanel(got, aw, pw, pi, w, ldd)
+			}
+			check(t, "walk", got, wantW, w.m, ldd)
+		})
+	})
+}
+
 func TestPackedDeterministicAcrossWorkers(t *testing.T) {
 	rng := NewRNG(53)
 	m, k, n := 37, 60, 26

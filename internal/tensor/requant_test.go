@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -169,7 +170,7 @@ func TestRequantQ31RowsFuzz(t *testing.T) {
 				acc[i] = randAcc(rng)
 			}
 			dst := make([]uint8, (m-1)*ldd+nc)
-			RequantQ31Rows(dst, acc, m0, rsh, corr, zp, lo, m, nc, lda, ldd)
+			RequantQ31Rows(dst, acc, mustRequant(t, m0, rsh, corr, zp, lo), m, lda, ldd)
 			for i := 0; i < m; i++ {
 				for c := 0; c < nc; c++ {
 					want := requantRef(acc[i*lda+c], corr[c], m0[c], rsh[c], zp, lo)
@@ -223,30 +224,76 @@ func TestRequantQ31TransposeFuzz(t *testing.T) {
 	})
 }
 
-// TestRequantQ31ContractPanics pins the argument contract: domain
-// violations must fail loudly, not corrupt memory.
+// mustRequant builds the Requant of a parameter draw inside the contract.
+func mustRequant(t testing.TB, m0, rsh []int32, corr []int64, zp, lo int32) *Requant {
+	t.Helper()
+	r, err := NewRequant(m0, rsh, corr, zp, lo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// TestNewRequantErrors pins the argument contract NewRequant checks once
+// per layer: every domain violation is an error naming its channel (or
+// the channel counts), never a Requant a kernel would run.
+func TestNewRequantErrors(t *testing.T) {
+	ok := []int32{1 << 30, 1 << 30, 1 << 30}
+	sh := []int32{31, 31, 31}
+	corr := make([]int64, 3)
+	cases := []struct {
+		name, want string
+		m0, rsh    []int32
+		corr       []int64
+		zp, lo     int32
+	}{
+		{"negM0", "channel 2", []int32{1, 1, -1}, sh, corr, 0, 0},
+		{"rsh0", "channel 1", ok, []int32{31, 0, 31}, corr, 0, 0},
+		{"rsh63", "channel 0", ok, []int32{63, 31, 31}, corr, 0, 0},
+		{"zp256", "zero point 256", ok, sh, corr, 256, 0},
+		{"zpNeg", "zero point -1", ok, sh, corr, -1, 0},
+		{"lo256", "floor 256", ok, sh, corr, 0, 256},
+		{"loNeg", "floor -1", ok, sh, corr, 0, -1},
+		{"shortRsh", "3/2/3 channels", ok, sh[:2], corr, 0, 0},
+		{"shortCorr", "3/3/1 channels", ok, sh, corr[:1], 0, 0},
+		{"noChannels", "no channels", nil, nil, nil, 0, 0},
+	}
+	for _, c := range cases {
+		r, err := NewRequant(c.m0, c.rsh, c.corr, c.zp, c.lo)
+		if err == nil || r != nil {
+			t.Errorf("%s: NewRequant = %v, %v; want an error", c.name, r, err)
+		} else if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %q does not name %q", c.name, err, c.want)
+		}
+	}
+	if _, err := NewRequant([]int32{0, math.MaxInt32}, []int32{1, 62}, []int64{math.MinInt64, math.MaxInt64}, 255, 255); err != nil {
+		t.Errorf("contract edges rejected: %v", err)
+	}
+}
+
+// TestRequantQ31ContractPanics pins the shape contract of the kernels
+// and the domain contract of the transposing form, which takes its
+// parameters per call: violations must fail loudly, not corrupt memory.
 func TestRequantQ31ContractPanics(t *testing.T) {
 	dst := make([]uint8, 8)
 	acc := make([]int32, 8)
 	ok := []int32{1 << 30}
+	two := mustRequant(t, []int32{1 << 30, 1 << 30}, []int32{31, 31}, []int64{0, 0}, 0, 0)
 	cases := []struct {
 		name string
 		fn   func()
 	}{
-		{"rsh0", func() {
-			RequantQ31Rows(dst, acc, ok, []int32{0}, []int64{0}, 0, 0, 1, 1, 1, 1)
-		}},
-		{"rsh63", func() {
-			RequantQ31Rows(dst, acc, ok, []int32{63}, []int64{0}, 0, 0, 1, 1, 1, 1)
-		}},
-		{"negM0", func() {
-			RequantQ31Rows(dst, acc, []int32{-1}, []int32{31}, []int64{0}, 0, 0, 1, 1, 1, 1)
-		}},
-		{"zp256", func() {
-			RequantQ31Rows(dst, acc, ok, []int32{31}, []int64{0}, 256, 0, 1, 1, 1, 1)
-		}},
 		{"shortAcc", func() {
-			RequantQ31Rows(dst, acc[:3], ok, []int32{31}, []int64{0}, 0, 0, 2, 2, 2, 2)
+			RequantQ31Rows(dst, acc[:3], two, 2, 2, 2)
+		}},
+		{"shortDst", func() {
+			RequantQ31Rows(dst[:3], acc, two, 2, 2, 2)
+		}},
+		{"narrowLda", func() {
+			RequantQ31Rows(dst, acc, two, 1, 1, 2)
+		}},
+		{"rsh63Trans", func() {
+			RequantQ31Transpose(dst, acc, ok, []int32{63}, []int64{0}, 0, 0, 4, 1, 1, 4)
 		}},
 		{"shortDstTrans", func() {
 			RequantQ31Transpose(dst[:3], acc, ok, []int32{31}, []int64{0}, 0, 0, 4, 1, 1, 4)
@@ -356,12 +403,13 @@ func FuzzRequantQ31Rows(f *testing.F) {
 			}
 		}
 		const canary = 0xA5
+		r := mustRequant(t, m0, rsh, corr, zp, lo)
 		eachDispatch(t, func(t *testing.T) {
 			dst := make([]uint8, m*ldd)
 			for i := range dst {
 				dst[i] = canary
 			}
-			RequantQ31Rows(dst, acc, m0, rsh, corr, zp, lo, m, nc, lda, ldd)
+			RequantQ31Rows(dst, acc, r, m, lda, ldd)
 			for i := 0; i < m; i++ {
 				for c := 0; c < ldd; c++ {
 					w := uint8(canary)
@@ -396,6 +444,7 @@ func BenchmarkRequantQ31Rows(b *testing.B) {
 			acc[i] = int32(i*2654435761) % (1 << 20)
 		}
 		dst := make([]uint8, m*nc)
+		r := mustRequant(b, m0, rsh, corr, 3, 3)
 		for _, simd := range []bool{false, true} {
 			prev := SetSIMD(simd)
 			if simd && !SIMDActive() {
@@ -404,11 +453,75 @@ func BenchmarkRequantQ31Rows(b *testing.B) {
 			}
 			b.Run(fmt.Sprintf("%dx%d/simd=%v", m, nc, simd), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					RequantQ31Rows(dst, acc, m0, rsh, corr, 3, 3, m, nc, nc, nc)
+					RequantQ31Rows(dst, acc, r, m, nc, nc)
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*m*nc), "ns/elem")
 			})
 			SetSIMD(prev)
 		}
+	}
+}
+
+// LowerMultiplier must satisfy MulQ31(acc, m0, rsh) ≈ round(acc·m)
+// across magnitudes spanning the multipliers real grids produce (the
+// expectation saturates to int32 like MulQ31 itself: the output clamp
+// is part of the pinned kernel semantics).
+func TestLowerMultiplierRoundTrip(t *testing.T) {
+	ms := []float64{1e-6, 3.7e-4, 0.0021, 0.04, 0.5, 0.9999, 1.0, 3.25, 117.0}
+	accs := []int64{0, 1, -1, 7, -13, 100, -255, 1 << 15, -(1 << 20), 1 << 28}
+	for _, m := range ms {
+		m0, rsh := LowerMultiplier(m)
+		for _, a := range accs {
+			got := MulQ31(a, m0, rsh)
+			want := float64(a) * m
+			if want > math.MaxInt32 {
+				want = math.MaxInt32
+			} else if want < math.MinInt32 {
+				want = math.MinInt32
+			}
+			// One unit of slack plus the Q31 mantissa's relative error.
+			tol := 1.0 + math.Abs(want)*1e-8
+			if math.Abs(float64(got)-want) > tol {
+				t.Errorf("m=%v acc=%d: MulQ31 = %d, want ~%v", m, a, got, want)
+			}
+		}
+	}
+}
+
+func TestLowerMultiplierDegenerate(t *testing.T) {
+	if m0, _ := LowerMultiplier(0); m0 != 0 {
+		t.Errorf("m=0 lowered to m0=%d", m0)
+	}
+	if m0, _ := LowerMultiplier(-1); m0 != 0 {
+		t.Errorf("m<0 lowered to m0=%d", m0)
+	}
+	if m0, _ := LowerMultiplier(math.NaN()); m0 != 0 {
+		t.Errorf("NaN lowered to m0=%d", m0)
+	}
+	// Absurdly small multipliers requantize everything to zero.
+	m0, rsh := LowerMultiplier(1e-12)
+	if got := MulQ31(1<<28, m0, rsh); got != 0 {
+		t.Errorf("tiny multiplier requantized %d", got)
+	}
+}
+
+func TestRequantizeSaturates(t *testing.T) {
+	m0, rsh := LowerMultiplier(1.0)
+	// Accumulators beyond ±2^31 clamp instead of overflowing the product.
+	big := int64(1) << 40
+	if got := int64(MulQ31(big, m0, rsh)); got < (1<<31)-2 || got > (1<<31)+1 {
+		t.Errorf("overflowing acc requantized to %d", got)
+	}
+	if got := int64(MulQ31(-big, m0, rsh)); got > -(1<<31)+2 || got < -(1<<31)-1 {
+		t.Errorf("underflowing acc requantized to %d", got)
+	}
+	if got := clampU8(300, 0); got != 255 {
+		t.Errorf("clampU8(300) = %d", got)
+	}
+	if got := clampU8(-7, 0); got != 0 {
+		t.Errorf("clampU8(-7) = %d", got)
+	}
+	if got := clampU8(3, 12); got != 12 {
+		t.Errorf("clampU8 below ReLU floor = %d, want 12", got)
 	}
 }
