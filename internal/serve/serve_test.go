@@ -365,6 +365,22 @@ func TestGroupRidesOneBatch(t *testing.T) {
 	}
 }
 
+// TestStatsCountBatchBeforeReply: a batch is counted before any of its
+// groups is answered, so a caller that holds its reply already sees its
+// batch in Stats — the order aptserve's smoke check reads /stats in.
+func TestStatsCountBatchBeforeReply(t *testing.T) {
+	s, _ := newTestServer(t, Config{Workers: 1})
+	img := sample(1, 4)
+	for i := uint64(1); i <= 2000; i++ {
+		if _, err := s.Classify(img); err != nil {
+			t.Fatal(err)
+		}
+		if got := s.Stats().Batches; got != i {
+			t.Fatalf("after reply %d: Stats().Batches = %d", i, got)
+		}
+	}
+}
+
 // TestQueueCapCountsSamples: QueueCap, Health.QueueLen and the rejected
 // counter are in samples, however few entries carry them.
 func TestQueueCapCountsSamples(t *testing.T) {
