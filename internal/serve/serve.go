@@ -469,7 +469,7 @@ const gatherYields = 2
 func (s *Server) worker(held *group) {
 	var (
 		cur []*group       // in-flight batch, visible to the recovery path
-		why *atomic.Uint64 // its batches* counter
+		why *atomic.Uint64 // its batches* counter, nil once counted
 	)
 	defer func() {
 		if r := recover(); r != nil {
@@ -547,10 +547,14 @@ func (s *Server) worker(held *group) {
 		if n == s.cfg.MaxBatch || held != nil {
 			why = &s.batchesFull
 		}
-		s.runBatch(cur, n, buf)
+		// Count the batch before runBatch answers any of its groups: a
+		// caller holding its reply must find its batch in Stats. Counted
+		// once, so the recovery path must not count it again.
 		why.Add(1)
+		why = nil
+		s.runBatch(cur, n, buf)
 		batch = cur[:0]
-		cur, why = nil, nil // answered and counted; recovery must not touch them
+		cur = nil // answered; recovery must not touch it
 	}
 }
 
