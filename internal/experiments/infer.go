@@ -45,15 +45,14 @@ type inferLoopShare struct {
 }
 
 // inferConvLowering records one conv layer's lowering (always the NHWC
-// row strip, folded for a KW·InC that is not a multiple of 4) and how
-// many of its weight panels run the exact widening kernel.
+// row strip, folded for a KW·InC that is not a multiple of 4) and its
+// number of weight panels.
 type inferConvLowering struct {
-	Layer      string `json:"layer"`
-	Mode       string `json:"mode"`
-	Why        string `json:"why"`
-	Fold       bool   `json:"fold"`
-	WidePanels int    `json:"wide_panels"`
-	Panels     int    `json:"panels"`
+	Layer  string `json:"layer"`
+	Mode   string `json:"mode"`
+	Why    string `json:"why"`
+	Fold   bool   `json:"fold"`
+	Panels int    `json:"panels"`
 }
 
 // inferServingStats is the micro-batching server section.
@@ -245,8 +244,8 @@ func Infer(s Scale, log io.Writer) (*Report, error) {
 	lowParts := make([]string, 0, len(lows))
 	for _, l := range lows {
 		jrep.ConvLowerings = append(jrep.ConvLowerings, inferConvLowering{Layer: l.Layer, Mode: l.Mode, Why: l.Why,
-			Fold: l.Fold, WidePanels: l.WidePanels, Panels: l.Panels})
-		lowParts = append(lowParts, fmt.Sprintf("%s=%s (%d/%d panels wide)", l.Layer, l.Why, l.WidePanels, l.Panels))
+			Fold: l.Fold, Panels: l.Panels})
+		lowParts = append(lowParts, fmt.Sprintf("%s=%s (%d panels)", l.Layer, l.Why, l.Panels))
 	}
 	pct := func(d time.Duration) float64 { return 100 * float64(d) / float64(prof.Total) }
 	rep.AddNote("loop share at batch %d (best of %d profiled forwards): strip staging %.0f%%, GEMM %.0f%%, requant %.0f%%, other %.0f%% of %.2fms.",

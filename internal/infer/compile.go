@@ -271,9 +271,8 @@ func lowerAffine(label string, w *tensor.Tensor, bias []float32, geom *tensor.Co
 	// Lower the weights to prepacked column panels once, here: the weight
 	// tensor's (outC, per) layout is the transposed-B orientation the
 	// packer consumes (a conv's filters reordered into the k order its
-	// strip runs read), and the hot path never repacks. Pack time also
-	// fixes the kernel route of each panel (fast saturating-int16 kernel
-	// vs exact widening kernel; see tensor/matmul_int_packed.go).
+	// strip runs read), and the hot path never repacks. Every panel runs
+	// the one exact kernel (see tensor/matmul_int_packed.go).
 	var err error
 	if geom != nil {
 		if q.plan, err = tensor.NewConvPlanU8(*geom); err != nil {

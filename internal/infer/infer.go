@@ -201,10 +201,9 @@ type ConvLowering struct {
 	// Fold reports a folded strip (KW·InC not a multiple of 4): one run
 	// of KW·KH·InC bytes per position instead of KH runs.
 	Fold bool
-	// WidePanels counts the layer's full weight panels on the exact
-	// widening kernel (some even weight pair could saturate the fast
-	// one); Panels counts all of them, the partial last one included.
-	WidePanels, Panels int
+	// Panels counts the layer's 8-column weight panels, the partial last
+	// one included.
+	Panels int
 }
 
 // ConvLowerings reports every conv layer's lowering in forward order,
@@ -227,7 +226,7 @@ func collectLowerings(layers []qlayer, out *[]ConvLowering) {
 				why = "folded row strip"
 			}
 			*out = append(*out, ConvLowering{Layer: q.label, Mode: "implicit", Why: why, Fold: q.plan.Fold(),
-				WidePanels: q.packed.WidePanels(), Panels: (q.outC + 7) / 8})
+				Panels: (q.outC + 7) / 8})
 		case *qresidual:
 			collectLowerings(q.main, out)
 			collectLowerings(q.shortcut, out)

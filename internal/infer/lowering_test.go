@@ -48,8 +48,8 @@ func TestConvLoweringPerGeometry(t *testing.T) {
 						if l.Mode != "implicit" || l.Why != why || l.Fold != fold {
 							t.Errorf("%s (%+v): lowering %+v, want implicit %q fold=%v", l.Layer, g, l, why, fold)
 						}
-						if panels := (convs[i].Params()[0].Value.Dim(0) + 7) / 8; l.Panels != panels || l.WidePanels > l.Panels {
-							t.Errorf("%s: %d of %d panels wide, want %d panels", l.Layer, l.WidePanels, l.Panels, panels)
+						if panels := (convs[i].Params()[0].Value.Dim(0) + 7) / 8; l.Panels != panels {
+							t.Errorf("%s: %d panels, want %d", l.Layer, l.Panels, panels)
 						}
 					}
 				})

@@ -668,9 +668,9 @@ func TestConvRequantBandsMatchTwoPass(t *testing.T) {
 // residue mod 4 — payloads, zero points and requant parameters through
 // the strip layer, canaried, under both dispatches, and requires its
 // bytes to equal a naive NCHW conv followed by the scalar requant
-// reference. safe keeps every weight pair under the fast kernel's
-// saturation bound; otherwise weights span the full int8 range and
-// hazardous pairs route panels to the widening kernel.
+// reference. safe halves every weight, so each pair stays under the
+// int16 pair-sum bound; otherwise weights span the full int8 range. Both
+// draws are range coverage: every kernel is exact for every weight.
 func FuzzConvU8StripVsNaive(f *testing.F) {
 	seeds := []struct {
 		c, h, w, kh, kw, s, p uint8

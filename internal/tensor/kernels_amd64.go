@@ -22,10 +22,7 @@ func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv0() (eax, edx uint32)
 
 //go:noescape
-func packedGEMMFastAVX2(dst *int32, a *uint8, panel *int8, m, ow, lda, rs, segq, nseg, sst, ldd int)
-
-//go:noescape
-func packedGEMMWideAVX2(dst *int32, a *uint8, panel *int8, m, ow, lda, rs, segq, nseg, sst, ldd int)
+func packedGEMMAVX2(dst *int32, a *uint8, panel *int8, m, ow, lda, rs, segq, nseg, sst, ldd int)
 
 //go:noescape
 func packedGEMMEdgeAVX2(dst *int32, a *uint8, panel *int8, m, ow, lda, rs, segq, nseg, sst, ldd, nr int)
@@ -114,7 +111,7 @@ func init() {
 func applySIMDAmd64(on bool) {
 	simdOn = on
 	if !on {
-		packedAsmFast, packedAsmWide, packedAsmEdge = nil, nil, nil
+		packedAsm, packedAsmEdge = nil, nil
 		bnMomentsAsm, bnAffineAsm, bnGradSumsAsm, bnGradInputAsm = nil, nil, nil, nil
 		f32Panel4, f32Panel1 = f32Panel4Go, f32Panel1Go
 		f32Panel4w8, f32Panel1w8 = f32Panel4x8Go, f32Panel1x8Go
@@ -123,8 +120,7 @@ func applySIMDAmd64(on bool) {
 		requantRowsAsm = nil
 		return
 	}
-	packedAsmFast = packedFastAsm
-	packedAsmWide = packedWideAsm
+	packedAsm = packedAVX2Asm
 	packedAsmEdge = packedEdgeAsm
 	bnMomentsAsm = bnMomentsAVX2Wrap
 	bnAffineAsm = bnAffineAVX2Wrap
@@ -270,18 +266,11 @@ func requantRowsAVX2Wrap(dst []uint8, acc []int32, r *Requant, m, nc4, lda, ldd 
 // operand byte, the last row's last stored int32 and the panel's last
 // quad (runPackedPanel sizes them).
 
-func packedFastAsm(dst []int32, a []uint8, panel []int8, w aWalk, ldd int) {
+func packedAVX2Asm(dst []int32, a []uint8, panel []int8, w aWalk, ldd int) {
 	_ = a[w.last()-1]
 	_ = dst[(w.m-1)*ldd+7]
 	_ = panel[w.nseg*w.segq*32-1]
-	packedGEMMFastAVX2(&dst[0], &a[0], &panel[0], w.m, w.ow, w.lda, w.rs, w.segq, w.nseg, w.sst, ldd)
-}
-
-func packedWideAsm(dst []int32, a []uint8, panel []int8, w aWalk, ldd int) {
-	_ = a[w.last()-1]
-	_ = dst[(w.m-1)*ldd+7]
-	_ = panel[w.nseg*w.segq*32-1]
-	packedGEMMWideAVX2(&dst[0], &a[0], &panel[0], w.m, w.ow, w.lda, w.rs, w.segq, w.nseg, w.sst, ldd)
+	packedGEMMAVX2(&dst[0], &a[0], &panel[0], w.m, w.ow, w.lda, w.rs, w.segq, w.nseg, w.sst, ldd)
 }
 
 func packedEdgeAsm(dst []int32, a []uint8, panel []int8, w aWalk, ldd, nr int) {

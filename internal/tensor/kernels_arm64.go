@@ -48,17 +48,13 @@ func init() {
 func applySIMDArm64(on bool) {
 	simdOn = on
 	if !on {
-		packedAsmFast, packedAsmWide = nil, nil
+		packedAsm = nil
 		f32Panel4, f32Panel1 = f32Panel4Go, f32Panel1Go
 		f32Panel4w8, f32Panel1w8 = f32Panel4x8Go, f32Panel1x8Go
 		requantRowsAsm = nil
 		return
 	}
-	// One integer routine serves both slots: the widening SMLAL kernel
-	// is exact for any weights, so the fast/wide (saturation hazard)
-	// split that AVX2's VPMADDUBSW forces does not exist here.
-	packedAsmFast = packedNEONAsm
-	packedAsmWide = packedNEONAsm
+	packedAsm = packedNEONAsm
 	f32Panel4 = f32Panel4NEONWrap
 	f32Panel1 = f32Panel1NEONWrap
 	f32Panel4w8 = f32Panel4w8NEONWrap

@@ -13,31 +13,26 @@
 //	       4·segq bytes, sst apart
 //	panel: nseg·segq · 32 bytes of packed weights
 //
-// Within an output row, groups of four positions run register-blocked:
-// four rows' int32 accumulators stay in YMM registers across the k loop,
-// so every packed panel quad is loaded from L1 ONCE and multiplied
-// against all four rows (4× fewer B-panel loads than the one-row body,
-// which the row's last ow mod 4 positions take). On entry each kernel
-// rewrites its sst argument into the hop from one run's end to the next
-// run's start.
+// Both kernels widen the operands to int16 first (VPMOVZXBW /
+// VPMOVSXBW) and accumulate VPMADDWD products in int32, which is exact
+// for every weight (|255·w0| + |255·w1| always fits). They hold column
+// pair-sums in an interleaved order and fix up with VPHADDD+VPERMQ once
+// per row. On entry each kernel rewrites its sst argument into the hop
+// from one run's end to the next run's start.
 //
-// packedGEMMFastAVX2 is the gemmlowp shape: VPMADDUBSW fuses adjacent
-// u8·s8 tap pairs into saturating int16, VPMADDWD × ones widens pairs to
-// int32, VPADDD accumulates. Exact only when no even k-pair of weights
-// can saturate the int16 stage (pack time guarantees |w0|+|w1| ≤ 128
-// before routing a panel here).
-//
-// packedGEMMWideAVX2 widens both operands to int16 first (VPMOVZXBW /
-// VPMOVSXBW) and accumulates VPMADDWD products — exact for any weights
-// (|255·w0| + |255·w1| always fits int32). It holds column pair-sums in
-// an interleaved order and fixes up with VPHADDD+VPERMQ once per row.
+// packedGEMMAVX2 computes a full panel. Within an output row, groups of
+// four positions run register-blocked: four rows' int32 accumulators stay
+// in YMM registers across the k loop, so every packed panel quad is
+// loaded from L1 ONCE and multiplied against all four rows (4× fewer
+// B-panel loads than the one-row body, which the row's last ow mod 4
+// positions take). packedGEMMEdgeAVX2 computes the partial last panel.
 
-// func packedGEMMFastAVX2(dst *int32, a *uint8, panel *int8, m, ow, lda, rs, segq, nseg, sst, ldd int)
+// func packedGEMMAVX2(dst *int32, a *uint8, panel *int8, m, ow, lda, rs, segq, nseg, sst, ldd int)
 //
-// Y0–Y3 hold the group's four accumulators (the one-row body: Y0/Y1,
-// even and odd quads), Y6/Y12 the panel quads shared by the group, Y7
-// the int16 ones.
-TEXT ·packedGEMMFastAVX2(SB), NOSPLIT, $0-88
+// Y0–Y7 hold the group's interleaved column pair-sums (two registers per
+// row), Y8/Y9 the sign-extended panel halves shared by all four rows,
+// Y10 the zero-extended activation quad, Y11 the product.
+TEXT ·packedGEMMAVX2(SB), NOSPLIT, $0-88
 	MOVQ dst+0(FP), DI
 	MOVQ a+8(FP), R14         // output-row base
 	MOVQ panel+16(FP), DX
@@ -50,10 +45,6 @@ TEXT ·packedGEMMFastAVX2(SB), NOSPLIT, $0-88
 	MOVQ segq+56(FP), AX
 	SHLQ $2, AX
 	SUBQ AX, sst+72(FP)       // sst − 4·segq: run end → next run
-
-	// Y7 = 16 × int16(1) for the VPMADDWD pair-collapse.
-	VPCMPEQW Y7, Y7, Y7
-	VPSRLW   $15, Y7, Y7
 
 row:
 	TESTQ R8, R8
@@ -68,187 +59,12 @@ group:
 	VPXOR Y1, Y1, Y1
 	VPXOR Y2, Y2, Y2
 	VPXOR Y3, Y3, Y3
-	MOVQ  SI, R12             // a cursor (row 0; rows 1–3 via lda offsets)
-	MOVQ  DX, BX              // panel cursor
-	MOVQ  nseg+64(FP), R9
-
-gseg:
-	MOVQ segq+56(FP), CX
-
-gpair:                            // two k-quads per iteration
-	CMPQ CX, $2
-	JLT  gquad1
-	VMOVDQU      (BX), Y6     // even panel quad, loaded once per 4 rows
-	VMOVDQU      32(BX), Y12  // odd panel quad
-	VPBROADCASTD (R12), Y4
-	VPMADDUBSW   Y6, Y4, Y5
-	VPMADDWD     Y7, Y5, Y5
-	VPADDD       Y5, Y0, Y0
-	VPBROADCASTD 4(R12), Y4
-	VPMADDUBSW   Y12, Y4, Y5
-	VPMADDWD     Y7, Y5, Y5
-	VPADDD       Y5, Y0, Y0
-	VPBROADCASTD (R12)(R10*1), Y4
-	VPMADDUBSW   Y6, Y4, Y5
-	VPMADDWD     Y7, Y5, Y5
-	VPADDD       Y5, Y1, Y1
-	VPBROADCASTD 4(R12)(R10*1), Y4
-	VPMADDUBSW   Y12, Y4, Y5
-	VPMADDWD     Y7, Y5, Y5
-	VPADDD       Y5, Y1, Y1
-	VPBROADCASTD (R12)(R10*2), Y4
-	VPMADDUBSW   Y6, Y4, Y5
-	VPMADDWD     Y7, Y5, Y5
-	VPADDD       Y5, Y2, Y2
-	VPBROADCASTD 4(R12)(R10*2), Y4
-	VPMADDUBSW   Y12, Y4, Y5
-	VPMADDWD     Y7, Y5, Y5
-	VPADDD       Y5, Y2, Y2
-	VPBROADCASTD (R12)(R13*1), Y4
-	VPMADDUBSW   Y6, Y4, Y5
-	VPMADDWD     Y7, Y5, Y5
-	VPADDD       Y5, Y3, Y3
-	VPBROADCASTD 4(R12)(R13*1), Y4
-	VPMADDUBSW   Y12, Y4, Y5
-	VPMADDWD     Y7, Y5, Y5
-	VPADDD       Y5, Y3, Y3
-	ADDQ $8, R12
-	ADDQ $64, BX
-	SUBQ $2, CX
-	JMP  gpair
-
-gquad1:
-	TESTQ CX, CX
-	JZ    gnext
-	VMOVDQU      (BX), Y6
-	VPBROADCASTD (R12), Y4
-	VPMADDUBSW   Y6, Y4, Y5
-	VPMADDWD     Y7, Y5, Y5
-	VPADDD       Y5, Y0, Y0
-	VPBROADCASTD (R12)(R10*1), Y4
-	VPMADDUBSW   Y6, Y4, Y5
-	VPMADDWD     Y7, Y5, Y5
-	VPADDD       Y5, Y1, Y1
-	VPBROADCASTD (R12)(R10*2), Y4
-	VPMADDUBSW   Y6, Y4, Y5
-	VPMADDWD     Y7, Y5, Y5
-	VPADDD       Y5, Y2, Y2
-	VPBROADCASTD (R12)(R13*1), Y4
-	VPMADDUBSW   Y6, Y4, Y5
-	VPMADDWD     Y7, Y5, Y5
-	VPADDD       Y5, Y3, Y3
-	ADDQ $4, R12
-	ADDQ $32, BX
-
-gnext:
-	ADDQ    sst+72(FP), R12   // next run
-	DECQ    R9
-	JNZ     gseg
-	VMOVDQU Y0, (DI)
-	VMOVDQU Y1, (DI)(R11*1)
-	VMOVDQU Y2, (DI)(R11*2)
-	VMOVDQU Y3, (DI)(R15*1)
-	LEAQ    (SI)(R10*4), SI
-	LEAQ    (DI)(R11*4), DI
-	SUBQ    $4, AX
-	JMP     group
-
-one:
-	TESTQ AX, AX
-	JZ    rowend
-	VPXOR Y0, Y0, Y0          // even-quad accumulator
-	VPXOR Y1, Y1, Y1          // odd-quad accumulator
-	MOVQ  SI, R12
-	MOVQ  DX, BX
-	MOVQ  nseg+64(FP), R9
-
-oseg:
-	MOVQ segq+56(FP), CX
-
-opair:
-	CMPQ CX, $2
-	JLT  oquad1
-	VPBROADCASTD (R12), Y4    // a[4q..4q+3] replicated to 8 lanes
-	VPMADDUBSW   (BX), Y4, Y5 // sat16(a0·b0 + a1·b1), per column ×2
-	VPMADDWD     Y7, Y5, Y5   // pair-sum → int32 per column
-	VPADDD       Y5, Y0, Y0
-	VPBROADCASTD 4(R12), Y4
-	VPMADDUBSW   32(BX), Y4, Y5
-	VPMADDWD     Y7, Y5, Y5
-	VPADDD       Y5, Y1, Y1
-	ADDQ $8, R12
-	ADDQ $64, BX
-	SUBQ $2, CX
-	JMP  opair
-
-oquad1:
-	TESTQ CX, CX
-	JZ    onext
-	VPBROADCASTD (R12), Y4
-	VPMADDUBSW   (BX), Y4, Y5
-	VPMADDWD     Y7, Y5, Y5
-	VPADDD       Y5, Y0, Y0
-	ADDQ $4, R12
-	ADDQ $32, BX
-
-onext:
-	ADDQ    sst+72(FP), R12
-	DECQ    R9
-	JNZ     oseg
-	VPADDD  Y1, Y0, Y0
-	VMOVDQU Y0, (DI)
-	ADDQ    R11, DI
-	ADDQ    R10, SI
-	DECQ    AX
-	JMP     one
-
-rowend:
-	ADDQ rs+48(FP), R14
-	SUBQ ow+32(FP), R8
-	JMP  row
-
-done:
-	VZEROUPPER
-	RET
-
-// func packedGEMMWideAVX2(dst *int32, a *uint8, panel *int8, m, ow, lda, rs, segq, nseg, sst, ldd int)
-//
-// Y0–Y7 hold the group's interleaved column pair-sums (two registers per
-// row), Y8/Y9 the sign-extended panel halves shared by all four rows,
-// Y10 the zero-extended activation quad, Y11 the product.
-TEXT ·packedGEMMWideAVX2(SB), NOSPLIT, $0-88
-	MOVQ dst+0(FP), DI
-	MOVQ a+8(FP), R14
-	MOVQ panel+16(FP), DX
-	MOVQ m+24(FP), R8
-	MOVQ lda+40(FP), R10
-	LEAQ (R10)(R10*2), R13
-	MOVQ ldd+80(FP), R11
-	SHLQ $2, R11
-	LEAQ (R11)(R11*2), R15
-	MOVQ segq+56(FP), AX
-	SHLQ $2, AX
-	SUBQ AX, sst+72(FP)
-
-row:
-	TESTQ R8, R8
-	JZ    done
-	MOVQ  R14, SI
-	MOVQ  ow+32(FP), AX
-
-group:
-	CMPQ  AX, $4
-	JLT   one
-	VPXOR Y0, Y0, Y0
-	VPXOR Y1, Y1, Y1
-	VPXOR Y2, Y2, Y2
-	VPXOR Y3, Y3, Y3
 	VPXOR Y4, Y4, Y4
 	VPXOR Y5, Y5, Y5
 	VPXOR Y6, Y6, Y6
 	VPXOR Y7, Y7, Y7
-	MOVQ  SI, R12
-	MOVQ  DX, BX
+	MOVQ  SI, R12             // a cursor (row 0; rows 1–3 via lda offsets)
+	MOVQ  DX, BX              // panel cursor
 	MOVQ  nseg+64(FP), R9
 
 gseg:
@@ -372,9 +188,8 @@ GLOBL edgeMask<>(SB), RODATA|NOPTR, $64
 // func packedGEMMEdgeAVX2(dst *int32, a *uint8, panel *int8, m, ow, lda, rs, segq, nseg, sst, ldd, nr int)
 //
 // Partial-panel kernel (nr < 8 valid columns): the one-row body of
-// packedGEMMWideAVX2 — exact for any weights, so one kernel serves
-// saturating and non-saturating matrices — with a VPMASKMOVD store that
-// writes exactly nr int32 lanes. The panel loads stay full-width (panel
+// packedGEMMAVX2 with a VPMASKMOVD store that writes exactly nr int32
+// lanes. The panel loads stay full-width (panel
 // storage is always padded to 8 columns); only the store is masked,
 // because dst may end at column nr.
 TEXT ·packedGEMMEdgeAVX2(SB), NOSPLIT, $0-96

@@ -2,14 +2,13 @@
 
 #include "textflag.h"
 
-// NEON integer packed-GEMM micro-kernel. One routine serves every
-// dispatch slot (fast/wide, 1-row/4-row): the widening SMLAL form is
-// exact for any weights — u8 activations widened to u16 (≤ 255) times
-// s8 weights widened to s16 (≤ 127 in magnitude) cannot overflow the
-// 32-bit accumulator lanes for any realistic k — so there is no
-// saturating-fast/exact-wide split like the AVX2 VPMADDUBSW pair.
-// Results are bit-identical to the portable kernels (int32 addition is
-// associative and each product is exact).
+// NEON integer packed-GEMM micro-kernel for full panels (the partial
+// last panel runs the portable kernel). The widening SMLAL form is exact
+// for every weight — u8 activations widened to u16 (≤ 255) times s8
+// weights widened to s16 (≤ 128 in magnitude) cannot overflow the 32-bit
+// accumulator lanes for any realistic k — the same contract as the AVX2
+// kernels. Results are bit-identical to the portable kernels (int32
+// addition is associative and each product is exact).
 //
 // Layout recap (matmul_int_packed.go): panel quad q holds the 8
 // columns' weights for k taps 4q..4q+3 at byte 4j+t. SXTL widens the 32

@@ -4,32 +4,28 @@ import "fmt"
 
 // Packed-operand integer GEMM: the serving-engine fast path. The weight
 // matrix B of dst = A(u8)·B(i8) is reorganized ONCE (at model compile
-// time) into cache-resident column panels shaped for the AVX2 integer
-// kernels (the gemmlowp layout), so the per-call GEMM streams A rows
-// against contiguous panel bytes instead of striding B every call.
-// Rows run in register-blocked groups of four: the 4×8 micro-kernels
-// hold four rows' int32 accumulators in registers and reuse every
-// loaded panel quad across all four rows (4× fewer B-panel loads than
-// the one-row bodies, which the remainder rows still take).
+// time) into cache-resident column panels shaped for the integer panel
+// kernels, so the per-call GEMM streams A rows against contiguous panel
+// bytes instead of striding B every call. Rows run in register-blocked
+// groups of four: the 4×8 micro-kernels hold four rows' int32
+// accumulators in registers and reuse every loaded panel quad across all
+// four rows (4× fewer B-panel loads than the one-row bodies, which the
+// remainder rows still take).
 //
 // Panel layout: columns are grouped 8 at a time (one YMM register of
-// int32 accumulators) and the k dimension 4 at a time (one 32-bit lane of
-// the VPMADDUBSW kernel). Panel p, k-quad q occupies the 32 bytes at
+// int32 accumulators) and the k dimension 4 at a time (a quad: one 32-bit
+// activation broadcast). Panel p, k-quad q occupies the 32 bytes at
 // (p·kq + q)·32, holding b[4q+t][8p+j] at byte 4j+t — for each of the 8
 // columns, 4 consecutive k values. Both k and n are zero-padded to their
 // group sizes; padded weights are exactly zero, so the padded products
 // vanish and results are exact.
 //
-// The VPMADDUBSW kernel pairs adjacent k taps in a saturating int16
-// multiply-add: sat16(a[2s]·b[2s] + a[2s+1]·b[2s+1]). With a ∈ [0, 255]
-// that saturates iff some even-pair weight magnitude sum exceeds 128
-// (255·128 = 32640 ≤ 32767 < 32895 = 255·129, and −255·128 ≥ −32768).
-// Pack time detects the hazard per 8-column panel; saturating panels are
-// routed to an exact widening kernel (u8/s8 → int16, VPMADDWD into int32)
-// and are never silently wrong, while the matrix's clean panels keep the
-// fast kernel. The portable Go kernel accumulates straight into int32 and
-// is exact for any weights, so SIMD and portable paths are bit-identical
-// in all cases.
+// Every kernel is exact for every weight: products are widened to int16
+// (AVX2 VPMOVZXBW / VPMOVSXBW, NEON UXTL / SXTL) before a multiply-add
+// into int32, and |255·w0| + |255·w1| always fits. Integer addition is
+// associative, so the portable Go kernel, which accumulates straight into
+// int32, and every assembly kernel are bit-identical whatever their row
+// grouping.
 
 // gemmRowBlock bounds the rows of one packed integer GEMM task, so
 // ParallelFor has enough chunks to balance even when a layer has few
@@ -44,29 +40,21 @@ type PackedI8 struct {
 	kq     int // k quads: ceil(k/4)
 	panels int // column panels: ceil(n/8)
 	data   []int8
-	satp   []bool // per 8-column panel: some even k-pair can saturate the int16 fast kernel
 }
 
-// PaddedK returns k rounded up to the kernel's 4-tap quad size. A GEMM
-// operand row must be addressable for PaddedK bytes (see
-// MatMulU8I8PackedInto); the padding taps multiply zero weights.
+// quadPad is the most operand bytes a packed kernel reads past a row's k
+// values: k is consumed in whole 4-tap quads, so a row is read to
+// PaddedK() ≤ k + quadPad bytes, and the padding taps multiply zero
+// weights.
+const quadPad = 3
+
+// PaddedK returns k rounded up to the kernel's 4-tap quad size, at most
+// quadPad bytes past k. A GEMM operand row must be addressable for
+// PaddedK bytes (see MatMulU8I8PackedInto).
 func (p *PackedI8) PaddedK() int { return 4 * p.kq }
 
 // SizeBytes returns the packed storage footprint.
 func (p *PackedI8) SizeBytes() int { return len(p.data) }
-
-// WidePanels returns how many full 8-column panels run the exact
-// widening kernel because some even weight pair could saturate the fast
-// one (the partial last panel always runs the exact edge kernel).
-func (p *PackedI8) WidePanels() int {
-	n := 0
-	for pi, sat := range p.satp {
-		if sat && pi*8+8 <= p.n {
-			n++
-		}
-	}
-	return n
-}
 
 // PackI8PanelsBT packs the transpose of a row-major (n, k) int8 matrix —
 // the natural orientation of weight tensors, whose rows are output
@@ -113,37 +101,7 @@ func packI8(bt []int8, k, n int) *PackedI8 {
 			}
 		}
 	}
-	// Saturation hazard scan over even-aligned adjacent k-pairs — exactly
-	// the pairs VPMADDUBSW fuses (quads start at multiples of 4, so pair
-	// boundaries never straddle a quad). The hazard is resolved per
-	// 8-column panel, not per matrix: the GEMM picks the fast or the exact
-	// widening kernel panel by panel, so one hot output channel does not
-	// drag a whole layer onto the slower kernel.
-	p.satp = make([]bool, p.panels)
-	for j := 0; j < n; j++ {
-		pi := j / 8
-		if p.satp[pi] {
-			continue
-		}
-		for s := 0; 2*s < k; s++ {
-			sum := absI8(bt[j*k+2*s])
-			if 2*s+1 < k {
-				sum += absI8(bt[j*k+2*s+1])
-			}
-			if sum > 128 {
-				p.satp[pi] = true
-				break
-			}
-		}
-	}
 	return p
-}
-
-func absI8(v int8) int {
-	if v < 0 {
-		return -int(v)
-	}
-	return int(v)
 }
 
 // aWalk addresses the operand rows of one packed panel call: m rows that
@@ -151,8 +109,8 @@ func absI8(v int8) int {
 // x·lda bytes further), each read as nseg runs of 4·segq bytes, sst
 // apart. A plain matrix is one run per row and one output row (ow = m);
 // the int8 conv reads KH runs per position off a staged row strip, or
-// one run when the strip is folded. Runs are whole quads, so a quad — and
-// the even tap pair the fast kernel fuses — never straddles two runs.
+// one run when the strip is folded. Runs are whole quads, so a quad never
+// straddles two runs.
 type aWalk struct {
 	m, ow, lda, rs  int
 	segq, nseg, sst int
@@ -168,19 +126,17 @@ func (w aWalk) last() int {
 func (w aWalk) at(p int) int { return p/w.ow*w.rs + p%w.ow*w.lda }
 
 // Assembly micro-kernels, repointed by the per-arch SIMD dispatch (nil
-// where unavailable). Each computes one full 8-column panel against the
-// m operand rows of a walk (dst row stride ldd int32s): within every
-// output row, groups of four positions run register-blocked — four
-// rows' accumulators live in registers and every panel quad is loaded
-// once per four rows — and the last ow mod 4 positions one at a time.
-// A group never straddles two output rows.
+// where unavailable; the portable packedPanelGo runs instead). packedAsm
+// computes one full 8-column panel against the m operand rows of a walk
+// (dst row stride ldd int32s): within every output row, groups of four
+// positions run register-blocked — four rows' accumulators live in
+// registers and every panel quad is loaded once per four rows — and the
+// last ow mod 4 positions one at a time. A group never straddles two
+// output rows. packedAsmEdge covers the final partial panel (nr < 8
+// valid columns) one row at a time, with masked stores so lanes past nr
+// are never written.
 var (
-	packedAsmFast func(dst []int32, a []uint8, panel []int8, w aWalk, ldd int)
-	packedAsmWide func(dst []int32, a []uint8, panel []int8, w aWalk, ldd int)
-	// packedAsmEdge covers the final partial panel (nr < 8 valid
-	// columns): exact widening arithmetic regardless of the matrix's
-	// saturation hazard, one row at a time, masked stores so lanes past
-	// nr are never written.
+	packedAsm     func(dst []int32, a []uint8, panel []int8, w aWalk, ldd int)
 	packedAsmEdge func(dst []int32, a []uint8, panel []int8, w aWalk, ldd, nr int)
 )
 
@@ -190,10 +146,10 @@ var (
 // must not alias a.
 //
 // Because the kernels consume k in 4-tap quads, a must be addressable for
-// (m−1)·lda + b.PaddedK() elements — up to 3 bytes past the last row's k
-// values when k is not a multiple of 4. The contents of those padding
-// bytes are irrelevant (they multiply zero weights); callers typically
-// over-allocate their operand buffer by 3 bytes.
+// (m−1)·lda + b.PaddedK() elements — up to quadPad (3) bytes past the last
+// row's k values when k is not a multiple of 4. The contents of those
+// padding bytes are irrelevant (they multiply zero weights); callers
+// typically over-allocate their operand buffer by 3 bytes.
 func MatMulU8I8PackedInto(dst []int32, a []uint8, b *PackedI8, m, lda int) error {
 	if m <= 0 {
 		return fmt.Errorf("%w: matmulU8I8Packed m %d must be positive", ErrShape, m)
@@ -229,32 +185,21 @@ func gemmPackedBlock(dst []int32, a []uint8, b *PackedI8, m, lda, t int) {
 
 // runPackedPanel computes one weight panel against the operand rows of
 // walk w: dst points at the tile's first row (row stride ldd int32s) and
-// the panel's column offset within it is derived from pi. Kernel
-// selection is per panel — saturating weight panels take the exact
-// widening kernel, everything else the fast VPMADDUBSW kernel — and one
-// call covers every row of the walk, which is what lets the int8 conv
-// run a whole band through one call per panel.
+// the panel's column offset within it is derived from pi. One call covers
+// every row of the walk, which is what lets the int8 conv run a whole band
+// through one call per panel.
 func runPackedPanel(dst []int32, a []uint8, b *PackedI8, pi int, w aWalk, ldd int) {
 	j0 := pi * 8
 	nr := min(8, b.n-j0)
 	panel := b.data[pi*b.kq*32 : (pi+1)*b.kq*32]
-	if nr < 8 {
-		if packedAsmEdge != nil {
-			packedAsmEdge(dst[j0:], a, panel, w, ldd, nr)
-		} else {
-			packedPanelGo(dst[j0:], a, panel, w, ldd, nr)
-		}
-		return
+	switch {
+	case nr == 8 && packedAsm != nil:
+		packedAsm(dst[j0:], a, panel, w, ldd)
+	case nr < 8 && packedAsmEdge != nil:
+		packedAsmEdge(dst[j0:], a, panel, w, ldd, nr)
+	default:
+		packedPanelGo(dst[j0:], a, panel, w, ldd, nr)
 	}
-	k := packedAsmFast
-	if b.satp[pi] {
-		k = packedAsmWide
-	}
-	if k != nil {
-		k(dst[j0:], a, panel, w, ldd)
-		return
-	}
-	packedPanelGo(dst[j0:], a, panel, w, ldd, 8)
 }
 
 // packedPanelGo is the portable panel kernel: each operand row's 8

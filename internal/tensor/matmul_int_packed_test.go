@@ -3,7 +3,6 @@ package tensor
 import (
 	"fmt"
 	"os"
-	"slices"
 	"testing"
 )
 
@@ -40,11 +39,14 @@ func randI8(rng *RNG, n int) []int8 {
 	return out
 }
 
-// padForQuads returns a with the 3 spare bytes the packed kernels may
-// read past the final row's k values (filled with a poison value: the
+// padForQuads returns a with the quadPad spare bytes the packed kernels
+// may read past the final row's k values (filled with a poison value: the
 // kernels must multiply them by zero weights only).
 func padForQuads(a []uint8) []uint8 {
-	return append(a, 0xA5, 0xA5, 0xA5)
+	for range quadPad {
+		a = append(a, 0xA5)
+	}
+	return a
 }
 
 // randWalk draws a conv-shaped operand walk: rows·ow positions, ow not
@@ -96,7 +98,7 @@ func checkWalk(t *testing.T, what string, a []uint8, w aWalk, bt []int8, pb *Pac
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("%s (walk %+v, k=%d n=%d sat=%v): got[%d] = %d, want %d", what, w, pb.k, pb.n, saturating(pb), i, got[i], want[i])
+			t.Fatalf("%s (walk %+v, k=%d n=%d): got[%d] = %d, want %d", what, w, pb.k, pb.n, i, got[i], want[i])
 		}
 	}
 }
@@ -181,38 +183,6 @@ func TestPackI8PanelsLayoutAndErrors(t *testing.T) {
 	}
 }
 
-func TestPackI8SaturationFlag(t *testing.T) {
-	cases := []struct {
-		name string
-		bt   []int8
-		k    int
-		sat  bool
-	}{
-		// |64|+|64| = 128: the exact boundary, still safe.
-		{"boundary-128", []int8{64, 64}, 2, false},
-		{"over-129", []int8{64, 65}, 2, true},
-		{"max-pair", []int8{127, 127}, 2, true},
-		{"neg-pair", []int8{-127, -127}, 2, true},
-		// A lone -128 pairs with implicit zero padding: |−128| = 128, safe.
-		{"min-alone", []int8{-128}, 1, false},
-		{"min-plus-one", []int8{-128, 1}, 2, true},
-		// The hazard is per even-aligned pair: (127, 0, 0, 127) never puts
-		// two big taps in one VPMADDUBSW pair.
-		{"split-pairs", []int8{127, 0, 0, 127}, 4, false},
-		// Odd k: last pair is (w, padding-zero).
-		{"odd-tail", []int8{0, 0, 127}, 3, false},
-	}
-	for _, c := range cases {
-		pb, err := PackI8PanelsBT(c.bt, c.k, 1)
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		if saturating(pb) != c.sat {
-			t.Errorf("%s: saturating = %v, want %v", c.name, saturating(pb), c.sat)
-		}
-	}
-}
-
 func TestMatMulU8I8PackedMatchesNaive(t *testing.T) {
 	eachDispatch(t, func(t *testing.T) {
 		rng := NewRNG(51)
@@ -244,10 +214,9 @@ func TestMatMulU8I8PackedMatchesNaive(t *testing.T) {
 }
 
 // TestPackedSaturationAdversarial drives the worst-case operands through
-// the packed GEMM: all-255 activations against ±127 weight pairs, which
-// overflow the saturating int16 kernel by design and must be routed to
-// the exact path. Every dispatch mode must produce the exact int32
-// result.
+// the packed GEMM: all-255 activations against ±127 weight pairs, whose
+// pair sums overflow int16 (a pair-fusing kernel would saturate there).
+// Every dispatch mode must produce the exact int32 result.
 func TestPackedSaturationAdversarial(t *testing.T) {
 	eachDispatch(t, func(t *testing.T) {
 		const m, k, n = 9, 32, 16
@@ -268,9 +237,6 @@ func TestPackedSaturationAdversarial(t *testing.T) {
 			pb, err := PackI8PanelsBT(bt, k, n)
 			if err != nil {
 				t.Fatal(err)
-			}
-			if !saturating(pb) {
-				t.Fatalf("pattern %v: pack did not flag the saturation hazard", pat)
 			}
 			want := naivePackedRef(a, k, bt, m, k, n)
 			got := make([]int32, m*n)
@@ -310,10 +276,9 @@ func TestPackedSaturationAdversarial(t *testing.T) {
 	})
 }
 
-// TestPackedFastPathStaysExact pins weights below the saturation bound so
-// the fast VPMADDUBSW kernel is eligible, and checks exactness against
-// the naive reference — including all-255 activations at the |w₀|+|w₁| =
-// 128 boundary.
+// TestPackedFastPathStaysExact checks exactness against the naive
+// reference with all-255 activations at the |w₀|+|w₁| = 128 boundary, the
+// largest pair an int16 pair sum holds.
 func TestPackedFastPathStaysExact(t *testing.T) {
 	eachDispatch(t, func(t *testing.T) {
 		const m, k, n = 11, 40, 24
@@ -333,9 +298,6 @@ func TestPackedFastPathStaysExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if saturating(pb) {
-			t.Fatal("boundary weights must stay on the fast kernel")
-		}
 		want := naivePackedRef(a, k, bt, m, k, n)
 		got := make([]int32, m*n)
 		if err := MatMulU8I8PackedInto(got, a, pb, m, k); err != nil {
@@ -350,8 +312,7 @@ func TestPackedFastPathStaysExact(t *testing.T) {
 }
 
 // TestPackedFuzzAgainstNaive hammers random shapes and full-range random
-// operands through every dispatch; whatever kernel the pack routes to
-// must be exact.
+// operands through every dispatch; every kernel must be exact.
 func TestPackedFuzzAgainstNaive(t *testing.T) {
 	eachDispatch(t, func(t *testing.T) {
 		rng := NewRNG(52)
@@ -363,8 +324,8 @@ func TestPackedFuzzAgainstNaive(t *testing.T) {
 			a := padForQuads(randU8(rng, m*lda))
 			bt := randI8(rng, n*k)
 			if trial%3 == 0 {
-				// Keep a third of the trials saturation-free so the fuzz
-				// also covers the fast kernel, not just the widening route.
+				// A third of the trials keep every weight pair at
+				// |w0|+|w1| ≤ 128, as range coverage.
 				for i := range bt {
 					bt[i] = int8(rng.Intn(129) - 64)
 				}
@@ -380,15 +341,15 @@ func TestPackedFuzzAgainstNaive(t *testing.T) {
 			}
 			for i := range want {
 				if got[i] != want[i] {
-					t.Fatalf("trial %d (m=%d k=%d n=%d lda=%d sat=%v): got[%d] = %d, want %d",
-						trial, m, k, n, lda, saturating(pb), i, got[i], want[i])
+					t.Fatalf("trial %d (m=%d k=%d n=%d lda=%d): got[%d] = %d, want %d",
+						trial, m, k, n, lda, i, got[i], want[i])
 				}
 			}
 		}
 		// Conv walks: 1–5 runs per position (only the last run of a
 		// folded single-run walk ends in quad padding), output rows of
 		// every width residue mod 4, so the 4-row groups, the one-row
-		// remainder, the widening route and the edge panel all run.
+		// remainder and the edge panel all run.
 		for trial := 0; trial < 60; trial++ {
 			nseg, segq := 1+rng.Intn(5), 1+rng.Intn(6)
 			w := randWalk(rng, nseg, segq, trial%4 == 0)
@@ -412,10 +373,10 @@ func TestPackedFuzzAgainstNaive(t *testing.T) {
 	})
 }
 
-// hazardWeights draws an (n, k) weight matrix around the fast kernel's
-// saturation bound: hazard 0 keeps every even pair at |w0|+|w1| ≤ 128,
-// half of them at the bound; 1 also lifts one pair per column to 129, so
-// every full panel takes the widening kernel; 2 draws the full int8 range.
+// hazardWeights draws an (n, k) weight matrix around the int16 pair-sum
+// bound, as range coverage: hazard 0 keeps every even pair at
+// |w0|+|w1| ≤ 128, half of them at the bound; 1 also lifts one pair per
+// column to 129; 2 draws the full int8 range.
 func hazardWeights(rng *RNG, n, k, hazard int) []int8 {
 	if hazard == 2 {
 		return randI8(rng, n*k)
@@ -476,9 +437,6 @@ func FuzzPackedU8I8VsNaive(f *testing.F) {
 		pb, err := PackI8PanelsBT(bt, k, n)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if hazard < 2 && k >= 2 && saturating(pb) != (hazard == 1) {
-			t.Fatalf("hazard %d weights (k=%d n=%d) packed with saturating panels %v", hazard, k, n, pb.satp)
 		}
 		a := make([]uint8, (m-1)*lda+pb.PaddedK())
 		for i := range a {
@@ -628,10 +586,6 @@ func TestPackedSerialPathAllocs(t *testing.T) {
 	}
 }
 
-// saturating reports whether any panel of pb routes to the exact widening
-// kernel.
-func saturating(pb *PackedI8) bool { return slices.Contains(pb.satp, true) }
-
 func ExamplePackI8PanelsBT() {
 	// Two output columns of three weights each, in the (n, k) layout
 	// weight tensors use; activations with row stride 4 > k exercise the
@@ -641,6 +595,6 @@ func ExamplePackI8PanelsBT() {
 	a := []uint8{1, 1, 1, 0, 2, 2, 2, 0, 0, 0, 0} // 2 rows, lda 4, +3 pad
 	dst := make([]int32, 2*2)
 	_ = MatMulU8I8PackedInto(dst, a, pb, 2, 4)
-	fmt.Println(dst, saturating(pb))
-	// Output: [6 -6 12 -12] false
+	fmt.Println(dst)
+	// Output: [6 -6 12 -12]
 }

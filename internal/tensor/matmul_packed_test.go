@@ -364,9 +364,9 @@ func TestMatMulF32PackedErrors(t *testing.T) {
 
 // TestMatMulU8I8PackedRemainderRows hammers the 4-row/1-row split of the
 // integer packed GEMM at every M remainder (1..5 plus the row-block
-// boundary), for both the fast and the widening route, under both
-// dispatches — the shapes where a wrong group split silently corrupts
-// the tail rows.
+// boundary), with weight pairs below and above the int16 pair-sum bound,
+// under both dispatches — the shapes where a wrong group split silently
+// corrupts the tail rows.
 func TestMatMulU8I8PackedRemainderRows(t *testing.T) {
 	eachDispatch(t, func(t *testing.T) {
 		rng := NewRNG(66)
@@ -381,15 +381,12 @@ func TestMatMulU8I8PackedRemainderRows(t *testing.T) {
 						bt[i] = int8(rng.Intn(129) - 64)
 					}
 				} else {
-					// Force a hazardous pair so the widening kernels run.
+					// A pair past the int16 pair-sum bound.
 					bt[0], bt[1] = 127, 127
 				}
 				pb, err := PackI8PanelsBT(bt, k, n)
 				if err != nil {
 					t.Fatal(err)
-				}
-				if saturating(pb) != sat {
-					t.Fatalf("m=%d: saturating = %v, want %v", m, saturating(pb), sat)
 				}
 				want := naivePackedRef(a, lda, bt, m, k, n)
 				got := make([]int32, m*n)
