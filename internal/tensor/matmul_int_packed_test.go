@@ -416,10 +416,13 @@ func hazardWeights(rng *RNG, n, k, hazard int) []int8 {
 // through MatMulU8I8PackedInto and panel by panel at a padded row stride,
 // then a conv operand walk (1–5 runs of 1–6 quads, output rows of every
 // width residue mod 4). Weights sit on both sides of the |w0|+|w1| > 128
-// hazard (hazardWeights; the pack must route them accordingly) and n of
-// any residue mod 8, so the fast, wide and masked-edge kernels all run;
-// A's bytes past k in every row, its PaddedK spare included, read 0xFF
-// and half of the rest 255, and guard words follow every dst row.
+// int16 pair-sum bound (hazardWeights, as range coverage) and n of any
+// residue mod 8, so the full-panel and masked-edge kernels both run. A's
+// bytes past k in every row, its PaddedK spare included, read 0xFF and
+// half of the rest 255; guard words follow every dst row. Operands sit
+// against guard pages, so a read past what the kernels may read faults:
+// the plain A ends at (m−1)·lda + PaddedK(), the walk's at w.last(), and
+// a second copy of the walk's starts at a page.
 func FuzzPackedU8I8VsNaive(f *testing.F) {
 	// TestPackedFuzzAgainstNaive's shape ranges: m 1–20, k 1–70, n 1–40,
 	// lda k..k+4.
@@ -438,7 +441,12 @@ func FuzzPackedU8I8VsNaive(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		a := make([]uint8, (m-1)*lda+pb.PaddedK())
+		pad := pb.PaddedK() - k
+		if pad < 0 || pad > quadPad {
+			t.Fatalf("k=%d: PaddedK %d is not k plus at most quadPad", k, pb.PaddedK())
+		}
+		a := guarded[uint8](t, (m-1)*lda+k, pad)
+		a = a[:cap(a)]
 		for i := range a {
 			row := min(i/lda, m-1)
 			switch {
@@ -463,7 +471,10 @@ func FuzzPackedU8I8VsNaive(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		aw := randU8(rng, w.last())
+		aw := guarded[uint8](t, w.last(), 0)
+		copy(aw, randU8(rng, w.last()))
+		awStart := guardedStart[uint8](t, w.last())
+		copy(awStart, aw)
 		wantW := naiveWalkRef(aw, w, btw, kw, n)
 
 		const guard, canary = 3, int32(-0x21524111)
@@ -490,22 +501,36 @@ func FuzzPackedU8I8VsNaive(f *testing.F) {
 			}
 			return d
 		}
+		// One worker: a guard-page fault is only caught on the calling
+		// goroutine.
+		defer SetMaxWorkers(SetMaxWorkers(1))
 		eachDispatch(t, func(t *testing.T) {
 			got := poisoned(m*n + guard)
-			if err := MatMulU8I8PackedInto(got, a, pb, m, lda); err != nil {
-				t.Fatal(err)
-			}
+			faultFree(t, "gemm", func() {
+				if err := MatMulU8I8PackedInto(got, a, pb, m, lda); err != nil {
+					t.Fatal(err)
+				}
+			})
 			check(t, "gemm", got, want, m, n)
 			got = poisoned(m * ldd)
-			for pi := 0; pi < pb.panels; pi++ {
-				runPackedPanel(got, a, pb, pi, aWalk{m: m, ow: m, lda: lda, segq: pb.kq, nseg: 1}, ldd)
-			}
+			faultFree(t, "panels", func() {
+				for pi := 0; pi < pb.panels; pi++ {
+					runPackedPanel(got, a, pb, pi, aWalk{m: m, ow: m, lda: lda, segq: pb.kq, nseg: 1}, ldd)
+				}
+			})
 			check(t, "panels", got, want, m, ldd)
-			got = poisoned(w.m * ldd)
-			for pi := 0; pi < pw.panels; pi++ {
-				runPackedPanel(got, aw, pw, pi, w, ldd)
+			for _, src := range []struct {
+				what string
+				a    []uint8
+			}{{"walk", aw}, {"walk at page start", awStart}} {
+				got = poisoned(w.m * ldd)
+				faultFree(t, src.what, func() {
+					for pi := 0; pi < pw.panels; pi++ {
+						runPackedPanel(got, src.a, pw, pi, w, ldd)
+					}
+				})
+				check(t, src.what, got, wantW, w.m, ldd)
 			}
-			check(t, "walk", got, wantW, w.m, ldd)
 		})
 	})
 }

@@ -147,7 +147,7 @@ func runBothDispatches(t *testing.T, fn func(t *testing.T, simd bool)) {
 // TestRequantQ31RowsFuzz drives the rows kernel across random shapes,
 // strides and parameter draws (including saturation extremes and ties)
 // and demands bit-identity with the scalar reference under both
-// dispatches.
+// dispatches. The accumulator tile's last row ends at a guard page.
 func TestRequantQ31RowsFuzz(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	runBothDispatches(t, func(t *testing.T, simd bool) {
@@ -165,12 +165,15 @@ func TestRequantQ31RowsFuzz(t *testing.T) {
 				cs := randRequantCase(rng)
 				m0[c], rsh[c], corr[c] = cs.m0, cs.rsh, cs.corr
 			}
-			acc := make([]int32, (m-1)*lda+nc)
+			acc := guarded[int32](t, (m-1)*lda+nc, 0)
 			for i := range acc {
 				acc[i] = randAcc(rng)
 			}
 			dst := make([]uint8, (m-1)*ldd+nc)
-			RequantQ31Rows(dst, acc, mustRequant(t, m0, rsh, corr, zp, lo), m, lda, ldd)
+			r := mustRequant(t, m0, rsh, corr, zp, lo)
+			faultFree(t, fmt.Sprintf("simd=%v trial %d: rows(%d,%d) lda=%d", simd, trial, m, nc, lda), func() {
+				RequantQ31Rows(dst, acc, r, m, lda, ldd)
+			})
 			for i := 0; i < m; i++ {
 				for c := 0; c < nc; c++ {
 					want := requantRef(acc[i*lda+c], corr[c], m0[c], rsh[c], zp, lo)
@@ -349,7 +352,9 @@ func BenchmarkRequantQ31Transpose(b *testing.B) {
 // after every destination row, and per-channel draws that pin rsh to
 // 1/31/32/33/62, m0 to 0 or 2^31−1, corr beyond ±2^32, with zp/lo at
 // their edges and accumulators at both int32 extremes and next to the
-// points where the output saturates at lo and at 255.
+// points where the output saturates at lo and at 255. The accumulator
+// tile runs twice: its last row ending at a guard page, and a copy
+// starting at one.
 func FuzzRequantQ31Rows(f *testing.F) {
 	for i, sd := range []struct{ m, nc, pa, pd, zp, lo uint8 }{
 		{1, 1, 0, 0, 0, 0}, {3, 4, 1, 2, 255, 255}, {5, 8, 0, 3, 128, 0},
@@ -377,7 +382,7 @@ func FuzzRequantQ31Rows(f *testing.F) {
 				corr[c] = []int64{1<<32 + 7, -(1 << 32) - 7, 1 << 40, -(1 << 40), 0}[rng.Intn(5)]
 			}
 		}
-		acc := make([]int32, (m-1)*lda+nc)
+		acc := guarded[int32](t, (m-1)*lda+nc, 0)
 		for i := range acc {
 			c := i % lda
 			if c >= nc || rng.Intn(3) != 0 {
@@ -402,29 +407,77 @@ func FuzzRequantQ31Rows(f *testing.F) {
 				want[i*ldd+c] = requantRef(acc[i*lda+c], corr[c], m0[c], rsh[c], zp, lo)
 			}
 		}
+		accStart := guardedStart[int32](t, len(acc))
+		copy(accStart, acc)
 		const canary = 0xA5
 		r := mustRequant(t, m0, rsh, corr, zp, lo)
 		eachDispatch(t, func(t *testing.T) {
-			dst := make([]uint8, m*ldd)
-			for i := range dst {
-				dst[i] = canary
-			}
-			RequantQ31Rows(dst, acc, r, m, lda, ldd)
-			for i := 0; i < m; i++ {
-				for c := 0; c < ldd; c++ {
-					w := uint8(canary)
-					if c < nc {
-						w = want[i*ldd+c]
-					}
-					if got := dst[i*ldd+c]; got != w {
-						t.Fatalf("rows(%d,%d) lda=%d ldd=%d at (%d,%d): got %d, want %d (acc=%d m0=%d rsh=%d corr=%d zp=%d lo=%d)",
-							m, nc, lda, ldd, i, c, got, w, acc[i*lda+min(c, nc-1)], m0[min(c, nc-1)],
-							rsh[min(c, nc-1)], corr[min(c, nc-1)], zp, lo)
+			for _, src := range [][]int32{acc, accStart} {
+				dst := make([]uint8, m*ldd)
+				for i := range dst {
+					dst[i] = canary
+				}
+				faultFree(t, fmt.Sprintf("rows(%d,%d) lda=%d", m, nc, lda), func() {
+					RequantQ31Rows(dst, src, r, m, lda, ldd)
+				})
+				for i := 0; i < m; i++ {
+					for c := 0; c < ldd; c++ {
+						w := uint8(canary)
+						if c < nc {
+							w = want[i*ldd+c]
+						}
+						if got := dst[i*ldd+c]; got != w {
+							t.Fatalf("rows(%d,%d) lda=%d ldd=%d at (%d,%d): got %d, want %d (acc=%d m0=%d rsh=%d corr=%d zp=%d lo=%d)",
+								m, nc, lda, ldd, i, c, got, w, acc[i*lda+min(c, nc-1)], m0[min(c, nc-1)],
+								rsh[min(c, nc-1)], corr[min(c, nc-1)], zp, lo)
+						}
 					}
 				}
 			}
 		})
 	})
+}
+
+// TestRequantQ31RowsAtGuardPage runs every channel count of one to
+// three 8-channel groups, plus a 4-channel group and a scalar tail, with
+// the accumulator tile's last row ending at a guard page and a copy
+// starting at one: a kernel that loads a whole 8-lane group where the
+// channels end reads past the tile and fails by nc.
+func TestRequantQ31RowsAtGuardPage(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for nc := 1; nc <= 20; nc++ {
+		m0 := make([]int32, nc)
+		rsh := make([]int32, nc)
+		corr := make([]int64, nc)
+		for c := range m0 {
+			cs := randRequantCase(rng)
+			m0[c], rsh[c], corr[c] = cs.m0, cs.rsh, cs.corr
+		}
+		r := mustRequant(t, m0, rsh, corr, 7, 0)
+		t.Run(fmt.Sprintf("nc=%d", nc), func(t *testing.T) {
+			eachDispatch(t, func(t *testing.T) {
+				for _, m := range []int{1, 3} {
+					lda := nc + m - 1
+					acc := guarded[int32](t, (m-1)*lda+nc, 0)
+					for i := range acc {
+						acc[i] = randAcc(rng)
+					}
+					accStart := guardedStart[int32](t, len(acc))
+					copy(accStart, acc)
+					for _, src := range [][]int32{acc, accStart} {
+						dst := make([]uint8, m*nc)
+						faultFree(t, fmt.Sprintf("m=%d lda=%d", m, lda), func() { RequantQ31Rows(dst, src, r, m, lda, nc) })
+						for i := range dst {
+							a := i/nc*lda + i%nc
+							if want := requantRef(acc[a], corr[i%nc], m0[i%nc], rsh[i%nc], 7, 0); dst[i] != want {
+								t.Fatalf("m=%d lda=%d at (%d,%d): got %d, want %d", m, lda, i/nc, i%nc, dst[i], want)
+							}
+						}
+					}
+				}
+			})
+		})
+	}
 }
 
 // BenchmarkRequantQ31Rows times the conv epilogue at the band tiles of
