@@ -59,7 +59,10 @@ func faultFree(t testing.TB, what string, f func()) {
 	t.Helper()
 	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
 	defer func() {
-		if r := recover(); r != nil {
+		r := recover()
+		if f, ok := r.(interface{ Addr() uintptr }); ok {
+			t.Fatalf("%s: fault at %#x: %v", what, f.Addr(), r)
+		} else if r != nil {
 			t.Fatalf("%s: %v", what, r)
 		}
 	}()
