@@ -333,8 +333,8 @@ func (q *qaffine) linear(x *qtensor, s *scratch) (*qtensor, error) {
 	}
 	n := x.dim(0)
 	acc := s.accBuf(n * q.outC)
-	// Scratch payloads carry quadPad spare capacity past their length for
-	// exactly this re-slice (see qtensor.setShape).
+	// Scratch payloads carry tensor.QuadPad spare capacity past their
+	// length for exactly this re-slice (see qtensor.setShape).
 	aspan := (n-1)*q.inF + q.packed.PaddedK()
 	t0 := profClock(s)
 	if err := tensor.MatMulU8I8PackedInto(acc, x.data[:aspan], q.packed, n, q.inF); err != nil {

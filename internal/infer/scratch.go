@@ -57,25 +57,19 @@ func (q *qtensor) len() int { return len(q.data) }
 
 func (q *qtensor) dim(i int) int { return q.shape[i] }
 
-// quadPad is the spare capacity kept past every activation payload: the
-// packed integer GEMM consumes operand rows in 4-tap quads and may read
-// up to 3 bytes past the final row's features (multiplying zero weights),
-// so layers can re-slice a payload to the kernel's padded span without
-// copying. Mirrors tensor.PackedI8.PaddedK.
-const quadPad = 3
-
 // setShape resizes the qtensor in place: the shape slice is rewritten and
 // the payload grown (never shrunk) to the element count, always keeping
-// quadPad spare bytes of capacity for the packed-GEMM re-slice. Contents
-// are stale; callers fully overwrite them.
+// tensor.QuadPad spare bytes of capacity for the packed-GEMM re-slice, so
+// layers re-slice a payload to the kernel's padded span without copying.
+// Contents are stale; callers fully overwrite them.
 func (q *qtensor) setShape(shape ...int) {
 	q.shape = append(q.shape[:0], shape...)
 	n := 1
 	for _, d := range shape {
 		n *= d
 	}
-	if cap(q.data) < n+quadPad {
-		q.data = make([]uint8, n, n+quadPad)
+	if cap(q.data) < n+tensor.QuadPad {
+		q.data = make([]uint8, n, n+tensor.QuadPad)
 	}
 	q.data = q.data[:n]
 }

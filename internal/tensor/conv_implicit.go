@@ -54,7 +54,7 @@ type ConvPlanU8 struct {
 	fold   bool
 	rstep  int   // staged rows per output row: min(Stride, KH), 1 folded
 	srow   int   // staged row bytes: (InW+2·Pad)·InC, ·KH folded (see NewConvPlanU8)
-	strip  int   // a full band's strip bytes, + quadPad for the last run's quad
+	strip  int   // a full band's strip bytes, + QuadPad for the last run's quad
 	walk   aWalk // operand walk of a band (m set per band)
 }
 
@@ -75,7 +75,7 @@ func NewConvPlanU8(g ConvGeom) (*ConvPlanU8, error) {
 	} else {
 		p.walk = aWalk{ow: ow, lda: g.Stride * c, rs: p.rstep * p.srow, segq: g.KW * c / 4, nseg: g.KH, sst: p.srow}
 	}
-	stripBytes := func(brows int) int { return p.stagedRows(brows)*p.srow + quadPad }
+	stripBytes := func(brows int) int { return p.stagedRows(brows)*p.srow + QuadPad }
 	brows := (implicitBandTarget + ow - 1) / ow
 	for brows > 1 && stripBytes(brows) > implicitBandBytes {
 		brows--
@@ -105,10 +105,10 @@ func (p *ConvPlanU8) Fold() bool { return p.fold }
 func (p *ConvPlanU8) Bands() int { return p.bands }
 
 // BandLen returns the byte length of one ConvU8I8ImplicitInto gather
-// lane: a full band of NCHW patch rows plus the quadPad spare bytes the
+// lane: a full band of NCHW patch rows plus the QuadPad spare bytes the
 // packed kernels may read past the last row (they multiply zero weights;
 // see PackedI8.PaddedK).
-func (p *ConvPlanU8) BandLen() int { return p.brows*p.ow*p.kdim + quadPad }
+func (p *ConvPlanU8) BandLen() int { return p.brows*p.ow*p.kdim + QuadPad }
 
 // PackWeights packs an (outC, InC, KH, KW) int8 weight tensor for
 // ConvU8I8StripInto: each filter is reordered into the k order the

@@ -42,14 +42,14 @@ type PackedI8 struct {
 	data   []int8
 }
 
-// quadPad is the most operand bytes a packed kernel reads past a row's k
+// QuadPad is the most operand bytes a packed kernel reads past a row's k
 // values: k is consumed in whole 4-tap quads, so a row is read to
-// PaddedK() ≤ k + quadPad bytes, and the padding taps multiply zero
-// weights.
-const quadPad = 3
+// PaddedK() ≤ k + QuadPad bytes, and the padding taps multiply zero
+// weights. Callers keep QuadPad spare bytes past an operand's last row.
+const QuadPad = 3
 
 // PaddedK returns k rounded up to the kernel's 4-tap quad size, at most
-// quadPad bytes past k. A GEMM operand row must be addressable for
+// QuadPad bytes past k. A GEMM operand row must be addressable for
 // PaddedK bytes (see MatMulU8I8PackedInto).
 func (p *PackedI8) PaddedK() int { return 4 * p.kq }
 
@@ -146,10 +146,10 @@ var (
 // must not alias a.
 //
 // Because the kernels consume k in 4-tap quads, a must be addressable for
-// (m−1)·lda + b.PaddedK() elements — up to quadPad (3) bytes past the last
+// (m−1)·lda + b.PaddedK() elements — up to QuadPad bytes past the last
 // row's k values when k is not a multiple of 4. The contents of those
 // padding bytes are irrelevant (they multiply zero weights); callers
-// typically over-allocate their operand buffer by 3 bytes.
+// typically over-allocate their operand buffer by QuadPad bytes.
 func MatMulU8I8PackedInto(dst []int32, a []uint8, b *PackedI8, m, lda int) error {
 	if m <= 0 {
 		return fmt.Errorf("%w: matmulU8I8Packed m %d must be positive", ErrShape, m)

@@ -39,11 +39,11 @@ func randI8(rng *RNG, n int) []int8 {
 	return out
 }
 
-// padForQuads returns a with the quadPad spare bytes the packed kernels
+// padForQuads returns a with the QuadPad spare bytes the packed kernels
 // may read past the final row's k values (filled with a poison value: the
 // kernels must multiply them by zero weights only).
 func padForQuads(a []uint8) []uint8 {
-	for range quadPad {
+	for range QuadPad {
 		a = append(a, 0xA5)
 	}
 	return a
@@ -442,8 +442,8 @@ func FuzzPackedU8I8VsNaive(f *testing.F) {
 			t.Fatal(err)
 		}
 		pad := pb.PaddedK() - k
-		if pad < 0 || pad > quadPad {
-			t.Fatalf("k=%d: PaddedK %d is not k plus at most quadPad", k, pb.PaddedK())
+		if pad < 0 || pad > QuadPad {
+			t.Fatalf("k=%d: PaddedK %d is not k plus at most QuadPad", k, pb.PaddedK())
 		}
 		a := guarded[uint8](t, (m-1)*lda+k, pad)
 		a = a[:cap(a)]
