@@ -41,7 +41,7 @@ func guardMap(t testing.TB, size int, atStart bool) unsafe.Pointer {
 	if err != nil {
 		t.Fatalf("guard page: %v", err)
 	}
-	t.Cleanup(func() { _ = syscall.Munmap(mem) })
+	t.Cleanup(func() { _ = syscall.Munmap(mem) }) // a failed unmap only leaks the test's pages
 	guard, at := mem[span:], span-size
 	if atStart {
 		guard, at = mem[:page], page

@@ -45,7 +45,7 @@ type PackedI8 struct {
 // QuadPad is the most operand bytes a packed kernel reads past a row's k
 // values: k is consumed in whole 4-tap quads, so a row is read to
 // PaddedK() ≤ k + QuadPad bytes, and the padding taps multiply zero
-// weights. Callers keep QuadPad spare bytes past an operand's last row.
+// weights. Callers keep QuadPad spare bytes past the last row's k values.
 const QuadPad = 3
 
 // PaddedK returns k rounded up to the kernel's 4-tap quad size, at most

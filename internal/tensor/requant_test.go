@@ -359,6 +359,7 @@ func FuzzRequantQ31Rows(f *testing.F) {
 	for i, sd := range []struct{ m, nc, pa, pd, zp, lo uint8 }{
 		{1, 1, 0, 0, 0, 0}, {3, 4, 1, 2, 255, 255}, {5, 8, 0, 3, 128, 0},
 		{2, 12, 3, 0, 0, 255}, {7, 19, 2, 1, 37, 200}, {4, 20, 0, 0, 255, 0},
+		{0, 3, 0, 0, 9, 0}, {2, 11, 1, 0, 200, 3}, // nc 4 and 12 end in a 4-channel group
 	} {
 		f.Add(int64(i), sd.m, sd.nc, sd.pa, sd.pd, sd.zp, sd.lo)
 	}
@@ -436,48 +437,6 @@ func FuzzRequantQ31Rows(f *testing.F) {
 			}
 		})
 	})
-}
-
-// TestRequantQ31RowsAtGuardPage runs every channel count of one to
-// three 8-channel groups, plus a 4-channel group and a scalar tail, with
-// the accumulator tile's last row ending at a guard page and a copy
-// starting at one: a kernel that loads a whole 8-lane group where the
-// channels end reads past the tile and fails by nc.
-func TestRequantQ31RowsAtGuardPage(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for nc := 1; nc <= 20; nc++ {
-		m0 := make([]int32, nc)
-		rsh := make([]int32, nc)
-		corr := make([]int64, nc)
-		for c := range m0 {
-			cs := randRequantCase(rng)
-			m0[c], rsh[c], corr[c] = cs.m0, cs.rsh, cs.corr
-		}
-		r := mustRequant(t, m0, rsh, corr, 7, 0)
-		t.Run(fmt.Sprintf("nc=%d", nc), func(t *testing.T) {
-			eachDispatch(t, func(t *testing.T) {
-				for _, m := range []int{1, 3} {
-					lda := nc + m - 1
-					acc := guarded[int32](t, (m-1)*lda+nc, 0)
-					for i := range acc {
-						acc[i] = randAcc(rng)
-					}
-					accStart := guardedStart[int32](t, len(acc))
-					copy(accStart, acc)
-					for _, src := range [][]int32{acc, accStart} {
-						dst := make([]uint8, m*nc)
-						faultFree(t, fmt.Sprintf("m=%d lda=%d", m, lda), func() { RequantQ31Rows(dst, src, r, m, lda, nc) })
-						for i := range dst {
-							a := i/nc*lda + i%nc
-							if want := requantRef(acc[a], corr[i%nc], m0[i%nc], rsh[i%nc], 7, 0); dst[i] != want {
-								t.Fatalf("m=%d lda=%d at (%d,%d): got %d, want %d", m, lda, i/nc, i%nc, dst[i], want)
-							}
-						}
-					}
-				}
-			})
-		})
-	}
 }
 
 // BenchmarkRequantQ31Rows times the conv epilogue at the band tiles of
