@@ -276,10 +276,7 @@ func (e *Engine) SizeBytes() int {
 // The weight panels are built once at Compile time (tensor.PackI8PanelsBT
 // over the symmetric int8 weights) and are immutable afterwards, so every
 // concurrent Forward call shares them; the per-call GEMM does zero
-// repacking. Pack time also decides the kernel route: panels whose
-// adjacent weight pairs could saturate the int16 SIMD kernel run the
-// exact widening kernel instead (see the saturation note atop
-// tensor/matmul_int_packed.go).
+// repacking.
 type qaffine struct {
 	label   string
 	buf     int
