@@ -302,15 +302,15 @@ func runKernelBenches(out io.Writer, jsonPath string) error {
 	// every call).
 	record("FloatGEMMPacked", benchkit.ConvShapedGEMMFlops, func(b *testing.B) {
 		w, cols := benchkit.ConvShapedGEMM()
-		pb, err := tensor.PackF32PanelsB(cols.Data(), cols.Dim(0), cols.Dim(1))
-		if err != nil {
+		var pb tensor.PackedF32
+		if err := pb.PackB(cols.Data(), cols.Dim(0), cols.Dim(1)); err != nil {
 			b.Fatal(err)
 		}
 		dst := make([]float32, w.Dim(0)*cols.Dim(1))
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := tensor.MatMulF32PackedInto(dst, w.Data(), pb, w.Dim(0), w.Dim(1)); err != nil {
+			if err := tensor.MatMulF32PackedInto(dst, w.Data(), &pb, w.Dim(0), w.Dim(1)); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -243,10 +243,8 @@ func DoReFa(params []*nn.Param, k int) (Setup, error) {
 }
 
 // TernGrad keeps weights in fp32 and ternarizes gradients to
-// {−s, 0, +s}·max|g| with probabilistic selection replaced by the
-// deterministic expectation (Wen et al. use stochastic rounding; the
-// expectation preserves the method's compression semantics without
-// injecting a second RNG into the comparison).
+// {−s, 0, +s} with s = max|g|, drawing each element's level by TernGrad's
+// stochastic rounding (quant.Ternarize, P(±s) = |g|/s) from rng.
 func TernGrad(params []*nn.Param, rng *tensor.RNG) (Setup, error) {
 	for _, p := range params {
 		p.Q = nil
@@ -255,36 +253,11 @@ func TernGrad(params []*nn.Param, rng *tensor.RNG) (Setup, error) {
 	ws := weightParams(params)
 	grad := func([]*nn.Param) error {
 		for _, p := range ws {
-			ternarizeGrad(p.Grad, rng)
+			quant.Ternarize(p.Grad, rng)
 		}
 		return nil
 	}
 	return Setup{Name: "TernGrad", BPROPPrecision: "FP32", GradHook: grad}, nil
-}
-
-// ternarizeGrad maps each gradient element to {−s, 0, +s} with
-// s = max|g| and stochastic selection P(±s) = |g|/s, matching TernGrad's
-// unbiased ternarization.
-func ternarizeGrad(g *tensor.Tensor, rng *tensor.RNG) {
-	min, max := g.MinMax()
-	s := float32(math.Max(math.Abs(float64(min)), math.Abs(float64(max))))
-	if s == 0 {
-		return
-	}
-	d := g.Data()
-	for i, v := range d {
-		p := float64(v) / float64(s)
-		mag := math.Abs(p)
-		if rng.Float64() < mag {
-			if p >= 0 {
-				d[i] = s
-			} else {
-				d[i] = -s
-			}
-		} else {
-			d[i] = 0
-		}
-	}
 }
 
 // quantizeGradAffine snaps a gradient tensor onto a k-bit affine grid over

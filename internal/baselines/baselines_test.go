@@ -214,7 +214,7 @@ func TestTernGradPreservesExpectedMagnitude(t *testing.T) {
 		return s
 	}
 	sumBefore := sum()
-	ternarizeGrad(g, tensor.NewRNG(10))
+	quant.Ternarize(g, tensor.NewRNG(10))
 	sumAfter := sum()
 	if math.Abs(sumAfter-sumBefore) > tol {
 		t.Errorf("ternarized gradient sum %v deviates from original %v by more than %v", sumAfter, sumBefore, tol)

@@ -39,7 +39,6 @@ package dist
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"repro/internal/core"
@@ -90,9 +89,8 @@ func (c KBitCodec) Encode(g *tensor.Tensor) int64 {
 	return (int64(g.Len())*int64(c.Bits)+7)/8 + 8
 }
 
-// TernaryCodec implements TernGrad's stochastic ternarization: each
-// element becomes sign(g)·s·b with s = max|g| and b ~ Bernoulli(|g|/s),
-// which is an unbiased estimator of g on a three-level code.
+// TernaryCodec implements TernGrad's stochastic ternarization
+// (quant.Ternarize) on the uplink.
 type TernaryCodec struct {
 	rng *tensor.RNG
 }
@@ -107,26 +105,7 @@ func (*TernaryCodec) Name() string { return "ternary" }
 
 // Encode implements GradCodec.
 func (t *TernaryCodec) Encode(g *tensor.Tensor) int64 {
-	d := g.Data()
-	var s float64
-	for _, v := range d {
-		if a := math.Abs(float64(v)); a > s {
-			s = a
-		}
-	}
-	if s > 0 {
-		for i, v := range d {
-			p := math.Abs(float64(v)) / s
-			switch {
-			case t.rng.Float64() >= p:
-				d[i] = 0
-			case v > 0:
-				d[i] = float32(s)
-			default:
-				d[i] = -float32(s)
-			}
-		}
-	}
+	quant.Ternarize(g, t.rng)
 	// Payload: 2 bits per element plus the fp32 scale.
 	return (int64(g.Len())*2+7)/8 + 4
 }

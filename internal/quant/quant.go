@@ -223,6 +223,33 @@ func UnderflowFraction(g *tensor.Tensor, eps float32) float64 {
 	return float64(cnt) / float64(n)
 }
 
+// Ternarize applies TernGrad's stochastic ternarization to g in place:
+// each element becomes sign(g)·s·b with s = max|g| and b ~ Bernoulli(|g|/s)
+// drawn from rng, an unbiased estimate of g on a three-level code. An
+// all-zero g is left as it is and draws nothing.
+func Ternarize(g *tensor.Tensor, rng *tensor.RNG) {
+	d := g.Data()
+	var s float64
+	for _, v := range d {
+		if a := math.Abs(float64(v)); a > s {
+			s = a
+		}
+	}
+	if s == 0 {
+		return
+	}
+	for i, v := range d {
+		switch {
+		case rng.Float64() >= math.Abs(float64(v))/s:
+			d[i] = 0
+		case v > 0:
+			d[i] = float32(s)
+		default:
+			d[i] = -float32(s)
+		}
+	}
+}
+
 // SizeBits returns the storage cost, in bits, of n parameters held at
 // bitwidth k (k = 32 for fp32).
 func SizeBits(n int, k int) int64 {

@@ -76,110 +76,31 @@ func KernelSummary() string {
 	return fmt.Sprintf("%s: %s packed GEMM + %s + %s", runtime.GOARCH, simdFeatures, edge, requant)
 }
 
-// f32Panel4Go is the portable 4×16 packed-panel micro-kernel: one
-// accumulator per output element, k ascending — the same order as the
-// FMA assembly, so the two agree to float32 rounding (the assembly fuses
-// each multiply-add into one rounding; see matmul_packed.go). Row r,
-// tap q of the operand lives at a[r*ars + q*aks].
-func f32Panel4Go(dst, a, panel []float32, m, k, ars, aks, ldd int) {
+// f32Panel4Go is the portable packed-panel micro-kernel: groups of four
+// rows over nr ≤ pw columns of a pw-wide panel (writing only those nr,
+// so it also serves the zero-padded right-edge panel), one accumulator
+// per output element, k ascending — the same order as the FMA assembly,
+// so the two agree to float32 rounding (the assembly fuses each
+// multiply-add into one rounding; see matmul_packed.go). Row r, tap q of
+// the operand lives at a[r*ars + q*aks]; m is a multiple of 4.
+func f32Panel4Go(dst, a, panel []float32, m, k, ars, aks, ldd, pw, nr int) {
 	for i := 0; i+3 < m; i += 4 {
-		a0 := a[(i+0)*ars:]
-		a1 := a[(i+1)*ars:]
-		a2 := a[(i+2)*ars:]
-		a3 := a[(i+3)*ars:]
-		var c0, c1, c2, c3 [16]float32
+		a0, a1, a2, a3 := a[i*ars:], a[(i+1)*ars:], a[(i+2)*ars:], a[(i+3)*ars:]
+		var c [4][f32PanelCols]float32
+		c0, c1, c2, c3 := c[0][:nr], c[1][:nr], c[2][:nr], c[3][:nr]
 		for q := 0; q < k; q++ {
-			pq := panel[q*16 : q*16+16 : q*16+16]
+			pq := panel[q*pw : q*pw+nr]
 			v0, v1, v2, v3 := a0[q*aks], a1[q*aks], a2[q*aks], a3[q*aks]
-			for j := 0; j < 16; j++ {
-				w := pq[j]
-				c0[j] += v0 * w
-				c1[j] += v1 * w
-				c2[j] += v2 * w
-				c3[j] += v3 * w
-			}
-		}
-		copy(dst[(i+0)*ldd:(i+0)*ldd+16], c0[:])
-		copy(dst[(i+1)*ldd:(i+1)*ldd+16], c1[:])
-		copy(dst[(i+2)*ldd:(i+2)*ldd+16], c2[:])
-		copy(dst[(i+3)*ldd:(i+3)*ldd+16], c3[:])
-	}
-}
-
-// f32Panel1Go is the portable one-row packed-panel kernel (writes
-// dst[0:16]); same accumulation order as f32Panel4Go.
-func f32Panel1Go(dst, a, panel []float32, k, aks int) {
-	var c [16]float32
-	for q := 0; q < k; q++ {
-		pq := panel[q*16 : q*16+16 : q*16+16]
-		v := a[q*aks]
-		for j := 0; j < 16; j++ {
-			c[j] += v * pq[j]
-		}
-	}
-	copy(dst[:16], c[:])
-}
-
-// f32Panel4x8Go is the portable 4×8 narrow-panel micro-kernel: the
-// register-blocked shape over 8-wide panels (one YMM of accumulators
-// per output row in the assembly), which keeps narrow-output products
-// — the first-layer weight gradient (n = kdim) and classifier heads —
-// off the scalar edge path. Same accumulation contract as f32Panel4Go.
-func f32Panel4x8Go(dst, a, panel []float32, m, k, ars, aks, ldd int) {
-	for i := 0; i+3 < m; i += 4 {
-		a0 := a[(i+0)*ars:]
-		a1 := a[(i+1)*ars:]
-		a2 := a[(i+2)*ars:]
-		a3 := a[(i+3)*ars:]
-		var c0, c1, c2, c3 [8]float32
-		for q := 0; q < k; q++ {
-			pq := panel[q*8 : q*8+8 : q*8+8]
-			v0, v1, v2, v3 := a0[q*aks], a1[q*aks], a2[q*aks], a3[q*aks]
-			for j := 0; j < 8; j++ {
-				w := pq[j]
-				c0[j] += v0 * w
-				c1[j] += v1 * w
-				c2[j] += v2 * w
-				c3[j] += v3 * w
-			}
-		}
-		copy(dst[(i+0)*ldd:(i+0)*ldd+8], c0[:])
-		copy(dst[(i+1)*ldd:(i+1)*ldd+8], c1[:])
-		copy(dst[(i+2)*ldd:(i+2)*ldd+8], c2[:])
-		copy(dst[(i+3)*ldd:(i+3)*ldd+8], c3[:])
-	}
-}
-
-// f32Panel1x8Go is the portable one-row narrow-panel kernel (writes
-// dst[0:8]); same accumulation order as f32Panel4x8Go.
-func f32Panel1x8Go(dst, a, panel []float32, k, aks int) {
-	var c [8]float32
-	for q := 0; q < k; q++ {
-		pq := panel[q*8 : q*8+8 : q*8+8]
-		v := a[q*aks]
-		for j := 0; j < 8; j++ {
-			c[j] += v * pq[j]
-		}
-	}
-	copy(dst[:8], c[:])
-}
-
-// f32PanelEdgeGo handles the right-edge partial panel (nr < pw valid
-// columns of a pw-wide panel); always portable — the zero-padded panel
-// tail would make the full-width kernels write past dst.
-func f32PanelEdgeGo(dst, a, panel []float32, m, k, ars, aks, ldd, pw, nr int) {
-	for i := 0; i < m; i++ {
-		var cbuf [f32PanelCols]float32
-		c := cbuf[:nr]
-		ar := a[i*ars:]
-		for q := 0; q < k; q++ {
-			pq := panel[q*pw : q*pw+nr : q*pw+nr]
-			v := ar[q*aks]
 			for j, w := range pq {
-				c[j] += v * w
+				c0[j] += v0 * w
+				c1[j] += v1 * w
+				c2[j] += v2 * w
+				c3[j] += v3 * w
 			}
 		}
-		copy(dst[i*ldd:i*ldd+nr], c)
+		for r, cr := range [4][]float32{c0, c1, c2, c3} {
+			copy(dst[(i+r)*ldd:(i+r)*ldd+nr], cr)
+		}
 	}
 }
 
@@ -191,9 +112,10 @@ type stripRuns struct {
 	w int
 }
 
-// f32StripPanelGo is the portable strip-route forward kernel: f32Panel4Go's
-// product (aks = 1) over a 16-column panel whose row q is read from the
-// staging strip as the runs r past ofs[q]. Every offset lies in [0, hi].
+// f32StripPanelGo is the portable strip-route forward kernel: rows i < m
+// of the product f32Panel4Go computes (aks = 1, pw = nr = 16), one row at
+// a time, over a panel whose row q is read from the staging strip as the
+// runs r past ofs[q]. Every offset lies in [0, hi].
 func f32StripPanelGo(dst, a, strip []float32, ofs []int32, m, k, ars, ldd, hi int, r stripRuns) {
 	for i := 0; i < m; i++ {
 		ar := a[i*ars:]

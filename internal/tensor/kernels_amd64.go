@@ -31,13 +31,7 @@ func packedGEMMEdgeAVX2(dst *int32, a *uint8, panel *int8, m, ow, lda, rs, segq,
 func packedF32GEMM4x16FMA(dst, a, panel *float32, m, k, ars, aks, ldd int)
 
 //go:noescape
-func packedF32GEMM1x16FMA(dst, a, panel *float32, k, aks int)
-
-//go:noescape
 func packedF32GEMM4x8FMA(dst, a, panel *float32, m, k, ars, aks, ldd int)
-
-//go:noescape
-func packedF32GEMM1x8FMA(dst, a, panel *float32, k, aks int)
 
 //go:noescape
 func convStripGEMM4x16FMA(dst, a, b0, b1, b2, b3 *float32, ofs *int32, m, k, ars, ldd, quarter int)
@@ -113,8 +107,7 @@ func applySIMDAmd64(on bool) {
 	if !on {
 		packedAsm, packedAsmEdge = nil, nil
 		bnMomentsAsm, bnAffineAsm, bnGradSumsAsm, bnGradInputAsm = nil, nil, nil, nil
-		f32Panel4, f32Panel1 = f32Panel4Go, f32Panel1Go
-		f32Panel4w8, f32Panel1w8 = f32Panel4x8Go, f32Panel1x8Go
+		f32Panel4 = f32Panel4Go
 		f32StripPanel, f32StripDW, f32StripDX = f32StripPanelGo, f32StripDWGo, f32StripDXGo
 		interleave, stageRows = interleaveGo, stageRowsGo
 		requantRowsAsm = nil
@@ -127,9 +120,6 @@ func applySIMDAmd64(on bool) {
 	bnGradSumsAsm = bnGradSumsAVX2Wrap
 	bnGradInputAsm = bnGradInputAVX2Wrap
 	f32Panel4 = f32Panel4Asm
-	f32Panel1 = f32Panel1Asm
-	f32Panel4w8 = f32Panel4w8Asm
-	f32Panel1w8 = f32Panel1w8Asm
 	f32StripPanel = stripPanelFMAWrap
 	f32StripDW = stripDWFMAWrap
 	f32StripDX = stripDXFMAWrap
@@ -281,32 +271,15 @@ func packedEdgeAsm(dst []int32, a []uint8, panel []int8, w aWalk, ldd, nr int) {
 	packedGEMMEdgeAVX2(&dst[0], &a[0], &panel[0], w.m, w.ow, w.lda, w.rs, w.segq, w.nseg, w.sst, ldd, nr)
 }
 
-func f32Panel4Asm(dst, a, panel []float32, m, k, ars, aks, ldd int) {
-	// m is a positive multiple of 4; each row reads k strided taps of a
-	// and writes 16 consecutive dst floats.
+func f32Panel4Asm(dst, a, panel []float32, m, k, ars, aks, ldd, pw, _ int) {
+	// m is a positive multiple of 4 and the panel is full (nr = pw); each
+	// row reads k strided taps of a and writes pw consecutive dst floats.
 	_ = a[(m-1)*ars+(k-1)*aks]
-	_ = dst[(m-1)*ldd+15]
-	_ = panel[k*16-1]
-	packedF32GEMM4x16FMA(&dst[0], &a[0], &panel[0], m, k, ars, aks, ldd)
-}
-
-func f32Panel1Asm(dst, a, panel []float32, k, aks int) {
-	_ = a[(k-1)*aks]
-	_ = dst[15]
-	_ = panel[k*16-1]
-	packedF32GEMM1x16FMA(&dst[0], &a[0], &panel[0], k, aks)
-}
-
-func f32Panel4w8Asm(dst, a, panel []float32, m, k, ars, aks, ldd int) {
-	_ = a[(m-1)*ars+(k-1)*aks]
-	_ = dst[(m-1)*ldd+7]
-	_ = panel[k*8-1]
-	packedF32GEMM4x8FMA(&dst[0], &a[0], &panel[0], m, k, ars, aks, ldd)
-}
-
-func f32Panel1w8Asm(dst, a, panel []float32, k, aks int) {
-	_ = a[(k-1)*aks]
-	_ = dst[7]
-	_ = panel[k*8-1]
-	packedF32GEMM1x8FMA(&dst[0], &a[0], &panel[0], k, aks)
+	_ = dst[(m-1)*ldd+pw-1]
+	_ = panel[k*pw-1]
+	if pw == f32PanelCols {
+		packedF32GEMM4x16FMA(&dst[0], &a[0], &panel[0], m, k, ars, aks, ldd)
+	} else {
+		packedF32GEMM4x8FMA(&dst[0], &a[0], &panel[0], m, k, ars, aks, ldd)
+	}
 }

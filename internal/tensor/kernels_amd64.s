@@ -122,34 +122,6 @@ done:
 	VZEROUPPER
 	RET
 
-// func packedF32GEMM1x16FMA(dst, a, panel *float32, k, aks int)
-//
-// One-row remainder kernel: 16 accumulators in Y0/Y1, panel rows
-// consumed as FMA memory operands, dst[0:16] written once.
-TEXT ·packedF32GEMM1x16FMA(SB), NOSPLIT, $0-40
-	MOVQ dst+0(FP), DI
-	MOVQ a+8(FP), SI
-	MOVQ panel+16(FP), BX
-	MOVQ k+24(FP), CX
-	MOVQ aks+32(FP), R14
-	SHLQ $2, R14
-	VXORPS Y0, Y0, Y0
-	VXORPS Y1, Y1, Y1
-
-kloop:
-	VBROADCASTSS (SI), Y10
-	VFMADD231PS  (BX), Y10, Y0
-	VFMADD231PS  32(BX), Y10, Y1
-	ADDQ R14, SI
-	ADDQ $64, BX
-	DECQ CX
-	JNZ  kloop
-
-	VMOVUPS Y0, (DI)
-	VMOVUPS Y1, 32(DI)
-	VZEROUPPER
-	RET
-
 // func packedF32GEMM4x8FMA(dst, a, panel *float32, m, k, ars, aks, ldd int)
 //
 // Narrow-panel variant of packedF32GEMM4x16FMA: 8-column panels, one
@@ -208,31 +180,6 @@ kloop:
 	JMP     grouploop
 
 done:
-	VZEROUPPER
-	RET
-
-// func packedF32GEMM1x8FMA(dst, a, panel *float32, k, aks int)
-//
-// One-row narrow-panel remainder kernel: 8 accumulators in Y0, panel
-// rows consumed as FMA memory operands, dst[0:8] written once.
-TEXT ·packedF32GEMM1x8FMA(SB), NOSPLIT, $0-40
-	MOVQ dst+0(FP), DI
-	MOVQ a+8(FP), SI
-	MOVQ panel+16(FP), BX
-	MOVQ k+24(FP), CX
-	MOVQ aks+32(FP), R14
-	SHLQ $2, R14
-	VXORPS Y0, Y0, Y0
-
-kloop:
-	VBROADCASTSS (SI), Y10
-	VFMADD231PS  (BX), Y10, Y0
-	ADDQ R14, SI
-	ADDQ $32, BX
-	DECQ CX
-	JNZ  kloop
-
-	VMOVUPS Y0, (DI)
 	VZEROUPPER
 	RET
 

@@ -9,7 +9,9 @@ import "os"
 // kernels_int_arm64.s and kernels_requant_arm64.s are installed
 // unconditionally unless APT_NOSIMD is set (or SetSIMD(false) is called),
 // in which case the portable Go kernels — the cross-arch reference —
-// stay in place.
+// stay in place. The float GEMM has the two 4-row panel kernels (4×16,
+// 4×8) and no one-row kernel: f32PackedTile reruns remainder rows inside
+// a group of four, as on amd64.
 //
 // Deliberately left portable on arm64: the nr<8 integer edge kernel
 // (packedAsmEdge stays nil; the portable edge loop handles partial
@@ -25,13 +27,7 @@ func packedGEMMNEON(dst *int32, a *uint8, panel *int8, m, ow, lda, rs, segq, nse
 func packedF32GEMM4x16NEON(dst, a, panel *float32, m, k, ars, aks, ldd int)
 
 //go:noescape
-func packedF32GEMM1x16NEON(dst, a, panel *float32, k, aks int)
-
-//go:noescape
 func packedF32GEMM4x8NEON(dst, a, panel *float32, m, k, ars, aks, ldd int)
-
-//go:noescape
-func packedF32GEMM1x8NEON(dst, a, panel *float32, k, aks int)
 
 //go:noescape
 func requantQ31RowsNEON(dst *uint8, acc *int32, m0, rsh *int32, corr *int64, zp, lo, m, nc4, lda, ldd int)
@@ -49,16 +45,12 @@ func applySIMDArm64(on bool) {
 	simdOn = on
 	if !on {
 		packedAsm = nil
-		f32Panel4, f32Panel1 = f32Panel4Go, f32Panel1Go
-		f32Panel4w8, f32Panel1w8 = f32Panel4x8Go, f32Panel1x8Go
+		f32Panel4 = f32Panel4Go
 		requantRowsAsm = nil
 		return
 	}
 	packedAsm = packedNEONAsm
 	f32Panel4 = f32Panel4NEONWrap
-	f32Panel1 = f32Panel1NEONWrap
-	f32Panel4w8 = f32Panel4w8NEONWrap
-	f32Panel1w8 = f32Panel1w8NEONWrap
 	requantRowsAsm = requantRowsNEONWrap
 }
 
@@ -71,34 +63,17 @@ func packedNEONAsm(dst []int32, a []uint8, panel []int8, w aWalk, ldd int) {
 	packedGEMMNEON(&dst[0], &a[0], &panel[0], w.m, w.ow, w.lda, w.rs, w.segq, w.nseg, w.sst, ldd)
 }
 
-func f32Panel4NEONWrap(dst, a, panel []float32, m, k, ars, aks, ldd int) {
-	// m is a positive multiple of 4; each row reads k strided taps of a
-	// and writes 16 consecutive dst floats.
+func f32Panel4NEONWrap(dst, a, panel []float32, m, k, ars, aks, ldd, pw, _ int) {
+	// m is a positive multiple of 4 and the panel is full (nr = pw); each
+	// row reads k strided taps of a and writes pw consecutive dst floats.
 	_ = a[(m-1)*ars+(k-1)*aks]
-	_ = dst[(m-1)*ldd+15]
-	_ = panel[k*16-1]
-	packedF32GEMM4x16NEON(&dst[0], &a[0], &panel[0], m, k, ars, aks, ldd)
-}
-
-func f32Panel1NEONWrap(dst, a, panel []float32, k, aks int) {
-	_ = a[(k-1)*aks]
-	_ = dst[15]
-	_ = panel[k*16-1]
-	packedF32GEMM1x16NEON(&dst[0], &a[0], &panel[0], k, aks)
-}
-
-func f32Panel4w8NEONWrap(dst, a, panel []float32, m, k, ars, aks, ldd int) {
-	_ = a[(m-1)*ars+(k-1)*aks]
-	_ = dst[(m-1)*ldd+7]
-	_ = panel[k*8-1]
-	packedF32GEMM4x8NEON(&dst[0], &a[0], &panel[0], m, k, ars, aks, ldd)
-}
-
-func f32Panel1w8NEONWrap(dst, a, panel []float32, k, aks int) {
-	_ = a[(k-1)*aks]
-	_ = dst[7]
-	_ = panel[k*8-1]
-	packedF32GEMM1x8NEON(&dst[0], &a[0], &panel[0], k, aks)
+	_ = dst[(m-1)*ldd+pw-1]
+	_ = panel[k*pw-1]
+	if pw == f32PanelCols {
+		packedF32GEMM4x16NEON(&dst[0], &a[0], &panel[0], m, k, ars, aks, ldd)
+	} else {
+		packedF32GEMM4x8NEON(&dst[0], &a[0], &panel[0], m, k, ars, aks, ldd)
+	}
 }
 
 func requantRowsNEONWrap(dst []uint8, acc []int32, r *Requant, m, nc4, lda, ldd int) {

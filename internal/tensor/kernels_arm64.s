@@ -103,36 +103,6 @@ kloop:
 done:
 	RET
 
-// func packedF32GEMM1x16NEON(dst, a, panel *float32, k, aks int)
-//
-// One-row remainder kernel: 16 accumulators in V8–V11, dst[0:16]
-// written once.
-TEXT ·packedF32GEMM1x16NEON(SB), NOSPLIT, $0-40
-	MOVD dst+0(FP), R0
-	MOVD a+8(FP), R1
-	MOVD panel+16(FP), R2
-	MOVD k+24(FP), R3
-	MOVD aks+32(FP), R4
-	LSL  $2, R4, R4
-	VEOR V8.B16, V8.B16, V8.B16
-	VEOR V9.B16, V9.B16, V9.B16
-	VEOR V10.B16, V10.B16, V10.B16
-	VEOR V11.B16, V11.B16, V11.B16
-
-kloop:
-	VLD1.P 64(R2), [V0.S4, V1.S4, V2.S4, V3.S4]
-	VLD1R  (R1), [V4.S4]
-	ADD    R4, R1, R1
-	VFMLA  V0.S4, V4.S4, V8.S4
-	VFMLA  V1.S4, V4.S4, V9.S4
-	VFMLA  V2.S4, V4.S4, V10.S4
-	VFMLA  V3.S4, V4.S4, V11.S4
-	SUB    $1, R3, R3
-	CBNZ   R3, kloop
-
-	VST1 [V8.S4, V9.S4, V10.S4, V11.S4], (R0)
-	RET
-
 // func packedF32GEMM4x8NEON(dst, a, panel *float32, m, k, ars, aks, ldd int)
 //
 // Narrow-panel 4×8 kernel: two accumulators per row (V8–V15), 32-byte
@@ -203,27 +173,4 @@ kloop:
 	B    grouploop
 
 done:
-	RET
-
-// func packedF32GEMM1x8NEON(dst, a, panel *float32, k, aks int)
-TEXT ·packedF32GEMM1x8NEON(SB), NOSPLIT, $0-40
-	MOVD dst+0(FP), R0
-	MOVD a+8(FP), R1
-	MOVD panel+16(FP), R2
-	MOVD k+24(FP), R3
-	MOVD aks+32(FP), R4
-	LSL  $2, R4, R4
-	VEOR V8.B16, V8.B16, V8.B16
-	VEOR V9.B16, V9.B16, V9.B16
-
-kloop:
-	VLD1.P 32(R2), [V0.S4, V1.S4]
-	VLD1R  (R1), [V4.S4]
-	ADD    R4, R1, R1
-	VFMLA  V0.S4, V4.S4, V8.S4
-	VFMLA  V1.S4, V4.S4, V9.S4
-	SUB    $1, R3, R3
-	CBNZ   R3, kloop
-
-	VST1 [V8.S4, V9.S4], (R0)
 	RET

@@ -15,7 +15,9 @@ import (
 // products still fill whole panels. The micro-kernel is 4×pw: four
 // output rows' accumulators stay in registers across the whole k loop,
 // each loaded B panel row is multiplied against all four rows, and dst
-// is touched exactly once per tile. That is the BLIS/gemmlowp shape.
+// is touched exactly once per group. That is the BLIS/gemmlowp shape.
+// It is the only row shape: remainder rows run again inside a group of
+// four (see f32PackedTile), so there is no one-row kernel.
 //
 // The pack streams k·n floats once while the GEMM performs m·k·n FMAs,
 // so its overhead is ~1/m of the arithmetic. MatMul/MatMulTransA/
@@ -40,8 +42,8 @@ const f32PanelCols = 16
 // panels (n < f32NarrowPanelMaxN) pack 8-wide instead, so shapes like
 // the first-layer weight gradient (n = kdim = 27) or a classifier head
 // still run the register-blocked kernels over mostly-full panels
-// rather than pushing most of their columns through the scalar edge
-// kernel.
+// rather than pushing most of their columns through the portable
+// partial-panel kernel.
 const f32PanelColsNarrow = 8
 
 // f32NarrowPanelMaxN is the column count below which reset picks the
@@ -67,16 +69,6 @@ type PackedF32 struct {
 	pw     int // panel width: f32PanelCols, or f32PanelColsNarrow for small n
 	panels int // column panels: ceil(n/pw)
 	data   []float32
-}
-
-// PackF32PanelsB packs a row-major (k, n) matrix into fresh column
-// panels.
-func PackF32PanelsB(b []float32, k, n int) (*PackedF32, error) {
-	p := &PackedF32{}
-	if err := p.PackB(b, k, n); err != nil {
-		return nil, err
-	}
-	return p, nil
 }
 
 // PackB repacks a row-major (k, n) matrix into p, reusing p's storage.
@@ -180,15 +172,13 @@ func (p *PackedF32) packPanelBT(bt []float32, pi int) {
 }
 
 // Micro-kernel dispatch (see kernels.go for the portable definitions and
-// kernels_amd64.go for the FMA assembly repointing). Each kernel pair
-// computes full panels of one width; a addresses row r, tap q at
-// a[r*ars + q*aks], which lets one kernel serve the normal (ars=lda,
-// aks=1) and transposed-A (ars=1, aks=lda) orientations.
+// kernels_amd64.go / kernels_arm64.go for the assembly repointing).
+// f32Panel4 computes groups of four rows over one full panel of width pw
+// (16 or 8); a addresses row r, tap q at a[r*ars + q*aks], which lets one
+// kernel serve the normal (ars=lda, aks=1) and transposed-A (ars=1,
+// aks=lda) orientations.
 var (
-	f32Panel4   = f32Panel4Go   // 4 rows × 16 cols (dst rows at ldd stride)
-	f32Panel1   = f32Panel1Go   // 1 row × 16 cols (writes dst[0:16])
-	f32Panel4w8 = f32Panel4x8Go // 4 rows × 8 cols (narrow panels)
-	f32Panel1w8 = f32Panel1x8Go // 1 row × 8 cols (writes dst[0:8])
+	f32Panel4 = f32Panel4Go // 4 rows × pw cols (dst rows at ldd stride)
 
 	f32StripPanel = f32StripPanelGo // strip-route forward: m rows × one panel read from the strip
 	f32StripDW    = f32StripDWGo    // strip-route dWᵀ: rows read from the strip × one pw-wide panel
@@ -239,32 +229,36 @@ func matMulF32PackedSerial(dst, a []float32, b *PackedF32, m, ars, aks int) {
 	}
 }
 
-// f32PackedTile computes one (row block × panel) output tile: groups of
-// four rows through the register-blocked 4-row kernel of the pack's
-// panel width, remainder rows through the matching one-row kernel,
-// partial right-edge panels through the portable edge kernel.
+// f32PackedTile computes one (row block × panel) output tile of r rows
+// in groups of four through the 4-row kernel: the assembly one of the
+// pack's panel width for a full panel, the portable one (which writes
+// only the valid columns) for a partial right-edge panel. One remainder
+// rule: when r is not a multiple of 4, rows r−4 … r−1 run once more as
+// one group; when r < 4, each row runs alone as a group of four copies of
+// itself (row and dst strides 0). Every output element is one k-ascending
+// chain from zero either way, so a row's bytes do not depend on its group.
 func f32PackedTile(dst, a []float32, b *PackedF32, m, ars, aks, t int) {
 	ib, pi := t/b.panels, t%b.panels
 	i0 := ib * f32PackedRowBlock
-	mr := min(f32PackedRowBlock, m-i0)
+	r := min(f32PackedRowBlock, m-i0)
 	pw := b.pw
 	j0 := pi * pw
 	nr := min(pw, b.n-j0)
 	panel := b.data[pi*b.k*pw : (pi+1)*b.k*pw]
+	kern := f32Panel4
 	if nr < pw {
-		f32PanelEdgeGo(dst[i0*b.n+j0:], a[i0*ars:], panel, mr, b.k, ars, aks, b.n, pw, nr)
+		kern = f32Panel4Go
+	}
+	d, ar := dst[i0*b.n+j0:], a[i0*ars:]
+	if r < 4 {
+		for i := 0; i < r; i++ {
+			kern(d[i*b.n:], ar[i*ars:], panel, 4, b.k, 0, aks, 0, pw, nr)
+		}
 		return
 	}
-	kern4, kern1 := f32Panel4, f32Panel1
-	if pw == f32PanelColsNarrow {
-		kern4, kern1 = f32Panel4w8, f32Panel1w8
-	}
-	m4 := mr &^ 3
-	if m4 > 0 {
-		kern4(dst[i0*b.n+j0:], a[i0*ars:], panel, m4, b.k, ars, aks, b.n)
-	}
-	for i := m4; i < mr; i++ {
-		kern1(dst[(i0+i)*b.n+j0:], a[(i0+i)*ars:], panel, b.k, aks)
+	kern(d, ar, panel, r&^3, b.k, ars, aks, b.n, pw, nr)
+	if r%4 != 0 {
+		kern(d[(r-4)*b.n:], ar[(r-4)*ars:], panel, 4, b.k, ars, aks, b.n, pw, nr)
 	}
 }
 

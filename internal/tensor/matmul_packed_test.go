@@ -15,6 +15,16 @@ func randF32(rng *RNG, n int) []float32 {
 	return out
 }
 
+// packedB packs a row-major (k, n) matrix into fresh column panels.
+func packedB(t testing.TB, b []float32, k, n int) *PackedF32 {
+	t.Helper()
+	pb := new(PackedF32)
+	if err := pb.PackB(b, k, n); err != nil {
+		t.Fatal(err)
+	}
+	return pb
+}
+
 // naiveF32Ref computes dst = a·b for (m, k with row stride lda)·(k, n) in
 // the kernels' accumulation order (one float32 accumulator per element,
 // k ascending), the reference for the packed float GEMM.
@@ -63,10 +73,7 @@ func TestPackF32PanelsLayoutAndErrors(t *testing.T) {
 		for i := range b {
 			b[i] = float32(i + 1)
 		}
-		pb, err := PackF32PanelsB(b, tc.k, tc.n)
-		if err != nil {
-			t.Fatal(err)
-		}
+		pb := packedB(t, b, tc.k, tc.n)
 		if pb.k != tc.k || pb.n != tc.n || pb.pw != tc.pw || pb.panels != tc.panels {
 			t.Fatalf("n=%d pack geometry: rows %d cols %d pw %d panels %d, want (%d,%d,%d,%d)",
 				tc.n, pb.k, pb.n, pb.pw, pb.panels, tc.k, tc.n, tc.pw, tc.panels)
@@ -110,18 +117,18 @@ func TestPackF32PanelsLayoutAndErrors(t *testing.T) {
 	}
 
 	b := make([]float32, 3*18)
-	if _, err := PackF32PanelsB(b[:4], 3, 18); err == nil {
+	if err := new(PackedF32).PackB(b[:4], 3, 18); err == nil {
 		t.Error("short operand did not error")
 	}
-	if _, err := PackF32PanelsB(b, 0, 18); err == nil {
+	if err := new(PackedF32).PackB(b, 0, 18); err == nil {
 		t.Error("zero k did not error")
 	}
 }
 
 // TestMatMulF32PackedMatchesNaive drives deliberate edge shapes through
 // both kernel dispatches: quad/panel/row-block boundaries, lda > k
-// strided operands, and M remainders that exercise the 4-row/1-row
-// split.
+// strided operands, and M remainders: lone rows (m < 4) and a rerun
+// last group of four.
 func TestMatMulF32PackedMatchesNaive(t *testing.T) {
 	eachDispatch(t, func(t *testing.T) {
 		rng := NewRNG(61)
@@ -132,10 +139,7 @@ func TestMatMulF32PackedMatchesNaive(t *testing.T) {
 		for _, s := range shapes {
 			a := randF32(rng, s.m*s.lda)
 			b := randF32(rng, s.k*s.n)
-			pb, err := PackF32PanelsB(b, s.k, s.n)
-			if err != nil {
-				t.Fatalf("%+v: %v", s, err)
-			}
+			pb := packedB(t, b, s.k, s.n)
 			want := naiveF32Ref(a, s.lda, b, s.m, s.k, s.n)
 			got := make([]float32, s.m*s.n)
 			if err := MatMulF32PackedInto(got, a, pb, s.m, s.lda); err != nil {
@@ -157,10 +161,7 @@ func TestMatMulF32PackedTransAMatchesNaive(t *testing.T) {
 		for _, s := range shapes {
 			at := randF32(rng, s.k*s.lda) // (k, m) with row stride lda ≥ m
 			b := randF32(rng, s.k*s.n)
-			pb, err := PackF32PanelsB(b, s.k, s.n)
-			if err != nil {
-				t.Fatalf("%+v: %v", s, err)
-			}
+			pb := packedB(t, b, s.k, s.n)
 			// Reference via the explicit transpose.
 			a := make([]float32, s.m*s.k)
 			for i := 0; i < s.m; i++ {
@@ -178,46 +179,86 @@ func TestMatMulF32PackedTransAMatchesNaive(t *testing.T) {
 	})
 }
 
-// TestMatMulF32PackedFuzzAgainstNaive mirrors the integer fuzz harness:
-// random shapes and operands through every dispatch, compared against
-// the naive triple loop.
-func TestMatMulF32PackedFuzzAgainstNaive(t *testing.T) {
-	eachDispatch(t, func(t *testing.T) {
-		rng := NewRNG(63)
-		for trial := 0; trial < 60; trial++ {
-			m := 1 + rng.Intn(40)
-			k := 1 + rng.Intn(70)
-			n := 1 + rng.Intn(80)
-			lda := k + rng.Intn(5)
-			a := randF32(rng, m*lda)
-			b := randF32(rng, k*n)
-			pb, err := PackF32PanelsB(b, k, n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := naiveF32Ref(a, lda, b, m, k, n)
-			got := make([]float32, m*n)
-			if err := MatMulF32PackedInto(got, a, pb, m, lda); err != nil {
-				t.Fatal(err)
-			}
-			for i := range want {
-				diff := math.Abs(float64(got[i]) - float64(want[i]))
-				scale := math.Max(math.Abs(float64(want[i])), 1)
-				if diff > 1e-6*scale*float64(k+1) {
-					t.Fatalf("trial %d (m=%d k=%d n=%d lda=%d): got[%d] = %g, want %g",
-						trial, m, k, n, lda, i, got[i], want[i])
-				}
+// FuzzPackedF32VsNaive is the spec of the packed float GEMM's row rule
+// (f32PackedTile) under both dispatches: m 1–40, so the last 32-row block
+// has 1–8 rows; k 1–70 and n 1–80, so both panel widths run full and
+// partial panels; both orientations, MatMulF32PackedInto (a is (m, k) at
+// row stride lda) and MatMulF32PackedTransAInto (a is (k, m) at lda). The
+// product must match the naive one to float32 rounding, and every row
+// must equal, bit for bit, the same row computed alone (m = 1): a row's
+// bytes may not depend on the group it ran in. a and every destination
+// end at a guard page and a second copy of a starts after one, so a read
+// or write past them faults.
+func FuzzPackedF32VsNaive(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed uint64, mb, kb, nb, gap uint8, transA bool) {
+		rng := NewRNG(seed)
+		m, k, n := 1+int(mb%40), 1+int(kb%70), 1+int(nb%80)
+		b := randF32(rng, k*n)
+		pb := packedB(t, b, k, n)
+		// Row i, tap q of the operand sits at a[i·ars + q·aks].
+		lda := k + int(gap%5)
+		ars, aks, alen := lda, 1, (m-1)*lda+k
+		mul := MatMulF32PackedInto
+		if transA {
+			lda = m + int(gap%5)
+			ars, aks, alen = 1, lda, (k-1)*lda+m
+			mul = MatMulF32PackedTransAInto
+		}
+		a := guarded[float32](t, alen, 0)
+		copy(a, randF32(rng, alen))
+		aStart := guardedStart[float32](t, alen)
+		copy(aStart, a)
+		dense := make([]float32, m*k)
+		for i := 0; i < m; i++ {
+			for q := 0; q < k; q++ {
+				dense[i*k+q] = a[i*ars+q*aks]
 			}
 		}
+		want := naiveF32Ref(dense, k, b, m, k, n)
+
+		// One worker: a guard-page fault is only caught on the calling
+		// goroutine.
+		defer SetMaxWorkers(SetMaxWorkers(1))
+		eachDispatch(t, func(t *testing.T) {
+			for _, src := range []struct {
+				what string
+				a    []float32
+			}{{"a", a}, {"a at page start", aStart}} {
+				label := fmt.Sprintf("%s (m=%d k=%d n=%d lda=%d transA=%v)", src.what, m, k, n, lda, transA)
+				got := guarded[float32](t, m*n, 0)
+				for i := range got {
+					got[i] = math.MaxFloat32
+				}
+				faultFree(t, label, func() {
+					if err := mul(got, src.a, pb, m, lda); err != nil {
+						t.Fatal(err)
+					}
+				})
+				f32Close(t, label, got, want, k)
+				row := guarded[float32](t, n, 0)
+				for i := 0; i < m; i++ {
+					faultFree(t, label+" row alone", func() {
+						if err := mul(row, src.a[i*ars:], pb, 1, lda); err != nil {
+							t.Fatal(err)
+						}
+					})
+					for j, v := range row {
+						if math.Float32bits(v) != math.Float32bits(got[i*n+j]) {
+							t.Fatalf("%s: row %d alone, column %d = %g, in the product %g", label, i, j, v, got[i*n+j])
+						}
+					}
+				}
+			}
+		})
 	})
 }
 
 // TestMatMulF32PackedNarrowSweep walks every output width through the
-// narrow-panel machinery: n = 1..7 runs the scalar edge kernel alone,
-// n = 8..17 mixes full 8-wide panels with every possible edge
-// remainder, and the m values cover the 4-row/1-row split. Both
-// dispatches, so the 4×8/1×8 assembly is pinned against the portable
-// kernels and the naive reference.
+// narrow-panel machinery: n = 1..7 runs the portable partial-panel
+// kernel alone, n = 8..17 mixes full 8-wide panels with every possible
+// partial one, and the m values cover lone rows and a rerun last group.
+// Both dispatches, so the 4×8 assembly is pinned against the portable
+// kernel and the naive reference.
 func TestMatMulF32PackedNarrowSweep(t *testing.T) {
 	eachDispatch(t, func(t *testing.T) {
 		rng := NewRNG(68)
@@ -227,10 +268,7 @@ func TestMatMulF32PackedNarrowSweep(t *testing.T) {
 			for _, m := range []int{1, 2, 3, 4, 5, 9} {
 				a := randF32(rng, m*lda)
 				b := randF32(rng, k*n)
-				pb, err := PackF32PanelsB(b, k, n)
-				if err != nil {
-					t.Fatal(err)
-				}
+				pb := packedB(t, b, k, n)
 				if pb.pw != f32PanelColsNarrow {
 					t.Fatalf("n=%d: panel width %d, want %d", n, pb.pw, f32PanelColsNarrow)
 				}
@@ -298,10 +336,7 @@ func TestMatMulF32PackedDeterministicAcrossWorkers(t *testing.T) {
 	m, k, n := 37, 60, 70
 	a := randF32(rng, m*k)
 	b := randF32(rng, k*n)
-	pb, err := PackF32PanelsB(b, k, n)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pb := packedB(t, b, k, n)
 	prev := SetMaxWorkers(1)
 	defer SetMaxWorkers(prev)
 	serial := make([]float32, m*n)
@@ -312,10 +347,7 @@ func TestMatMulF32PackedDeterministicAcrossWorkers(t *testing.T) {
 		SetMaxWorkers(w)
 		// Repack under the parallel pack path too: panels must come out
 		// identical for any worker count.
-		pb2, err := PackF32PanelsB(b, k, n)
-		if err != nil {
-			t.Fatal(err)
-		}
+		pb2 := packedB(t, b, k, n)
 		for i := range pb.data {
 			if pb.data[i] != pb2.data[i] {
 				t.Fatalf("workers=%d: pack differs at %d", w, i)
@@ -335,10 +367,7 @@ func TestMatMulF32PackedDeterministicAcrossWorkers(t *testing.T) {
 
 func TestMatMulF32PackedErrors(t *testing.T) {
 	b := make([]float32, 5*20)
-	pb, err := PackF32PanelsB(b, 5, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pb := packedB(t, b, 5, 20)
 	a := make([]float32, 3*5)
 	dst := make([]float32, 3*20)
 	if err := MatMulF32PackedInto(dst, a[:10], pb, 3, 5); err == nil {

@@ -191,7 +191,7 @@ func checkClose(t *testing.T, got, want *Tensor, tol float64, label string) {
 // TestTiledGEMMAgainstNaiveReference checks the three MatMul orientations
 // against an independent float64 triple loop within 1e-5, under every
 // dispatch. The shapes cover every m and n below one 4×8 micro-tile
-// crossed with k = 1..3 (all-edge panels, 1-row kernels only), the
+// crossed with k = 1..3 (all-edge panels, lone rows only), the
 // classifier head's forward (64,32,4) and weight-gradient (4,64,32)
 // products, a 4-row product 16384 columns wide, and shapes crossing row
 // blocks, panel edges and both panel widths. dst starts as NaN, so an

@@ -57,7 +57,9 @@ type Config struct {
 	// 0 defaults to 10.
 	GavgInterval int
 
-	// Seed drives batch shuffling and augmentation.
+	// Seed drives batch shuffling. Augmentation does not draw from it: an
+	// Augmented training set samples from the RNG given to
+	// data.NewAugmented.
 	Seed uint64
 
 	// Log, when non-nil, receives one line per epoch.
