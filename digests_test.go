@@ -23,7 +23,7 @@ import (
 	"repro/internal/train"
 )
 
-var updateDigests = flag.Bool("update-digests", false, "TestBackboneDigests: rewrite testdata/backbone_digests.json with the tree's digests")
+var updateDigests = flag.Bool("update-digests", false, "TestBackboneDigests, TestDistDigests: rewrite testdata/backbone_digests.json and testdata/dist_digests.json with the tree's digests")
 
 const digestsFile = "testdata/backbone_digests.json"
 

@@ -1,6 +1,8 @@
 package quant
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -144,4 +146,126 @@ func TestBitStreamHelpers(t *testing.T) {
 	if got := readBits(buf, 8, 10); got != 0x3FF {
 		t.Errorf("readBits(8,10) = %x", got)
 	}
+}
+
+// bitwisePack is the bit-at-a-time packer: the index arithmetic of Pack,
+// written one bit per writeBits step into a fresh zeroed buffer. It is
+// FuzzPackVsBitwise's oracle for the payload bytes.
+func bitwisePack(t *tensor.Tensor, st *State) []byte {
+	if st.Eps == 0 {
+		return nil
+	}
+	k := st.Bits
+	buf := make([]byte, (t.Len()*k+7)/8)
+	levels := uint64(1)<<uint(k) - 1
+	eps := (float64(st.Max) - float64(st.Min)) / float64(levels)
+	lo := float64(st.Min)
+	for i, v := range t.Data() {
+		q := math.Round((float64(v) - lo) / eps)
+		if q < 0 {
+			q = 0
+		}
+		if q > float64(levels) {
+			q = float64(levels)
+		}
+		writeBits(buf, i*k, uint64(q), k)
+	}
+	return buf
+}
+
+// bitwiseDecode is the bit-at-a-time decoder, FuzzPackVsBitwise's oracle
+// for the floats Unpack returns. p must be a well-formed record.
+func bitwiseDecode(p *Packed) []float32 {
+	out := make([]float32, p.Count)
+	if p.Eps == 0 {
+		for i := range out {
+			out[i] = p.Min
+		}
+		return out
+	}
+	levels := uint64(1)<<uint(p.Bits) - 1
+	lo := float64(p.Min)
+	eps := (float64(p.Max) - lo) / float64(levels)
+	for i := range out {
+		switch q := readBits(p.Data, i*p.Bits, p.Bits); {
+		case q == 0:
+			out[i] = p.Min
+		case q >= levels:
+			out[i] = p.Max
+		default:
+			out[i] = float32(lo + float64(q)*eps)
+		}
+	}
+	return out
+}
+
+// FuzzPackVsBitwise is the spec of the packed stream (pack.go: LSB-first,
+// k bits per index, ⌈n·k/8⌉ bytes): for k from MinBits to 31 and n from 1
+// to 300, Pack's bytes must equal the bit-at-a-time oracle's and Unpack's
+// floats its decode, bit for bit. Values mix on-grid, off-grid and
+// beyond-range values, ±Inf, NaN and ±0; when n ≥ 8 a run of eight NaNs
+// starts at nanAt, so a NaN lands at every bit alignment of odd k and
+// cannot spill into its neighbours. degenerate collapses the grid (Eps 0).
+func FuzzPackVsBitwise(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed uint64, kb uint8, nb, nanAt uint16, spanExp int8, degenerate bool) {
+		k := MinBits + int(kb)%(MaxBits-MinBits)
+		n := 1 + int(nb)%300
+		rng := tensor.NewRNG(seed)
+		lo := float32(rng.Norm() * 4)
+		span := float32(math.Ldexp(1+rng.Float64(), int(spanExp)%16))
+		hi := lo + span
+		if degenerate {
+			hi = lo
+		}
+		st := &State{Bits: k, Min: lo, Max: hi, Eps: Epsilon(lo, hi, k)}
+		levels := uint64(1)<<uint(k) - 1
+		eps := (float64(hi) - float64(lo)) / float64(levels)
+		v := tensor.New(n)
+		d := v.Data()
+		for i := range d {
+			switch rng.Intn(7) {
+			case 0:
+				d[i] = float32(float64(lo) + float64(rng.Uint64()%(levels+1))*eps)
+			case 1:
+				d[i] = lo + span*rng.Float32()
+			case 2:
+				d[i] = lo - span*(1+4*rng.Float32())
+			case 3:
+				d[i] = hi + span*(1+4*rng.Float32())
+			case 4:
+				d[i] = float32(math.Inf(1 - 2*rng.Intn(2)))
+			case 5:
+				d[i] = float32(math.Copysign(0, float64(1-2*rng.Intn(2))))
+			default:
+				d[i] = float32(math.NaN())
+			}
+		}
+		if n >= 8 {
+			for j, at := 0, int(nanAt)%(n-7); j < 8; j++ {
+				d[at+j] = float32(math.NaN())
+			}
+		}
+		label := fmt.Sprintf("k=%d n=%d grid [%v, %v] eps %v", k, n, lo, hi, st.Eps)
+
+		p, err := Pack(v, st)
+		if err != nil {
+			t.Fatalf("%s: Pack: %v", label, err)
+		}
+		if want := bitwisePack(v, st); !bytes.Equal(p.Data, want) || len(p.Data) != len(want) {
+			t.Fatalf("%s: payload\n% x\nwant\n% x", label, p.Data, want)
+		}
+		if p.Bits != k || p.Min != lo || p.Max != hi || p.Eps != st.Eps || p.Count != n {
+			t.Fatalf("%s: header %+v", label, *p)
+		}
+		want := bitwiseDecode(p)
+		back, err := p.Unpack(n)
+		if err != nil {
+			t.Fatalf("%s: Unpack: %v", label, err)
+		}
+		for i, g := range back.Data() {
+			if math.Float32bits(g) != math.Float32bits(want[i]) {
+				t.Fatalf("%s: Unpack element %d = %v, want %v", label, i, g, want[i])
+			}
+		}
+	})
 }
