@@ -284,6 +284,7 @@ type server struct {
 	ctrl   *core.Controller
 	codec  GradCodec
 	sum    []*tensor.Tensor // per-parameter gradient accumulator
+	packs  []quant.Packed   // per-parameter broadcast payload, reused every round
 	st     *Stats
 }
 
@@ -308,6 +309,7 @@ func newServer(cfg Config) (*server, error) {
 		s.ctrl = ctrl
 	}
 	s.sum = make([]*tensor.Tensor, len(s.params))
+	s.packs = make([]quant.Packed, len(s.params))
 	for i, p := range s.params {
 		s.sum[i] = tensor.New(p.Value.Shape()...)
 	}
@@ -364,20 +366,18 @@ func (s *server) finishRound(shards int) error {
 // tensor raw. Quantized mode ships each quantized tensor bit-packed at its
 // current bitwidth (payload plus an 8-byte grid header); the pack→unpack
 // round trip is applied to the server's own weights too, so the wire
-// format is authoritative and server and replicas cannot drift.
+// format is authoritative and server and replicas cannot drift. The
+// payloads are reused round to round and decode in place, so a round's
+// broadcast allocates nothing.
 func (s *server) broadcastBytes() (int64, error) {
 	var bytes int64
-	for _, p := range s.params {
+	for i, p := range s.params {
 		if s.cfg.QuantBroadcast && p.Q != nil && !p.Q.FullPrecision() && p.Q.Eps > 0 {
-			packed, err := quant.Pack(p.Value, p.Q)
-			if err != nil {
+			packed := &s.packs[i]
+			if err := quant.PackInto(packed, p.Value, p.Q); err != nil {
 				return 0, fmt.Errorf("dist: broadcast %s: %w", p.Name, err)
 			}
-			dec, err := packed.Unpack(p.Value.Shape()...)
-			if err != nil {
-				return 0, fmt.Errorf("dist: broadcast %s: %w", p.Name, err)
-			}
-			if err := p.Value.CopyFrom(dec); err != nil {
+			if err := packed.UnpackInto(p.Value.Data()); err != nil {
 				return 0, fmt.Errorf("dist: broadcast %s: %w", p.Name, err)
 			}
 			bytes += int64(packed.SizeBytes()) + 8

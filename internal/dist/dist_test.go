@@ -307,6 +307,34 @@ func TestQuantBroadcastShrinksDownlink(t *testing.T) {
 	}
 }
 
+// TestQuantBroadcastAllocFree pins the per-round cost of the bit-packed
+// broadcast: after one warm-up round has sized every parameter's payload,
+// pricing and applying a round's broadcast allocates nothing.
+func TestQuantBroadcastAllocFree(t *testing.T) {
+	cfg := testConfig(t, 2, 1)
+	cfg.APT = aptConfig()
+	cfg.QuantBroadcast = true
+	s, err := newServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	per, err := s.broadcastBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if per >= 4*paramElems(t, cfg) {
+		t.Fatalf("broadcast of %d bytes packs nothing", per)
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, err := s.broadcastBytes(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("broadcastBytes allocates %v times per round, want 0", allocs)
+	}
+}
+
 // TestRunTrainsAndImproves sanity-checks that the concurrent engine
 // actually learns on the easy synthetic task.
 func TestRunTrainsAndImproves(t *testing.T) {

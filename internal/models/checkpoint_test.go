@@ -2,6 +2,7 @@ package models
 
 import (
 	"bytes"
+	"encoding/gob"
 	"math"
 	"os"
 	"path/filepath"
@@ -175,6 +176,39 @@ func TestLoadRejectsMismatches(t *testing.T) {
 	}
 	if err := Load(strings.NewReader("garbage"), m); err == nil {
 		t.Error("garbage stream did not error")
+	}
+}
+
+// TestLoadRejectsTruncatedPayload hands Load a checkpoint whose first
+// packed record lost its payload's last byte: the decoder must report it,
+// not index past the payload.
+func TestLoadRejectsTruncatedPayload(t *testing.T) {
+	m := trainedModel(t)
+	var buf bytes.Buffer
+	if err := Save(&buf, m); err != nil {
+		t.Fatalf("Save: %v", err)
+	}
+	var file checkpointFile
+	if err := gob.NewDecoder(&buf).Decode(&file); err != nil {
+		t.Fatal(err)
+	}
+	truncated := false
+	for _, rec := range file.Params {
+		if rec.Packed != nil && len(rec.Packed.Data) > 0 {
+			rec.Packed.Data = rec.Packed.Data[:len(rec.Packed.Data)-1]
+			truncated = true
+			break
+		}
+	}
+	if !truncated {
+		t.Fatal("checkpoint has no packed payload to truncate")
+	}
+	buf.Reset()
+	if err := gob.NewEncoder(&buf).Encode(&file); err != nil {
+		t.Fatal(err)
+	}
+	if err := Load(&buf, m); err == nil || !strings.Contains(err.Error(), "too short") {
+		t.Errorf("Load of a truncated payload: %v, want a too-short error", err)
 	}
 }
 

@@ -148,6 +148,28 @@ func TestBitStreamHelpers(t *testing.T) {
 	}
 }
 
+// writeBits stores the low k bits of v starting at bit position pos
+// (little-endian within the byte stream), one bit at a time: the packer's
+// original bit I/O, kept as the oracle for the word-level one.
+func writeBits(buf []byte, pos int, v uint64, k int) {
+	for i := 0; i < k; i++ {
+		if v&(1<<uint(i)) != 0 {
+			buf[(pos+i)/8] |= 1 << uint((pos+i)%8)
+		}
+	}
+}
+
+// readBits extracts k bits starting at bit position pos.
+func readBits(buf []byte, pos int, k int) uint64 {
+	var v uint64
+	for i := 0; i < k; i++ {
+		if buf[(pos+i)/8]&(1<<uint((pos+i)%8)) != 0 {
+			v |= 1 << uint(i)
+		}
+	}
+	return v
+}
+
 // bitwisePack is the bit-at-a-time packer: the index arithmetic of Pack,
 // written one bit per writeBits step into a fresh zeroed buffer. It is
 // FuzzPackVsBitwise's oracle for the payload bytes.
@@ -206,6 +228,8 @@ func bitwiseDecode(p *Packed) []float32 {
 // beyond-range values, ±Inf, NaN and ±0; when n ≥ 8 a run of eight NaNs
 // starts at nanAt, so a NaN lands at every bit alignment of odd k and
 // cannot spill into its neighbours. degenerate collapses the grid (Eps 0).
+// PackInto must give the same bytes over a longer payload of 0xFF bytes,
+// and UnpackInto the same floats over a destination of NaNs.
 func FuzzPackVsBitwise(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed uint64, kb uint8, nb, nanAt uint16, spanExp int8, degenerate bool) {
 		k := MinBits + int(kb)%(MaxBits-MinBits)
@@ -257,15 +281,113 @@ func FuzzPackVsBitwise(f *testing.F) {
 		if p.Bits != k || p.Min != lo || p.Max != hi || p.Eps != st.Eps || p.Count != n {
 			t.Fatalf("%s: header %+v", label, *p)
 		}
+		// The reuse path overwrites a longer payload of 0xFF bytes.
+		reused := &Packed{Bits: 99, Count: -1, Data: bytes.Repeat([]byte{0xFF}, len(p.Data)+int(nanAt%9))}
+		if err := PackInto(reused, v, st); err != nil {
+			t.Fatalf("%s: PackInto: %v", label, err)
+		}
+		if !bytes.Equal(reused.Data, p.Data) || reused.Bits != k || reused.Count != n {
+			t.Fatalf("%s: PackInto over 0xFF\n% x\nwant\n% x", label, reused.Data, p.Data)
+		}
+
 		want := bitwiseDecode(p)
 		back, err := p.Unpack(n)
 		if err != nil {
 			t.Fatalf("%s: Unpack: %v", label, err)
 		}
+		into := make([]float32, n)
+		for i := range into {
+			into[i] = float32(math.NaN())
+		}
+		if err := p.UnpackInto(into); err != nil {
+			t.Fatalf("%s: UnpackInto: %v", label, err)
+		}
 		for i, g := range back.Data() {
-			if math.Float32bits(g) != math.Float32bits(want[i]) {
-				t.Fatalf("%s: Unpack element %d = %v, want %v", label, i, g, want[i])
+			if math.Float32bits(g) != math.Float32bits(want[i]) || math.Float32bits(into[i]) != math.Float32bits(want[i]) {
+				t.Fatalf("%s: element %d: Unpack %v, UnpackInto %v, want %v", label, i, g, into[i], want[i])
 			}
 		}
 	})
+}
+
+// TestUnpackRejectsCorruptRecords feeds Unpack and UnpackInto records no
+// Pack call writes — a bitwidth outside [MinBits, MaxBits), a negative or
+// oversized count, a payload shorter than ⌈Count·Bits/8⌉ bytes, a shape
+// with a non-positive dimension — and wants an error, not a panic.
+func TestUnpackRejectsCorruptRecords(t *testing.T) {
+	grid := func(k, count, n int) Packed {
+		return Packed{Bits: k, Min: -1, Max: 1, Eps: Epsilon(-1, 1, k), Count: count, Data: make([]byte, n)}
+	}
+	for _, tc := range []struct {
+		name  string
+		p     Packed
+		shape []int
+	}{
+		{"payload 2 of 10 bytes", grid(8, 10, 2), []int{10}},
+		{"payload 38 of 39 bytes", grid(31, 10, 38), []int{10}},
+		{"no payload", grid(5, 1, 0), []int{1}},
+		{"1 bit", grid(1, 8, 1), []int{8}},
+		{"0 bits", Packed{Bits: 0, Min: -1, Max: 1, Eps: 1, Count: 4, Data: make([]byte, 4)}, []int{4}},
+		{"32 bits", Packed{Bits: 32, Min: -1, Max: 1, Eps: 1, Count: 1, Data: make([]byte, 8)}, []int{1}},
+		{"64 bits", Packed{Bits: 64, Min: -1, Max: 1, Eps: 1, Count: 1, Data: make([]byte, 8)}, []int{1}},
+		{"negative bits", Packed{Bits: -3, Min: -1, Max: 1, Eps: 1, Count: 1, Data: make([]byte, 8)}, []int{1}},
+		{"negative count", grid(8, -1, 8), []int{1}},
+		{"count overflows the bit length", grid(31, math.MaxInt, 16), []int{4}},
+		{"degenerate, negative bits", Packed{Bits: -1, Min: 3, Max: 3, Count: 2}, []int{2}},
+	} {
+		if _, err := tc.p.Unpack(tc.shape...); err == nil {
+			t.Errorf("%s: Unpack(%v) did not error", tc.name, tc.shape)
+		}
+		if n := tc.p.Count; n >= 1 && n <= 64 {
+			if err := tc.p.UnpackInto(make([]float32, n)); err == nil {
+				t.Errorf("%s: UnpackInto did not error", tc.name)
+			}
+		}
+	}
+	// A sound record still refuses a shape tensor.New would panic on.
+	for _, tc := range []struct {
+		count int
+		shape []int
+	}{{0, []int{0}}, {1, []int{-1, -1}}} {
+		p := grid(8, tc.count, tc.count)
+		if _, err := p.Unpack(tc.shape...); err == nil {
+			t.Errorf("Unpack(%v) of a %d-element record did not error", tc.shape, tc.count)
+		}
+	}
+	// The boundary cases decode: exactly ⌈Count·Bits/8⌉ bytes, and a
+	// degenerate grid with no payload at all.
+	for _, p := range []Packed{grid(31, 10, 39), grid(8, 10, 10), {Bits: 8, Min: 3, Max: 3, Count: 5}} {
+		if _, err := p.Unpack(p.Count); err != nil {
+			t.Errorf("%d-bit record of %d bytes for %d elements: %v", p.Bits, len(p.Data), p.Count, err)
+		}
+	}
+}
+
+// TestPackIntoUnpackIntoAllocFree pins the broadcast round trip's codec
+// cost: once p's payload has grown to the tensor's size, PackInto and
+// UnpackInto allocate nothing.
+func TestPackIntoUnpackIntoAllocFree(t *testing.T) {
+	st, err := NewState(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := tensor.New(3, 333)
+	v.FillNormal(tensor.NewRNG(8), 0, 1)
+	st.Quantize(v)
+	var p Packed
+	dst := make([]float32, v.Len())
+	if err := PackInto(&p, v, st); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if err := PackInto(&p, v, st); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.UnpackInto(dst); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("PackInto + UnpackInto allocate %v times per call, want 0", allocs)
+	}
 }
