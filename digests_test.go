@@ -60,34 +60,41 @@ func TestBackboneDigests(t *testing.T) {
 		}
 		got[name] = d
 	}
+	pinDigests(t, digestsFile, got, digestFields)
+}
+
+// pinDigests compares got, field by field, with the digests committed in
+// file, or rewrites file with got under -update-digests.
+func pinDigests(t *testing.T, file string, got map[string]backboneDigest, fields []string) {
+	t.Helper()
 	if *updateDigests {
 		b, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(digestsFile, append(b, '\n'), 0o644); err != nil {
+		if err := os.WriteFile(file, append(b, '\n'), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
-	b, err := os.ReadFile(digestsFile)
+	b, err := os.ReadFile(file)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var want map[string]backboneDigest
 	if err := json.Unmarshal(b, &want); err != nil {
-		t.Fatalf("%s: %v", digestsFile, err)
+		t.Fatalf("%s: %v", file, err)
 	}
 	for name, g := range got {
 		w := want[name]
-		for _, field := range digestFields {
+		for _, field := range fields {
 			if g[field] != w[field] {
 				t.Errorf("%s %s: digest %q, pinned %q (rerun with -update-digests only if the change means to move numerics)", name, field, g[field], w[field])
 			}
 		}
 	}
 	if len(want) != len(got) {
-		t.Errorf("%s pins %d backbones, the test digests %d", digestsFile, len(want), len(got))
+		t.Errorf("%s pins %d entries, the test digests %d", file, len(want), len(got))
 	}
 }
 

@@ -4,10 +4,8 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"math"
-	"os"
 	"runtime"
 	"testing"
 
@@ -83,34 +81,7 @@ func TestDistDigests(t *testing.T) {
 		}
 		got[r.name] = backboneDigest{"weights": netStateDigest(st.Final), "run": distRunDigest(st)}
 	}
-	if *updateDigests {
-		b, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(distDigestsFile, append(b, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	b, err := os.ReadFile(distDigestsFile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want map[string]backboneDigest
-	if err := json.Unmarshal(b, &want); err != nil {
-		t.Fatalf("%s: %v", distDigestsFile, err)
-	}
-	for _, r := range distDigestRuns {
-		for _, field := range []string{"weights", "run"} {
-			if g, w := got[r.name][field], want[r.name][field]; g != w {
-				t.Errorf("%s %s: digest %q, pinned %q (rerun with -update-digests only if the change means to move numerics)", r.name, field, g, w)
-			}
-		}
-	}
-	if len(want) != len(got) {
-		t.Errorf("%s pins %d runs, the test digests %d", distDigestsFile, len(want), len(got))
-	}
+	pinDigests(t, distDigestsFile, got, []string{"weights", "run"})
 }
 
 func netStateDigest(ns *nn.NetState) string {

@@ -47,7 +47,8 @@ func Pack(t *tensor.Tensor, st *State) (*Packed, error) {
 }
 
 // PackInto is Pack writing into p, whose payload capacity it reuses: every
-// payload byte is overwritten, so p may hold any earlier record.
+// payload byte is overwritten, so p may hold any earlier record, and a
+// payload slice kept from that record sees the new bytes.
 func PackInto(p *Packed, t *tensor.Tensor, st *State) error {
 	if st == nil || st.FullPrecision() {
 		return fmt.Errorf("quant: cannot bit-pack a full-precision tensor")
