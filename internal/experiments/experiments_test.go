@@ -2,12 +2,14 @@ package experiments
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/data"
 	"repro/internal/quant"
 )
 
@@ -160,6 +162,49 @@ func TestGavgNoteFollowsData(t *testing.T) {
 		if got := gavgNote(c.first, c.last); !strings.HasPrefix(got, c.want) {
 			t.Errorf("gavgNote(%g, %g) = %q, want prefix %q", c.first, c.last, got, c.want)
 		}
+	}
+}
+
+// TestRunOrderIndependent: every run of an artefact starts its
+// augmentation stream from the state the dataset was built with, so a
+// run's history does not depend on which runs of the artefact came
+// before it — B trains the same after A as it does first.
+func TestRunOrderIndependent(t *testing.T) {
+	s := Micro()
+	s.Epochs = 2
+	spec := func(name string, tr, te data.Dataset) runSpec {
+		m, err := s.SmallCNN(10)
+		if err != nil {
+			t.Fatalf("SmallCNN: %v", err)
+		}
+		sp := runSpec{model: m, train: tr, test: te, seed: 0xA}
+		if name == "B" {
+			if sp.apt, err = s.aptController(m, 6.0, 0, 6); err != nil {
+				t.Fatalf("aptController: %v", err)
+			}
+			sp.seed = 0xB
+		}
+		return sp
+	}
+	historyOfB := func(order ...string) string {
+		tr, te, err := s.Dataset(10, 2)
+		if err != nil {
+			t.Fatalf("Dataset: %v", err)
+		}
+		var got string
+		for _, name := range order {
+			h, err := s.execute(spec(name, tr, te), nil)
+			if err != nil {
+				t.Fatalf("run %s: %v", name, err)
+			}
+			if name == "B" {
+				got = fmt.Sprintf("%#v %v %v", h.Epochs, h.FP32Energy, h.FP32SizeBits)
+			}
+		}
+		return got
+	}
+	if ab, ba := historyOfB("A", "B"), historyOfB("B", "A"); ab != ba {
+		t.Errorf("B's history depends on run order:\nafter A: %s\nfirst:   %s", ab, ba)
 	}
 }
 
