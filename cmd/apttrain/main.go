@@ -226,8 +226,7 @@ func runDist(out io.Writer, a distArgs) error {
 	cfg := dist.Config{
 		Workers: a.workers, Build: a.build, Train: a.train, Test: a.test,
 		BatchSize: a.batch, Epochs: a.epochs, LR: a.lr, Momentum: 0.9,
-		Seed: a.seed, Concurrent: true,
-		HeartbeatTimeout: a.heartbeat, MinShards: a.minShards,
+		Seed: a.seed, HeartbeatTimeout: a.heartbeat, MinShards: a.minShards,
 		MaxStaleness: a.maxStaleness, MaxRespawns: a.maxRespawns,
 		CheckpointPath: a.ckptPath, CheckpointEvery: a.ckptEvery,
 		PublishPath: a.publishPath, PublishEvery: a.publishEvery,

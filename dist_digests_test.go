@@ -21,9 +21,9 @@ import (
 const distDigestsFile = "testdata/dist_digests.json"
 
 // distDigestRuns are the parameter-server configurations TestDistDigests
-// pins: one concurrent worker per uplink codec with APT off and with APT
-// plus the bit-packed broadcast on, and dist_ps's shape (two workers,
-// strict barrier, 8-bit uplink, APT, packed broadcast).
+// pins: one worker per uplink codec with APT off and with APT plus the
+// bit-packed broadcast on, and dist_ps's shape (two workers, strict
+// barrier, 8-bit uplink, APT, packed broadcast).
 var distDigestRuns = []struct {
 	name    string
 	workers int
@@ -68,7 +68,7 @@ func TestDistDigests(t *testing.T) {
 			},
 			Train: trainSet, Test: testSet,
 			BatchSize: s.Batch, Epochs: s.Epochs, LR: s.LR, Momentum: 0.9,
-			Codec: r.codec(s.Seed), Seed: s.Seed, Concurrent: true,
+			Codec: r.codec(s.Seed), Seed: s.Seed,
 		}
 		if r.apt {
 			apt := core.DefaultConfig()

@@ -5,15 +5,15 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/data"
 	"repro/internal/models"
 	"repro/internal/nn"
+	"repro/internal/quant"
 	"repro/internal/tensor"
 	"repro/internal/train"
 )
 
-// The concurrent engine: one goroutine per worker, each owning a full
-// model replica, with the main goroutine acting as the parameter server.
+// The engine: one goroutine per worker, each owning a full model replica,
+// with the goroutine that called Run acting as the parameter server.
 //
 // Synchronization model (kept deliberately narrow so the whole engine is
 // provably race-free and deterministic):
@@ -33,10 +33,9 @@ import (
 // Membership has two modes:
 //
 //   - Strict barrier (HeartbeatTimeout == 0): every round waits for every
-//     dispatched shard and ingests them in slot order. Together with the
-//     shared server core in dist.go this makes a Workers=1 run
-//     bit-identical to the sequential reference, and any worker count
-//     seed-deterministic. A worker error aborts the run.
+//     dispatched shard and ingests them in slot order, which makes a run
+//     at any worker count seed-deterministic (TestDistDigests pins the
+//     trajectories). A worker error aborts the run.
 //   - Elastic (HeartbeatTimeout > 0): a worker that holds a shard past
 //     the timeout is declared dead and expelled from the barrier; the
 //     round's average re-weights over the gradients that did arrive.
@@ -174,153 +173,37 @@ type slot struct {
 	needSync bool // must pull fresh weights before its next job
 }
 
-// engine is the concurrent parameter-server run: the shared server core,
-// the membership slots, and the round bookkeeping.
-type engine struct {
-	cfg      Config
-	srv      *server
-	loader   *data.Loader
-	slots    []*slot
-	results  chan result
-	quit     chan struct{}
-	strict   bool
-	roundSeq int
-	respawns int
-	// per-round collect state
-	got     int // gradients ingested this round (fresh + folded stale)
-	pending int // current-round shards still outstanding
-}
-
-// runConcurrent executes the goroutine-per-worker engine.
-func runConcurrent(cfg Config) (*Stats, error) {
-	srv, err := newServer(cfg)
-	if err != nil {
-		return nil, err
-	}
-	rng := tensor.NewRNG(cfg.Seed ^ 0xD157)
-	loader, err := data.NewLoader(cfg.Train, cfg.BatchSize, rng.Split())
-	if err != nil {
-		return nil, fmt.Errorf("dist: %w", err)
-	}
-	startEpoch := 0
-	if cfg.Resume != nil {
-		if startEpoch, err = srv.restore(cfg.Resume, loader); err != nil {
-			return nil, err
-		}
-	}
-	e := &engine{
-		cfg:    cfg,
-		srv:    srv,
-		loader: loader,
-		// Buffered past the largest possible sender population so
-		// deliveries from replaced replicas never contend.
-		results: make(chan result, cfg.Workers+cfg.MaxRespawns+4),
-		quit:    make(chan struct{}),
-		strict:  cfg.HeartbeatTimeout <= 0,
-	}
-	defer close(e.quit)
-
-	// Build one full replica per worker and align it bit-for-bit with the
-	// server: weights, quant grids, masters and batch-norm statistics.
-	// This initial ship is uncharged (in a deployment the initial weights
-	// travel with the job submission, not over the training-round links).
-	snap := nn.CaptureState(srv.m.Layers())
-	e.slots = make([]*slot, cfg.Workers)
-	for w := range e.slots {
-		r, err := e.spawn(w, snap)
-		if err != nil {
-			return nil, err
-		}
-		e.slots[w] = &slot{r: r, alive: true}
-	}
-	// On resume, replicas recover their worker-local batch-norm history
-	// where the checkpoint captured it (a nil entry means that worker was
-	// mid-shard at checkpoint time; its replacement keeps the server
-	// clone).
-	if cfg.Resume != nil && len(cfg.Resume.Replicas) == len(e.slots) {
-		for w, rs := range cfg.Resume.Replicas {
-			if rs == nil {
-				continue
-			}
-			if err := nn.RestoreState(e.slots[w].r.m.Layers(), rs); err != nil {
-				return nil, fmt.Errorf("dist: resume worker %d: %w", w, err)
-			}
-		}
-	}
-	return e.run(startEpoch)
-}
-
-// spawn builds a fresh replica for a slot from a server-state snapshot
-// and starts its goroutine.
-func (e *engine) spawn(id int, snap *nn.NetState) (*replica, error) {
-	m, err := e.cfg.Build()
-	if err != nil {
-		return nil, fmt.Errorf("dist: build worker %d: %w", id, err)
-	}
-	if err := nn.RestoreState(m.Layers(), snap); err != nil {
-		return nil, fmt.Errorf("dist: worker %d: %w", id, err)
-	}
-	r := &replica{
-		id:     id,
-		m:      m,
-		params: m.Params(),
-		// One-deep so dispatch to a parked worker never blocks the server.
-		jobs: make(chan job, 1),
-	}
-	r.stage = make([]*tensor.Tensor, len(r.params))
-	for i, p := range r.params {
-		r.stage[i] = tensor.New(p.Value.Shape()...)
-	}
-	r.beat.Store(time.Now().UnixNano())
-	go r.loop(e.quit, e.results, e.cfg.Fault)
-	return r, nil
-}
-
-// run drives the epoch/round loop.
-func (e *engine) run(startEpoch int) (*Stats, error) {
-	cfg, srv := e.cfg, e.srv
-	for epoch := startEpoch; epoch < cfg.Epochs; epoch++ {
-		// As in the sequential engine, end-of-epoch can arrive mid-round;
-		// the partial round still trains and the flag ends the epoch.
+// run drives the epoch/round loop: rounds until the loader ends the epoch,
+// then the epoch boundary, checkpointing and publishing on their cadences.
+func (e *engine) run() (*Stats, error) {
+	cfg := e.cfg
+	for epoch := e.startEpoch; epoch < cfg.Epochs; epoch++ {
+		// End of epoch can arrive mid-round (batch count not divisible by
+		// the worker count); the partial round still trains, and the flag
+		// ends the epoch afterwards.
 		for exhausted := false; !exhausted; {
 			stepped, ex, err := e.round()
 			if err != nil {
 				return nil, err
 			}
 			exhausted = ex
-			if !stepped {
+			if !stepped || exhausted {
+				// An exhausted loader already reshuffled for the next
+				// epoch; the epoch-boundary checkpoint below covers this
+				// position.
 				continue
 			}
-			// Broadcast: every worker pulls the fresh weights (and, in
-			// quantized mode, the grids they were packed on). The strict
-			// barrier syncs replicas in place — they are all parked —
-			// while elastic mode defers each sync to the slot's next
-			// dispatch, since a straggler's replica may not be touched
-			// mid-flight. Only the pulls of the workers that trained are
-			// charged (in finishRound).
-			if err := e.distribute(); err != nil {
-				return nil, err
-			}
-			if exhausted {
-				// The loader already reshuffled for the next epoch; the
-				// epoch-boundary checkpoint below covers this position.
-				continue
-			}
-			if srv.shouldCheckpoint() {
+			if e.shouldCheckpoint() {
 				if err := e.checkpoint(epoch); err != nil {
 					return nil, err
 				}
 			}
-			if srv.timeToPublish() {
-				m, err := e.evalModel()
-				if err != nil {
-					return nil, err
-				}
-				if err := srv.publish(m); err != nil {
+			if e.timeToPublish() {
+				if err := e.publish(); err != nil {
 					return nil, err
 				}
 			}
-			if cfg.HaltAfterRounds > 0 && srv.st.Rounds >= cfg.HaltAfterRounds {
+			if e.halting() {
 				if cfg.CheckpointPath != "" {
 					if err := e.checkpoint(epoch); err != nil {
 						return nil, err
@@ -329,18 +212,8 @@ func (e *engine) run(startEpoch int) (*Stats, error) {
 				return e.finish(true)
 			}
 		}
-		if err := srv.finishEpoch(); err != nil {
+		if err := e.finishEpoch(); err != nil {
 			return nil, err
-		}
-		if srv.ctrl != nil {
-			// The epoch-boundary precision adjustment requantized the
-			// server's weights; realign the replicas before evaluation
-			// and the next epoch. Uncharged, mirroring the sequential
-			// reference where the adjustment mutates the shared replica
-			// in place.
-			if err := e.distribute(); err != nil {
-				return nil, err
-			}
 		}
 		m, err := e.evalModel()
 		if err != nil {
@@ -350,8 +223,8 @@ func (e *engine) run(startEpoch int) (*Stats, error) {
 		if err != nil {
 			return nil, fmt.Errorf("dist: epoch %d eval: %w", epoch, err)
 		}
-		srv.st.Accs = append(srv.st.Accs, acc)
-		haltNow := cfg.HaltAfterRounds > 0 && srv.st.Rounds >= cfg.HaltAfterRounds
+		e.st.Accs = append(e.st.Accs, acc)
+		haltNow := e.halting()
 		if cfg.CheckpointPath != "" && (cfg.CheckpointEvery > 0 || haltNow) {
 			if err := e.checkpoint(epoch + 1); err != nil {
 				return nil, err
@@ -367,32 +240,25 @@ func (e *engine) run(startEpoch int) (*Stats, error) {
 		}
 	}
 	if cfg.PublishPath != "" {
-		m, err := e.evalModel()
-		if err != nil {
-			return nil, err
-		}
-		if err := e.srv.publish(m); err != nil {
+		if err := e.publish(); err != nil {
 			return nil, err
 		}
 	}
 	return e.finish(false)
 }
 
-func (e *engine) finish(halted bool) (*Stats, error) {
-	m, err := e.evalModel()
-	if err != nil {
-		return nil, err
-	}
-	e.srv.st.Halted = halted
-	e.srv.finalize(m)
-	return e.srv.st, nil
+// halting reports whether the run has stepped its HaltAfterRounds budget.
+func (e *engine) halting() bool {
+	return e.cfg.HaltAfterRounds > 0 && e.st.Rounds >= e.cfg.HaltAfterRounds
 }
 
-// round runs one dispatch/collect/step cycle. stepped reports whether the
-// server applied an update; exhausted reports end of epoch.
+// round runs one dispatch → collect → step → broadcast cycle. stepped
+// reports whether the server applied an update; exhausted reports end of
+// epoch.
 func (e *engine) round() (stepped, exhausted bool, err error) {
-	srv := e.srv
-	srv.beginRound()
+	for _, t := range e.sum {
+		t.Zero()
+	}
 	e.roundSeq++
 	e.got, e.pending = 0, 0
 	round := e.roundSeq
@@ -439,13 +305,16 @@ func (e *engine) round() (stepped, exhausted bool, err error) {
 		}
 	}
 	if e.got == 0 {
-		srv.st.SkippedRounds++
+		e.st.SkippedRounds++
 		return false, exhausted, nil
 	}
 	if e.got < dispatched {
-		srv.st.PartialRounds++
+		e.st.PartialRounds++
 	}
-	if err := srv.finishRound(e.got); err != nil {
+	if err := e.finishRound(e.got); err != nil {
+		return false, exhausted, err
+	}
+	if err := e.distribute(); err != nil {
 		return false, exhausted, err
 	}
 	return true, exhausted, nil
@@ -455,7 +324,7 @@ func (e *engine) round() (stepped, exhausted bool, err error) {
 // if it missed a broadcast.
 func (e *engine) dispatch(s *slot, jb job) error {
 	if s.needSync {
-		if err := nn.SyncParams(s.r.params, e.srv.params); err != nil {
+		if err := nn.SyncParams(s.r.params, e.params); err != nil {
 			return fmt.Errorf("dist: worker %d: %w", s.r.id, err)
 		}
 		s.needSync = false
@@ -468,8 +337,8 @@ func (e *engine) dispatch(s *slot, jb job) error {
 }
 
 // collectStrict is the strict barrier: wait for every dispatched shard,
-// then ingest in slot order — the exact arithmetic (and codec ordering)
-// of the sequential reference. A worker error aborts the run.
+// then ingest in slot order, so neither the sum's order nor the codec's
+// draws depend on scheduling. A worker error aborts the run.
 func (e *engine) collectStrict(dispatched int) error {
 	var firstErr error
 	for e.pending > 0 {
@@ -486,7 +355,7 @@ func (e *engine) collectStrict(dispatched int) error {
 	// Under the strict barrier every slot is always alive, so the round
 	// dispatched to slots 0..dispatched-1 in order.
 	for w := 0; w < dispatched; w++ {
-		if err := e.srv.ingest(e.slots[w].r.stage); err != nil {
+		if err := e.ingest(e.slots[w].r.stage); err != nil {
 			return err
 		}
 		e.got++
@@ -546,12 +415,12 @@ func (e *engine) handleResult(res result, round int) error {
 	s := e.slots[res.r.id]
 	if s.r != res.r {
 		// A replaced replica's delivery: its slot moved on without it.
-		e.srv.st.StaleDropped++
+		e.st.StaleDropped++
 		return nil
 	}
 	if !s.alive {
 		s.alive = true
-		e.srv.st.Rejoins++
+		e.st.Rejoins++
 	}
 	s.busy = false
 	s.needSync = true
@@ -559,17 +428,17 @@ func (e *engine) handleResult(res result, round int) error {
 		e.pending--
 	}
 	if res.err != nil {
-		e.srv.st.WorkerErrors++
+		e.st.WorkerErrors++
 		return nil
 	}
 	if res.round != round {
 		if e.cfg.MaxStaleness <= 0 || round-res.round > e.cfg.MaxStaleness {
-			e.srv.st.StaleDropped++
+			e.st.StaleDropped++
 			return nil
 		}
-		e.srv.st.StaleFolded++
+		e.st.StaleFolded++
 	}
-	if err := e.srv.ingest(res.r.stage); err != nil {
+	if err := e.ingest(res.r.stage); err != nil {
 		return err
 	}
 	e.got++
@@ -588,7 +457,7 @@ func (e *engine) reapDead(round int) error {
 		}
 		s.alive = false
 		s.busy = false
-		e.srv.st.WorkersLost++
+		e.st.WorkersLost++
 		if s.round == round {
 			e.pending--
 		}
@@ -596,8 +465,8 @@ func (e *engine) reapDead(round int) error {
 			continue // budget exhausted: the pool shrinks
 		}
 		e.respawns++
-		e.srv.st.Respawns++
-		r, err := e.spawn(s.r.id, nn.CaptureState(e.srv.m.Layers()))
+		e.st.Respawns++
+		r, err := e.spawn(s.r.id, nn.CaptureState(e.m.Layers()))
 		if err != nil {
 			return err
 		}
@@ -615,13 +484,90 @@ func (e *engine) reapDead(round int) error {
 	return nil
 }
 
-// distribute pushes the server's fresh weights to the replicas: in place
-// for the strict barrier (all workers parked), deferred to each slot's
-// next dispatch in elastic mode.
+func (e *engine) anyAlive() bool {
+	for _, s := range e.slots {
+		if s.alive {
+			return true
+		}
+	}
+	return false
+}
+
+// ingest models one worker→server push: the staged gradients pass through
+// the codec (which rewrites them to the decoded wire values and prices the
+// uplink) and accumulate into the round sum.
+func (e *engine) ingest(stage []*tensor.Tensor) error {
+	for i := range e.params {
+		e.st.UpBytes += e.codec.Encode(stage[i])
+		if err := e.sum[i].Add(stage[i]); err != nil {
+			return fmt.Errorf("dist: %s: %w", e.params[i].Name, err)
+		}
+	}
+	return nil
+}
+
+// finishRound averages the decoded gradients, lets the APT controller
+// observe them, applies the SGD step, and charges the downlink for shards
+// weight pulls.
+func (e *engine) finishRound(shards int) error {
+	inv := 1 / float32(shards)
+	for i, p := range e.params {
+		e.sum[i].Scale(inv)
+		if err := p.Grad.CopyFrom(e.sum[i]); err != nil {
+			return fmt.Errorf("dist: %s: %w", p.Name, err)
+		}
+	}
+	if e.ctrl != nil {
+		e.ctrl.ObserveBatch()
+	}
+	if err := e.opt.Step(e.params); err != nil {
+		return fmt.Errorf("dist: step: %w", err)
+	}
+	per, err := e.broadcastBytes()
+	if err != nil {
+		return err
+	}
+	e.st.DownBytes += per * int64(shards)
+	e.st.Rounds++
+	return nil
+}
+
+// broadcastBytes prices one worker's weight pull. fp32 mode ships every
+// tensor raw. Quantized mode ships each quantized tensor bit-packed at its
+// current bitwidth (payload plus an 8-byte grid header); the pack→unpack
+// round trip is applied to the server's own weights too, so the wire
+// format is authoritative and server and replicas cannot drift. The
+// payloads are reused round to round and decode in place, so a round's
+// broadcast allocates nothing.
+func (e *engine) broadcastBytes() (int64, error) {
+	var bytes int64
+	for i, p := range e.params {
+		if e.cfg.QuantBroadcast && p.Q != nil && !p.Q.FullPrecision() && p.Q.Eps > 0 {
+			packed := &e.packs[i]
+			if err := quant.PackInto(packed, p.Value, p.Q); err != nil {
+				return 0, fmt.Errorf("dist: broadcast %s: %w", p.Name, err)
+			}
+			if err := packed.UnpackInto(p.Value.Data()); err != nil {
+				return 0, fmt.Errorf("dist: broadcast %s: %w", p.Name, err)
+			}
+			bytes += int64(packed.SizeBytes()) + 8
+		} else {
+			bytes += int64(p.Value.Len()) * 4
+		}
+	}
+	return bytes, nil
+}
+
+// distribute pushes the server's fresh weights (and, in quantized mode,
+// the grids they were packed on) to the replicas: in place for the strict
+// barrier (all workers parked), deferred to each slot's next dispatch in
+// elastic mode, since a straggler's replica may not be touched
+// mid-flight. Only the pulls of the workers that trained are charged (in
+// finishRound).
 func (e *engine) distribute() error {
 	if e.strict {
 		for _, s := range e.slots {
-			if err := nn.SyncParams(s.r.params, e.srv.params); err != nil {
+			if err := nn.SyncParams(s.r.params, e.params); err != nil {
 				return fmt.Errorf("dist: worker %d: %w", s.r.id, err)
 			}
 		}
@@ -633,13 +579,18 @@ func (e *engine) distribute() error {
 	return nil
 }
 
-func (e *engine) anyAlive() bool {
-	for _, s := range e.slots {
-		if s.alive {
-			return true
-		}
+// finishEpoch runs the epoch-boundary APT precision adjustment (a
+// server-side requantization of the canonical weights) and realigns the
+// replicas with it before evaluation and the next epoch. The realignment
+// is uncharged: the server applies the adjustment, no worker asked for it.
+func (e *engine) finishEpoch() error {
+	if e.ctrl == nil {
+		return nil
 	}
-	return false
+	if _, err := e.ctrl.AdjustEpoch(); err != nil {
+		return fmt.Errorf("dist: adjust: %w", err)
+	}
+	return e.distribute()
 }
 
 // evalModel picks the model to evaluate, publish and finalize on: worker
@@ -657,30 +608,191 @@ func (e *engine) evalModel() (*models.Model, error) {
 			continue
 		}
 		if s.needSync {
-			if err := nn.SyncParams(s.r.params, e.srv.params); err != nil {
+			if err := nn.SyncParams(s.r.params, e.params); err != nil {
 				return nil, fmt.Errorf("dist: worker %d: %w", s.r.id, err)
 			}
 			s.needSync = false
 		}
 		return s.r.m, nil
 	}
-	return e.srv.m, nil
+	return e.m, nil
 }
 
-// replicaStates snapshots each parked replica for a checkpoint (a busy
-// straggler cannot be touched; its entry stays nil and resume falls back
-// to a server clone for that slot).
-func (e *engine) replicaStates() []*nn.NetState {
-	out := make([]*nn.NetState, len(e.slots))
+func (e *engine) finish(halted bool) (*Stats, error) {
+	m, err := e.evalModel()
+	if err != nil {
+		return nil, err
+	}
+	e.st.Halted = halted
+	e.st.MeanBits = meanBits(e.params)
+	e.st.Final = nn.CaptureState(m.Layers())
+	return e.st, nil
+}
+
+func meanBits(params []*nn.Param) float64 {
+	var bits, n float64
+	for _, p := range params {
+		w := float64(p.Value.Len())
+		bits += w * float64(p.Bits())
+		n += w
+	}
+	if n == 0 {
+		return 0
+	}
+	return bits / n
+}
+
+// shouldCheckpoint reports whether the periodic cadence lands on the
+// current round. (Halt and end-of-run checkpoints bypass the cadence.)
+func (e *engine) shouldCheckpoint() bool {
+	return e.cfg.CheckpointPath != "" && e.cfg.CheckpointEvery > 0 &&
+		e.st.Rounds%e.cfg.CheckpointEvery == 0
+}
+
+// checkpoint writes a TrainState snapshot to cfg.CheckpointPath.
+func (e *engine) checkpoint(epoch int) error {
+	if err := models.SaveTrainState(e.cfg.CheckpointPath, e.captureTrainState(epoch)); err != nil {
+		return fmt.Errorf("dist: checkpoint: %w", err)
+	}
+	e.st.Checkpoints++
+	return nil
+}
+
+// captureTrainState assembles a complete resumable snapshot: the server
+// replica, each parked worker replica (a busy straggler cannot be
+// touched; its entry stays nil and resume falls back to a server clone
+// for that slot), optimizer and controller state, the loader's batch
+// cursor, auxiliary RNG cursors, and the run's cumulative accounting.
+// epoch is the epoch in progress (epoch+1 at an epoch boundary — the
+// loader has already drawn the next epoch's order by then).
+func (e *engine) captureTrainState(epoch int) *models.TrainState {
+	replicas := make([]*nn.NetState, len(e.slots))
 	for i, s := range e.slots {
-		if s.busy {
-			continue
+		if !s.busy {
+			replicas[i] = nn.CaptureState(s.r.m.Layers())
 		}
-		out[i] = nn.CaptureState(s.r.m.Layers())
+	}
+	st := &models.TrainState{
+		Arch:      e.m.Name,
+		Width:     e.m.Width,
+		Seed:      e.cfg.Seed,
+		Epoch:     epoch,
+		Loader:    e.loader.Cursor(),
+		Net:       nn.CaptureState(e.m.Layers()),
+		Replicas:  replicas,
+		Opt:       e.opt.CaptureState(e.params),
+		RNGs:      e.rngStates(),
+		Rounds:    e.st.Rounds,
+		UpBytes:   e.st.UpBytes,
+		DownBytes: e.st.DownBytes,
+		Accs:      append([]float64(nil), e.st.Accs...),
+		Publishes: e.st.Publishes,
+	}
+	if e.ctrl != nil {
+		st.Ctrl = e.ctrl.CaptureState()
+	}
+	return st
+}
+
+// rngStates collects the auxiliary RNG cursors that travel with a
+// checkpoint: the caller-registered streams in order, then the codec's
+// sampling stream if it has one. restoreRNGs is the exact inverse.
+func (e *engine) rngStates() []uint64 {
+	var out []uint64
+	for _, r := range e.cfg.CheckpointRNGs {
+		out = append(out, r.State())
+	}
+	if sc, ok := e.codec.(statefulCodec); ok {
+		out = append(out, sc.RNGState())
 	}
 	return out
 }
 
-func (e *engine) checkpoint(epoch int) error {
-	return e.srv.checkpoint(epoch, e.loader, e.replicaStates())
+func (e *engine) restoreRNGs(states []uint64) error {
+	want := len(e.cfg.CheckpointRNGs)
+	sc, stateful := e.codec.(statefulCodec)
+	if stateful {
+		want++
+	}
+	if len(states) != want {
+		return fmt.Errorf("dist: resume: checkpoint has %d RNG streams, run has %d", len(states), want)
+	}
+	for i, r := range e.cfg.CheckpointRNGs {
+		r.SetState(states[i])
+	}
+	if stateful {
+		sc.SetRNGState(states[len(states)-1])
+	}
+	return nil
+}
+
+// restore imports a TrainState snapshot into a freshly built engine and
+// its loader, returning the epoch to continue from (the worker replicas
+// restore in start). Order matters: nn.RestoreState must run after the
+// controller was constructed (the controller's constructor stamps
+// InitBits onto every parameter; the snapshot's quant grids must win),
+// and the controller and optimizer restore against the restored
+// parameters.
+func (e *engine) restore(st *models.TrainState) (int, error) {
+	if st.Arch != e.m.Name {
+		return 0, fmt.Errorf("dist: resume: checkpoint is for %q, run builds %q", st.Arch, e.m.Name)
+	}
+	if st.Width != e.m.Width {
+		return 0, fmt.Errorf("dist: resume: checkpoint width %g, run width %g", st.Width, e.m.Width)
+	}
+	if st.Seed != e.cfg.Seed {
+		return 0, fmt.Errorf("dist: resume: checkpoint seed %d, run seed %d", st.Seed, e.cfg.Seed)
+	}
+	if st.Net == nil || st.Opt == nil {
+		return 0, fmt.Errorf("dist: resume: incomplete checkpoint")
+	}
+	if err := nn.RestoreState(e.m.Layers(), st.Net); err != nil {
+		return 0, fmt.Errorf("dist: resume: %w", err)
+	}
+	switch {
+	case e.ctrl != nil && st.Ctrl != nil:
+		if err := e.ctrl.RestoreState(st.Ctrl); err != nil {
+			return 0, fmt.Errorf("dist: resume: %w", err)
+		}
+	case e.ctrl != nil:
+		return 0, fmt.Errorf("dist: resume: run has an APT controller, checkpoint has no controller state")
+	case st.Ctrl != nil:
+		return 0, fmt.Errorf("dist: resume: checkpoint has APT controller state, run has no controller")
+	}
+	if err := e.opt.RestoreState(e.params, st.Opt); err != nil {
+		return 0, fmt.Errorf("dist: resume: %w", err)
+	}
+	if err := e.loader.Seek(st.Loader); err != nil {
+		return 0, fmt.Errorf("dist: resume: %w", err)
+	}
+	if err := e.restoreRNGs(st.RNGs); err != nil {
+		return 0, err
+	}
+	e.st.Rounds = st.Rounds
+	e.st.UpBytes = st.UpBytes
+	e.st.DownBytes = st.DownBytes
+	e.st.Accs = append([]float64(nil), st.Accs...)
+	e.st.Publishes = st.Publishes
+	return st.Epoch, nil
+}
+
+func (e *engine) timeToPublish() bool {
+	return e.cfg.PublishPath != "" && e.cfg.PublishEvery > 0 &&
+		e.st.Rounds%e.cfg.PublishEvery == 0
+}
+
+// publish writes the evaluation model as a bit-packed serving checkpoint
+// to cfg.PublishPath with the next monotonic version — atomically, so a
+// serving process polling the path never observes a torn file.
+func (e *engine) publish() error {
+	m, err := e.evalModel()
+	if err != nil {
+		return err
+	}
+	v := e.st.Publishes + 1
+	if err := models.SaveFileAtomic(e.cfg.PublishPath, m, v); err != nil {
+		return fmt.Errorf("dist: publish: %w", err)
+	}
+	e.st.Publishes = v
+	return nil
 }

@@ -1,23 +1,12 @@
 // Package dist trains data-parallel through a parameter server with
 // compressed links — the deployment setting TernGrad (one of Table I's
 // comparison methods) was designed for, and the one APT's own precision
-// state makes cheaper on the wire. Workers each own a full model replica,
-// compute gradients on disjoint mini-batch shards, push them through a
-// GradCodec (fp32, k-bit affine, or ternary), and the server averages the
-// decoded gradients, applies the SGD step, and broadcasts weights back.
-//
-// Two engines share one server core (so they execute the same
-// floating-point operations in the same order):
-//
-//   - the sequential reference (Config.Concurrent = false) runs the
-//     workers one after another on a single shared replica — weights are
-//     identical across replicas between rounds, so the computed gradients
-//     match a true multi-process run exactly;
-//   - the concurrent engine (Config.Concurrent = true) runs one goroutine
-//     per worker, each owning a private replica kept bit-identical to the
-//     server through the nn.SyncParams broadcast path. At Workers = 1 its
-//     trajectory is bit-identical to the sequential reference; at any
-//     worker count it is deterministic for a fixed seed.
+// state makes cheaper on the wire. Workers each own a full model replica
+// on a goroutine of their own, compute gradients on disjoint mini-batch
+// shards, and push them through a GradCodec (fp32, k-bit affine, or
+// ternary); the server averages the decoded gradients, applies the SGD
+// step, and broadcasts weights back through the nn.SyncParams path, so
+// every replica stays bit-identical to the server.
 //
 // When the server runs an APT controller (Config.APT), the downlink can be
 // bitwidth-aware (Config.QuantBroadcast): each layer's weights ship
@@ -25,16 +14,20 @@
 // broadcast traffic shrinks as APT keeps layers at low precision — the
 // scenario the paper motivates for resource-constrained deployments.
 //
-// The concurrent engine additionally survives worker failure: with
-// Config.HeartbeatTimeout set, workers that stall past the timeout are
-// expelled from the gradient barrier (the round's average re-weights over
-// the live contributors), optionally respawned from the server's replica
-// state, and late gradients fold in under a bounded-staleness policy or
-// are dropped and counted (Config.MinShards, Config.MaxStaleness,
-// Config.MaxRespawns). Runs checkpoint their complete state periodically
-// (Config.CheckpointPath) and resume from it (Config.Resume) — in
-// strict-barrier mode bit-identically — and publish crash-consistent
-// serving checkpoints (Config.PublishPath) a serving process can watch.
+// Membership runs in one of two modes. The strict barrier (the default)
+// is the deterministic reference: every round waits for every shard and
+// folds them in worker order, so a run is bit-reproducible for a fixed
+// seed at any worker count, and a worker failure aborts it. Elastic
+// membership (Config.HeartbeatTimeout > 0) is the production policy:
+// workers that stall past the timeout are expelled from the gradient
+// barrier (the round's average re-weights over the live contributors),
+// optionally respawned from the server's replica state, and late
+// gradients fold in under a bounded-staleness policy or are dropped and
+// counted (Config.MinShards, Config.MaxStaleness, Config.MaxRespawns).
+// Runs checkpoint their complete state periodically
+// (Config.CheckpointPath) and resume from it (Config.Resume) — under the
+// strict barrier bit-identically — and publish crash-consistent serving
+// checkpoints (Config.PublishPath) a serving process can watch.
 package dist
 
 import (
@@ -48,14 +41,13 @@ import (
 	"repro/internal/optim"
 	"repro/internal/quant"
 	"repro/internal/tensor"
-	"repro/internal/train"
 )
 
 // GradCodec compresses one worker→server gradient push. Encode replaces
 // g's contents with the values the server decodes (simulating the lossy
 // wire format) and returns the number of bytes the push costs. Codecs run
 // in the server's ingest path, in worker order, so stateful codecs (the
-// ternary sampler) stay deterministic under the concurrent engine.
+// ternary sampler) stay deterministic under the strict barrier.
 type GradCodec interface {
 	Name() string
 	Encode(g *tensor.Tensor) int64
@@ -138,8 +130,9 @@ type Config struct {
 	Codec     GradCodec
 	Seed      uint64
 
-	// Concurrent selects the goroutine-per-worker engine; false runs the
-	// sequential reference implementation on one shared replica.
+	// Deprecated: Concurrent is ignored; every run uses the one
+	// goroutine-per-worker engine. The field is deleted once the
+	// benchmark module stops setting it.
 	Concurrent bool
 
 	// APT, when non-nil, runs a precision controller on the server: it
@@ -153,13 +146,13 @@ type Config struct {
 	// grid so server and replicas stay bit-identical.
 	QuantBroadcast bool
 
-	// --- Elastic membership (concurrent engine only) ---
+	// --- Elastic membership ---
 
 	// HeartbeatTimeout enables elastic membership: a worker that holds a
 	// shard longer than this is declared dead, expelled from the gradient
 	// barrier, and (budget permitting) respawned. Zero keeps the strict
-	// barrier — the server waits for every dispatched shard, and healthy
-	// runs stay bit-identical to the sequential reference.
+	// barrier — the server waits for every dispatched shard, and a run is
+	// bit-reproducible for a fixed seed.
 	HeartbeatTimeout time.Duration
 	// MinShards lets the server step with K-of-N gradients: once the
 	// heartbeat grace period expires, a round with at least MinShards
@@ -224,9 +217,9 @@ type Stats struct {
 	// MeanBits is the final parameter-weighted mean bitwidth of the
 	// server model (32 without APT).
 	MeanBits float64
-	// Final is the final state of the evaluation model (the shared
-	// replica for the sequential engine, worker 0's replica for the
-	// concurrent one), for checkpointing and equivalence tests.
+	// Final is the final state of the evaluation model (worker 0's
+	// replica under the strict barrier, any parked live one under elastic
+	// membership), for checkpointing and equivalence tests.
 	Final *nn.NetState
 
 	// --- Elastic membership accounting ---
@@ -272,294 +265,49 @@ func (s *Stats) FinalAcc() float64 {
 	return s.Accs[len(s.Accs)-1]
 }
 
-// server owns the canonical model replica, the optimizer, the codec and
-// (optionally) the APT precision controller. Both engines drive rounds
-// through it, which is what makes the Workers=1 trajectories bit-identical
-// across engines: the per-round arithmetic and its order live here once.
-type server struct {
-	cfg    Config
-	m      *models.Model
-	params []*nn.Param
-	opt    *optim.SGD
-	ctrl   *core.Controller
-	codec  GradCodec
-	sum    []*tensor.Tensor // per-parameter gradient accumulator
-	packs  []quant.Packed   // per-parameter broadcast payload, reused every round
-	st     *Stats
+// engine is one parameter-server run. The server side owns the canonical
+// model replica, the optimizer, the codec, the (optional) APT precision
+// controller and the loader; the worker side is one membership slot per
+// worker. All of it is touched only by the goroutine that called Run —
+// concurrent.go spells out the synchronization model.
+type engine struct {
+	cfg        Config
+	m          *models.Model
+	params     []*nn.Param
+	opt        *optim.SGD
+	ctrl       *core.Controller
+	codec      GradCodec
+	loader     *data.Loader
+	sum        []*tensor.Tensor // per-parameter gradient accumulator
+	packs      []quant.Packed   // per-parameter broadcast payload, reused every round
+	st         *Stats
+	startEpoch int // epoch to run first: 0, or the resumed checkpoint's
+
+	slots    []*slot
+	results  chan result
+	quit     chan struct{}
+	strict   bool
+	roundSeq int
+	respawns int
+	// per-round collect state
+	got     int // gradients ingested this round (fresh + folded stale)
+	pending int // current-round shards still outstanding
 }
 
-func newServer(cfg Config) (*server, error) {
-	m, err := cfg.Build()
+// Run executes the data-parallel training loop.
+func Run(cfg Config) (*Stats, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	e, err := newEngine(cfg)
 	if err != nil {
-		return nil, fmt.Errorf("dist: build: %w", err)
+		return nil, err
 	}
-	s := &server{
-		cfg:    cfg,
-		m:      m,
-		params: m.Params(),
-		opt:    optim.NewSGD(cfg.LR, cfg.Momentum, 0),
-		codec:  cfg.Codec,
-		st:     &Stats{},
+	defer close(e.quit)
+	if err := e.start(); err != nil {
+		return nil, err
 	}
-	if cfg.APT != nil {
-		ctrl, err := core.NewController(*cfg.APT, s.params)
-		if err != nil {
-			return nil, fmt.Errorf("dist: %w", err)
-		}
-		s.ctrl = ctrl
-	}
-	s.sum = make([]*tensor.Tensor, len(s.params))
-	s.packs = make([]quant.Packed, len(s.params))
-	for i, p := range s.params {
-		s.sum[i] = tensor.New(p.Value.Shape()...)
-	}
-	return s, nil
-}
-
-// beginRound zeroes the gradient accumulator.
-func (s *server) beginRound() {
-	for _, t := range s.sum {
-		t.Zero()
-	}
-}
-
-// ingest models one worker→server push: the staged gradients pass through
-// the codec (which rewrites them to the decoded wire values and prices the
-// uplink) and accumulate into the round sum.
-func (s *server) ingest(stage []*tensor.Tensor) error {
-	for i := range s.params {
-		s.st.UpBytes += s.codec.Encode(stage[i])
-		if err := s.sum[i].Add(stage[i]); err != nil {
-			return fmt.Errorf("dist: %s: %w", s.params[i].Name, err)
-		}
-	}
-	return nil
-}
-
-// finishRound averages the decoded gradients, lets the APT controller
-// observe them, applies the SGD step, and charges the downlink for shards
-// weight pulls.
-func (s *server) finishRound(shards int) error {
-	inv := 1 / float32(shards)
-	for i, p := range s.params {
-		s.sum[i].Scale(inv)
-		if err := p.Grad.CopyFrom(s.sum[i]); err != nil {
-			return fmt.Errorf("dist: %s: %w", p.Name, err)
-		}
-	}
-	if s.ctrl != nil {
-		s.ctrl.ObserveBatch()
-	}
-	if err := s.opt.Step(s.params); err != nil {
-		return fmt.Errorf("dist: step: %w", err)
-	}
-	per, err := s.broadcastBytes()
-	if err != nil {
-		return err
-	}
-	s.st.DownBytes += per * int64(shards)
-	s.st.Rounds++
-	return nil
-}
-
-// broadcastBytes prices one worker's weight pull. fp32 mode ships every
-// tensor raw. Quantized mode ships each quantized tensor bit-packed at its
-// current bitwidth (payload plus an 8-byte grid header); the pack→unpack
-// round trip is applied to the server's own weights too, so the wire
-// format is authoritative and server and replicas cannot drift. The
-// payloads are reused round to round and decode in place, so a round's
-// broadcast allocates nothing.
-func (s *server) broadcastBytes() (int64, error) {
-	var bytes int64
-	for i, p := range s.params {
-		if s.cfg.QuantBroadcast && p.Q != nil && !p.Q.FullPrecision() && p.Q.Eps > 0 {
-			packed := &s.packs[i]
-			if err := quant.PackInto(packed, p.Value, p.Q); err != nil {
-				return 0, fmt.Errorf("dist: broadcast %s: %w", p.Name, err)
-			}
-			if err := packed.UnpackInto(p.Value.Data()); err != nil {
-				return 0, fmt.Errorf("dist: broadcast %s: %w", p.Name, err)
-			}
-			bytes += int64(packed.SizeBytes()) + 8
-		} else {
-			bytes += int64(p.Value.Len()) * 4
-		}
-	}
-	return bytes, nil
-}
-
-// finishEpoch runs the epoch-boundary APT precision adjustment (a
-// server-side requantization of the canonical weights).
-func (s *server) finishEpoch() error {
-	if s.ctrl == nil {
-		return nil
-	}
-	if _, err := s.ctrl.AdjustEpoch(); err != nil {
-		return fmt.Errorf("dist: adjust: %w", err)
-	}
-	return nil
-}
-
-func (s *server) finalize(evalModel *models.Model) {
-	s.st.MeanBits = meanBits(s.params)
-	s.st.Final = nn.CaptureState(evalModel.Layers())
-}
-
-// rngStates collects the auxiliary RNG cursors that travel with a
-// checkpoint: the caller-registered streams in order, then the codec's
-// sampling stream if it has one. restoreRNGs is the exact inverse.
-func (s *server) rngStates() []uint64 {
-	var out []uint64
-	for _, r := range s.cfg.CheckpointRNGs {
-		out = append(out, r.State())
-	}
-	if sc, ok := s.codec.(statefulCodec); ok {
-		out = append(out, sc.RNGState())
-	}
-	return out
-}
-
-func (s *server) restoreRNGs(states []uint64) error {
-	want := len(s.cfg.CheckpointRNGs)
-	sc, stateful := s.codec.(statefulCodec)
-	if stateful {
-		want++
-	}
-	if len(states) != want {
-		return fmt.Errorf("dist: resume: checkpoint has %d RNG streams, run has %d", len(states), want)
-	}
-	for i, r := range s.cfg.CheckpointRNGs {
-		r.SetState(states[i])
-	}
-	if stateful {
-		sc.SetRNGState(states[len(states)-1])
-	}
-	return nil
-}
-
-// captureTrainState assembles a complete resumable snapshot: the server
-// replica, optimizer and controller state, the loader's batch cursor,
-// auxiliary RNG cursors, and the run's cumulative accounting. epoch is
-// the epoch in progress (epoch+1 at an epoch boundary — the loader has
-// already drawn the next epoch's order by then); replicas carries
-// per-worker state from the concurrent engine, nil otherwise.
-func (s *server) captureTrainState(epoch int, loader *data.Loader, replicas []*nn.NetState) *models.TrainState {
-	st := &models.TrainState{
-		Arch:      s.m.Name,
-		Width:     s.m.Width,
-		Seed:      s.cfg.Seed,
-		Epoch:     epoch,
-		Loader:    loader.Cursor(),
-		Net:       nn.CaptureState(s.m.Layers()),
-		Replicas:  replicas,
-		Opt:       s.opt.CaptureState(s.params),
-		RNGs:      s.rngStates(),
-		Rounds:    s.st.Rounds,
-		UpBytes:   s.st.UpBytes,
-		DownBytes: s.st.DownBytes,
-		Accs:      append([]float64(nil), s.st.Accs...),
-		Publishes: s.st.Publishes,
-	}
-	if s.ctrl != nil {
-		st.Ctrl = s.ctrl.CaptureState()
-	}
-	return st
-}
-
-// checkpoint writes a TrainState snapshot to cfg.CheckpointPath.
-func (s *server) checkpoint(epoch int, loader *data.Loader, replicas []*nn.NetState) error {
-	st := s.captureTrainState(epoch, loader, replicas)
-	if err := models.SaveTrainState(s.cfg.CheckpointPath, st); err != nil {
-		return fmt.Errorf("dist: checkpoint: %w", err)
-	}
-	s.st.Checkpoints++
-	return nil
-}
-
-// shouldCheckpoint reports whether the periodic cadence lands on the
-// current round. (Halt and end-of-run checkpoints bypass the cadence.)
-func (s *server) shouldCheckpoint() bool {
-	return s.cfg.CheckpointPath != "" && s.cfg.CheckpointEvery > 0 &&
-		s.st.Rounds%s.cfg.CheckpointEvery == 0
-}
-
-func (s *server) timeToPublish() bool {
-	return s.cfg.PublishPath != "" && s.cfg.PublishEvery > 0 &&
-		s.st.Rounds%s.cfg.PublishEvery == 0
-}
-
-// publish writes m as a bit-packed serving checkpoint to cfg.PublishPath
-// with the next monotonic version — atomically, so a serving process
-// polling the path never observes a torn file.
-func (s *server) publish(m *models.Model) error {
-	v := s.st.Publishes + 1
-	if err := models.SaveFileAtomic(s.cfg.PublishPath, m, v); err != nil {
-		return fmt.Errorf("dist: publish: %w", err)
-	}
-	s.st.Publishes = v
-	return nil
-}
-
-// restore imports a TrainState snapshot into a freshly built server and
-// its loader, returning the epoch to continue from. Order matters:
-// nn.RestoreState must run after the controller was constructed (the
-// controller's constructor stamps InitBits onto every parameter; the
-// snapshot's quant grids must win), and the controller and optimizer
-// restore against the restored parameters.
-func (s *server) restore(st *models.TrainState, loader *data.Loader) (int, error) {
-	if st.Arch != s.m.Name {
-		return 0, fmt.Errorf("dist: resume: checkpoint is for %q, run builds %q", st.Arch, s.m.Name)
-	}
-	if st.Width != s.m.Width {
-		return 0, fmt.Errorf("dist: resume: checkpoint width %g, run width %g", st.Width, s.m.Width)
-	}
-	if st.Seed != s.cfg.Seed {
-		return 0, fmt.Errorf("dist: resume: checkpoint seed %d, run seed %d", st.Seed, s.cfg.Seed)
-	}
-	if st.Net == nil || st.Opt == nil {
-		return 0, fmt.Errorf("dist: resume: incomplete checkpoint")
-	}
-	if err := nn.RestoreState(s.m.Layers(), st.Net); err != nil {
-		return 0, fmt.Errorf("dist: resume: %w", err)
-	}
-	switch {
-	case s.ctrl != nil && st.Ctrl != nil:
-		if err := s.ctrl.RestoreState(st.Ctrl); err != nil {
-			return 0, fmt.Errorf("dist: resume: %w", err)
-		}
-	case s.ctrl != nil:
-		return 0, fmt.Errorf("dist: resume: run has an APT controller, checkpoint has no controller state")
-	case st.Ctrl != nil:
-		return 0, fmt.Errorf("dist: resume: checkpoint has APT controller state, run has no controller")
-	}
-	if err := s.opt.RestoreState(s.params, st.Opt); err != nil {
-		return 0, fmt.Errorf("dist: resume: %w", err)
-	}
-	if err := loader.Seek(st.Loader); err != nil {
-		return 0, fmt.Errorf("dist: resume: %w", err)
-	}
-	if err := s.restoreRNGs(st.RNGs); err != nil {
-		return 0, err
-	}
-	s.st.Rounds = st.Rounds
-	s.st.UpBytes = st.UpBytes
-	s.st.DownBytes = st.DownBytes
-	s.st.Accs = append([]float64(nil), st.Accs...)
-	s.st.Publishes = st.Publishes
-	return st.Epoch, nil
-}
-
-func meanBits(params []*nn.Param) float64 {
-	var bits, n float64
-	for _, p := range params {
-		w := float64(p.Value.Len())
-		bits += w * float64(p.Bits())
-		n += w
-	}
-	if n == 0 {
-		return 0
-	}
-	return bits / n
+	return e.run()
 }
 
 func (c *Config) validate() error {
@@ -571,9 +319,6 @@ func (c *Config) validate() error {
 	}
 	if c.QuantBroadcast && c.APT == nil {
 		return fmt.Errorf("dist: QuantBroadcast requires an APT controller config")
-	}
-	if !c.Concurrent && (c.HeartbeatTimeout != 0 || c.MinShards != 0 || c.MaxStaleness != 0 || c.MaxRespawns != 0 || c.Fault != nil) {
-		return fmt.Errorf("dist: elastic membership and fault injection require the concurrent engine")
 	}
 	if c.HeartbeatTimeout == 0 && (c.MinShards != 0 || c.MaxStaleness != 0 || c.MaxRespawns != 0) {
 		return fmt.Errorf("dist: MinShards, MaxStaleness and MaxRespawns require HeartbeatTimeout > 0")
@@ -596,148 +341,103 @@ func (c *Config) validate() error {
 	return nil
 }
 
-// Run executes the data-parallel training loop with the engine selected by
-// cfg.Concurrent.
-func Run(cfg Config) (*Stats, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	if cfg.Concurrent {
-		return runConcurrent(cfg)
-	}
-	return runSequential(cfg)
-}
-
-// runSequential is the reference implementation: the workers run one after
-// another against a single shared model replica. Weights are identical
-// across replicas between rounds, so the computed gradients match a true
-// multi-process run exactly; batch-norm running statistics accumulate over
-// every shard (the one observable difference from the concurrent engine at
-// Workers > 1, where they are worker-local).
-func runSequential(cfg Config) (*Stats, error) {
-	srv, err := newServer(cfg)
+// newEngine builds the server side of a run — model, optimizer,
+// controller, codec and loader — and, with cfg.Resume set, imports the
+// checkpoint into it. It starts no goroutine (start spawns the workers).
+func newEngine(cfg Config) (*engine, error) {
+	m, err := cfg.Build()
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("dist: build: %w", err)
+	}
+	e := &engine{
+		cfg:    cfg,
+		m:      m,
+		params: m.Params(),
+		opt:    optim.NewSGD(cfg.LR, cfg.Momentum, 0),
+		codec:  cfg.Codec,
+		st:     &Stats{},
+		// Buffered past the largest possible sender population so
+		// deliveries from replaced replicas never contend.
+		results: make(chan result, cfg.Workers+cfg.MaxRespawns+4),
+		quit:    make(chan struct{}),
+		strict:  cfg.HeartbeatTimeout <= 0,
+	}
+	if cfg.APT != nil {
+		if e.ctrl, err = core.NewController(*cfg.APT, e.params); err != nil {
+			return nil, fmt.Errorf("dist: %w", err)
+		}
+	}
+	e.sum = make([]*tensor.Tensor, len(e.params))
+	e.packs = make([]quant.Packed, len(e.params))
+	for i, p := range e.params {
+		e.sum[i] = tensor.New(p.Value.Shape()...)
 	}
 	rng := tensor.NewRNG(cfg.Seed ^ 0xD157)
-	loader, err := data.NewLoader(cfg.Train, cfg.BatchSize, rng.Split())
-	if err != nil {
+	if e.loader, err = data.NewLoader(cfg.Train, cfg.BatchSize, rng.Split()); err != nil {
 		return nil, fmt.Errorf("dist: %w", err)
 	}
-	startEpoch := 0
 	if cfg.Resume != nil {
-		if startEpoch, err = srv.restore(cfg.Resume, loader); err != nil {
+		if e.startEpoch, err = e.restore(cfg.Resume); err != nil {
 			return nil, err
 		}
 	}
-	loss := nn.SoftmaxCrossEntropy{}
+	return e, nil
+}
 
-	// Reusable staging tensors for the codec, allocated once.
-	stage := make([]*tensor.Tensor, len(srv.params))
-	for i, p := range srv.params {
-		stage[i] = tensor.New(p.Value.Shape()...)
+// start builds one full replica per worker, aligned bit for bit with the
+// server (weights, quant grids, masters and batch-norm statistics), and
+// spawns its goroutine. This initial ship is uncharged: in a deployment
+// the initial weights travel with the job submission, not over the
+// training-round links.
+func (e *engine) start() error {
+	snap := nn.CaptureState(e.m.Layers())
+	e.slots = make([]*slot, e.cfg.Workers)
+	for w := range e.slots {
+		r, err := e.spawn(w, snap)
+		if err != nil {
+			return err
+		}
+		e.slots[w] = &slot{r: r, alive: true}
 	}
-
-	for epoch := startEpoch; epoch < cfg.Epochs; epoch++ {
-		// The inner loop runs rounds until the loader signals end of epoch.
-		// The signal can arrive mid-round (batch count not divisible by the
-		// worker count); the partial round still trains, and the exhausted
-		// flag ends the epoch afterwards.
-		for exhausted := false; !exhausted; {
-			// One round: up to cfg.Workers shards, one per worker.
-			srv.beginRound()
-			shards := 0
-			for w := 0; w < cfg.Workers; w++ {
-				batch, labels, ok := loader.Next()
-				if !ok {
-					exhausted = true
-					break
-				}
-				logits, err := srv.m.Net.Forward(batch, true)
-				if err != nil {
-					return nil, fmt.Errorf("dist: epoch %d forward: %w", epoch, err)
-				}
-				_, dlogits, err := loss.Forward(logits, labels)
-				if err != nil {
-					return nil, fmt.Errorf("dist: epoch %d loss: %w", epoch, err)
-				}
-				if _, err := srv.m.Net.Backward(dlogits); err != nil {
-					return nil, fmt.Errorf("dist: epoch %d backward: %w", epoch, err)
-				}
-				for i, p := range srv.params {
-					if err := stage[i].CopyFrom(p.Grad); err != nil {
-						return nil, fmt.Errorf("dist: %s: %w", p.Name, err)
-					}
-					p.ZeroGrad()
-				}
-				if err := srv.ingest(stage); err != nil {
-					return nil, err
-				}
-				shards++
-			}
-			if shards == 0 {
-				break // epoch exhausted
-			}
-			if err := srv.finishRound(shards); err != nil {
-				return nil, err
-			}
-			if exhausted {
-				// The loader already reshuffled for the next epoch;
-				// a checkpoint here could not name this position.
-				// The epoch-boundary checkpoint below covers it.
+	// On resume, replicas recover their worker-local batch-norm history
+	// where the checkpoint captured it (a nil entry means that worker was
+	// mid-shard at checkpoint time; its replacement keeps the server
+	// clone).
+	if rs := e.cfg.Resume; rs != nil && len(rs.Replicas) == len(e.slots) {
+		for w, ns := range rs.Replicas {
+			if ns == nil {
 				continue
 			}
-			if srv.shouldCheckpoint() {
-				if err := srv.checkpoint(epoch, loader, nil); err != nil {
-					return nil, err
-				}
+			if err := nn.RestoreState(e.slots[w].r.m.Layers(), ns); err != nil {
+				return fmt.Errorf("dist: resume worker %d: %w", w, err)
 			}
-			if srv.timeToPublish() {
-				if err := srv.publish(srv.m); err != nil {
-					return nil, err
-				}
-			}
-			if cfg.HaltAfterRounds > 0 && srv.st.Rounds >= cfg.HaltAfterRounds {
-				if cfg.CheckpointPath != "" {
-					if err := srv.checkpoint(epoch, loader, nil); err != nil {
-						return nil, err
-					}
-				}
-				srv.st.Halted = true
-				srv.finalize(srv.m)
-				return srv.st, nil
-			}
-		}
-		if err := srv.finishEpoch(); err != nil {
-			return nil, err
-		}
-		acc, err := train.Evaluate(srv.m, cfg.Test, cfg.BatchSize)
-		if err != nil {
-			return nil, fmt.Errorf("dist: epoch %d eval: %w", epoch, err)
-		}
-		srv.st.Accs = append(srv.st.Accs, acc)
-		haltNow := cfg.HaltAfterRounds > 0 && srv.st.Rounds >= cfg.HaltAfterRounds
-		if cfg.CheckpointPath != "" && (cfg.CheckpointEvery > 0 || haltNow) {
-			if err := srv.checkpoint(epoch+1, loader, nil); err != nil {
-				return nil, err
-			}
-		}
-		if haltNow {
-			srv.st.Halted = true
-			srv.finalize(srv.m)
-			return srv.st, nil
 		}
 	}
-	if cfg.CheckpointPath != "" {
-		if err := srv.checkpoint(cfg.Epochs, loader, nil); err != nil {
-			return nil, err
-		}
+	return nil
+}
+
+// spawn builds a fresh replica for a slot from a server-state snapshot
+// and starts its goroutine.
+func (e *engine) spawn(id int, snap *nn.NetState) (*replica, error) {
+	m, err := e.cfg.Build()
+	if err != nil {
+		return nil, fmt.Errorf("dist: build worker %d: %w", id, err)
 	}
-	if cfg.PublishPath != "" {
-		if err := srv.publish(srv.m); err != nil {
-			return nil, err
-		}
+	if err := nn.RestoreState(m.Layers(), snap); err != nil {
+		return nil, fmt.Errorf("dist: worker %d: %w", id, err)
 	}
-	srv.finalize(srv.m)
-	return srv.st, nil
+	r := &replica{
+		id:     id,
+		m:      m,
+		params: m.Params(),
+		// One-deep so dispatch to a parked worker never blocks the server.
+		jobs: make(chan job, 1),
+	}
+	r.stage = make([]*tensor.Tensor, len(r.params))
+	for i, p := range r.params {
+		r.stage[i] = tensor.New(p.Value.Shape()...)
+	}
+	r.beat.Store(time.Now().UnixNano())
+	go r.loop(e.quit, e.results, e.cfg.Fault)
+	return r, nil
 }

@@ -133,52 +133,46 @@ func paramCount(t *testing.T, cfg Config) int64 {
 
 func TestTrafficAccountingExact(t *testing.T) {
 	// 64 samples / batch 16 = 4 shards per epoch; 2 workers = 2 rounds.
-	for _, concurrent := range []bool{false, true} {
-		cfg := testConfig(t, 2, 2)
-		cfg.Concurrent = concurrent
-		st, err := Run(cfg)
-		if err != nil {
-			t.Fatalf("concurrent=%v: %v", concurrent, err)
-		}
-		elems := paramElems(t, cfg)
-		const shardsPerEpoch, rounds = 4, 4 // 2 epochs x 2 rounds
-		if st.Rounds != rounds {
-			t.Errorf("concurrent=%v: rounds = %d, want %d", concurrent, st.Rounds, rounds)
-		}
-		wantUp := elems * 4 * shardsPerEpoch * int64(cfg.Epochs)
-		if st.UpBytes != wantUp {
-			t.Errorf("concurrent=%v: UpBytes = %d, want %d", concurrent, st.UpBytes, wantUp)
-		}
-		wantDown := elems * 4 * shardsPerEpoch * int64(cfg.Epochs)
-		if st.DownBytes != wantDown {
-			t.Errorf("concurrent=%v: DownBytes = %d, want %d", concurrent, st.DownBytes, wantDown)
-		}
+	cfg := testConfig(t, 2, 2)
+	st, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	elems := paramElems(t, cfg)
+	const shardsPerEpoch, rounds = 4, 4 // 2 epochs x 2 rounds
+	if st.Rounds != rounds {
+		t.Errorf("rounds = %d, want %d", st.Rounds, rounds)
+	}
+	wantUp := elems * 4 * shardsPerEpoch * int64(cfg.Epochs)
+	if st.UpBytes != wantUp {
+		t.Errorf("UpBytes = %d, want %d", st.UpBytes, wantUp)
+	}
+	wantDown := elems * 4 * shardsPerEpoch * int64(cfg.Epochs)
+	if st.DownBytes != wantDown {
+		t.Errorf("DownBytes = %d, want %d", st.DownBytes, wantDown)
 	}
 }
 
 func TestTrafficAccountingKBitUplink(t *testing.T) {
-	for _, concurrent := range []bool{false, true} {
-		cfg := testConfig(t, 2, 1)
-		cfg.Concurrent = concurrent
-		cfg.Codec = KBitCodec{Bits: 8}
-		st, err := Run(cfg)
-		if err != nil {
-			t.Fatalf("concurrent=%v: %v", concurrent, err)
-		}
-		elems := paramElems(t, cfg)
-		tensors := paramCount(t, cfg)
-		const shards = 4
-		// Per shard: one byte per element (8-bit) plus the 8-byte range
-		// header per tensor. SmallCNN's per-tensor element counts are all
-		// multiples of 8, so the ceiling division is exact.
-		wantUp := (elems + 8*tensors) * shards
-		if st.UpBytes != wantUp {
-			t.Errorf("concurrent=%v: UpBytes = %d, want %d", concurrent, st.UpBytes, wantUp)
-		}
+	cfg := testConfig(t, 2, 1)
+	cfg.Codec = KBitCodec{Bits: 8}
+	st, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	elems := paramElems(t, cfg)
+	tensors := paramCount(t, cfg)
+	const shards = 4
+	// Per shard: one byte per element (8-bit) plus the 8-byte range
+	// header per tensor. SmallCNN's per-tensor element counts are all
+	// multiples of 8, so the ceiling division is exact.
+	wantUp := (elems + 8*tensors) * shards
+	if st.UpBytes != wantUp {
+		t.Errorf("UpBytes = %d, want %d", st.UpBytes, wantUp)
 	}
 }
 
-// --- engine equivalence -----------------------------------------------------
+// --- determinism ------------------------------------------------------------
 
 // finalWeights flattens the final parameter values of a run.
 func finalWeights(st *Stats) []float32 {
@@ -187,23 +181,6 @@ func finalWeights(st *Stats) []float32 {
 		out = append(out, p.Value...)
 	}
 	return out
-}
-
-func runPair(t *testing.T, mk func() Config) (seq, conc *Stats) {
-	t.Helper()
-	cfg := mk()
-	cfg.Concurrent = false
-	seq, err := Run(cfg)
-	if err != nil {
-		t.Fatalf("sequential: %v", err)
-	}
-	cfg = mk()
-	cfg.Concurrent = true
-	conc, err = Run(cfg)
-	if err != nil {
-		t.Fatalf("concurrent: %v", err)
-	}
-	return seq, conc
 }
 
 func assertIdenticalRuns(t *testing.T, a, b *Stats, what string) {
@@ -231,32 +208,11 @@ func assertIdenticalRuns(t *testing.T, a, b *Stats, what string) {
 	}
 }
 
-// TestConcurrentMatchesSequentialOneWorker is the acceptance criterion:
-// at Workers=1 the concurrent engine must retrace the sequential
-// reference bit for bit — same accuracies, same traffic, same final
-// weights — in both fp32 and APT/quantized-broadcast modes.
-func TestConcurrentMatchesSequentialOneWorker(t *testing.T) {
-	seq, conc := runPair(t, func() Config {
-		return testConfig(t, 1, 2)
-	})
-	assertIdenticalRuns(t, seq, conc, "fp32")
-
-	seq, conc = runPair(t, func() Config {
-		cfg := testConfig(t, 1, 2)
-		cfg.Codec = KBitCodec{Bits: 8}
-		cfg.APT = aptConfig()
-		cfg.QuantBroadcast = true
-		return cfg
-	})
-	assertIdenticalRuns(t, seq, conc, "apt+quant-broadcast")
-}
-
 // TestConcurrentSeedStable: at Workers>1 the engine must be deterministic
 // for a fixed seed regardless of goroutine scheduling.
 func TestConcurrentSeedStable(t *testing.T) {
 	mk := func() Config {
 		cfg := testConfig(t, 3, 2)
-		cfg.Concurrent = true
 		cfg.Codec = NewTernaryCodec(77)
 		cfg.APT = aptConfig()
 		cfg.QuantBroadcast = true
@@ -279,7 +235,6 @@ func TestConcurrentSeedStable(t *testing.T) {
 func TestQuantBroadcastShrinksDownlink(t *testing.T) {
 	mk := func(quantBcast bool) Config {
 		cfg := testConfig(t, 2, 2)
-		cfg.Concurrent = true
 		cfg.APT = aptConfig()
 		cfg.QuantBroadcast = quantBcast
 		return cfg
@@ -314,11 +269,11 @@ func TestQuantBroadcastAllocFree(t *testing.T) {
 	cfg := testConfig(t, 2, 1)
 	cfg.APT = aptConfig()
 	cfg.QuantBroadcast = true
-	s, err := newServer(cfg)
+	e, err := newEngine(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	per, err := s.broadcastBytes()
+	per, err := e.broadcastBytes()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +281,7 @@ func TestQuantBroadcastAllocFree(t *testing.T) {
 		t.Fatalf("broadcast of %d bytes packs nothing", per)
 	}
 	allocs := testing.AllocsPerRun(10, func() {
-		if _, err := s.broadcastBytes(); err != nil {
+		if _, err := e.broadcastBytes(); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -335,11 +290,9 @@ func TestQuantBroadcastAllocFree(t *testing.T) {
 	}
 }
 
-// TestRunTrainsAndImproves sanity-checks that the concurrent engine
-// actually learns on the easy synthetic task.
+// TestRunTrainsAndImproves sanity-checks that the engine actually learns on the easy synthetic task.
 func TestRunTrainsAndImproves(t *testing.T) {
 	cfg := testConfig(t, 2, 3)
-	cfg.Concurrent = true
 	st, err := Run(cfg)
 	if err != nil {
 		t.Fatalf("Run: %v", err)

@@ -5,7 +5,7 @@ import (
 	"time"
 )
 
-// Fault injection for the concurrent engine. A FaultPlan scripts worker
+// Fault injection for the engine's workers. A FaultPlan scripts worker
 // failures — hangs past the heartbeat timeout, panics mid-gradient — at
 // exact (worker, round) coordinates, which is what makes the chaos suite
 // deterministic enough to assert on: a test knows exactly which round

@@ -39,7 +39,6 @@ func waitGoroutines(t *testing.T, before int) {
 func TestHangRespawnCompletes(t *testing.T) {
 	before := runtime.NumGoroutine()
 	cfg := testConfig(t, 2, 2)
-	cfg.Concurrent = true
 	cfg.HeartbeatTimeout = testHeartbeat
 	cfg.MaxRespawns = 2
 	cfg.Fault = NewFaultPlan(Fault{Worker: 1, Round: 1, Kind: FaultHang, Delay: time.Hour})
@@ -71,7 +70,6 @@ func TestHangRespawnCompletes(t *testing.T) {
 func TestHangPoolShrinks(t *testing.T) {
 	before := runtime.NumGoroutine()
 	cfg := testConfig(t, 2, 1)
-	cfg.Concurrent = true
 	cfg.HeartbeatTimeout = testHeartbeat
 	cfg.Fault = NewFaultPlan(Fault{Worker: 1, Round: 1, Kind: FaultHang, Delay: time.Hour})
 	st, err := Run(cfg)
@@ -100,7 +98,6 @@ func TestHangPoolShrinks(t *testing.T) {
 // shard and the worker stays in the pool (resynced before its next job).
 func TestPanicToleratedElastic(t *testing.T) {
 	cfg := testConfig(t, 2, 1)
-	cfg.Concurrent = true
 	cfg.HeartbeatTimeout = time.Hour // never reaps: the panic returns promptly
 	cfg.Fault = NewFaultPlan(Fault{Worker: 1, Round: 1, Kind: FaultPanic})
 	st, err := Run(cfg)
@@ -125,7 +122,6 @@ func TestPanicToleratedElastic(t *testing.T) {
 // worker panic surfaces as a run error, recovered, never a crash.
 func TestPanicAbortsStrict(t *testing.T) {
 	cfg := testConfig(t, 2, 1)
-	cfg.Concurrent = true
 	cfg.Fault = NewFaultPlan(Fault{Worker: 0, Round: 1, Kind: FaultPanic})
 	_, err := Run(cfg)
 	if err == nil || !strings.Contains(err.Error(), "panic") {
@@ -139,7 +135,6 @@ func TestPanicAbortsStrict(t *testing.T) {
 func TestAllWorkersLost(t *testing.T) {
 	before := runtime.NumGoroutine()
 	cfg := testConfig(t, 2, 1)
-	cfg.Concurrent = true
 	cfg.HeartbeatTimeout = 100 * time.Millisecond
 	cfg.Fault = NewFaultPlan(
 		Fault{Worker: 0, Round: 1, Kind: FaultHang, Delay: time.Hour},
@@ -168,7 +163,6 @@ func TestAllWorkersLost(t *testing.T) {
 func TestQuorumStepsPastStraggler(t *testing.T) {
 	before := runtime.NumGoroutine()
 	cfg := testConfig(t, 3, 1)
-	cfg.Concurrent = true
 	cfg.HeartbeatTimeout = testHeartbeat
 	cfg.MinShards = 2
 	cfg.MaxStaleness = 8
@@ -226,23 +220,20 @@ func parkedReplica(t *testing.T, cfg Config, id int) *replica {
 // the replica for resync without ingesting.
 func TestStaleAccounting(t *testing.T) {
 	cfg := testConfig(t, 2, 1)
-	cfg.Concurrent = true
 	cfg.HeartbeatTimeout = time.Hour
 	cfg.MaxStaleness = 2
 	if err := cfg.validate(); err != nil {
 		t.Fatalf("validate: %v", err)
 	}
-	srv, err := newServer(cfg)
+	e, err := newEngine(cfg)
 	if err != nil {
-		t.Fatalf("newServer: %v", err)
+		t.Fatalf("newEngine: %v", err)
 	}
-	e := &engine{cfg: cfg, srv: srv}
 	r0, r1 := parkedReplica(t, cfg, 0), parkedReplica(t, cfg, 1)
 	e.slots = []*slot{
 		{r: r0, alive: true, busy: true},
 		{r: r1, alive: true, busy: true},
 	}
-	srv.beginRound()
 	const round = 5
 	e.pending = 2
 
@@ -259,9 +250,9 @@ func TestStaleAccounting(t *testing.T) {
 	if err := e.handleResult(result{r: r1, round: round - 2}, round); err != nil {
 		t.Fatalf("stale fold: %v", err)
 	}
-	if srv.st.StaleFolded != 1 || e.got != 2 || e.pending != 1 {
+	if e.st.StaleFolded != 1 || e.got != 2 || e.pending != 1 {
 		t.Errorf("after stale fold: folded %d got %d pending %d, want 1, 2, 1",
-			srv.st.StaleFolded, e.got, e.pending)
+			e.st.StaleFolded, e.got, e.pending)
 	}
 
 	// Past the bound it is dropped.
@@ -269,8 +260,8 @@ func TestStaleAccounting(t *testing.T) {
 	if err := e.handleResult(result{r: r1, round: round - 3}, round); err != nil {
 		t.Fatalf("stale drop: %v", err)
 	}
-	if srv.st.StaleDropped != 1 || e.got != 2 {
-		t.Errorf("after stale drop: dropped %d got %d, want 1, 2", srv.st.StaleDropped, e.got)
+	if e.st.StaleDropped != 1 || e.got != 2 {
+		t.Errorf("after stale drop: dropped %d got %d, want 1, 2", e.st.StaleDropped, e.got)
 	}
 
 	// A replaced replica's delivery is always dropped and does not touch
@@ -280,9 +271,9 @@ func TestStaleAccounting(t *testing.T) {
 	if err := e.handleResult(result{r: ghost, round: round}, round); err != nil {
 		t.Fatalf("replaced delivery: %v", err)
 	}
-	if srv.st.StaleDropped != 2 || !e.slots[0].busy || e.pending != 1 {
+	if e.st.StaleDropped != 2 || !e.slots[0].busy || e.pending != 1 {
 		t.Errorf("after replaced delivery: dropped %d busy %v pending %d, want 2, true, 1",
-			srv.st.StaleDropped, e.slots[0].busy, e.pending)
+			e.st.StaleDropped, e.slots[0].busy, e.pending)
 	}
 
 	// A declared-dead worker that delivers after all rejoins the pool.
@@ -291,8 +282,8 @@ func TestStaleAccounting(t *testing.T) {
 	if err := e.handleResult(result{r: r1, round: round}, round); err != nil {
 		t.Fatalf("rejoin delivery: %v", err)
 	}
-	if srv.st.Rejoins != 1 || !e.slots[1].alive {
-		t.Errorf("after rejoin: rejoins %d alive %v, want 1, true", srv.st.Rejoins, e.slots[1].alive)
+	if e.st.Rejoins != 1 || !e.slots[1].alive {
+		t.Errorf("after rejoin: rejoins %d alive %v, want 1, true", e.st.Rejoins, e.slots[1].alive)
 	}
 	if e.got != 3 || e.pending != 0 {
 		t.Errorf("after rejoin: got %d pending %d, want 3, 0", e.got, e.pending)
@@ -305,28 +296,20 @@ func TestStaleAccounting(t *testing.T) {
 	if err := e.handleResult(result{r: r0, round: round, err: errors.New("boom")}, round); err != nil {
 		t.Fatalf("error delivery: %v", err)
 	}
-	if srv.st.WorkerErrors != 1 || e.got != 3 || e.pending != 0 || !e.slots[0].needSync {
+	if e.st.WorkerErrors != 1 || e.got != 3 || e.pending != 0 || !e.slots[0].needSync {
 		t.Errorf("after error delivery: errors %d got %d pending %d needSync %v, want 1, 3, 0, true",
-			srv.st.WorkerErrors, e.got, e.pending, e.slots[0].needSync)
+			e.st.WorkerErrors, e.got, e.pending, e.slots[0].needSync)
 	}
 }
 
 func TestElasticValidation(t *testing.T) {
 	cfg := testConfig(t, 2, 1)
-	cfg.HeartbeatTimeout = time.Second // sequential engine
-	if _, err := Run(cfg); err == nil {
-		t.Error("elastic knobs on the sequential engine did not error")
-	}
-
-	cfg = testConfig(t, 2, 1)
-	cfg.Concurrent = true
 	cfg.MinShards = 1 // no heartbeat timeout
 	if _, err := Run(cfg); err == nil {
 		t.Error("MinShards without HeartbeatTimeout did not error")
 	}
 
 	cfg = testConfig(t, 2, 1)
-	cfg.Concurrent = true
 	cfg.HeartbeatTimeout = time.Second
 	cfg.MinShards = 3 // more than Workers
 	if _, err := Run(cfg); err == nil {
