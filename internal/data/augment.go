@@ -9,12 +9,14 @@ import (
 // Augmented wraps a dataset with the paper's CIFAR training augmentation
 // (§IV): pad Pad pixels on each side, take a random Size×Size crop of the
 // padded image or of its horizontal flip. The wrapper is stateful: each
-// Sample draws from the RNG given to NewAugmented, so runs sharing one
-// Augmented shift each other's crops, and concurrent Sample calls race.
+// Sample draws from the RNG given to NewAugmented, and concurrent Sample
+// calls race. Runs that each take their own stream from Fresh see the
+// same crops in the same order, whatever ran before them.
 type Augmented struct {
 	base Dataset
 	pad  int
 	size int
+	seed uint64 // the stream's state at construction, where Fresh starts
 	rng  *tensor.RNG
 }
 
@@ -27,7 +29,16 @@ func NewAugmented(base Dataset, pad, size int, rng *tensor.RNG) (*Augmented, err
 	if rng == nil {
 		return nil, fmt.Errorf("data: augmentation requires an RNG")
 	}
-	return &Augmented{base: base, pad: pad, size: size, rng: rng}, nil
+	return &Augmented{base: base, pad: pad, size: size, seed: rng.State(), rng: rng}, nil
+}
+
+// Fresh returns a view over the same base and geometry whose stream
+// starts from the state a was built with. The view's draws do not move
+// a's stream, nor a's draws the view's.
+func (a *Augmented) Fresh() *Augmented {
+	f := *a
+	f.rng = tensor.NewRNG(a.seed)
+	return &f
 }
 
 // Len implements Dataset.

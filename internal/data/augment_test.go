@@ -184,3 +184,38 @@ func TestAugmentedMatchesComposition(t *testing.T) {
 		}
 	}
 }
+
+// TestAugmentedFreshRestartsStream: a Fresh view draws the crops the
+// wrapper drew when it was built, however far the wrapper's own stream
+// has moved, and drawing from the view leaves the wrapper's stream where
+// it was.
+func TestAugmentedFreshRestartsStream(t *testing.T) {
+	tr, _, err := NewSynth(SynthConfig{Classes: 3, Train: 6, Test: 3, Size: 10, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	aug, err := NewAugmented(tr, 2, 10, tensor.NewRNG(77))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first []float32
+	for i := 0; i < tr.Len(); i++ {
+		img, _ := aug.Sample(i)
+		first = append(first, img.Data()...)
+	}
+	moved := aug.rng.State()
+	fresh := aug.Fresh()
+	var again []float32
+	for i := 0; i < tr.Len(); i++ {
+		img, _ := fresh.Sample(i)
+		again = append(again, img.Data()...)
+	}
+	for i, v := range first {
+		if again[i] != v {
+			t.Fatalf("fresh view elem %d = %v, want %v (the built stream's draw)", i, again[i], v)
+		}
+	}
+	if aug.rng.State() != moved {
+		t.Error("drawing from the fresh view moved the wrapper's stream")
+	}
+}

@@ -48,9 +48,9 @@ func Dist(s Scale, log io.Writer) (*Report, error) {
 	var fp32Down, aptDown int64
 	for _, sc := range scenarios {
 		cfg := dist.Config{
-			Workers: workers, Build: build, Train: tr, Test: te,
+			Workers: workers, Build: build, Train: freshStream(tr), Test: te,
 			BatchSize: s.Batch, Epochs: s.Epochs, LR: s.LR, Momentum: 0.9,
-			Codec: sc.codec(), Seed: s.Seed, Concurrent: true,
+			Codec: sc.codec(), Seed: s.Seed,
 		}
 		if sc.apt {
 			aptCfg := core.DefaultConfig()
@@ -135,9 +135,9 @@ func distFaultSweep(s Scale, build func() (*models.Model, error), tr, te data.Da
 			faults = append(faults, dist.Fault{Worker: w, Round: 1, Kind: dist.FaultHang, Delay: time.Hour})
 		}
 		cfg := dist.Config{
-			Workers: workers, Build: build, Train: tr, Test: te,
+			Workers: workers, Build: build, Train: freshStream(tr), Test: te,
 			BatchSize: s.Batch, Epochs: s.Epochs, LR: s.LR, Momentum: 0.9,
-			Codec: dist.FP32Codec{}, Seed: s.Seed, Concurrent: true,
+			Codec: dist.FP32Codec{}, Seed: s.Seed,
 			HeartbeatTimeout: heartbeat, MaxRespawns: nf,
 			Fault: dist.NewFaultPlan(faults...),
 		}

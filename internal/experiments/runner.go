@@ -77,13 +77,24 @@ func (s Scale) execute(spec runSpec, log io.Writer) (*train.History, error) {
 		sched = s.Schedule()
 	}
 	return train.Run(train.Config{
-		Model: spec.model, Train: spec.train, Test: spec.test,
+		Model: spec.model, Train: freshStream(spec.train), Test: spec.test,
 		BatchSize: s.Batch, Epochs: s.Epochs,
 		Schedule: sched, Momentum: 0.9, WeightDecay: 1e-4,
 		APT:      spec.apt,
 		GradHook: spec.gradHook, PostStepHook: spec.postHook,
 		Seed: s.Seed ^ spec.seed, Log: log,
 	})
+}
+
+// freshStream gives a run its own augmentation stream, started from the
+// state the dataset was built with: every run of an artefact sees the
+// same crops in the same order (common random numbers across variants),
+// whatever ran before it.
+func freshStream(d data.Dataset) data.Dataset {
+	if a, ok := d.(*data.Augmented); ok {
+		return a.Fresh()
+	}
+	return d
 }
 
 // aptController builds a controller with the paper's defaults overridden
