@@ -6,9 +6,11 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 
 	"repro/internal/nn"
 	"repro/internal/quant"
+	"repro/internal/tensor"
 )
 
 // Checkpointing. A trained APT model is saved with its weights in their
@@ -161,11 +163,13 @@ func restore(file *checkpointFile, m *Model) error {
 		}
 		switch {
 		case rec.Packed != nil:
-			v, err := rec.Packed.Unpack(rec.Shape...)
-			if err != nil {
-				return fmt.Errorf("models: load %s: %w", rec.Name, err)
+			// The record's claimed shape is checked before any decode, so
+			// a hostile one cannot make Load allocate it.
+			if !slices.Equal(rec.Shape, p.Value.Shape()) {
+				return fmt.Errorf("models: load %s: %w: checkpoint shape %v, model %v",
+					rec.Name, tensor.ErrShape, rec.Shape, p.Value.Shape())
 			}
-			if err := p.Value.CopyFrom(v); err != nil {
+			if err := rec.Packed.UnpackInto(p.Value.Data()); err != nil {
 				return fmt.Errorf("models: load %s: %w", rec.Name, err)
 			}
 			st, err := quant.NewState(rec.Bits)

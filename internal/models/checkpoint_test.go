@@ -6,10 +6,12 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
 	"repro/internal/nn"
+	"repro/internal/quant"
 	"repro/internal/tensor"
 )
 
@@ -209,6 +211,34 @@ func TestLoadRejectsTruncatedPayload(t *testing.T) {
 	}
 	if err := Load(&buf, m); err == nil || !strings.Contains(err.Error(), "too short") {
 		t.Errorf("Load of a truncated payload: %v, want a too-short error", err)
+	}
+}
+
+// TestLoadRejectsHostileShape hands Load a ~1 KB record that claims 2^24
+// elements on a degenerate grid (Eps 0, which decodes without reading a
+// payload) for a parameter of the model's own name: the claimed shape
+// must be refused before anything of that size is allocated.
+func TestLoadRejectsHostileShape(t *testing.T) {
+	m := trainedModel(t)
+	const n = 1 << 24
+	file := checkpointFile{Model: m.Name, Params: []paramRecord{{
+		Name: m.Params()[0].Name, Shape: []int{n}, Bits: 6,
+		Packed: &quant.Packed{Bits: 6, Count: n, Data: make([]byte, 1024)},
+	}}}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&file); err != nil {
+		t.Fatal(err)
+	}
+	size := buf.Len()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := Load(&buf, m)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("Load accepted a record whose shape the model does not have")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Errorf("Load allocated %d bytes refusing a %d-byte record, want < 1 MB", grew, size)
 	}
 }
 
