@@ -268,8 +268,8 @@ func (s *Stats) FinalAcc() float64 {
 // engine is one parameter-server run. The server side owns the canonical
 // model replica, the optimizer, the codec, the (optional) APT precision
 // controller and the loader; the worker side is one membership slot per
-// worker. All of it is touched only by the goroutine that called Run —
-// concurrent.go spells out the synchronization model.
+// worker. The engine's fields are touched only by the goroutine that
+// called Run; concurrent.go spells out the synchronization model.
 type engine struct {
 	cfg        Config
 	m          *models.Model

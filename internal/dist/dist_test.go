@@ -229,6 +229,55 @@ func TestConcurrentSeedStable(t *testing.T) {
 	assertIdenticalRuns(t, a, b, "workers=3 repeat")
 }
 
+// orderCodec records the first element of every tensor it encodes, so a
+// test can read back the order in which the server ingested pushes.
+type orderCodec struct{ seen []float32 }
+
+func (*orderCodec) Name() string { return "order" }
+
+func (c *orderCodec) Encode(g *tensor.Tensor) int64 {
+	c.seen = append(c.seen, g.Data()[0])
+	return 0
+}
+
+// TestStrictIngestsInSlotOrder drives collectStrict directly — parked
+// replicas, no goroutines — with results delivered out of slot order:
+// the strict barrier must still push them through the codec and into the
+// sum in slot order, the order that keeps stateful codecs (and sums over
+// three or more workers) independent of scheduling.
+func TestStrictIngestsInSlotOrder(t *testing.T) {
+	cfg := testConfig(t, 3, 1)
+	codec := &orderCodec{}
+	cfg.Codec = codec
+	e, err := newEngine(cfg)
+	if err != nil {
+		t.Fatalf("newEngine: %v", err)
+	}
+	for w := 0; w < cfg.Workers; w++ {
+		r := parkedReplica(t, cfg, w)
+		for _, g := range r.stage {
+			g.Fill(float32(w + 1))
+		}
+		e.slots = append(e.slots, &slot{r: r, alive: true, busy: true})
+	}
+	e.pending = cfg.Workers
+	for _, w := range []int{2, 0, 1} {
+		e.results <- result{r: e.slots[w].r}
+	}
+	if err := e.collectStrict(cfg.Workers); err != nil {
+		t.Fatalf("collectStrict: %v", err)
+	}
+	per := len(e.params)
+	if e.got != cfg.Workers || len(codec.seen) != cfg.Workers*per {
+		t.Fatalf("ingested %d pushes of %d tensors, want %d of %d", e.got, len(codec.seen), cfg.Workers, cfg.Workers*per)
+	}
+	for i, v := range codec.seen {
+		if want := float32(i/per + 1); v != want {
+			t.Fatalf("tensor %d came from worker %v, want worker %v (slot order)", i, v-1, want-1)
+		}
+	}
+}
+
 // TestQuantBroadcastShrinksDownlink demonstrates the tentpole scenario:
 // with the server running APT at 6-bit init, the bitwidth-aware broadcast
 // must spend well under half the fp32 downlink.
