@@ -364,11 +364,11 @@ func watchCheckpoint(done <-chan struct{}, path string, every time.Duration, srv
 	}
 }
 
-// smokeRun binds an ephemeral port, performs health, classify, and
-// hot-reload round trips over real HTTP — plus, when republish is set, a
-// watcher round trip: republish the checkpoint (torn write included) and
-// poll /stats until the new model version is live — and shuts the server
-// down.
+// smokeRun binds an ephemeral port, waits for the warmup, performs
+// health, classify, and hot-reload round trips over real HTTP — plus,
+// when republish is set, a watcher round trip: republish the checkpoint
+// (torn write included) and poll /stats until the new model version is
+// live — and shuts the server down.
 func smokeRun(hs *http.Server, srv *serve.Server, testSet data.Dataset, maxBatch int, republish func() error, out io.Writer) error {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -398,6 +398,31 @@ func smokeRun(hs *http.Server, srv *serve.Server, testSet data.Dataset, maxBatch
 		return fmt.Errorf("healthz: status %d", resp.StatusCode)
 	}
 
+	// awaitReady polls /readyz until it answers 200, for up to wait.
+	awaitReady := func(wait time.Duration, when string) error {
+		deadline := time.Now().Add(wait)
+		for {
+			resp, err := http.Get(base + "/readyz")
+			if err != nil {
+				return fmt.Errorf("readyz: %w", err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode == http.StatusOK {
+				return nil
+			}
+			if time.Now().After(deadline) {
+				return fmt.Errorf("readyz: status %d %s", resp.StatusCode, when)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+	// Wait out the warmup first: before the probe's first batch only the
+	// warmup marks the server ready, so from here on the probe is its only
+	// client and the batch accounting below sees the probe's requests alone.
+	if err := awaitReady(5*time.Second, "after warmup"); err != nil {
+		return err
+	}
+
 	img, label := testSet.Sample(0)
 	body, err := json.Marshal(map[string]any{"input": img.Data()})
 	if err != nil {
@@ -420,22 +445,8 @@ func smokeRun(hs *http.Server, srv *serve.Server, testSet data.Dataset, maxBatch
 	}
 	fmt.Fprintf(out, "smoke: /classify -> class %d (label %d)\n", *got.Class, label)
 
-	// The first successful batch marks the server ready; /readyz must
-	// agree (poll briefly — warmup runs in the background).
-	readyDeadline := time.Now().Add(5 * time.Second)
-	for {
-		resp, err = http.Get(base + "/readyz")
-		if err != nil {
-			return fmt.Errorf("readyz: %w", err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode == http.StatusOK {
-			break
-		}
-		if time.Now().After(readyDeadline) {
-			return fmt.Errorf("readyz: status %d after serving traffic", resp.StatusCode)
-		}
-		time.Sleep(10 * time.Millisecond)
+	if err := awaitReady(0, "after serving traffic"); err != nil {
+		return err
 	}
 
 	// One hot reload round trip: swap in a freshly loaded engine and

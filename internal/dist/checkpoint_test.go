@@ -51,45 +51,61 @@ func haltResume(t *testing.T, mk func() Config, haltAt int) *Stats {
 	return st
 }
 
-// TestKillResumeBitIdentical is the resume acceptance criterion: killing
-// a run at any round and resuming from its checkpoint reproduces the
-// uninterrupted run's traffic, accuracies and final weights bit-exactly,
-// per-worker replica state (worker-local batch-norm history) included.
-// Halts at rounds 1 and 3 land mid-epoch; round 2 lands on the epoch
-// boundary (the loader's cursor sits at the end of the epoch's order, not
-// yet reshuffled).
-func TestKillResumeBitIdentical(t *testing.T) {
-	mk := func() Config { return testConfig(t, 2, 2) }
+// killResumeAt runs mk()'s configuration uninterrupted, then once per
+// halt point in two legs (halt, resume from the checkpoint), and asserts
+// each resumed run is indistinguishable from the uninterrupted one.
+func killResumeAt(t *testing.T, mk func() Config, label string, halts ...int) {
+	t.Helper()
 	base, err := Run(mk())
 	if err != nil {
 		t.Fatalf("uninterrupted run: %v", err)
 	}
-	for _, halt := range []int{1, 2, 3} {
+	for _, halt := range halts {
 		resumed := haltResume(t, mk, halt)
-		assertIdenticalRuns(t, base, resumed, fmt.Sprintf("halt=%d", halt))
+		assertIdenticalRuns(t, base, resumed, fmt.Sprintf("%s halt=%d", label, halt))
 	}
 }
 
-// TestKillResumeBitIdenticalAPT repeats the round trip with every piece
-// of optional trajectory state live: the APT controller's gradient
-// history, the ternary codec's sampling RNG, quantized grids with fp32
-// masters, and the bitwidth-aware broadcast.
-func TestKillResumeBitIdenticalAPT(t *testing.T) {
-	mk := func() Config {
-		cfg := testConfig(t, 2, 2)
-		cfg.Codec = NewTernaryCodec(99)
-		cfg.APT = aptConfig()
-		cfg.QuantBroadcast = true
-		return cfg
-	}
-	base, err := Run(mk())
-	if err != nil {
-		t.Fatalf("uninterrupted run: %v", err)
-	}
-	for _, halt := range []int{1, 3} {
-		resumed := haltResume(t, mk, halt)
-		assertIdenticalRuns(t, base, resumed, fmt.Sprintf("APT halt=%d", halt))
-	}
+func aptResumeConfig(t *testing.T, workers int) Config {
+	cfg := testConfig(t, workers, 2)
+	cfg.Codec = NewTernaryCodec(99)
+	cfg.APT = aptConfig()
+	cfg.QuantBroadcast = true
+	return cfg
+}
+
+// TestKillResumeBitIdenticalSequential is the resume acceptance
+// criterion on a single worker, where one shard runs per round (4 rounds
+// per epoch here): killing the run at any round and resuming from its
+// checkpoint reproduces the uninterrupted run's traffic, accuracies and
+// final weights bit-exactly. Halts 1 and 5 land mid-epoch; halt 4 lands
+// on the epoch boundary (the loader's cursor sits at the end of the
+// epoch's order, not yet reshuffled).
+func TestKillResumeBitIdenticalSequential(t *testing.T) {
+	killResumeAt(t, func() Config { return testConfig(t, 1, 2) }, "w1", 1, 4, 5)
+}
+
+// TestKillResumeBitIdenticalSequentialAPT repeats the single-worker round
+// trip with every piece of optional trajectory state live: the APT
+// controller's gradient history, the ternary codec's sampling RNG,
+// quantized grids with fp32 masters, and the bitwidth-aware broadcast.
+func TestKillResumeBitIdenticalSequentialAPT(t *testing.T) {
+	killResumeAt(t, func() Config { return aptResumeConfig(t, 1) }, "w1 APT", 1, 5)
+}
+
+// TestKillResumeBitIdenticalConcurrent runs the round trip through the
+// strict barrier with two workers, which additionally checkpoints and
+// restores per-worker replica state (worker-local batch-norm history).
+// Halts at rounds 1 and 3 land mid-epoch; round 2 lands on the epoch
+// boundary.
+func TestKillResumeBitIdenticalConcurrent(t *testing.T) {
+	killResumeAt(t, func() Config { return testConfig(t, 2, 2) }, "w2", 1, 2, 3)
+}
+
+// TestKillResumeBitIdenticalConcurrentAPT is the APT round trip through
+// the two-worker strict barrier.
+func TestKillResumeBitIdenticalConcurrentAPT(t *testing.T) {
+	killResumeAt(t, func() Config { return aptResumeConfig(t, 2) }, "w2 APT", 1, 3)
 }
 
 // TestKillResumeAuxiliaryRNG: a caller-registered RNG stream (data
