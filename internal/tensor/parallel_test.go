@@ -3,8 +3,11 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestParallelForDeterministicAcrossWorkerCounts verifies the pool's core
@@ -139,6 +142,175 @@ func TestParallelForWorkerSerialIsLaneZero(t *testing.T) {
 			t.Fatalf("serial order[%d] = %d, want %d", i, v, i)
 		}
 	}
+}
+
+// poolCoresForTest is the number of cores the pool was sized for: its
+// helpers plus one submitter.
+func poolCoresForTest() int {
+	poolOnce.Do(startPool)
+	return cap(poolJobs)/4 + 1
+}
+
+// TestParallelForConcurrentSubmitters runs twice the pool's cores in
+// submitters at once, each a mix of ParallelFor, ParallelForWorker and
+// nested jobs with n from 1 to 64. Every index must run exactly once, and
+// lanes must be exclusive within a job and below MaxWorkers(). With a
+// submitter in flight on every core, a further job runs alone: lane 0
+// throughout, in index order. Last, the fan-out bound is moved right after
+// each of many jobs returns, while the pool's helpers are still looking
+// for the next one; under the race detector a helper that read the bound
+// fails here.
+func TestParallelForConcurrentSubmitters(t *testing.T) {
+	prev := SetMaxWorkers(4)
+	defer SetMaxWorkers(prev)
+	cores := poolCoresForTest()
+	mw := MaxWorkers()
+
+	var bad atomic.Int32
+	// lanedJob runs ParallelForWorker over n indices, counting each index
+	// and flagging lanes out of range or shared by two participants.
+	lanedJob := func(n int) {
+		hits := make([]int32, n)
+		depth := make([]int32, mw)
+		ParallelForWorker(n, func(i, lane int) {
+			if lane < 0 || lane >= mw {
+				bad.Store(1)
+				return
+			}
+			if atomic.AddInt32(&depth[lane], 1) != 1 {
+				bad.Store(2)
+			}
+			atomic.AddInt32(&hits[i], 1)
+			atomic.AddInt32(&depth[lane], -1)
+		})
+		for _, h := range hits {
+			if h != 1 {
+				bad.Store(3)
+			}
+		}
+	}
+	plainJob := func(n int) {
+		hits := make([]int32, n)
+		ParallelFor(n, func(i int) { atomic.AddInt32(&hits[i], 1) })
+		for _, h := range hits {
+			if h != 1 {
+				bad.Store(4)
+			}
+		}
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 2*cores; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for round := 0; round < 60; round++ {
+				n := 1 + (g*37+round*13)%64
+				switch (g + round) % 3 {
+				case 0:
+					plainJob(n)
+				case 1:
+					lanedJob(n)
+				default:
+					outer := 1 + n%5
+					ParallelFor(outer, func(int) { lanedJob(n) })
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if code := bad.Load(); code != 0 {
+		t.Fatalf("concurrent submitters: check %d failed (1 lane range, 2 shared lane, 3/4 index count)", code)
+	}
+
+	// Occupy every core: cores-1 submitters block in their first index,
+	// and every helper blocks in an index of theirs, so the probe job is
+	// the cores-th submitter in flight with no helper free. Stale copies
+	// of finished jobs drain from the queue first, so the blockers' offers
+	// fit in it.
+	deadline := time.Now().Add(10 * time.Second)
+	for len(poolJobs) > 0 && time.Now().Before(deadline) {
+		runtime.Gosched()
+	}
+	release := make(chan struct{})
+	var entered atomic.Int32
+	var blockers sync.WaitGroup
+	for b := 0; b < cores-1; b++ {
+		blockers.Add(1)
+		go func() {
+			defer blockers.Done()
+			ParallelFor(8, func(int) {
+				entered.Add(1)
+				<-release
+			})
+		}()
+	}
+	want := int32(2 * (cores - 1))
+	for entered.Load() < want && time.Now().Before(deadline) {
+		runtime.Gosched()
+	}
+	var order []int
+	var lanes []int
+	if entered.Load() == want {
+		ParallelForWorker(9, func(i, lane int) {
+			order = append(order, i)
+			lanes = append(lanes, lane)
+		})
+	}
+	close(release)
+	blockers.Wait()
+	if got := entered.Load(); got < want {
+		t.Fatalf("only %d of %d blocking indices started", got, want)
+	}
+	for i := range order {
+		if order[i] != i || lanes[i] != 0 {
+			t.Fatalf("job alone: step %d ran index %d on lane %d, want index %d on lane 0", i, order[i], lanes[i], i)
+		}
+	}
+	if len(order) != 9 {
+		t.Fatalf("job alone ran %d indices, want 9", len(order))
+	}
+
+	// Move the bound right after each job returns.
+	for round := 0; round < 200; round++ {
+		SetMaxWorkers(2 + round%3)
+		plainJob(1 + round%64)
+	}
+}
+
+// BenchmarkForkChain models one ResNet-20 training step as the pool sees
+// it: 128 ParallelForWorker forks of about 15 indices each, whose bodies
+// take 4-60 µs of arithmetic, with about 1 µs of serial work between
+// forks. ns/op is one chain. Run it at -cpu 1,2: the fan-out follows
+// GOMAXPROCS, so -cpu 1 is the serial reference and -cpu 2 pays every
+// hand-off to the pool's helper and back.
+func BenchmarkForkChain(b *testing.B) {
+	defer SetMaxWorkers(SetMaxWorkers(runtime.GOMAXPROCS(0)))
+	const forks = 128
+	var sink atomic.Uint64
+	for it := 0; it < b.N; it++ {
+		for f := 0; f < forks; f++ {
+			x := (f * 37) % 57
+			us := 4 + x*x*x/(56*56) // 4-60 µs, most forks short
+			ParallelForWorker(12+f%7, func(i, lane int) {
+				sink.Add(spin(us * spinStepsPerUs))
+			})
+			sink.Add(spin(spinStepsPerUs))
+		}
+	}
+}
+
+// spinStepsPerUs is about one microsecond of spin on a 3 GHz x86 core.
+const spinStepsPerUs = 740
+
+// spin runs a dependent multiply-add chain of k steps and returns its
+// state, so the compiler cannot drop it.
+func spin(k int) uint64 {
+	x := uint64(k) | 1
+	for i := 0; i < k; i++ {
+		x = x*6364136223846793005 + 1442695040888963407
+	}
+	return x
 }
 
 // naiveMatMul is an independent float64 triple loop used as ground truth
