@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // maxWorkers bounds the parallel fan-out of ParallelFor. It is a variable
@@ -32,21 +33,37 @@ func MaxWorkers() int { return maxWorkers }
 //
 // Tensor ops run ParallelFor on every call, so spawning goroutines per
 // operation puts the scheduler on the hot path. Instead a fixed set of
-// workers (GOMAXPROCS-1, started lazily on the first parallel operation)
-// stays parked on a channel and picks up jobs as they are published.
+// helpers (GOMAXPROCS-1, at least one, started on the first parallel
+// operation) picks up published jobs. A training step forks about a
+// hundred times, with a microsecond of serial work between forks, so the
+// hand-off is kept hot on both sides:
 //
-// The submitting goroutine always participates in its own job: it publishes
-// the job to idle workers with non-blocking sends and then drains chunks
-// itself until the index space is exhausted. This has two consequences that
-// make the pool safe by construction:
+//  1. Join without parking. After draining its chunks the submitter polls
+//     the job's remaining count, yielding every 16 polls, and blocks on
+//     done only past joinWait, which covers one straggling chunk.
+//  2. Helpers poll before parking. A helper that finishes a chained job
+//     (forked within helperWait of the previous join) polls the queue for
+//     helperWait, yielding every 16 polls, so the next fork of a pass finds
+//     it awake. After an isolated fork, such as a serving forward's, it
+//     parks at once, leaving its core to the goroutines that want it.
+//  3. Offer only to free cores. Submitters in flight are counted against
+//     poolCores, fixed at startPool (never maxWorkers, which SetMaxWorkers
+//     writes unsynchronized). A submitter that finds every core taken runs
+//     its job alone, exactly the serial loop (lane 0); otherwise it offers
+//     one copy per free core at most. A polling helper parks at once while
+//     every core has a submitter.
 //
-//   - No deadlock under nesting or pool exhaustion: even if every worker is
-//     busy (or the pool is saturated by concurrent jobs), the caller alone
-//     completes all chunks.
-//   - Work distribution is dynamic (atomic chunk claiming), but each index
-//     is executed exactly once, so results are independent of scheduling
-//     for the independent-iteration contract ParallelFor requires.
+// The submitter always drains chunks of its own job, so progress never
+// depends on a free helper (nesting and a saturated pool cannot deadlock),
+// and each index runs exactly once whoever claims it, so the independent
+// iterations ParallelFor requires compute the same bytes whoever runs
+// them, in whichever lane.
 // ---------------------------------------------------------------------------
+
+const (
+	joinWait   = 100 * time.Microsecond
+	helperWait = 25 * time.Microsecond
+)
 
 // parJob is one ParallelFor/ParallelForWorker invocation flowing through
 // the pool. Exactly one of fn and fnw is set.
@@ -58,6 +75,7 @@ type parJob struct {
 	next  atomic.Int64 // next unclaimed index
 	left  atomic.Int64 // indices not yet completed
 	lanes atomic.Int64 // next unclaimed lane ordinal (fnw jobs)
+	chain bool         // forked within helperWait of the previous join
 	done  chan struct{}
 }
 
@@ -98,25 +116,66 @@ func (j *parJob) run() {
 }
 
 var (
-	poolOnce sync.Once
-	poolJobs chan *parJob
+	poolOnce  sync.Once
+	poolJobs  chan *parJob
+	poolCores int32        // helpers + 1, fixed at startPool
+	inFlight  atomic.Int32 // submitters between enter and their return
+	poolStart time.Time
+	lastJoin  atomic.Int64 // when a join last returned, ns after poolStart
 )
 
-// startPool launches the persistent workers. One slot is left for the
+// startPool launches the persistent helpers. One core is left for the
 // submitting goroutine, which always works on its own job.
 func startPool() {
-	workers := runtime.GOMAXPROCS(0) - 1
-	if workers < 1 {
-		workers = 1
-	}
+	workers := max(runtime.GOMAXPROCS(0)-1, 1)
+	poolCores = int32(workers + 1)
+	poolStart = time.Now()
 	poolJobs = make(chan *parJob, 4*workers)
 	for i := 0; i < workers; i++ {
 		go func() {
 			for j := range poolJobs {
-				j.run()
+				for j != nil {
+					if j.run(); !j.chain {
+						break
+					}
+					j = nil
+					pollFor(helperWait, func() bool {
+						if inFlight.Load() >= poolCores {
+							return true
+						}
+						select {
+						case j = <-poolJobs:
+							return true
+						default:
+							return false
+						}
+					})
+				}
 			}
 		}()
 	}
+}
+
+// pollFor calls poll until it returns true or d has passed, yielding the
+// processor every 16 calls, and reports whether poll succeeded.
+func pollFor(d time.Duration, poll func() bool) bool {
+	start := time.Now()
+	for k := 1; !poll(); k++ {
+		if k%16 == 0 {
+			if time.Since(start) > d {
+				return false
+			}
+			runtime.Gosched()
+		}
+	}
+	return true
+}
+
+// enter counts a submitter in flight and reports how many cores are left
+// free for helpers. The caller decrements inFlight when its job returns.
+func enter() int {
+	poolOnce.Do(startPool)
+	return int(poolCores - inFlight.Add(1))
 }
 
 // ParallelFor runs fn(i) for i in [0, n) across the persistent worker pool,
@@ -129,17 +188,16 @@ func ParallelFor(n int, fn func(i int)) {
 	if n <= 0 {
 		return
 	}
-	workers := maxWorkers
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
+	if workers := min(maxWorkers, n); workers > 1 {
+		defer inFlight.Add(-1)
+		if free := enter(); free > 0 {
+			submitJob(&parJob{fn: fn}, n, workers, free)
+			return
 		}
-		return
 	}
-	submitJob(&parJob{fn: fn}, n, workers)
+	for i := 0; i < n; i++ {
+		fn(i)
+	}
 }
 
 // ParallelForWorker runs fn(i, lane) for i in [0, n) across the worker
@@ -156,23 +214,21 @@ func ParallelForWorker(n int, fn func(i, lane int)) {
 	if n <= 0 {
 		return
 	}
-	workers := maxWorkers
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i, 0)
+	if workers := min(maxWorkers, n); workers > 1 {
+		defer inFlight.Add(-1)
+		if free := enter(); free > 0 {
+			submitJob(&parJob{fnw: fn}, n, workers, free)
+			return
 		}
-		return
 	}
-	submitJob(&parJob{fnw: fn}, n, workers)
+	for i := 0; i < n; i++ {
+		fn(i, 0)
+	}
 }
 
-// submitJob publishes a prepared job to up to workers-1 pool workers and
-// participates until every index completes.
-func submitJob(j *parJob, n, workers int) {
-	poolOnce.Do(startPool)
+// submitJob publishes a prepared job to up to min(workers-1, free) pool
+// helpers and participates until every index completes.
+func submitJob(j *parJob, n, workers, free int) {
 	// Over-decompose by 4x for dynamic load balance without measurable
 	// claiming overhead (one atomic add per chunk).
 	chunk := int64(n) / int64(4*workers)
@@ -183,10 +239,11 @@ func submitJob(j *parJob, n, workers int) {
 	j.chunk = chunk
 	j.done = make(chan struct{})
 	j.left.Store(int64(n))
-	// Enlist up to workers-1 helpers; if the queue is full the caller just
-	// does a larger share itself.
+	j.chain = int64(time.Since(poolStart))-lastJoin.Load() < int64(helperWait)
+	// Enlist helpers; if the queue is full the caller just does a larger
+	// share itself.
 offer:
-	for i := 0; i < workers-1; i++ {
+	for i := 0; i < min(workers-1, free); i++ {
 		select {
 		case poolJobs <- j:
 		default:
@@ -194,5 +251,8 @@ offer:
 		}
 	}
 	j.run()
-	<-j.done
+	if !pollFor(joinWait, func() bool { return j.left.Load() == 0 }) {
+		<-j.done
+	}
+	lastJoin.Store(int64(time.Since(poolStart)))
 }

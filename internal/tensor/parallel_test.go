@@ -148,7 +148,7 @@ func TestParallelForWorkerSerialIsLaneZero(t *testing.T) {
 // helpers plus one submitter.
 func poolCoresForTest() int {
 	poolOnce.Do(startPool)
-	return cap(poolJobs)/4 + 1
+	return int(poolCores)
 }
 
 // TestParallelForConcurrentSubmitters runs twice the pool's cores in
