@@ -144,13 +144,6 @@ func TestParallelForWorkerSerialIsLaneZero(t *testing.T) {
 	}
 }
 
-// poolCoresForTest is the number of cores the pool was sized for: its
-// helpers plus one submitter.
-func poolCoresForTest() int {
-	poolOnce.Do(startPool)
-	return int(poolCores)
-}
-
 // TestParallelForConcurrentSubmitters runs twice the pool's cores in
 // submitters at once, each a mix of ParallelFor, ParallelForWorker and
 // nested jobs with n from 1 to 64. Every index must run exactly once, and
@@ -163,7 +156,8 @@ func poolCoresForTest() int {
 func TestParallelForConcurrentSubmitters(t *testing.T) {
 	prev := SetMaxWorkers(4)
 	defer SetMaxWorkers(prev)
-	cores := poolCoresForTest()
+	poolOnce.Do(startPool)
+	cores := int(poolCores)
 	mw := MaxWorkers()
 
 	var bad atomic.Int32
