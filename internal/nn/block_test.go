@@ -99,6 +99,202 @@ func TestResidualMatchesUnfusedComposition(t *testing.T) {
 	}
 }
 
+// residualCase is a basicBlock-shaped Residual: conv3x3-BN-ReLU then
+// conv3x3-BN as ConvBNAct nodes, with a 1×1 conv + BN projection node
+// when the shape changes.
+type residualCase struct {
+	name              string
+	inC, outC, stride int
+	linear            bool // NewLinearResidual: no output ReLU
+}
+
+func residualCases() []residualCase {
+	var cs []residualCase
+	for _, c := range []residualCase{{"identity", 8, 8, 1, false}, {"projection", 4, 8, 1, false}, {"projection-s2", 4, 8, 2, false}} {
+		cs = append(cs, c)
+		c.name, c.linear = c.name+"-linear", true
+		cs = append(cs, c)
+	}
+	return cs
+}
+
+// residualHW is the input side of the residual cases: a batch of 9 spans
+// two rectifier blocks at 8 channels.
+const residualHW = 16
+
+// branches builds the case's main branch and shortcut (nil: identity)
+// from a fixed seed.
+func (c residualCase) branches(t *testing.T) (main *Sequential, short *ConvBNAct) {
+	t.Helper()
+	rng := tensor.NewRNG(23)
+	node := func(name string, inC, hw, k, stride int, relu bool) *ConvBNAct {
+		g := tensor.ConvGeom{InC: inC, InH: hw, InW: hw, KH: k, KW: k, Stride: stride, Pad: k / 2}
+		conv, err := NewConv2D(Conv2DConfig{Name: name + ".conv", In: g, OutC: c.outC, RNG: rng})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bn, err := NewBatchNorm2D(name+".bn", c.outC)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Away from γ = 1, β = 0, so the block output straddles zero
+		// unevenly and the shift takes part in every sum.
+		bn.gamma.Value.FillNormal(rng, 1, 0.5)
+		bn.beta.Value.FillNormal(rng, 0, 0.5)
+		var act Layer
+		if relu {
+			act = NewReLU(name + ".relu")
+		}
+		return NewConvBNAct(name, conv, bn, act)
+	}
+	mid := residualHW / c.stride
+	main = NewSequential("main", node("n1", c.inC, residualHW, 3, c.stride, true), node("n2", c.outC, mid, 3, 1, false))
+	if c.stride != 1 || c.inC != c.outC {
+		short = node("shortcut", c.inC, residualHW, 1, c.stride, false)
+	}
+	return main, short
+}
+
+// block builds the case as a Residual.
+func (c residualCase) block(t *testing.T) *Residual {
+	main, short := c.branches(t)
+	var sc Layer
+	if short != nil {
+		sc = short
+	}
+	if c.linear {
+		return NewLinearResidual("blk", main, sc)
+	}
+	return NewResidual("blk", main, sc)
+}
+
+// TestResidualMatchesFlat pins a basicBlock-shaped Residual of ConvBNAct
+// nodes — identity and projection shortcut, stride 1 and 2, with and
+// without the output ReLU — to its unfused chain, under both dispatches
+// and at 1, 2, 3 and 8 workers: the branches run alone, then the sum and
+// the rectifier by hand, dout masked by the block output by hand, each
+// branch's backward, and the two input gradients summed by hand. Training
+// forward output, input gradient, every parameter gradient, the batch-norm
+// running statistics and the evaluation-mode forward must match byte for
+// byte.
+func TestResidualMatchesFlat(t *testing.T) {
+	defer tensor.SetMaxWorkers(tensor.SetMaxWorkers(1))
+	type result struct {
+		out, dx, eval []float32
+		grads, stats  [][]float32
+	}
+	for _, c := range residualCases() {
+		t.Run(c.name, func(t *testing.T) {
+			eachDispatch(t, func(t *testing.T) {
+				x := tensor.New(9, c.inC, residualHW, residualHW)
+				x.FillNormal(tensor.NewRNG(5), 0, 1)
+				dout := tensor.New(9, c.outC, residualHW/c.stride, residualHW/c.stride)
+				dout.FillNormal(tensor.NewRNG(6), 0, 1)
+				// collect reads the gradients and running statistics of
+				// the layers.
+				collect := func(res *result, main, short Layer) {
+					layers := []Layer{main}
+					if short != nil {
+						layers = append(layers, short)
+					}
+					for _, p := range CollectParams(layers) {
+						res.grads = append(res.grads, append([]float32(nil), p.Grad.Data()...))
+					}
+					for _, bn := range CollectBatchNorms(layers) {
+						m, v := bn.RunningStats()
+						for _, s := range [][]float64{m, v} {
+							f := make([]float32, 2*len(s))
+							for i, u := range s {
+								b := math.Float64bits(u)
+								f[2*i], f[2*i+1] = math.Float32frombits(uint32(b)), math.Float32frombits(uint32(b>>32))
+							}
+							res.stats = append(res.stats, f)
+						}
+					}
+				}
+				fwd := func(l Layer, train bool) []float32 {
+					if l == nil {
+						return x.Data()
+					}
+					y, err := l.Forward(x, train)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return append([]float32(nil), y.Data()...)
+				}
+				bwd := func(l Layer, d []float32) []float32 {
+					if l == nil {
+						return d
+					}
+					dx, err := l.Backward(tensor.MustFromSlice(d, dout.Shape()...))
+					if err != nil {
+						t.Fatal(err)
+					}
+					return append([]float32(nil), dx.Data()...)
+				}
+				join := func(my, sy []float32) []float32 {
+					out := make([]float32, len(my))
+					for i, v := range my {
+						out[i] = v + sy[i]
+						if !c.linear {
+							out[i] = max(out[i], 0)
+						}
+					}
+					return out
+				}
+
+				// The flat chain, serially.
+				tensor.SetMaxWorkers(1)
+				main, short := c.branches(t)
+				var sc Layer
+				if short != nil {
+					sc = short
+				}
+				var want result
+				want.out = join(fwd(main, true), fwd(sc, true))
+				d := append([]float32(nil), dout.Data()...)
+				if !c.linear {
+					for i, v := range want.out {
+						if v <= 0 {
+							d[i] = 0
+						}
+					}
+				}
+				dmain, dshort := bwd(main, d), bwd(sc, d)
+				want.dx = make([]float32, len(dmain))
+				for i, v := range dmain {
+					want.dx[i] = v + dshort[i]
+				}
+				want.eval = join(fwd(main, false), fwd(sc, false))
+				collect(&want, main, sc)
+
+				for _, workers := range []int{1, 2, 3, 8} {
+					tensor.SetMaxWorkers(workers)
+					r := c.block(t)
+					var got result
+					got.out = fwd(r, true)
+					got.dx = bwd(r, dout.Data())
+					got.eval = fwd(r, false)
+					collect(&got, r, nil)
+					tag := fmt.Sprintf("workers=%d: ", workers)
+					sameBits(t, tag+"forward", got.out, want.out)
+					sameBits(t, tag+"dx", got.dx, want.dx)
+					sameBits(t, tag+"eval forward", got.eval, want.eval)
+					if len(got.grads) != len(want.grads) || len(got.stats) != len(want.stats) {
+						t.Fatalf("%s%d gradients and %d statistics, want %d and %d", tag, len(got.grads), len(got.stats), len(want.grads), len(want.stats))
+					}
+					for i, p := range CollectParams([]Layer{r}) {
+						sameBits(t, tag+"grad "+p.Name, got.grads[i], want.grads[i])
+					}
+					for i := range want.stats {
+						sameBits(t, fmt.Sprintf("%srunning statistic %d", tag, i), got.stats[i], want.stats[i])
+					}
+				}
+			})
+		})
+	}
+}
+
 // eachDispatch runs body under the portable kernels and, where the host
 // has them, under the SIMD kernels.
 func eachDispatch(t *testing.T, body func(t *testing.T)) {
