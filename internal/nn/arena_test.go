@@ -83,10 +83,12 @@ func TestLinearSteadyStateAllocs(t *testing.T) {
 }
 
 // TestBlockSteadyStateAllocs pins the warm serial step of a conv → BN →
-// ReLU triple and of a residual block at zero allocations: every
+// ReLU triple and of residual blocks at zero allocations: every
 // per-channel and element-wise pass is a value-type job (forChunks), so
 // none builds a pool closure when it runs serially, and no step allocates a
-// data buffer or a copy of an activation's shape.
+// data buffer or a copy of an activation's shape. The basicBlock-shaped
+// blocks (identity and projection shortcut) run their tail inside their
+// nodes' passes, so the Residual's own arenas must stay empty.
 func TestBlockSteadyStateAllocs(t *testing.T) {
 	prev := tensor.SetMaxWorkers(1)
 	defer tensor.SetMaxWorkers(prev)
@@ -108,26 +110,39 @@ func TestBlockSteadyStateAllocs(t *testing.T) {
 	block := NewResidual("block", NewSequential("main", conv2, bn2), nil)
 	dout := tensor.New(4, 8, 16, 16)
 	dout.Fill(0.01)
+	identity, projection := residualCases()[0].block(t), residualCases()[4].block(t)
+	in8, in4, dout8 := tensor.New(4, 8, 16, 16), tensor.New(4, 4, 16, 16), tensor.New(4, 8, 8, 8)
+	in8.FillNormal(rng, 0, 1)
+	in4.FillNormal(rng, 0, 1)
+	dout8.Fill(0.01)
 	for _, c := range []struct {
-		name string
-		l    Layer
-		x    *tensor.Tensor
-		want float64
+		name    string
+		l       Layer
+		x, dout *tensor.Tensor
+		want    float64
 	}{
-		{"conv-bn-relu", triple, x, 0},
-		{"residual", block, dout, 0},
+		{"conv-bn-relu", triple, x, dout, 0},
+		{"residual", block, dout, dout, 0},
+		{"basic-identity", identity, in8, dout, 0},
+		{"basic-projection-s2", projection, in4, dout8, 0},
 	} {
 		step := func() {
 			if _, err := c.l.Forward(c.x, true); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := c.l.Backward(dout); err != nil {
+			if _, err := c.l.Backward(c.dout); err != nil {
 				t.Fatal(err)
 			}
 		}
 		step()
 		if allocs := testing.AllocsPerRun(10, step); allocs != c.want {
 			t.Errorf("%s: steady-state forward+backward allocates %.0f objects per step, want %.0f", c.name, allocs, c.want)
+		}
+	}
+	for i, r := range []*Residual{identity, projection} {
+		if r.nodes == nil || cap(r.outA.buf)+cap(r.doutA.buf)+cap(r.dxA.buf) != 0 {
+			t.Errorf("basic block %d: fused tail %v, arenas of %d, %d and %d floats; want fused and empty",
+				i, r.nodes != nil, cap(r.outA.buf), cap(r.doutA.buf), cap(r.dxA.buf))
 		}
 	}
 }

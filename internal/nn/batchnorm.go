@@ -79,11 +79,12 @@ func (b *BatchNorm2D) Params() []*Param { return []*Param{b.gamma, b.beta} }
 // statistics and updates the running ones; an evaluation pass normalizes
 // with the running statistics and keeps nothing for Backward.
 func (b *BatchNorm2D) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error) {
-	return b.forward(&b.outA, x, train, tensor.Rect{})
+	return b.forward(&b.outA, x, nil, train, tensor.Rect{})
 }
 
-// forward is Forward of r(BN(x)), written into the arena out.
-func (b *BatchNorm2D) forward(out *arenaTensor, x *tensor.Tensor, train bool, r tensor.Rect) (*tensor.Tensor, error) {
+// forward is Forward of r(BN(x) + add), written into the arena out; add
+// (nil: none) is shaped like x.
+func (b *BatchNorm2D) forward(out *arenaTensor, x, add *tensor.Tensor, train bool, r tensor.Rect) (*tensor.Tensor, error) {
 	if x.Rank() != 4 || x.Dim(1) != b.channels {
 		return nil, fmt.Errorf("batchnorm %q: %w: input %v, want (N,%d,H,W)", b.name, tensor.ErrShape, x.Shape(), b.channels)
 	}
@@ -92,17 +93,21 @@ func (b *BatchNorm2D) forward(out *arenaTensor, x *tensor.Tensor, train bool, r 
 	if train {
 		b.x = x
 	}
-	forChunks(b.channels, bnForward{b: b, x: x.Data(), y: y.Data(), n: x.Dim(0), plane: x.Dim(2) * x.Dim(3), train: train, r: r})
+	f := bnForward{b: b, x: x.Data(), y: y.Data(), n: x.Dim(0), plane: x.Dim(2) * x.Dim(3), train: train, r: r}
+	if add != nil {
+		f.add = add.Data()
+	}
+	forChunks(b.channels, f)
 	return y, nil
 }
 
 // bnForward is the forward pass of one channel.
 type bnForward struct {
-	b        *BatchNorm2D
-	x, y     []float32
-	n, plane int
-	train    bool
-	r        tensor.Rect
+	b         *BatchNorm2D
+	x, y, add []float32
+	n, plane  int
+	train     bool
+	r         tensor.Rect
 }
 
 func (f bnForward) run(c int) {
@@ -120,7 +125,11 @@ func (f bnForward) run(c int) {
 	}
 	scale := float32(float64(b.gamma.Value.Data()[c]) * invstd)
 	shift := float32(float64(b.beta.Value.Data()[c]) - mean*float64(scale))
-	tensor.ChannelAffine(f.y[o:], f.x[o:], f.n, f.plane, stride, scale, shift, f.r)
+	var add []float32
+	if f.add != nil {
+		add = f.add[o:]
+	}
+	tensor.ChannelAffine(f.y[o:], f.x[o:], add, f.n, f.plane, stride, scale, shift, f.r)
 }
 
 // Backward implements Layer using the standard batch-norm gradient, with

@@ -103,33 +103,57 @@ func (n *ConvBNAct) fused() *ReLU {
 
 // Forward implements Layer.
 func (n *ConvBNAct) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error) {
-	r := n.fused()
-	if r == nil {
+	if n.fused() == nil {
 		return n.Sequential.Forward(x, train)
 	}
-	y, err := n.Op().Forward(x, train)
-	if err == nil {
-		y, err = n.bn.forward(&r.outA, y, train, tensor.Rectifier(r.cap))
-	}
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", n.name, err)
-	}
-	r.y = y
-	return y, nil
+	return n.forward(x, nil, tensor.Rect{}, train)
 }
 
 // Backward implements Layer.
 func (n *ConvBNAct) Backward(dout *tensor.Tensor) (*tensor.Tensor, error) {
-	r := n.fused()
-	if r == nil {
+	if n.fused() == nil {
 		return n.Sequential.Backward(dout)
 	}
-	if r.y == nil {
-		return nil, fmt.Errorf("%s: relu %q: backward before forward", n.name, r.name)
+	return n.backward(dout, dout, tensor.Rect{}, tensor.Skip{})
+}
+
+// forward and backward run a node with a batch-norm and its ReLU or no
+// activation, with a residual block's hooks: without a ReLU the affine
+// pass adds add (nil: none) and applies r, and the gradient passes mask
+// dout by y under r; skip joins the input gradient of the op, a Conv2D
+// unless skip is zero.
+func (n *ConvBNAct) forward(x, add *tensor.Tensor, r tensor.Rect, train bool) (*tensor.Tensor, error) {
+	out, a := &n.bn.outA, n.fused()
+	if a != nil {
+		out, r = &a.outA, tensor.Rectifier(a.cap)
 	}
-	d, err := n.bn.backward(dout, r.y, tensor.Rectifier(r.cap))
-	r.y = nil
+	y, err := n.Op().Forward(x, train)
+	if err == nil && add != nil && !add.SameShape(y) {
+		err = fmt.Errorf("%w: shortcut %v, main branch %v", tensor.ErrShape, add.Shape(), y.Shape())
+	}
 	if err == nil {
+		y, err = n.bn.forward(out, y, add, train, r)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", n.name, err)
+	}
+	if a != nil {
+		a.y = y
+	}
+	return y, nil
+}
+
+func (n *ConvBNAct) backward(dout, y *tensor.Tensor, r tensor.Rect, skip tensor.Skip) (*tensor.Tensor, error) {
+	if a := n.fused(); a != nil {
+		if a.y == nil {
+			return nil, fmt.Errorf("%s: relu %q: backward before forward", n.name, a.name)
+		}
+		y, r, a.y = a.y, tensor.Rectifier(a.cap), nil
+	}
+	d, err := n.bn.backward(dout, y, r)
+	if c, ok := n.Op().(*Conv2D); ok && err == nil {
+		d, err = c.backward(d, skip)
+	} else if err == nil {
 		d, err = n.Op().Backward(d)
 	}
 	if err != nil {
@@ -142,15 +166,25 @@ func (n *ConvBNAct) Backward(dout *tensor.Tensor) (*tensor.Tensor, error) {
 // identity. It is the basic block of the CIFAR ResNets. When withReLU is
 // false the block omits the output activation (used by MobileNetV2's
 // linear bottlenecks, where the skip connection adds projection outputs
-// directly). The add and the activation are one pass forward, and the two
-// branch gradients are summed in one pass backward.
+// directly). In the models' blocks the tail runs inside the nodes' passes
+// (tailNodes): the shortcut runs first, the last node's affine pass adds
+// its output and rectifies; backward, its and the shortcut's batch-norm
+// mask dout by the block output, and the first node's conv adds the skip
+// gradient to dx as it writes it (tensor.Skip) — the bytes of the
+// branches run alone, then summed and rectified. Any other block runs the
+// add and the activation as one pass forward and sums the branch
+// gradients in one pass backward, in its own arenas.
 type Residual struct {
 	name     string
 	main     Layer
 	shortcut Layer   // nil = identity
 	layers   []Layer // main, then shortcut when present
 	withReLU bool
+	rect     tensor.Rect    // the output ReLU as a batch-norm pass takes it
 	y        *tensor.Tensor // rectified output of the last Forward, nil once Backward consumed it
+
+	nodes []Layer    // main's nodes when the tail runs inside them, else nil
+	short *ConvBNAct // the shortcut node of such a block, nil for the identity
 
 	outA  arenaTensor
 	doutA arenaTensor
@@ -160,7 +194,7 @@ type Residual struct {
 // NewResidual builds a residual block with an output ReLU.
 func NewResidual(name string, main, shortcut Layer) *Residual {
 	r := NewLinearResidual(name, main, shortcut)
-	r.withReLU = true
+	r.withReLU, r.rect = true, tensor.Rectifier(0)
 	return r
 }
 
@@ -170,7 +204,32 @@ func NewLinearResidual(name string, main, shortcut Layer) *Residual {
 	if shortcut != nil {
 		layers = append(layers, shortcut)
 	}
-	return &Residual{name: name, main: main, shortcut: shortcut, layers: layers}
+	r := &Residual{name: name, main: main, shortcut: shortcut, layers: layers}
+	r.nodes, r.short = tailNodes(main, shortcut)
+	return r
+}
+
+// tailNodes returns main's nodes and the shortcut node when the block's
+// tail can run inside them, else nil: main is a Sequential of ConvBNAct
+// nodes, the last with a batch-norm and no activation, the first a conv
+// with a batch-norm and no activation or its fused ReLU; the shortcut is
+// the identity or a node like main's last.
+func tailNodes(main, shortcut Layer) ([]Layer, *ConvBNAct) {
+	seq, _ := main.(*Sequential)
+	if seq == nil || len(seq.layers) < 2 {
+		return nil, nil
+	}
+	head, _ := seq.layers[0].(*ConvBNAct)
+	tail, _ := seq.layers[len(seq.layers)-1].(*ConvBNAct)
+	short, _ := shortcut.(*ConvBNAct)
+	plain := func(n *ConvBNAct) bool { return n != nil && n.bn != nil && n.act == nil }
+	if head == nil || !plain(head) && head.fused() == nil || !plain(tail) || shortcut != nil && !plain(short) {
+		return nil, nil
+	}
+	if _, ok := head.Op().(*Conv2D); !ok {
+		return nil, nil
+	}
+	return seq.layers, short
 }
 
 // Name implements Layer.
@@ -198,41 +257,85 @@ func (r *Residual) MACs() int64 { return TotalMACs(r.layers) }
 
 // Forward implements Layer.
 func (r *Residual) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error) {
-	my, err := r.main.Forward(x, train)
+	sy, err := x, error(nil)
+	if r.shortcut != nil {
+		sy, err = r.shortcut.Forward(x, train)
+	}
+	h := x
+	if last := len(r.nodes) - 1; last > 0 {
+		for _, l := range r.nodes[:last] {
+			if err == nil {
+				h, err = l.Forward(h, train)
+			}
+		}
+		if err == nil {
+			h, err = r.nodes[last].(*ConvBNAct).forward(h, sy, r.rect, train)
+		}
+	} else if err == nil {
+		if h, err = r.main.Forward(x, train); err == nil && !sy.SameShape(h) {
+			err = fmt.Errorf("%w: shortcut %v, main branch %v", tensor.ErrShape, sy.Shape(), h.Shape())
+		}
+		if err == nil {
+			out := r.outA.like(h)
+			addInto(out.Data(), h.Data(), sy.Data(), r.withReLU)
+			h = out
+		}
+	}
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", r.name, err)
 	}
-	sy := x
-	if r.shortcut != nil {
-		sy, err = r.shortcut.Forward(x, train)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", r.name, err)
-		}
-	}
-	if !sy.SameShape(my) {
-		return nil, fmt.Errorf("%s: %w: shortcut %v, main branch %v", r.name, tensor.ErrShape, sy.Shape(), my.Shape())
-	}
-	out := r.outA.like(my)
-	addInto(out.Data(), my.Data(), sy.Data(), r.withReLU)
 	if r.withReLU {
-		r.y = out
+		r.y = h
 	}
-	return out, nil
+	return h, nil
 }
 
 // Backward implements Layer.
 func (r *Residual) Backward(dout *tensor.Tensor) (*tensor.Tensor, error) {
-	d := dout
+	y := dout // the block output, read only under the ReLU
 	if r.withReLU {
-		if r.y == nil {
+		if y = r.y; y == nil {
 			return nil, fmt.Errorf("%s: backward before forward", r.name)
 		}
-		if dout.Len() != r.y.Len() {
+		if dout.Len() != y.Len() {
 			return nil, fmt.Errorf("%s: %w: dout %v", r.name, tensor.ErrShape, dout.Shape())
 		}
-		d = r.doutA.like(dout)
-		rectifyGrad(d.Data(), dout.Data(), r.y.Data(), 0)
 		r.y = nil
+	}
+	if r.nodes == nil {
+		return r.backwardPasses(dout, y)
+	}
+	skip, err := tensor.Skip{G: dout.Data(), Y: y.Data(), R: r.rect}, error(nil)
+	if r.short != nil {
+		var ds *tensor.Tensor
+		if ds, err = r.short.backward(dout, y, r.rect, tensor.Skip{}); err == nil {
+			skip = tensor.Skip{G: ds.Data()}
+		}
+	}
+	d, last := dout, len(r.nodes)-1
+	for i := last; i >= 0 && err == nil; i-- {
+		switch n := r.nodes[i]; i {
+		case last:
+			d, err = n.(*ConvBNAct).backward(d, y, r.rect, tensor.Skip{})
+		case 0:
+			d, err = n.(*ConvBNAct).backward(d, d, tensor.Rect{}, skip)
+		default:
+			d, err = n.Backward(d)
+		}
+	}
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", r.name, err)
+	}
+	return d, nil
+}
+
+// backwardPasses is Backward of a block whose tail runs as its own
+// passes, y as in Backward.
+func (r *Residual) backwardPasses(dout, y *tensor.Tensor) (*tensor.Tensor, error) {
+	d := dout
+	if r.withReLU {
+		d = r.doutA.like(dout)
+		rectifyGrad(d.Data(), dout.Data(), y.Data(), 0)
 	}
 	dmain, err := r.main.Backward(d)
 	if err != nil {

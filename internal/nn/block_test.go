@@ -271,6 +271,9 @@ func TestResidualMatchesFlat(t *testing.T) {
 				for _, workers := range []int{1, 2, 3, 8} {
 					tensor.SetMaxWorkers(workers)
 					r := c.block(t)
+					if r.nodes == nil {
+						t.Fatal("the block runs its tail as passes of its own")
+					}
 					var got result
 					got.out = fwd(r, true)
 					got.dx = bwd(r, dout.Data())

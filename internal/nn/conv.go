@@ -100,6 +100,12 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error) {
 
 // Backward implements Layer.
 func (c *Conv2D) Backward(dout *tensor.Tensor) (*tensor.Tensor, error) {
+	return c.backward(dout, tensor.Skip{})
+}
+
+// backward is Backward with a residual block's shortcut gradient added
+// into dx as the conv writes it (tensor.Skip).
+func (c *Conv2D) backward(dout *tensor.Tensor, skip tensor.Skip) (*tensor.Tensor, error) {
 	if c.x == nil {
 		return nil, fmt.Errorf("conv2d %q: backward before forward", c.name)
 	}
@@ -115,7 +121,7 @@ func (c *Conv2D) Backward(dout *tensor.Tensor) (*tensor.Tensor, error) {
 		gb = c.bias.Grad.Data()
 	}
 	if err := tensor.ConvF32BackwardInto(dx.Data(), c.weight.Grad.Data(), gb, c.x.Data(), dout.Data(), n,
-		c.weight.Value.Data(), c.plan, &c.work); err != nil {
+		c.weight.Value.Data(), c.plan, &c.work, skip); err != nil {
 		return nil, fmt.Errorf("conv2d %q: %w", c.name, err)
 	}
 	c.x = nil

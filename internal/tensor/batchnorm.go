@@ -28,6 +28,10 @@ import "math"
 //     nn.ReLU does it, and dy is masked by that output as nn's
 //     rectifyGrad does it, so a fused conv → BN → ReLU node computes the
 //     bytes of the three layers run one after another.
+//   - The affine pass takes an optional addend, a residual block's
+//     shortcut output: it is added to the rounded affine output, one more
+//     rounding, before the rectifier, so the block's tail computes the
+//     bytes of nn's residual add after the plain batch-norm.
 
 // lanes8 holds a channel reduction in the contract's eight float64 lanes.
 type lanes8 [8]float64
@@ -67,7 +71,7 @@ func (r Rect) pass(g, y float32) float32 {
 // kernel below is installed (set and cleared together by simdApply).
 var (
 	bnMomentsAsm   func(x []float32, n, plane, stride int, cnt float64) (mean, variance float64)
-	bnAffineAsm    func(y, x []float32, n, plane, stride int, scale, shift float32, r Rect)
+	bnAffineAsm    func(y, x, add []float32, n, plane, stride int, scale, shift float32, r Rect)
 	bnGradSumsAsm  func(dy, x, y []float32, n, plane, stride int, mean float64, r Rect) (sumDy, sumDyXc float64)
 	bnGradInputAsm func(dx, dy, x, y []float32, n, plane, stride int, mean, mdy, k, a float32, r Rect)
 )
@@ -101,22 +105,28 @@ func channelMomentsGo(x []float32, n, plane, stride int, cnt float64) (mean, var
 	return mean, q.sum() / cnt
 }
 
-// ChannelAffine writes y = r(float32(x·scale) + shift) over one channel:
-// the batch-norm output with the normalization and the learned affine map
-// folded into one per-channel scale and shift, then the node's rectifier.
-func ChannelAffine(y, x []float32, n, plane, stride int, scale, shift float32, r Rect) {
+// ChannelAffine writes y = r(float32(float32(x·scale) + shift) + add) over
+// one channel: the batch-norm output with the normalization and the
+// learned affine map folded into one per-channel scale and shift, plus the
+// addend (nil: none; laid out as x), then the node's rectifier.
+func ChannelAffine(y, x, add []float32, n, plane, stride int, scale, shift float32, r Rect) {
 	if bnAffineAsm != nil {
-		bnAffineAsm(y, x, n, plane, stride, scale, shift, r)
+		bnAffineAsm(y, x, add, n, plane, stride, scale, shift, r)
 		return
 	}
-	channelAffineGo(y, x, n, plane, stride, scale, shift, r)
+	channelAffineGo(y, x, add, n, plane, stride, scale, shift, r)
 }
 
-func channelAffineGo(y, x []float32, n, plane, stride int, scale, shift float32, r Rect) {
+func channelAffineGo(y, x, add []float32, n, plane, stride int, scale, shift float32, r Rect) {
 	for i := 0; i < n; i++ {
 		ys := y[i*stride : i*stride+plane]
 		for j, v := range x[i*stride : i*stride+plane] {
 			ys[j] = float32(v*scale) + shift
+		}
+		if add != nil {
+			for j, s := range add[i*stride : i*stride+plane] {
+				ys[j] += s
+			}
 		}
 		if r.on {
 			for j, v := range ys {

@@ -10,6 +10,11 @@ import (
 // zeros and both infinities.
 var bnSpecials = []float32{float32(math.NaN()), 0, float32(math.Copysign(0, -1)), float32(math.Inf(1)), float32(math.Inf(-1))}
 
+// bnAddSpecials are the affine addend's payloads: bnSpecials and
+// subnormals of both signs, which an add must neither flush nor round.
+var bnAddSpecials = []float32{float32(math.NaN()), 0, float32(math.Copysign(0, -1)), float32(math.Inf(1)), float32(math.Inf(-1)),
+	math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32, math.Float32frombits(0x007fffff), math.Float32frombits(0x807ffffe)}
+
 // bnRects are the rectifier arguments of the affine and gradient kernels:
 // none, ReLU and ReLU6.
 var bnRects = []struct {
@@ -44,24 +49,30 @@ func rectifyGradRef(g, y, c float32) float32 {
 // canary words past the last plane. It also demands that the portable
 // rectified passes are the unfused ones: the affine output then nn's
 // rectifier, and the gradient passes over dy masked as nn's rectifyGrad
-// masks it. With specials > 0 about one payload in specials is one of
-// bnSpecials.
+// masks it. Each rectifier runs without and with an affine addend (a
+// residual block's shortcut output), whose planes end against a
+// PROT_NONE page: with it, the portable affine output must be the plain
+// one plus the addend, then rectified. With specials > 0 about one
+// payload in specials is one of bnSpecials (bnAddSpecials in the addend).
 func checkBNKernels(t *testing.T, seed int64, n, plane, stride, specials int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	span := (n-1)*stride + plane
 	mu, sd := 4*rng.NormFloat64(), math.Exp(2*rng.NormFloat64())
 	x, dy := poisoned(span), poisoned(span)
-	draw := func(v float32) float32 {
+	add := guarded[float32](t, span, 0)
+	copy(add, poisoned(span))
+	draw := func(v float32, specs []float32) float32 {
 		if specials > 0 && rng.Intn(specials) == 0 {
-			return bnSpecials[rng.Intn(len(bnSpecials))]
+			return specs[rng.Intn(len(specs))]
 		}
 		return v
 	}
 	for i := 0; i < n; i++ {
 		for j := 0; j < plane; j++ {
-			x[i*stride+j] = draw(float32(mu + sd*rng.NormFloat64()))
-			dy[i*stride+j] = draw(float32(rng.NormFloat64()))
+			x[i*stride+j] = draw(float32(mu+sd*rng.NormFloat64()), bnSpecials)
+			dy[i*stride+j] = draw(float32(rng.NormFloat64()), bnSpecials)
+			add[i*stride+j] = draw(float32(4*rng.NormFloat64()), bnAddSpecials)
 		}
 	}
 	// The output straddles 0 and 6 whatever the input's spread.
@@ -77,10 +88,10 @@ func checkBNKernels(t *testing.T, seed int64, n, plane, stride, specials int) {
 		mean, variance, sumDy, sumDyXc float64
 		y, dx                          []float32
 	}
-	run := func(r Rect, dy []float32) (res result) {
+	run := func(r Rect, dy, add []float32) (res result) {
 		res.mean, res.variance = ChannelMoments(x[:span], n, plane, stride)
 		res.y = poisoned(span)
-		ChannelAffine(res.y[:span], x[:span], n, plane, stride, scale, shift, r)
+		ChannelAffine(res.y[:span], x[:span], add, n, plane, stride, scale, shift, r)
 		res.sumDy, res.sumDyXc = ChannelGradSums(dy[:span], x[:span], res.y[:span], n, plane, stride, mu, r)
 		res.dx = poisoned(span)
 		ChannelGradInput(res.dx[:span], dy[:span], x[:span], res.y[:span], n, plane, stride, float32(mu), mdy, k, scale, r)
@@ -118,26 +129,41 @@ func checkBNKernels(t *testing.T, seed int64, n, plane, stride, specials int) {
 		}
 	}
 	simd := SIMDActive()
-	for _, rc := range bnRects {
-		SetSIMD(false)
-		want := run(rc.r, dy)
-		if rc.r.on {
-			// The unfused chain: the plain affine map, nn's rectifier, and
-			// the plain gradient passes over the masked dy.
-			plain := run(Rect{}, dy)
-			masked := poisoned(span)
-			for i := 0; i < n; i++ {
-				for j := i * stride; j < i*stride+plane; j++ {
-					plain.y[j] = rectifyRef(plain.y[j], rc.cap)
-					masked[j] = rectifyGradRef(dy[j], plain.y[j], rc.cap)
-				}
+	for _, a := range [][]float32{nil, add} {
+		for _, rc := range bnRects {
+			tag := rc.name
+			if a != nil {
+				tag += "+addend"
 			}
-			unfused := run(Rect{}, masked)
-			unfused.y = plain.y
-			same(rc.name+" portable vs unfused", want, unfused)
+			SetSIMD(false)
+			want := run(rc.r, dy, a)
+			if rc.r.on || a != nil {
+				// The unfused chain: the plain affine map, the residual
+				// add, nn's rectifier, and the plain gradient passes over
+				// the masked dy.
+				plain := run(Rect{}, dy, nil)
+				masked := poisoned(span)
+				for i := 0; i < n; i++ {
+					for j := i * stride; j < i*stride+plane; j++ {
+						if a != nil {
+							plain.y[j] += a[j]
+						}
+						masked[j] = dy[j]
+						if rc.r.on {
+							plain.y[j] = rectifyRef(plain.y[j], rc.cap)
+							masked[j] = rectifyGradRef(dy[j], plain.y[j], rc.cap)
+						}
+					}
+				}
+				unfused := run(Rect{}, masked, nil)
+				unfused.y = plain.y
+				same(tag+" portable vs unfused", want, unfused)
+			}
+			SetSIMD(simd)
+			var got result
+			faultFree(t, tag+" kernels", func() { got = run(rc.r, dy, a) })
+			same(tag+" dispatch vs portable", got, want)
 		}
-		SetSIMD(simd)
-		same(rc.name+" dispatch vs portable", run(rc.r, dy), want)
 	}
 }
 

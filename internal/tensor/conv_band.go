@@ -234,6 +234,7 @@ type ConvScratchF32 struct {
 	wT    []float32 // dx route: per phase f, the weights as (dxRows, taps·outC), tap (kh, kw, oc) of row c; rows past InC zero
 	acc   []float32 // outC band sums
 	bias  bool      // this backward call forms the bias partials (its gb is not nil)
+	skip  Skip      // this backward call's skip gradient
 }
 
 type convLaneF32 struct {
@@ -367,46 +368,75 @@ func (j convF32Fwd) epilogue(t, lane int) {
 	if p.runs != nil {
 		owp, ld = p.owp, p.ldp(nb)
 	}
-	drainInto(j.out[i0*p.outC*p.s:], ln.prod, j.bias, nb, p.outC, p.oh, p.ow, owp, ld)
+	drainInto(j.out[i0*p.outC*p.s:], ln.prod, j.bias, Skip{}, nb, p.outC, p.oh, p.ow, owp, ld)
 }
 
 // drainInto copies rows r < c of a band's product (row stride ld; sample
 // il's oh rows of ow positions from column il·oh·owp, owp apart) into nb
-// NCHW samples of c planes, adding bias[r] unless bias is nil.
-func drainInto(dst, prod, bias []float32, nb, c, oh, ow, owp, ld int) {
+// NCHW samples of c planes, adding bias[r] unless bias is nil, or the skip
+// gradient (dst at sk's offset) unless sk is zero.
+func drainInto(dst, prod, bias []float32, sk Skip, nb, c, oh, ow, owp, ld int) {
 	if ow == owp { // whole planes are contiguous
 		oh, ow, owp = 1, oh*ow, oh*ow
 	}
 	for il := 0; il < nb; il++ {
 		for r := 0; r < c; r++ {
 			for y := 0; y < oh; y++ {
-				src, d := prod[r*ld+(il*oh+y)*owp:][:ow], dst[((il*c+r)*oh+y)*ow:][:ow]
-				if bias == nil {
+				o := ((il*c+r)*oh + y) * ow
+				src, d := prod[r*ld+(il*oh+y)*owp:][:ow], dst[o:][:ow]
+				switch {
+				case sk.G != nil:
+					sk.addTo(d, src, o)
+				case bias == nil:
 					copy(d, src)
-					continue
-				}
-				for k, v := range src {
-					d[k] = v + bias[r]
+				default:
+					for k, v := range src {
+						d[k] = v + bias[r]
+					}
 				}
 			}
 		}
 	}
 }
 
+// Skip is a residual block's shortcut gradient, which a conv's backward
+// adds to dx as it writes it: dx = fl(dmain + s), s = G, or G masked by
+// the block output Y under R (R.pass) — nn's unfused gradient sum. G and
+// Y are laid out as dx and do not overlap it; the zero Skip adds nothing.
+type Skip struct {
+	G, Y []float32
+	R    Rect
+	o    int // the offset in G and Y of the dx slice at hand
+}
+
+// addTo writes d[k] = a[k] + s at offset o+k, for the drain and the other
+// routes' in-place pass alike. d may alias a.
+func (s Skip) addTo(d, a []float32, o int) {
+	var y []float32
+	if s.R.on {
+		y = s.Y[s.o+o:][:len(a)]
+	}
+	skipAdd(d[:len(a)], a, s.G[s.o+o:][:len(a)], y, s.R.top)
+}
+
 // ConvF32BackwardInto is the adjoint of ConvF32ForwardInto for the same x
-// and w: dx (shaped like x) is overwritten with the input gradient, and
-// the weight gradient doutᵀ-contracted with the patches is accumulated
-// into gw (outC, kdim), the per-channel sums of dout into gb (nil: no
-// bias).
-func ConvF32BackwardInto(dx, gw, gb, x, dout []float32, n int, w []float32, p *ConvPlanF32, sc *ConvScratchF32) error {
+// and w: dx (shaped like x) is overwritten with the input gradient plus
+// skip (see Skip), and the weight gradient doutᵀ-contracted with the
+// patches is accumulated into gw (outC, kdim), the per-channel sums of
+// dout into gb (nil: no bias). The stride-1 dx drain adds the skip as it
+// writes; other routes add it in place in the band's own task.
+func ConvF32BackwardInto(dx, gw, gb, x, dout []float32, n int, w []float32, p *ConvPlanF32, sc *ConvScratchF32, skip Skip) error {
 	if err := p.check("conv backward", n, min(len(x), len(dx)), len(dout), min(len(w), len(gw))); err != nil {
 		return err
 	}
 	if gb != nil && len(gb) < p.outC {
 		return fmt.Errorf("%w: conv backward bias gradient has %d elements, want >= %d", ErrShape, len(gb), p.outC)
 	}
+	if skip.G != nil && (len(skip.G) < n*p.inSz || skip.R.on && len(skip.Y) < n*p.inSz) {
+		return fmt.Errorf("%w: conv backward skip gradient has %d elements (block output %d), want >= %d", ErrShape, len(skip.G), len(skip.Y), n*p.inSz)
+	}
 	b, bands := sc.bandsFor(p, n, true)
-	sc.bias = gb != nil
+	sc.bias, sc.skip = gb != nil, skip
 	if p.dxOfs != nil {
 		kk := p.g.KH * p.g.KW
 		sc.wT = grow(sc.wT, p.dxRows*kk*p.outC)
@@ -545,16 +575,20 @@ func (j convF32Bwd) compute(t, lane int) {
 
 func (j convF32Bwd) epilogue(t, lane int) {
 	ln, i0, nb := j.task(t, lane)
-	p, dx := j.p, j.dx[i0*j.p.inSz:(i0+nb)*j.p.inSz]
+	p, dx, sk := j.p, j.dx[i0*j.p.inSz:(i0+nb)*j.p.inSz], j.sc.skip
+	sk.o = i0 * p.inSz
+	if p.dxOfs != nil && p.g.Stride == 1 {
+		drainInto(dx, ln.prod, nil, sk, nb, p.g.InC, p.oh, p.ow, p.owp, p.ldp(nb))
+		return
+	}
+	if sk.G != nil { // once the band's dx is written
+		defer sk.addTo(dx, dx, 0)
+	}
 	if p.dxOfs == nil {
 		col2imInto(dx, ln.tile, p.g, nb, 0, p.ld(nb), ln.stage)
 		return
 	}
 	ld := p.ldp(nb)
-	if p.g.Stride == 1 {
-		drainInto(dx, ln.prod, nil, nb, p.g.InC, p.oh, p.ow, p.owp, ld)
-		return
-	}
 	// Stride 2: row 2a+py of a plane interleaves row a of phases (py, 0)
 	// and (py, 1), whole 4-column steps through interleave and the last
 	// OW%4 columns here.

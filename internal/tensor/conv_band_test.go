@@ -49,7 +49,7 @@ func (c *convBandCase) run(t testing.TB, sc *ConvScratchF32) {
 	if err := ConvF32ForwardInto(c.out, c.x, c.n, c.w, c.bias, c.plan, sc); err != nil {
 		t.Fatal(err)
 	}
-	if err := ConvF32BackwardInto(c.dx, c.gw, c.gb, c.x, c.dout, c.n, c.w, c.plan, sc); err != nil {
+	if err := ConvF32BackwardInto(c.dx, c.gw, c.gb, c.x, c.dout, c.n, c.w, c.plan, sc, Skip{}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -236,9 +236,19 @@ var bandDeterminismCases = []struct {
 // input gradients, weight gradients and bias gradients at 1, 2, 3 and 8
 // workers: tasks own disjoint bands, lanes select scratch and never data,
 // and the gradient partials are summed in band order after the join.
-// Under -race it is also the data-race probe of the band tasks.
+// Under -race it is also the data-race probe of the band tasks. A backward
+// given a residual skip gradient must write "dx, then add": fl(dx + G),
+// or fl(dx + G masked by Y) under a ReLU, byte for byte, with the weight
+// and bias gradients unmoved, on every stripCases geometry (the stride-1
+// drain, the stride-2 interleave and the scatter) and on the gather route.
 func TestConvBandDeterministicAcrossWorkers(t *testing.T) {
 	eachDispatch(t, func(t *testing.T) {
+		for ci, bc := range stripCases {
+			checkConvSkip(t, int64(300+ci), bc.g, bc.n, bc.outC, false)
+		}
+		for ci, bc := range bandDeterminismCases {
+			checkConvSkip(t, int64(400+ci), bc.g, bc.n, bc.outC, true)
+		}
 		for ci, bc := range bandDeterminismCases {
 			c := newConvBandCase(t, int64(7+ci), bc.g, bc.n, bc.outC)
 			var sc ConvScratchF32 // shared across worker counts: lanes grow, results must not move
@@ -256,6 +266,103 @@ func TestConvBandDeterministicAcrossWorkers(t *testing.T) {
 							t.Fatalf("case %d workers=%d: %s[%d] = %g, serial %g", ci, workers,
 								[]string{"out", "dx", "dW", "db"}[k], i, got[i], want[k][i])
 						}
+					}
+				}
+			}
+		}
+	})
+}
+
+// checkConvSkip is the skip-gradient spec of one geometry (a plan built
+// under convGatherOnly when gather is set): G has NaN, ±0, ±Inf and
+// subnormal payloads, Y is a ReLU output with zeros, and dx carries
+// canary words past its end.
+func checkConvSkip(t *testing.T, seed int64, g ConvGeom, n, outC int, gather bool) {
+	t.Helper()
+	convGatherOnly = gather
+	c := newConvBandCase(t, seed, g, n, outC)
+	convGatherOnly = false
+	var sc ConvScratchF32
+	prev := SetMaxWorkers(1)
+	c.run(t, &sc)
+	SetMaxWorkers(prev)
+	rng := rand.New(rand.NewSource(seed))
+	sg, y := make([]float32, len(c.dx)), make([]float32, len(c.dx))
+	for i := range sg {
+		sg[i], y[i] = float32(rng.NormFloat64()), max(float32(rng.NormFloat64()), 0)
+		if rng.Intn(8) == 0 {
+			sg[i] = bnAddSpecials[rng.Intn(len(bnAddSpecials))]
+		}
+	}
+	for _, r := range []Rect{{}, Rectifier(0)} {
+		want := make([]float32, len(c.dx))
+		for i, v := range c.dx {
+			s := sg[i]
+			if r.on {
+				s = rectifyGradRef(s, y[i], 0)
+			}
+			want[i] = v + s
+		}
+		for _, workers := range []int{1, 2, 3, 8} {
+			dx, gw, gb := poisoned(len(c.dx)), make([]float32, len(c.w)), make([]float32, c.outC)
+			prev := SetMaxWorkers(workers)
+			err := ConvF32BackwardInto(dx[:len(c.dx)], gw, gb, c.x, c.dout, c.n, c.w, c.plan, &sc, Skip{G: sg, Y: y, R: r})
+			SetMaxWorkers(prev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkUntouched(t, "skip dx", dx, len(c.dx))
+			for k, got := range [][]float32{dx, gw, gb} {
+				for i, w := range [][]float32{want, c.gw, c.gb}[k] {
+					if math.Float32bits(got[i]) != math.Float32bits(w) {
+						t.Fatalf("%+v gather=%v relu=%v workers=%d: %s[%d] = %#x, want %#x", g, gather, r.on, workers,
+							[]string{"dx+skip", "dW", "db"}[k], i, math.Float32bits(got[i]), math.Float32bits(w))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSkipAddKernel pins the skip-add kernel of the dispatch to the
+// portable loop, and that to nn's unfused sum (dmain + the rectifyGrad-
+// masked skip), bit for bit, masked and unmasked, at every length from 1
+// to 40 and at 1029: a, s and y end against a PROT_NONE page, d carries
+// canary words, and s and y carry NaN, ±0, ±Inf and subnormal payloads.
+func TestSkipAddKernel(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	draw := func(n int, neg bool) []float32 {
+		v := guarded[float32](t, n, 0)
+		for i := range v {
+			v[i] = float32(rng.NormFloat64())
+			if !neg {
+				v[i] = max(v[i], 0)
+			}
+			if rng.Intn(6) == 0 {
+				v[i] = bnAddSpecials[rng.Intn(len(bnAddSpecials))]
+			}
+		}
+		return v
+	}
+	eachDispatch(t, func(t *testing.T) {
+		for n := 1; n <= 41; n++ {
+			if n == 41 {
+				n = 1029
+			}
+			a, sk, y := draw(n, true), draw(n, true), draw(n, false)
+			for _, top := range []int32{0, Rectifier(0).top} {
+				want, got := poisoned(n), poisoned(n)
+				skipAddGo(want[:n], a, sk, y, top)
+				faultFree(t, "skip add", func() { skipAdd(got[:n], a, sk, y, top) })
+				checkUntouched(t, "skip-add output", got, n)
+				for i, v := range a {
+					s := sk[i]
+					if top != 0 {
+						s = rectifyGradRef(s, y[i], 0)
+					}
+					if u := v + s; math.Float32bits(want[i]) != math.Float32bits(u) || math.Float32bits(got[i]) != math.Float32bits(u) {
+						t.Fatalf("n=%d top=%d: d[%d] = %#x (portable %#x), want %#x", n, top, i,
+							math.Float32bits(got[i]), math.Float32bits(want[i]), math.Float32bits(u))
 					}
 				}
 			}
@@ -337,7 +444,7 @@ func TestConvBandSteadyStateAllocs(t *testing.T) {
 		if err := ConvF32ForwardInto(big.out, big.x, big.n, big.w, big.bias, big.plan, &sc); err != nil {
 			t.Fatal(err)
 		}
-		if err := ConvF32BackwardInto(big.dx, big.gw, big.gb, big.x, big.dout, big.n, big.w, big.plan, &sc); err != nil {
+		if err := ConvF32BackwardInto(big.dx, big.gw, big.gb, big.x, big.dout, big.n, big.w, big.plan, &sc, Skip{}); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -352,7 +459,7 @@ func TestConvBandSteadyStateAllocs(t *testing.T) {
 		if err := ConvF32ForwardInto(big.out, big.x, big.n, big.w, big.bias, big.plan, &sc); err != nil {
 			t.Fatal(err)
 		}
-		if err := ConvF32BackwardInto(big.dx, big.gw, big.gb, big.x, big.dout, big.n, big.w, big.plan, &sc); err != nil {
+		if err := ConvF32BackwardInto(big.dx, big.gw, big.gb, big.x, big.dout, big.n, big.w, big.plan, &sc, Skip{}); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -372,7 +479,10 @@ func TestConvBandRejectsShortOperands(t *testing.T) {
 		return ConvF32ForwardInto(out, x, n, w, bias, c.plan, &sc)
 	}
 	bwd := func(dx, gw, gb, x, dout, w []float32) error {
-		return ConvF32BackwardInto(dx, gw, gb, x, dout, c.n, w, c.plan, &sc)
+		return ConvF32BackwardInto(dx, gw, gb, x, dout, c.n, w, c.plan, &sc, Skip{})
+	}
+	skip := func(g, y []float32) error {
+		return ConvF32BackwardInto(c.dx, c.gw, c.gb, c.x, c.dout, c.n, c.w, c.plan, &sc, Skip{G: g, Y: y, R: Rectifier(0)})
 	}
 	for name, err := range map[string]error{
 		"forward n=0":         fwd(c.out, c.x, c.w, c.bias, 0),
@@ -386,6 +496,8 @@ func TestConvBandRejectsShortOperands(t *testing.T) {
 		"backward short x":    bwd(c.dx, c.gw, c.gb, short(c.x), c.dout, c.w),
 		"backward short dout": bwd(c.dx, c.gw, c.gb, c.x, short(c.dout), c.w),
 		"backward short w":    bwd(c.dx, c.gw, c.gb, c.x, c.dout, short(c.w)),
+		"backward short skip": skip(short(c.x), c.x),
+		"backward short mask": skip(c.x, short(c.x)),
 	} {
 		if err == nil {
 			t.Errorf("%s: accepted", name)

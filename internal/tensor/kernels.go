@@ -187,6 +187,22 @@ func f32StripDWGo(dst, strip []float32, ofs []int32, hi int, panel []float32, pw
 	}
 }
 
+// skipAdd is Skip.addTo's loop: d = a + g, with g masked by y where
+// 0 < bits(y) < top (Rect.pass) unless top is 0; a is the add's first
+// operand, as in nn's residual add.
+var skipAdd = skipAddGo
+
+func skipAddGo(d, a, g, y []float32, top int32) {
+	r := Rect{top: top}
+	for k, v := range a {
+		if top != 0 {
+			d[k] = v + r.pass(g[k], y[k])
+		} else {
+			d[k] = v + g[k]
+		}
+	}
+}
+
 // interleaveGo writes rows r < rows of dst (row stride ds) from e's and
 // o's rows of n floats (n a multiple of 4, rows es apart), alternating:
 // dst[2b] = e[b], dst[2b+1] = o[b].

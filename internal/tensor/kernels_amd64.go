@@ -49,10 +49,13 @@ func interleaveAVX2(dst, e, o *float32, n, rows, es, ds int)
 func convStripDWT4FMA(dst, strip *float32, ofs *int32, panel *float32, m, nb, oh, ow, st, rskip, sskip, ldd, pw int)
 
 //go:noescape
+func skipAddAVX2(d, a, s, y *float32, n, top int)
+
+//go:noescape
 func bnMomentsAVX2(x *float32, n, plane, stride int, cnt float64) (mean, variance float64)
 
 //go:noescape
-func bnAffineAVX2(y, x *float32, n, plane, stride int, scale, shift, lo, z, hi float32)
+func bnAffineAVX2(y, x, add *float32, n, plane, stride int, scale, shift, lo, z, hi, m float32)
 
 //go:noescape
 func bnGradSumsAVX2(dy, x, y *float32, n, plane, stride int, mean float64, top int) (sumDy, sumDyXc float64)
@@ -109,7 +112,7 @@ func applySIMDAmd64(on bool) {
 		bnMomentsAsm, bnAffineAsm, bnGradSumsAsm, bnGradInputAsm = nil, nil, nil, nil
 		f32Panel4 = f32Panel4Go
 		f32StripPanel, f32StripDW, f32StripDX = f32StripPanelGo, f32StripDWGo, f32StripDXGo
-		interleave, stageRows = interleaveGo, stageRowsGo
+		interleave, stageRows, skipAdd = interleaveGo, stageRowsGo, skipAddGo
 		requantRowsAsm = nil
 		return
 	}
@@ -124,6 +127,7 @@ func applySIMDAmd64(on bool) {
 	f32StripDW = stripDWFMAWrap
 	f32StripDX = stripDXFMAWrap
 	interleave = interleaveAVX2Wrap
+	skipAdd = skipAddAVX2Wrap
 	stageRows = stageRowsAVX2Wrap
 	requantRowsAsm = requantRowsAVX2Wrap
 }
@@ -182,6 +186,19 @@ func interleaveAVX2Wrap(dst, e, o []float32, n, rows, es, ds int) {
 	interleaveAVX2(&dst[0], &e[0], &o[0], n, rows, es, ds)
 }
 
+func skipAddAVX2Wrap(d, a, g, y []float32, top int32) {
+	if n := len(a) &^ 7; n > 0 {
+		_, _, yp := d[n-1], g[n-1], &g[0] // y is read only under a mask
+		if top != 0 {
+			_ = y[n-1]
+			yp, y = &y[0], y[n:]
+		}
+		skipAddAVX2(&d[0], &a[0], &g[0], yp, n, int(top))
+		d, a, g = d[n:], a[n:], g[n:]
+	}
+	skipAddGo(d, a, g, y, top)
+}
+
 func stageRowsAVX2Wrap(dst, src []float32, planes, h, w, sp, rs, e, o, ph int) {
 	if w%(4*ph) != 0 { // the kernel moves whole steps only
 		stageRowsGo(dst, src, planes, h, w, sp, rs, e, o, ph)
@@ -208,22 +225,28 @@ func bnMomentsAVX2Wrap(x []float32, n, plane, stride int, cnt float64) (mean, va
 	return bnMomentsAVX2(&x[0], n, plane, stride, cnt)
 }
 
-// clamp is r as min(max(v, lo) + z, hi), the SIMD kernels' branch-free
-// form: none is the identity (−Inf, −0, +Inf), and the +0 of a rectifier
-// turns the −0 that max keeps into the +0 Go's max returns.
-func (r Rect) clamp() (lo, z, hi float32) {
+// clamp is r as min(max(v, lo) + z, hi) & m, the SIMD kernels'
+// branch-free form: none is the identity (−Inf, −0, +Inf, all bits), the
+// +0 of a rectifier turns the −0 that max keeps into the +0 Go's max
+// returns, and its m clears the sign of a NaN, as Go's max does on amd64.
+func (r Rect) clamp() (lo, z, hi, m float32) {
 	if !r.on {
-		return float32(math.Inf(-1)), float32(math.Copysign(0, -1)), float32(math.Inf(1))
+		return float32(math.Inf(-1)), float32(math.Copysign(0, -1)), float32(math.Inf(1)), math.Float32frombits(^uint32(0))
 	}
-	return 0, 0, r.hi
+	return 0, 0, r.hi, math.Float32frombits(math.MaxInt32)
 }
 
-func bnAffineAVX2Wrap(y, x []float32, n, plane, stride int, scale, shift float32, r Rect) {
+func bnAffineAVX2Wrap(y, x, add []float32, n, plane, stride int, scale, shift float32, r Rect) {
 	e := (n-1)*stride + plane - 1
 	_ = y[e]
 	_ = x[e]
-	lo, z, hi := r.clamp()
-	bnAffineAVX2(&y[0], &x[0], n, plane, stride, scale, shift, lo, z, hi)
+	var a *float32 // nil: no addend
+	if add != nil {
+		_ = add[e]
+		a = &add[0]
+	}
+	lo, z, hi, m := r.clamp()
+	bnAffineAVX2(&y[0], &x[0], a, n, plane, stride, scale, shift, lo, z, hi, m)
 }
 
 func bnGradSumsAVX2Wrap(dy, x, y []float32, n, plane, stride int, mean float64, r Rect) (sumDy, sumDyXc float64) {

@@ -172,36 +172,47 @@ sqnext:
 	VPAND    t, y, y; \
 	VANDPS   y, g, g
 
-// func bnAffineAVX2(y, x *float32, n, plane, stride int, scale, shift, lo, z, hi float32)
+// func bnAffineAVX2(y, x, add *float32, n, plane, stride int, scale, shift, lo, z, hi, m float32)
 //
-// y = min(max(float32(x·scale) + shift, lo) + z, hi), eight floats per
-// step: Rect.clamp's form of the rectifier. VMAXPS / VMINPS take the value
-// as the second operand, so a NaN comes through as Go's max and min pass
-// it. Registers: DI / SI output and input plane cursors, DX byte offset in
-// the plane, CX planes left, Y15 scale, Y11 shift, Y12 lo, Y13 z, Y10 hi,
-// Y2 data.
-TEXT ·bnAffineAVX2(SB), NOSPLIT, $0-60
+// y = min(max(float32(x·scale) + shift + add, lo) + z, hi) & m, eight
+// floats per step: Rect.clamp's form of the rectifier, the addend a
+// separate VADDPS after the shift when add is not nil. VMAXPS / VMINPS
+// take the value as the second operand, so a NaN comes through, and m
+// clears its sign as Go's max does. Registers: DI / SI / R8 output, input
+// and addend plane cursors, R9 the addend's base (0: none), DX byte offset
+// in the plane, CX planes left, Y15 scale, Y11 shift, Y12 lo, Y13 z, Y10
+// hi, Y9 m, Y2 data, Y3 the partial group's addend.
+TEXT ·bnAffineAVX2(SB), NOSPLIT, $0-72
 	MOVQ y+0(FP), DI
 	MOVQ x+8(FP), SI
-	BN_GEOMETRY(plane+24(FP), stride+32(FP))
-	VBROADCASTSS scale+40(FP), Y15
-	VBROADCASTSS shift+44(FP), Y11
-	VBROADCASTSS lo+48(FP), Y12
-	VBROADCASTSS z+52(FP), Y13
-	VBROADCASTSS hi+56(FP), Y10
-	MOVQ         n+16(FP), CX
+	MOVQ add+16(FP), R8
+	MOVQ R8, R9
+	BN_GEOMETRY(plane+32(FP), stride+40(FP))
+	VBROADCASTSS scale+48(FP), Y15
+	VBROADCASTSS shift+52(FP), Y11
+	VBROADCASTSS lo+56(FP), Y12
+	VBROADCASTSS z+60(FP), Y13
+	VBROADCASTSS hi+64(FP), Y10
+	VBROADCASTSS m+68(FP), Y9
+	MOVQ         n+24(FP), CX
 
 affplane:
 	XORQ DX, DX
 
 affgroup:
-	CMPQ    DX, R11
-	JGE     afftail
-	VMULPS  (SI)(DX*1), Y15, Y2
-	VADDPS  Y11, Y2, Y2
+	CMPQ   DX, R11
+	JGE    afftail
+	VMULPS (SI)(DX*1), Y15, Y2
+	VADDPS Y11, Y2, Y2
+	TESTQ  R9, R9
+	JZ     affrect
+	VADDPS (R8)(DX*1), Y2, Y2
+
+affrect:
 	VMAXPS  Y2, Y12, Y2
 	VADDPS  Y13, Y2, Y2
 	VMINPS  Y2, Y10, Y2
+	VANDPS  Y9, Y2, Y2
 	VMOVUPS Y2, (DI)(DX*1)
 	ADDQ    $32, DX
 	JMP     affgroup
@@ -212,14 +223,22 @@ afftail:
 	VMASKMOVPS (SI)(DX*1), Y14, Y2
 	VMULPS     Y15, Y2, Y2
 	VADDPS     Y11, Y2, Y2
+	TESTQ      R9, R9
+	JZ         afftailrect
+	VMASKMOVPS (R8)(DX*1), Y14, Y3
+	VADDPS     Y3, Y2, Y2
+
+afftailrect:
 	VMAXPS     Y2, Y12, Y2
 	VADDPS     Y13, Y2, Y2
 	VMINPS     Y2, Y10, Y2
+	VANDPS     Y9, Y2, Y2
 	VMASKMOVPS Y2, Y14, (DI)(DX*1)
 
 affnext:
 	ADDQ R10, SI
 	ADDQ R10, DI
+	ADDQ R10, R8
 	DECQ CX
 	JNZ  affplane
 	VZEROUPPER
@@ -387,5 +406,41 @@ ginext:
 	ADDQ R10, R9
 	DECQ CX
 	JNZ  giplane
+	VZEROUPPER
+	RET
+
+// func skipAddAVX2(d, a, s, y *float32, n, top int)
+//
+// skipAddGo over n floats, a positive multiple of 8: d = a + s, s masked
+// by y through BN_PASS when top ≠ 0 (y is not read otherwise), a the
+// add's first source as in the portable loop. Registers: DI / SI / R8 /
+// R9 d, a, s and y, DX byte offset, CX byte end, R10 top, Y10 top, Y11
+// zero, Y0 a, Y1 s.
+TEXT ·skipAddAVX2(SB), NOSPLIT, $0-48
+	MOVQ         d+0(FP), DI
+	MOVQ         a+8(FP), SI
+	MOVQ         s+16(FP), R8
+	MOVQ         y+24(FP), R9
+	MOVQ         n+32(FP), CX
+	SHLQ         $2, CX
+	MOVQ         top+40(FP), R10
+	VPBROADCASTD top+40(FP), Y10
+	VPXOR        Y11, Y11, Y11
+	XORQ         DX, DX
+
+skipgroup:
+	VMOVUPS (R8)(DX*1), Y1
+	TESTQ   R10, R10
+	JZ      skipsum
+	VMOVUPS (R9)(DX*1), Y2
+	BN_PASS(Y2, Y1, Y3, Y11, Y10)
+
+skipsum:
+	VMOVUPS (SI)(DX*1), Y0
+	VADDPS  Y1, Y0, Y0
+	VMOVUPS Y0, (DI)(DX*1)
+	ADDQ    $32, DX
+	CMPQ    DX, CX
+	JLT     skipgroup
 	VZEROUPPER
 	RET
