@@ -149,7 +149,7 @@ func (r *replica) step(loss nn.SoftmaxCrossEntropy, jb job) error {
 	if err != nil {
 		return fmt.Errorf("dist: worker %d loss: %w", r.id, err)
 	}
-	if _, err := r.m.Net.Backward(dlogits); err != nil {
+	if err := r.m.Net.BackwardParams(dlogits); err != nil {
 		return fmt.Errorf("dist: worker %d backward: %w", r.id, err)
 	}
 	for i, p := range r.params {

@@ -75,7 +75,7 @@ func (a *ActQuant) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error)
 	out := a.outA.like(x)
 	d := out.Data()
 	copy(d, x.Data())
-	a.mask = growU8(&a.maskA, len(d))
+	a.mask = grow(&a.maskA, len(d))
 	for i, v := range d {
 		switch {
 		case v <= 0:

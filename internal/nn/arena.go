@@ -17,28 +17,12 @@ import "repro/internal/tensor"
 //   - Arenas grow to the largest batch seen and are re-sliced for smaller
 //     batches, so mixed train/eval batch sizes do not thrash.
 
-// growF32 returns a zero-copy slice of length n backed by *buf, growing the
+// grow returns a zero-copy slice of length n backed by *buf, growing the
 // backing array only when capacity is insufficient. Contents are undefined
 // (possibly stale); callers must fully overwrite it.
-func growF32(buf *[]float32, n int) []float32 {
+func grow[T any](buf *[]T, n int) []T {
 	if cap(*buf) < n {
-		*buf = make([]float32, n)
-	}
-	return (*buf)[:n]
-}
-
-// growInt is growF32 for index buffers.
-func growInt(buf *[]int, n int) []int {
-	if cap(*buf) < n {
-		*buf = make([]int, n)
-	}
-	return (*buf)[:n]
-}
-
-// growU8 is growF32 for byte masks.
-func growU8(buf *[]uint8, n int) []uint8 {
-	if cap(*buf) < n {
-		*buf = make([]uint8, n)
+		*buf = make([]T, n)
 	}
 	return (*buf)[:n]
 }
@@ -65,7 +49,7 @@ func (a *arenaTensor) get(shape ...int) *tensor.Tensor {
 	// The arena's own copy goes to FromSlice, so the argument does not
 	// escape and a caller's literal shape stays on its stack.
 	a.shape = append(a.shape[:0], shape...)
-	t, err := tensor.FromSlice(growF32(&a.buf, n), a.shape...)
+	t, err := tensor.FromSlice(grow(&a.buf, n), a.shape...)
 	if err != nil {
 		panic(err) // programmer error: shapes are computed, not user input
 	}

@@ -88,7 +88,9 @@ func TestLinearSteadyStateAllocs(t *testing.T) {
 // none builds a pool closure when it runs serially, and no step allocates a
 // data buffer or a copy of an activation's shape. The basicBlock-shaped
 // blocks (identity and projection shortcut) run their tail inside their
-// nodes' passes, so the Residual's own arenas must stay empty.
+// nodes' passes, so the Residual's own arenas must stay empty. A network
+// whose first node runs the parameter-only backward (BackwardParams) is
+// alloc-free too.
 func TestBlockSteadyStateAllocs(t *testing.T) {
 	prev := tensor.SetMaxWorkers(1)
 	defer tensor.SetMaxWorkers(prev)
@@ -108,6 +110,12 @@ func TestBlockSteadyStateAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	block := NewResidual("block", NewSequential("main", conv2, bn2), nil)
+	conv3, _ := testConv(t, false)
+	bn3, err := NewBatchNorm2D("bn3", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stem := NewSequential("net", NewConvBNAct("stem", conv3, bn3, NewReLU("relu3")))
 	dout := tensor.New(4, 8, 16, 16)
 	dout.Fill(0.01)
 	identity, projection := residualCases()[0].block(t), residualCases()[4].block(t)
@@ -122,6 +130,7 @@ func TestBlockSteadyStateAllocs(t *testing.T) {
 		want    float64
 	}{
 		{"conv-bn-relu", triple, x, dout, 0},
+		{"parameter-only-node", stem, x, dout, 0},
 		{"residual", block, dout, dout, 0},
 		{"basic-identity", identity, in8, dout, 0},
 		{"basic-projection-s2", projection, in4, dout8, 0},
@@ -130,7 +139,13 @@ func TestBlockSteadyStateAllocs(t *testing.T) {
 			if _, err := c.l.Forward(c.x, true); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := c.l.Backward(c.dout); err != nil {
+			var err error
+			if c.l == Layer(stem) {
+				err = stem.BackwardParams(c.dout)
+			} else {
+				_, err = c.l.Backward(c.dout)
+			}
+			if err != nil {
 				t.Fatal(err)
 			}
 		}

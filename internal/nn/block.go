@@ -54,6 +54,31 @@ func (s *Sequential) Backward(dout *tensor.Tensor) (*tensor.Tensor, error) {
 	return dout, nil
 }
 
+// BackwardParams is Backward for a trainer, which has no use for the
+// network input's gradient: the first layer runs a backward that forms its
+// parameter gradients alone when it has one (a Conv2D, or a node or chain
+// starting with one), else Backward with the result dropped.
+func (s *Sequential) BackwardParams(dout *tensor.Tensor) error {
+	var err error
+	for i := len(s.layers) - 1; i > 0 && err == nil; i-- {
+		dout, err = s.layers[i].Backward(dout)
+	}
+	if err == nil && len(s.layers) > 0 {
+		switch l := s.layers[0].(type) {
+		case *Conv2D:
+			_, err = l.backward(dout, tensor.Skip{}, false)
+		case interface{ BackwardParams(*tensor.Tensor) error }:
+			err = l.BackwardParams(dout)
+		default:
+			_, err = l.Backward(dout)
+		}
+	}
+	if err != nil {
+		return fmt.Errorf("%s: %w", s.name, err)
+	}
+	return nil
+}
+
 // ConvBNAct is one node of a network: an op (Conv2D, DepthwiseConv2D or
 // Linear), optionally followed by a batch-norm and an activation — the
 // unit a layer's precision, energy row and int8 lowering belong to. It
@@ -114,14 +139,24 @@ func (n *ConvBNAct) Backward(dout *tensor.Tensor) (*tensor.Tensor, error) {
 	if n.fused() == nil {
 		return n.Sequential.Backward(dout)
 	}
-	return n.backward(dout, dout, tensor.Rect{}, tensor.Skip{})
+	return n.backward(dout, dout, tensor.Rect{}, tensor.Skip{}, true)
+}
+
+// BackwardParams is Sequential.BackwardParams for a network whose first
+// node is n.
+func (n *ConvBNAct) BackwardParams(dout *tensor.Tensor) error {
+	if n.fused() == nil {
+		return n.Sequential.BackwardParams(dout)
+	}
+	_, err := n.backward(dout, dout, tensor.Rect{}, tensor.Skip{}, false)
+	return err
 }
 
 // forward and backward run a node with a batch-norm and its ReLU or no
 // activation, with a residual block's hooks: without a ReLU the affine
 // pass adds add (nil: none) and applies r, and the gradient passes mask
 // dout by y under r; skip joins the input gradient of the op, a Conv2D
-// unless skip is zero.
+// unless skip is zero; without dx a Conv2D op forms no input gradient.
 func (n *ConvBNAct) forward(x, add *tensor.Tensor, r tensor.Rect, train bool) (*tensor.Tensor, error) {
 	out, a := &n.bn.outA, n.fused()
 	if a != nil {
@@ -143,7 +178,7 @@ func (n *ConvBNAct) forward(x, add *tensor.Tensor, r tensor.Rect, train bool) (*
 	return y, nil
 }
 
-func (n *ConvBNAct) backward(dout, y *tensor.Tensor, r tensor.Rect, skip tensor.Skip) (*tensor.Tensor, error) {
+func (n *ConvBNAct) backward(dout, y *tensor.Tensor, r tensor.Rect, skip tensor.Skip, dx bool) (*tensor.Tensor, error) {
 	if a := n.fused(); a != nil {
 		if a.y == nil {
 			return nil, fmt.Errorf("%s: relu %q: backward before forward", n.name, a.name)
@@ -152,7 +187,7 @@ func (n *ConvBNAct) backward(dout, y *tensor.Tensor, r tensor.Rect, skip tensor.
 	}
 	d, err := n.bn.backward(dout, y, r)
 	if c, ok := n.Op().(*Conv2D); ok && err == nil {
-		d, err = c.backward(d, skip)
+		d, err = c.backward(d, skip, dx)
 	} else if err == nil {
 		d, err = n.Op().Backward(d)
 	}
@@ -308,7 +343,7 @@ func (r *Residual) Backward(dout *tensor.Tensor) (*tensor.Tensor, error) {
 	skip, err := tensor.Skip{G: dout.Data(), Y: y.Data(), R: r.rect}, error(nil)
 	if r.short != nil {
 		var ds *tensor.Tensor
-		if ds, err = r.short.backward(dout, y, r.rect, tensor.Skip{}); err == nil {
+		if ds, err = r.short.backward(dout, y, r.rect, tensor.Skip{}, true); err == nil {
 			skip = tensor.Skip{G: ds.Data()}
 		}
 	}
@@ -316,9 +351,9 @@ func (r *Residual) Backward(dout *tensor.Tensor) (*tensor.Tensor, error) {
 	for i := last; i >= 0 && err == nil; i-- {
 		switch n := r.nodes[i]; i {
 		case last:
-			d, err = n.(*ConvBNAct).backward(d, y, r.rect, tensor.Skip{})
+			d, err = n.(*ConvBNAct).backward(d, y, r.rect, tensor.Skip{}, true)
 		case 0:
-			d, err = n.(*ConvBNAct).backward(d, d, tensor.Rect{}, skip)
+			d, err = n.(*ConvBNAct).backward(d, d, tensor.Rect{}, skip, true)
 		default:
 			d, err = n.Backward(d)
 		}

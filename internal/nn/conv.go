@@ -100,12 +100,13 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error) {
 
 // Backward implements Layer.
 func (c *Conv2D) Backward(dout *tensor.Tensor) (*tensor.Tensor, error) {
-	return c.backward(dout, tensor.Skip{})
+	return c.backward(dout, tensor.Skip{}, true)
 }
 
 // backward is Backward with a residual block's shortcut gradient added
-// into dx as the conv writes it (tensor.Skip).
-func (c *Conv2D) backward(dout *tensor.Tensor, skip tensor.Skip) (*tensor.Tensor, error) {
+// into dx as the conv writes it (tensor.Skip); without dx it forms the
+// parameter gradients alone, returns nil and never allocates its dx arena.
+func (c *Conv2D) backward(dout *tensor.Tensor, skip tensor.Skip, dx bool) (*tensor.Tensor, error) {
 	if c.x == nil {
 		return nil, fmt.Errorf("conv2d %q: backward before forward", c.name)
 	}
@@ -115,15 +116,19 @@ func (c *Conv2D) backward(dout *tensor.Tensor, skip tensor.Skip) (*tensor.Tensor
 		return nil, fmt.Errorf("conv2d %q: %w: dout %v, want (%d,%d,%d,%d)",
 			c.name, tensor.ErrShape, dout.Shape(), n, c.outC, oh, ow)
 	}
-	dx := c.dx.get(n, c.geom.InC, c.geom.InH, c.geom.InW)
-	var gb []float32
+	var d *tensor.Tensor
+	var gb, dd []float32
+	if dx {
+		d = c.dx.get(n, c.geom.InC, c.geom.InH, c.geom.InW)
+		dd = d.Data()
+	}
 	if c.bias != nil {
 		gb = c.bias.Grad.Data()
 	}
-	if err := tensor.ConvF32BackwardInto(dx.Data(), c.weight.Grad.Data(), gb, c.x.Data(), dout.Data(), n,
+	if err := tensor.ConvF32BackwardInto(dd, c.weight.Grad.Data(), gb, c.x.Data(), dout.Data(), n,
 		c.weight.Value.Data(), c.plan, &c.work, skip); err != nil {
 		return nil, fmt.Errorf("conv2d %q: %w", c.name, err)
 	}
 	c.x = nil
-	return dx, nil
+	return d, nil
 }

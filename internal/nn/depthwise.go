@@ -101,7 +101,7 @@ func (d *DepthwiseConv2D) Backward(dout *tensor.Tensor) (*tensor.Tensor, error) 
 	// Per-(sample, channel) weight-grad slots in one flat scratch buffer,
 	// reduced serially afterwards to keep the parallel section race-free.
 	kk := g.KH * g.KW
-	dws := growF32(&d.dws, n*g.InC*kk)
+	dws := grow(&d.dws, n*g.InC*kk)
 	tensor.ParallelFor(n*g.InC, func(nc int) {
 		c := nc % g.InC
 		src := xd[nc*g.InH*g.InW : (nc+1)*g.InH*g.InW]

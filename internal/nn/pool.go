@@ -118,7 +118,7 @@ func (p *MaxPool2D) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error
 	oh, ow := h/p.k, w/p.k
 	out := p.outA.get(n, c, oh, ow)
 	p.inShape = x.Shape()
-	p.argmax = growInt(&p.argmaxA, out.Len())
+	p.argmax = grow(&p.argmaxA, out.Len())
 	p.ready = true
 	xd, od := x.Data(), out.Data()
 	for i := 0; i < n; i++ {

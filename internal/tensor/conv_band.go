@@ -256,7 +256,7 @@ func grow[T any](buf []T, n int) []T {
 
 // bandsFor sizes the scratch for a batch of n — one lane per worker, at
 // most one per band — and returns the call's banding and band count.
-func (sc *ConvScratchF32) bandsFor(p *ConvPlanF32, n int, backward bool) (convBandsF32, int) {
+func (sc *ConvScratchF32) bandsFor(p *ConvPlanF32, n int, backward, dx bool) (convBandsF32, int) {
 	bs := p.bandSamples(n)
 	bands := blocks(n, bs)
 	nl := bandLanes(bands)
@@ -266,7 +266,7 @@ func (sc *ConvScratchF32) bandsFor(p *ConvPlanF32, n int, backward bool) (convBa
 	ld := p.ld(bs)
 	for i := range sc.lanes[:nl] {
 		ln := &sc.lanes[i]
-		if p.runs == nil || backward && p.dxOfs == nil {
+		if p.runs == nil || dx && p.dxOfs == nil {
 			ln.tile = grow(ln.tile, p.kdim*ld)
 		}
 		ln.prod = grow(ln.prod, max(p.outC, p.dxRows*len(p.dxTap)-p.dxRows)*p.ldp(bs))
@@ -274,7 +274,7 @@ func (sc *ConvScratchF32) bandsFor(p *ConvPlanF32, n int, backward bool) (convBa
 		if backward {
 			ln.doT = grow(ln.doT, ld*p.tld)
 		}
-		if backward && p.dxOfs != nil {
+		if dx && p.dxOfs != nil {
 			ln.dstage = grow(ln.dstage, p.doutGeom().stageLen(bs))
 		}
 	}
@@ -325,7 +325,7 @@ func ConvF32ForwardInto(out, x []float32, n int, w, bias []float32, p *ConvPlanF
 	if bias != nil && len(bias) < p.outC {
 		return fmt.Errorf("%w: conv forward bias has %d elements, want >= %d", ErrShape, len(bias), p.outC)
 	}
-	b, bands := sc.bandsFor(p, n, false)
+	b, bands := sc.bandsFor(p, n, false, false)
 	runBands(convF32Fwd{convBandsF32: b, out: out, x: x, w: w, bias: bias}, bands, nil)
 	return nil
 }
@@ -424,10 +424,14 @@ func (s Skip) addTo(d, a []float32, o int) {
 // skip (see Skip), and the weight gradient doutᵀ-contracted with the
 // patches is accumulated into gw (outC, kdim), the per-channel sums of
 // dout into gb (nil: no bias). The stride-1 dx drain adds the skip as it
-// writes; other routes add it in place in the band's own task.
+// writes; other routes add it in place in the band's own task. A nil dx
+// asks for gw and gb alone, the same bytes, and takes no skip.
 func ConvF32BackwardInto(dx, gw, gb, x, dout []float32, n int, w []float32, p *ConvPlanF32, sc *ConvScratchF32, skip Skip) error {
-	if err := p.check("conv backward", n, min(len(x), len(dx)), len(dout), min(len(w), len(gw))); err != nil {
+	if err := p.check("conv backward", n, len(x), len(dout), min(len(w), len(gw))); err != nil {
 		return err
+	}
+	if dx != nil && len(dx) < n*p.inSz || dx == nil && skip.G != nil {
+		return fmt.Errorf("%w: conv backward dx has %d elements, want >= %d (nil: no skip)", ErrShape, len(dx), n*p.inSz)
 	}
 	if gb != nil && len(gb) < p.outC {
 		return fmt.Errorf("%w: conv backward bias gradient has %d elements, want >= %d", ErrShape, len(gb), p.outC)
@@ -435,9 +439,9 @@ func ConvF32BackwardInto(dx, gw, gb, x, dout []float32, n int, w []float32, p *C
 	if skip.G != nil && (len(skip.G) < n*p.inSz || skip.R.on && len(skip.Y) < n*p.inSz) {
 		return fmt.Errorf("%w: conv backward skip gradient has %d elements (block output %d), want >= %d", ErrShape, len(skip.G), len(skip.Y), n*p.inSz)
 	}
-	b, bands := sc.bandsFor(p, n, true)
+	b, bands := sc.bandsFor(p, n, true, dx != nil)
 	sc.bias, sc.skip = gb != nil, skip
-	if p.dxOfs != nil {
+	if p.dxOfs != nil && dx != nil {
 		kk := p.g.KH * p.g.KW
 		sc.wT = grow(sc.wT, p.dxRows*kk*p.outC)
 		for f := 0; f+1 < len(p.dxTap); f++ {
@@ -505,7 +509,7 @@ func (j convF32Bwd) gather(t, lane int) {
 	// skipped when no bias wants it) and, on the scatter route, the column
 	// panels for Wᵀ·dout; the dx route stages it instead.
 	tpw, dout := p.tpw, j.dout[i0*outC*s:(i0+nb)*outC*s]
-	if p.dxOfs != nil {
+	if p.dxOfs != nil && j.dx != nil {
 		stageInto(ln.dstage, dout, p.doutGeom(), nb, 1)
 	}
 	for o0 := 0; o0 < outC; o0 += tpw {
@@ -524,7 +528,7 @@ func (j convF32Bwd) gather(t, lane int) {
 		var sum float32
 		for il := 0; il < nb; il++ {
 			src := dout[(il*outC+oc)*s:][:s]
-			if p.dxOfs == nil {
+			if p.dxOfs == nil && j.dx != nil {
 				putPanelRun(ln.prod, src, outC, oc, il*s)
 			}
 			if j.sc.bias {
@@ -550,6 +554,9 @@ func (j convF32Bwd) compute(t, lane int) {
 			f32StripDW(part[pi*p.tpw:], ln.stage, p.ofs, p.ofsHi, ln.doT[pi*cols*p.tpw:], p.tpw, walk, p.tld)
 		}
 	}
+	if j.dx == nil {
+		return
+	}
 	if p.dxOfs != nil {
 		// Phase by phase over padded rows; the running sums start at +0,
 		// and stay there in a phase no tap reaches.
@@ -574,6 +581,9 @@ func (j convF32Bwd) compute(t, lane int) {
 }
 
 func (j convF32Bwd) epilogue(t, lane int) {
+	if j.dx == nil {
+		return
+	}
 	ln, i0, nb := j.task(t, lane)
 	p, dx, sk := j.p, j.dx[i0*j.p.inSz:(i0+nb)*j.p.inSz], j.sc.skip
 	sk.o = i0 * p.inSz

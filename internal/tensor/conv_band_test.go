@@ -240,7 +240,8 @@ var bandDeterminismCases = []struct {
 // given a residual skip gradient must write "dx, then add": fl(dx + G),
 // or fl(dx + G masked by Y) under a ReLU, byte for byte, with the weight
 // and bias gradients unmoved, on every stripCases geometry (the stride-1
-// drain, the stride-2 interleave and the scatter) and on the gather route.
+// drain, the stride-2 interleave and the scatter) and on the gather route;
+// so must a backward given no dx (the parameter-only call).
 func TestConvBandDeterministicAcrossWorkers(t *testing.T) {
 	eachDispatch(t, func(t *testing.T) {
 		for ci, bc := range stripCases {
@@ -276,7 +277,8 @@ func TestConvBandDeterministicAcrossWorkers(t *testing.T) {
 // checkConvSkip is the skip-gradient spec of one geometry (a plan built
 // under convGatherOnly when gather is set): G has NaN, ±0, ±Inf and
 // subnormal payloads, Y is a ReLU output with zeros, and dx carries
-// canary words past its end.
+// canary words past its end. It then runs the parameter-only call (nil
+// dx) on a fresh scratch, whose dW and db must be the full call's bytes.
 func checkConvSkip(t *testing.T, seed int64, g ConvGeom, n, outC int, gather bool) {
 	t.Helper()
 	convGatherOnly = gather
@@ -318,6 +320,24 @@ func checkConvSkip(t *testing.T, seed int64, g ConvGeom, n, outC int, gather boo
 						t.Fatalf("%+v gather=%v relu=%v workers=%d: %s[%d] = %#x, want %#x", g, gather, r.on, workers,
 							[]string{"dx+skip", "dW", "db"}[k], i, math.Float32bits(got[i]), math.Float32bits(w))
 					}
+				}
+			}
+		}
+	}
+	var ps ConvScratchF32 // shared across worker counts: lanes grow, results must not move
+	for _, workers := range []int{1, 2, 3, 8} {
+		gw, gb := make([]float32, len(c.w)), make([]float32, c.outC)
+		prev := SetMaxWorkers(workers)
+		err := ConvF32BackwardInto(nil, gw, gb, c.x, c.dout, c.n, c.w, c.plan, &ps, Skip{})
+		SetMaxWorkers(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, got := range [][]float32{gw, gb} {
+			for i, w := range [][]float32{c.gw, c.gb}[k] {
+				if math.Float32bits(got[i]) != math.Float32bits(w) {
+					t.Fatalf("%+v gather=%v workers=%d: parameter-only %s[%d] = %#x, full call %#x", g, gather, workers,
+						[]string{"dW", "db"}[k], i, math.Float32bits(got[i]), math.Float32bits(w))
 				}
 			}
 		}
@@ -403,7 +423,8 @@ func TestConvBandWeightGradMatchesWholeBatch(t *testing.T) {
 // the serial path a warm forward+backward allocates nothing, on the
 // parallel path only the pool hand-off, and the scratch of a warm layer is
 // sized by the band — it does not grow with the batch beyond the per-band
-// gradient partials.
+// gradient partials. A parameter-only backward grows none of the dx
+// route's scratch.
 func TestConvBandSteadyStateAllocs(t *testing.T) {
 	defer SetMaxWorkers(SetMaxWorkers(1))
 	g := ConvGeom{InC: 8, InH: 8, InW: 8, KH: 3, KW: 3, Stride: 1, Pad: 1}
@@ -451,6 +472,29 @@ func TestConvBandSteadyStateAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("warm serial forward+backward allocates %v objects/op, want 0", allocs)
 	}
+	// A parameter-only backward (nil dx) on fresh scratch grows no dx
+	// route: no dout strip, no transposed weights, and nothing warm.
+	var ps ConvScratchF32
+	paramStep := func() {
+		if err := ConvF32ForwardInto(big.out, big.x, big.n, big.w, big.bias, big.plan, &ps); err != nil {
+			t.Fatal(err)
+		}
+		if err := ConvF32BackwardInto(nil, big.gw, big.gb, big.x, big.dout, big.n, big.w, big.plan, &ps, Skip{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	paramStep()
+	for i, ln := range ps.lanes {
+		if cap(ln.dstage) != 0 {
+			t.Errorf("lane %d holds a %d-float dout strip after a parameter-only backward", i, cap(ln.dstage))
+		}
+	}
+	if cap(ps.wT) != 0 {
+		t.Errorf("scratch holds %d transposed weights after a parameter-only backward", cap(ps.wT))
+	}
+	if allocs := testing.AllocsPerRun(10, paramStep); allocs != 0 {
+		t.Errorf("warm serial forward+parameter-only backward allocates %v objects/op, want 0", allocs)
+	}
 	// In parallel each call pays only the pool hand-off — the closure, the
 	// job and its done channel: a band job small enough to ride inside the
 	// closure costs no copy of its own.
@@ -481,23 +525,25 @@ func TestConvBandRejectsShortOperands(t *testing.T) {
 	bwd := func(dx, gw, gb, x, dout, w []float32) error {
 		return ConvF32BackwardInto(dx, gw, gb, x, dout, c.n, w, c.plan, &sc, Skip{})
 	}
-	skip := func(g, y []float32) error {
-		return ConvF32BackwardInto(c.dx, c.gw, c.gb, c.x, c.dout, c.n, c.w, c.plan, &sc, Skip{G: g, Y: y, R: Rectifier(0)})
+	skip := func(dx, g, y []float32) error {
+		return ConvF32BackwardInto(dx, c.gw, c.gb, c.x, c.dout, c.n, c.w, c.plan, &sc, Skip{G: g, Y: y, R: Rectifier(0)})
 	}
 	for name, err := range map[string]error{
-		"forward n=0":         fwd(c.out, c.x, c.w, c.bias, 0),
-		"forward short out":   fwd(short(c.out), c.x, c.w, c.bias, c.n),
-		"forward short x":     fwd(c.out, short(c.x), c.w, c.bias, c.n),
-		"forward short w":     fwd(c.out, c.x, short(c.w), c.bias, c.n),
-		"forward short bias":  fwd(c.out, c.x, c.w, short(c.bias), c.n),
-		"backward short dx":   bwd(short(c.dx), c.gw, c.gb, c.x, c.dout, c.w),
-		"backward short gw":   bwd(c.dx, short(c.gw), c.gb, c.x, c.dout, c.w),
-		"backward short gb":   bwd(c.dx, c.gw, short(c.gb), c.x, c.dout, c.w),
-		"backward short x":    bwd(c.dx, c.gw, c.gb, short(c.x), c.dout, c.w),
-		"backward short dout": bwd(c.dx, c.gw, c.gb, c.x, short(c.dout), c.w),
-		"backward short w":    bwd(c.dx, c.gw, c.gb, c.x, c.dout, short(c.w)),
-		"backward short skip": skip(short(c.x), c.x),
-		"backward short mask": skip(c.x, short(c.x)),
+		"forward n=0":               fwd(c.out, c.x, c.w, c.bias, 0),
+		"forward short out":         fwd(short(c.out), c.x, c.w, c.bias, c.n),
+		"forward short x":           fwd(c.out, short(c.x), c.w, c.bias, c.n),
+		"forward short w":           fwd(c.out, c.x, short(c.w), c.bias, c.n),
+		"forward short bias":        fwd(c.out, c.x, c.w, short(c.bias), c.n),
+		"backward short dx":         bwd(short(c.dx), c.gw, c.gb, c.x, c.dout, c.w),
+		"backward short gw":         bwd(c.dx, short(c.gw), c.gb, c.x, c.dout, c.w),
+		"backward short gb":         bwd(c.dx, c.gw, short(c.gb), c.x, c.dout, c.w),
+		"backward short x":          bwd(c.dx, c.gw, c.gb, short(c.x), c.dout, c.w),
+		"backward short dout":       bwd(c.dx, c.gw, c.gb, c.x, short(c.dout), c.w),
+		"backward short w":          bwd(c.dx, c.gw, c.gb, c.x, c.dout, short(c.w)),
+		"backward short skip":       skip(c.dx, short(c.x), c.x),
+		"backward short mask":       skip(c.dx, c.x, short(c.x)),
+		"backward nil dx with skip": skip(nil, c.x, c.x),
+		"backward nil dx short x":   bwd(nil, c.gw, c.gb, short(c.x), c.dout, c.w),
 	} {
 		if err == nil {
 			t.Errorf("%s: accepted", name)

@@ -211,7 +211,7 @@ func Run(cfg Config) (*History, error) {
 				return nil, fmt.Errorf("train: epoch %d loss: %w", epoch, err)
 			}
 			lossSum += l
-			if _, err := cfg.Model.Net.Backward(dlogits); err != nil {
+			if err := cfg.Model.Net.BackwardParams(dlogits); err != nil {
 				return nil, fmt.Errorf("train: epoch %d backward: %w", epoch, err)
 			}
 			if cfg.GradHook != nil {
@@ -370,11 +370,4 @@ func underflowFraction(params []*nn.Param) float64 {
 		return 0
 	}
 	return uf / n
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
