@@ -40,10 +40,3 @@ func TestRunRejectsBadArgs(t *testing.T) {
 		t.Error("unknown scale did not error")
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

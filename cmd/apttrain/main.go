@@ -295,10 +295,3 @@ func runDist(out io.Writer, a distArgs) error {
 	}
 	return nil
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -117,12 +117,5 @@ func writeCSVRow(b *strings.Builder, cells []string) {
 	b.WriteByte('\n')
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 func fmtPct(v float64) string  { return fmt.Sprintf("%.2f%%", 100*v) }
 func fmtNorm(v float64) string { return fmt.Sprintf("%.3f", v) }

@@ -74,7 +74,7 @@ type ConvPlanF32 struct {
 	// ofs[q] is the strip offset of patch row q at column 0 — for tap
 	// (c, kh, kw), c·sh·rl + kh·rl + (kw%ph)·pw + kw/ph with pw = ⌈sw/ph⌉
 	// the phase width and rl = ph·pw the strip's row length — zero-padded
-	// to a multiple of 4 rows for the dW kernels; they lie in [0, ofsHi].
+	// to whole dW row groups (dwRows(tpw)); they lie in [0, ofsHi].
 	ofs    []int32
 	ofsHi  int
 	rw     int       // run width of the strip routes: 8 (halves) or 4 (quarters), dividing owp
@@ -119,7 +119,7 @@ func NewConvPlanF32(g ConvGeom, outC int) (*ConvPlanF32, error) {
 	sh, sw := g.stageDims()
 	pw := blocks(sw, p.ph)
 	rl := p.ph * pw
-	p.ofs = make([]int32, blocks(p.kdim, 4)*4)
+	p.ofs = make([]int32, blocks(p.kdim, dwRows(p.tpw))*dwRows(p.tpw))
 	for q := 0; q < p.kdim; q++ {
 		c, kh, kw := q/(g.KH*g.KW), q/g.KW%g.KH, q%g.KW
 		p.ofs[q] = int32(c*sh*rl + kh*rl + kw%p.ph*pw + kw/p.ph)
@@ -219,6 +219,15 @@ func (p *ConvPlanF32) ld(nb int) int { return blocks(nb*p.s, f32PanelCols) * f32
 // samples: its padded columns rounded up to whole panels.
 func (p *ConvPlanF32) ldp(nb int) int { return blocks(nb*p.ps, f32PanelCols) * f32PanelCols }
 
+// prodRows is the row count of a lane's product: outC, or at least the
+// Stride² phases of dxRows for a call that forms dx on the dx route.
+func (p *ConvPlanF32) prodRows(dx bool) int {
+	if dx && p.dxOfs != nil {
+		return max(p.outC, p.dxRows*(len(p.dxTap)-1))
+	}
+	return p.outC
+}
+
 // partLen is the float count of one band's gradient partial: dWᵀ as
 // (len(ofs), tld) — rows past kdim are never read — followed by outC bias
 // sums.
@@ -269,7 +278,7 @@ func (sc *ConvScratchF32) bandsFor(p *ConvPlanF32, n int, backward, dx bool) (co
 		if p.runs == nil || dx && p.dxOfs == nil {
 			ln.tile = grow(ln.tile, p.kdim*ld)
 		}
-		ln.prod = grow(ln.prod, max(p.outC, p.dxRows*len(p.dxTap)-p.dxRows)*p.ldp(bs))
+		ln.prod = grow(ln.prod, p.prodRows(dx)*p.ldp(bs))
 		ln.stage = grow(ln.stage, p.stripLen(bs))
 		if backward {
 			ln.doT = grow(ln.doT, ld*p.tld)
@@ -504,26 +513,14 @@ func (j convF32Bwd) gather(t, lane int) {
 	} else {
 		stageInto(ln.stage, x, p.g, nb, p.ph)
 	}
-	// dout fills the transposed panels for patches·doutᵀ — a panel row at
-	// a time, from tpw channel rows — the bias partial (a serial sum,
-	// skipped when no bias wants it) and, on the scatter route, the column
-	// panels for Wᵀ·dout; the dx route stages it instead.
-	tpw, dout := p.tpw, j.dout[i0*outC*s:(i0+nb)*outC*s]
+	// dout fills the doutᵀ panels (fillDoutT), the bias partial (a serial
+	// sum, skipped when no bias wants it) and, on the scatter route, the
+	// column panels for Wᵀ·dout; the dx route stages it instead.
+	dout := j.dout[i0*outC*s : (i0+nb)*outC*s]
 	if p.dxOfs != nil && j.dx != nil {
 		stageInto(ln.dstage, dout, p.doutGeom(), nb, 1)
 	}
-	for o0 := 0; o0 < outC; o0 += tpw {
-		dT, nc := ln.doT[o0*cols:], min(tpw, outC-o0)
-		for il := 0; il < nb; il++ {
-			src := dout[(il*outC+o0)*s:][:nc*s]
-			for k := 0; k < s; k++ {
-				row := dT[(il*s+k)*tpw:][:nc]
-				for r := range row {
-					row[r] = src[r*s+k]
-				}
-			}
-		}
-	}
+	fillDoutT(ln.doT[:cols*p.tld], dout, outC, s, nb, p.tpw)
 	for oc := 0; oc < outC; oc++ {
 		var sum float32
 		for il := 0; il < nb; il++ {

@@ -495,6 +495,20 @@ func TestConvBandSteadyStateAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(10, paramStep); allocs != 0 {
 		t.Errorf("warm serial forward+parameter-only backward allocates %v objects/op, want 0", allocs)
 	}
+	// Its product holds the forward's outC rows, not dx's Stride² phases.
+	s2 := newConvBandCase(t, 5, ConvGeom{InC: 6, InH: 8, InW: 8, KH: 3, KW: 3, Stride: 2, Pad: 1}, 8, 4)
+	var ss ConvScratchF32
+	if err := ConvF32ForwardInto(make([]float32, s2.outLen), s2.x, s2.n, s2.w, s2.bias, s2.plan, &ss); err != nil {
+		t.Fatal(err)
+	}
+	if err := ConvF32BackwardInto(nil, make([]float32, len(s2.w)), nil, s2.x, s2.dout, s2.n, s2.w, s2.plan, &ss, Skip{}); err != nil {
+		t.Fatal(err)
+	}
+	for i, ln := range ss.lanes {
+		if want := s2.plan.outC * s2.plan.ldp(s2.plan.bandSamples(s2.n)); cap(ln.prod) != want {
+			t.Errorf("lane %d holds a %d-float product after a parameter-only backward, want the forward's %d", i, cap(ln.prod), want)
+		}
+	}
 	// In parallel each call pays only the pool hand-off — the closure, the
 	// job and its done channel: a band job small enough to ride inside the
 	// closure costs no copy of its own.
@@ -687,6 +701,8 @@ func TestConvStripGuardFloats(t *testing.T) {
 		{ConvGeom{InC: 4, InH: 6, InW: 6, KH: 3, KW: 3, Stride: 2, Pad: 1}, 9, 5},   // OW 3: a padded column a row
 		{ConvGeom{InC: 3, InH: 5, InW: 5, KH: 5, KW: 5, Stride: 1, Pad: 2}, 4, 6},   // OW 5, 5×5
 		{ConvGeom{InC: 2, InH: 12, InW: 12, KH: 3, KW: 3, Stride: 3, Pad: 1}, 5, 4}, // stride 3: the gather routes
+		{ConvGeom{InC: 3, InH: 16, InW: 16, KH: 3, KW: 3, Stride: 1, Pad: 1}, 3, 4}, // the stem: kdim 27 padded to 32 dW rows
+		{ConvGeom{InC: 4, InH: 8, InW: 8, KH: 3, KW: 3, Stride: 1, Pad: 1}, 5, 12},  // 12 channels: an 8- and a 4-channel fill block
 	}
 	eachDispatch(t, func(t *testing.T) {
 		for gi, gc := range geoms {
@@ -699,7 +715,7 @@ func TestConvStripGuardFloats(t *testing.T) {
 				for i := range sc.lanes {
 					ln := &sc.lanes[i]
 					ln.stage, ln.dstage = poisoned(sl)[:sl], poisoned(dsl)[:dsl]
-					ln.tile, ln.prod, ln.doT = poisoned(p.kdim*ld), poisoned(max(p.outC, p.dxRows*len(p.dxTap)-p.dxRows)*p.ldp(bs)), poisoned(ld*p.tld)
+					ln.tile, ln.prod, ln.doT = poisoned(p.kdim*ld), poisoned(p.prodRows(true)*p.ldp(bs)), poisoned(ld*p.tld)
 				}
 				c.run(t, &sc)
 				SetMaxWorkers(prev)
@@ -720,15 +736,17 @@ func TestConvStripGuardFloats(t *testing.T) {
 }
 
 // FuzzConvStripKernels checks each strip-route kernel of the active SIMD
-// dispatch — and the staging copy and the stride-2 dx drain's interleave
-// — against its portable
-// twin, byte for byte, over random offset tables (in any order, bounded by
-// their largest entry), run bases — halves, or quarters when wide has bit
-// 1 set — k walks, segment lengths and row counts. Strip, operand and panel hold small integers, so every
-// product and partial sum is exact in float32 and fused and unfused
-// accumulation agree bit for bit; canary words after the strip and the
-// destination catch a stray read or write. Plain `go test` replays the
-// seeds; CI also mutates for a bounded -fuzztime.
+// dispatch — and the staging copy, the stride-2 dx drain's interleave and
+// the backward's doutᵀ fill — against its portable twin, byte for byte,
+// over random offset tables (in any order, bounded by their largest
+// entry), run bases — halves, or quarters when wide has bit 1 set — k
+// walks, segment lengths, row counts and fill shapes. Strip, operand and
+// panel hold small integers, so every product and partial sum is exact in
+// float32 and fused and unfused accumulation agree bit for bit; canary
+// words after the strip and the destination catch a stray read or write,
+// and the weight-gradient and fill operands sit against a guard page, so
+// an over-read faults by name. Plain `go test` replays the seeds; CI also
+// mutates for a bounded -fuzztime.
 func FuzzConvStripKernels(f *testing.F) {
 	rng := rand.New(rand.NewSource(34))
 	for trial := 0; trial < 16; trial++ {
@@ -787,26 +805,45 @@ func FuzzConvStripKernels(f *testing.F) {
 		checkStripKernel(t, "forward", got, want, dl)
 		checkUntouched(t, "forward strip", strip, sl)
 
-		// The weight-gradient kernel: rows in groups of four, a k walk of
-		// nb samples × oh rows × ow columns, 16- or 8-wide panels.
+		// The weight-gradient kernels: rows in groups of 8 at pw 8 and of 4
+		// at pw 16, a k walk of nb samples × oh rows × ow columns. Every
+		// operand sits against a guard page, after its end (canaries
+		// included) or, when wide has bit 2 set, before its start.
+		start := wide&4 != 0
 		pw := []int{f32PanelCols, f32PanelColsNarrow}[wide%2]
 		w := stripWalk{nb: 1 + int(nb%3), oh: 1 + int(oh%4), ow: 1 + int(ow%9), st: 1 + int(st%2)}
 		w.rs = (w.ow-1)*w.st + 1 + rng.Intn(4)
 		w.sps = (w.oh-1)*w.rs + (w.ow-1)*w.st + 1 + rng.Intn(8)
-		m = 4 * (1 + int(rows%5))
+		m = dwRows(pw) * (1 + int(rows)%(40/dwRows(pw)))
 		ofs, hi = table(m, 32)
+		ofs = fenced(t, ofs, start)
 		sl = hi + (w.nb-1)*w.sps + (w.oh-1)*w.rs + (w.ow-1)*w.st + 1
 		strip = poisoned(sl)
 		small(strip[:sl])
+		strip = fenced(t, strip, start)
 		panel := make([]float32, w.nb*w.oh*w.ow*pw)
 		small(panel)
+		panel = fenced(t, panel, start)
 		ldd = pw + rng.Intn(9)
 		dl = (m-1)*ldd + pw
-		got, want = poisoned(dl), poisoned(dl)
-		f32StripDW(got[:dl], strip[:sl], ofs, hi, panel, pw, w, ldd)
+		got, want = fenced(t, poisoned(dl), start), poisoned(dl)
+		faultFree(t, "weight-gradient kernel", func() { f32StripDW(got[:dl], strip[:sl], ofs, hi, panel, pw, w, ldd) })
 		f32StripDWGo(want[:dl], strip[:sl], ofs, hi, panel, pw, w, ldd)
 		checkStripKernel(t, "weight-gradient", got, want, dl)
 		checkUntouched(t, "weight-gradient strip", strip, sl)
+
+		// The doutᵀ fill: nb samples of nc channels × s positions into
+		// pw-wide panels, whole blocks and leftover channels and positions
+		// alike; operands against guard pages as above.
+		nc, s, nbf := 1+int(taps)%40, 1+(int(oh)<<8|int(ow))%300, 1+int(nb)%3
+		dout := make([]float32, nbf*nc*s)
+		small(dout)
+		dout = fenced(t, dout, start)
+		dl = blocks(nc, pw) * pw * nbf * s
+		got, want = fenced(t, poisoned(dl), start), poisoned(dl)
+		faultFree(t, "doutᵀ fill", func() { fillDoutT(got[:dl], dout, nc, s, nbf, pw) })
+		fillDoutTGo(want[:dl], dout, nc, s, nbf, pw)
+		checkStripKernel(t, "doutᵀ fill", got, want, dl)
 
 		// The input-gradient kernel: rows in groups of four, k taps in
 		// segments of seg, segments added into the destination's running
@@ -871,6 +908,19 @@ func FuzzConvStripKernels(f *testing.F) {
 		}
 		checkStripKernel(t, "staging", got, want, dl)
 	})
+}
+
+// fenced returns a copy of v placed against a guard page: after its last
+// element, or with start set before its first.
+func fenced[T any](t testing.TB, v []T, start bool) []T {
+	var g []T
+	if start {
+		g = guardedStart[T](t, len(v))
+	} else {
+		g = guarded[T](t, len(v), 0)
+	}
+	copy(g, v)
+	return g
 }
 
 // canaryWords is the count of canary words poisoned places after a

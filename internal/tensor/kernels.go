@@ -187,6 +187,32 @@ func f32StripDWGo(dst, strip []float32, ofs []int32, hi int, panel []float32, pw
 	}
 }
 
+// dwRows is the weight-gradient kernels' row group for pw-wide panels (4
+// at 16, 8 at 8: eight accumulator registers either way).
+func dwRows(pw int) int { return 64 / pw }
+
+// fillDoutTGo fills the doutᵀ panels from a band's dout, nb samples of
+// outC planes of s positions: panel o0/tpw holds channels o0 … o0+tpw−1,
+// its row il·s+k position k of sample il; columns past outC keep theirs.
+func fillDoutTGo(dT, dout []float32, outC, s, nb, tpw int) {
+	for o0 := 0; o0 < outC; o0 += tpw {
+		for il := 0; il < nb; il++ {
+			transposeGo(dT[(o0*nb+il*tpw)*s:], dout[(il*outC+o0)*s:], min(tpw, outC-o0), s, s, tpw)
+		}
+	}
+}
+
+// transposeGo writes n rows of dst (pw apart) from nc rows of src (ld
+// apart): dst[k·pw + r] = src[r·ld + k] for r < nc, k < n.
+func transposeGo(dst, src []float32, nc, n, ld, pw int) {
+	for k := 0; k < n; k++ {
+		row := dst[k*pw:][:nc]
+		for r := range row {
+			row[r] = src[r*ld+k]
+		}
+	}
+}
+
 // skipAdd is Skip.addTo's loop: d = a + g, with g masked by y where
 // 0 < bits(y) < top (Rect.pass) unless top is 0; a is the add's first
 // operand, as in nn's residual add.

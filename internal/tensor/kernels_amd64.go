@@ -46,7 +46,13 @@ func stageRowsAVX2(dst, src *float32, planes, h, w, sp, rs, e, o, ph int)
 func interleaveAVX2(dst, e, o *float32, n, rows, es, ds int)
 
 //go:noescape
-func convStripDWT4FMA(dst, strip *float32, ofs *int32, panel *float32, m, nb, oh, ow, st, rskip, sskip, ldd, pw int)
+func convStripDW4x16FMA(dst, strip *float32, ofs *int32, panel *float32, nb, oh, ow, st, rskip, sskip, ldd int)
+
+//go:noescape
+func convStripDW8x8FMA(dst, strip *float32, ofs *int32, panel *float32, nb, oh, ow, st, rskip, sskip, ldd int)
+
+//go:noescape
+func transposeAVX2(dst, src *float32, nc, n, ld, pw int)
 
 //go:noescape
 func skipAddAVX2(d, a, s, y *float32, n, top int)
@@ -112,7 +118,7 @@ func applySIMDAmd64(on bool) {
 		bnMomentsAsm, bnAffineAsm, bnGradSumsAsm, bnGradInputAsm = nil, nil, nil, nil
 		f32Panel4 = f32Panel4Go
 		f32StripPanel, f32StripDW, f32StripDX = f32StripPanelGo, f32StripDWGo, f32StripDXGo
-		interleave, stageRows, skipAdd = interleaveGo, stageRowsGo, skipAddGo
+		interleave, stageRows, skipAdd, fillDoutT = interleaveGo, stageRowsGo, skipAddGo, fillDoutTGo
 		requantRowsAsm = nil
 		return
 	}
@@ -127,6 +133,7 @@ func applySIMDAmd64(on bool) {
 	f32StripDW = stripDWFMAWrap
 	f32StripDX = stripDXFMAWrap
 	interleave = interleaveAVX2Wrap
+	fillDoutT = fillDoutTAVX2Wrap
 	skipAdd = skipAddAVX2Wrap
 	stageRows = stageRowsAVX2Wrap
 	requantRowsAsm = requantRowsAVX2Wrap
@@ -169,13 +176,44 @@ func stripDXFMAWrap(dst, a, strip []float32, ofs []int32, seg, hi, m, ldd int, r
 }
 
 func stripDWFMAWrap(dst, strip []float32, ofs []int32, hi int, panel []float32, pw int, w stripWalk, ldd int) {
-	// len(ofs) is a positive multiple of 4; the walk's strides are
-	// non-negative, so its last tap is its farthest.
-	m := len(ofs)
+	// len(ofs) is a positive multiple of dwRows(pw) (the first pin); the
+	// walk's strides are non-negative, so its last tap is its farthest.
+	m, rows := len(ofs), dwRows(pw)
+	_ = ofs[blocks(m, rows)*rows-1]
 	_ = strip[hi+(w.nb-1)*w.sps+(w.oh-1)*w.rs+(w.ow-1)*w.st]
 	_ = panel[w.nb*w.oh*w.ow*pw-1]
 	_ = dst[(m-1)*ldd+pw-1]
-	convStripDWT4FMA(&dst[0], &strip[0], &ofs[0], &panel[0], m, w.nb, w.oh, w.ow, w.st, w.rs-w.ow*w.st, w.sps-w.oh*w.rs, ldd, pw)
+	rskip, sskip := w.rs-w.ow*w.st, w.sps-w.oh*w.rs
+	for r := 0; r < m; r += rows {
+		if pw == f32PanelCols {
+			convStripDW4x16FMA(&dst[r*ldd], &strip[0], &ofs[r], &panel[0], w.nb, w.oh, w.ow, w.st, rskip, sskip, ldd)
+		} else {
+			convStripDW8x8FMA(&dst[r*ldd], &strip[0], &ofs[r], &panel[0], w.nb, w.oh, w.ow, w.st, rskip, sskip, ldd)
+		}
+	}
+}
+
+// fillDoutTAVX2Wrap is fillDoutTGo with each sample's whole 4-channel
+// blocks × 8-position runs transposed in registers; the last nc mod 4
+// channels and s mod 8 positions run transposeGo.
+func fillDoutTAVX2Wrap(dT, dout []float32, outC, s, nb, tpw int) {
+	s8 := s &^ 7
+	for o0 := 0; o0 < outC; o0 += tpw {
+		nc := min(tpw, outC-o0)
+		c4 := nc &^ 3
+		for il := 0; il < nb; il++ {
+			d, src := dT[(o0*nb+il*tpw)*s:], dout[(il*outC+o0)*s:]
+			if c4 > 0 && s8 > 0 {
+				_ = src[(c4-1)*s+s8-1]
+				_ = d[(s8-1)*tpw+c4-1]
+				transposeAVX2(&d[0], &src[0], c4, s8, s, tpw)
+			}
+			transposeGo(d[s8*tpw:], src[s8:], c4, s-s8, s, tpw)
+			if c4 < nc {
+				transposeGo(d[c4:], src[c4*s:], nc-c4, s, s, tpw)
+			}
+		}
+	}
 }
 
 func interleaveAVX2Wrap(dst, e, o []float32, n, rows, es, ds int) {

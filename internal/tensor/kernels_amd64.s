@@ -2,6 +2,35 @@
 
 #include "textflag.h"
 
+// The dW kernels' k walk, defined ahead of every TEXT as it names their
+// arguments. DW_START points it at its first tap: BX the panel, AX the
+// tap offset 0, R15 / DX / CX the samples, output rows and columns left.
+#define DW_START \
+	MOVQ panel+24(FP), BX; \
+	XORQ AX, AX; \
+	MOVQ nb+32(FP), R15; \
+	MOVQ oh+40(FP), DX; \
+	MOVQ ow+48(FP), CX
+
+// DW_WALK steps the k walk one tap on — AX by st floats (R14 bytes), BX by
+// a panel row of size bytes — and loops to tap while the walk lasts: at an
+// output row's end AX skips rskip floats more, at a sample's end sskip.
+#define DW_WALK(size, tap) \
+	ADDQ R14, AX; \
+	ADDQ $size, BX; \
+	DECQ CX; \
+	JNZ  tap; \
+	MOVQ rskip+64(FP), CX; \
+	LEAQ (AX)(CX*4), AX; \
+	MOVQ ow+48(FP), CX; \
+	DECQ DX; \
+	JNZ  tap; \
+	MOVQ sskip+72(FP), DX; \
+	LEAQ (AX)(DX*4), AX; \
+	MOVQ oh+40(FP), DX; \
+	DECQ R15; \
+	JNZ  tap
+
 // CPUID/XGETBV helpers for runtime feature detection (kernels_amd64.go).
 
 // func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
@@ -446,31 +475,23 @@ ipair:
 	JNZ       irow
 	RET
 
-// func convStripDWT4FMA(dst, strip *float32, ofs *int32, panel *float32, m, nb, oh, ow, st, rskip, sskip, ldd, pw int)
+// func convStripDW4x16FMA(dst, strip *float32, ofs *int32, panel *float32, nb, oh, ow, st, rskip, sskip, ldd int)
 //
-// The strip-route weight-gradient kernel pair: packedF32GEMM4x16FMA
-// (pw = 16) and packedF32GEMM4x8FMA (pw = 8) with A's row r read from the
-// staging strip at base ofs[r] and tap k walking (sample, output row,
-// output column) — ow taps st floats apart, then rskip floats on to the
-// next output row, after oh rows sskip floats on to the next sample, for
-// nb samples. The accumulators and the FMA per tap are those kernels', so
-// the bytes are those of the gathered row-major tile. m must be a positive
-// multiple of 4.
+// The strip-route weight-gradient kernel for 16-wide panels, four rows:
+// packedF32GEMM4x16FMA with A's row r read from the staging strip at base
+// ofs[r] and tap k walking (sample, output row, output column) — ow taps
+// st floats apart, then rskip floats on to the next output row, after oh
+// rows sskip floats on to the next sample, for nb samples. The
+// accumulators and the FMA per tap are that kernel's, so the bytes are
+// those of the gathered row-major tile.
 //
-// Registers: DI dst, SI strip, R8 ofs cursor, R9 groups left, R10–R13
-// the four rows' bases, BX panel cursor, AX tap offset bytes, R14 st
-// bytes, CX columns left, DX rows left, R15 samples left; Y0–Y7 the
-// accumulators (pw = 8: Y0, Y2, Y4, Y6).
-TEXT ·convStripDWT4FMA(SB), NOSPLIT, $0-104
-	MOVQ dst+0(FP), DI
-	MOVQ strip+8(FP), SI
-	MOVQ ofs+16(FP), R8
-	MOVQ m+32(FP), R9
-	SHRQ $2, R9
-	MOVQ st+64(FP), R14
-	SHLQ $2, R14
-
-dgroup:
+// Registers: R10–R13 the rows' bases, Y0–Y7 the accumulators; the walk as
+// DW_START.
+TEXT ·convStripDW4x16FMA(SB), NOSPLIT, $0-88
+	MOVQ    strip+8(FP), SI
+	MOVQ    ofs+16(FP), R8
+	MOVQ    st+56(FP), R14
+	SHLQ    $2, R14
 	MOVLQSX (R8), R10
 	LEAQ    (SI)(R10*4), R10
 	MOVLQSX 4(R8), R11
@@ -480,15 +501,9 @@ dgroup:
 	MOVLQSX 12(R8), R13
 	LEAQ    (SI)(R13*4), R13
 	ZERO_4x16
-	MOVQ    panel+24(FP), BX
-	XORQ    AX, AX
-	MOVQ    nb+40(FP), R15
-	MOVQ    oh+48(FP), DX
-	MOVQ    ow+56(FP), CX
-	CMPQ    pw+96(FP), $8
-	JEQ     nkloop
+	DW_START
 
-wkloop:
+w16tap:
 	VMOVUPS      (BX), Y8
 	VMOVUPS      32(BX), Y9
 	VBROADCASTSS (R10)(AX*1), Y10
@@ -503,66 +518,169 @@ wkloop:
 	VBROADCASTSS (R13)(AX*1), Y10
 	VFMADD231PS  Y8, Y10, Y6
 	VFMADD231PS  Y9, Y10, Y7
-	ADDQ         R14, AX
-	ADDQ         $64, BX
-	DECQ         CX
-	JNZ          wkloop
-	MOVQ         rskip+72(FP), CX // row done: on to the next output row
-	LEAQ         (AX)(CX*4), AX
-	MOVQ         ow+56(FP), CX
-	DECQ         DX
-	JNZ          wkloop
-	MOVQ         sskip+80(FP), DX // sample done: on to the next sample
-	LEAQ         (AX)(DX*4), AX
-	MOVQ         oh+48(FP), DX
-	DECQ         R15
-	JNZ          wkloop
-	JMP          dstore
+	DW_WALK(64, w16tap)
 
-nkloop:
+	MOVQ    dst+0(FP), DI
+	STRIP_LDD(ldd+80(FP))
+	STORE_4x16
+	VZEROUPPER
+	RET
+
+// func convStripDW8x8FMA(dst, strip *float32, ofs *int32, panel *float32, nb, oh, ow, st, rskip, sskip, ldd int)
+//
+// convStripDW4x16FMA for an 8-wide panel, eight rows: one accumulator a
+// row, so eight FMA chains per panel row as there, each the chain
+// packedF32GEMM4x8FMA runs for its row — the same bytes.
+//
+// Registers: R8–R13, DI and SI the rows' bases, Y0–Y7 the accumulators;
+// the walk as DW_START.
+TEXT ·convStripDW8x8FMA(SB), NOSPLIT, $0-88
+	MOVQ    ofs+16(FP), BX
+	MOVQ    strip+8(FP), AX
+	MOVQ    st+56(FP), R14
+	SHLQ    $2, R14
+	MOVLQSX (BX), R8
+	LEAQ    (AX)(R8*4), R8
+	MOVLQSX 4(BX), R9
+	LEAQ    (AX)(R9*4), R9
+	MOVLQSX 8(BX), R10
+	LEAQ    (AX)(R10*4), R10
+	MOVLQSX 12(BX), R11
+	LEAQ    (AX)(R11*4), R11
+	MOVLQSX 16(BX), R12
+	LEAQ    (AX)(R12*4), R12
+	MOVLQSX 20(BX), R13
+	LEAQ    (AX)(R13*4), R13
+	MOVLQSX 24(BX), DI
+	LEAQ    (AX)(DI*4), DI
+	MOVLQSX 28(BX), SI
+	LEAQ    (AX)(SI*4), SI
+	ZERO_4x16
+	DW_START
+
+w8tap:
 	VMOVUPS      (BX), Y8
-	VBROADCASTSS (R10)(AX*1), Y10
-	VFMADD231PS  Y8, Y10, Y0
-	VBROADCASTSS (R11)(AX*1), Y10
-	VFMADD231PS  Y8, Y10, Y2
-	VBROADCASTSS (R12)(AX*1), Y10
-	VFMADD231PS  Y8, Y10, Y4
-	VBROADCASTSS (R13)(AX*1), Y10
-	VFMADD231PS  Y8, Y10, Y6
-	ADDQ         R14, AX
-	ADDQ         $32, BX
-	DECQ         CX
-	JNZ          nkloop
-	MOVQ         rskip+72(FP), CX
-	LEAQ         (AX)(CX*4), AX
-	MOVQ         ow+56(FP), CX
-	DECQ         DX
-	JNZ          nkloop
-	MOVQ         sskip+80(FP), DX
-	LEAQ         (AX)(DX*4), AX
-	MOVQ         oh+48(FP), DX
-	DECQ         R15
-	JNZ          nkloop
+	VBROADCASTSS (R8)(AX*1), Y9
+	VFMADD231PS  Y8, Y9, Y0
+	VBROADCASTSS (R9)(AX*1), Y10
+	VFMADD231PS  Y8, Y10, Y1
+	VBROADCASTSS (R10)(AX*1), Y11
+	VFMADD231PS  Y8, Y11, Y2
+	VBROADCASTSS (R11)(AX*1), Y12
+	VFMADD231PS  Y8, Y12, Y3
+	VBROADCASTSS (R12)(AX*1), Y13
+	VFMADD231PS  Y8, Y13, Y4
+	VBROADCASTSS (R13)(AX*1), Y14
+	VFMADD231PS  Y8, Y14, Y5
+	VBROADCASTSS (DI)(AX*1), Y15
+	VFMADD231PS  Y8, Y15, Y6
+	VBROADCASTSS (SI)(AX*1), Y9
+	VFMADD231PS  Y8, Y9, Y7
+	DW_WALK(32, w8tap)
 
-dstore:
-	MOVQ    ldd+88(FP), CX
-	SHLQ    $2, CX
-	LEAQ    (CX)(CX*2), DX
+	MOVQ    dst+0(FP), DI
+	STRIP_LDD(ldd+80(FP))
+	LEAQ    (DI)(R11*4), SI
 	VMOVUPS Y0, (DI)
-	VMOVUPS Y2, (DI)(CX*1)
-	VMOVUPS Y4, (DI)(CX*2)
-	VMOVUPS Y6, (DI)(DX*1)
-	CMPQ    pw+96(FP), $8
-	JEQ     dnext
-	VMOVUPS Y1, 32(DI)
-	VMOVUPS Y3, 32(DI)(CX*1)
-	VMOVUPS Y5, 32(DI)(CX*2)
-	VMOVUPS Y7, 32(DI)(DX*1)
+	VMOVUPS Y1, (DI)(R11*1)
+	VMOVUPS Y2, (DI)(R11*2)
+	VMOVUPS Y3, (DI)(R15*1)
+	VMOVUPS Y4, (SI)
+	VMOVUPS Y5, (SI)(R11*1)
+	VMOVUPS Y6, (SI)(R11*2)
+	VMOVUPS Y7, (SI)(R15*1)
+	VZEROUPPER
+	RET
 
-dnext:
-	LEAQ (DI)(CX*4), DI
-	ADDQ $16, R8
-	DECQ R9
-	JNZ  dgroup
+// T4x8 transposes a 4×8 block — channel rows a–d of 8 positions — in
+// place through t0–t3: afterwards a holds positions 0 | 4 of the four
+// channels (low | high lane), b 1 | 5, c 2 | 6 and d 3 | 7. T_LOAD4 reads
+// four channel rows at p (ld bytes R8, 3·ld R10), T_STORE4 writes four
+// dst rows at p (pw bytes R9, 3·pw R11).
+#define T4x8(a, b, c, d, t0, t1, t2, t3) \
+	VUNPCKLPS b, a, t0; \
+	VUNPCKHPS b, a, t1; \
+	VUNPCKLPS d, c, t2; \
+	VUNPCKHPS d, c, t3; \
+	VSHUFPS   $0x44, t2, t0, a; \
+	VSHUFPS   $0xEE, t2, t0, b; \
+	VSHUFPS   $0x44, t3, t1, c; \
+	VSHUFPS   $0xEE, t3, t1, d
+
+#define T_LOAD4(p, a, b, c, d) \
+	VMOVUPS (p), a; \
+	VMOVUPS (p)(R8*1), b; \
+	VMOVUPS (p)(R8*2), c; \
+	VMOVUPS (p)(R10*1), d
+
+#define T_STORE4(p, a, b, c, d) \
+	VMOVUPS a, (p); \
+	VMOVUPS b, (p)(R9*1); \
+	VMOVUPS c, (p)(R9*2); \
+	VMOVUPS d, (p)(R11*1)
+
+// func transposeAVX2(dst, src *float32, nc, n, ld, pw int)
+//
+// transposeGo (its reference) in whole blocks: dst[k·pw + r] =
+// src[r·ld + k] for r < nc, k < n, channels 8 at a time and then 4,
+// positions 8 at a time. nc must be a positive multiple of 4 and n of 8.
+//
+// Registers: SI / DI the block's first channel row and dst column, AX / DX
+// cursors into them, R15 / R14 four rows on; BX channels left, CX
+// positions left.
+TEXT ·transposeAVX2(SB), NOSPLIT, $0-48
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ nc+16(FP), BX
+	MOVQ ld+32(FP), R8
+	SHLQ $2, R8
+	LEAQ (R8)(R8*2), R10
+	MOVQ pw+40(FP), R9
+	SHLQ $2, R9
+	LEAQ (R9)(R9*2), R11
+
+tblock:
+	MOVQ SI, AX
+	MOVQ DI, DX
+	LEAQ (DI)(R9*4), R14
+	MOVQ n+24(FP), CX
+
+tstep:
+	T_LOAD4(AX, Y0, Y1, Y2, Y3)
+	T4x8(Y0, Y1, Y2, Y3, Y8, Y9, Y10, Y11)
+	CMPQ       BX, $8
+	JLT        tquad
+	LEAQ       (AX)(R8*4), R15
+	T_LOAD4(R15, Y4, Y5, Y6, Y7)
+	T4x8(Y4, Y5, Y6, Y7, Y8, Y9, Y10, Y11)
+	VPERM2F128 $0x20, Y4, Y0, Y8  // position 0: channels 0–3 | 4–7
+	VPERM2F128 $0x20, Y5, Y1, Y9
+	VPERM2F128 $0x20, Y6, Y2, Y10
+	VPERM2F128 $0x20, Y7, Y3, Y11
+	VPERM2F128 $0x31, Y4, Y0, Y12 // position 4
+	VPERM2F128 $0x31, Y5, Y1, Y13
+	VPERM2F128 $0x31, Y6, Y2, Y14
+	VPERM2F128 $0x31, Y7, Y3, Y15
+	T_STORE4(DX, Y8, Y9, Y10, Y11)
+	T_STORE4(R14, Y12, Y13, Y14, Y15)
+	JMP        tnext
+
+tquad: // four channels: positions 0–3 from the low lanes, 4–7 from the high
+	T_STORE4(DX, X0, X1, X2, X3)
+	VEXTRACTF128 $1, Y0, (R14)
+	VEXTRACTF128 $1, Y1, (R14)(R9*1)
+	VEXTRACTF128 $1, Y2, (R14)(R9*2)
+	VEXTRACTF128 $1, Y3, (R14)(R11*1)
+
+tnext:
+	ADDQ $32, AX
+	LEAQ (DX)(R9*8), DX
+	LEAQ (R14)(R9*8), R14
+	SUBQ $8, CX
+	JNZ  tstep
+	LEAQ (SI)(R8*8), SI
+	ADDQ $32, DI
+	SUBQ $8, BX
+	JGT  tblock
 	VZEROUPPER
 	RET

@@ -184,6 +184,7 @@ var (
 	f32StripDW    = f32StripDWGo    // strip-route dWᵀ: rows read from the strip × one pw-wide panel
 	f32StripDX    = f32StripDXGo    // strip-route dx: 4-row groups × one panel read from the dout strip, segment by segment
 	interleave    = interleaveGo    // strip-route stride-2 dx: two column phases into one row
+	fillDoutT     = fillDoutTGo     // every backward: a band's dout into the doutᵀ panels of its weight gradient
 	stageRows     = stageRowsGo     // every band's staging: planes into a strip, split into column phases at stride 2
 )
 
