@@ -194,10 +194,7 @@ func New(cfg Config) (*Session, error) {
 		if cfg.InitBits != 0 {
 			c.InitBits = cfg.InitBits
 		}
-		batches := (cfg.Train.Len() + cfg.BatchSize - 1) / cfg.BatchSize
-		if c.Interval = batches / 4; c.Interval < 1 {
-			c.Interval = 1
-		}
+		c.Interval = core.ProfileInterval(cfg.Train.Len(), cfg.BatchSize)
 		ctrl, err := core.NewController(c, cfg.Model.Params())
 		if err != nil {
 			return nil, fmt.Errorf("repro: %w", err)

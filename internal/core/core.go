@@ -23,11 +23,10 @@ import (
 // DefaultConfig and override fields.
 type Config struct {
 	// InitBits is the bitwidth every layer starts at (the paper uses 6
-	// throughout and shows the choice is not critical).
+	// throughout and shows the choice is not critical). The policy keeps
+	// every layer within [quant.MinBits, quant.MaxBits], Algorithm 1's
+	// [2, 32].
 	InitBits int
-	// MinBits and MaxBits clamp the policy (Algorithm 1 uses 2 and 32).
-	MinBits int
-	MaxBits int
 	// Tmin is the lower Gavg threshold: below it a layer gains a bit.
 	// This is the paper's application-specific knob (§IV uses 6.0 for the
 	// headline results and sweeps 0.1–100 in Figure 5).
@@ -66,8 +65,6 @@ const (
 func DefaultConfig() Config {
 	return Config{
 		InitBits: 6,
-		MinBits:  quant.MinBits,
-		MaxBits:  quant.MaxBits,
 		Tmin:     6.0,
 		Tmax:     math.Inf(1),
 		Interval: 10,
@@ -77,13 +74,19 @@ func DefaultConfig() Config {
 	}
 }
 
+// ProfileInterval is Algorithm 2's profiling period, in iterations, for
+// an epoch of the given number of samples in mini-batches of batchSize:
+// "a few times in each epoch suffice", so four profiles per epoch, at
+// least one iteration apart.
+func ProfileInterval(samples, batchSize int) int {
+	batches := (samples + batchSize - 1) / batchSize
+	return max(1, batches/4)
+}
+
 // Validate reports configuration errors.
 func (c Config) Validate() error {
-	if c.InitBits < c.MinBits || c.InitBits > c.MaxBits {
-		return fmt.Errorf("core: init bits %d outside [%d, %d]", c.InitBits, c.MinBits, c.MaxBits)
-	}
-	if c.MinBits < quant.MinBits || c.MaxBits > quant.MaxBits || c.MinBits > c.MaxBits {
-		return fmt.Errorf("core: bit range [%d, %d] outside [%d, %d]", c.MinBits, c.MaxBits, quant.MinBits, quant.MaxBits)
+	if c.InitBits < quant.MinBits || c.InitBits > quant.MaxBits {
+		return fmt.Errorf("core: init bits %d outside [%d, %d]", c.InitBits, quant.MinBits, quant.MaxBits)
 	}
 	if c.Tmin >= c.Tmax {
 		return fmt.Errorf("core: Tmin %g must be below Tmax %g", c.Tmin, c.Tmax)
@@ -193,8 +196,8 @@ func (c *Controller) Gavg(p *nn.Param) float64 { return c.avg[p] }
 
 // AdjustEpoch implements Algorithm 1 at an epoch boundary: every
 // parameter whose smoothed metric is below Tmin gains Step bits (up to
-// MaxBits) and every parameter above Tmax loses Step bits (down to
-// MinBits). It records traces and returns the changes made.
+// quant.MaxBits) and every parameter above Tmax loses Step bits (down to
+// quant.MinBits). It records traces and returns the changes made.
 func (c *Controller) AdjustEpoch() ([]Change, error) {
 	var changes []Change
 	for _, p := range c.params {
@@ -210,17 +213,11 @@ func (c *Controller) AdjustEpoch() ([]Change, error) {
 		k := p.Bits()
 		next := k
 		if c.seen[p] {
-			if g < c.cfg.Tmin && k < c.cfg.MaxBits {
-				next = k + c.cfg.Step
-				if next > c.cfg.MaxBits {
-					next = c.cfg.MaxBits
-				}
+			if g < c.cfg.Tmin && k < quant.MaxBits {
+				next = min(k+c.cfg.Step, quant.MaxBits)
 			}
-			if g > c.cfg.Tmax && k > c.cfg.MinBits {
-				next = k - c.cfg.Step
-				if next < c.cfg.MinBits {
-					next = c.cfg.MinBits
-				}
+			if g > c.cfg.Tmax && k > quant.MinBits {
+				next = max(k-c.cfg.Step, quant.MinBits)
 			}
 		}
 		if next != k {

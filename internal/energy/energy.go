@@ -24,8 +24,7 @@ import (
 )
 
 // Model holds the cost-model coefficients. The zero value is not useful;
-// use DefaultModel (the coefficients used in every experiment) or build
-// your own for ablations.
+// use DefaultModel, the coefficients every run prices with.
 type Model struct {
 	// MACWeight scales the quadratic (multiplier) term.
 	MACWeight float64

@@ -44,10 +44,7 @@ func Ablate(s Scale, log io.Writer) (*Report, error) {
 		cfg := core.DefaultConfig()
 		cfg.Tmin = 6.0
 		cfg.Tmax = math.Inf(1)
-		batches := (s.TrainN + s.Batch - 1) / s.Batch
-		if cfg.Interval = batches / 4; cfg.Interval < 1 {
-			cfg.Interval = 1
-		}
+		cfg.Interval = core.ProfileInterval(s.TrainN, s.Batch)
 		v.mutate(&cfg)
 		ctrl, err := core.NewController(cfg, m.Params())
 		if err != nil {

@@ -98,8 +98,7 @@ func freshStream(d data.Dataset) data.Dataset {
 }
 
 // aptController builds a controller with the paper's defaults overridden
-// by tmin/tmax. The profiling interval follows Algorithm 2's guidance — "a
-// few times in each epoch suffice" — by sampling four times per epoch at
+// by tmin/tmax, profiling four times per epoch (core.ProfileInterval) at
 // the profile's batch geometry.
 func (s Scale) aptController(m *models.Model, tmin, tmax float64, initBits int) (*core.Controller, error) {
 	cfg := core.DefaultConfig()
@@ -110,11 +109,7 @@ func (s Scale) aptController(m *models.Model, tmin, tmax float64, initBits int) 
 	if initBits != 0 {
 		cfg.InitBits = initBits
 	}
-	batches := (s.TrainN + s.Batch - 1) / s.Batch
-	cfg.Interval = batches / 4
-	if cfg.Interval < 1 {
-		cfg.Interval = 1
-	}
+	cfg.Interval = core.ProfileInterval(s.TrainN, s.Batch)
 	return core.NewController(cfg, m.Params())
 }
 

@@ -173,13 +173,13 @@ func TestCompileRejectsUnsupportedNodes(t *testing.T) {
 // to the grid edges, on every architecture.
 func TestNaNInputQuantizesDeterministically(t *testing.T) {
 	g := gridFor(-2, 2)
-	if got, want := g.quantize(float32(math.NaN())), g.quantize(0); got != want {
+	if got, want := tensor.QuantizeU8(float32(math.NaN()), g.scale, g.zero), tensor.QuantizeU8(0, g.scale, g.zero); got != want {
 		t.Errorf("quantize(NaN) = %d, want zero point %d", got, want)
 	}
-	if got := g.quantize(float32(math.Inf(1))); got != 255 {
+	if got := tensor.QuantizeU8(float32(math.Inf(1)), g.scale, g.zero); got != 255 {
 		t.Errorf("quantize(+Inf) = %d, want 255", got)
 	}
-	if got := g.quantize(float32(math.Inf(-1))); got != 0 {
+	if got := tensor.QuantizeU8(float32(math.Inf(-1)), g.scale, g.zero); got != 0 {
 		t.Errorf("quantize(-Inf) = %d, want 0", got)
 	}
 

@@ -99,7 +99,7 @@ func TestGridForNegativeOnlyRange(t *testing.T) {
 		if g.zero < 0 || g.zero > 255 {
 			t.Errorf("gridFor(%v) zero point %d outside uint8", r, g.zero)
 		}
-		if q := g.quantize(0); int32(q) != g.zero {
+		if q := tensor.QuantizeU8(0, g.scale, g.zero); int32(q) != g.zero {
 			t.Errorf("gridFor(%v): quantize(0) = %d, want zero point %d", r, q, g.zero)
 		}
 	}

@@ -32,10 +32,6 @@ func gridFor(min, max float32) grid {
 	return grid{scale: scale, zero: zero}
 }
 
-// quantize maps a float value onto the grid (tensor.QuantizeU8: NaN
-// pins to the zero point).
-func (g grid) quantize(v float32) uint8 { return tensor.QuantizeU8(v, g.scale, g.zero) }
-
 // dequantize restores the float value of a grid point.
 func (g grid) dequantize(q uint8) float32 {
 	return g.scale * float32(int32(q)-g.zero)

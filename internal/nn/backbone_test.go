@@ -13,28 +13,41 @@ import (
 // TestBackboneResidualsFused pins the residual blocks of ResNet-20 and
 // MobileNetV2 to the fused tail: each runs its add, rectifier and skip
 // gradient inside its nodes' batch-norm and conv passes, none in passes
-// of its own. A model builder change that sends a block back to the
-// passes fails here by name.
+// of its own. The one exception is MobileNetV2's first inverted residual
+// at width 0.125, where t = 1 and 4 → 4 channels give it an identity
+// shortcut and a depthwise head node, which the tail cannot run inside:
+// it must be the only block on the passes. A model builder change that
+// moves a block across fails here by name.
 func TestBackboneResidualsFused(t *testing.T) {
 	for _, c := range []struct {
-		arch   string
-		blocks int
-	}{{"resnet20", 9}, {"mobilenetv2", 10}} {
-		m, err := models.Build(c.arch, models.Config{Classes: 10, InputSize: 16, Width: 0.25, Seed: 1})
+		arch    string
+		width   float64
+		blocks  int
+		unfused []string // the blocks on the passes
+	}{
+		{"resnet20", 0.25, 9, nil},
+		{"mobilenetv2", 0.25, 10, nil},
+		{"mobilenetv2", 0.125, 12, []string{"mobilenetv2.ir0_0"}},
+	} {
+		m, err := models.Build(c.arch, models.Config{Classes: 10, InputSize: 16, Width: c.width, Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		blocks := 0
+		var unfused []string
 		nn.WalkLayers(m.Layers(), func(l nn.Layer) {
 			if r, ok := l.(*nn.Residual); ok {
 				blocks++
 				if !nn.TailFused(r) {
-					t.Errorf("%s: block %s runs its tail as passes of its own", c.arch, r.Name())
+					unfused = append(unfused, r.Name())
 				}
 			}
 		})
 		if blocks != c.blocks {
-			t.Errorf("%s: %d residual blocks, want %d", c.arch, blocks, c.blocks)
+			t.Errorf("%s width %g: %d residual blocks, want %d", c.arch, c.width, blocks, c.blocks)
+		}
+		if fmt.Sprint(unfused) != fmt.Sprint(c.unfused) {
+			t.Errorf("%s width %g: blocks %v run their tail as passes of their own, want %v", c.arch, c.width, unfused, c.unfused)
 		}
 	}
 }

@@ -15,88 +15,133 @@ import (
 // shortcut, rectify in place; copy dmain, Tensor.Add dshort — with and
 // without the output ReLU, for an identity and a projection shortcut, at
 // 1, 2 and 3 workers, on an activation that spans three rectifier blocks.
+// Besides a bare conv main branch it takes the one model block that runs
+// these passes: MobileNetV2's first inverted residual at width 0.125
+// (t = 1), a depthwise-BN-ReLU6 node then a conv-BN node, identity
+// shortcut, no output ReLU.
 func TestResidualMatchesUnfusedComposition(t *testing.T) {
 	defer tensor.SetMaxWorkers(tensor.SetMaxWorkers(1))
 	g := tensor.ConvGeom{InC: 8, InH: 16, InW: 16, KH: 3, KW: 3, Stride: 1, Pad: 1}
 	const n = 20 // 20·8·16·16 = 40960 floats: two full rectBlocks and a ragged one
+	type shape struct{ relu, projected, inverted bool }
+	var shapes []shape
 	for _, relu := range []bool{true, false} {
 		for _, projected := range []bool{false, true} {
-			rng := tensor.NewRNG(31)
-			main, err := NewConv2D(Conv2DConfig{Name: "m", In: g, OutC: 8, RNG: rng})
+			shapes = append(shapes, shape{relu: relu, projected: projected})
+		}
+	}
+	shapes = append(shapes, shape{inverted: true})
+	for _, c := range shapes {
+		rng := tensor.NewRNG(31)
+		var main Layer
+		var err error
+		if c.inverted {
+			main = invertedMain(t, g, rng)
+		} else if main, err = NewConv2D(Conv2DConfig{Name: "m", In: g, OutC: 8, RNG: rng}); err != nil {
+			t.Fatal(err)
+		}
+		var short Layer
+		if c.projected {
+			pg := g
+			pg.KH, pg.KW, pg.Pad = 1, 1, 0
+			if short, err = NewConv2D(Conv2DConfig{Name: "s", In: pg, OutC: 8, RNG: rng}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		r := NewLinearResidual("r", main, short)
+		if c.relu {
+			r = NewResidual("r", main, short)
+		}
+		if r.nodes != nil {
+			t.Fatalf("%+v: the block runs its tail inside its nodes, not as passes", c)
+		}
+		x := tensor.New(n, 8, 16, 16)
+		x.FillNormal(rng, 0, 1)
+		dout := tensor.New(n, 8, 16, 16)
+		dout.FillNormal(rng, 0, 1)
+
+		// The unfused composition, serially.
+		branches := func(l Layer, d *tensor.Tensor) (y, dx *tensor.Tensor) {
+			if l == nil {
+				return x, d
+			}
+			if y, err = l.Forward(x, true); err != nil {
+				t.Fatal(err)
+			}
+			y = y.Clone()
+			if dx, err = l.Backward(d); err != nil {
+				t.Fatal(err)
+			}
+			return y, dx.Clone()
+		}
+		my, _ := branches(main, dout)
+		sy, _ := branches(short, dout)
+		wantOut := my.Clone()
+		if err := wantOut.Add(sy); err != nil {
+			t.Fatal(err)
+		}
+		d := dout.Clone()
+		if c.relu {
+			inf := float32(math.Inf(1))
+			for i, v := range wantOut.Data() {
+				wantOut.Data()[i] = min(max(v, 0), inf)
+				if wantOut.Data()[i] <= 0 {
+					d.Data()[i] = 0
+				}
+			}
+		}
+		_, dmain := branches(main, d)
+		_, dshort := branches(short, d)
+		wantDx := dmain.Clone()
+		if err := wantDx.Add(dshort); err != nil {
+			t.Fatal(err)
+		}
+
+		for _, workers := range []int{1, 2, 3} {
+			tensor.SetMaxWorkers(workers)
+			out, err := r.Forward(x, true)
 			if err != nil {
 				t.Fatal(err)
 			}
-			var short Layer
-			if projected {
-				pg := g
-				pg.KH, pg.KW, pg.Pad = 1, 1, 0
-				if short, err = NewConv2D(Conv2DConfig{Name: "s", In: pg, OutC: 8, RNG: rng}); err != nil {
-					t.Fatal(err)
-				}
-			}
-			r := NewLinearResidual("r", main, short)
-			if relu {
-				r = NewResidual("r", main, short)
-			}
-			x := tensor.New(n, 8, 16, 16)
-			x.FillNormal(rng, 0, 1)
-			dout := tensor.New(n, 8, 16, 16)
-			dout.FillNormal(rng, 0, 1)
-
-			// The unfused composition, serially.
-			branches := func(l Layer, d *tensor.Tensor) (y, dx *tensor.Tensor) {
-				if l == nil {
-					return x, d
-				}
-				if y, err = l.Forward(x, true); err != nil {
-					t.Fatal(err)
-				}
-				y = y.Clone()
-				if dx, err = l.Backward(d); err != nil {
-					t.Fatal(err)
-				}
-				return y, dx.Clone()
-			}
-			my, _ := branches(main, dout)
-			sy, _ := branches(short, dout)
-			wantOut := my.Clone()
-			if err := wantOut.Add(sy); err != nil {
+			tag := fmt.Sprintf("%+v workers=%d: ", c, workers)
+			sameBits(t, tag+"out", out.Data(), wantOut.Data())
+			dx, err := r.Backward(dout)
+			if err != nil {
 				t.Fatal(err)
 			}
-			d := dout.Clone()
-			if relu {
-				inf := float32(math.Inf(1))
-				for i, v := range wantOut.Data() {
-					wantOut.Data()[i] = min(max(v, 0), inf)
-					if wantOut.Data()[i] <= 0 {
-						d.Data()[i] = 0
-					}
-				}
-			}
-			_, dmain := branches(main, d)
-			_, dshort := branches(short, d)
-			wantDx := dmain.Clone()
-			if err := wantDx.Add(dshort); err != nil {
-				t.Fatal(err)
-			}
-
-			for _, workers := range []int{1, 2, 3} {
-				tensor.SetMaxWorkers(workers)
-				out, err := r.Forward(x, true)
-				if err != nil {
-					t.Fatal(err)
-				}
-				tag := fmt.Sprintf("relu=%v projected=%v workers=%d: ", relu, projected, workers)
-				sameBits(t, tag+"out", out.Data(), wantOut.Data())
-				dx, err := r.Backward(dout)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sameBits(t, tag+"dx", dx.Data(), wantDx.Data())
-			}
-			tensor.SetMaxWorkers(1)
+			sameBits(t, tag+"dx", dx.Data(), wantDx.Data())
 		}
+		tensor.SetMaxWorkers(1)
 	}
+}
+
+// invertedMain is the main branch of MobileNetV2's inverted residual at
+// t = 1 on g's channels: a 3×3 depthwise conv with batch-norm and ReLU6,
+// then a 1×1 conv with batch-norm and no activation.
+func invertedMain(t *testing.T, g tensor.ConvGeom, rng *tensor.RNG) *Sequential {
+	t.Helper()
+	dw, err := NewDepthwiseConv2D("dw", g, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pg := g
+	pg.KH, pg.KW, pg.Pad = 1, 1, 0
+	proj, err := NewConv2D(Conv2DConfig{Name: "proj", In: pg, OutC: g.InC, RNG: rng})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bns [2]*BatchNorm2D
+	for i := range bns {
+		if bns[i], err = NewBatchNorm2D(fmt.Sprintf("bn%d", i), g.InC); err != nil {
+			t.Fatal(err)
+		}
+		// Away from γ = 1, β = 0, so ReLU6 clips at both ends.
+		bns[i].gamma.Value.FillNormal(rng, 2, 1)
+		bns[i].beta.Value.FillNormal(rng, 1, 2)
+	}
+	return NewSequential("main",
+		NewConvBNAct("depthwise", dw, bns[0], NewReLU6("relu6")),
+		NewConvBNAct("project", proj, bns[1], nil))
 }
 
 // residualCase is a basicBlock-shaped Residual: conv3x3-BN-ReLU then

@@ -13,14 +13,6 @@ import (
 	"repro/internal/tensor"
 )
 
-// Optimizer is the interface the training loop drives: one Step per
-// mini-batch (which must also clear gradients) and a schedulable learning
-// rate. SGD and Adam implement it.
-type Optimizer interface {
-	Step(params []*nn.Param) error
-	SetLR(lr float64)
-}
-
 // SGD is stochastic gradient descent with classical momentum and L2 weight
 // decay. The zero value is unusable; use NewSGD.
 type SGD struct {

@@ -31,31 +31,19 @@ type Config struct {
 	BatchSize int
 	Epochs    int
 
-	// Optimizer settings (paper: SGD, momentum 0.9, weight decay 1e-4).
+	// SGD settings (paper: momentum 0.9, weight decay 1e-4).
 	Schedule    optim.Schedule
 	Momentum    float64
 	WeightDecay float64
-	// Optimizer overrides the default SGD when non-nil (e.g. optim.Adam
-	// for the comparison methods that originally trained with it).
-	Optimizer optim.Optimizer
 
 	// APT is the precision controller; nil trains at whatever precision
 	// the parameters carry (fp32 or a fixed bitwidth set by the caller).
 	APT *core.Controller
 
-	// EnergyModel prices each iteration; the zero value is replaced by
-	// energy.DefaultModel().
-	EnergyModel energy.Model
-
 	// GradHook runs after the backward pass, before profiling and the
 	// optimizer step. PostStepHook runs after the optimizer step.
 	GradHook     Hook
 	PostStepHook Hook
-
-	// GavgInterval controls the trainer's passive Gavg profiling for runs
-	// without a controller (Figure 2's fixed-bitwidth investigations).
-	// 0 defaults to 10.
-	GavgInterval int
 
 	// Seed drives batch shuffling. Augmentation does not draw from it: an
 	// Augmented training set samples from the RNG given to
@@ -65,6 +53,11 @@ type Config struct {
 	// Log, when non-nil, receives one line per epoch.
 	Log io.Writer
 }
+
+// passiveGavgInterval is the period, in iterations, of the trainer's own
+// Gavg profiling for runs without a controller (Figure 2's fixed-bitwidth
+// investigations).
+const passiveGavgInterval = 10
 
 // EpochStats is one row of the training history.
 type EpochStats struct {
@@ -162,13 +155,7 @@ func Run(cfg Config) (*History, error) {
 	if cfg.Schedule == nil {
 		cfg.Schedule = optim.ConstSchedule(0.1)
 	}
-	if cfg.GavgInterval <= 0 {
-		cfg.GavgInterval = 10
-	}
-	em := cfg.EnergyModel
-	if em == (energy.Model{}) {
-		em = energy.DefaultModel()
-	}
+	em := energy.DefaultModel()
 
 	rng := tensor.NewRNG(cfg.Seed ^ 0xA9F1)
 	loader, err := data.NewLoader(cfg.Train, cfg.BatchSize, rng.Split())
@@ -176,10 +163,7 @@ func Run(cfg Config) (*History, error) {
 		return nil, fmt.Errorf("train: %w", err)
 	}
 	params := cfg.Model.Params()
-	var opt optim.Optimizer = cfg.Optimizer
-	if opt == nil {
-		opt = optim.NewSGD(cfg.Schedule.LR(0), cfg.Momentum, cfg.WeightDecay)
-	}
+	opt := optim.NewSGD(cfg.Schedule.LR(0), cfg.Momentum, cfg.WeightDecay)
 	meter := energy.NewMeter(em)
 	loss := nn.SoftmaxCrossEntropy{}
 
@@ -221,7 +205,7 @@ func Run(cfg Config) (*History, error) {
 			}
 			if cfg.APT != nil {
 				cfg.APT.ObserveBatch()
-			} else if iter%cfg.GavgInterval == 0 {
+			} else if iter%passiveGavgInterval == 0 {
 				g := meanGavg(params)
 				if passiveGavg < 0 {
 					passiveGavg = g

@@ -14,7 +14,7 @@ import (
 	"testing"
 )
 
-// orphanAllowed lists exported functions ("pkg.Func") and methods
+// orphanAllowed lists package-level functions ("pkg.Func") and methods
 // ("pkg.Type.Method") of the internal packages that no non-test file
 // references and that stay anyway; each entry names the tests that need
 // it or the standard-library interface it satisfies.
@@ -30,30 +30,26 @@ var orphanAllowed = map[string]string{
 	"tensor.Tensor.Set":    "element writes in the tensor and infer suites",
 	"quant.State.Scale":    "TestScaleZeroPoint (the r = S(q − Z) form of a grid)",
 
-	// Whole files that only their own tests exercise; each is deleted
-	// together with those tests in a change of its own.
-	"core.BudgetPolicy.Apply": "budget_test.go (TestBudgetPolicy*)",
-	"optim.NewAdam":           "adam_test.go (TestAdam*)",
-
 	// Called by the standard library through an interface, never by name.
 	"tensor.Tensor.String": "fmt.Stringer",
 }
 
-// TestNoOrphanExports fails, by name, for every exported package-level
-// function and every exported method of an internal/ package that no
+// TestNoOrphanExports fails, by name, for every package-level function
+// and every method of an internal/ package, exported or not, that no
 // non-test file of the root module or of bench/ references: a kernel
 // generation or helper that lost its last production caller must be
-// deleted (or allow-listed above), not left exported. The tree is
-// type-checked, so a reference is a use of the function or method object
-// itself — a call, a method value or a method expression — and a field or
-// package member that shares a method's name does not count. A call
-// through an interface (or a type parameter's constraint) counts for every
-// method of that name whose type implements the interface.
+// deleted (or allow-listed above), not left for its tests alone. The tree
+// is type-checked, so a reference is a use of the function or method
+// object itself — a call, a method value or a method expression — and a
+// field or package member that shares a method's name does not count, nor
+// does a function's use of itself. A call through an interface (or a type
+// parameter's constraint) counts for every method of that name whose type
+// implements the interface.
 func TestNoOrphanExports(t *testing.T) {
 	pkgs := typeCheckTree(t)
 
-	// declared["pkg.Name"] / declared["pkg.Type.Method"]: the exported
-	// functions and methods of the internal packages.
+	// declared["pkg.Name"] / declared["pkg.Type.Method"]: the functions
+	// and methods of the internal packages.
 	declared := map[string]*types.Func{}
 	for _, p := range pkgs {
 		if !strings.HasPrefix(p.dir, "internal/") {
@@ -63,35 +59,35 @@ func TestNoOrphanExports(t *testing.T) {
 		for _, name := range scope.Names() {
 			switch obj := scope.Lookup(name).(type) {
 			case *types.Func:
-				if obj.Exported() {
-					declared[p.types.Name()+"."+name] = obj
-				}
+				declared[p.types.Name()+"."+name] = obj
 			case *types.TypeName:
 				named, ok := obj.Type().(*types.Named)
 				if !ok {
 					continue
 				}
 				for i := 0; i < named.NumMethods(); i++ {
-					if m := named.Method(i); m.Exported() {
-						declared[p.types.Name()+"."+name+"."+m.Name()] = m
-					}
+					m := named.Method(i)
+					declared[p.types.Name()+"."+name+"."+m.Name()] = m
 				}
 			}
 		}
 	}
 	if len(declared) == 0 {
-		t.Fatal("found no exported functions: run from the repository root")
+		t.Fatal("found no functions: run from the repository root")
 	}
 
 	used := map[*types.Func]bool{}                  // functions and concrete methods
 	viaInterface := map[string][]*types.Interface{} // method name → interfaces it was called through
 	for _, p := range pkgs {
-		for _, obj := range p.info.Uses {
+		for id, obj := range p.info.Uses {
 			fn, ok := obj.(*types.Func)
 			if !ok {
 				continue
 			}
 			fn = fn.Origin()
+			if body := fn.Scope(); body != nil && body.Contains(id.Pos()) {
+				continue // recursion
+			}
 			recv := fn.Type().(*types.Signature).Recv()
 			if recv != nil {
 				if iface, ok := recv.Type().Underlying().(*types.Interface); ok {
@@ -126,11 +122,11 @@ func TestNoOrphanExports(t *testing.T) {
 	}
 	sort.Strings(orphans)
 	for _, name := range orphans {
-		t.Errorf("%s is exported but no non-test file references it: delete it or allow-list it with the test that needs it", name)
+		t.Errorf("no non-test file references %s: delete it or allow-list it with the test that needs it", name)
 	}
 	for name := range orphanAllowed {
 		if declared[name] == nil {
-			t.Errorf("allow-list entry %s names no exported function or method", name)
+			t.Errorf("allow-list entry %s names no function or method", name)
 		}
 	}
 }
