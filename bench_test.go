@@ -4,13 +4,11 @@ import (
 	"io"
 	"testing"
 
-	"repro/internal/benchkit"
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/energy"
 	"repro/internal/experiments"
 	"repro/internal/models"
-	"repro/internal/nn"
 	"repro/internal/optim"
 	"repro/internal/quant"
 	"repro/internal/tensor"
@@ -36,8 +34,7 @@ func runWithController(m *models.Model, trainSet, testSet data.Dataset,
 // experiment pipeline at the Micro scale (seconds per iteration) and
 // reports the artefact's key quantities as custom metrics. The CI- and
 // Paper-scale versions of the same artefacts are produced by
-// cmd/aptbench (-scale ci|paper); the numbers recorded in EXPERIMENTS.md
-// come from the CI scale.
+// cmd/aptbench (-scale ci|paper).
 // ---------------------------------------------------------------------------
 
 func benchArtifact(b *testing.B, id string) *experiments.Report {
@@ -197,104 +194,9 @@ func BenchmarkAblationInterval8(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Component micro-benchmarks: the numeric kernels the training loop spends
-// its time in.
+// Component micro-benchmarks. Kernel speed (GEMM, conv, int8 engine) is
+// the repository benchmark's: go run -C bench . --trace 1 -out FILE.
 // ---------------------------------------------------------------------------
-
-func BenchmarkMatMul64(b *testing.B) {
-	rng := tensor.NewRNG(1)
-	x := tensor.New(64, 64)
-	y := tensor.New(64, 64)
-	x.FillNormal(rng, 0, 1)
-	y.FillNormal(rng, 0, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := tensor.MatMul(x, y); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkMatMul measures the dense GEMM kernel at a mid-size square
-// shape; reported as GFLOP/s-relevant ns/op with allocation counts.
-func BenchmarkMatMul(b *testing.B) {
-	x, y := benchkit.MatMul256()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := tensor.MatMul(x, y); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkMatMulConvShaped measures the GEMM shape the batched conv path
-// produces for SmallCNN's first layer at batch 64: (16, 27)·(27, 65536).
-func BenchmarkMatMulConvShaped(b *testing.B) {
-	w, cols := benchkit.ConvShapedGEMM()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := tensor.MatMul(w, cols); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// benchConv64 builds the shared SmallCNN-shaped batch-64 convolution
-// workload (see internal/benchkit), the steady-state training shape the
-// conv/GEMM hot path runs at.
-func benchConv64(b *testing.B) (*nn.Conv2D, *tensor.Tensor) {
-	b.Helper()
-	conv, x, err := benchkit.Conv64()
-	if err != nil {
-		b.Fatal(err)
-	}
-	return conv, x
-}
-
-// BenchmarkConvForward64 measures one steady-state Conv2D forward at
-// batch 64. Allocation counts expose whether the scratch arenas are
-// actually reused (first iteration warms them up before the timer).
-func BenchmarkConvForward64(b *testing.B) {
-	conv, x := benchConv64(b)
-	if _, err := conv.Forward(x, true); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := conv.Forward(x, true); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkConvBackward64 measures one steady-state Conv2D forward+backward
-// at batch 64 (backward requires the forward cache, so the pair is the
-// realistic training-step unit).
-func BenchmarkConvBackward64(b *testing.B) {
-	conv, x := benchConv64(b)
-	out, err := conv.Forward(x, true)
-	if err != nil {
-		b.Fatal(err)
-	}
-	dout := tensor.New(out.Shape()...)
-	dout.Fill(0.01)
-	if _, err := conv.Backward(dout); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := conv.Forward(x, true); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := conv.Backward(dout); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 func BenchmarkConvForward(b *testing.B) {
 	m, err := models.ResNet20(models.Config{Classes: 10, InputSize: 16, Width: 0.25, Seed: 1})

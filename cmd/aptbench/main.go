@@ -1,20 +1,20 @@
 // Command aptbench regenerates the paper's evaluation artefacts (Figures
-// 1–5 and Table I) on the SynthCIFAR workloads.
+// 1–5 and Table I) on the SynthCIFAR workloads, plus two extensions run
+// only by id: the controller ablation (-exp ablate) and parameter-server
+// traffic (-exp dist).
 //
 // Usage:
 //
 //	aptbench -exp fig2 [-scale micro|ci|paper] [-v] [-csv out.csv]
 //	aptbench -all [-scale ci]
-//	aptbench -kernels [-benchout BENCH_tensor.json]
 //
 // Each experiment prints a text table mirroring the paper's artefact; -csv
-// additionally writes the rows as CSV. -kernels instead runs the tensor
-// engine micro-benchmarks (GEMM, batched conv forward/backward) and writes
-// a machine-readable JSON report for tracking the perf trajectory.
+// additionally writes the rows as CSV. Kernel, engine and serving speed
+// figures come from the repository benchmark instead:
+// go run -C bench . --trace 1 -out FILE.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -39,13 +39,8 @@ func run(args []string, out io.Writer) error {
 	scaleName := fs.String("scale", "ci", "scale profile: micro, ci or paper")
 	verbose := fs.Bool("v", false, "log per-epoch training progress")
 	csvPath := fs.String("csv", "", "also write results as CSV to this file (one block per experiment)")
-	kernels := fs.Bool("kernels", false, "run tensor-engine micro-benchmarks instead of experiments")
-	benchOut := fs.String("benchout", "BENCH_tensor.json", "JSON report path for -kernels and experiment artifacts")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *kernels {
-		return runKernelBenches(out, *benchOut)
 	}
 	scale, err := experiments.ScaleByName(*scaleName)
 	if err != nil {
@@ -78,12 +73,6 @@ func run(args []string, out io.Writer) error {
 		}
 		fmt.Fprint(out, rep.Render())
 		fmt.Fprintf(out, "(%s scale, %s)\n\n", scale.Name, time.Since(start).Round(time.Millisecond))
-		if len(rep.Artifacts) > 0 {
-			if err := mergeBenchArtifacts(*benchOut, rep.Artifacts); err != nil {
-				return fmt.Errorf("%s: %w", id, err)
-			}
-			fmt.Fprintf(out, "merged %s artifacts into %s\n\n", rep.ID, *benchOut)
-		}
 		if *csvPath != "" {
 			csv.WriteString("# " + rep.ID + ": " + rep.Title + "\n")
 			csv.WriteString(rep.CSV())
@@ -96,30 +85,4 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// mergeBenchArtifacts folds an experiment's machine-readable artifacts
-// into the benchmark JSON at path as top-level keys, preserving whatever
-// the file already holds (the -kernels report, other experiments' keys).
-func mergeBenchArtifacts(path string, artifacts map[string]any) error {
-	doc := map[string]json.RawMessage{}
-	if data, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(data, &doc); err != nil {
-			return fmt.Errorf("parse %s: %w", path, err)
-		}
-	} else if !os.IsNotExist(err) {
-		return err
-	}
-	for k, v := range artifacts {
-		raw, err := json.Marshal(v)
-		if err != nil {
-			return fmt.Errorf("marshal artifact %q: %w", k, err)
-		}
-		doc[k] = raw
-	}
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

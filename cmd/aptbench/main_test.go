@@ -39,4 +39,11 @@ func TestRunRejectsBadArgs(t *testing.T) {
 	if err := run([]string{"-exp", "fig1", "-scale", "nosuch"}, &out); err == nil {
 		t.Error("unknown scale did not error")
 	}
+	// The retired kernel and serving harnesses: their figures are the
+	// repository benchmark's rows now.
+	for _, args := range [][]string{{"-kernels"}, {"-benchout", "x.json"}, {"-exp", "infer"}} {
+		if err := run(args, &out); err == nil {
+			t.Errorf("%v did not error", args)
+		}
+	}
 }

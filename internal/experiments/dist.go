@@ -87,48 +87,20 @@ func Dist(s Scale, log io.Writer) (*Report, error) {
 	}
 	rep.AddNote("uplink codecs run in the server ingest path; worker forward/backward passes run concurrently (one goroutine per worker).")
 
-	faults, err := distFaultSweep(s, build, tr, te, log)
-	if err != nil {
+	if err := distFaultSweep(rep, s, build, tr, te, log); err != nil {
 		return nil, err
-	}
-	rep.SetArtifact("dist_faults", faults)
-	for _, row := range faults.Rows {
-		rep.AddNote("fault sweep: %d injected straggler(s) -> %.1f steps/s (%d rounds, %d lost, %d respawned)",
-			row.Stragglers, row.StepsPerSec, row.Rounds, row.WorkersLost, row.Respawns)
 	}
 	return rep, nil
 }
 
-// DistFaultRow is one fault-sweep measurement: training throughput with a
-// fixed number of injected stragglers, as recorded into the benchmark
-// JSON under "dist_faults".
-type DistFaultRow struct {
-	Stragglers    int     `json:"stragglers"`
-	StepsPerSec   float64 `json:"steps_per_sec"`
-	Rounds        int64   `json:"rounds"`
-	WorkersLost   int64   `json:"workers_lost"`
-	Respawns      int64   `json:"respawns"`
-	PartialRounds int64   `json:"partial_rounds"`
-	WallMS        float64 `json:"wall_ms"`
-}
-
-// DistFaultSweep is the "dist_faults" artifact: elastic-membership
-// throughput under 0, 1 and 2 injected stragglers.
-type DistFaultSweep struct {
-	Workers     int            `json:"workers"`
-	HeartbeatMS float64        `json:"heartbeat_ms"`
-	Rows        []DistFaultRow `json:"rows"`
-}
-
-// distFaultSweep measures elastic-membership throughput degradation:
-// the same fp32 run with 0, 1 and 2 workers scripted to hang forever in
-// round 1. Each straggler costs roughly one heartbeat timeout (detection)
-// plus a respawn resync; rounds stay full-strength because the respawn
-// budget matches the injected faults.
-func distFaultSweep(s Scale, build func() (*models.Model, error), tr, te data.Dataset, log io.Writer) (*DistFaultSweep, error) {
+// distFaultSweep measures elastic-membership throughput degradation and
+// notes it on rep: the same fp32 run with 0, 1 and 2 workers scripted to
+// hang forever in round 1. Each straggler costs roughly one heartbeat
+// timeout (detection) plus a respawn resync; rounds stay full-strength
+// because the respawn budget matches the injected faults.
+func distFaultSweep(rep *Report, s Scale, build func() (*models.Model, error), tr, te data.Dataset, log io.Writer) error {
 	const workers = 4
 	const heartbeat = 250 * time.Millisecond
-	sweep := &DistFaultSweep{Workers: workers, HeartbeatMS: float64(heartbeat) / float64(time.Millisecond)}
 	for nf := 0; nf <= 2; nf++ {
 		var faults []dist.Fault
 		for w := 1; w <= nf; w++ {
@@ -147,18 +119,10 @@ func distFaultSweep(s Scale, build func() (*models.Model, error), tr, te data.Da
 		start := time.Now()
 		st, err := dist.Run(cfg)
 		if err != nil {
-			return nil, fmt.Errorf("dist fault sweep (%d stragglers): %w", nf, err)
+			return fmt.Errorf("dist fault sweep (%d stragglers): %w", nf, err)
 		}
-		wall := time.Since(start)
-		sweep.Rows = append(sweep.Rows, DistFaultRow{
-			Stragglers:    nf,
-			StepsPerSec:   float64(st.Rounds) / wall.Seconds(),
-			Rounds:        int64(st.Rounds),
-			WorkersLost:   int64(st.WorkersLost),
-			Respawns:      int64(st.Respawns),
-			PartialRounds: int64(st.PartialRounds),
-			WallMS:        float64(wall) / float64(time.Millisecond),
-		})
+		rep.AddNote("fault sweep: %d injected straggler(s) -> %.1f steps/s (%d rounds, %d lost, %d respawned)",
+			nf, float64(st.Rounds)/time.Since(start).Seconds(), st.Rounds, st.WorkersLost, st.Respawns)
 	}
-	return sweep, nil
+	return nil
 }

@@ -1,15 +1,14 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/data"
+	"repro/internal/models"
 	"repro/internal/quant"
 )
 
@@ -87,7 +86,7 @@ func TestScaleBuilders(t *testing.T) {
 	if _, err := s.MobileNetV2(10); err != nil {
 		t.Errorf("MobileNetV2: %v", err)
 	}
-	if _, err := s.SmallCNN(10); err != nil {
+	if _, err := models.SmallCNN(models.Config{Classes: 10, InputSize: s.InputSize, Width: 1, Seed: s.Seed + 109}); err != nil {
 		t.Errorf("SmallCNN: %v", err)
 	}
 	if lr := s.Schedule().LR(0); lr != s.LR {
@@ -173,7 +172,7 @@ func TestRunOrderIndependent(t *testing.T) {
 	s := Micro()
 	s.Epochs = 2
 	spec := func(name string, tr, te data.Dataset) runSpec {
-		m, err := s.SmallCNN(10)
+		m, err := models.SmallCNN(models.Config{Classes: 10, InputSize: s.InputSize, Width: 1, Seed: s.Seed + 109})
 		if err != nil {
 			t.Fatalf("SmallCNN: %v", err)
 		}
@@ -265,58 +264,6 @@ func TestDistMicroTraffic(t *testing.T) {
 	}
 	if !(downAPT < downFP32/2) {
 		t.Errorf("APT downlink %v not under half of fp32 %v", downAPT, downFP32)
-	}
-}
-
-// TestInferMicroBench runs the serving benchmark extension end-to-end at
-// Micro scale: the engine paths must produce positive timings, the
-// micro-batching server must coalesce requests, and the JSON report must
-// land on disk. Skipped in -short mode (a training run plus benching).
-func TestInferMicroBench(t *testing.T) {
-	if testing.Short() {
-		t.Skip("training run")
-	}
-	prev := InferBenchPath
-	InferBenchPath = filepath.Join(t.TempDir(), "BENCH_infer.json")
-	defer func() { InferBenchPath = prev }()
-	rep, err := Infer(Micro(), io.Discard)
-	if err != nil {
-		t.Fatalf("Infer: %v", err)
-	}
-	for _, name := range []string{
-		"int8_engine_forward_b1", "int8_engine_forward_b4",
-		"int8_engine_forward_b16", "int8_engine_forward_b64",
-		"float_model_forward_b1", "float_model_forward_b4",
-		"float_model_forward_b16", "float_model_forward_b64",
-	} {
-		s := rep.Series[name]
-		if len(s) != 2 || s[0] <= 0 || s[1] <= 0 {
-			t.Errorf("series %q = %v, want positive (ns, samples/s)", name, s)
-		}
-	}
-	sv := rep.Series["serving"]
-	if len(sv) != 4 {
-		t.Fatalf("serving series = %v", sv)
-	}
-	if sv[3] <= 1 {
-		t.Errorf("serving mean batch %v, want > 1 (micro-batching coalesces)", sv[3])
-	}
-	raw, err := os.ReadFile(InferBenchPath)
-	if err != nil {
-		t.Fatalf("JSON report not written: %v", err)
-	}
-	var doc struct {
-		Rows    []struct{ Name string } `json:"rows"`
-		Serving struct {
-			Requests uint64 `json:"requests"`
-		} `json:"serving"`
-	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatalf("JSON report invalid: %v", err)
-	}
-	// The int8 and float batch sweeps, 1/4/16/64 each.
-	if len(doc.Rows) != 8 || doc.Serving.Requests == 0 {
-		t.Errorf("JSON report shape: %d rows, %d served requests", len(doc.Rows), doc.Serving.Requests)
 	}
 }
 

@@ -17,11 +17,6 @@ type Report struct {
 	// Series holds named numeric traces (e.g. per-epoch accuracy) for
 	// programmatic assertions and CSV export.
 	Series map[string][]float64
-	// Artifacts holds machine-readable side outputs keyed by the
-	// top-level JSON field they land in; the aptbench driver merges them
-	// into the benchmark JSON report (BENCH_tensor.json), preserving
-	// whatever else the file holds.
-	Artifacts map[string]any
 }
 
 // NewReport constructs an empty report.
@@ -39,15 +34,6 @@ func (r *Report) AddNote(format string, args ...any) {
 
 // SetSeries stores a named numeric trace.
 func (r *Report) SetSeries(name string, values []float64) { r.Series[name] = values }
-
-// SetArtifact stores a machine-readable side output under the top-level
-// JSON key the benchmark report will carry it as.
-func (r *Report) SetArtifact(key string, v any) {
-	if r.Artifacts == nil {
-		r.Artifacts = make(map[string]any)
-	}
-	r.Artifacts[key] = v
-}
 
 // Render returns the report as an aligned text table.
 func (r *Report) Render() string {

@@ -23,16 +23,15 @@ var registry = map[string]Runner{
 	"fig4":   Fig4,
 	"fig5":   Fig5,
 	"table1": Table1,
-	// ablate, dist and infer are extensions (not paper artefacts); they
-	// are excluded from -all and run only when requested by id.
+	// ablate and dist are extensions (not paper artefacts); they are
+	// excluded from -all and run only when requested by id.
 	"ablate": Ablate,
 	"dist":   Dist,
-	"infer":  Infer,
 }
 
 // extensionIDs are registered runners that are not paper artefacts; -all
 // skips them.
-var extensionIDs = map[string]bool{"ablate": true, "dist": true, "infer": true}
+var extensionIDs = map[string]bool{"ablate": true, "dist": true}
 
 // IDs returns the paper-artefact experiment ids in order (extensions such
 // as "ablate" are addressable via ByID but excluded here so -all

@@ -121,14 +121,6 @@ func (s Scale) MobileNetV2(classes int) (*models.Model, error) {
 	})
 }
 
-// SmallCNN builds the compact backbone (used by Micro-scale artefacts
-// where a 20-layer network would not fit the time budget).
-func (s Scale) SmallCNN(classes int) (*models.Model, error) {
-	return models.SmallCNN(models.Config{
-		Classes: classes, InputSize: s.InputSize, Width: 1, Seed: s.Seed + 109,
-	})
-}
-
 // Schedule returns the paper's step schedule scaled to the profile.
 func (s Scale) Schedule() optim.Schedule {
 	return optim.StepSchedule{Base: s.LR, Milestones: s.Milestones, Factor: 0.1}

@@ -102,7 +102,7 @@ func TestActQuantGradCheckInside(t *testing.T) {
 	rng := tensor.NewRNG(3)
 	x := tensor.New(16)
 	for i := range x.Data() {
-		x.Data()[i] = 0.5 + 9*rng.Float32()
+		x.Data()[i] = 0.5 + 9*float32(rng.Float64())
 	}
 	checkInputGrad(t, a, x, 1e-2)
 }

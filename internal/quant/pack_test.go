@@ -251,11 +251,11 @@ func FuzzPackVsBitwise(f *testing.F) {
 			case 0:
 				d[i] = float32(float64(lo) + float64(rng.Uint64()%(levels+1))*eps)
 			case 1:
-				d[i] = lo + span*rng.Float32()
+				d[i] = lo + span*float32(rng.Float64())
 			case 2:
-				d[i] = lo - span*(1+4*rng.Float32())
+				d[i] = lo - span*(1+4*float32(rng.Float64()))
 			case 3:
-				d[i] = hi + span*(1+4*rng.Float32())
+				d[i] = hi + span*(1+4*float32(rng.Float64()))
 			case 4:
 				d[i] = float32(math.Inf(1 - 2*rng.Intn(2)))
 			case 5:

@@ -142,7 +142,7 @@ func TestBatchConvRoundTripGEMM(t *testing.T) {
 		t.Fatal(err)
 	}
 	w2d := MustFromSlice(w.Data(), outC, g.InC*g.KH*g.KW)
-	prod, err := MatMul(w2d, cols)
+	prod, err := matMul(w2d, cols)
 	if err != nil {
 		t.Fatal(err)
 	}

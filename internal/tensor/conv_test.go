@@ -71,7 +71,7 @@ func TestIm2ColGEMMMatchesDirectProperty(t *testing.T) {
 			return false
 		}
 		w2d := MustFromSlice(w.Data(), outC, g.InC*g.KH*g.KW)
-		prod, err := MatMul(w2d, cols)
+		prod, err := matMul(w2d, cols)
 		if err != nil {
 			return false
 		}

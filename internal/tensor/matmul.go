@@ -31,17 +31,6 @@ func checkDst(op string, dst *Tensor, m, n int) error {
 	return nil
 }
 
-// MatMul returns the matrix product a·b for 2-D tensors.
-func MatMul(a, b *Tensor) (*Tensor, error) {
-	m, _, n, err := checkMatMul2D("matmul", a, b, false, false)
-	if err != nil {
-		return nil, err
-	}
-	out := New(m, n)
-	matMulKernel(out.data, a.data, b.data, m, a.shape[1], n)
-	return out, nil
-}
-
 // MatMulInto computes dst = a·b without allocating, overwriting dst. dst
 // must have shape (a.rows, b.cols) and must not alias a or b.
 func MatMulInto(dst, a, b *Tensor) error {

@@ -10,7 +10,7 @@ import (
 func randF32(rng *RNG, n int) []float32 {
 	out := make([]float32, n)
 	for i := range out {
-		out[i] = 2*rng.Float32() - 1
+		out[i] = 2*float32(rng.Float64()) - 1
 	}
 	return out
 }

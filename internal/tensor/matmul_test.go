@@ -19,10 +19,20 @@ func matEq(t *testing.T, got, want *Tensor, tol float64) {
 	}
 }
 
+// matMul returns a·b in a fresh tensor, through MatMulInto.
+func matMul(a, b *Tensor) (*Tensor, error) {
+	m, _, n, err := checkMatMul2D("matmul", a, b, false, false)
+	if err != nil {
+		return nil, err
+	}
+	out := New(m, n)
+	return out, MatMulInto(out, a, b)
+}
+
 func TestMatMulKnown(t *testing.T) {
 	a := MustFromSlice([]float32{1, 2, 3, 4, 5, 6}, 2, 3)
 	b := MustFromSlice([]float32{7, 8, 9, 10, 11, 12}, 3, 2)
-	got, err := MatMul(a, b)
+	got, err := matMul(a, b)
 	if err != nil {
 		t.Fatalf("MatMul: %v", err)
 	}
@@ -33,10 +43,10 @@ func TestMatMulKnown(t *testing.T) {
 func TestMatMulShapeErrors(t *testing.T) {
 	a := New(2, 3)
 	b := New(4, 2)
-	if _, err := MatMul(a, b); !errors.Is(err, ErrShape) {
+	if _, err := matMul(a, b); !errors.Is(err, ErrShape) {
 		t.Errorf("inner-dim mismatch err = %v, want ErrShape", err)
 	}
-	if _, err := MatMul(New(2), b); !errors.Is(err, ErrShape) {
+	if _, err := matMul(New(2), b); !errors.Is(err, ErrShape) {
 		t.Errorf("rank mismatch err = %v, want ErrShape", err)
 	}
 }
@@ -67,7 +77,7 @@ func TestMatMulTransAAgainstExplicitTranspose(t *testing.T) {
 	if err := MatMulTransAInto(got, a, b); err != nil {
 		t.Fatalf("MatMulTransAInto: %v", err)
 	}
-	want, err := MatMul(transpose(a), b)
+	want, err := matMul(transpose(a), b)
 	if err != nil {
 		t.Fatalf("MatMul: %v", err)
 	}
@@ -82,7 +92,7 @@ func TestMatMulTransBAgainstExplicitTranspose(t *testing.T) {
 	if err := MatMulTransBInto(got, a, b); err != nil {
 		t.Fatalf("MatMulTransBInto: %v", err)
 	}
-	want, err := MatMul(a, transpose(b))
+	want, err := matMul(a, transpose(b))
 	if err != nil {
 		t.Fatalf("MatMul: %v", err)
 	}
@@ -97,7 +107,7 @@ func TestMatMulAgainstNaiveProperty(t *testing.T) {
 		m, k, n := 1+rng.Intn(6), 1+rng.Intn(6), 1+rng.Intn(6)
 		a := randMat(rng, m, k)
 		b := randMat(rng, k, n)
-		got, err := MatMul(a, b)
+		got, err := matMul(a, b)
 		if err != nil {
 			return false
 		}
@@ -124,9 +134,9 @@ func TestMatMulSerialMatchesParallel(t *testing.T) {
 	a := randMat(rng, 33, 17)
 	b := randMat(rng, 17, 29)
 	prev := SetMaxWorkers(1)
-	serial, err := MatMul(a, b)
+	serial, err := matMul(a, b)
 	SetMaxWorkers(8)
-	parallel, err2 := MatMul(a, b)
+	parallel, err2 := matMul(a, b)
 	SetMaxWorkers(prev)
 	if err != nil || err2 != nil {
 		t.Fatalf("MatMul: %v / %v", err, err2)

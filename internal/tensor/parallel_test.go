@@ -432,7 +432,7 @@ func TestMatMulIntoMatchesAlloc(t *testing.T) {
 	if err := MatMulInto(dst, a, b); err != nil {
 		t.Fatalf("MatMulInto: %v", err)
 	}
-	want, _ := MatMul(a, b)
+	want, _ := matMul(a, b)
 	matEq(t, dst, want, 0)
 
 	dst = poison(9, 21)
@@ -449,7 +449,7 @@ func TestMatMulIntoMatchesAlloc(t *testing.T) {
 	if err := MatMulTransBInto(dst, a, bt); err != nil {
 		t.Fatalf("MatMulTransBInto: %v", err)
 	}
-	want, _ = MatMul(a, transpose(bt))
+	want, _ = matMul(a, transpose(bt))
 	matEq(t, dst, want, 0)
 
 	// Shape mismatches must error, not corrupt memory.
@@ -468,14 +468,14 @@ func TestGEMMDeterministicAcrossWorkerCounts(t *testing.T) {
 	a := randMat(rng, 33, 19)
 	b := randMat(rng, 19, 2100)
 	prev := SetMaxWorkers(1)
-	ref, err := MatMul(a, b)
+	ref, err := matMul(a, b)
 	SetMaxWorkers(prev)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 3, 8, 32} {
 		SetMaxWorkers(workers)
-		got, err := MatMul(a, b)
+		got, err := matMul(a, b)
 		SetMaxWorkers(prev)
 		if err != nil {
 			t.Fatal(err)

@@ -45,9 +45,6 @@ func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// Float32 returns a uniform value in [0, 1).
-func (r *RNG) Float32() float32 { return float32(r.Float64()) }
-
 // Intn returns a uniform integer in [0, n). n must be positive.
 func (r *RNG) Intn(n int) int {
 	if n <= 0 {
