@@ -10,6 +10,7 @@
 //	aptserve [-addr :8651] [-workers 2] [-max-batch 32] [-max-delay 2ms]
 //	aptserve -model ckpt.apt [-classes 4] [-size 16]
 //	aptserve -model legacy.apt -arch smallcnn -width 0.5
+//	aptserve -admin 127.0.0.1:6060
 //
 // Endpoints:
 //
@@ -43,6 +44,10 @@
 // is what bounds fusion, and -max-delay is merely the upper bound on how
 // long a trickle of arrivals can keep one batch gathering.
 //
+// -admin ADDR serves net/http/pprof (/debug/pprof/) on a listener of its
+// own, so a running server can be profiled without a rebuild. It is off by
+// default and never on the /classify mux.
+//
 // -smoke starts the server on an ephemeral port, performs health,
 // classify, multi-sample classify (one POST must ride one engine batch)
 // and hot-reload round trips (plus, with -watch, a
@@ -59,6 +64,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"syscall"
@@ -98,6 +104,7 @@ func run(args []string, out io.Writer) error {
 	deadline := fs.Duration("deadline", 0, "default per-request deadline for /classify (0 = none; requests may set deadline_ms)")
 	watch := fs.Duration("watch", 0, "poll the -model checkpoint at this interval and hot-reload when it changes (0 = off)")
 	smoke := fs.Bool("smoke", false, "serve on an ephemeral port, run classify and hot-reload round trips, exit")
+	admin := fs.String("admin", "", "serve net/http/pprof on this address, on its own listener (empty = off)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -127,6 +134,14 @@ func run(args []string, out io.Writer) error {
 		ReadTimeout:       30 * time.Second,
 		WriteTimeout:      60 * time.Second,
 		IdleTimeout:       120 * time.Second,
+	}
+	if *admin != "" {
+		stop, at, err := serveAdmin(*admin)
+		if err != nil {
+			return err
+		}
+		defer stop()
+		fmt.Fprintf(out, "pprof on http://%s/debug/pprof/\n", at)
 	}
 	if *watch > 0 {
 		watchDone := make(chan struct{})
@@ -207,6 +222,28 @@ func run(args []string, out io.Writer) error {
 	fmt.Fprintf(out, "served %d requests in %d batches (mean batch %.2f)\n",
 		stats.Requests, stats.Batches, stats.MeanBatch)
 	return nil
+}
+
+// serveAdmin serves net/http/pprof on its own listener at addr. stop
+// closes it and returns once its Serve has.
+func serveAdmin(addr string) (stop func(), at net.Addr, err error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, nil, fmt.Errorf("admin listener: %w", err)
+	}
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	hs := &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_ = hs.Serve(ln) // ErrServerClosed once stop closes it
+	}()
+	return func() { hs.Close(); <-done }, ln.Addr(), nil
 }
 
 // serverConfig carries the resolved flags into buildServer.

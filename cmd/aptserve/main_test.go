@@ -1,6 +1,9 @@
 package main
 
 import (
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -9,6 +12,8 @@ import (
 	"repro/internal/data"
 	"repro/internal/models"
 	"repro/internal/optim"
+	"repro/internal/serve"
+	"repro/internal/tensor"
 	"repro/internal/train"
 )
 
@@ -115,3 +120,38 @@ func TestBadFlags(t *testing.T) {
 		t.Error("unknown flag did not error")
 	}
 }
+
+// TestAdminServesPprof: -admin's listener answers /debug/pprof/, and the
+// server's own handler, the /classify mux, does not.
+func TestAdminServesPprof(t *testing.T) {
+	stop, at, err := serveAdmin("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop()
+	resp, err := http.Get("http://" + at.String() + "/debug/pprof/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "goroutine") {
+		t.Errorf("admin /debug/pprof/: status %d, err %v, body %.200q", resp.StatusCode, err, body)
+	}
+
+	srv, err := serve.New(serve.Config{Engine: zeroClassifier{}, InC: 1, InH: 1, InW: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/pprof/", nil))
+	if rec.Code != http.StatusNotFound {
+		t.Errorf("Server.Handler() /debug/pprof/: status %d, want 404", rec.Code)
+	}
+}
+
+// zeroClassifier answers class 0 for every sample.
+type zeroClassifier struct{}
+
+func (zeroClassifier) Classify(x *tensor.Tensor) ([]int, error) { return make([]int, x.Dim(0)), nil }

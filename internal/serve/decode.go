@@ -2,9 +2,11 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"math"
+	"math/bits"
 	"net/http"
 	"strconv"
 	"sync"
@@ -27,6 +29,13 @@ import (
 // encoding/json's error text. The fast path must therefore agree with
 // encoding/json wherever it accepts; FuzzClassifyDecode holds it to that,
 // Float32bits for Float32bits.
+//
+// Numbers: parseRow takes a row in two stages. Stage 1 indexes its commas
+// with SWAR byte compares, two words at a time; stage 2 (wordTokens) reads
+// each token's -?digits(.digits)? mantissa of up to 16 bytes from the two
+// words that end with it, with no branch per byte, and a short exponent
+// after it. Any other token (whitespace around it, a longer literal)
+// takes parseFloat32, the only fallback.
 //
 // Ownership: the byte buffer goes back to the pool as soon as the parse is
 // done (parsed values never alias it). The floats land in one flat block
@@ -209,26 +218,171 @@ func colon(b []byte, i int) int {
 	return i
 }
 
-// parseRow appends the numbers of the array starting at b[i] to block and
-// returns the index after its ']'.
+// rowChunk is how many numbers parseRow's two stages take at a time.
+const rowChunk = 128
+
+// parseRow appends the numbers of the array at b[i] to block and returns
+// the index after its ']', up to rowChunk numbers at a time: stage 1
+// (indexCommas) indexes their commas, stage 2 (wordTokens) parses the
+// tokens the commas end, and parseFloat32 takes any token it declines. A
+// nested value, string or literal leaves a non-number in some token.
 func parseRow(b []byte, i int, block []float32) ([]float32, int, bool) {
-	if i >= len(b) || b[i] != '[' {
+	end := bytes.IndexByte(b[min(i, len(b)):], ']') + i
+	if i >= len(b) || b[i] != '[' || end < i {
 		return block, i, false
+	} else if skipSpace(b, i+1) == end {
+		return block, end + 1, true // []
 	}
-	if i = skipSpace(b, i+1); i < len(b) && b[i] == ']' {
-		return block, i + 1, true
-	}
-	for more := true; more; {
-		f, j, ok := parseFloat32(b, i)
-		if !ok || len(block) == cap(block) {
-			return block, i, false
+	var ends [rowChunk + 17]int // a step adds at most 16, the ']' one
+	for tok, w := i+1, i+1; tok <= end; {
+		var n int
+		if n, w = indexCommas(b[:end], w, &ends); w >= end {
+			ends[n], n = end, n+1
 		}
-		block = append(block, f)
-		if i, more, ok = separator(b, j, ']'); !ok {
-			return block, i, false
+		for j := 0; j < n; tok = ends[j-1] + 1 {
+			k := 0
+			if block, k = wordTokens(b, tok, ends[j:n], block); k == 0 {
+				f, next, ok := parseFloat32(b, skipSpace(b, tok))
+				if !ok || skipSpace(b, next) != ends[j] || len(block) == cap(block) {
+					return block, ends[j], false
+				}
+				block, k = append(block, f), 1
+			}
+			j += k
 		}
 	}
-	return block, i, true
+	return block, end + 1, true
+}
+
+// indexCommas is stage 1: it writes the index of each comma in row[w:] to
+// ends, two words at a time, until the row ends or rowChunk are written,
+// and returns how many and where it stopped. A step writes two entries
+// whatever it holds, so its usual one or two commas take no branch.
+func indexCommas(row []byte, w int, ends *[rowChunk + 17]int) (int, int) {
+	n := uint(0) // unsigned: n < rowChunk bounds the indexes
+	for ; n < rowChunk && w < len(row); w += 16 {
+		var lo, hi uint64
+		if w+16 <= len(row) {
+			win := row[w : w+16 : w+16]
+			lo, hi = binary.LittleEndian.Uint64(win[:8]), binary.LittleEndian.Uint64(win[8:])
+		} else { // the row's last bytes, zeros past them
+			for j := len(row) - 1; j >= w; j-- {
+				lo, hi = lo<<8|uint64(row[j]), hi<<8|lo>>56
+			}
+		}
+		c := commaBits(lo) | commaBits(hi)<<8
+		k := n + uint(bits.OnesCount64(c))
+		ends[n], ends[n+1] = w+bits.TrailingZeros64(c), w+bits.TrailingZeros64(c&(c-1))
+		for n, c = n+2, c&(c-1); n < k; n++ {
+			c &= c - 1
+			ends[n] = w + bits.TrailingZeros64(c)
+		}
+		n = k
+	}
+	return int(n), w
+}
+
+// SWAR constants: a byte repeated in a word's eight lanes.
+const lanes, low7, high = 0x0101010101010101, 0x7f * lanes, 0x80 * lanes
+
+// commaBits sets bit k where byte k of x is a comma: exact byte compares
+// (no carry crosses a byte), their high bits gathered by one multiply.
+func commaBits(x uint64) uint64 {
+	t := x ^ lanes*','
+	return ^((t&low7 + low7) | t) & high >> 7 * 0x0102040810204080 >> 56
+}
+
+// nonDigits sets the high bit of each byte of v above 9: exactly for the
+// lowest; a byte ≥ 0x8a, itself set, carries into the next.
+func nonDigits(v uint64) uint64 { return (v + (0x80-10)*lanes | v) & high }
+
+// eightDigits is the value of the digits 0–9 in x's bytes, the first the
+// most significant, in three multiplies (Lemire, arXiv:2101.11408).
+func eightDigits(x uint64) uint64 {
+	x = x*10 + x>>8 // pairs of digits in bytes 0, 2, 4, 6
+	return ((x&0x000000ff000000ff)*(100+1000000<<32) + (x>>16&0x000000ff000000ff)*(1+10000<<32)) >> 32
+}
+
+// lastBytes[w][n] keeps the last n bytes (all, from 16) of a 16-byte
+// window in its word w.
+var lastBytes = func() (m [2][32]uint64) {
+	for n := range 32 {
+		m[0][n], m[1][n] = ^uint64(0)<<(128-8*min(n, 16)), ^uint64(0)<<(64-8*min(n, 8))
+	}
+	return m
+}()
+
+// wordTokens is stage 2: it appends the numbers of the tokens that end at
+// ends[0], ends[1], … (the first from b[s]) until it declines one or block
+// is full, and returns how many. A token's mantissa -?digits(.digits)?, of
+// at most 16 bytes after the sign, is read from the two words that end
+// with it, the dot squeezed out of its digits and no branch on a byte; an
+// exponent of 1–3 digits after it is read byte by byte (exponentOf); the
+// value takes parseFloat32's exact route (nearest). It declines any other
+// token, one off that route, and one within the body's first 16 bytes.
+func wordTokens(b []byte, s int, ends []int, block []float32) ([]float32, int) {
+	ends = ends[:min(len(ends), cap(block)-len(block))]
+	for j, e := range ends {
+		if e < 16 {
+			return block, j
+		}
+		sign := (uint64(b[s]^'-') - 1) >> 63 // no branch on a random sign
+		x, me := 0, e                        // the exponent; the mantissa's end
+		if t := binary.LittleEndian.Uint32(b[e-4:e:e]) | 0x20202020 ^ 'e'*0x01010101; (t-0x01010101)&^t&0x80808080 != 0 {
+			me, x = exponentOf(b, s, e) // an 'e' or 'E' in the last four bytes
+		}
+		n := me - s - int(sign)
+		if n < 1 || n > 16 || me < 16 {
+			return block, j
+		}
+		// Digits to 0–9 and the bytes before the token to 0; c has a bit
+		// per non-digit (lo's at 8k+3, hi's at 8k+7), and one '.' may be.
+		win := b[me-16 : me : me]
+		lo := (binary.LittleEndian.Uint64(win[:8]) ^ lanes*'0') & lastBytes[0][n&31]
+		hi := (binary.LittleEndian.Uint64(win[8:]) ^ lanes*'0') & lastBytes[1][n&31]
+		c := nonDigits(lo)>>4 | nonDigits(hi)
+		intLen, frac := n, 0
+		if c != 0 {
+			t := bits.TrailingZeros64(c)
+			k := (t>>3 | t&4<<1) & 15 // the '.'s byte in win
+			if frac, intLen = 15-k, n-16+k; c&(c-1) != 0 || win[k] != '.' || frac == 0 || intLen == 0 {
+				return block, j
+			}
+			// Shift the bytes below the '.' up over it.
+			ll, lh := lo&^lastBytes[0][(frac+1)&31], hi&^lastBytes[1][(frac+1)&31]
+			lo, hi = lo&lastBytes[0][frac&31]|ll<<8, hi&lastBytes[1][frac&31]|lh<<8|ll>>56
+		}
+		f, ok := nearest(eightDigits(lo)*100000000+eightDigits(hi), x-frac)
+		if !ok || intLen > 1 && b[me-n] == '0' { // a leading zero only in "0"
+			return block, j
+		}
+		block = block[:len(block)+1] // within cap, and no growslice call
+		block[len(block)-1] = math.Float32frombits(math.Float32bits(f) | uint32(sign)<<31)
+		s = e + 1
+	}
+	return block, len(ends)
+}
+
+// exponentOf finds the [eE][+-]?digits suffix, of 1–3 digits, of the
+// token b[s:e]: it returns the index of its 'e' and its value, or e.
+func exponentOf(b []byte, s, e int) (at, x int) {
+	d := e // the first digit
+	for d > s && e-d < 3 && b[d-1]-'0' < 10 {
+		d--
+	}
+	if at = d; b[d-1] == '+' || b[d-1] == '-' {
+		at--
+	}
+	if d == e || at <= s+1 || b[at-1]|0x20 != 'e' {
+		return e, 0
+	}
+	for _, c := range b[d:e] {
+		x = x*10 + int(c-'0')
+	}
+	if b[d-1] == '-' {
+		x = -x
+	}
+	return at - 1, x
 }
 
 // pow10 holds the powers of ten a float64 represents exactly.
@@ -238,18 +392,9 @@ var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
 // parseFloat32 parses the JSON number starting at b[i] to the float32
 // encoding/json would store for it — the one nearest the decimal, ties to
 // even, which is strconv.ParseFloat(s, 32) — and returns the index after
-// it. ok is false when the bytes are not a JSON number or the value
-// overflows float32.
-//
-// Number contract: digits m and decimal exponent e with m < 2^53 and
-// |e| ≤ 22 are both exact in float64, so one multiply or divide yields d,
-// the float64 nearest the decimal. float32(d) is then the float32 nearest
-// the decimal too — rounding is monotonic, so d and the decimal lie on the
-// same side of every float32 rounding boundary — unless d sits exactly on
-// such a boundary (low 29 mantissa bits 1000…0), where the decimal may lie
-// on either side. That case, results outside float32's normal range (whose
-// boundaries sit elsewhere), longer digit strings and larger exponents all
-// go to strconv.ParseFloat on the validated token instead.
+// it: by nearest where that is exact, else by strconv.ParseFloat on the
+// validated token. ok is false when the bytes are not a JSON number or
+// the value overflows float32.
 func parseFloat32(b []byte, i int) (f float32, next int, ok bool) {
 	start := i
 	neg := i < len(b) && b[i] == '-'
@@ -314,23 +459,34 @@ func parseFloat32(b []byte, i int) (f float32, next int, ok bool) {
 		}
 		exp += e
 	}
-	if nd <= 19 && m < 1<<53 && -22 <= exp && exp <= 22 {
-		d := float64(m)
-		if exp < 0 {
-			d /= pow10[-exp]
-		} else {
-			d *= pow10[exp]
+	if f, ok := nearest(m, exp); ok && nd <= 19 {
+		if neg {
+			f = -f
 		}
-		onBoundary := math.Float64bits(d)&(1<<29-1) == 1<<28
-		if m == 0 || (d >= 0x1p-126 && d <= math.MaxFloat32 && !onBoundary) {
-			if neg {
-				d = -d
-			}
-			return float32(d), i, true
-		}
+		return f, i, true
 	}
 	v, err := strconv.ParseFloat(string(b[start:i]), 32)
 	return float32(v), i, err == nil
+}
+
+// nearest is the number contract's exact route to the float32 nearest
+// m × 10^exp. With m < 2^53 and |exp| ≤ 22 both are exact in float64, so
+// one multiply or divide gives d, the float64 nearest the decimal, and
+// float32(d) is the float32 nearest it too (rounding is monotonic) unless
+// d sits exactly on a float32 rounding boundary (low 29 mantissa bits
+// 1000…0) or outside float32's normal range: there ok is false.
+func nearest(m uint64, exp int) (float32, bool) {
+	if m >= 1<<53 || exp < -22 || exp > 22 {
+		return 0, false
+	}
+	d := float64(int64(m)) // exact: m < 2^53
+	if exp < 0 {
+		d /= pow10[-exp]
+	} else {
+		d *= pow10[exp]
+	}
+	onBoundary := math.Float64bits(d)&(1<<29-1) == 1<<28
+	return float32(d), m == 0 || (d >= 0x1p-126 && d <= math.MaxFloat32 && !onBoundary)
 }
 
 // parseSmallInt parses a JSON integer of at most nine digits — what a

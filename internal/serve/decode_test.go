@@ -121,6 +121,55 @@ var decodeGrammar = []struct {
 	{`{"input": [9.000000476837159, 9.000000476837158, 1.0000000596046448, 1.0000000596046447]}`, true},
 	{`{"input": [1e22, 1e23, 1e-22, 1e-23, 123456789e-31, 0.1e1, 100000000000000000000]}`, true},
 	{`{"input": [1e-400, -1e-400, 0.1e-9999999999999999999]}`, true}, // underflow is ±0, not an error
+	// At the edges of the word path (wordTokens), which reads tokens that
+	// end past the body's 16th byte and have no whitespace around them:
+	// 15, 16 and 17 significant digits, with and without a dot and sign;
+	// small integers; zeros, exponents and tiny fractions; whitespace.
+	{`{"input":[0.25,123456789012345,1234567890123456,12345678901234567,9999999999999999,0.12345678901234,0.123456789012345,-1.23456789012345,-1.234567890123456,12345678.12345678,1234567.123456789]}`, true},
+	{`{"input":[0.25,0,255,-128,123.456,1,10,100.5,65535]}`, true},
+	{`{"input":[0.25,-0,-0.0,0.000001,1e-7,1E+3,0.0000001,-0.000000000000001,5e0]}`, true},
+	{`{"input":[0.25,1e5,1.5E-10,-2.5e+07,1e-0,1e+022,-0e-0,1.2345678e-9,1e-45,1e-38,1e38,1e-100,1e-1000,1e0005]}`, true},
+	{`{"inputs": [[ 1.5 , -2 ], [` + "\t0.25\r\n,\n-0.125 " + `]]}`, true},
+	{`{"input":[0.25,0.5,00.5]}`, false},
+	{`{"input":[0.25,0.5,-01]}`, false},
+	{`{"input":[0.25,0.5,1.5.5]}`, false},
+	{`{"input":[0.25,0.5,.5]}`, false},
+	{`{"input":[0.25,0.5,-.5]}`, false},
+	{`{"input":[0.25,0.5,5.]}`, false},
+	{`{"input":[0.25,0.5,1-5]}`, false},
+	{`{"input":[0.25,0.5,1e]}`, false},
+	{`{"input":[0.25,0.5,1e+]}`, false},
+	{`{"input":[0.25,0.5,e5]}`, false},
+	{`{"input":[0.25,0.5,-e5]}`, false},
+	{`{"input":[0.25,0.5,1.e5]}`, false},
+	{`{"input":[0.25,0.5,.5e5]}`, false},
+	{`{"input":[0.25,0.5,01e1]}`, false},
+	{`{"input":[0.25,0.5,1e5e5]}`, false},
+	{`{"input":[0.25,0.5,1e5.5]}`, false},
+	{`{"input":[0.25,0.5,1,]}`, false},
+	{`{"input":[0.25,0.5,,1]}`, false},
+	{`{"input":[0.25,0.5,1 2]}`, false},
+	{`{"input":[0.25,0.5,[1]]}`, false},
+	{`{"input":[0.25,0.5,"1"]}`, false},
+	{`{"input":[0.25,12345678.5]`, false}, // then each prefix of "}" and padding: the last token ends 1…16 bytes before the body's end
+	{`{"input":[0.25,12345678.5]}`, true},
+	{`{"input":[0.25,12345678.5]} `, true},
+	{`{"input":[0.25,12345678.5]}  `, true},
+	{`{"input":[0.25,12345678.5]}   `, true},
+	{`{"input":[0.25,12345678.5]}    `, true},
+	{`{"input":[0.25,12345678.5]}     `, true},
+	{`{"input":[0.25,12345678.5]}      `, true},
+	{`{"input":[0.25,12345678.5]}       `, true},
+	{`{"input":[0.25,12345678.5]}        `, true},
+	{`{"input":[0.25,12345678.5]}         `, true},
+	{`{"input":[0.25,12345678.5]}          `, true},
+	{`{"input":[0.25,12345678.5]}           `, true},
+	{`{"input":[0.25,12345678.5]}            `, true},
+	{`{"input":[0.25,12345678.5]}             `, true},
+	{`{"input":[0.25,12345678.5]}              `, true},
+	{`{"input":[0.25,12345678.5]}               `, true},
+	{`{"input":[0.25,0.5,2`, false}, // a row with no ']'
+	{`{"inputs":[[0.25,0.5,2}`, false},
 	// Outside: valid JSON that encoding/json must decide.
 	{`{"input": null}`, false},
 	{`{"inputs": null}`, false},
@@ -300,6 +349,61 @@ func TestClassifyDecodeMatchesJSON(t *testing.T) {
 	}
 }
 
+// TestWordPathTakesMarshalOutput fails by name when json.Marshal's
+// float32 output leaves the word path: every token of N(0,1), N(0,1)·255,
+// k/255, the integers 0–255 and N(0,1)·1e-8 (exponent form), as
+// json.Marshal writes them, must be taken by wordTokens alone (no
+// parseFloat32 fallback) and give parseFloat32's bits. Only a token that ends in the body's first 16
+// bytes is the word path's to decline.
+func TestWordPathTakesMarshalOutput(t *testing.T) {
+	n := 100_000
+	if testing.Short() {
+		n = 20_000
+	}
+	rng := rand.New(rand.NewSource(60))
+	for _, c := range []struct {
+		name string
+		draw func(i int) float32
+	}{
+		{"N(0,1)", func(int) float32 { return float32(rng.NormFloat64()) }},
+		{"N(0,1)·255", func(int) float32 { return float32(rng.NormFloat64() * 255) }},
+		{"k/255", func(i int) float32 { return float32(i%256) / 255 }},
+		{"0–255", func(i int) float32 { return float32(i % 256) }},
+		{"N(0,1)·1e-8", func(int) float32 { return float32(rng.NormFloat64() * 1e-8) }}, // exponent form
+	} {
+		vals := make([]float32, n)
+		for i := range vals {
+			vals[i] = c.draw(i)
+		}
+		body := mustMarshal(t, classifyRequest{Input: vals})
+		var ends []int // the end of every token, its ',' or the ']'
+		for i := bytes.IndexByte(body, '[') + 1; i < len(body); i++ {
+			if body[i] == ',' || body[i] == ']' {
+				ends = append(ends, i)
+			}
+		}
+		start, skip := bytes.IndexByte(body, '[')+1, 0
+		for ends[skip] < 16 {
+			start, skip = ends[skip]+1, skip+1
+		}
+		got, k := wordTokens(body, start, ends[skip:], make([]float32, 0, len(ends)))
+		if k != len(ends)-skip {
+			e := ends[skip+k]
+			t.Fatalf("%s: the word path declined token %d, %q", c.name, skip+k, body[bytes.LastIndexByte(body[:e], ',')+1:e])
+		}
+		for i, f := range got {
+			e, s := ends[skip+i], start
+			if i > 0 {
+				s = ends[skip+i-1] + 1
+			}
+			want, next, ok := parseFloat32(body, s)
+			if !ok || next != e || math.Float32bits(f) != math.Float32bits(want) {
+				t.Fatalf("%s: %q: word path %#08x, parseFloat32 %#08x (ok %v)", c.name, body[s:e], math.Float32bits(f), math.Float32bits(want), ok)
+			}
+		}
+	}
+}
+
 // TestParseFloat32Boundary pins the double-rounding guard by name: each
 // literal's float64 sits exactly on the boundary between two float32s
 // while the decimal itself lies to one side.
@@ -322,15 +426,15 @@ func TestParseFloat32Boundary(t *testing.T) {
 	}
 }
 
-// body16 is the benchmark's request: 16 samples of 3×16×16 floats as
-// json.Marshal writes them (131 KB).
-func body16(t testing.TB) []byte {
+// body16 is the benchmark's request: 16 samples of 3×16×16 floats drawn
+// from N(0, scale²), as json.Marshal writes them (131 KB at scale 1).
+func body16(t testing.TB, scale float64) []byte {
 	rng := rand.New(rand.NewSource(16))
 	rows := make([][]float32, 16)
 	for i := range rows {
 		rows[i] = make([]float32, 768)
 		for j := range rows[i] {
-			rows[i][j] = float32(rng.NormFloat64())
+			rows[i][j] = float32(rng.NormFloat64() * scale)
 		}
 	}
 	return mustMarshal(t, classifyRequest{Inputs: rows})
@@ -339,7 +443,7 @@ func body16(t testing.TB) []byte {
 // TestClassifyDecodeAllocs pins the fast path's steady state: one float
 // block and one row-header slice per body, whatever its size.
 func TestClassifyDecodeAllocs(t *testing.T) {
-	body := body16(t)
+	body := body16(t, 1)
 	if _, fast, err := decodeClassify(body); !fast || err != nil {
 		t.Fatalf("16×768 body: fast %v, err %v", fast, err)
 	}
@@ -354,7 +458,17 @@ func TestClassifyDecodeAllocs(t *testing.T) {
 }
 
 func BenchmarkClassifyDecode16(b *testing.B) {
-	body := body16(b)
+	benchmarkDecode(b, body16(b, 1))
+}
+
+// BenchmarkClassifyDecode16Exp decodes values json.Marshal writes in
+// exponent form (|x| < 1e-6): the word path reads their mantissas and
+// their exponents byte by byte.
+func BenchmarkClassifyDecode16Exp(b *testing.B) {
+	benchmarkDecode(b, body16(b, 1e-8))
+}
+
+func benchmarkDecode(b *testing.B, body []byte) {
 	b.SetBytes(int64(len(body)))
 	b.ReportAllocs()
 	for b.Loop() {
@@ -362,12 +476,13 @@ func BenchmarkClassifyDecode16(b *testing.B) {
 			b.Fatal("fell off the fast path")
 		}
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*16*768), "ns/float")
 }
 
 // BenchmarkClassifyDecode16StdJSON is the decode the handler used to run,
 // on the same body, so the ratio can be re-measured anywhere.
 func BenchmarkClassifyDecode16StdJSON(b *testing.B) {
-	body := body16(b)
+	body := body16(b, 1)
 	b.SetBytes(int64(len(body)))
 	b.ReportAllocs()
 	for b.Loop() {
