@@ -122,7 +122,7 @@ func BenchmarkTable1(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Ablation benches for the design choices called out in DESIGN.md §5:
+// Ablation benches for the controller's design choices (core.Config):
 // policy step size, EMA decay, metric variant and profiling interval.
 // Each trains the same micro workload with one knob changed and reports
 // final accuracy and normalized energy so the ablation grid can be read

@@ -1,7 +1,7 @@
 // Package data provides the synthetic stand-in for CIFAR-10/CIFAR-100 plus
 // the paper's augmentation pipeline and a deterministic mini-batch loader.
 //
-// The real CIFAR archives are not available in this offline environment, so
+// The module downloads nothing, so instead of the real CIFAR archives
 // SynthCIFAR generates a procedural multi-class image-classification task
 // with the same tensor geometry (3×32×32 by default, 10 or 100 classes):
 // each class is defined by a deterministic texture prototype — a mixture of
@@ -11,8 +11,13 @@
 // learnable but non-trivial: classes overlap in pixel space and separating
 // them requires the convolutional features to pick up orientation and
 // colour statistics, which produces the gradient dynamics (plateaus,
-// per-layer heterogeneity) that drive APT. See DESIGN.md §1 for the
-// substitution rationale.
+// per-layer heterogeneity) that drive APT; the paper's claims are about
+// those dynamics, not about CIFAR accuracy itself.
+//
+// Determinism: NewSynth splits every sample's RNG stream serially, then
+// renders the samples on the tensor worker pool, each grating's sine and
+// blob's Gaussian once per pixel into a per-lane basis that every channel
+// sums with the per-channel expressions: the same bytes at any worker count.
 package data
 
 import (
@@ -107,21 +112,30 @@ func NewSynth(cfg SynthConfig) (train, test *Synth, err error) {
 	for c := range protos {
 		protos[c] = makeProto(rng.Split())
 	}
-	gen := func(n int, seed *tensor.RNG) *Synth {
-		s := &Synth{cfg: cfg, images: make([]*tensor.Tensor, n), labels: make([]int, n)}
-		for i := 0; i < n; i++ {
-			label := i % cfg.Classes // balanced classes
-			s.labels[i] = label
-			s.images[i] = renderSample(protos[label], cfg, seed.Split())
+	n := cfg.Train + cfg.Test // train samples, then test samples
+	images, labels, streams := make([]*tensor.Tensor, n), make([]int, n), make([]tensor.RNG, n)
+	for _, split := range [][2]int{{0, cfg.Train}, {cfg.Train, n}} {
+		seed := rng.Split()
+		for k := split[0]; k < split[1]; k++ {
+			labels[k] = (k - split[0]) % cfg.Classes // balanced classes
+			streams[k] = *seed.Split()
 		}
-		return s
 	}
-	return gen(cfg.Train, rng.Split()), gen(cfg.Test, rng.Split()), nil
+	per := (maxGratings + maxBlobs) * cfg.Size * cfg.Size
+	basis := make([]float64, min(tensor.MaxWorkers(), n)*per)
+	tensor.ParallelForWorker(n, func(k, lane int) {
+		images[k] = renderSample(&protos[labels[k]], cfg, &streams[k], basis[lane*per:(lane+1)*per])
+	})
+	t := cfg.Train
+	return &Synth{cfg: cfg, images: images[:t], labels: labels[:t]},
+		&Synth{cfg: cfg, images: images[t:], labels: labels[t:]}, nil
 }
+
+const maxGratings, maxBlobs = 3, 2 // a prototype's component bounds
 
 func makeProto(rng *tensor.RNG) classProto {
 	var p classProto
-	ng := 2 + rng.Intn(2) // 2–3 gratings
+	ng := 2 + rng.Intn(maxGratings-1) // 2–3 gratings
 	for i := 0; i < ng; i++ {
 		freq := 1.5 + 6*rng.Float64() // cycles across the image
 		theta := 2 * math.Pi * rng.Float64()
@@ -135,7 +149,7 @@ func makeProto(rng *tensor.RNG) classProto {
 		}
 		p.gratings = append(p.gratings, g)
 	}
-	nb := 1 + rng.Intn(2) // 1–2 blobs
+	nb := 1 + rng.Intn(maxBlobs) // 1–2 blobs
 	for i := 0; i < nb; i++ {
 		b := blob{
 			cx:    0.2 + 0.6*rng.Float64(),
@@ -153,40 +167,49 @@ func makeProto(rng *tensor.RNG) classProto {
 	return p
 }
 
-func renderSample(p classProto, cfg SynthConfig, rng *tensor.RNG) *tensor.Tensor {
+// renderSample draws one instance of p, with basis as its scratch.
+func renderSample(p *classProto, cfg SynthConfig, rng *tensor.RNG, basis []float64) *tensor.Tensor {
 	sz := cfg.Size
 	img := tensor.New(cfg.Channels, sz, sz)
 	d := img.Data()
 	// Instance jitter: phase offsets, blob displacement, amplitude scale.
-	phaseJit := make([]float64, len(p.gratings))
-	for i := range phaseJit {
+	var phaseJit [maxGratings]float64
+	for i := range p.gratings {
 		phaseJit[i] = (rng.Float64() - 0.5) * 1.2
 	}
-	dxs := make([]float64, len(p.blobs))
-	dys := make([]float64, len(p.blobs))
+	var dxs, dys [maxBlobs]float64
 	for i := range p.blobs {
 		dxs[i] = (rng.Float64() - 0.5) * 0.15
 		dys[i] = (rng.Float64() - 0.5) * 0.15
 	}
 	ampScale := 0.8 + 0.4*rng.Float64()
 
-	inv := 1 / float64(sz)
-	for ch := 0; ch < cfg.Channels; ch++ {
-		for y := 0; y < sz; y++ {
-			fy := float64(y) * inv
-			for x := 0; x < sz; x++ {
-				fx := float64(x) * inv
-				v := p.base[ch%3]
-				for gi, g := range p.gratings {
-					v += ampScale * g.amp[ch%3] * math.Sin(2*math.Pi*(g.fx*fx+g.fy*fy)+g.phase+phaseJit[gi])
-				}
-				for bi, b := range p.blobs {
-					ddx := fx - (b.cx + dxs[bi])
-					ddy := fy - (b.cy + dys[bi])
-					v += b.amp[ch%3] * math.Exp(-(ddx*ddx+ddy*ddy)/(2*b.sigma*b.sigma))
-				}
-				d[(ch*sz+y)*sz+x] = float32(v)
+	// One basis plane of sz² pixels per grating's sine, then per blob's Gaussian.
+	px, ng, inv := sz*sz, len(p.gratings), 1/float64(sz)
+	for y := 0; y < sz; y++ {
+		fy := float64(y) * inv
+		for x := 0; x < sz; x++ {
+			fx := float64(x) * inv
+			for gi, g := range p.gratings {
+				basis[gi*px+y*sz+x] = math.Sin(2*math.Pi*(g.fx*fx+g.fy*fy) + g.phase + phaseJit[gi])
 			}
+			for bi, b := range p.blobs {
+				ddx := fx - (b.cx + dxs[bi])
+				ddy := fy - (b.cy + dys[bi])
+				basis[(ng+bi)*px+y*sz+x] = math.Exp(-(ddx*ddx + ddy*ddy) / (2 * b.sigma * b.sigma))
+			}
+		}
+	}
+	for ch := 0; ch < cfg.Channels; ch++ {
+		for k := 0; k < px; k++ {
+			v := p.base[ch%3]
+			for gi, g := range p.gratings {
+				v += ampScale * g.amp[ch%3] * basis[gi*px+k]
+			}
+			for bi, b := range p.blobs {
+				v += b.amp[ch%3] * basis[(ng+bi)*px+k]
+			}
+			d[ch*px+k] = float32(v)
 		}
 	}
 	// Pixel noise, then normalise roughly to zero mean unit-ish scale,

@@ -1,8 +1,8 @@
 // Package energy implements the analytical training-cost model that stands
-// in for the paper's hardware energy measurements (see DESIGN.md §1). The
-// paper reports training energy and training-time model size normalized to
-// the fp32 run of the same workload; this package reproduces exactly those
-// normalized quantities.
+// in for the paper's hardware energy measurements, which a CPU-only run
+// cannot take. The paper reports training energy and training-time model
+// size normalized to the fp32 run of the same workload; this package
+// reproduces exactly those normalized quantities.
 //
 // Cost model. One multiply-accumulate on k-bit operands costs
 //

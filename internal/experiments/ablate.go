@@ -9,7 +9,7 @@ import (
 )
 
 // Ablate is an extension beyond the paper's artefacts: a grid over APT's
-// design choices (DESIGN.md §5) — policy step size, EMA decay, metric
+// design choices (core.Config's knobs) — policy step size, EMA decay, metric
 // variant and profiling interval — each trained on the shared workload
 // and reported with final accuracy, energy and memory. It quantifies how
 // sensitive the headline result is to the pieces Algorithm 1 and 2 fix by

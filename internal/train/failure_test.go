@@ -12,9 +12,8 @@ import (
 	"repro/internal/tensor"
 )
 
-// Failure injection: the scenarios DESIGN.md §5 calls out — poisoned
-// gradients, degenerate weight tensors, and bitwidth saturation — must
-// not wedge the controller or the optimizer.
+// Failure injection: poisoned gradients, degenerate weight tensors and
+// bitwidth saturation must not wedge the controller or the optimizer.
 
 func TestNaNGradHookDoesNotWedgeController(t *testing.T) {
 	tr, te := smokeData(t, 4)
